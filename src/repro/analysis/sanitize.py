@@ -32,6 +32,7 @@ from __future__ import annotations
 import os
 from typing import Any, Iterable
 
+
 ENV_VAR = "REPRO_SANITIZE"
 
 _FORCED: bool | None = None
@@ -216,6 +217,32 @@ def _check_bf_leaf(name: str, leaf: Any) -> None:
                       f"seed={first.seed})")
     elif leaf.nkeys:
         _fail(name, f"{where}: {leaf.nkeys} keys but no filters")
+    if leaf.geometry.filter_kind != "counting":
+        _check_leaf_page(name, where, leaf)
+
+
+def _check_leaf_page(name: str, where: str, leaf: Any) -> None:
+    """A plain leaf's filters are row views of its page, whose unused
+    rows are zero (so a batch probe gathering the page matches exactly
+    what probing the filters one by one would)."""
+    page = leaf.page
+    if page is None:
+        if leaf.filters:
+            _fail(name, f"{where}: {leaf.nfilters} filters but no page")
+        return
+    if page.shape[0] < leaf.nfilters:
+        _fail(name, f"{where}: page has {page.shape[0]} rows for "
+                    f"{leaf.nfilters} filters")
+    shape = page.shape[1:]
+    addr, stride = page.ctypes.data, page.strides[0]
+    for i, f in enumerate(leaf.filters):
+        words = f._words
+        if words.shape != shape or words.ctypes.data != addr + i * stride:
+            _fail(name, f"{where}: filter {i}'s words are not row {i} of "
+                        f"the leaf page")
+    if page[leaf.nfilters:].any():
+        _fail(name, f"{where}: page rows at or past nfilters="
+                    f"{leaf.nfilters} hold set bits")
 
 
 # ---------------------------------------------------------------------------

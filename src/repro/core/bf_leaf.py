@@ -14,24 +14,31 @@ keys stays at ``-ln(fpp) / ln^2(2)`` the leaf-wide false-positive
 probability is the configured ``fpp`` regardless of how many filters the
 budget is split into.
 
+Layout: like the paper's index page, a plain leaf stores its filters in
+one contiguous ``(capacity, words_per_filter)`` uint64 matrix,
+:attr:`BFLeaf.page`.  Each :class:`~repro.core.bloom.BloomFilter` in
+``filters`` is a thin handle whose word array is a row view of that
+matrix, so per-filter writes land in the page and a batch probe tests
+all S filters with one gather (:meth:`BFLeaf._match_matrix`).  Rows past
+``nfilters`` stay zero and can never match.  Every filter of a leaf
+shares nbits/k/seed, so a key is hashed once per leaf; a tree hashes all
+(key, leaf) rows of a batch in a single call (:meth:`BFLeaf.hash_segments`)
+and bulk loading hashes each leaf's pages in one call
+(:meth:`BFLeaf.add_pages`).  Counting-filter leaves (§7) keep a plain
+list of per-filter counter arrays instead of a page.
+
 Update support (paper §7): the leaf keeps a *deleted-key list* so deletes
 do not degrade the fpp, and tracks ``extra_inserts`` beyond nominal
 capacity so the effective fpp after overflowing inserts follows
 Equation 14.
 
-Probing comes in two forms: the scalar Algorithm-1 path
-(:meth:`BFLeaf.matching_groups` / :meth:`BFLeaf.matching_page_runs`) and
-a vectorized batch path (:meth:`BFLeaf.matching_groups_many` /
-:meth:`BFLeaf.matching_page_runs_many`) that tests all S filters for N
-probe keys in one NumPy pass — the leaf-level engine behind
-``BFTree.search_many``.  Both paths return identical results.
-
-Writes mirror that split: scalar :meth:`BFLeaf.add`, and the prehashed
-primitives :meth:`BFLeaf.hash_batch` + :meth:`BFLeaf.add_prehashed`
-that ``BFTree.insert_many`` drives (hash a key batch once against the
-leaf's shared filter geometry, then apply per key), bundled for
-single-leaf use as :meth:`BFLeaf.add_many`.  Scalar and prehashed
-paths leave bit-identical state.
+Probing comes in a scalar Algorithm-1 form (:meth:`BFLeaf.matching_groups`
+/ :meth:`BFLeaf.matching_page_runs`) and a batch form
+(:meth:`BFLeaf.matching_groups_many` /
+:meth:`BFLeaf.matching_page_runs_many`, optionally fed prehashed
+positions); writes come as scalar :meth:`BFLeaf.add` and the prehashed
+:meth:`BFLeaf.add_prehashed` that ``BFTree.insert_many`` drives.  Scalar
+and batch paths return identical results and leave bit-identical state.
 """
 
 from __future__ import annotations
@@ -45,8 +52,14 @@ from repro.core.bloom import (
     bits_for_capacity,
     fpp_after_inserts,
     optimal_hash_count,
+    page_popcount,
+    page_set_positions,
+    page_test,
+    page_test_rows,
+    words_per_filter,
 )
 from repro.core.hashing import (
+    MASK64,
     bloom_positions,
     bloom_positions_batch,
     key_to_int,
@@ -177,6 +190,25 @@ class BFLeaf:
     #: All filters of one leaf must share one seed: the vectorized
     #: probe path hashes each key batch once per leaf.
     filter_seed: int | None = None
+    #: The index page of a plain leaf: a ``(capacity, words_per_filter)``
+    #: uint64 matrix whose row ``i`` is ``filters[i]._words`` (rows at or
+    #: past ``nfilters`` are zero).  ``None`` before the first filter
+    #: exists and for counting leaves.  Filters passed to the constructor
+    #: are copied onto a fresh page.
+    page: np.ndarray | None = field(default=None, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        if (self.filters and self.page is None
+                and self.geometry.filter_kind != "counting"):
+            self._repage(len(self.filters))
+
+    def __setstate__(self, state: dict) -> None:
+        # Pickling and deep copies store each filter's row view as an
+        # array of its own; point the filters back at the page rows.
+        self.__dict__.update(state)
+        if self.page is not None:
+            for i, filt in enumerate(self.filters):
+                filt._words = self.page[i]
 
     # ------------------------------------------------------------------
     # geometry
@@ -241,8 +273,8 @@ class BFLeaf:
         """``(len(keys), k)`` bit positions, hashed once for the batch.
 
         All filters of one leaf share nbits/k/seed, so these rows are
-        valid against every filter — the write-path counterpart of the
-        shared-hash probe path (:meth:`_match_matrix`).
+        valid against every filter of the leaf, on the probe and the
+        write path alike.
         """
         geo = self.geometry
         return bloom_positions_batch(
@@ -286,6 +318,31 @@ class BFLeaf:
         return (filt.contains_positions(positions)
                 and filt.effective_fpp() <= DUPLICATE_TRUST_MAX_FPP)
 
+    def duplicate_flags(self, groups: np.ndarray,
+                        positions: np.ndarray) -> np.ndarray:
+        """Vectorized :meth:`duplicate_prehashed` for a key batch.
+
+        Key ``j`` has bit ``positions[j]`` and lands in existing filter
+        ``groups[j]`` (``< nfilters``).  A plain leaf answers from its
+        page: one row gather for membership, plus a popcount of only the
+        rows the batch touches for the trust gate (the float expression
+        of :meth:`BloomFilter.effective_fpp`, vectorized).
+        """
+        if self.page is None:
+            flags = np.zeros(len(groups), dtype=bool)
+            by_group: dict[int, list[int]] = {}
+            for r, group in enumerate(groups.tolist()):
+                by_group.setdefault(group, []).append(r)
+            for group, rs in by_group.items():
+                filt = self.filters[group]
+                if filt.effective_fpp() <= DUPLICATE_TRUST_MAX_FPP:
+                    flags[rs] = filt.test_positions(positions[rs])
+            return flags
+        geo = self.geometry
+        fill = page_popcount(self.page, groups) / geo.bits_per_bf
+        trust = fill ** geo.hash_count <= DUPLICATE_TRUST_MAX_FPP
+        return page_test_rows(self.page, groups, positions) & trust
+
     def add_prehashed(self, key, pid: int, positions,
                       duplicate: bool | None = None) -> bool:
         """:meth:`add` with the key's bit positions already computed.
@@ -302,8 +359,7 @@ class BFLeaf:
                 f"page {pid} needs filter {group} but leaf holds at most "
                 f"{self.geometry.max_filters}"
             )
-        while self.nfilters <= group:
-            self.filters.append(self._new_filter())
+        self._grow_to(group)
         filt = self.filters[group]
         if duplicate is None:
             duplicate = (filt.contains_positions(positions)
@@ -350,23 +406,50 @@ class BFLeaf:
         return grew
 
     def add_page_keys(self, keys, pid: int) -> None:
-        """Vectorized :meth:`add` of one page's distinct keys (bulk load).
+        """Vectorized :meth:`add` of one page's distinct keys.
 
         ``keys`` must be a sorted NumPy integer array of the distinct keys
         present on data page ``pid``.
         """
+        self.add_pages(keys, np.full(len(keys), pid, dtype=np.int64))
+
+    def add_pages(self, keys, pids) -> None:
+        """Vectorized :meth:`add` of a run of data pages (bulk load).
+
+        ``keys`` concatenates the sorted distinct keys of each page, and
+        ``pids`` holds each key's page id, non-decreasing.  The resulting
+        state equals :meth:`add_page_keys` applied page by page, but a
+        plain leaf hashes the whole run in one call and ORs every bit
+        into its page in one scatter.  Raises :class:`LeafOverflow`
+        before changing anything when the last page lies past the
+        leaf's filter budget.
+        """
         if len(keys) == 0:
             return
-        group = self.group_of(pid)
-        if group >= self.geometry.max_filters:
+        pids = np.asarray(pids, dtype=np.int64)
+        first = self.group_of(int(pids[0]))
+        last = self.group_of(int(pids[-1]))
+        if last >= self.geometry.max_filters:
             raise LeafOverflow(
-                f"page {pid} needs filter {group} but leaf holds at most "
-                f"{self.geometry.max_filters}"
+                f"page {int(pids[-1])} needs filter {last} but leaf holds "
+                f"at most {self.geometry.max_filters}"
             )
-        while self.nfilters <= group:
-            self.filters.append(self._new_filter())
-        self.filters[group].bulk_add(keys)
-        self.pages_covered = max(self.pages_covered, pid - self.min_pid + 1)
+        self._grow_to(last)
+        groups = (pids - self.min_pid) // self.geometry.pages_per_bf
+        cuts = np.flatnonzero(pids[1:] != pids[:-1]) + 1
+        heads, ends = np.r_[0, cuts], np.r_[cuts, len(keys)]
+        if self.page is None:
+            # Counting filters keep their per-filter path, one page at a
+            # time (counter saturation is applied per bulk_add call).
+            for lo, hi in zip(heads.tolist(), ends.tolist()):
+                self.filters[int(groups[lo])].bulk_add(keys[lo:hi])
+        else:
+            page_set_positions(self.page, groups, self.hash_batch(keys))
+            counts = np.bincount(groups - first).tolist()
+            for group, count in enumerate(counts, start=first):
+                self.filters[group].count += count
+        self.pages_covered = max(self.pages_covered,
+                                 int(pids[-1]) - self.min_pid + 1)
         self.nkeys += len(keys)
         if self.nkeys > self.key_capacity:
             # Same reconciliation rule as add_prehashed: overflow is
@@ -375,29 +458,57 @@ class BFLeaf:
         if self.deleted_keys:
             # Re-inserted keys stop being tombstoned, same as :meth:`add`.
             self.deleted_keys.difference_update(keys.tolist())
-        first, last = keys[0].item(), keys[-1].item()
-        if self.min_key is None or first < self.min_key:
-            self.min_key = first
-        if self.max_key is None or last > self.max_key:
-            self.max_key = last
+        # Each page's keys are sorted: its first and last are its range.
+        lo_key = min(keys[heads].tolist())
+        hi_key = max(keys[ends - 1].tolist())
+        if self.min_key is None or lo_key < self.min_key:
+            self.min_key = lo_key
+        if self.max_key is None or hi_key > self.max_key:
+            self.max_key = hi_key
 
-    def _new_filter(self):
-        """Instantiate one membership filter per the leaf's geometry."""
+    def _grow_to(self, group: int) -> None:
+        """Append empty filters until filter ``group`` exists.
+
+        Plain filters are row views of the page, which is reallocated
+        (rows copied, every filter re-pointed) when an oversized leaf
+        outgrows it.
+        """
+        if self.nfilters > group:
+            return
+        geo = self.geometry
         seed = self.node_id if self.filter_seed is None else self.filter_seed
-        if self.geometry.filter_kind == "counting":
+        if geo.filter_kind == "counting":
             from repro.core.variants import CountingBloomFilter
 
-            return CountingBloomFilter(
-                nbits=self.geometry.bits_per_bf,
-                k=self.geometry.hash_count,
-                seed=seed,
-                counter_bits=self.geometry.counter_bits,
-            )
-        return BloomFilter(
-            nbits=self.geometry.bits_per_bf,
-            k=self.geometry.hash_count,
-            seed=seed,
+            while self.nfilters <= group:
+                self.filters.append(CountingBloomFilter(
+                    nbits=geo.bits_per_bf, k=geo.hash_count, seed=seed,
+                    counter_bits=geo.counter_bits,
+                ))
+            return
+        if self.page is None or self.page.shape[0] <= group:
+            self._repage(group + 1)
+        page = self.page
+        while self.nfilters <= group:
+            self.filters.append(BloomFilter(
+                nbits=geo.bits_per_bf, k=geo.hash_count, seed=seed,
+                words=page[self.nfilters],
+            ))
+
+    def _repage(self, need: int) -> None:
+        """Move the plain filters onto a new zeroed page with room for at
+        least ``need`` filters (the geometry's budget, or double the old
+        page for an oversized leaf, whichever is larger)."""
+        old = 0 if self.page is None else self.page.shape[0]
+        capacity = max(need, self.geometry.max_filters, 2 * old)
+        page = np.zeros(
+            (capacity, words_per_filter(self.geometry.bits_per_bf)),
+            dtype=np.uint64,
         )
+        for i, filt in enumerate(self.filters):
+            page[i] = filt._words
+            filt._words = page[i]
+        self.page = page
 
     def mark_deleted(self, key) -> None:
         """Record ``key`` in the deleted list (fpp-preserving delete, §7)."""
@@ -448,29 +559,34 @@ class BFLeaf:
         return self._build_runs(key, self.matching_groups(key))
 
     # -- vectorized batch probing --------------------------------------
-    def matching_groups_many(self, keys) -> list[list[int]]:
+    def matching_groups_many(self, keys, positions=None) -> list[list[int]]:
         """Vectorized :meth:`matching_groups` over a batch of probe keys.
 
         Entry ``j`` equals ``matching_groups(keys[j])`` exactly, but all
         S filters are tested for all N keys in one NumPy pass: the leaf's
         filters share geometry (nbits/k/seed), so the k bit positions per
-        key are hashed once and gathered against every filter's bitset.
+        key are hashed once (or passed in as ``positions``, the
+        :meth:`hash_batch` rows of ``keys``) and gathered against the
+        whole page.
         """
-        matrix = self._match_matrix(keys)
+        matrix = self._match_matrix(self._positions_for(keys, positions))
         return [
             [] if key in self.deleted_keys
             else np.nonzero(matrix[j])[0].tolist()
             for j, key in enumerate(keys)
         ]
 
-    def matching_page_runs_many(self, keys) -> list[list[tuple[int, int]]]:
+    def matching_page_runs_many(self, keys, positions=None
+                                ) -> list[list[tuple[int, int]]]:
         """Vectorized :meth:`matching_page_runs` over a batch of probe keys.
 
         Entry ``j`` equals ``matching_page_runs(keys[j])`` exactly
         (spill-back handling, tombstones and adjacent-run merging
         included); only the filter membership tests are batched.
+        ``positions`` are optional prehashed rows, as in
+        :meth:`matching_groups_many`.
         """
-        matrix = self._match_matrix(keys)
+        matrix = self._match_matrix(self._positions_for(keys, positions))
         out: list[list[tuple[int, int]]] = []
         for j, key in enumerate(keys):
             if key in self.deleted_keys:
@@ -481,27 +597,49 @@ class BFLeaf:
                 )
         return out
 
-    def _match_matrix(self, keys) -> np.ndarray:
-        """Raw ``(len(keys), nfilters)`` boolean filter-match matrix.
+    def _positions_for(self, keys, positions) -> np.ndarray:
+        return self.hash_batch(keys) if positions is None else positions
 
-        No tombstone handling — callers apply the deleted-key list.  All
-        filters of one leaf share nbits/k/seed, so the batch is hashed
-        once (``bloom_positions_batch``) and each filter only gathers its
-        own bits.
+    @staticmethod
+    def hash_segments(keys, leaves, bounds) -> list[np.ndarray]:
+        """Hash consecutive key segments for many leaves in one call.
+
+        Segment ``s`` is ``keys[bounds[s]:bounds[s + 1]]``, hashed under
+        ``leaves[s]``'s filter seed; the returned arrays equal
+        ``leaves[s].hash_batch(segment)`` row for row.  Leaves of one
+        tree share their hash geometry (k, bits), so the whole batch is
+        one :func:`bloom_positions_batch` call with a per-row seed
+        array; leaves of differing geometry fall back to a call each.
         """
-        n = len(keys)
+        geos = {(leaf.geometry.hash_count, leaf.geometry.bits_per_bf)
+                for leaf in leaves}
+        spans = list(zip(bounds[:-1], bounds[1:]))
+        if len(geos) != 1:
+            return [leaf.hash_batch(keys[b0:b1])
+                    for leaf, (b0, b1) in zip(leaves, spans)]
+        (k, nbits), = geos
+        seeds = np.repeat(
+            np.fromiter((leaf.filter_hash_seed() & MASK64 for leaf in leaves),
+                        dtype=np.uint64, count=len(leaves)),
+            np.diff(bounds),
+        )
+        positions = bloom_positions_batch(keys_to_int_array(keys), k, nbits,
+                                          seeds)
+        return [positions[b0:b1] for b0, b1 in spans]
+
+    def _match_matrix(self, positions: np.ndarray) -> np.ndarray:
+        """Raw ``(n, nfilters)`` boolean filter-match matrix of prehashed
+        ``(n, k)`` bit positions.
+
+        No tombstone handling — callers apply the deleted-key list.  A
+        plain leaf gathers straight from its page; counting filters are
+        tested one by one.
+        """
+        n = len(positions)
         if n == 0 or not self.filters:
             return np.zeros((n, self.nfilters), dtype=bool)
-        proto = self.filters[0]
-        positions = bloom_positions_batch(
-            keys_to_int_array(keys), proto.k, proto.nbits, proto.seed
-        )
-        if self.geometry.filter_kind != "counting":
-            # All S filters share geometry, so every (key, filter) pair
-            # is tested in one stacked gather instead of S Python calls.
-            return BloomFilter.test_positions_stacked(
-                self.filters, positions
-            )
+        if self.page is not None:
+            return page_test(self.page[:self.nfilters], positions)
         matrix = np.empty((n, self.nfilters), dtype=bool)
         for i, bf in enumerate(self.filters):
             matrix[:, i] = bf.test_positions(positions)

@@ -411,24 +411,31 @@ class BFTree(IndexBackend):
 
     def _build_leaves(self, keys: np.ndarray) -> None:
         assert self.geometry is not None
-        tpp = self.relation.tuples_per_page
-        npages = self.relation.npages
+        dkeys, dpids, starts = self._distinct_page_keys(keys)
+        firsts = dkeys[starts[:-1]].tolist()
+        lasts = dkeys[starts[1:] - 1].tolist()
+        ppb = self.geometry.pages_per_bf
+        budget = self.geometry.max_filters
         leaf = self._new_leaf(min_pid=0)
         order: list[BFLeaf] = [leaf]
+        # Pages are assigned to leaves first and each leaf's run is added
+        # in one vectorized pass when it closes.  A leaf is full once it
+        # holds a filter for every group of its budget (BFLeaf.is_full);
+        # its groups are filled contiguously from min_pid.
+        run_start = 0
         # First page id on which the running (largest-so-far) key appeared;
         # when a leaf closes mid-key this becomes the new leaf's spill-back
         # origin, regardless of how many leaves the key already spans.
         key_start_pid = 0
         last_key = None
-        for pid in range(npages):
-            first = pid * tpp
-            page_keys = np.unique(keys[first : first + tpp])
-            if leaf.is_full and leaf.nkeys > 0:
-                spans = (
-                    self.ordered
-                    and last_key is not None
-                    and page_keys[0] == last_key
-                )
+        for pid in range(self.relation.npages):
+            if (
+                starts[pid] > starts[run_start]
+                and (pid - 1 - run_start) // ppb + 1 >= budget
+            ):
+                self._leaf_add_pages(leaf, dkeys, dpids, starts,
+                                     run_start, pid)
+                spans = self.ordered and firsts[pid] == last_key
                 new_leaf = self._new_leaf(min_pid=pid)
                 if spans:
                     new_leaf.spill_back_pages = pid - key_start_pid
@@ -436,22 +443,47 @@ class BFTree(IndexBackend):
                 new_leaf.prev_leaf_id = leaf.node_id
                 leaf = new_leaf
                 order.append(leaf)
-            if last_key is None or page_keys[-1] != last_key:
+                run_start = pid
+            if last_key is None or lasts[pid] != last_key:
                 key_start_pid = pid
-            last_key = page_keys[-1].item()
-            self._leaf_add_page(leaf, page_keys, pid)
+            last_key = lasts[pid]
+        self._leaf_add_pages(leaf, dkeys, dpids, starts, run_start,
+                             self.relation.npages)
         self._leaf_order = [l.node_id for l in order]
 
-    def _leaf_add_page(self, leaf: BFLeaf, page_keys: np.ndarray,
-                       pid: int) -> None:
-        """Vectorized page add, growing an oversized leaf for spanning keys."""
+    def _distinct_page_keys(self, keys: np.ndarray):
+        """Every data page's sorted distinct keys, concatenated.
+
+        Returns ``(dkeys, dpids, starts)``: the keys, each key's page id,
+        and the offset of page ``p``'s first key in ``starts[p]`` (with a
+        final end offset) — ``np.unique`` per page, for the whole column
+        at once.
+        """
+        tpp = self.relation.tuples_per_page
+        pid_of = np.arange(len(keys)) // tpp
+        if not self.ordered:
+            perm = np.lexsort((keys, pid_of))
+            keys, pid_of = keys[perm], pid_of[perm]
+        keep = np.ones(len(keys), dtype=bool)
+        keep[1:] = (keys[1:] != keys[:-1]) | (pid_of[1:] != pid_of[:-1])
+        dpids = pid_of[keep]
+        starts = np.searchsorted(dpids, np.arange(self.relation.npages + 1))
+        return keys[keep], dpids, starts
+
+    def _leaf_add_pages(self, leaf: BFLeaf, dkeys: np.ndarray,
+                        dpids: np.ndarray, starts: np.ndarray,
+                        first_pid: int, end_pid: int) -> None:
+        """Add pages ``[first_pid, end_pid)`` to ``leaf`` in one hash
+        pass, growing an oversized leaf for spanning keys."""
+        lo, hi = int(starts[first_pid]), int(starts[end_pid])
+        keys, pids = dkeys[lo:hi], dpids[lo:hi]
         try:
-            leaf.add_page_keys(page_keys, pid)
+            leaf.add_pages(keys, pids)
         except LeafOverflow:
             leaf.geometry = replace(
-                leaf.geometry, max_filters=leaf.group_of(pid) + 1
+                leaf.geometry, max_filters=leaf.group_of(int(pids[-1])) + 1
             )
-            leaf.add_page_keys(page_keys, pid)
+            leaf.add_pages(keys, pids)
 
     def _leaf_add_unchecked(self, leaf: BFLeaf, key, pid: int) -> None:
         """Add to a leaf, letting it overflow its budget for a spanning key."""
@@ -842,14 +874,19 @@ class BFTree(IndexBackend):
             pending.append((i, key, candidates))
             if track:
                 latencies[i] = clock.now() - start
-        # Phase 2: one vectorized filter pass per touched leaf.
+        # Phase 2: hash every (key, leaf) row of the batch in one call,
+        # then one page gather per touched leaf.
         runs_for: dict[tuple[int, int], list[tuple[int, int]]] = {}
-        for leaf_id, probe_group in by_leaf.items():
-            leaf = self.leaves[leaf_id]
-            run_lists = leaf.matching_page_runs_many(
-                [key for _, key in probe_group]
-            )
-            for (i, _), runs in zip(probe_group, run_lists):
+        touched = [self.leaves[leaf_id] for leaf_id in by_leaf]
+        row_keys = [key for group in by_leaf.values() for _, key in group]
+        bounds = np.cumsum([0] + [len(g) for g in by_leaf.values()])
+        segments = BFLeaf.hash_segments(row_keys, touched, bounds)
+        for leaf, positions, (b0, b1) in zip(touched, segments,
+                                             zip(bounds, bounds[1:])):
+            run_lists = leaf.matching_page_runs_many(row_keys[b0:b1],
+                                                     positions)
+            leaf_id = leaf.node_id
+            for (i, _), runs in zip(by_leaf[leaf_id], run_lists):
                 runs_for[(i, leaf_id)] = runs
         # Phase 3: fetch matching pages per key (identical I/O charging,
         # including early termination for unique keys and ordered data).
@@ -1183,7 +1220,7 @@ class BFTree(IndexBackend):
         return i
 
     def _plan_writes(self, keys, pids, start: int):
-        """Route ``keys[start:]`` structurally and hash once per leaf.
+        """Route ``keys[start:]`` structurally and hash them in one call.
 
         Returns ``(pred, paths, rows, dup0, grp)`` — per-key predicted
         leaf id, per-leaf descent paths, per-key filter position rows,
@@ -1215,55 +1252,26 @@ class BFTree(IndexBackend):
             )[0].tolist() + [m]
         else:
             bounds = [0]
-        for b0, b1 in zip(bounds, bounds[1:]):
+        # One hash call for the whole sub-batch: each key under its
+        # target leaf's seed.
+        spans = list(zip(bounds, bounds[1:]))
+        touched = [self.leaves[leaf_ids[int(sorted_slots[b0])]]
+                   for b0, _ in spans]
+        segments = BFLeaf.hash_segments(arr[order], touched, bounds)
+        for leaf, positions, (b0, b1) in zip(touched, segments, spans):
             idxs = order[b0:b1]
-            leaf = self.leaves[leaf_ids[int(sorted_slots[b0])]]
-            positions = leaf.hash_batch(arr[idxs])
             for r, idx in enumerate(idxs.tolist()):
                 rows[idx] = positions[r]
             pid_arr = pids_sub[idxs]
             groups = (pid_arr - leaf.min_pid) // leaf.geometry.pages_per_bf
             grp[idxs[pid_arr >= leaf.min_pid]] = \
                 groups[pid_arr >= leaf.min_pid]
-            if not leaf.filters:
-                continue
             valid = (pid_arr >= leaf.min_pid) & (groups < leaf.nfilters)
             vrows = np.nonzero(valid)[0]
-            if not len(vrows):
-                continue
-            # A filter degraded past the trust ceiling no longer counts
-            # as duplicate evidence (see BFLeaf.duplicate_prehashed);
-            # fill only grows, so distrust is monotone like membership.
-            if leaf.geometry.filter_kind == "counting":
-                by_group: dict[int, list[int]] = {}
-                for r in vrows.tolist():
-                    by_group.setdefault(int(groups[r]), []).append(r)
-                for group, rs in by_group.items():
-                    filt = leaf.filters[group]
-                    if filt.effective_fpp() > DUPLICATE_TRUST_MAX_FPP:
-                        continue
-                    flags = filt.test_positions(positions[rs])
-                    for r, flag in zip(rs, flags):
-                        dup0[idxs[r]] = bool(flag)
-            else:
-                # One gather across all of the leaf's filters at once:
-                # same geometry => same word count per filter.  The
-                # per-filter fill (for the trust gate) comes from one
-                # vectorized popcount over the same matrix, with the
-                # exact float expression BloomFilter.effective_fpp uses.
-                words = np.stack([f._words for f in leaf.filters])
-                proto = leaf.filters[0]
-                bits_set = np.unpackbits(
-                    words.view(np.uint8), axis=1
-                ).sum(axis=1)
-                fill = bits_set / proto.nbits
-                trust = fill ** proto.k <= DUPLICATE_TRUST_MAX_FPP
-                pos = positions[vrows]
-                g = groups[vrows]
-                gathered = words[g[:, None], pos >> 6]
-                bits = (gathered >> (pos & 63).astype(np.uint64)) \
-                    & np.uint64(1)
-                dup0[idxs[vrows]] = bits.all(axis=1) & trust[g]
+            if len(vrows):
+                dup0[idxs[vrows]] = leaf.duplicate_flags(
+                    groups[vrows], positions[vrows]
+                )
         return pred, paths, rows, dup0.tolist(), grp.tolist()
 
     def _charge_descent(self, leaf: BFLeaf, path: list[int]) -> None:

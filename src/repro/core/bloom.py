@@ -13,14 +13,19 @@ positive probability ``p``.  Two properties follow (paper §3):
    This is what lets a BF-leaf dedicate one small filter per data page.
 2. Halving p costs only logarithmically many extra bits per element.
 
-:class:`BloomFilter` is the runtime structure (bit array + k double-hashed
-probes); the module-level functions are the analytical counterparts used
+:class:`BloomFilter` is the runtime structure: a ``uint64`` word array
+plus k re-mixed hash probes.  The words either belong to the filter or,
+for the filters of one BF-leaf, are one row of the leaf's shared
+``(S, words_per_filter)`` page matrix (see :mod:`repro.core.bf_leaf`),
+so the leaf can test a whole probe batch against all S filters in one
+gather.  The module-level functions are the analytical counterparts used
 by the model in :mod:`repro.model.equations`.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 
@@ -100,19 +105,98 @@ _BIT = np.uint64(1) << np.arange(64, dtype=np.uint64)
 """Lookup of single-bit uint64 masks, indexed by bit offset within a word."""
 
 
+def words_per_filter(nbits: int) -> int:
+    """uint64 words holding an ``nbits``-bit filter."""
+    return (nbits + 63) // 64
+
+
+# ----------------------------------------------------------------------
+# Filter pages: S same-geometry filters as the rows of one word matrix
+# ----------------------------------------------------------------------
+def page_set_positions(page: np.ndarray, rows: np.ndarray,
+                       positions: np.ndarray) -> None:
+    """OR key ``j``'s k bit ``positions[j]`` into filter row ``rows[j]``.
+
+    ``page`` is an ``(S, words_per_filter)`` uint64 matrix whose rows are
+    filters of one geometry; the scatter is bit-for-bit what
+    :meth:`BloomFilter.add_positions` does row by row.
+    """
+    flat = positions.ravel()
+    np.bitwise_or.at(
+        page, (np.repeat(rows, positions.shape[1]), flat >> 6),
+        _BIT[flat & 63],
+    )
+
+
+def page_test(page: np.ndarray, positions: np.ndarray) -> np.ndarray:
+    """Test ``(n, k)`` bit positions against every row of a filter page.
+
+    Returns an ``(n, S)`` boolean matrix whose column ``i`` equals
+    :meth:`BloomFilter.test_positions` of row ``i``: every (key, filter)
+    pair is read in one fancy-index gather over the page's bytes (a
+    byte gather moves an eighth of the data a word gather would).  The
+    key batch is processed in chunks bounding the ``(S, chunk, k)``
+    gather to ~64 MB, so a huge batch (a boundary-enumerating range scan
+    can probe 100k values) cannot blow up peak memory; normal probe
+    batches fit one chunk.
+    """
+    n, k = positions.shape
+    s = page.shape[0]
+    out = np.empty((n, s), dtype=bool)
+    byte, shift = _byte_coords(positions)
+    view = page.view(np.uint8)
+    step = max(1, (1 << 26) // max(1, s * k))
+    for start in range(0, n, step):
+        stop = start + step
+        gathered = view[:, byte[start:stop]]             # (S, chunk, k)
+        hits = np.bitwise_and.reduce(gathered >> shift[start:stop], axis=2)
+        out[start:stop] = (hits & 1).T
+    return out
+
+
+def page_test_rows(page: np.ndarray, rows: np.ndarray,
+                   positions: np.ndarray) -> np.ndarray:
+    """Membership of key ``j``'s ``positions[j]`` in filter row ``rows[j]``
+    only (``(n,)`` booleans)."""
+    byte, shift = _byte_coords(positions)
+    gathered = page.view(np.uint8)[rows[:, None], byte]  # (n, k)
+    return (np.bitwise_and.reduce(gathered >> shift, axis=1) & 1) \
+        .astype(bool)
+
+
+def _byte_coords(positions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Byte offset (in a filter's word array viewed as bytes) and bit
+    shift within that byte of each filter bit position."""
+    if sys.byteorder == "little":
+        byte = positions >> 3
+    else:  # bytes of each word run most-significant first
+        byte = ((positions >> 6) << 3) + (7 - ((positions & 63) >> 3))
+    return byte, (positions & 7).astype(np.uint8)
+
+
+def page_popcount(page: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Number of 1-bits in each listed filter row (exact integers)."""
+    return np.unpackbits(page[rows].view(np.uint8), axis=1).sum(axis=1)
+
+
 class BloomFilter:
     """A fixed-size Bloom filter over integer-canonicalized keys.
 
     The bit array is a NumPy ``uint64`` word array (bit ``i`` of the
     filter is bit ``i % 64`` of word ``i // 64``), which keeps the scalar
     probe path cheap while letting :meth:`might_contain_many` test a whole
-    probe batch against the filter in one vectorized gather — the engine
-    behind ``BFTree.search_many``.
+    probe batch against the filter in one vectorized gather.
+
+    ``words``, when given, is the (zeroed or pre-filled) storage to use
+    instead of a private array: a BF-leaf passes row ``i`` of its page
+    matrix, so every write through this filter lands in the page and
+    batch probes can gather all of the leaf's filters at once.
     """
 
     __slots__ = ("nbits", "k", "seed", "_words", "count")
 
-    def __init__(self, nbits: int, k: int = DEFAULT_HASH_COUNT, seed: int = 0) -> None:
+    def __init__(self, nbits: int, k: int = DEFAULT_HASH_COUNT, seed: int = 0,
+                 words: np.ndarray | None = None) -> None:
         if nbits <= 0:
             raise ValueError("nbits must be positive")
         if k <= 0:
@@ -120,7 +204,15 @@ class BloomFilter:
         self.nbits = nbits
         self.k = k
         self.seed = seed
-        self._words = np.zeros((nbits + 63) // 64, dtype=np.uint64)
+        nwords = words_per_filter(nbits)
+        if words is None:
+            words = np.zeros(nwords, dtype=np.uint64)
+        elif words.shape != (nwords,) or words.dtype != np.uint64:
+            raise ValueError(
+                f"words must be a uint64 array of {nwords} entries, got "
+                f"{words.dtype} {words.shape}"
+            )
+        self._words = words
         self.count = 0  # elements added (with multiplicity of distinct adds)
 
     @property
@@ -225,36 +317,6 @@ class BloomFilter:
         words = self._words[positions >> 6]
         bits = (words >> (positions & 63).astype(np.uint64)) & np.uint64(1)
         return bits.all(axis=1)
-
-    @staticmethod
-    def test_positions_stacked(filters: "list[BloomFilter]",
-                               positions: np.ndarray) -> np.ndarray:
-        """Test ``(n, k)`` bit positions against S same-geometry filters
-        in one stacked gather.
-
-        Returns an ``(n, S)`` boolean matrix whose column ``i`` equals
-        ``filters[i].test_positions(positions)`` exactly — the filters'
-        bitset words are stacked and every (key, filter) pair is read in
-        a fancy-index pass, keeping the word-layout knowledge (64-bit
-        words, ``pos >> 6`` / ``pos & 63`` packing) in this module.  The
-        key batch is processed in chunks bounding the ``(S, chunk, k)``
-        gather to ~64 MB, so a huge batch (a boundary-enumerating range
-        scan can probe 100k values) cannot blow up peak memory; normal
-        probe batches fit one chunk.  The BF-leaf's batch probe engine
-        runs on this.
-        """
-        n, k = positions.shape
-        s = len(filters)
-        words = np.stack([f._words for f in filters])
-        out = np.empty((n, s), dtype=bool)
-        step = max(1, (1 << 23) // max(1, s * k))
-        for start in range(0, n, step):
-            chunk = positions[start : start + step]
-            gathered = words[:, chunk >> 6]              # (S, chunk, k)
-            bits = (gathered >> (chunk & 63).astype(np.uint64)) \
-                & np.uint64(1)
-            out[start : start + step] = bits.all(axis=2).T
-        return out
 
     # ------------------------------------------------------------------
     def bits_set(self) -> int:

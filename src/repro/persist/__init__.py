@@ -32,6 +32,7 @@ from repro.persist.errors import (
     CorruptManifestError,
     CorruptSnapshotError,
     PersistError,
+    WALFailedError,
 )
 from repro.persist.manifest import (
     MANIFEST_NAME,
@@ -70,6 +71,7 @@ __all__ = [
     "CorruptSnapshotError",
     "DurableIndex",
     "PersistError",
+    "WALFailedError",
     "WriteAheadLog",
     "apply_record",
     "atomic_write_json",

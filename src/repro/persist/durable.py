@@ -10,7 +10,10 @@ Every mutation is logged *before* it is applied (WAL-before-apply), and
 acknowledged once the log record is fsynced (``sync_every`` batches
 fsyncs).  When the inner op raises instead of applying, the just-written
 record is rolled back out of the log (:meth:`WriteAheadLog.rollback`),
-so a failed op is never resurrected by replay; if a crash lands inside
+so a failed op is never resurrected by replay.  The same rollback
+covers a record whose own write or fsync failed: the log is then
+poisoned (fail-stop, see :mod:`repro.persist.wal`) and the index refuses
+writes and checkpoints until it is recovered.  If a crash lands inside
 that rollback window, replay re-attempts the op, which deterministically
 fails against the same tree state and is skipped — at-most-once for
 failed ops, exactly-once for acknowledged ones.
@@ -371,9 +374,13 @@ class DurableIndex(IndexBackend):
             return apply()  # reprolint: disable=D1 -- replay path: the op is already framed in the WAL being replayed; logging it again would double-apply it on recovery
         wal = self._wal
         assert wal is not None
+        wal.check_writable()
         start = wal.nbytes
-        wal.append(record)
         try:
+            # A failed append (write or fsync) may have left part or all
+            # of the frame in the file: it is rolled back like a failed
+            # apply, so recovery cannot replay an op that was never acked.
+            wal.append(record)
             return apply()
         except BaseException:
             wal.rollback(start)
@@ -420,6 +427,9 @@ class DurableIndex(IndexBackend):
         """
         old_wal = self._wal
         if old_wal is not None:
+            # Fail-stop: a poisoned log's unacknowledged tail must not be
+            # folded into a new checkpoint; the index has to be recovered.
+            old_wal.check_writable()
             old_wal.close()
             self._wal = None
         generation = self._generation + 1

@@ -13,3 +13,8 @@ class CorruptSnapshotError(PersistError):
 
 class CorruptManifestError(PersistError):
     """A manifest file is missing, unparsable, or incomplete."""
+
+
+class WALFailedError(PersistError):
+    """A write-ahead log hit an I/O error and refuses further writes
+    (fail-stop) until the index is recovered from disk."""

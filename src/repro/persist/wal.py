@@ -17,6 +17,14 @@ failing or unparsable frame — a torn tail from a crash mid-write — and
 reports the byte offset of the last good frame so the caller can
 truncate the tail away.  A half-written frame is therefore never
 half-applied: it simply does not exist after recovery.
+
+I/O errors are fail-stop: the first failed write, fsync or truncate
+*poisons* the log.  A failed fsync is never retried (the kernel may
+already have dropped the dirty pages and would report the retry as a
+success), a poisoned log refuses every further append and sync, and
+closing it does not sync.  Only :meth:`WriteAheadLog.rollback` still
+runs, so the caller can cut the failed record back out; after that the
+owner must recover from the checkpoint and the acknowledged tail.
 """
 
 from __future__ import annotations
@@ -28,7 +36,7 @@ import zlib
 from pathlib import Path
 from typing import Any, BinaryIO
 
-from repro.persist.errors import PersistError
+from repro.persist.errors import PersistError, WALFailedError
 
 _FRAME = struct.Struct("<II")  # (payload length, CRC32 of payload)
 
@@ -41,6 +49,10 @@ class WriteAheadLog:
     ``sync_every`` records per fsync; unsynced records may be lost in a
     crash, which is exactly the acknowledged-ops contract the kill-9
     recovery test verifies.
+
+    The file is unbuffered: every frame goes straight to the OS, so
+    nothing written for a failed record can linger in a user-space
+    buffer and reach the file after a rollback.
     """
 
     def __init__(self, path: str | Path, *, sync_every: int = 1) -> None:
@@ -48,24 +60,59 @@ class WriteAheadLog:
             raise ValueError(f"sync_every must be >= 1, got {sync_every}")
         self.path = Path(path)
         self.sync_every = sync_every
-        self._file: BinaryIO = open(self.path, "ab")
+        self._file: BinaryIO = open(self.path, "ab", buffering=0)
         self._pending = 0
+        self._error: OSError | None = None
+
+    @property
+    def poisoned(self) -> bool:
+        """True once an I/O error has made the log refuse writes."""
+        return self._error is not None
+
+    def check_writable(self) -> None:
+        """Raise :class:`WALFailedError` if the log is poisoned."""
+        if self._error is not None:
+            raise WALFailedError(
+                f"write-ahead log {self.path} failed with "
+                f"{self._error!r}; it refuses writes until the index is "
+                "recovered"
+            ) from self._error
+
+    def _poison(self, exc: OSError) -> None:
+        if self._error is None:
+            self._error = exc
 
     def append(self, record: dict[str, Any]) -> None:
         """Frame and write one record; fsync when the batch fills."""
+        self.check_writable()
         payload = json.dumps(
             record, separators=(",", ":"), sort_keys=True
         ).encode("utf-8")
-        self._file.write(_FRAME.pack(len(payload), zlib.crc32(payload)))
-        self._file.write(payload)
+        frame = memoryview(
+            _FRAME.pack(len(payload), zlib.crc32(payload)) + payload
+        )
+        fd = self._file.fileno()
+        try:
+            while frame:
+                frame = frame[os.write(fd, frame):]
+        except OSError as exc:
+            self._poison(exc)
+            raise
         self._pending += 1
         if self._pending >= self.sync_every:
             self.sync()
 
     def sync(self) -> None:
-        """Flush and fsync: everything appended so far is acknowledged."""
-        self._file.flush()
-        os.fsync(self._file.fileno())
+        """Fsync: everything appended so far is acknowledged.
+
+        A failure poisons the log; the fsync is never retried.
+        """
+        self.check_writable()
+        try:
+            os.fsync(self._file.fileno())
+        except OSError as exc:
+            self._poison(exc)
+            raise
         self._pending = 0
 
     def rollback(self, offset: int) -> None:
@@ -76,18 +123,28 @@ class WriteAheadLog:
         caller rolls the log back so a crash-recovery replay cannot
         resurrect an op its caller observed as failed.  The truncation
         is itself fsynced; records before ``offset`` are acknowledged as
-        a side effect.
+        a side effect.  It also runs on a poisoned log — cutting out the
+        record whose write or fsync failed is the point — and an error
+        here poisons the log as well.
         """
-        self._file.flush()
-        os.truncate(self._file.fileno(), offset)
-        os.fsync(self._file.fileno())
+        fd = self._file.fileno()
+        try:
+            os.truncate(fd, offset)
+            os.fsync(fd)
+        except OSError as exc:
+            self._poison(exc)
+            raise
         self._file.seek(offset)
         self._pending = 0
 
     def close(self) -> None:
+        """Sync and close; a poisoned log is closed without syncing."""
         if not self._file.closed:
-            self.sync()
-            self._file.close()
+            try:
+                if self._error is None:
+                    self.sync()
+            finally:
+                self._file.close()
 
     @property
     def nbytes(self) -> int:

@@ -9,6 +9,13 @@ from repro.storage import Relation, build_stack
 from repro.workloads import shd, synthetic, tpch
 
 
+def pytest_configure(config) -> None:
+    config.addinivalue_line(
+        "markers", "slow: long-running end-to-end test (deselect with "
+        "-m 'not slow')"
+    )
+
+
 @pytest.fixture(scope="session")
 def pk_relation() -> Relation:
     """8192 unique, sorted primary keys (512 data pages of 16 tuples)."""

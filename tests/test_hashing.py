@@ -75,6 +75,38 @@ class TestBloomPositions:
         batch = bloom_positions_batch(np.arange(10), k=4, nbits=77)
         assert batch.shape == (10, 4)
 
+    @pytest.mark.parametrize("k, nbits", [(1, 31), (6, 130), (20, 460)])
+    def test_per_row_seeds_equal_per_seed_calls(self, k, nbits):
+        """A per-row seed array hashes row ``j`` exactly as a one-seed
+        call with ``seeds[j]`` would — including seeds at or past 2**63
+        (taken mod 2**64, as the scalar path masks) and negative keys."""
+        rng = np.random.default_rng(7)
+        keys = rng.integers(-2**62, 2**62, size=120)
+        keys[:4] = [-1, -2**63, 0, 2**63 - 1]
+        seed_pool = [0, 3, 2**63, 2**63 + 12345, 2**64 - 1, 91]
+        seeds = [seed_pool[j % len(seed_pool)] for j in range(len(keys))]
+        batch = bloom_positions_batch(keys, k, nbits, seeds)
+        for seed in seed_pool:
+            rows = [j for j, s in enumerate(seeds) if s == seed]
+            single = bloom_positions_batch(keys[rows], k, nbits, seed)
+            assert np.array_equal(batch[rows], single)
+        for j in (0, 1, 2, 3, 50):
+            assert list(batch[j]) == bloom_positions(
+                int(keys[j]), k, nbits, seeds[j]
+            )
+
+    def test_per_row_seed_array_dtypes_agree(self):
+        keys = np.arange(-20, 20)
+        seeds = [(j * 2**61) % 2**64 for j in range(40)]
+        as_list = bloom_positions_batch(keys, 5, 97, seeds)
+        as_u64 = bloom_positions_batch(
+            keys, 5, 97, np.array(seeds, dtype=np.uint64)
+        )
+        assert np.array_equal(as_list, as_u64)
+        signed = np.array(seeds, dtype=np.uint64).astype(np.int64)
+        assert np.array_equal(bloom_positions_batch(keys, 5, 97, signed),
+                              as_list)
+
     def test_batch_empty(self):
         assert bloom_positions_batch(np.empty(0, dtype=np.int64), 3, 64).shape == (0, 3)
 

@@ -4,7 +4,9 @@ manifest atomicity, and torn-tail crash tolerance at every byte offset.
 
 from __future__ import annotations
 
+import errno
 import json
+import os
 import shutil
 
 import numpy as np
@@ -26,7 +28,7 @@ from repro.persist import (
     write_manifest,
     write_snapshot,
 )
-from repro.persist.errors import PersistError
+from repro.persist.errors import PersistError, WALFailedError
 from repro.storage import Relation
 
 
@@ -439,6 +441,73 @@ class TestFailedOpCompensation:
         r = recover(d, tiny_relation)
         assert not r.search(3).found
         assert r._ops_since_checkpoint == 1  # failed record doesn't count
+        r.close()
+
+
+class TestWalIoErrors:
+    """Fail-stop WAL: an I/O error poisons the log, the failed record is
+    rolled back out, and nothing after it is accepted or synced."""
+
+    @staticmethod
+    def _fail_wal_fsync(monkeypatch, index, nth):
+        """Make the ``nth`` fsync of ``index``'s WAL raise EIO; returns
+        the list of WAL fsync outcomes seen so far."""
+        real_fsync = os.fsync
+        wal_fd = index._wal._file.fileno()
+        seen: list[str] = []
+
+        def fsync(fd):
+            if fd == wal_fd:
+                if len(seen) + 1 == nth:
+                    seen.append("EIO")
+                    raise OSError(errno.EIO, "injected fsync failure")
+                seen.append("ok")
+            return real_fsync(fd)
+
+        monkeypatch.setattr(os, "fsync", fsync)
+        return seen
+
+    def test_fsync_error_on_record_two_of_three(self, tiny_relation,
+                                                tmp_path, monkeypatch):
+        d = tmp_path / "idx"
+        index = _durable(tiny_relation, d, sync_every=1)
+        self._fail_wal_fsync(monkeypatch, index, nth=2)
+        index.delete(1)                         # acknowledged
+        with pytest.raises(OSError) as failed:
+            index.delete(2)                     # its fsync fails
+        assert failed.value.errno == errno.EIO
+        with pytest.raises(WALFailedError):
+            index.delete(3)                     # refused: log poisoned
+        index.close()
+        monkeypatch.undo()
+        records, _ = replay_wal(index.wal_path)
+        assert [r["key"] for r in records] == [1]
+        r = recover(d, tiny_relation)
+        assert not r.search(1).found
+        assert r.search(2).found and r.search(3).found
+        r.close()
+
+    def test_poisoned_log_refuses_writes_and_never_resyncs(
+            self, tiny_relation, tmp_path, monkeypatch):
+        d = tmp_path / "idx"
+        index = _durable(tiny_relation, d, sync_every=4)
+        seen = self._fail_wal_fsync(monkeypatch, index, nth=1)
+        index.delete(1)
+        with pytest.raises(OSError):
+            index.sync()
+        assert index._wal.poisoned
+        with pytest.raises(WALFailedError):
+            index.insert_many([5], [0])
+        with pytest.raises(WALFailedError):
+            index.sync()
+        with pytest.raises(WALFailedError):
+            index.checkpoint()
+        index.close()
+        assert seen == ["EIO"]                  # no retry, no sync on close
+        monkeypatch.undo()
+        r = recover(d, tiny_relation)           # recovery reopens cleanly
+        r.delete(7)
+        assert not r.search(7).found
         r.close()
 
 

@@ -153,6 +153,12 @@ def check_tree(tree: Any) -> None:
     chain = _walk_chain(name, tree.leaves)
     for leaf in chain:
         _check_bf_leaf(name, leaf)
+    # A batch hashes the keys of every leaf it touches in one call.
+    hash_geometries = {(leaf.geometry.hash_count, leaf.geometry.bits_per_bf)
+                       for leaf in chain}
+    if len(hash_geometries) > 1:
+        _fail(name, f"leaves disagree on (hash_count, bits_per_bf): "
+                    f"{sorted(hash_geometries)}")
     if tree.ordered:
         for left, right in zip(chain, chain[1:]):
             if (

@@ -202,14 +202,6 @@ class BFLeaf:
                 and self.geometry.filter_kind != "counting"):
             self._repage(len(self.filters))
 
-    def __setstate__(self, state: dict) -> None:
-        # Pickling and deep copies store each filter's row view as an
-        # array of its own; point the filters back at the page rows.
-        self.__dict__.update(state)
-        if self.page is not None:
-            for i, filt in enumerate(self.filters):
-                filt._words = self.page[i]
-
     # ------------------------------------------------------------------
     # geometry
     # ------------------------------------------------------------------
@@ -606,26 +598,23 @@ class BFLeaf:
 
         Segment ``s`` is ``keys[bounds[s]:bounds[s + 1]]``, hashed under
         ``leaves[s]``'s filter seed; the returned arrays equal
-        ``leaves[s].hash_batch(segment)`` row for row.  Leaves of one
-        tree share their hash geometry (k, bits), so the whole batch is
-        one :func:`bloom_positions_batch` call with a per-row seed
-        array; leaves of differing geometry fall back to a call each.
+        ``leaves[s].hash_batch(segment)`` row for row.  The leaves must
+        share their hash geometry (k, bits per filter), as all leaves of
+        one tree do, so the whole batch is one
+        :func:`bloom_positions_batch` call with a per-row seed array.
         """
-        geos = {(leaf.geometry.hash_count, leaf.geometry.bits_per_bf)
-                for leaf in leaves}
-        spans = list(zip(bounds[:-1], bounds[1:]))
-        if len(geos) != 1:
-            return [leaf.hash_batch(keys[b0:b1])
-                    for leaf, (b0, b1) in zip(leaves, spans)]
-        (k, nbits), = geos
+        if not leaves:
+            return []
+        geo = leaves[0].geometry
         seeds = np.repeat(
             np.fromiter((leaf.filter_hash_seed() & MASK64 for leaf in leaves),
                         dtype=np.uint64, count=len(leaves)),
             np.diff(bounds),
         )
-        positions = bloom_positions_batch(keys_to_int_array(keys), k, nbits,
-                                          seeds)
-        return [positions[b0:b1] for b0, b1 in spans]
+        positions = bloom_positions_batch(
+            keys_to_int_array(keys), geo.hash_count, geo.bits_per_bf, seeds
+        )
+        return [positions[b0:b1] for b0, b1 in zip(bounds, bounds[1:])]
 
     def _match_matrix(self, positions: np.ndarray) -> np.ndarray:
         """Raw ``(n, nfilters)`` boolean filter-match matrix of prehashed

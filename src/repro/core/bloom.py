@@ -187,10 +187,11 @@ class BloomFilter:
     probe path cheap while letting :meth:`might_contain_many` test a whole
     probe batch against the filter in one vectorized gather.
 
-    ``words``, when given, is the (zeroed or pre-filled) storage to use
-    instead of a private array: a BF-leaf passes row ``i`` of its page
-    matrix, so every write through this filter lands in the page and
-    batch probes can gather all of the leaf's filters at once.
+    ``words``, when given, is the storage to use instead of a private
+    zeroed array — a ``uint64`` array of :func:`words_per_filter` entries.
+    A BF-leaf passes row ``i`` of its page matrix, so every write through
+    this filter lands in the page and batch probes can gather all of the
+    leaf's filters at once.
     """
 
     __slots__ = ("nbits", "k", "seed", "_words", "count")
@@ -204,14 +205,8 @@ class BloomFilter:
         self.nbits = nbits
         self.k = k
         self.seed = seed
-        nwords = words_per_filter(nbits)
         if words is None:
-            words = np.zeros(nwords, dtype=np.uint64)
-        elif words.shape != (nwords,) or words.dtype != np.uint64:
-            raise ValueError(
-                f"words must be a uint64 array of {nwords} entries, got "
-                f"{words.dtype} {words.shape}"
-            )
+            words = np.zeros(words_per_filter(nbits), dtype=np.uint64)
         self._words = words
         self.count = 0  # elements added (with multiplicity of distinct adds)
 

@@ -64,11 +64,6 @@ class WriteAheadLog:
         self._pending = 0
         self._error: OSError | None = None
 
-    @property
-    def poisoned(self) -> bool:
-        """True once an I/O error has made the log refuse writes."""
-        return self._error is not None
-
     def check_writable(self) -> None:
         """Raise :class:`WALFailedError` if the log is poisoned."""
         if self._error is not None:

@@ -104,17 +104,6 @@ class TestInvariantHolds:
             n = a.nfilters
             assert np.array_equal(a.page[:n], b.page[:n])
 
-    def test_copy_and_pickle(self):
-        import copy
-        import pickle
-
-        _, tree = _pk_tree()
-        for clone in (copy.deepcopy(tree), pickle.loads(pickle.dumps(tree))):
-            _assert_paged(clone)
-            leaf = clone.leaves_in_order()[0]
-            leaf.add(10**6, leaf.min_pid + 1)
-            assert 1 in leaf.matching_groups_many([10**6])[0]
-
     def test_service_split_and_merge(self):
         rel = Relation({"pk": np.arange(32768, dtype=np.int64)},
                        tuple_size=256)
@@ -146,6 +135,17 @@ class TestInvariantFires:
         leaf = tree.leaves_in_order()[0]
         leaf.filters[2]._words = leaf.page[5]
         with pytest.raises(StructuralCorruption, match="not row 2"):
+            check_tree(tree)
+
+    def test_leaves_with_differing_hash_geometry(self):
+        from dataclasses import replace
+
+        _, tree = _pk_tree()
+        leaf = tree.leaves_in_order()[1]
+        leaf.geometry = replace(leaf.geometry,
+                                hash_count=leaf.geometry.hash_count + 1)
+        with pytest.raises(StructuralCorruption,
+                           match="disagree on .hash_count, bits_per_bf"):
             check_tree(tree)
 
     def test_bits_in_unused_row(self):

@@ -384,8 +384,8 @@ class BFLeaf:
         at the same key — with the whole batch hashed in one NumPy pass
         instead of k Python-level hash rounds per key.  Returns the
         number of adds that grew ``nkeys``.  (``BFTree.insert_many``
-        drives :meth:`hash_batch`/:meth:`add_prehashed` directly, with
-        its own cross-leaf planning on top; this is the single-leaf
+        drives :meth:`hash_segments`/:meth:`add_prehashed` directly,
+        with its own cross-leaf planning on top; this is the single-leaf
         convenience bundle of the same primitives.)
         """
         keys = list(keys)
@@ -561,7 +561,9 @@ class BFLeaf:
         :meth:`hash_batch` rows of ``keys``) and gathered against the
         whole page.
         """
-        matrix = self._match_matrix(self._positions_for(keys, positions))
+        if positions is None:
+            positions = self.hash_batch(keys)
+        matrix = self._match_matrix(positions)
         return [
             [] if key in self.deleted_keys
             else np.nonzero(matrix[j])[0].tolist()
@@ -578,7 +580,9 @@ class BFLeaf:
         ``positions`` are optional prehashed rows, as in
         :meth:`matching_groups_many`.
         """
-        matrix = self._match_matrix(self._positions_for(keys, positions))
+        if positions is None:
+            positions = self.hash_batch(keys)
+        matrix = self._match_matrix(positions)
         out: list[list[tuple[int, int]]] = []
         for j, key in enumerate(keys):
             if key in self.deleted_keys:
@@ -588,9 +592,6 @@ class BFLeaf:
                     self._build_runs(key, np.nonzero(matrix[j])[0].tolist())
                 )
         return out
-
-    def _positions_for(self, keys, positions) -> np.ndarray:
-        return self.hash_batch(keys) if positions is None else positions
 
     @staticmethod
     def hash_segments(keys, leaves, bounds) -> list[np.ndarray]:

@@ -13,16 +13,17 @@ Algorithms implemented, with their paper counterparts:
   fetch matching pages sorted, stop early for unique keys).
 * :meth:`BFTree.search_many` — vectorized Algorithm 1 over a probe batch:
   identical results and I/O charging to per-key ``search`` calls, with
-  all Bloom-filter tests collapsed into NumPy passes (one per touched
-  leaf).  The harness's ``run_probes(..., batch=True)`` and the CLI's
-  ``probe --batch`` run on it.
+  the whole batch hashed in one call and the Bloom-filter tests
+  collapsed into one page gather per touched leaf.  The harness's
+  ``run_probes(..., batch=True)`` and the CLI's ``probe --batch`` run
+  on it.
 * :meth:`BFTree.insert`      — Algorithm 3 (extend key range, bump #keys,
   add to the per-page BF; split when over capacity).
 * :meth:`BFTree.insert_many` / :meth:`BFTree.delete_many` — vectorized
   Algorithm 3 over a write batch: identical tree state, filter bitsets
   and I/O charging to the scalar loop (splits included, handled by
-  re-planning the affected sub-batch), with the batch routed in one
-  pass and hashed once per target leaf.  The Router's write batching
+  re-planning the affected sub-batch), with the batch routed and hashed
+  in one pass per plan round.  The Router's write batching
   and ``serve-bench``'s batch write mode run on it.
 * :meth:`BFTree._split_leaf` — Algorithm 2 (rebuild two leaves; we rebuild
   by re-scanning the leaf's small page range, the recomputation that §3
@@ -64,7 +65,6 @@ from repro.api.results import (
     normalize_scan_windows,
 )
 from repro.core.bf_leaf import (
-    DUPLICATE_TRUST_MAX_FPP,
     LEAF_HEADER_BYTES,
     BFLeaf,
     BFLeafGeometry,
@@ -825,10 +825,11 @@ class BFTree(IndexBackend):
         in a different order, so the float total can differ in its last
         couple of bits) — but the Bloom-filter membership
         tests, the scalar path's dominant CPU cost (one Python-level loop
-        per filter per probe), collapse into one NumPy pass per touched
-        leaf: keys are routed first, grouped by candidate leaf, and each
-        leaf hashes and tests its whole key group at once via
-        :meth:`BFLeaf.matching_page_runs_many`.  Descents, leaf reads and
+        per filter per probe), collapse into NumPy passes: keys are
+        routed first and grouped by candidate leaf, every (key, leaf) row
+        is hashed in one call (:meth:`BFLeaf.hash_segments`), and each
+        leaf tests its key group against its whole filter page at once
+        (:meth:`BFLeaf.matching_page_runs_many`).  Descents, leaf reads and
         data-page fetches are charged per key just as ``search`` does.
 
         ``latency_sink``, if given, receives one simulated per-key
@@ -1087,9 +1088,10 @@ class BFTree(IndexBackend):
 
         * the batch is routed in one pass over a flattened directory
           (:meth:`InnerTree.routing_table`), then grouped by target leaf;
-        * each leaf hashes its key group once
-          (:meth:`BFLeaf.hash_batch`) and pre-tests it against its group
-          filters vectorized;
+        * the whole batch is hashed in one call, each key under its
+          target leaf's seed (:meth:`BFLeaf.hash_segments`), and each
+          leaf pre-tests its key group against its filter page
+          (:meth:`BFLeaf.duplicate_flags`);
         * re-inserts of already-present keys — the steady state of a
           mixed workload, where inserts re-index live keys — queue per
           leaf and flush as one chunk that charges the first key

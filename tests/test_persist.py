@@ -487,6 +487,40 @@ class TestWalIoErrors:
         assert r.search(2).found and r.search(3).found
         r.close()
 
+    def test_short_write_is_cut_back_out(self, tiny_relation, tmp_path,
+                                         monkeypatch):
+        """Record 2 is half written before the disk fills: the torn frame
+        is truncated away, so no later record can land behind it."""
+        d = tmp_path / "idx"
+        index = _durable(tiny_relation, d, sync_every=1)
+        real_write = os.write
+        wal_fd = index._wal._file.fileno()
+        calls: list[int] = []
+
+        def write(fd, data):
+            if fd == wal_fd:
+                calls.append(len(data))
+                if len(calls) == 2:
+                    return real_write(fd, bytes(data[: len(data) // 2]))
+                if len(calls) == 3:
+                    raise OSError(errno.ENOSPC, "injected disk full")
+            return real_write(fd, data)
+
+        monkeypatch.setattr(os, "write", write)
+        index.delete(1)
+        with pytest.raises(OSError):
+            index.delete(2)
+        with pytest.raises(WALFailedError):
+            index.delete(3)
+        index.close()
+        monkeypatch.undo()
+        records, valid = replay_wal(index.wal_path)
+        assert [r["key"] for r in records] == [1]
+        assert valid == index.wal_path.stat().st_size
+        r = recover(d, tiny_relation)
+        assert not r.search(1).found and r.search(2).found
+        r.close()
+
     def test_poisoned_log_refuses_writes_and_never_resyncs(
             self, tiny_relation, tmp_path, monkeypatch):
         d = tmp_path / "idx"

@@ -74,7 +74,6 @@ def _run(relation, column, trace, args, rebalance: bool):
         service, trace, args.config,
         rebalancer=rebalancer,
         window_ops=args.window_ops,
-        threads=args.threads,
     )
     return report
 
@@ -117,7 +116,6 @@ def main(argv=None) -> int:
     parser.add_argument("--fpp", type=float, default=1e-3)
     parser.add_argument("--config", default="MEM/SSD")
     parser.add_argument("--seed", type=int, default=None)
-    parser.add_argument("--threads", type=int, default=None)
     parser.add_argument("--out", default=None,
                         help="write the JSON report here (default stdout)")
     args = parser.parse_args(argv)
@@ -170,7 +168,6 @@ def main(argv=None) -> int:
             "arrival_rate": arrival_rate,
             "fpp": args.fpp,
             "config": args.config,
-            "threads": args.threads,
             "smoke": args.smoke,
         },
         "off": _side(off, arrival_rate),

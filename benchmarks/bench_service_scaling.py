@@ -18,10 +18,10 @@ batch-probe engine.  It reports, as one JSON document:
 * **speedup** — wall-clock throughput of the batched sharded service at
   4 shards over the unsharded scalar probe loop (contract: >= 2x; in
   practice far higher, since the batch engine alone is ~35x);
-* **executors** — the cores-vs-throughput curve: serial, thread and
-  process executors replay the same trace at a fixed shard count, the
-  process executor sweeping worker counts.  All three must stay
-  bit-identical in results and merged IOStats (gated always); the
+* **executors** — the cores-vs-throughput curve: serial and process
+  executors replay the same trace at a fixed shard count, the process
+  executor sweeping worker counts.  Both must stay bit-identical in
+  results, merged IOStats and per-op latencies (gated always); the
   process executor at 4 workers must beat serial by >= 2x — gated only
   on machines with >= 4 cores, recorded as skipped (with the core
   count) elsewhere, since the GIL-free speedup physically needs cores.
@@ -72,8 +72,7 @@ def _scaling_section(relation, column, unique, args):
         for n_shards in args.shards:
             service = _build_service(relation, column, n_shards, args.fpp,
                                      unique)
-            report = run_service(service, trace, args.config,
-                                 threads=args.threads)
+            report = run_service(service, trace, args.config)
             points.append(report.to_dict())
         out[mix] = points
     return out
@@ -116,8 +115,7 @@ def _equivalence_section(relation, column, unique, args):
         for n_shards in args.shards:
             service = _build_service(relation, column, n_shards, args.fpp,
                                      unique)
-            report = run_service(service, trace, args.config,
-                                 threads=args.threads)
+            report = run_service(service, trace, args.config)
             identical_results = report.results == ref_results
             identical_io = report.io == ref_io
             checks.append({
@@ -153,11 +151,11 @@ def _executor_section(relation, column, unique, args):
         theta=args.theta, seed=derive_seed(args.seed, "trace"),
     )
 
-    def replay(executor, workers=None, threads=None):
+    def replay(executor, workers=None):
         service = _build_service(relation, column, n_shards, args.fpp,
                                  unique)
         return run_service(service, trace, args.config, executor=executor,
-                           workers=workers, threads=threads)
+                           workers=workers)
 
     cores = os.cpu_count() or 1
     out = {"cores": cores, "shards": n_shards, "equivalence": [],
@@ -166,7 +164,6 @@ def _executor_section(relation, column, unique, args):
     serial_wall = ref.stats.wall_secs
     for executor, kwargs in (
         ("serial", {}),
-        ("thread", {"threads": min(4, n_shards)}),
         ("process", {"workers": min(4, n_shards)}),
     ):
         report = ref if executor == "serial" else replay(executor, **kwargs)
@@ -217,7 +214,6 @@ def main(argv=None) -> int:
     parser.add_argument("--fpp", type=float, default=1e-3)
     parser.add_argument("--config", default="MEM/SSD")
     parser.add_argument("--seed", type=int, default=None)
-    parser.add_argument("--threads", type=int, default=None)
     parser.add_argument("--out", default=None,
                         help="write the JSON report here (default stdout)")
     args = parser.parse_args(argv)
@@ -242,7 +238,6 @@ def main(argv=None) -> int:
             "theta": args.theta,
             "fpp": args.fpp,
             "config": args.config,
-            "threads": args.threads,
             "smoke": args.smoke,
         },
         "scaling": _scaling_section(relation, column, unique, args),

@@ -55,7 +55,8 @@ RULES: dict[str, tuple[str, str]] = {
     "S3": ("seed-discipline",
            "no module-level (hidden global stream) RNG calls"),
     "L1": ("scalar-leak",
-           "use repro.api.results.as_scalar, not ad-hoc .item unwrapping"),
+           "use repro.api.results.as_scalar, not ad-hoc .item unwrapping "
+           "(hasattr/getattr probes anywhere, bare .item() under src/)"),
     "F1": ("format-discipline",
            "no pickle.load(s) under src/: unchecksummed, code-executing"),
     "F2": ("format-discipline",
@@ -121,6 +122,12 @@ def in_protocol_scope(relpath: str) -> bool:
 def in_scalar_scope(relpath: str) -> bool:
     """L1 applies everywhere except the helper's home module."""
     return posix(relpath) != "src/repro/api/results.py"
+
+
+def in_bare_item_scope(relpath: str) -> bool:
+    """L1's bare ``.item()`` check covers library code only (tests may
+    unwrap NumPy scalars freely)."""
+    return posix(relpath).startswith("src/") and in_scalar_scope(relpath)
 
 
 def in_topology_scope(relpath: str) -> bool:

@@ -15,6 +15,7 @@ from typing import Iterator
 from repro.analysis.lint.base import (
     Violation,
     dotted_parts,
+    in_bare_item_scope,
     in_charge_scope,
     in_executor_scope,
     in_format_scope,
@@ -97,6 +98,7 @@ def _check_calls(unit: FileUnit) -> Iterator[Violation]:
     charge = in_charge_scope(relpath)
     protocol = in_protocol_scope(relpath)
     scalar = in_scalar_scope(relpath)
+    bare_item = in_bare_item_scope(relpath)
     fmt = in_format_scope(relpath)
     for node in ast.walk(tree):
         if not isinstance(node, ast.Call):
@@ -145,6 +147,16 @@ def _check_calls(unit: FileUnit) -> Iterator[Violation]:
                     "protocol surface; backends declare the full surface, "
                     "so access it directly",
                 )
+
+        if (bare_item and isinstance(func, ast.Attribute)
+                and func.attr == "item" and not node.args
+                and not node.keywords):
+            yield Violation(
+                "L1", "scalar-leak", relpath, node.lineno,
+                "bare .item() unwrapping crashes on native Python keys "
+                "(str/bytes have no .item); use "
+                "repro.api.results.as_scalar",
+            )
 
         # -- format-discipline -----------------------------------------
         if fmt and isinstance(func, ast.Name) and func.id == "open":

@@ -31,6 +31,7 @@ from repro.api.results import (
     DeleteOutcome,
     RangeScanResult,
     SearchResult,
+    as_scalar,
     normalize_scan_windows,
 )
 from repro.core.node import InnerTree, NodeStore, fanout_for, route_batch
@@ -161,7 +162,7 @@ class BPlusTree(IndexBackend):
                     used = 0
                 room = max(1, (budget - used - ksz) // psz)
                 take, remaining = remaining[:room], remaining[room:]
-                leaf.keys.append(key.item())
+                leaf.keys.append(as_scalar(key))
                 leaf.ridlists.append(take)
                 used += ksz + len(take) * psz
         tree._leaf_order = [l.node_id for l in order]
@@ -293,7 +294,9 @@ class BPlusTree(IndexBackend):
 
     def shard_leaves(self) -> list:
         """Leaf chain in key order, ready for ShardedIndex slicing."""
-        return [self.leaves[lid] for lid in self._leaf_order]
+        # The live chain, not the build-time order: leaf splits since
+        # the build add leaves that order lacks.
+        return self.leaves_in_order()
 
     def shard_from_leaves(self, run: list) -> "BPlusTree":
         return BPlusTree.from_leaves(

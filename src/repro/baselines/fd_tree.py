@@ -26,7 +26,7 @@ import numpy as np
 
 from repro.analysis.sanitize import maybe_check
 from repro.api.protocol import Capabilities, IndexBackend
-from repro.api.results import DeleteOutcome, SearchResult
+from repro.api.results import DeleteOutcome, SearchResult, as_scalar
 from repro.storage.buffer_pool import BufferPool
 from repro.storage.clock import CPU_KEY_COMPARE
 from repro.storage.config import StorageStack
@@ -119,9 +119,9 @@ class FDTree(IndexBackend):
             raise ValueError(f"column {key_column!r} must be sorted for bulk load")
         if tree.config.clustered:
             distinct, starts = np.unique(keys, return_index=True)
-            entries = [(k.item(), int(t)) for k, t in zip(distinct, starts)]
+            entries = [(as_scalar(k), int(t)) for k, t in zip(distinct, starts)]
         else:
-            entries = [(k.item(), tid) for tid, k in enumerate(keys)]
+            entries = [(as_scalar(k), tid) for tid, k in enumerate(keys)]
         # Entries land in the shallowest level that fits them; the levels
         # above hold only fences, but a probe still reads one page in each
         # (fractional cascading descends level by level).

@@ -15,7 +15,7 @@ import numpy as np
 
 from repro.analysis.sanitize import maybe_check
 from repro.api.protocol import Capabilities, IndexBackend
-from repro.api.results import DeleteOutcome, SearchResult
+from repro.api.results import DeleteOutcome, SearchResult, as_scalar
 from repro.storage.clock import CPU_HASH_PROBE
 from repro.storage.config import StorageStack
 from repro.storage.device import PAGE_SIZE, Device
@@ -63,7 +63,7 @@ class HashIndex(IndexBackend):
         index = cls(relation, key_column, unique)
         values = np.asarray(relation.columns[key_column])
         for tid, key in enumerate(values):
-            index._map[key.item()].append(tid)
+            index._map[as_scalar(key)].append(tid)
         return index
 
     # ------------------------------------------------------------------

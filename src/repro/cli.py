@@ -325,10 +325,6 @@ def _serve_bench_rebalance(args, relation, column, trace, config,
             rebalancer=rebalancer,
             window_ops=args.window_ops,
             warm=args.warm,
-            batch=not args.no_batch,
-            write_batch=False if args.no_write_batch else None,
-            scan_batch=False if args.no_scan_batch else None,
-            threads=args.threads,
             executor=args.executor,
             workers=args.workers,
         )
@@ -422,10 +418,6 @@ def cmd_serve_bench(args: argparse.Namespace) -> int:
             raise SystemExit(str(exc)) from None
         report = run_service(
             service, trace, config, warm=args.warm,
-            batch=not args.no_batch,
-            write_batch=False if args.no_write_batch else None,
-            scan_batch=False if args.no_scan_batch else None,
-            threads=args.threads,
             executor=args.executor,
             workers=args.workers,
         )
@@ -674,35 +666,12 @@ def build_parser() -> argparse.ArgumentParser:
                          choices=sorted(CONFIGS_BY_NAME),
                          help="storage config (default MEM/SSD)")
     p_serve.add_argument("--warm", action="store_true")
-    p_serve.add_argument("--no-batch", action="store_true",
-                         help="disable the vectorized batch-probe engine "
-                              "(per-op dispatch; same simulated results; "
-                              "also disables write and scan batching "
-                              "unless --no-write-batch/--no-scan-batch "
-                              "say otherwise)")
-    p_serve.add_argument("--no-write-batch", action="store_true",
-                         help="disable Router write batching (inserts "
-                              "dispatch per op instead of through the "
-                              "vectorized insert_many batch write engine; "
-                              "same simulated results)")
-    p_serve.add_argument("--no-scan-batch", action="store_true",
-                         help="disable Router scan batching (scans flush "
-                              "the read buffer and dispatch per op "
-                              "instead of riding the shared read-phase "
-                              "buffer into the vectorized range_scan_many "
-                              "batch scan engine; same simulated results)")
-    p_serve.add_argument("--threads", type=int, default=None,
-                         help="replay shards on a thread pool of this size "
-                              "(GIL-bound: overlap is limited to NumPy "
-                              "passes; use --executor process for "
-                              "core-count speedups)")
     p_serve.add_argument("--executor", default=None,
-                         choices=["serial", "thread", "process"],
-                         help="shard execution model: serial (reference), "
-                              "thread (GIL-bound pool), or process "
-                              "(one forked worker per shard, shared-memory "
-                              "batches, true multi-core parallelism); "
-                              "default follows --threads")
+                         choices=["serial", "process"],
+                         help="shard execution model: serial (reference; "
+                              "the default) or process (one forked worker "
+                              "per shard, shared-memory batches, true "
+                              "multi-core parallelism)")
     p_serve.add_argument("--workers", type=int, default=None,
                          help="cap the process executor's worker pool "
                               "(default: one worker per shard)")

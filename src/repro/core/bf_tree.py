@@ -594,7 +594,9 @@ class BFTree(IndexBackend):
                 "ShardedIndex requires an ordered column (partitioned "
                 "data would probe neighbour leaves across shard borders)"
             )
-        return [self.leaves[lid] for lid in self._leaf_order]
+        # The live chain, not the build-time order: leaf splits since
+        # the build replace leaves that order still names.
+        return self.leaves_in_order()
 
     def shard_from_leaves(self, run: list) -> "BFTree":
         return BFTree.from_leaves(
@@ -1526,7 +1528,7 @@ class BFTree(IndexBackend):
                 break
             view = self.relation.view_page(pid)
             for key in np.unique(view.column(self.key_column)):
-                pairs.append((key.item(), pid))
+                pairs.append((as_scalar(key), pid))
         return pairs
 
     def _relink(self, old: BFLeaf, left: BFLeaf, right: BFLeaf) -> None:

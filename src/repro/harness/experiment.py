@@ -236,11 +236,7 @@ class ServiceReport:
     config: str
     mix: str
     skew: str
-    batch: bool
-    threads: int | None
     stats: ServiceStats
-    write_batch: bool = True
-    scan_batch: bool = True
     executor: str = "serial"
     workers: int | None = None
     results: list = field(repr=False, default_factory=list)
@@ -258,10 +254,6 @@ class ServiceReport:
             "config": self.config,
             "mix": self.mix,
             "skew": self.skew,
-            "batch": self.batch,
-            "write_batch": self.write_batch,
-            "scan_batch": self.scan_batch,
-            "threads": self.threads,
             "executor": self.executor,
             "workers": self.workers,
             **self.stats.to_dict(),
@@ -273,39 +265,27 @@ def run_service(
     trace: MixedTrace,
     config: StorageConfig | str,
     warm: bool = False,
-    batch: bool = True,
-    batch_size: int = 512,
-    threads: int | None = None,
-    write_batch: bool | None = None,
-    scan_batch: bool | None = None,
     executor: str | None = None,
     workers: int | None = None,
 ) -> ServiceReport:
     """Replay a mixed workload trace through a sharded index service.
 
     Binds every shard to a fresh storage stack of ``config``, routes the
-    trace through a :class:`~repro.service.router.Router` (reads batched
-    through the vectorized probe engine unless ``batch=False``; inserts
-    batched through the vectorized write engine; scans batched with the
-    reads through the vectorized scan engine — ``write_batch`` and
-    ``scan_batch`` default to following ``batch``), and returns a
-    :class:`ServiceReport` whose :class:`ServiceStats` carries merged
-    IOStats, per-op latency percentiles, simulated makespan throughput
-    (shards progress in parallel, so the service finishes with its
-    slowest shard) and replay wall time.
+    trace through a :class:`~repro.service.router.Router` (reads, inserts
+    and scans each batched per shard through the vectorized probe, write
+    and scan engines), and returns a :class:`ServiceReport` whose
+    :class:`ServiceStats` carries merged IOStats, per-op latency
+    percentiles, simulated makespan throughput (shards progress in
+    parallel, so the service finishes with its slowest shard) and replay
+    wall time.
 
-    ``executor`` picks the execution model — ``"serial"``, ``"thread"``
-    (GIL-bound; ``threads`` caps the pool) or ``"process"`` (one forked
-    worker per shard, capped at ``workers``; the one that scales with
-    cores).  ``None`` keeps the historical behavior of following
-    ``threads``.  All batch modes and executors are bit-identical to
-    per-op serial dispatch in every simulated number.
+    ``executor`` picks the execution model — ``"serial"`` (the default
+    and reference) or ``"process"`` (one forked worker per shard, capped
+    at ``workers``; the one that scales with cores).  Both are
+    bit-identical in every simulated number.
     """
     service.bind(config, warm=warm)
-    router = Router(service, batch=batch, batch_size=batch_size,
-                    threads=threads, write_batch=write_batch,
-                    scan_batch=scan_batch, executor=executor,
-                    workers=workers)
+    router = Router(service, executor=executor, workers=workers)
     try:
         results, stats = router.replay(trace)
     finally:
@@ -317,10 +297,6 @@ def run_service(
         config=config if isinstance(config, str) else config.name,
         mix=trace.mix.name,
         skew=trace.skew,
-        batch=batch,
-        write_batch=router.write_batch,
-        scan_batch=router.scan_batch,
-        threads=threads,
         executor=router.executor.name,
         workers=workers,
         stats=stats,

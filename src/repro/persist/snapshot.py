@@ -28,6 +28,7 @@ from typing import Any
 
 import numpy as np
 
+from repro.api.results import as_scalar
 from repro.persist.errors import CorruptSnapshotError
 
 MAGIC = b"RPSNAP01"
@@ -39,7 +40,7 @@ _MARKERS = ("__ndarray__", "__bytes__")
 def _encode(value: Any, blobs: list[bytes]) -> Any:
     """JSON-safe copy of ``value`` with binary payloads moved to blobs."""
     if isinstance(value, (np.integer, np.bool_)):
-        return value.item()
+        return as_scalar(value)
     if isinstance(value, np.floating):
         return float(value)
     if isinstance(value, np.ndarray):

@@ -4,12 +4,12 @@ The production-facing subsystem: a :class:`ShardedIndex` range-partitions
 one indexed column across N independent shards (each with its own
 device/clock/buffer-pool stack) under an epoch-versioned
 :class:`RoutingTable`, a :class:`Router` splits mixed read/insert/scan
-batches per shard and dispatches them through the vectorized batch-probe
-*and* batch-write engines on a pluggable :class:`ShardExecutor`
-(serial, GIL-bound threads, or true process-per-shard parallelism —
-see :mod:`repro.service.executor`), and :class:`ServiceStats` merges
-per-shard IOStats and folds per-op simulated latencies into
-p50/p95/p99 summaries.
+batches per shard and replays them through one batched engine
+(:class:`ReplayCore`: vectorized probe, write and scan calls) on a
+pluggable :class:`ShardExecutor` (serial, or true process-per-shard
+parallelism — see :mod:`repro.service.executor`), and
+:class:`ServiceStats` merges per-shard IOStats and folds per-op
+simulated latencies into p50/p95/p99 summaries.
 
 The topology is *dynamic*: ``split_shard``/``merge_shards`` reshape the
 partition layout live (stable shard ids, epoch bumps, Router drain hooks
@@ -30,7 +30,6 @@ from repro.service.executor import (
     SerialExecutor,
     ShardExecutor,
     SubOp,
-    ThreadExecutor,
     make_executor,
 )
 from repro.service.rebalance import (
@@ -72,7 +71,6 @@ __all__ = [
     "ShardExecutor",
     "ShardedIndex",
     "SubOp",
-    "ThreadExecutor",
     "WindowedLoad",
     "make_executor",
     "queued_response_times",

@@ -1,20 +1,14 @@
-"""Pluggable shard-execution layer: serial, threaded and process workers.
+"""Pluggable shard-execution layer: serial and process workers.
 
 The Router plans a trace into per-shard sub-op lists; *how* those lists
 get executed is this module's job.  A :class:`ShardExecutor` receives
 ``(stable shard id, sub-ops)`` plans and returns per-op outcome records;
-three implementations cover the useful points of the design space:
+two implementations cover the useful points of the design space:
 
 ``SerialExecutor``
     Replays shards one after another on the calling thread.  The
-    reference semantics — every other executor must be bit-identical
+    reference semantics — the process executor must be bit-identical
     to it (results, IOStats, per-op simulated latencies).
-
-``ThreadExecutor``
-    One thread per shard (capped at ``threads``).  **GIL-bound**: the
-    pure-Python replay portions time-slice one core, so this buys
-    wall-clock overlap only inside NumPy filter passes that release
-    the GIL.  Kept for compatibility; prefer ``process`` for scaling.
 
 ``ProcessExecutor``
     Pins each shard to a long-lived **worker process** (forked from the
@@ -60,8 +54,6 @@ parallel execution stays behind this equivalence-tested seam.
 from __future__ import annotations
 
 import multiprocessing
-import os
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from multiprocessing import resource_tracker, shared_memory
@@ -97,6 +89,8 @@ class SubOp:
 OutRecord = tuple[int, int, float, Any]
 #: One planned shard batch: (stable shard id, sub-ops in trace order).
 ShardPlan = tuple[int, "list[SubOp]"]
+#: Ops per engine call when a phase buffer flushes.
+REPLAY_CHUNK = 512
 
 
 @dataclass
@@ -121,24 +115,12 @@ class ReplayCore:
     phase-buffer state machine: reads and scans share the read phase,
     writes fence it (and vice versa), so per-shard trace order — and
     read-your-writes — is preserved.  The *same* instance runs in the
-    parent for the serial/thread executors and (via fork) inside each
-    worker process, which is what makes the executors bit-identical.
+    parent for the serial executor and (via fork) inside each worker
+    process, which is what makes the executors bit-identical.
     """
 
-    def __init__(
-        self,
-        service: ShardedIndex,
-        *,
-        batch: bool = True,
-        batch_size: int = 512,
-        write_batch: bool = True,
-        scan_batch: bool = True,
-    ) -> None:
+    def __init__(self, service: ShardedIndex) -> None:
         self.service = service
-        self.batch = batch
-        self.batch_size = batch_size
-        self.write_batch = write_batch
-        self.scan_batch = scan_batch
         #: Live replay sessions by stable shard id (drain-hook target).
         self._sessions: dict[int, _ShardSession] = {}
 
@@ -156,19 +138,12 @@ class ReplayCore:
             # vice versa).  Reads and scans share the read phase — only
             # writes fence it.
             for op in subops:
-                if op.code == OP_READ:
+                if op.code == OP_READ or op.code == OP_SCAN:
                     self._flush_writes(session)
                     session.read_buffer.append(op)
                 elif op.code == OP_INSERT:
                     self._flush_reads(session)
                     session.write_buffer.append(op)
-                elif op.code == OP_SCAN and self.scan_batch:
-                    self._flush_writes(session)
-                    session.read_buffer.append(op)
-                elif op.code == OP_SCAN:
-                    self._flush_reads(session)
-                    self._flush_writes(session)
-                    self._scalar_scan(session, op)
                 else:
                     # Fail loudly: a new op code buffered as if it were
                     # a scan would be silently dropped by _flush_reads.
@@ -189,60 +164,41 @@ class ReplayCore:
 
     # ------------------------------------------------------------------
     def _flush_reads(self, session: _ShardSession) -> None:
-        # The read-phase buffer holds point reads and (with scan
-        # batching) scan legs: both are read-only, so each chunk can
-        # dispatch its reads and its scans as two sub-batches — every
-        # charge on the read path declares its access pattern
-        # explicitly, so the relative order cannot change any simulated
-        # number.
+        # The read-phase buffer holds point reads and scan legs: both
+        # are read-only, so each chunk can dispatch its reads and its
+        # scans as two sub-batches — every charge on the read path
+        # declares its access pattern explicitly, so the relative order
+        # cannot change any simulated number.
         buffer = session.read_buffer
         if not buffer:
             return
         service = self.service
         shard = service.shard_by_id(session.sid)
+        # A shard retired mid-replay has no owner any more: the
+        # service-level calls re-route each read by key (and re-plan
+        # each scan leg's sub-window, which still partitions the
+        # original window) under the current epoch.
+        target: ShardedIndex | Index = (
+            service if shard is None else shard.index
+        )
         out = session.out
-        for start in range(0, len(buffer), self.batch_size):
-            chunk = buffer[start : start + self.batch_size]
+        for start in range(0, len(buffer), REPLAY_CHUNK):
+            chunk = buffer[start : start + REPLAY_CHUNK]
             reads = [op for op in chunk if op.code == OP_READ]
             scans = [op for op in chunk if op.code == OP_SCAN]
-            if reads and (shard is None or self.batch):
+            if reads:
                 sink: list[float] = []
-                if shard is None:
-                    # Shard retired mid-replay: re-route by key under
-                    # the current epoch.
-                    chunk_results: list[Any] = list(service.search_many(
-                        [op.key for op in reads], latency_sink=sink
-                    ))
-                else:
-                    chunk_results = list(shard.index.search_many(
-                        [op.key for op in reads], latency_sink=sink
-                    ))
-                for op, latency, result in zip(reads, sink, chunk_results):
+                results = target.search_many(
+                    [op.key for op in reads], latency_sink=sink
+                )
+                for op, latency, result in zip(reads, sink, results):
                     out.append((op.op_index, op.code, latency, result))
-            elif reads:
-                assert shard is not None and shard.stack is not None
-                clock = shard.stack.clock
-                for op in reads:
-                    begin = clock.now()
-                    result = shard.index.search(op.key)
-                    out.append(
-                        (op.op_index, op.code, clock.now() - begin, result)
-                    )
             if scans:
                 scan_sink: list[float] = []
-                if shard is None:
-                    # Re-plan each leg's sub-window across the new
-                    # topology; the legs still partition the original
-                    # scan window, so merged counts stay exact.
-                    scan_results = service.range_scan_many(
-                        [(op.sub_lo, op.sub_hi) for op in scans],
-                        latency_sink=scan_sink,
-                    )
-                else:
-                    scan_results = shard.index.range_scan_many(
-                        [(op.sub_lo, op.sub_hi) for op in scans],
-                        latency_sink=scan_sink,
-                    )
+                scan_results = target.range_scan_many(
+                    [(op.sub_lo, op.sub_hi) for op in scans],
+                    latency_sink=scan_sink,
+                )
                 for op, latency, result in zip(scans, scan_sink,
                                                scan_results):
                     out.append((op.op_index, op.code, latency, result))
@@ -255,57 +211,20 @@ class ReplayCore:
         service = self.service
         shard = service.shard_by_id(session.sid)
         out = session.out
-        for start in range(0, len(buffer), self.batch_size):
-            chunk = buffer[start : start + self.batch_size]
+        for start in range(0, len(buffer), REPLAY_CHUNK):
+            chunk = buffer[start : start + REPLAY_CHUNK]
+            keys = [op.key for op in chunk]
+            tids = [op.tid for op in chunk]
+            sink: list[float] = []
             if shard is None:
                 # Shard retired mid-replay: re-route by key under the
                 # current epoch.
-                sink: list[float] = []
-                service.insert_many(
-                    [op.key for op in chunk],
-                    [op.tid for op in chunk],
-                    latency_sink=sink,
-                )
-                for op, latency in zip(chunk, sink):
-                    out.append((op.op_index, op.code, latency, None))
-            elif self.write_batch:
-                sink = []
-                service.insert_many_on(
-                    shard,
-                    [op.key for op in chunk],
-                    [op.tid for op in chunk],
-                    latency_sink=sink,
-                )
-                for op, latency in zip(chunk, sink):
-                    out.append((op.op_index, op.code, latency, None))
+                service.insert_many(keys, tids, latency_sink=sink)
             else:
-                assert shard.stack is not None
-                clock = shard.stack.clock
-                for op in chunk:
-                    begin = clock.now()
-                    service.insert_on(shard, op.key, op.tid)
-                    out.append(
-                        (op.op_index, op.code, clock.now() - begin, None)
-                    )
+                service.insert_many_on(shard, keys, tids, latency_sink=sink)
+            for op, latency in zip(chunk, sink):
+                out.append((op.op_index, op.code, latency, None))
         buffer.clear()
-
-    def _scalar_scan(self, session: _ShardSession, op: SubOp) -> None:
-        service = self.service
-        shard = service.shard_by_id(session.sid)
-        if shard is None:
-            sink: list[float] = []
-            result = service.range_scan_many(
-                [(op.sub_lo, op.sub_hi)], latency_sink=sink
-            )[0]
-            session.out.append((op.op_index, op.code, sink[0], result))
-            return
-        assert shard.stack is not None
-        clock = shard.stack.clock
-        begin = clock.now()
-        result = shard.index.range_scan(op.sub_lo, op.sub_hi)
-        session.out.append(
-            (op.op_index, op.code, clock.now() - begin, result)
-        )
 
 
 # ----------------------------------------------------------------------
@@ -380,35 +299,6 @@ class SerialExecutor(ShardExecutor):
     def run(self, plans: list[ShardPlan]) -> list[list[OutRecord]]:
         core = self._require_core()
         return [core.replay_shard(sid, subops) for sid, subops in plans]
-
-
-class ThreadExecutor(ShardExecutor):
-    """One thread per shard, capped at ``threads`` (GIL-bound).
-
-    Wall-clock overlap happens only inside NumPy filter passes that
-    release the GIL; the pure-Python replay portions time-slice one
-    core.  Simulated results are bit-identical to serial because every
-    shard owns a private tree, stack and clock.
-    """
-
-    name = "thread"
-
-    def __init__(self, threads: int | None = None) -> None:
-        super().__init__()
-        if threads is not None and threads < 1:
-            raise ValueError("threads must be >= 1 (or None for cpu count)")
-        self.threads = threads if threads is not None else (os.cpu_count() or 1)
-
-    def run(self, plans: list[ShardPlan]) -> list[list[OutRecord]]:
-        core = self._require_core()
-        if len(plans) <= 1:
-            return [core.replay_shard(sid, subops) for sid, subops in plans]
-        with ThreadPoolExecutor(max_workers=self.threads) as pool:
-            return list(pool.map(
-                core.replay_shard,
-                [sid for sid, _ in plans],
-                [subops for _, subops in plans],
-            ))
 
 
 # ----------------------------------------------------------------------
@@ -875,25 +765,14 @@ class ProcessExecutor(ShardExecutor):
 def make_executor(
     spec: "str | ShardExecutor | None" = None,
     *,
-    threads: int | None = None,
     workers: int | None = None,
 ) -> ShardExecutor:
     """Resolve an executor spec (the ``--executor`` flag, a Router knob,
-    or an already-built instance).
-
-    ``None`` preserves the historical Router behavior: threaded when
-    ``threads`` is given, serial otherwise.
-    """
+    or an already-built instance); ``None`` means serial."""
     if isinstance(spec, ShardExecutor):
         return spec
-    if spec is None:
-        return ThreadExecutor(threads) if threads is not None else SerialExecutor()
-    if spec == "serial":
+    if spec is None or spec == "serial":
         return SerialExecutor()
-    if spec == "thread":
-        return ThreadExecutor(threads)
     if spec == "process":
         return ProcessExecutor(workers)
-    raise ValueError(
-        f"unknown executor {spec!r}; choose serial, thread, or process"
-    )
+    raise ValueError(f"unknown executor {spec!r}; choose serial or process")

@@ -317,11 +317,6 @@ def run_elastic_service(
     rebalancer: Rebalancer | None = None,
     window_ops: int = 512,
     warm: bool = False,
-    batch: bool = True,
-    batch_size: int = 512,
-    threads: int | None = None,
-    write_batch: bool | None = None,
-    scan_batch: bool | None = None,
     executor: str | None = None,
     workers: int | None = None,
 ) -> ElasticReport:
@@ -338,10 +333,7 @@ def run_elastic_service(
     drain handling is built around.
     """
     service.bind(config, warm=warm)
-    router = Router(service, batch=batch, batch_size=batch_size,
-                    threads=threads, write_batch=write_batch,
-                    scan_batch=scan_batch, executor=executor,
-                    workers=workers)
+    router = Router(service, executor=executor, workers=workers)
     initial_shards = service.n_shards
     windows = WindowedLoad()
     log = rebalancer.log if rebalancer is not None else RebalanceLog()

@@ -2,28 +2,30 @@
 
 The router turns a :class:`~repro.workloads.mixed.MixedTrace` into
 per-shard work lists and hands them to a pluggable
-:class:`~repro.service.executor.ShardExecutor` for execution:
+:class:`~repro.service.executor.ShardExecutor`, which replays each list
+through the one batched replay engine,
+:class:`~repro.service.executor.ReplayCore`:
 
 * point reads are routed by key and **batched** — consecutive reads on
-  one shard flow through the shard's vectorized ``search_many`` (the
-  PR-1 batch-probe engine), with the per-op latency sink recovering the
-  exact scalar latencies for the percentile report;
+  one shard flow through the shard's vectorized ``search_many``, with
+  the per-op latency sink recovering each op's simulated latency for
+  the percentile report;
 * inserts are **write-batched** the same way: consecutive inserts on
-  one shard flush through ``insert_many`` (the vectorized batch write
-  engine), with per-op latencies from its sink; a read or scan arrival
+  one shard flush through ``insert_many``; a read or scan arrival
   flushes the write buffer first, so an operation issued after an
   insert always observes it (read-your-writes order is preserved);
-* scans are **scan-batched** alongside the reads: scans and point
-  reads are both read-only, so they share one read-phase buffer — a
-  scan arrival no longer flushes the read buffer (only writes fence
-  the read phase) — and each flush dispatches the reads through
-  ``search_many`` and the scans through the vectorized
-  ``range_scan_many`` batch scan engine, per-op latencies from their
-  sinks;
+* scans share the read-phase buffer with the point reads (both are
+  read-only; only writes fence the read phase), and each flush
+  dispatches its scans through the vectorized ``range_scan_many``;
 * a scan whose window spans multiple shards is split into per-shard
   legs (scatter-gather, planned vectorized via ``scan_plan_many``);
   its latency is the *sum* of its legs' simulated time, and its result
   merges the legs' counts.
+
+Every batched call is bit-identical to the same ops issued one by one
+through :class:`~repro.service.sharded.ShardedIndex` in trace order
+(results and IOStats; per-op latencies and clocks up to float
+summation order) — the tests hold the Router to that per-op loop.
 
 **Topology discipline.**  Routing goes through the service's
 :class:`~repro.service.routing.RoutingTable`; plan-time shard ordinals
@@ -40,24 +42,19 @@ new epoch).  Should a buffered shard id nonetheless vanish (retired
 mid-replay), the flush falls back to service-level batch calls, which
 re-route each op by key under the new epoch.
 
-Per-shard operation order always follows trace order, so a read issued
-after an insert to the same shard observes it.  Because every shard owns
-a private tree, stack and clock, shards share no mutable state — which
-executor replays them is a pure deployment knob:
+Per-shard operation order always follows trace order.  Because every
+shard owns a private tree, stack and clock, shards share no mutable
+state — which executor replays them is a pure deployment knob:
 
 ===========  ==========================================================
 ``serial``   One shard after another on the calling thread.  The
              reference semantics; lowest overhead for small traces.
-``thread``   One thread per shard (``threads=N`` cap).  **GIL-bound**:
-             only NumPy filter passes overlap in wall-clock time; the
-             pure-Python replay portions time-slice one core.  Kept for
-             compatibility — do not expect core-count speedups.
 ``process``  One long-lived forked worker per shard (``workers=N``
              cap), batches shipped via shared memory.  Real multi-core
              parallelism; the choice for throughput on ≥ 2 cores.
 ===========  ==========================================================
 
-All three produce bit-identical results, IOStats and per-op simulated
+Both produce bit-identical results, IOStats and per-op simulated
 latencies (``tests/test_service.py::TestExecutorEquivalence``).  Live
 topology changes remain a control-plane action: trigger them between
 replay calls (as the elastic control loop does) or from the replaying
@@ -71,7 +68,7 @@ from typing import Any
 
 import numpy as np
 
-from repro.api.results import RangeScanResult
+from repro.api.results import RangeScanResult, as_scalar
 from repro.service.executor import ReplayCore, ShardExecutor, SubOp, make_executor
 from repro.service.sharded import ShardedIndex
 from repro.service.stats import ServiceStats
@@ -85,40 +82,15 @@ class Router:
     def __init__(
         self,
         service: ShardedIndex,
-        batch: bool = True,
-        batch_size: int = 512,
-        threads: int | None = None,
-        write_batch: bool | None = None,
-        scan_batch: bool | None = None,
         executor: str | ShardExecutor | None = None,
         workers: int | None = None,
     ) -> None:
-        """``batch`` controls read batching; ``write_batch`` controls
-        insert batching and ``scan_batch`` controls scan batching — both
-        default to following ``batch``.  ``executor`` picks the
-        execution model (``"serial"``/``"thread"``/``"process"`` or a
-        prebuilt :class:`ShardExecutor`); ``None`` keeps the historical
-        behavior of following ``threads``.  All modes produce
-        bit-identical simulated results to per-op dispatch."""
-        if batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        if threads is not None and threads < 1:
-            raise ValueError("threads must be >= 1 (or None for serial)")
+        """``executor`` picks the execution model (``"serial"``, the
+        default, or ``"process"``, capped at ``workers``; or a prebuilt
+        :class:`ShardExecutor`)."""
         self.service = service
-        self.batch = batch
-        self.batch_size = batch_size
-        self.threads = threads
-        self.write_batch = batch if write_batch is None else write_batch
-        self.scan_batch = batch if scan_batch is None else scan_batch
-        self._core = ReplayCore(
-            service,
-            batch=self.batch,
-            batch_size=self.batch_size,
-            write_batch=self.write_batch,
-            scan_batch=self.scan_batch,
-        )
-        self.executor = make_executor(executor, threads=threads,
-                                      workers=workers)
+        self._core = ReplayCore(service)
+        self.executor = make_executor(executor, workers=workers)
         self.executor.attach(self._core)
         service.register_drain_hook(self._drain)
 
@@ -147,6 +119,7 @@ class Router:
         """
         per_shard: list[list[SubOp]] = [[] for _ in self.service.shards]
         assign = self.service.route(trace.keys)
+        keys = [as_scalar(k) for k in trace.keys.tolist()]
         # Scan legs are planned for the whole trace in one vectorized
         # pass (both window endpoints routed batch-wise), then spliced
         # back at each scan's trace position.
@@ -154,8 +127,7 @@ class Router:
         scan_legs: dict[int, list[tuple[int, Any, Any]]] = {}
         if len(scan_idx):
             windows = [
-                (trace.keys[i].item(),
-                 trace.keys[i].item() + int(trace.scan_widths[i]) - 1)
+                (keys[i], keys[i] + int(trace.scan_widths[i]) - 1)
                 for i in scan_idx
             ]
             for i, legs in zip(scan_idx.tolist(),
@@ -163,7 +135,7 @@ class Router:
                 scan_legs[i] = legs
         for i in range(len(trace)):
             code = int(trace.ops[i])
-            key = trace.keys[i].item()
+            key = keys[i]
             if code == OP_READ:
                 per_shard[assign[i]].append(SubOp(i, code, key))
             elif code == OP_INSERT:

@@ -560,15 +560,14 @@ class ShardedIndex:
         return results
 
     def insert(self, key: Any, tid: int) -> None:
-        """Index tuple ``tid`` under ``key`` on the owning shard."""
-        key = as_scalar(key)
-        self.insert_on(self.shards[self.route_key(key)], key, tid)
+        """Index tuple ``tid`` under ``key`` on the owning shard.
 
-    def insert_on(self, shard: Shard, key: Any, tid: int) -> None:
-        """Insert on an already-routed shard.  Tuple-id-to-native-target
-        translation (BF-Trees index data *pages*, rid-based backends
-        keep the tuple id) lives in the protocol's ``write_target``
-        hook, so no backend branching happens here."""
+        Tuple-id-to-native-target translation (BF-Trees index data
+        *pages*, rid-based backends keep the tuple id) lives in the
+        protocol's ``write_target`` hook, so no backend branching
+        happens here."""
+        key = as_scalar(key)
+        shard = self.shards[self.route_key(key)]
         shard.index.insert(key, shard.index.write_target(int(tid)))
 
     def insert_many(self, keys: Sequence[Any], tids: Sequence[int],
@@ -608,8 +607,8 @@ class ShardedIndex:
     def insert_many_on(self, shard: Shard, keys: Sequence[Any],
                        tids: Sequence[int],
                        latency_sink: list[float] | None = None) -> None:
-        """Batch :meth:`insert_on` for an already-routed key group —
-        the Router's write-batching entry point."""
+        """Batch :meth:`insert` for an already-routed key group — the
+        Router's write-batching entry point."""
         targets = [shard.index.write_target(int(t)) for t in tids]
         shard.index.insert_many(keys, targets, latency_sink=latency_sink)
         maybe_check(self)

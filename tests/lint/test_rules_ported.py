@@ -209,6 +209,32 @@ class TestScalarLeak:
     def test_helper_home_module_is_exempt(self):
         src = 'def unwrap(k):\n    return hasattr(k, "item")\n'
         assert lint_source(src, "src/repro/api/results.py") == []
+        bare = "def unwrap(k):\n    return k.item()\n"
+        assert lint_source(bare, "src/repro/api/results.py") == []
+
+    def test_bare_item_flagged_under_src(self):
+        vs = lint_source(
+            "def plan(keys):\n"
+            "    return [keys[i].item() for i in range(len(keys))]\n",
+            "src/repro/service/router.py",
+        )
+        assert ids_of(vs) == ["L1"]
+        assert vs[0].line == 2
+        assert "as_scalar" in vs[0].message
+
+    @pytest.mark.parametrize("src,relpath", [
+        # the shared helper is the sanctioned unwrap
+        ("from repro.api.results import as_scalar\n"
+         "def plan(keys):\n    return [as_scalar(k) for k in keys]\n",
+         "src/repro/service/router.py"),
+        # indexed .item(i) reads one element; it is not scalar unwrapping
+        ("def first(arr):\n    return arr.item(0)\n",
+         "src/repro/core/bf_tree.py"),
+        # tests may unwrap NumPy scalars freely
+        ("def unwrap(k):\n    return k.item()\n", "tests/test_service.py"),
+    ])
+    def test_bare_item_clean_cases(self, src, relpath):
+        assert lint_source(src, relpath) == []
 
     def test_as_scalar_normalizes_numpy(self):
         import numpy as np

@@ -15,13 +15,14 @@ tests pin the unified Index protocol down:
 * **serving equivalence** — shardable backends replay traffic
   bit-identically sharded vs unsharded; unshardable backends serve as
   a single-shard degenerate case whose batched replay is bit-identical
-  to per-op dispatch.
+  to the per-op service loop.
 """
 
 import math
 
 import numpy as np
 import pytest
+from per_op_replay import replay_per_op
 
 from repro.api import (
     Capabilities,
@@ -306,18 +307,19 @@ def test_unshardable_backend_serves_single_shard(name, pk_relation):
 @pytest.mark.parametrize("name", BACKENDS)
 def test_service_trace_batch_fallback_bit_identity(name, pk_relation):
     """The acceptance bar: a mixed-workload trace replays bit-identically
-    through the generic batch fallback vs per-op scalar dispatch —
+    through the generic batch fallback vs the per-op service loop —
     results, IOStats and per-op latencies — on every backend."""
     caps = EXPECTED_CAPS[name]
     mix = "read_heavy" if caps["mutable"] else "read_only"
     trace = generate_trace(pk_relation, "pk", mix=mix, n_ops=200,
                            skew="zipfian", seed=9)
-    reports = []
-    for batch in (True, False):
-        service = ShardedIndex.build(pk_relation, "pk", n_shards=4,
-                                     kind=name, unique=True, fpp=FPP)
-        reports.append(run_service(service, trace, CONFIG, batch=batch))
-    batched, scalar = reports
+
+    def build():
+        return ShardedIndex.build(pk_relation, "pk", n_shards=4,
+                                  kind=name, unique=True, fpp=FPP)
+
+    batched = run_service(build(), trace, CONFIG)
+    scalar = replay_per_op(build(), trace, CONFIG)
     assert batched.results == scalar.results
     assert batched.io == scalar.io
     assert np.allclose(batched.stats.op_latencies,

@@ -5,14 +5,15 @@ The headline property: for every index shape the serving layer supports
 unsharded) a batched scan replay agrees with the per-window scalar loop
 on matches/pages_read/leaves_visited and on every IOStats counter —
 after interleaved inserts and leaf splits included — and the Router's
-scan batching is bit-identical to per-op dispatch on ``scan_mix``
-traces.
+scan batching is bit-identical to the per-op service loop on
+``scan_mix`` traces.
 """
 
 import math
 
 import numpy as np
 import pytest
+from per_op_replay import replay_per_op
 
 from repro.baselines import BPlusTree, BPlusTreeConfig
 from repro.core import BFTree, BFTreeConfig
@@ -209,8 +210,8 @@ class TestShardedScanEquivalence:
 
 
 class TestRouterScanBatching:
-    """Router replay with scan batching is bit-identical to per-op
-    dispatch on scan_mix traces."""
+    """Router replay with scan batching is bit-identical to the per-op
+    service loop on scan_mix traces."""
 
     @pytest.mark.parametrize("kind", ["bf", "bplus"])
     @pytest.mark.parametrize("n_shards", [1, 4])
@@ -224,15 +225,11 @@ class TestRouterScanBatching:
                                       kind=kind, config=config, unique=True)
 
         batched = run_service(build(), trace, CONFIG)
-        per_op = run_service(build(), trace, CONFIG, scan_batch=False)
-        scalar = run_service(build(), trace, CONFIG, batch=False)
-        assert batched.scan_batch and not per_op.scan_batch
-        assert batched.results == per_op.results == scalar.results
-        assert batched.io == per_op.io == scalar.io
+        per_op = replay_per_op(build(), trace, CONFIG)
+        assert batched.results == per_op.results
+        assert batched.io == per_op.io
         assert np.allclose(batched.stats.op_latencies,
                            per_op.stats.op_latencies, rtol=1e-9)
-        assert np.allclose(batched.stats.op_latencies,
-                           scalar.stats.op_latencies, rtol=1e-9)
         assert np.allclose(batched.stats.per_shard_clock,
                            per_op.stats.per_shard_clock, rtol=1e-9)
 

@@ -90,12 +90,12 @@ def test_serve_bench_command(capsys):
     assert "p99" in out and "ops/sim-sec" in out
 
 
-def test_serve_bench_json_and_threads(capsys):
+def test_serve_bench_json(capsys):
     import json
 
     assert main([
         "serve-bench", "--tuples", "8192", "--ops", "100",
-        "--shards", "2", "--mix", "scan_mix", "--threads", "2", "--json",
+        "--shards", "2", "--mix", "scan_mix", "--json",
     ]) == 0
     out = capsys.readouterr().out
     payload = out[out.index("["):]

@@ -9,6 +9,7 @@ inserts (leaf splits included, thanks to structural filter seeding).
 
 import numpy as np
 import pytest
+from per_op_replay import replay_per_op
 
 from repro.baselines import BPlusTree
 from repro.baselines.bptree import BPlusTreeConfig
@@ -221,8 +222,8 @@ class TestRouting:
 
 
 class TestWriteBatching:
-    """The Router's write-batched replay is bit-identical to per-op
-    dispatch and to the scalar unsharded loop."""
+    """The Router's write-batched replay is bit-identical to the per-op
+    service loop and to the scalar unsharded loop."""
 
     @pytest.mark.parametrize("mix", ["balanced", "insert_heavy"])
     @pytest.mark.parametrize("n_shards", [1, 4])
@@ -236,8 +237,7 @@ class TestWriteBatching:
         service = ShardedIndex.build(relation, "pk", n_shards=n_shards,
                                      kind="bf", config=BFTreeConfig(fpp=FPP),
                                      unique=True)
-        report = run_service(service, trace, CONFIG, write_batch=True)
-        assert report.write_batch
+        report = run_service(service, trace, CONFIG)
         assert report.results == ref_results
         assert report.io == ref_io
 
@@ -249,7 +249,7 @@ class TestWriteBatching:
 
         service = ShardedIndex.build(relation, "pk", n_shards=4,
                                      kind="bplus", unique=True)
-        report = run_service(service, trace, CONFIG, write_batch=True)
+        report = run_service(service, trace, CONFIG)
         assert report.results == ref_results
         assert report.io == ref_io
 
@@ -260,14 +260,12 @@ class TestWriteBatching:
         service = ShardedIndex.build(relation, "pk", n_shards=3, kind="bf",
                                      config=BFTreeConfig(fpp=FPP),
                                      unique=True)
-        batched = run_service(service, trace, CONFIG, write_batch=True)
+        batched = run_service(service, trace, CONFIG)
 
         service2 = ShardedIndex.build(relation, "pk", n_shards=3, kind="bf",
                                       config=BFTreeConfig(fpp=FPP),
                                       unique=True)
-        scalar = run_service(service2, trace, CONFIG, batch=True,
-                             write_batch=False)
-        assert not scalar.write_batch
+        scalar = replay_per_op(service2, trace, CONFIG)
         assert np.allclose(batched.stats.op_latencies,
                            scalar.stats.op_latencies, rtol=1e-9)
         assert batched.results == scalar.results
@@ -314,12 +312,12 @@ class TestLatencyAccounting:
         service = ShardedIndex.build(relation, "pk", n_shards=3, kind="bf",
                                      config=BFTreeConfig(fpp=FPP),
                                      unique=True)
-        batched = run_service(service, trace, CONFIG, batch=True)
+        batched = run_service(service, trace, CONFIG)
 
         service2 = ShardedIndex.build(relation, "pk", n_shards=3, kind="bf",
                                       config=BFTreeConfig(fpp=FPP),
                                       unique=True)
-        scalar = run_service(service2, trace, CONFIG, batch=False)
+        scalar = replay_per_op(service2, trace, CONFIG)
         assert np.allclose(batched.stats.op_latencies,
                            scalar.stats.op_latencies, rtol=1e-9)
         assert batched.results == scalar.results
@@ -337,24 +335,6 @@ class TestLatencyAccounting:
         assert reads.count == trace.count(OP_READ)
         scans = report.latency("scan")
         assert scans.count == trace.count(OP_SCAN)
-
-    def test_threaded_replay_deterministic(self, relation):
-        trace = generate_trace(relation, "pk", mix="balanced", n_ops=300,
-                               skew="zipfian", seed=11)
-        reports = []
-        for threads in (None, 4):
-            service = ShardedIndex.build(relation, "pk", n_shards=4,
-                                         kind="bf",
-                                         config=BFTreeConfig(fpp=FPP),
-                                         unique=True)
-            reports.append(
-                run_service(service, trace, CONFIG, threads=threads)
-            )
-        serial, threaded = reports
-        assert serial.results == threaded.results
-        assert serial.io == threaded.io
-        assert np.allclose(serial.stats.op_latencies,
-                           threaded.stats.op_latencies)
 
     def test_makespan_shrinks_with_shards(self, relation):
         """More shards => smaller simulated makespan (higher throughput)."""
@@ -515,6 +495,35 @@ class TestDynamicTopology:
             assert svc.merged_io().snapshot().__dict__ == io0
             after = svc.search_many(keys)
             assert after == before
+        finally:
+            svc.unbind()
+
+    @pytest.mark.parametrize("kind", ["bf", "bplus"])
+    def test_split_after_leaf_splits_keeps_every_leaf(self, wide_relation,
+                                                      kind):
+        """A shard whose tree split leaves after it was built hands its
+        live chain to ``split_shard``: no leaf and no key is lost (the
+        build-time leaf order made the BF shard raise KeyError and the
+        B+ shard drop every leaf added since)."""
+        svc = ShardedIndex.build(wide_relation, "pk", n_shards=4,
+                                 kind=kind, fpp=FPP)
+        top = wide_relation.npages - 1
+        novel = list(range(32768, 32768 + 1200))
+        tids = [(top - j % 8) * wide_relation.tuples_per_page
+                for j in range(len(novel))]
+        svc.bind(CONFIG)
+        try:
+            leaves0 = svc.n_leaves
+            svc.insert_many(novel, tids)
+            assert svc.n_leaves > leaves0          # leaf splits ran
+            last = svc.shards[-1]
+            assert len(last.index.shard_leaves()) == last.index.n_leaves
+            keys = list(range(0, 32768, 97)) + novel
+            before = svc.search_many(keys)
+            n_leaves = svc.n_leaves
+            svc.split_shard(last.shard_id)
+            assert svc.n_leaves == n_leaves
+            assert svc.search_many(keys) == before
         finally:
             svc.unbind()
 
@@ -718,7 +727,7 @@ class TestQueueingModel:
 
 
 # ---------------------------------------------------------------------------
-# pluggable shard execution: serial / thread / process equivalence
+# pluggable shard execution: serial / process equivalence
 # ---------------------------------------------------------------------------
 
 import os                            # noqa: E402  (grouped with their tests)
@@ -732,7 +741,6 @@ from repro.service import ExecutorError  # noqa: E402
 
 EXECUTOR_PARAMS = [
     ("serial", {}),
-    ("thread", {"threads": 4}),
     ("process", {"workers": 4}),
 ]
 
@@ -894,3 +902,111 @@ class TestExecutorEquivalence:
                              executor="process", workers=4)
         assert report.results == ref.results
         assert report.io == ref.io
+
+
+# ---------------------------------------------------------------------------
+# non-integer keys: DBLP-style string columns served end to end
+# ---------------------------------------------------------------------------
+
+from repro.workloads import MixedTrace  # noqa: E402
+from repro.workloads.mixed import MIXES  # noqa: E402
+
+N_DBLP = 8192
+
+
+def _dblp_relation(dtype):
+    """Sorted DBLP-style keys (``journals/pvldb/K000000``, even numbers
+    only, so odd numbers are in-domain misses) as an object-dtype or a
+    NumPy ``<U`` column."""
+    keys = [f"journals/pvldb/K{2 * i:06d}" for i in range(N_DBLP)]
+    column = np.array(keys, dtype=object if dtype == "object" else str)
+    return Relation({"key": column}, tuple_size=256, name="dblp")
+
+
+def _dblp_trace(rel, n_ops, seed, novel_spread=8):
+    """Seeded read/insert trace over string keys.
+
+    Reads hit present keys, miss in-domain absent keys, or probe novel
+    keys.  Inserts re-index present keys at their own tuple, or index a
+    novel ``journals/vldbj/...`` key beyond the domain over the top
+    ``novel_spread`` pages — where it routes, so the last BF-leaf fills
+    up and splits (the way ``test_batch_write._write_batch_for`` does).
+    """
+    rng = np.random.default_rng(seed)
+    column = rel.columns["key"]
+    novel = 0
+    ops, keys, tids = [], [], []
+    for _ in range(n_ops):
+        u = rng.random()
+        if u < 0.45:
+            ops.append(OP_INSERT)
+            keys.append(f"journals/vldbj/K{novel:06d}")
+            page = rel.npages - 1 - novel % novel_spread
+            tids.append(page * rel.tuples_per_page)
+            novel += 1
+            continue
+        tid = int(rng.integers(0, N_DBLP))
+        if u < 0.55:
+            ops.append(OP_INSERT)
+            keys.append(str(column[tid]))
+            tids.append(tid)
+            continue
+        ops.append(OP_READ)
+        tids.append(-1)
+        if u < 0.80:
+            keys.append(str(column[tid]))
+        elif u < 0.90:
+            keys.append(f"journals/pvldb/K{2 * tid + 1:06d}")
+        else:
+            keys.append(f"journals/vldbj/K{int(rng.integers(0, novel + 8)):06d}")
+    n = len(ops)
+    return MixedTrace(
+        ops=np.asarray(ops, dtype=np.int8),
+        keys=np.array(keys, dtype=column.dtype),
+        tids=np.asarray(tids, dtype=np.int64),
+        scan_widths=np.zeros(n, dtype=np.int64),
+        mix=MIXES["balanced"], skew="uniform", theta=0.99, seed=seed,
+    )
+
+
+class TestNonIntegerKeys:
+    """String keys — Python ``str`` in an object column and NumPy
+    ``str_`` in a ``<U`` column — serve through the Router on the bf,
+    bplus, hash and fd backends under both executors, and every result
+    agrees with a dict oracle."""
+
+    @pytest.mark.parametrize("executor", ["serial", "process"])
+    @pytest.mark.parametrize("kind", ["bf", "bplus", "hash", "fd"])
+    @pytest.mark.parametrize("dtype", ["object", "unicode"])
+    def test_router_replay_matches_oracle(self, dtype, kind, executor):
+        rel = _dblp_relation(dtype)
+        # ~1000 novel inserts overflow the last BF-leaf; the other
+        # backends need no split and their sanitizer checks cost
+        # ops x keys, so they replay a shorter trace.
+        trace = _dblp_trace(rel, n_ops=2400 if kind == "bf" else 400,
+                            seed=57)
+        service = ShardedIndex.build(rel, "key", n_shards=2, kind=kind,
+                                     config=(BFTreeConfig(fpp=FPP)
+                                             if kind == "bf" else None),
+                                     unique=True)
+        leaves_before = service.n_leaves
+        report = run_service(service, trace, CONFIG, executor=executor)
+
+        # entries: key -> tids the index holds; data: key -> tids whose
+        # tuple really carries the key.  The BF-Tree is approximate and
+        # confirms every candidate on its data page, so it answers from
+        # ``data``; the exact indexes answer from their entries.
+        data = {str(k): {tid} for tid, k in enumerate(rel.columns["key"])}
+        entries = {k: set(v) for k, v in data.items()}
+        truth = data if kind == "bf" else entries
+        for i, result in enumerate(report.results):
+            key = str(trace.keys[i])
+            if int(trace.ops[i]) == OP_INSERT:
+                assert result is None
+                entries.setdefault(key, set()).add(int(trace.tids[i]))
+                continue
+            want = truth.get(key, set())
+            assert result.found == bool(want), (i, key)
+            assert set(result.tids) == want, (i, key)
+        if kind == "bf":
+            assert service.n_leaves > leaves_before  # a leaf split ran

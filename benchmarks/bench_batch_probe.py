@@ -2,14 +2,15 @@
 
 Not a paper figure — this benchmark validates the vectorized batch-probe
 engine that makes every *other* figure benchmark faster to run.  It
-replays 10k point probes against one BF-Tree twice, once through the
-scalar ``search`` loop and once through ``search_many``, and checks the
-engine's contract:
+replays 10k point probes against one BF-Tree twice, once as a per-key
+``search`` loop (each call a batch of one) and once as a single
+``search_many`` batch, and checks the engine's contract:
 
 * the two replays produce **bit-identical** ``SearchResult`` lists and
   ``IOStats`` counters (simulated clock equal up to float summation
   order);
-* ``search_many`` is at least **5x** faster in interpreter wall-clock.
+* the single batch is at least **5x** faster in interpreter wall-clock
+  than the per-key loop: what batching buys over probing key by key.
 
 The measured numbers are emitted as a JSON blob (alongside the usual
 table) so CI can track the speedup over time.
@@ -53,21 +54,22 @@ def _measure(relation):
     )
     probes = point_probes(relation, "pk", N_BATCH_PROBES, hit_rate=0.9)
     keys = [key.item() for key in probes.keys]
-    scalar, io_scalar, clock_scalar, scalar_secs = _replay(tree, keys, False)
+    per_key, io_per_key, clock_per_key, per_key_secs = _replay(tree, keys,
+                                                                False)
     batch, io_batch, clock_batch, batch_secs = _replay(tree, keys, True)
     return {
         "n_probes": len(keys),
         "tuples": relation.ntuples,
         "fpp": tree.config.fpp,
-        "scalar_secs": scalar_secs,
+        "per_key_secs": per_key_secs,
         "batch_secs": batch_secs,
-        "speedup": scalar_secs / batch_secs,
-        "results_identical": scalar == batch,
-        "iostats_identical": io_scalar == io_batch,
+        "speedup": per_key_secs / batch_secs,
+        "results_identical": per_key == batch,
+        "iostats_identical": io_per_key == io_batch,
         "clock_close": math.isclose(
-            clock_scalar, clock_batch, rel_tol=1e-9
+            clock_per_key, clock_batch, rel_tol=1e-9
         ),
-        "simulated_clock_secs": clock_scalar,
+        "simulated_clock_secs": clock_per_key,
     }
 
 
@@ -84,10 +86,11 @@ def test_batch_probe_speedup(benchmark, emit, synth_relation):
     ))
     emit("bench_batch_probe JSON: " + json.dumps(report))
 
-    assert report["results_identical"], "search_many diverged from search"
+    assert report["results_identical"], (
+        "one batch diverged from per-key batches of one")
     assert report["iostats_identical"], "IOStats diverged between replays"
     assert report["clock_close"], "simulated clock diverged between replays"
     assert report["speedup"] >= MIN_SPEEDUP, (
-        f"batch engine only {report['speedup']:.1f}x faster "
-        f"(contract: >= {MIN_SPEEDUP}x)"
+        f"one batch only {report['speedup']:.1f}x faster than the "
+        f"per-key loop (contract: >= {MIN_SPEEDUP}x)"
     )

@@ -1,16 +1,16 @@
 #!/usr/bin/env python
-"""Batch scan engine: wall-clock speedup of batched scans vs scalar scans.
+"""Batch scan engine: wall-clock speedup of batched scans vs per-op scans.
 
 Not a paper figure — this benchmark validates the vectorized batch scan
 path that completes the serving stack's batching story (batched point
 reads, batched writes, batched range scans).  It replays one seeded
 ``scan_mix`` trace (YCSB-E-style: 75% reads / 5% inserts / 20% scans)
 through two identically built 4-shard services, once op by op through
-the service's scalar ``search``/``insert``/``range_scan`` calls (the
+the service's per-op ``search``/``insert``/``range_scan`` calls (the
 per-op loop the test suite also holds the Router to,
-``tests/per_op_replay.py``) and once through the Router, whose scans
-ride the shared read-phase buffer into ``range_scan_many``, and checks
-the contract:
+``tests/per_op_replay.py``; each read is a batch of one) and once
+through the Router, whose scans ride the shared read-phase buffer into
+``range_scan_many``, and checks the contract:
 
 * the two replays produce **bit-identical** per-op results and equal
   merged ``IOStats`` (per-op simulated latencies and clocks equal up to
@@ -20,10 +20,11 @@ the contract:
 
 The per-op loop is per-op for point reads as well as scans, so the
 service ratio credits read batching too.  A second section therefore
-gates the scan engine alone: ``BFTree.range_scan_many`` against the
-scalar ``range_scan`` loop on one unsharded tree, bit-identical and at
-least **3x** faster.  The measured numbers are emitted as a JSON report
-so CI can track the speedups over time.
+gates the scan engine alone: one ``BFTree.range_scan_many`` batch
+against a per-window ``range_scan`` loop (batches of one) on one
+unsharded tree, bit-identical and at least **3x** faster.  The measured
+numbers are emitted as a JSON report so CI can track the speedups over
+time.
 
 Run standalone (also the CI smoke gate)::
 
@@ -69,16 +70,16 @@ def _service_section(relation, args):
     )
     # Wall-clock gate: best-of-N fresh-service replays per side, so a
     # scheduler hiccup on a shared CI runner can't flunk the contract.
-    scalar_times, batch_times = [], []
-    rep_scalar = rep_batch = None
+    per_op_times, batch_times = [], []
+    rep_per_op = rep_batch = None
     for _ in range(args.trials):
-        rep_scalar = replay_per_op(
+        rep_per_op = replay_per_op(
             _build_service(relation, args), trace, args.config
         )
         rep_batch = run_service(
             _build_service(relation, args), trace, args.config,
         )
-        scalar_times.append(rep_scalar.stats.wall_secs)
+        per_op_times.append(rep_per_op.stats.wall_secs)
         batch_times.append(rep_batch.stats.wall_secs)
     scans = rep_batch.latency("scan")
     return {
@@ -88,17 +89,17 @@ def _service_section(relation, args):
         "tuples": relation.ntuples,
         "fpp": args.fpp,
         "trials": args.trials,
-        "scalar_secs": min(scalar_times),
+        "per_op_secs": min(per_op_times),
         "batch_secs": min(batch_times),
-        "speedup": min(scalar_times) / min(batch_times),
-        "results_identical": rep_batch.results == rep_scalar.results,
-        "iostats_identical": rep_batch.io == rep_scalar.io,
+        "speedup": min(per_op_times) / min(batch_times),
+        "results_identical": rep_batch.results == rep_per_op.results,
+        "iostats_identical": rep_batch.io == rep_per_op.io,
         "latencies_close": bool(np.allclose(
-            rep_batch.stats.op_latencies, rep_scalar.stats.op_latencies,
+            rep_batch.stats.op_latencies, rep_per_op.stats.op_latencies,
             rtol=1e-9,
         )),
         "makespan_close": math.isclose(
-            rep_batch.stats.makespan, rep_scalar.stats.makespan,
+            rep_batch.stats.makespan, rep_per_op.stats.makespan,
             rel_tol=1e-9,
         ),
         "scan_p50_us": scans.p50 * 1e6,
@@ -107,7 +108,8 @@ def _service_section(relation, args):
 
 
 def _engine_section(relation, args):
-    """Unsharded BFTree.range_scan_many vs the scalar range_scan loop."""
+    """One unsharded BFTree.range_scan_many batch vs a per-window
+    range_scan loop (batches of one)."""
     rng = np.random.default_rng(derive_seed(args.seed, "probes"))
     n = max(200, args.ops // 10)
     los = rng.integers(0, relation.ntuples, size=n)
@@ -119,24 +121,24 @@ def _engine_section(relation, args):
             relation, "pk", BFTreeConfig(fpp=args.fpp), unique=True
         )
 
-    scalar_tree, batch_tree = build(), build()
+    per_op_tree, batch_tree = build(), build()
     stack_s, stack_b = build_stack(args.config), build_stack(args.config)
-    scalar_tree.bind(stack_s)
+    per_op_tree.bind(stack_s)
     batch_tree.bind(stack_b)
     t0 = time.perf_counter()
-    scalar_out = [scalar_tree.range_scan(lo, hi) for lo, hi in windows]
-    scalar_secs = time.perf_counter() - t0
+    per_op_out = [per_op_tree.range_scan(lo, hi) for lo, hi in windows]
+    per_op_secs = time.perf_counter() - t0
     t0 = time.perf_counter()
     batch_out = batch_tree.range_scan_many(windows)
     batch_secs = time.perf_counter() - t0
-    scalar_tree.unbind()
+    per_op_tree.unbind()
     batch_tree.unbind()
     return {
         "n_scans": len(windows),
-        "scalar_secs": scalar_secs,
+        "per_op_secs": per_op_secs,
         "batch_secs": batch_secs,
-        "speedup": scalar_secs / batch_secs,
-        "results_identical": batch_out == scalar_out,
+        "speedup": per_op_secs / batch_secs,
+        "results_identical": batch_out == per_op_out,
         "iostats_identical":
             stack_b.stats.snapshot() == stack_s.stats.snapshot(),
         "clock_close": math.isclose(stack_s.clock.now(), stack_b.clock.now(),
@@ -205,11 +207,12 @@ def main(argv=None) -> int:
     eng = report["engine"]
     if not (eng["results_identical"] and eng["iostats_identical"]
             and eng["clock_close"]):
-        failures.append("range_scan_many diverged from the scalar loop")
+        failures.append("range_scan_many diverged from the per-window "
+                        "loop")
     if eng["speedup"] < MIN_SPEEDUP:
         failures.append(
             f"range_scan_many only {eng['speedup']:.1f}x faster than the "
-            f"scalar range_scan loop (contract: >= {MIN_SPEEDUP}x)"
+            f"per-window range_scan loop (contract: >= {MIN_SPEEDUP}x)"
         )
     if failures:
         print("\n".join("FAIL: " + f for f in failures), file=sys.stderr)

@@ -6,11 +6,10 @@ Walks through the library's core loop:
 1. generate an ordered relation (the paper's synthetic relation R),
 2. bulk load a BF-Tree at a chosen false-positive probability,
 3. bind it to a simulated storage stack (index in memory, data on SSD),
-4. run point probes and a range scan,
-5. compare size and latency against the exact B+-Tree baseline,
-6. replay the probes through the vectorized batch-probe engine
-   (``search_many`` / ``run_probes(..., batch=True)``), which produces
-   the same simulated results orders of magnitude faster in wall-clock.
+4. replay a probe set through the batch-probe engine (``search_many``,
+   which ``run_probes`` drives; a single ``search`` is a batch of one)
+   and compare latency against the exact B+-Tree baseline,
+5. run a range scan.
 
 Run with::
 
@@ -55,12 +54,16 @@ def main() -> None:
           f"latency={us(stack.clock.now()):.1f} us")
     bf_tree.unbind()
 
-    # 4. A measured probe batch through the harness.
+    # 4. A measured probe batch through the harness: run_probes replays
+    #    the whole probe set as one search_many call, which tests each
+    #    touched leaf's filters for all of its keys in one vectorized
+    #    pass.  The simulated numbers equal probing key by key.
     probes = point_probes(relation, "pk", n_probes=500, hit_rate=1.0)
     for name, index in (("BF-Tree", bf_tree), ("B+-Tree", bp_tree)):
         stats = run_probes(index, probes, "MEM/SSD")
         print(f"{name}: avg latency {us(stats.avg_latency):.1f} us, "
-              f"false reads/search {stats.false_reads_per_search:.3f}")
+              f"false reads/search {stats.false_reads_per_search:.3f}, "
+              f"hit rate {stats.hit_rate:.0%} over {stats.n_probes} probes")
 
     # 5. Range scan: the BF-Tree walks its leaf chain; overhead is the
     #    boundary partitions read in full.
@@ -69,17 +72,6 @@ def main() -> None:
     print(f"\nrange_scan(10000, 12000): {scan.matches} tuples from "
           f"{scan.pages_read} pages across {scan.leaves_visited} leaves")
     bf_tree.unbind()
-
-    # 6. The batch-probe engine: search_many probes all keys in one
-    #    vectorized pass per leaf — identical SearchResults and simulated
-    #    I/O to a per-key loop, with an order of magnitude less
-    #    interpreter overhead (run_probes(..., batch=True) and the CLI's
-    #    `probe --batch` use it).
-    batch_stats = run_probes(bf_tree, probes, "MEM/SSD", batch=True)
-    print(f"\nbatch replay (search_many): avg latency "
-          f"{us(batch_stats.avg_latency):.1f} us over "
-          f"{batch_stats.n_probes} probes, hit rate "
-          f"{batch_stats.hit_rate:.0%}")
 
 
 if __name__ == "__main__":

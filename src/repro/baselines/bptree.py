@@ -516,84 +516,31 @@ class BPlusTree(IndexBackend):
     # range scan
     # ==================================================================
     def range_scan(self, lo, hi) -> RangeScanResult:
-        """Collect rids for keys in [lo, hi]; read exactly their data pages."""
-        if lo > hi:
-            raise ValueError(f"empty range: lo={lo} > hi={hi}")
-        try:
-            leaf_id, path = self.inner.descend(lo)
-        except LookupError:
-            return RangeScanResult(matches=0, pages_read=0, leaves_visited=0)
-        self._charge_cpu(
-            len(path) * math.log2(max(2, self.inner.fanout)) * CPU_KEY_COMPARE
-        )
-        device = self._data_device
-        matches = 0
-        leaves_visited = 0
-        pages: set[int] = set()
-        current: BPLeaf | None = self.leaves[leaf_id]
-        while current is not None:
-            self.store.read(current.node_id, sequential=leaves_visited > 0)
-            leaves_visited += 1
-            stop = False
-            for key, rids in zip(current.keys, current.ridlists):
-                if key > hi:
-                    stop = True
-                    break
-                if key >= lo:
-                    matches += len(rids)
-                    pages.update(self.relation.page_of(t) for t in rids)
-            if stop or current.next_leaf_id is None:
-                break
-            current = self.leaves[current.next_leaf_id]
-        if self.config.clustered:
-            # Rid lists hold first occurrences; the matching tuples are the
-            # contiguous span of the sorted column.  The span is clamped to
-            # the keys *this tree's leaves actually hold*: a shard of a
-            # ShardedIndex indexes only its slice of the relation, and its
-            # scan legs may reach up to the routing boundary — without the
-            # clamp a cross-shard scan would count the neighbour shard's
-            # boundary tuples twice.  For an unsharded tree the clamp is a
-            # no-op (its leaves span the whole column).
-            values = np.asarray(self.relation.columns[self.key_column])
-            if self._lo_key is not None:
-                lo = max(lo, self._lo_key)
-                hi = min(hi, self._hi_key)
-            if lo > hi:
-                return RangeScanResult(matches=0, pages_read=0,
-                                       leaves_visited=leaves_visited)
-            first = int(np.searchsorted(values, lo, side="left"))
-            last = int(np.searchsorted(values, hi, side="right")) - 1
-            if last < first:
-                return RangeScanResult(matches=0, pages_read=0,
-                                       leaves_visited=leaves_visited)
-            matches = last - first + 1
-            pages = set(range(self.relation.page_of(first),
-                              self.relation.page_of(last) + 1))
-        ordered = sorted(pages)
-        if device is not None:
-            for i, pid in enumerate(ordered):
-                sequential = i > 0 and pid == ordered[i - 1] + 1
-                device.read_page(pid, sequential=sequential)
-        return RangeScanResult(matches=matches, pages_read=len(ordered),
-                               leaves_visited=leaves_visited)
+        """Collect rids for keys in [lo, hi]; read exactly their data pages.
+
+        A batch of one through :meth:`range_scan_many`.
+        """
+        return self.range_scan_many([(lo, hi)])[0]
 
     def range_scan_many(self, windows,
                         latency_sink: list[float] | None = None
                         ) -> list[RangeScanResult]:
-        """Batch counterpart of :meth:`range_scan` (same protocol as
-        BF-Tree's :meth:`~repro.core.bf_tree.BFTree.range_scan_many`).
+        """Range scans over a batch of ``(lo, hi)`` windows (same protocol
+        as BF-Tree's :meth:`~repro.core.bf_tree.BFTree.range_scan_many`).
 
-        Returns exactly ``[self.range_scan(lo, hi) for lo, hi in
-        windows]`` — identical results and IOStats, clock equal up to
-        float summation order — with the per-scan work vectorized where
-        the exact index allows: windows are routed in one pass over the
-        flattened directory, the clustered path skips the per-rid leaf
-        walk entirely (its collected rids are discarded by the
-        searchsorted recount anyway) and data-page runs are charged
-        through :meth:`Device.read_batch` instead of a per-page loop.
-        ``latency_sink`` receives one simulated per-scan latency per
-        window, as the scalar loop would bracket them.  Invalid windows
-        (``lo > hi``) are rejected up front, before any charges land.
+        Each window walks the leaf chain from ``lo`` and reads exactly
+        the data pages holding its keys: the rid lists' pages on an
+        unclustered tree, the contiguous span of the sorted column on a
+        clustered one (clamped to the keys this tree's leaves hold, so a
+        shard's scan legs never count a neighbour's boundary tuples).
+        Result ``j`` depends on ``windows[j]`` alone — a batch matches
+        one batch of one per window in results and IOStats, clock equal
+        up to float summation order.  Windows are routed in one pass over
+        the flattened directory, the clustered path skips the per-rid
+        leaf walk, and data-page runs are charged through
+        :meth:`Device.read_batch`.  ``latency_sink`` receives one
+        simulated per-scan latency per window.  Invalid windows (``lo >
+        hi``) are rejected up front, before any charges land.
         """
         wins = normalize_scan_windows(windows)
         n = len(wins)
@@ -636,7 +583,7 @@ class BPlusTree(IndexBackend):
                 res.leaves_visited += 1
                 if self.config.clustered:
                     # Leaf keys are sorted, so "some key > hi" (the
-                    # scalar walk's stop test) is just the last key.
+                    # walk's stop test) is just the last key.
                     stop = bool(current.keys) and current.keys[-1] > hi
                 else:
                     stop = False

@@ -4,7 +4,6 @@ Subcommands::
 
     python -m repro sizes       --workload synthetic --column pk
     python -m repro probe       --index bf --fpp 1e-3 --config MEM/SSD
-    python -m repro probe       --index bf --batch --probes 10000
     python -m repro sweep       --column pk --probes 200
     python -m repro model       --fpp 1e-3
     python -m repro workloads
@@ -134,15 +133,10 @@ def cmd_probe(args: argparse.Namespace) -> int:
     configs = (
         [CONFIGS_BY_NAME[args.config]] if args.config else list(FIVE_CONFIGS)
     )
-    # The Index protocol guarantees search_many on every backend (the
-    # generic scalar-loop fallback where no vectorized engine exists),
-    # so --batch works uniformly instead of silently degrading.
-    batch = args.batch
     rows = []
     payload = []
     for config in configs:
-        stats = run_probes(index, probes, config, warm=args.warm,
-                           batch=batch)
+        stats = run_probes(index, probes, config, warm=args.warm)
         rows.append([
             config.name, f"{us(stats.avg_latency):.1f}",
             f"{stats.false_reads_per_search:.3f}",
@@ -155,7 +149,6 @@ def cmd_probe(args: argparse.Namespace) -> int:
             "workload": args.workload,
             "column": column,
             "config": config.name,
-            "batch": batch,
             "warm": args.warm,
             "n_probes": stats.n_probes,
             "hit_rate": stats.hit_rate,
@@ -170,7 +163,7 @@ def cmd_probe(args: argparse.Namespace) -> int:
          "index reads", "hit rate"],
         rows,
         title=f"{args.index} probe on {args.workload}.{column} "
-              f"({size} index pages, warm={args.warm}, batch={batch})",
+              f"({size} index pages, warm={args.warm})",
     ))
     if args.out:
         with open(args.out, "w") as fh:
@@ -608,12 +601,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_probe.add_argument("--probes", type=int, default=200)
     p_probe.add_argument("--hit-rate", type=float, default=1.0)
     p_probe.add_argument("--warm", action="store_true")
-    p_probe.add_argument("--batch", action="store_true",
-                         help="replay the probe set through the index's "
-                              "search_many (vectorized batch-probe engine "
-                              "where one exists, the protocol's bit-"
-                              "identical scalar-loop fallback elsewhere; "
-                              "same simulated results on every backend)")
     p_probe.add_argument("--out", default=None,
                          help="write the per-config probe stats as JSON "
                               "to this file")

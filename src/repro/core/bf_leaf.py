@@ -32,13 +32,11 @@ do not degrade the fpp, and tracks ``extra_inserts`` beyond nominal
 capacity so the effective fpp after overflowing inserts follows
 Equation 14.
 
-Probing comes in a scalar Algorithm-1 form (:meth:`BFLeaf.matching_groups`
-/ :meth:`BFLeaf.matching_page_runs`) and a batch form
-(:meth:`BFLeaf.matching_groups_many` /
-:meth:`BFLeaf.matching_page_runs_many`, optionally fed prehashed
-positions); writes come as scalar :meth:`BFLeaf.add` and the prehashed
-:meth:`BFLeaf.add_prehashed` that ``BFTree.insert_many`` drives.  Scalar
-and batch paths return identical results and leave bit-identical state.
+Probing is batch-only: :meth:`BFLeaf.matching_page_runs_many` runs
+Algorithm 1's all-filter test for a batch of keys (optionally fed
+prehashed positions); a single key is a batch of one.  Writes come as
+scalar :meth:`BFLeaf.add` and the prehashed :meth:`BFLeaf.add_prehashed`
+that ``BFTree.insert_many`` drives; both leave bit-identical state.
 """
 
 from __future__ import annotations
@@ -375,46 +373,16 @@ class BFLeaf:
         self.deleted_keys.discard(key)
         return not duplicate
 
-    def add_many(self, keys, pids) -> int:
-        """Batch :meth:`add` of parallel ``keys``/``pids`` sequences.
-
-        Bit-identical to the scalar add loop — same filter bits, same
-        ``nkeys``/``extra_inserts``/key-range/tombstone bookkeeping, and
-        (on overflow) the same partial state with the exception raised
-        at the same key — with the whole batch hashed in one NumPy pass
-        instead of k Python-level hash rounds per key.  Returns the
-        number of adds that grew ``nkeys``.  (``BFTree.insert_many``
-        drives :meth:`hash_segments`/:meth:`add_prehashed` directly,
-        with its own cross-leaf planning on top; this is the single-leaf
-        convenience bundle of the same primitives.)
-        """
-        keys = list(keys)
-        if not keys:
-            return 0
-        positions = self.hash_batch(keys)
-        grew = 0
-        for j, (key, pid) in enumerate(zip(keys, pids)):
-            grew += self.add_prehashed(key, pid, positions[j].tolist())
-        return grew
-
-    def add_page_keys(self, keys, pid: int) -> None:
-        """Vectorized :meth:`add` of one page's distinct keys.
-
-        ``keys`` must be a sorted NumPy integer array of the distinct keys
-        present on data page ``pid``.
-        """
-        self.add_pages(keys, np.full(len(keys), pid, dtype=np.int64))
-
     def add_pages(self, keys, pids) -> None:
         """Vectorized :meth:`add` of a run of data pages (bulk load).
 
         ``keys`` concatenates the sorted distinct keys of each page, and
         ``pids`` holds each key's page id, non-decreasing.  The resulting
-        state equals :meth:`add_page_keys` applied page by page, but a
-        plain leaf hashes the whole run in one call and ORs every bit
-        into its page in one scatter.  Raises :class:`LeafOverflow`
-        before changing anything when the last page lies past the
-        leaf's filter budget.
+        filter bits equal :meth:`add` applied key by key, but a plain
+        leaf hashes the whole run in one call and ORs every bit into its
+        page in one scatter, and every key counts toward ``nkeys``.
+        Raises :class:`LeafOverflow` before changing anything when the
+        last page lies past the leaf's filter budget.
         """
         if len(keys) == 0:
             return
@@ -534,51 +502,19 @@ class BFLeaf:
     # ------------------------------------------------------------------
     # probing
     # ------------------------------------------------------------------
-    def matching_groups(self, key) -> list[int]:
-        """Indexes of all filters whose membership test matches ``key``.
-
-        Probes *every* filter, as Algorithm 1 dictates; the caller charges
-        CPU per probe via its IOStats.
-        """
-        if key in self.deleted_keys:
-            return []
-        return [i for i, f in enumerate(self.filters) if f.might_contain(key)]
-
-    def matching_page_runs(self, key) -> list[tuple[int, int]]:
-        """(first_pid, npages) runs to fetch for ``key``, merged when adjacent."""
-        if key in self.deleted_keys:
-            return []
-        return self._build_runs(key, self.matching_groups(key))
-
-    # -- vectorized batch probing --------------------------------------
-    def matching_groups_many(self, keys, positions=None) -> list[list[int]]:
-        """Vectorized :meth:`matching_groups` over a batch of probe keys.
-
-        Entry ``j`` equals ``matching_groups(keys[j])`` exactly, but all
-        S filters are tested for all N keys in one NumPy pass: the leaf's
-        filters share geometry (nbits/k/seed), so the k bit positions per
-        key are hashed once (or passed in as ``positions``, the
-        :meth:`hash_batch` rows of ``keys``) and gathered against the
-        whole page.
-        """
-        if positions is None:
-            positions = self.hash_batch(keys)
-        matrix = self._match_matrix(positions)
-        return [
-            [] if key in self.deleted_keys
-            else np.nonzero(matrix[j])[0].tolist()
-            for j, key in enumerate(keys)
-        ]
-
     def matching_page_runs_many(self, keys, positions=None
                                 ) -> list[list[tuple[int, int]]]:
-        """Vectorized :meth:`matching_page_runs` over a batch of probe keys.
+        """(first_pid, npages) runs to fetch for each probe key.
 
-        Entry ``j`` equals ``matching_page_runs(keys[j])`` exactly
-        (spill-back handling, tombstones and adjacent-run merging
-        included); only the filter membership tests are batched.
-        ``positions`` are optional prehashed rows, as in
-        :meth:`matching_groups_many`.
+        Algorithm 1 probes *every* filter of the leaf; here all S filters
+        are tested for all N keys in one NumPy pass.  The leaf's filters
+        share geometry (nbits/k/seed), so the k bit positions per key are
+        hashed once (or passed in as ``positions``, the
+        :meth:`hash_batch` rows of ``keys``) and gathered against the
+        whole page.  Entry ``j`` holds the matched groups' page ranges,
+        adjacent ones merged, plus the spill-back pages when ``keys[j]``
+        is the leaf's minimum; a tombstoned key matches nothing.  The
+        caller charges the probe CPU.
         """
         if positions is None:
             positions = self.hash_batch(keys)

@@ -9,14 +9,12 @@ of §1.1.
 
 Algorithms implemented, with their paper counterparts:
 
-* :meth:`BFTree.search`      — Algorithm 1 (probe all BFs of the leaf,
-  fetch matching pages sorted, stop early for unique keys).
-* :meth:`BFTree.search_many` — vectorized Algorithm 1 over a probe batch:
-  identical results and I/O charging to per-key ``search`` calls, with
-  the whole batch hashed in one call and the Bloom-filter tests
-  collapsed into one page gather per touched leaf.  The harness's
-  ``run_probes(..., batch=True)`` and the CLI's ``probe --batch`` run
-  on it.
+* :meth:`BFTree.search_many` — Algorithm 1 (probe all BFs of the leaf,
+  fetch matching pages sorted, stop early for unique keys) over a probe
+  batch, with the whole batch hashed in one call and the Bloom-filter
+  tests collapsed into one page gather per touched leaf.
+  :meth:`BFTree.search` is a batch of one; the harness's ``run_probes``
+  and the CLI's ``probe`` replay whole probe sets through it.
 * :meth:`BFTree.insert`      — Algorithm 3 (extend key range, bump #keys,
   add to the per-page BF; split when over capacity).
 * :meth:`BFTree.insert_many` / :meth:`BFTree.delete_many` — vectorized
@@ -30,14 +28,12 @@ Algorithms implemented, with their paper counterparts:
   argues is feasible precisely because leaf ranges are small).
 * :meth:`BFTree.bulk_load`   — §4.2 bulk loading (one pass over the data,
   one pass building the directory over the leaves).
-* :meth:`BFTree.range_scan`  — §7 range scans with optional
-  boundary-partition enumeration.
-* :meth:`BFTree.range_scan_many` — vectorized §7 range scans over a
-  batch of windows: identical per-scan results and I/O charging to the
-  scalar loop, with window routing done in one pass over the flattened
-  directory, page runs charged in aggregate (Eq. 13 split preserved)
-  and match counting collapsed into NumPy passes.  The Router's scan
-  batching and ``serve-bench``'s batch scan mode run on it.
+* :meth:`BFTree.range_scan_many` — §7 range scans with optional
+  boundary-partition enumeration over a batch of windows, with window
+  routing done in one pass over the flattened directory, page runs
+  charged in aggregate (Eq. 13 split preserved) and match counting
+  collapsed into NumPy passes.  :meth:`BFTree.range_scan` is a batch
+  of one; the Router's scan batching runs on it.
 * :meth:`BFTree.intersect_probe` — §8 index intersection.
 
 Storage binding: the tree's structure is device-independent.  Before
@@ -796,51 +792,36 @@ class BFTree(IndexBackend):
         sorted run list handed to the controller, Eq. 13).  For a unique
         index the fetch loop stops at the first match.  On partitioned
         (not fully sorted) data, neighbouring leaves whose key ranges
-        also contain the key are probed too.
+        also contain the key are probed too.  A batch of one through
+        :meth:`search_many`.
         """
-        leaf = self._descend_and_read(key)
-        if leaf is None:
-            return SearchResult(found=False)
-        stats = self._stats()
-        runs: list[tuple[int, int]] = []
-        covered = False
-        for candidate in self._candidate_leaves(key, leaf):
-            if not candidate.covers_key(key):
-                continue
-            covered = True
-            if stats is not None:
-                stats.bloom_probes += candidate.nfilters
-            self._charge_cpu(candidate.nfilters * CPU_BLOOM_PROBE)
-            runs.extend(candidate.matching_page_runs(key))
-        if not covered:
-            return SearchResult(found=False)
-        return self._fetch_runs(key, sorted(runs))
+        return self.search_many([key])[0]
 
     def search_many(self, keys,
                     latency_sink: list[float] | None = None
                     ) -> list[SearchResult]:
-        """Vectorized Algorithm 1 over a whole batch of probe keys.
+        """Algorithm 1 over a whole batch of probe keys.
 
-        Returns exactly ``[self.search(k) for k in keys]`` — the same
-        per-key :class:`SearchResult`, the same IOStats counters and the
-        same simulated clock time (the identical set of charges, summed
-        in a different order, so the float total can differ in its last
-        couple of bits) — but the Bloom-filter membership
-        tests, the scalar path's dominant CPU cost (one Python-level loop
-        per filter per probe), collapse into NumPy passes: keys are
-        routed first and grouped by candidate leaf, every (key, leaf) row
-        is hashed in one call (:meth:`BFLeaf.hash_segments`), and each
-        leaf tests its key group against its whole filter page at once
-        (:meth:`BFLeaf.matching_page_runs_many`).  Descents, leaf reads and
-        data-page fetches are charged per key just as ``search`` does.
+        Result ``j`` depends on ``keys[j]`` alone: a batch returns the
+        same per-key :class:`SearchResult`, the same IOStats counters and
+        the same simulated clock time as one batch of one per key (the
+        identical set of charges, summed in a different order, so the
+        float total can differ in its last couple of bits).  The
+        Bloom-filter membership tests, a probe's dominant CPU cost,
+        collapse into NumPy passes: keys are routed first and grouped by
+        candidate leaf, every (key, leaf) row is hashed in one call
+        (:meth:`BFLeaf.hash_segments`), and each leaf tests its key group
+        against its whole filter page at once
+        (:meth:`BFLeaf.matching_page_runs_many`).  Descents, leaf reads
+        and data-page fetches are charged per key.
 
         ``latency_sink``, if given, receives one simulated per-key
-        latency per probe (aligned with ``keys``): every clock charge on
-        the batch path happens inside the per-key routing loop (phase 1)
-        or the per-key fetch loop (phase 3) — the vectorized filter pass
-        charges nothing — so bracketing those two loop bodies recovers
-        exactly the latency the scalar ``search`` would report.  The
-        service layer's tail-latency percentiles are computed from this.
+        latency per probe (aligned with ``keys``): every clock charge
+        happens inside the per-key routing loop (phase 1) or the per-key
+        fetch loop (phase 3) — the vectorized filter pass charges nothing
+        — so bracketing those two loop bodies recovers exactly the
+        latency of that key probed alone.  The service layer's
+        tail-latency percentiles are computed from this.
         """
         keys = [as_scalar(k) for k in keys]
         results: list[SearchResult | None] = [None] * len(keys)
@@ -849,7 +830,7 @@ class BFTree(IndexBackend):
         track = latency_sink is not None and clock is not None
         latencies = [0.0] * len(keys)
         # Phase 1: route every key, charging descent and candidate-leaf
-        # I/O and the per-filter probe CPU exactly like the scalar path.
+        # I/O and the per-filter probe CPU.
         pending: list[tuple[int, object, list[BFLeaf]]] = []
         by_leaf: dict[int, list[tuple[int, object]]] = {}
         for i, key in enumerate(keys):
@@ -1580,72 +1561,31 @@ class BFTree(IndexBackend):
         random positioning per disjoint page run — consecutive leaves
         whose page runs are disk-contiguous ride the same sequential
         stream instead of paying a seek per leaf.
+
+        A batch of one through :meth:`range_scan_many`, which raises
+        ``ValueError`` for ``lo > hi``.
         """
-        if lo > hi:
-            raise ValueError(f"empty range: lo={lo} > hi={hi}")
-        try:
-            leaf_id, path = self.inner.descend(lo)
-        except LookupError:
-            return RangeScanResult(matches=0, pages_read=0, leaves_visited=0)
-        self._charge_cpu(
-            len(path) * math.log2(max(2, self.inner.fanout)) * CPU_KEY_COMPARE
-        )
-        matches = 0
-        pages_read = 0
-        leaves_visited = 0
-        prev_pid: int | None = None
-        device = self._data_device
-        current: BFLeaf | None = self.leaves[leaf_id]
-        if not self.ordered:
-            # Overlapping partitions: earlier leaves may also intersect
-            # the range.
-            while current.prev_leaf_id is not None:
-                prev = self.leaves.get(current.prev_leaf_id)
-                if prev is None or prev.max_key is None or prev.max_key < lo:
-                    break
-                current = prev
-        while current is not None:
-            if current.min_key is not None and current.min_key > hi:
-                break
-            self.store.read(current.node_id, sequential=leaves_visited > 0)
-            leaves_visited += 1
-            pids = self._leaf_scan_pids(current, lo, hi, enumerate_boundaries)
-            if pids:
-                if device is not None:
-                    for pid in pids:
-                        device.read_page(
-                            pid,
-                            sequential=(prev_pid is not None
-                                        and pid == prev_pid + 1),
-                        )
-                        prev_pid = pid
-                else:
-                    prev_pid = pids[-1]
-                pages_read += len(pids)
-                matches += self._count_range_matches(pids, lo, hi)
-            next_id = current.next_leaf_id
-            current = self.leaves.get(next_id) if next_id is not None else None
-        return RangeScanResult(matches=matches, pages_read=pages_read,
-                               leaves_visited=leaves_visited)
+        return self.range_scan_many([(lo, hi)], enumerate_boundaries)[0]
 
     def range_scan_many(self, windows, enumerate_boundaries: bool = False,
                         latency_sink: list[float] | None = None
                         ) -> list[RangeScanResult]:
-        """Vectorized §7 range scans over a batch of ``(lo, hi)`` windows.
+        """§7 range scans over a batch of ``(lo, hi)`` windows.
 
-        Returns exactly ``[self.range_scan(lo, hi) for lo, hi in
-        windows]`` — the same per-scan :class:`RangeScanResult`, the same
-        IOStats counters and the same simulated clock charges (equal up
-        to float summation order) — but the per-page Python work
-        collapses:
+        Result ``j`` depends on ``windows[j]`` alone: a batch returns the
+        same per-scan :class:`RangeScanResult`, the same IOStats counters
+        and the same simulated clock charges (equal up to float summation
+        order) as one batch of one per window, and the per-page Python
+        work collapses:
 
         * every window is routed in one pass over the flattened
           directory (:meth:`InnerTree.routing_table`), as the batch
           write engine does, skipping the per-scan directory walk;
         * each scan's data-page runs are charged through
           :meth:`Device.read_batch` — one aggregate advance per leaf
-          visit with the exact Eq. 13 random/sequential split the scalar
-          per-page loop produces;
+          visit with the exact Eq. 13 random/sequential split of a
+          page-by-page read (a page is sequential iff it follows the
+          previous page read by the same scan);
         * boundary-leaf filter enumeration (``enumerate_boundaries``)
           probes all overlapping key values through the shared-hash
           batch machinery (:meth:`BFLeaf.matching_page_runs_many`);
@@ -1657,7 +1597,7 @@ class BFTree(IndexBackend):
         declares its access pattern explicitly, so per-scan charges are
         independent of processing order; ``latency_sink`` receives one
         simulated per-scan latency per window (aligned with
-        ``windows``), exactly as the scalar loop would bracket them.
+        ``windows``), exactly as a batch of one would measure it.
         Invalid windows (``lo > hi``) are rejected up front, before any
         charges land.
         """
@@ -1738,13 +1678,16 @@ class BFTree(IndexBackend):
     def _leaf_scan_runs(self, leaf: BFLeaf, lo, hi,
                         enumerate_boundaries: bool
                         ) -> list[tuple[int, int]]:
-        """Run-compressed :meth:`_leaf_scan_pids` for the batch scan path.
+        """``(first_pid, npages)`` runs of ``leaf``'s pages a scan of
+        ``[lo, hi]`` reads.
 
-        Returns ``(first_pid, npages)`` runs covering exactly the pids
-        the scalar helper lists, with the boundary-enumeration filter
-        probes batched (per-value charges aggregated into one IOStats
-        bump and one CPU advance — same integers, float clock total
-        equal up to summation order).
+        An interior leaf (or any leaf without ``enumerate_boundaries``)
+        is read in full.  A boundary leaf with ``enumerate_boundaries``
+        probes its filters for every integer value in the overlapping key
+        range (the §7 optimization) and reads only matching pages; the
+        per-value probe charges land as one IOStats bump and one CPU
+        advance.  Non-integer or very wide domains fall back to a full
+        read.
         """
         if leaf.min_key is None or leaf.max_key is None:
             return []
@@ -1784,7 +1727,8 @@ class BFTree(IndexBackend):
         column resolves every job's count arithmetically.  Partitioned
         data: jobs are grouped by page and all scans covering a page are
         counted in one vectorized pass over that page's column.  Both
-        produce the exact integers ``_count_range_matches`` would.
+        count, per scan, the tuples with key in ``[lo, hi]`` on every
+        page the scan read.
         """
         if not jobs_scan:
             return
@@ -1826,40 +1770,6 @@ class BFTree(IndexBackend):
                 np.add.at(matches, scan_arr[rows], counts)
         for j, res in enumerate(results):
             res.matches += int(matches[j])
-
-    def _leaf_scan_pids(self, leaf: BFLeaf, lo, hi,
-                        enumerate_boundaries: bool) -> list[int]:
-        if leaf.min_key is None or leaf.max_key is None:
-            return []
-        if leaf.max_key < lo or leaf.min_key > hi:
-            return []
-        is_boundary = leaf.min_key < lo or leaf.max_key > hi
-        all_pids = list(range(leaf.min_pid, leaf.min_pid + leaf.pages_covered))
-        if not is_boundary or not enumerate_boundaries:
-            return all_pids
-        # §7 optimization: enumerate the overlapping values and probe BFs.
-        start = max(lo, leaf.min_key)
-        stop = min(hi, leaf.max_key)
-        if not isinstance(start, (int, np.integer)) or stop - start > 100_000:
-            return all_pids  # impractical domain; fall back to full read
-        wanted: set[int] = set()
-        stats = self._stats()
-        for value in range(int(start), int(stop) + 1):
-            if stats is not None:
-                stats.bloom_probes += leaf.nfilters
-            self._charge_cpu(leaf.nfilters * CPU_BLOOM_PROBE)
-            for first, npages in leaf.matching_page_runs(value):
-                wanted.update(range(first, first + npages))
-        return sorted(wanted)
-
-    def _count_range_matches(self, pids: list[int], lo, hi) -> int:
-        matches = 0
-        for pid in pids:
-            if pid >= self.relation.npages:
-                continue
-            values = self.relation.view_page(pid).column(self.key_column)
-            matches += int(np.count_nonzero((values >= lo) & (values <= hi)))
-        return matches
 
     # ==================================================================
     # index intersection (paper §8)
@@ -1910,7 +1820,7 @@ class BFTree(IndexBackend):
             if stats is not None:
                 stats.bloom_probes += candidate.nfilters
             self._charge_cpu(candidate.nfilters * CPU_BLOOM_PROBE)
-            for first, npages in candidate.matching_page_runs(key):
+            for first, npages in candidate.matching_page_runs_many([key])[0]:
                 pages.update(range(first, first + npages))
         return pages
 

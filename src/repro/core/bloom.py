@@ -269,17 +269,6 @@ class BloomFilter:
         np.bitwise_or.at(self._words, flat >> 6, _BIT[flat & 63])
         self.count += len(keys)
 
-    def add_many(self, keys) -> None:
-        """Vectorized :meth:`add` of a batch of arbitrary keys.
-
-        Canonicalizes the batch (:func:`keys_to_int_array`), hashes it in
-        one pass and scatters all bits with NumPy; bit-for-bit identical
-        to a scalar :meth:`add` loop over the same keys.
-        """
-        if len(keys) == 0:
-            return
-        self.bulk_add(keys_to_int_array(keys))
-
     def might_contain(self, key: object) -> bool:
         """Membership test: False is definite, True may be a false positive."""
         return self.contains_positions(
@@ -338,27 +327,6 @@ class BloomFilter:
         """Reset to an empty filter."""
         self._words[:] = 0
         self.count = 0
-
-    # ------------------------------------------------------------------
-    def union(self, other: "BloomFilter") -> "BloomFilter":
-        """Bitwise union of two filters with identical geometry.
-
-        The union answers membership for the union of the key sets (at a
-        higher fpp).  Used when merging sibling BF-leaves.
-        """
-        self._check_compatible(other)
-        merged = BloomFilter(self.nbits, self.k, self.seed)
-        np.bitwise_or(self._words, other._words, out=merged._words)
-        merged.count = self.count + other.count
-        return merged
-
-    def _check_compatible(self, other: "BloomFilter") -> None:
-        if (self.nbits, self.k, self.seed) != (other.nbits, other.k, other.seed):
-            raise ValueError(
-                "incompatible filters: "
-                f"({self.nbits},{self.k},{self.seed}) vs "
-                f"({other.nbits},{other.k},{other.seed})"
-            )
 
     def size_bytes(self) -> int:
         """Bytes this filter occupies on an index page."""

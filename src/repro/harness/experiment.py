@@ -16,7 +16,6 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from repro.api.results import as_scalar
 from repro.baselines.bptree import BPlusTree
 from repro.core.bf_tree import BFTree, BFTreeConfig
 from repro.service.router import Router
@@ -52,57 +51,36 @@ def run_probes(
     probes: ProbeSet | Sequence,
     config: StorageConfig | str,
     warm: bool = False,
-    batch: bool = False,
 ) -> ProbeStats:
     """Replay ``probes`` against ``index`` on a fresh storage stack.
 
-    Each probe starts with the device heads reset, so its first data
-    access is charged as random — the cold per-query behaviour of the
-    paper's O_DIRECT runs.  ``warm`` prefaults internal index nodes.
-
-    ``batch=True`` replays the whole probe set through the index's
-    ``search_many``.  The Index protocol (:mod:`repro.api`) guarantees
-    it on every backend: a vectorized batch-probe engine where one
-    exists (BF-Tree, B+-Tree), the bit-identical generic scalar-loop
-    fallback everywhere else.  Simulated results (per-probe outcomes,
-    IOStats, clock charges) are identical to the per-key loop; only the
-    interpreter-level wall-clock changes.  Every charge on the search
-    path declares its access pattern explicitly, so skipping the
-    per-probe head reset changes nothing.
+    The whole probe set goes through the index's ``search_many``, which
+    the Index protocol (:mod:`repro.api`) guarantees on every backend: a
+    vectorized batch-probe engine where one exists (BF-Tree), the
+    generic per-key loop everywhere else.  A probe's charges do not
+    depend on the others in its batch, so the numbers equal those of
+    probing each key alone.  Every charge on the search path declares
+    its access pattern explicitly — the first data page of each probe is
+    charged as random, the cold per-query behaviour of the paper's
+    O_DIRECT runs — so the device heads are reset once, up front.
+    ``warm`` prefaults internal index nodes.
     """
     keys = probes.keys if isinstance(probes, ProbeSet) else np.asarray(probes)
     stack = build_stack(config)
     index.bind(stack, warm=warm)
     try:
-        hits = 0
-        matches = 0
-        total_latency = 0.0
         before = stack.stats.snapshot()
-        if batch:
-            stack.index_device.reset_head()
-            stack.data_device.reset_head()
-            start = stack.clock.now()
-            results = index.search_many(keys)
-            total_latency = stack.clock.now() - start
-            for result in results:
-                if result.found:
-                    hits += 1
-                    matches += result.matches
-        else:
-            for key in keys:
-                stack.index_device.reset_head()
-                stack.data_device.reset_head()
-                start = stack.clock.now()
-                result = index.search(
-                    as_scalar(key)
-                )
-                total_latency += stack.clock.now() - start
-                if result.found:
-                    hits += 1
-                    matches += result.matches
+        stack.index_device.reset_head()
+        stack.data_device.reset_head()
+        start = stack.clock.now()
+        results = index.search_many(keys)
+        total_latency = stack.clock.now() - start
         io = stack.stats.diff(before)
     finally:
         index.unbind()
+    found = [result for result in results if result.found]
+    hits = len(found)
+    matches = sum(result.matches for result in found)
     n = max(1, len(keys))
     return ProbeStats(
         n_probes=len(keys),

@@ -165,15 +165,26 @@ def test_search_many_bit_identical_to_scalar(name, pk_relation):
 
 
 @pytest.mark.parametrize("name", BACKENDS)
-def test_run_probes_batch_flag_works_everywhere(name, pk_relation):
-    """probe --batch must not silently degrade on any backend."""
+def test_run_probes_matches_per_probe_loop(name, pk_relation):
+    """run_probes resets the device heads once and replays the whole
+    probe set through search_many; on every backend that must equal
+    probing key by key with the heads reset before each probe (the
+    paper's cold per-query O_DIRECT behaviour)."""
     keys = np.asarray(list(range(0, 8192, 511)), dtype=np.int64)
     index = _build(name, pk_relation)
-    scalar = run_probes(index, keys, CONFIG, batch=False)
-    batch = run_probes(index, keys, CONFIG, batch=True)
-    assert batch.hits == scalar.hits == len(keys)
-    assert batch.io == scalar.io
-    assert math.isclose(batch.avg_latency, scalar.avg_latency, rel_tol=1e-9)
+    stack = build_stack(CONFIG)
+    index.bind(stack)
+    hits = 0
+    for key in keys.tolist():
+        stack.index_device.reset_head()
+        stack.data_device.reset_head()
+        hits += index.search(key).found
+    index.unbind()
+    stats = run_probes(index, keys, CONFIG)
+    assert stats.hits == hits == len(keys)
+    assert stats.io == stack.stats.snapshot()
+    assert math.isclose(stats.avg_latency * len(keys), stack.clock.now(),
+                        rel_tol=1e-9)
 
 
 @pytest.mark.parametrize("name", MUTABLE)

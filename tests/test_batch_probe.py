@@ -4,10 +4,14 @@ The engine's contract: ``search_many(keys)`` produces exactly what N
 sequential ``search`` calls produce — the same per-key ``SearchResult``
 (found / matches / tids / page counts), the same ``IOStats`` counters and
 the same simulated clock charges (equal up to float summation order).
-The property tests here drive that contract over random relations,
-probe mixes and tombstones; the regression tests pin the two delete-path
-bugs the batch path must not inherit (tombstone-then-split and
-delete-then-reinsert through the bulk-load path).
+``BFTree.search`` is itself a batch of one, so on BF-Trees these tests
+check that a batch of N equals N batches of one: they guard the per-leaf
+grouping and shared hashing of a batch, while ``tests/test_read_golden.py``
+pins the numbers themselves to recorded output.  The property tests
+here drive that contract over random relations, probe mixes and
+tombstones; the regression tests pin the two delete-path bugs the batch
+path must not inherit (tombstone-then-split and delete-then-reinsert
+through the bulk-load path).
 """
 
 import math
@@ -19,7 +23,6 @@ from hypothesis import strategies as st
 
 from repro.baselines import BPlusTree
 from repro.core import BFTree, BFTreeConfig, BloomFilter
-from repro.harness import run_probes
 from repro.storage import Relation, build_stack
 from repro.workloads import point_probes
 
@@ -106,11 +109,16 @@ class TestBatchFilterLayers:
         tree = BFTree.bulk_load(rel, "k", BFTreeConfig(fpp=0.05))
         probes = sorted(set(keys))[:30] + [max(keys) + 1, min(keys) + 1]
         for leaf in tree.leaves_in_order():
-            groups = leaf.matching_groups_many(probes)
             runs = leaf.matching_page_runs_many(probes)
             for j, probe in enumerate(probes):
-                assert groups[j] == leaf.matching_groups(probe)
-                assert runs[j] == leaf.matching_page_runs(probe)
+                # Oracle: Algorithm 1's per-filter membership tests
+                # through the standalone BloomFilter API.
+                groups = [i for i, f in enumerate(leaf.filters)
+                          if f.might_contain(probe)]
+                expected = ([] if probe in leaf.deleted_keys
+                            else leaf._build_runs(probe, groups))
+                assert runs[j] == expected
+                assert runs[j] == leaf.matching_page_runs_many([probe])[0]
 
 
 # ----------------------------------------------------------------------
@@ -163,20 +171,6 @@ class TestSearchManyEqualsSearch:
         tree = BPlusTree.bulk_load(dup_relation, "att1")
         probes = point_probes(dup_relation, "att1", 150, hit_rate=0.8)
         _assert_batch_equals_scalar(tree, [k.item() for k in probes.keys])
-
-    def test_run_probes_batch_mode_matches(self, pk_relation):
-        tree = BFTree.bulk_load(
-            pk_relation, "pk", BFTreeConfig(fpp=2e-3), unique=True
-        )
-        probes = point_probes(pk_relation, "pk", 300, hit_rate=0.9)
-        scalar = run_probes(tree, probes, "MEM/SSD")
-        batch = run_probes(tree, probes, "MEM/SSD", batch=True)
-        assert batch.n_probes == scalar.n_probes
-        assert batch.hits == scalar.hits
-        assert batch.total_matches == scalar.total_matches
-        assert batch.io == scalar.io
-        assert batch.avg_latency == pytest.approx(scalar.avg_latency,
-                                                  rel=1e-9)
 
 
 # ----------------------------------------------------------------------
@@ -242,12 +236,12 @@ class TestDeletePathRegressions:
         leaf = tree.leaves_in_order()[0]
         key = leaf.min_key + 3
         leaf.mark_deleted(key)
-        assert leaf.matching_groups(key) == []
-        leaf.add_page_keys(
-            np.asarray([key], dtype=np.int64), rel.page_of(key)
+        assert leaf.matching_page_runs_many([key])[0] == []
+        leaf.add_pages(
+            np.asarray([key], dtype=np.int64), [rel.page_of(key)]
         )
         assert key not in leaf.deleted_keys
-        assert leaf.matching_groups(key)
+        assert leaf.matching_page_runs_many([key])[0]
         assert tree.search(key).found
 
     def test_delete_then_reinsert_via_insert(self):
@@ -277,7 +271,7 @@ class TestFetchRunAccounting:
                 io = stack.stats.diff(before)
                 leaf = next(l for l in tree.leaves_in_order()
                             if l.covers_key(key))
-                runs = leaf.matching_page_runs(key)
+                runs = leaf.matching_page_runs_many([key])[0]
                 # search() fetches the sorted runs until the ordered-data
                 # early stop; each *started* run costs one random read.
                 assert io.data_random_reads <= len(runs)

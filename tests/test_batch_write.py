@@ -318,16 +318,6 @@ class TestDeleteManyEqualsScalarLoop:
 
 
 class TestFilterAndLeafLayers:
-    def test_bloom_add_many_equals_scalar(self):
-        scalar, batch = BloomFilter(512, 5, seed=9), BloomFilter(512, 5,
-                                                                 seed=9)
-        keys = [3, -7, 2**63 + 5, "abc", 3]
-        for key in keys:
-            scalar.add(key)
-        batch.add_many(keys)
-        assert batch._bits == scalar._bits
-        assert batch.count == scalar.count
-
     def test_bloom_add_positions_round_trip(self):
         from repro.core.hashing import bloom_positions
 

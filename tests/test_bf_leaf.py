@@ -18,6 +18,15 @@ def _geometry(fpp=0.01, keys_per_group=16.0, pages_per_bf=1, max_filters=None):
     return geo
 
 
+def _runs(leaf, key):
+    """Page runs a probe for ``key`` fetches (a batch of one)."""
+    return leaf.matching_page_runs_many([key])[0]
+
+
+def _pages(leaf, key):
+    return {first + i for first, n in _runs(leaf, key) for i in range(n)}
+
+
 def _leaf(min_pid=0, **kw):
     return BFLeaf(node_id=1, geometry=_geometry(**kw), min_pid=min_pid)
 
@@ -88,11 +97,12 @@ class TestAdd:
         assert not leaf.covers_key(11)
 
     def test_add_page_keys_matches_scalar_adds(self):
+        """One page's distinct keys through the bulk add_pages path."""
         scalar, bulk = _leaf(), _leaf()
         keys = np.asarray([3, 5, 9], dtype=np.int64)
         for key in keys:
             scalar.add(int(key), 2)
-        bulk.add_page_keys(keys, 2)
+        bulk.add_pages(keys, np.full(len(keys), 2))
         assert scalar.nkeys == bulk.nkeys
         assert scalar.min_key == bulk.min_key
         assert scalar.max_key == bulk.max_key
@@ -100,7 +110,8 @@ class TestAdd:
 
     def test_add_page_keys_empty(self):
         leaf = _leaf()
-        leaf.add_page_keys(np.empty(0, dtype=np.int64), 0)
+        leaf.add_pages(np.empty(0, dtype=np.int64),
+                       np.empty(0, dtype=np.int64))
         assert leaf.nkeys == 0
 
     def test_duplicate_reinsert_does_not_inflate_nkeys(self):
@@ -119,51 +130,36 @@ class TestAdd:
         assert leaf.nkeys == 2
 
     def test_extra_inserts_reconciled_across_paths(self):
-        """add and add_page_keys agree: overflow is always
+        """add and add_pages agree: overflow is always
         nkeys - key_capacity, however the leaf got there."""
         leaf = _leaf(max_filters=4)
         capacity = leaf.key_capacity
         bulk = np.arange(capacity + 5, dtype=np.int64)
-        leaf.add_page_keys(bulk, 0)
+        leaf.add_pages(bulk, np.zeros(len(bulk), dtype=np.int64))
         assert leaf.extra_inserts == leaf.nkeys - capacity
         for i in range(7):
             leaf.add(10**6 + i, 1)            # novel keys via scalar path
         assert leaf.extra_inserts == leaf.nkeys - capacity
-
-    def test_add_many_matches_scalar_adds(self):
-        scalar, batch = _leaf(), _leaf()
-        keys = [5, 9, 5, 700, 9, 12, 5]
-        pids = [0, 0, 0, 2, 1, 2, 0]
-        grew_scalar = sum(scalar.add(k, p) for k, p in zip(keys, pids))
-        grew_batch = batch.add_many(keys, pids)
-        assert grew_batch == grew_scalar
-        assert scalar.nkeys == batch.nkeys
-        assert scalar.extra_inserts == batch.extra_inserts
-        assert (scalar.min_key, scalar.max_key) == (batch.min_key,
-                                                    batch.max_key)
-        assert scalar.pages_covered == batch.pages_covered
-        assert [(f.count, f._bits) for f in scalar.filters] == \
-               [(f.count, f._bits) for f in batch.filters]
 
 
 class TestProbing:
     def test_matching_groups_finds_inserted(self):
         leaf = _leaf()
         leaf.add(42, 3)
-        assert 3 in leaf.matching_groups(42)
+        assert 3 in _pages(leaf, 42)
 
     def test_runs_merge_adjacent_groups(self):
         leaf = _leaf()
         leaf.add(7, 0)
         leaf.add(7, 1)
         leaf.add(7, 2)
-        runs = leaf.matching_page_runs(7)
+        runs = _runs(leaf, 7)
         assert runs[0] == (0, 3)
 
     def test_runs_respect_min_pid(self):
         leaf = _leaf(min_pid=100)
         leaf.add(7, 102)
-        runs = leaf.matching_page_runs(7)
+        runs = _runs(leaf, 7)
         assert any(first <= 102 < first + n for first, n in runs)
 
     def test_grouped_run_spans_group(self):
@@ -171,7 +167,7 @@ class TestProbing:
         leaf = BFLeaf(node_id=1, geometry=geo, min_pid=0)
         leaf.add(5, 6)          # group 1 covers pages 4..7
         leaf.add(5, 7)
-        runs = leaf.matching_page_runs(5)
+        runs = _runs(leaf, 5)
         assert runs[0][0] == 4
 
     def test_group_page_range_clipped(self):
@@ -187,14 +183,14 @@ class TestDeletes:
         leaf = _leaf()
         leaf.add(42, 0)
         leaf.mark_deleted(42)
-        assert leaf.matching_groups(42) == []
+        assert _runs(leaf, 42) == []
 
     def test_reinsert_clears_tombstone(self):
         leaf = _leaf()
         leaf.add(42, 0)
         leaf.mark_deleted(42)
         leaf.add(42, 1)
-        assert leaf.matching_groups(42)
+        assert _runs(leaf, 42)
 
 
 class TestEffectiveFpp:

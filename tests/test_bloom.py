@@ -175,24 +175,6 @@ class TestMeasuredFpp:
         assert bf.fill_fraction() <= 1.0
 
 
-class TestUnion:
-    def test_union_contains_both_sides(self):
-        a = BloomFilter(256, 4, seed=1)
-        b = BloomFilter(256, 4, seed=1)
-        a.add(10)
-        b.add(20)
-        merged = a.union(b)
-        assert merged.might_contain(10) and merged.might_contain(20)
-        assert merged.count == 2
-
-    def test_incompatible_geometry_rejected(self):
-        a = BloomFilter(256, 4)
-        for other in (BloomFilter(128, 4), BloomFilter(256, 3),
-                      BloomFilter(256, 4, seed=9)):
-            with pytest.raises(ValueError):
-                a.union(other)
-
-
 class TestDegradationFormulas:
     def test_eq14_identity_at_zero(self):
         assert fpp_after_inserts(0.01, 0.0) == pytest.approx(0.01)

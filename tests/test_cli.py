@@ -104,23 +104,25 @@ def test_serve_bench_json(capsys):
     assert reports[0]["throughput_ops_per_sim_sec"] > 0
 
 
-def test_probe_batch_all_backends(capsys):
-    """--batch works on every registered backend (protocol fallback
-    where no vectorized engine exists) instead of silently degrading."""
+def test_probe_all_backends(capsys):
+    """probe runs on every registered backend (search_many is the
+    protocol's generic per-key loop where no vectorized engine
+    exists)."""
     from repro.api import registered_backends
 
     for index in registered_backends():
         assert main([
-            "probe", "--tuples", "4096", "--index", index, "--batch",
+            "probe", "--tuples", "4096", "--index", index,
             "--config", "MEM/SSD", "--probes", "10",
         ]) == 0
-        assert "batch=True" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert f"{index} probe on" in out and "MEM/SSD" in out
 
 
 def test_probe_out_writes_json(tmp_path, capsys):
     out = tmp_path / "probe.json"
     assert main([
-        "probe", "--tuples", "4096", "--index", "fd", "--batch",
+        "probe", "--tuples", "4096", "--index", "fd",
         "--config", "MEM/SSD", "--probes", "10", "--out", str(out),
     ]) == 0
     capsys.readouterr()
@@ -128,7 +130,7 @@ def test_probe_out_writes_json(tmp_path, capsys):
 
     payload = json.loads(out.read_text())
     assert payload[0]["index"] == "fd"
-    assert payload[0]["batch"] is True
+    assert "batch" not in payload[0]
     assert payload[0]["avg_latency_us"] > 0
 
 

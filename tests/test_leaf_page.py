@@ -24,6 +24,12 @@ def _pk_tree(n=4096, fpp=1e-3, **cfg):
                                  unique=True)
 
 
+def _groups(leaf, key):
+    """Filters of ``leaf`` whose membership test matches ``key``."""
+    matrix = leaf._match_matrix(leaf.hash_batch([key]))
+    return np.nonzero(matrix[0])[0].tolist()
+
+
 def _assert_paged(tree):
     """The sanitizer check passes and every plain leaf has a page."""
     check_tree(tree)
@@ -67,7 +73,7 @@ class TestInvariantHolds:
         budget = last.geometry.max_filters
         old_page = last.page
         probes = [last.min_key, last.max_key - 100, last.max_key]
-        before = [last.matching_groups(k) for k in probes]
+        before = [_groups(last, k) for k in probes]
         far = last.min_pid + budget + 5
         tree.insert_overflow(last.max_key, far)
         assert last.nfilters == budget + 6 > old_page.shape[0]
@@ -75,7 +81,7 @@ class TestInvariantHolds:
         _assert_paged(tree)
         # Everything indexed before the growth is still found, and the
         # spanning key's new far group too.
-        after = [last.matching_groups(k) for k in probes]
+        after = [_groups(last, k) for k in probes]
         assert after[:2] == before[:2]
         assert after[2] == before[2] + [last.group_of(far)]
 
@@ -182,8 +188,7 @@ class TestPageKernels:
         leaf = BFLeaf(node_id=1, geometry=geo, min_pid=0, filters=filters)
         assert leaf.page.shape == (geo.max_filters,
                                    (geo.bits_per_bf + 63) // 64)
-        assert leaf.matching_groups(7) == [1]
-        assert leaf.matching_groups_many([7]) == [[1]]
+        assert _groups(leaf, 7) == [1]
 
     def test_match_matrix_equals_per_filter_tests(self):
         leaf = _leaf()
@@ -204,7 +209,7 @@ class TestPageKernels:
         pids = [0, 1, 3]
         one = _leaf()
         for keys, pid in zip(pages, pids):
-            one.add_page_keys(keys, pid)
+            one.add_pages(keys, np.full(len(keys), pid))
         run = _leaf()
         run.add_pages(np.concatenate(pages),
                       np.repeat(pids, [len(p) for p in pages]))

@@ -1,0 +1,81 @@
+"""Read engines against recorded golden digests.
+
+``tests/golden/read_engine.json`` holds per-op results (tids digested),
+IOStats deltas and simulated latencies for the cases in
+``tests/golden/read_cases.py``, recorded from the engine before the
+scalar BF-Tree/B+-Tree read paths became batches of one (the commit is
+in the file).  Integers must match exactly; latencies to ``rtol=1e-9``,
+since the same charges may be summed in a different order.
+
+Each case is checked twice: op by op through the public scalar calls
+(``search``, ``range_scan``, ``intersect_probe``), and as whole batches
+through ``search_many``/``range_scan_many``, whose per-op latencies and
+total IOStats must reproduce the same recording.
+"""
+
+import json
+import pathlib
+
+import numpy as np
+import pytest
+from golden.read_cases import (
+    IOSTATS_FIELDS,
+    cases,
+    ops_digest,
+    run_case,
+    run_case_batched,
+    run_probe_cells,
+)
+
+GOLDEN = json.loads(
+    (pathlib.Path(__file__).parent / "golden" / "read_engine.json").read_text()
+)
+CASES = {case.name: case for case in cases()}
+RTOL = 1e-9
+
+
+def test_fixture_covers_every_case():
+    assert GOLDEN["iostats_fields"] == IOSTATS_FIELDS
+    assert sorted(GOLDEN["cases"]) == sorted(CASES)
+
+
+def _expected(name):
+    case = CASES[name]
+    want = GOLDEN["cases"][name]
+    assert want["ops_digest"] == ops_digest(case), (
+        f"case {name!r} changed since recording; re-record with "
+        "tests/golden/record_read_engine.py"
+    )
+    return case, want
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_per_op_matches_golden(name):
+    case, want = _expected(name)
+    got = run_case(case)
+    assert got["results"] == want["results"]
+    assert got["io"] == want["io"]
+    np.testing.assert_allclose(got["latency"], want["latency"], rtol=RTOL)
+
+
+@pytest.mark.parametrize(
+    "name", sorted(n for n in CASES if "intersect" not in n)
+)
+def test_batches_match_golden(name):
+    case, want = _expected(name)
+    got = run_case_batched(case)
+    assert got["results"] == want["results"]
+    assert got["io_total"] == np.sum(want["io"], axis=0).tolist()
+    np.testing.assert_allclose(got["latency"], want["latency"], rtol=RTOL)
+
+
+def test_run_probes_matches_golden():
+    got = run_probe_cells()
+    want = GOLDEN["run_probes"]
+    assert sorted(got) == sorted(want)
+    for cell, stats in want.items():
+        mine = got[cell]
+        for field in ("n_probes", "hits", "total_matches", "io"):
+            assert mine[field] == stats[field], (cell, field)
+        assert mine["avg_latency"] == pytest.approx(stats["avg_latency"],
+                                                    rel=RTOL), cell

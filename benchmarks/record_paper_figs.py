@@ -5,9 +5,10 @@ Runs every ``benchmarks/bench_*.py`` once (``--benchmark-disable``, so
 each benchmark body runs a single time and its shape assertions still
 fire) with ``--durations=0``, then the tier-1 suite, and appends an
 entry keyed by commit, core count and python/numpy versions: per-bench
-wall seconds (setup + call + teardown, summed per file), the bench
-session's wall seconds and pytest summary line, and the same two for
-tier-1.  Simulated numbers are not recorded here — the emitted paper
+wall seconds (setup + call + teardown, summed per file; pytest hides
+phases under 5 ms, so a file whose tests all run that fast is absent),
+the bench session's wall seconds and pytest summary line, and the same
+two for tier-1.  Simulated numbers are not recorded here — the emitted paper
 tables are the correctness reference; this file tracks how long the
 reproduction takes to run.
 

@@ -38,6 +38,9 @@ RULES: dict[str, tuple[str, str]] = {
            "read_page() must pass an explicit sequential= argument"),
     "C2": ("charge-discipline",
            "read_page(sequential=True) literal can never be correct"),
+    "C3": ("charge-discipline",
+           "no float literal in a _charge_cpu()/.advance() argument under "
+           "src/; cost constants come from repro.storage.clock"),
     "P1": ("protocol-discipline",
            "no hasattr/getattr/setattr against the Index protocol surface"),
     "P2": ("protocol-discipline",
@@ -112,6 +115,11 @@ def in_charge_scope(relpath: str) -> bool:
     if p.startswith("tests/"):
         return False
     return not p.startswith("src/repro/storage/")
+
+
+def in_src_scope(relpath: str) -> bool:
+    """C3 applies to library code, the storage layer included."""
+    return posix(relpath).startswith("src/")
 
 
 def in_protocol_scope(relpath: str) -> bool:

@@ -3,7 +3,8 @@
 These are the seven pattern-level rule classes (C, P, S, L, F, X) that
 needed no control-flow reasoning; their semantics are unchanged, each
 finding now carries its stable short id (C1, C2, P1–P4, S1–S3, L1, F1,
-F2, X1) so suppressions and the baseline can target it precisely.
+F2, X1) so suppressions and the baseline can target it precisely.  C3
+is a later pattern rule of the same kind.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from repro.analysis.lint.base import (
     in_format_scope,
     in_protocol_scope,
     in_scalar_scope,
+    in_src_scope,
     in_topology_scope,
     qualify,
     str_arg,
@@ -100,6 +102,7 @@ def _check_calls(unit: FileUnit) -> Iterator[Violation]:
     scalar = in_scalar_scope(relpath)
     bare_item = in_bare_item_scope(relpath)
     fmt = in_format_scope(relpath)
+    src = in_src_scope(relpath)
     for node in ast.walk(tree):
         if not isinstance(node, ast.Call):
             continue
@@ -127,6 +130,21 @@ def _check_calls(unit: FileUnit) -> Iterator[Violation]:
                     "read_page(sequential=True) literal: the first page of "
                     "a run always pays the random positioning cost; use "
                     "sequential=i > 0 or Device.read_run",
+                )
+
+        name = func.attr if isinstance(func, ast.Attribute) else (
+            func.id if isinstance(func, ast.Name) else None
+        )
+        if src and name in ("_charge_cpu", "advance"):
+            floats = [n.value for arg in [*node.args, *node.keywords]
+                      for n in ast.walk(arg) if isinstance(n, ast.Constant)
+                      and isinstance(n.value, float)]
+            if floats:
+                yield Violation(
+                    "C3", "charge-discipline", relpath, node.lineno,
+                    f"float literal {floats[0]!r} in a {name}() charge; "
+                    "cost constants come from repro.storage.clock, so one "
+                    "cost has one value",
                 )
 
         # -- protocol-discipline / scalar-leak -------------------------

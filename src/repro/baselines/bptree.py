@@ -273,7 +273,16 @@ class BPlusTree(IndexBackend):
                 current = nxt
             else:
                 break
-        return self._fetch_tids(key, sorted(tids))
+        tids.sort()
+        # Clustered, a non-unique key's rids are first occurrences; the
+        # fetch continues through following pages while they still lead
+        # with ``key`` — the paper's probe for consecutive duplicates.
+        if self.config.clustered and not self.unique:
+            return self._fetch_clustered(key, tids)
+        pages = self.relation.fetch_tids(self.key_column, key, tids,
+                                         self._data_device, self.unique)
+        return SearchResult(found=bool(tids), matches=len(tids),
+                            pages_read=pages, tids=tids)
 
     # search_many / insert_many / delete_many come from BatchFallbackMixin:
     # the exact index has no per-filter fan-out to vectorize — a probe is
@@ -383,66 +392,12 @@ class BPlusTree(IndexBackend):
         self.store.read(leaf_id)
         return self.leaves[leaf_id]
 
-    def _fetch_tids(self, key, tids: list[int]) -> SearchResult:
-        """Read the data pages holding ``tids`` (sorted; first random).
-
-        In clustered mode for a non-unique key the rids are first
-        occurrences; the fetch continues through following pages while
-        they still lead with ``key`` — the paper's probe behaviour for
-        consecutive duplicates.
-        """
-        if self.config.clustered and not self.unique:
-            return self._fetch_clustered(key, tids)
-        result = SearchResult(found=bool(tids), matches=len(tids), tids=tids)
-        device = self._data_device
-        pages = sorted({self.relation.page_of(t) for t in tids})
-        for i, pid in enumerate(pages):
-            if device is not None:
-                device.read_page(pid, sequential=i > 0)
-            result.pages_read += 1
-            if device is not None:
-                self.relation.scan_page_for_key(
-                    self.relation.view_page(pid), self.key_column, key, device,
-                    stop_early=self.unique,
-                )
-        return result
-
     def _fetch_clustered(self, key, seed_tids: list[int]) -> SearchResult:
         """Scan forward from each seed rid through consecutive duplicates."""
-        result = SearchResult(found=False)
-        device = self._data_device
-        seen_pages: set[int] = set()
-        for seed in sorted(seed_tids):
-            pid = self.relation.page_of(seed)
-            first_page = True
-            while pid < self.relation.npages and pid not in seen_pages:
-                view = self.relation.view_page(pid)
-                values = view.column(self.key_column)
-                if not first_page and values[0] != key:
-                    break
-                seen_pages.add(pid)
-                if device is not None:
-                    device.read_page(pid, sequential=not first_page)
-                matches = 0
-                for i, value in enumerate(values):
-                    if value == key:
-                        matches += 1
-                        result.tids.append(view.first_tid + i)
-                    elif value > key:
-                        break
-                if device is not None:
-                    device.stats.tuples_scanned += len(values)
-                result.matches += matches
-                result.pages_read += 1
-                if matches == 0 and not first_page:
-                    break
-                # Stop when duplicates cannot continue past this page.
-                if values[-1] != key:
-                    break
-                first_page = False
-                pid += 1
-        result.found = result.matches > 0
-        return result
+        tids, pages = self.relation.fetch_clustered(
+            self.key_column, key, seed_tids, self._data_device)
+        return SearchResult(found=bool(tids), matches=len(tids),
+                            pages_read=pages, tids=tids)
 
     # ==================================================================
     # updates

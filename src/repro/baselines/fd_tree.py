@@ -247,7 +247,12 @@ class FDTree(IndexBackend):
         tids = self._descend_live(key, stop_early=self.unique)
         if not tids:
             return SearchResult(found=False)
-        return self._fetch_tids(key, tids)
+        if self.config.clustered and not self.unique:
+            return self._fetch_clustered(key, tids)
+        pages = self.relation.fetch_tids(self.key_column, key, tids,
+                                         self._data_device, self.unique)
+        return SearchResult(found=bool(tids), matches=len(tids),
+                            pages_read=pages, tids=tids)
 
     def _head_matches(self, key) -> list[tuple[object, int]]:
         # (key,) sorts before (key, t) for every t, so the scan starts
@@ -270,49 +275,12 @@ class FDTree(IndexBackend):
             i += 1
         return matches, page_off
 
-    def _fetch_tids(self, key, tids: list[int]) -> SearchResult:
-        if self.config.clustered and not self.unique:
-            return self._fetch_clustered(key, tids)
-        result = SearchResult(found=True, matches=len(tids), tids=tids)
-        device = self._data_device
-        pages = sorted({self.relation.page_of(t) for t in tids})
-        for i, pid in enumerate(pages):
-            if device is not None:
-                device.read_page(pid, sequential=i > 0)
-                self.relation.scan_page_for_key(
-                    self.relation.view_page(pid), self.key_column, key, device,
-                    stop_early=self.unique,
-                )
-            result.pages_read += 1
-        return result
-
     def _fetch_clustered(self, key, seed_tids: list[int]) -> SearchResult:
         """Scan forward from the first occurrence through the duplicates."""
-        result = SearchResult(found=False)
-        device = self._data_device
-        pid = self.relation.page_of(min(seed_tids))
-        first_page = True
-        while pid < self.relation.npages:
-            view = self.relation.view_page(pid)
-            values = view.column(self.key_column)
-            if not first_page and values[0] != key:
-                break
-            if device is not None:
-                device.read_page(pid, sequential=not first_page)
-                device.stats.tuples_scanned += len(values)
-            for i, value in enumerate(values):
-                if value == key:
-                    result.matches += 1
-                    result.tids.append(view.first_tid + i)
-                elif value > key:
-                    break
-            result.pages_read += 1
-            if values[-1] != key:
-                break
-            first_page = False
-            pid += 1
-        result.found = result.matches > 0
-        return result
+        tids, pages = self.relation.fetch_clustered(
+            self.key_column, key, [min(seed_tids)], self._data_device)
+        return SearchResult(found=bool(tids), matches=len(tids),
+                            pages_read=pages, tids=tids)
 
     # ==================================================================
     # updates: logarithmic merges

@@ -91,18 +91,10 @@ class HashIndex(IndexBackend):
         tids = self._map.get(key)
         if not tids:
             return SearchResult(found=False)
-        result = SearchResult(found=True, matches=len(tids), tids=list(tids))
-        device = self._data_device
-        pages = sorted({self.relation.page_of(t) for t in tids})
-        for i, pid in enumerate(pages):
-            if device is not None:
-                device.read_page(pid, sequential=i > 0)
-                self.relation.scan_page_for_key(
-                    self.relation.view_page(pid), self.key_column, key, device,
-                    stop_early=self.unique,
-                )
-            result.pages_read += 1
-        return result
+        pages = self.relation.fetch_tids(self.key_column, key, tids,
+                                         self._data_device, self.unique)
+        return SearchResult(found=bool(tids), matches=len(tids),
+                            pages_read=pages, tids=list(tids))
 
     def insert(self, key, tid: int) -> None:
         self._map[key].append(tid)

@@ -19,7 +19,7 @@ from repro.api.protocol import Capabilities, IndexBackend
 from repro.api.results import SearchResult
 from repro.storage.config import StorageStack
 from repro.storage.device import Device
-from repro.storage.relation import Relation
+from repro.storage.relation import Relation, charge_scan
 
 
 @dataclass
@@ -64,103 +64,56 @@ class SortedFileSearch(IndexBackend):
 
     # ------------------------------------------------------------------
     def _page_first_key(self, pid: int):
-        view = self.relation.view_page(pid)
-        return view.column(self.key_column)[0]
+        return self.relation.columns[self.key_column][
+            self.relation.page_bounds(pid)[0]]
 
     def _page_last_key(self, pid: int):
-        view = self.relation.view_page(pid)
-        return view.column(self.key_column)[-1]
+        return self.relation.columns[self.key_column][
+            self.relation.page_bounds(pid)[1] - 1]
 
-    def _probe_page(self, pid: int, key, sequential: bool = False) -> int:
-        """Fetch one page and count matches (charges device + CPU)."""
-        device = self._data_device
-        if device is not None:
-            device.read_page(pid, sequential=sequential)
-            return self.relation.scan_page_for_key(
-                self.relation.view_page(pid), self.key_column, key, device,
-                stop_early=True,
-            )
-        values = self.relation.view_page(pid).column(self.key_column)
-        return int(np.count_nonzero(values == key))
-
-    def _collect_matches(self, pid: int, key) -> SearchResult:
-        """Read ``pid`` and any neighbouring pages holding duplicates."""
-        result = SearchResult(found=False)
-        matches = self._probe_page(pid, key)
-        result.pages_read += 1
-        result.matches += matches
-        if matches == 0:
-            return result
-        result.found = True
-        if self.unique:
-            return result
-        # Duplicates are contiguous: extend left then right.
-        left = pid - 1
-        while left >= 0 and self._page_last_key(left) == key:
-            result.matches += self._probe_page(left, key)
-            result.pages_read += 1
-            left -= 1
-        right = pid + 1
-        while right < self.relation.npages and self._page_first_key(right) == key:
-            result.matches += self._probe_page(right, key, sequential=True)
-            result.pages_read += 1
-            right += 1
-        return result
+    def _count_matches(self, pids: list[int], key, stop_early: bool) -> int:
+        """Scan the fetched pages ``pids`` for ``key`` (charges CPU)."""
+        scan = self.relation.scan_keys(self.key_column, [key] * len(pids),
+                                       pids, stop_early)
+        if self._data_device is not None:
+            charge_scan(self._data_device, int(scan.examined.sum()))
+        return int(scan.matches.sum())
 
     # ------------------------------------------------------------------
     def binary_search(self, key) -> SearchResult:
         """Page-granular binary search: log2(npages) random reads."""
-        lo, hi = 0, self.relation.npages - 1
-        pages_inspected = 0
-        device = self._data_device
-        while lo <= hi:
-            mid = (lo + hi) // 2
-            if device is not None:
-                device.read_page(mid, sequential=False)
-            pages_inspected += 1
-            view = self.relation.view_page(mid)
-            values = view.column(self.key_column)
-            if key < values[0]:
-                hi = mid - 1
-            elif key > values[-1]:
-                lo = mid + 1
-            else:
-                result = self._collect_matches_in_place(mid, key)
-                result.pages_read += pages_inspected - 1
-                return result
-        return SearchResult(found=False, pages_read=pages_inspected)
+        return self._page_search(key, lambda lo, hi: (lo + hi) // 2)
 
     def interpolation_search(self, key) -> SearchResult:
         """Interpolated page probing: loglog(N) reads on uniform data [36]."""
-        device = self._data_device
-        lo, hi = 0, self.relation.npages - 1
-        lo_key = self._page_first_key(lo)
-        hi_key = self._page_last_key(hi)
-        if key < lo_key or key > hi_key:
+        last = self.relation.npages - 1
+        if key < self._page_first_key(0) or key > self._page_last_key(last):
             return SearchResult(found=False)
+
+        def interpolate(lo: int, hi: int) -> int:
+            lo_key = float(self._page_first_key(lo))
+            span = float(self._page_last_key(hi)) - lo_key
+            if span <= 0:
+                return lo
+            mid = lo + int((float(key) - lo_key) / span * (hi - lo))
+            return min(max(mid, lo), hi)
+
+        return self._page_search(key, interpolate)
+
+    def _page_search(self, key, pick_page) -> SearchResult:
+        """Read the page ``pick_page(lo, hi)`` names (one random read)
+        until its key range holds ``key`` or the window is empty."""
+        lo, hi = 0, self.relation.npages - 1
         pages_inspected = 0
         while lo <= hi:
-            span = float(hi_key) - float(lo_key)
-            if span <= 0:
-                mid = lo
-            else:
-                frac = (float(key) - float(lo_key)) / span
-                mid = lo + int(frac * (hi - lo))
-                mid = min(max(mid, lo), hi)
-            if device is not None:
-                device.read_page(mid, sequential=False)
+            mid = pick_page(lo, hi)
+            if self._data_device is not None:
+                self._data_device.read_page(mid, sequential=False)
             pages_inspected += 1
-            values = self.relation.view_page(mid).column(self.key_column)
-            if key < values[0]:
+            if key < self._page_first_key(mid):
                 hi = mid - 1
-                if hi < lo:
-                    break
-                hi_key = self._page_last_key(hi)
-            elif key > values[-1]:
+            elif key > self._page_last_key(mid):
                 lo = mid + 1
-                if lo > hi:
-                    break
-                lo_key = self._page_first_key(lo)
             else:
                 result = self._collect_matches_in_place(mid, key)
                 result.pages_read += pages_inspected - 1
@@ -171,32 +124,30 @@ class SortedFileSearch(IndexBackend):
 
     # ------------------------------------------------------------------
     def _collect_matches_in_place(self, pid: int, key) -> SearchResult:
-        """Count matches on the already-fetched ``pid`` plus spillover pages."""
-        device = self._data_device
-        result = SearchResult(found=False, pages_read=1)
-        if device is not None:
-            matches = self.relation.scan_page_for_key(
-                self.relation.view_page(pid), self.key_column, key, device,
-                stop_early=self.unique,
-            )
-        else:
-            values = self.relation.view_page(pid).column(self.key_column)
-            matches = int(np.count_nonzero(values == key))
-        result.matches = matches
-        result.found = matches > 0
-        if not result.found or self.unique:
-            return result
-        left = pid - 1
-        while left >= 0 and self._page_last_key(left) == key:
-            result.matches += self._probe_page(left, key)
-            result.pages_read += 1
+        """Count matches on the already-fetched ``pid`` plus spillover pages.
+
+        Duplicates are contiguous, so they spill onto the neighbours whose
+        boundary key is ``key``: each page to the left is read random,
+        those to the right sequentially.
+        """
+        matches = self._count_matches([pid], key, stop_early=self.unique)
+        if not matches or self.unique:
+            return SearchResult(found=matches > 0, matches=matches,
+                                pages_read=1)
+        left = right = pid
+        while left > 0 and self._page_last_key(left - 1) == key:
             left -= 1
-        right = pid + 1
-        while right < self.relation.npages and self._page_first_key(right) == key:
-            result.matches += self._probe_page(right, key, sequential=True)
-            result.pages_read += 1
+        while (right + 1 < self.relation.npages
+               and self._page_first_key(right + 1) == key):
             right += 1
-        return result
+        spill = [*range(left, pid), *range(pid + 1, right + 1)]
+        if self._data_device is not None and spill:
+            self._data_device.read_batch(
+                pid - left, right - pid,
+                last_page=right if right > pid else left)
+        matches += self._count_matches(spill, key, stop_early=True)
+        return SearchResult(found=True, matches=matches,
+                            pages_read=1 + len(spill))
 
     # ------------------------------------------------------------------
     @property

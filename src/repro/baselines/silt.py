@@ -136,21 +136,11 @@ class SiltStore(IndexBackend):
             j += 1
             if self.unique:
                 break
-        return self._fetch_tids(key, sorted(tids))
-
-    def _fetch_tids(self, key, tids: list[int]) -> SearchResult:
-        result = SearchResult(found=True, matches=len(tids), tids=tids)
-        device = self._data_device
-        pages = sorted({self.relation.page_of(t) for t in tids})
-        for i, pid in enumerate(pages):
-            if device is not None:
-                device.read_page(pid, sequential=i > 0)
-                self.relation.scan_page_for_key(
-                    self.relation.view_page(pid), self.key_column, key, device,
-                    stop_early=self.unique,
-                )
-            result.pages_read += 1
-        return result
+        tids.sort()
+        pages = self.relation.fetch_tids(self.key_column, key, tids,
+                                         self._data_device, self.unique)
+        return SearchResult(found=bool(tids), matches=len(tids),
+                            pages_read=pages, tids=tids)
 
     # insert / delete / range_scan: inherited capability-gated defaults
     # raise UnsupportedOperationError (a NotImplementedError subclass) —

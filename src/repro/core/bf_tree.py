@@ -47,6 +47,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields, replace
+from itertools import accumulate
 from typing import Sequence
 
 import numpy as np
@@ -68,7 +69,12 @@ from repro.core.bf_leaf import (
 )
 from repro.core.node import InnerTree, NodeStore, fanout_for, route_batch
 from repro.storage.buffer_pool import BufferPool
-from repro.storage.clock import CPU_BLOOM_INSERT, CPU_BLOOM_PROBE, CPU_KEY_COMPARE
+from repro.storage.clock import (
+    CPU_BLOOM_INSERT,
+    CPU_BLOOM_PROBE,
+    CPU_KEY_COMPARE,
+    CPU_TUPLE_SCAN,
+)
 from repro.storage.config import StorageStack
 from repro.storage.device import PAGE_SIZE, Device, classify_read_runs
 from repro.storage.relation import Relation
@@ -812,16 +818,18 @@ class BFTree(IndexBackend):
         candidate leaf, every (key, leaf) row is hashed in one call
         (:meth:`BFLeaf.hash_segments`), and each leaf tests its key group
         against its whole filter page at once
-        (:meth:`BFLeaf.matching_page_runs_many`).  Descents, leaf reads
-        and data-page fetches are charged per key.
+        (:meth:`BFLeaf.matching_page_runs_many`).  Descents and leaf
+        reads are charged per key; the data pages of every key are
+        scanned in one kernel pass and charged in aggregate
+        (:meth:`_fetch_runs`).
 
         ``latency_sink``, if given, receives one simulated per-key
-        latency per probe (aligned with ``keys``): every clock charge
-        happens inside the per-key routing loop (phase 1) or the per-key
-        fetch loop (phase 3) — the vectorized filter pass charges nothing
-        — so bracketing those two loop bodies recovers exactly the
-        latency of that key probed alone.  The service layer's
-        tail-latency percentiles are computed from this.
+        latency per probe (aligned with ``keys``): the clock time of
+        that key's pass through the per-key routing loop (phase 1) plus
+        the sum of its data-fetch charges (phase 3) — the vectorized
+        filter pass charges nothing — which is the latency of that key
+        probed alone.  The service layer's tail-latency percentiles are
+        computed from this.
         """
         keys = [as_scalar(k) for k in keys]
         results: list[SearchResult | None] = [None] * len(keys)
@@ -872,16 +880,18 @@ class BFTree(IndexBackend):
             leaf_id = leaf.node_id
             for (i, _), runs in zip(by_leaf[leaf_id], run_lists):
                 runs_for[(i, leaf_id)] = runs
-        # Phase 3: fetch matching pages per key (identical I/O charging,
-        # including early termination for unique keys and ordered data).
-        for i, key, candidates in pending:
-            runs: list[tuple[int, int]] = []
-            for candidate in candidates:
-                runs.extend(runs_for[(i, candidate.node_id)])
-            start = clock.now() if track else 0.0
-            results[i] = self._fetch_runs(key, sorted(runs))
-            if track:
-                latencies[i] += clock.now() - start
+        # Phase 3: scan every key's candidate pages in one kernel pass
+        # (early termination for unique keys and ordered data included).
+        fetched, fetch_latencies = self._fetch_runs(
+            [key for _, key, _ in pending],
+            [sorted(run for c in candidates
+                    for run in runs_for[(i, c.node_id)])
+             for i, _, candidates in pending],
+        )
+        for (i, _, _), result, latency in zip(pending, fetched,
+                                              fetch_latencies):
+            results[i] = result
+            latencies[i] += latency
         if latency_sink is not None:
             latency_sink.extend(latencies)
         return results
@@ -933,75 +943,89 @@ class BFTree(IndexBackend):
             self.store.read(leaf_id, sequential=True)
         return leaf
 
-    def _fetch_runs(self, key, runs: list[tuple[int, int]]) -> SearchResult:
-        """Fetch candidate page runs in sorted order and scan them for ``key``.
+    def _fetch_runs(self, keys, run_lists: list[list[tuple[int, int]]]
+                    ) -> tuple[list[SearchResult], list[float]]:
+        """Fetch each key's sorted candidate page runs and scan them.
 
-        Each run is charged like :meth:`Device.read_run` — one random
-        positioning for its first page, sequential for the rest — so
-        disjoint runs pay one seek each (Eq. 13), matching the accounting
-        of ``range_scan`` and ``_rescan_leaf``.  The reads stay page by
-        page (rather than a literal ``read_run`` call) so a unique-key
-        match or an ordered-data overshoot can still terminate mid-run.
+        One :meth:`Relation.scan_keys` call scans every candidate page of
+        every key.  A per-key pass over page-level integers then applies
+        the stop rules: a unique index stops at the first page with a
+        match, and on ordered data a page that starts past the key ends
+        the fetch (no later page can match).  Pages after a stop are not
+        read.  Each run reached is charged like :meth:`Device.read_run` —
+        one random positioning, sequential for the rest — so disjoint
+        runs pay one seek each (Eq. 13), as in ``range_scan`` and
+        ``_rescan_leaf``.  A run in which no page matched counts its
+        pages as false reads.
+
+        The batch is charged in aggregate (one :meth:`Device.read_batch`,
+        one CPU charge for the tuples examined).  Returns one result and
+        one simulated latency per key: the sum of that key's own charges.
         """
+        pids = [pid for runs in run_lists for first, npages in runs
+                for pid in range(first, first + npages)]
+        key_pages = [sum(npages for _, npages in runs) for runs in run_lists]
+        scan = self.relation.scan_keys(self.key_column,
+                                       np.repeat(np.asarray(keys), key_pages),
+                                       pids, stop_early=self.ordered)
+        stops = ((self.unique & (scan.matches > 0))
+                 | (self.ordered & scan.beyond)).tolist()
+        # Prefix sums over pairs: hits and tuples examined in [a, b) are
+        # hit_start[b] - hit_start[a] and examined_at[b] - examined_at[a].
+        hit_start = list(accumulate(scan.matches.tolist(), initial=0))
+        examined_at = list(accumulate(scan.examined.tolist(), initial=0))
+        hit_tids = scan.hit_tid.tolist()
         device = self._data_device
         stats = self._stats()
-        result = SearchResult(found=False)
-        done = False
-        for first_pid, npages in runs:
-            run_matches = 0
-            run_pages: list[int] = []
-            for offset in range(npages):
-                pid = first_pid + offset
-                if device is not None:
-                    device.read_page(pid, sequential=offset > 0)
-                run_pages.append(pid)
-                page_matches, tids, beyond = self._scan_page(pid, key)
-                run_matches += page_matches
-                result.matches += page_matches
-                result.tids.extend(tids)
-                result.pages_read += 1
-                if page_matches and self.unique:
-                    result.found = True
+        random_s = device.profile.random_read if device is not None else 0.0
+        seq_s = device.profile.seq_read if device is not None else 0.0
+        cpu_s = CPU_TUPLE_SCAN if self._clock() is not None else 0.0
+        results: list[SearchResult] = []
+        latencies: list[float] = []
+        total_random = total_pages = total_examined = total_false = 0
+        last_page = None
+        end = 0
+        for runs, npages_key in zip(run_lists, key_pages):
+            first = end
+            end += npages_key
+            try:  # pages are read up to and including the first stop
+                read_end = stops.index(True, first, end) + 1
+            except ValueError:
+                read_end = end
+            n_random = false_pages = 0
+            run_first = first
+            for _, npages in runs:
+                if run_first >= read_end:
                     break
-                if beyond and self.ordered:
-                    # Ordered data: this page already starts past the key,
-                    # so no later page can match either.
-                    done = True
-                    break
-            if run_matches == 0:
-                result.false_pages += len(run_pages)
-                if stats is not None:
-                    stats.false_reads += len(run_pages)
-            if done or (result.found and self.unique):
-                break
-        result.found = result.matches > 0
-        return result
-
-    def _scan_page(self, pid: int, key) -> tuple[int, list[int], bool]:
-        """Scan one (already fetched) data page for ``key``.
-
-        Returns (matches, tids, beyond) where ``beyond`` flags a page whose
-        first tuple already exceeds the key — on ordered data everything
-        after it is guaranteed not to match.
-        """
-        view = self.relation.view_page(pid)
-        values = view.column(self.key_column)
-        matches = 0
-        tids: list[int] = []
-        examined = 0
-        for i, value in enumerate(values):
-            examined += 1
-            if value == key:
-                matches += 1
-                tids.append(view.first_tid + i)
-            elif value > key and self.ordered:
-                break  # ordered data: no later match on this page
-        stats = self._stats()
+                n_random += 1
+                run_end = min(run_first + npages, read_end)
+                if hit_start[run_end] == hit_start[run_first]:
+                    false_pages += run_end - run_first
+                run_first += npages
+            n_pages = read_end - first
+            n_examined = examined_at[read_end] - examined_at[first]
+            tids = hit_tids[hit_start[first]:hit_start[read_end]]
+            results.append(SearchResult(
+                found=bool(tids), matches=len(tids), pages_read=n_pages,
+                false_pages=false_pages, tids=tids,
+            ))
+            latencies.append(n_random * random_s
+                             + (n_pages - n_random) * seq_s
+                             + n_examined * cpu_s)
+            if n_pages:
+                last_page = pids[read_end - 1]
+            total_random += n_random
+            total_pages += n_pages
+            total_examined += n_examined
+            total_false += false_pages
+        if device is not None:
+            device.read_batch(total_random, total_pages - total_random,
+                              last_page=last_page)
         if stats is not None:
-            stats.tuples_scanned += examined
-        self._charge_cpu(examined * 25e-9)
-        beyond = self.ordered and len(values) > 0 and values[0] > key
-        return matches, tids, beyond
+            stats.tuples_scanned += total_examined
+            stats.false_reads += total_false
+        self._charge_cpu(total_examined * CPU_TUPLE_SCAN)
+        return results, latencies
 
     # ==================================================================
     # updates (Algorithms 2 and 3)
@@ -1504,11 +1528,12 @@ class BFTree(IndexBackend):
         device = self._data_device
         if device is not None and leaf.pages_covered > 0:
             device.read_run(leaf.min_pid, leaf.pages_covered)
+        column = self.relation.columns[self.key_column]
         for pid in range(leaf.min_pid, leaf.min_pid + leaf.pages_covered):
             if pid >= self.relation.npages:
                 break
-            view = self.relation.view_page(pid)
-            for key in np.unique(view.column(self.key_column)):
+            first, last = self.relation.page_bounds(pid)
+            for key in np.unique(column[first:last]):
                 pairs.append((as_scalar(key), pid))
         return pairs
 
@@ -1760,8 +1785,10 @@ class BFTree(IndexBackend):
                 for pid in range(first, first + int(count_arr[row])):
                     if pid < rel.npages:
                         by_pid.setdefault(pid, []).append(row)
+            col = rel.columns[self.key_column]
             for pid, rows in by_pid.items():
-                v = rel.view_page(pid).column(self.key_column)
+                first, last = rel.page_bounds(pid)
+                v = col[first:last]
                 lo_arr = np.asarray([wins[jobs_scan[r]][0] for r in rows])
                 hi_arr = np.asarray([wins[jobs_scan[r]][1] for r in rows])
                 counts = (
@@ -1793,9 +1820,10 @@ class BFTree(IndexBackend):
             if device is not None:
                 device.read_page(pid, sequential=i > 0)
             result.pages_read += 1
-            view = self.relation.view_page(pid)
-            mask = (view.column(self.key_column) == key_self) & (
-                view.column(other.key_column) == key_other
+            first, last = self.relation.page_bounds(pid)
+            columns = self.relation.columns
+            mask = (columns[self.key_column][first:last] == key_self) & (
+                columns[other.key_column][first:last] == key_other
             )
             hits = int(np.count_nonzero(mask))
             if hits == 0:

@@ -30,7 +30,7 @@ from repro.storage.device import (
     Medium,
 )
 from repro.storage.iostats import IOStats, ProbeResult
-from repro.storage.relation import PageView, Relation
+from repro.storage.relation import Relation
 
 __all__ = [
     "BufferPool",
@@ -55,6 +55,5 @@ __all__ = [
     "Medium",
     "IOStats",
     "ProbeResult",
-    "PageView",
     "Relation",
 ]

@@ -7,15 +7,19 @@ layout is never materialized, but all geometry (tuples per page, page
 count) follows the declared ``tuple_size`` so that index size formulas and
 I/O counts match the paper.
 
-Reading a page charges the relation's data :class:`Device`; the returned
-:class:`PageView` exposes the column slices for that page so that callers
-can scan tuples (charging CPU cost per tuple examined).
+Pages are not materialized either: a page is the tid range
+:meth:`Relation.page_bounds` returns, and readers slice the columns over
+it.  :meth:`Relation.scan_keys` is the one page-scan kernel: it scans many
+(key, page) pairs in one NumPy pass and charges nothing.  The indexes
+charge the data :class:`Device` for the pages they read and the CPU for
+the tuples they examined (:func:`charge_scan`).  The exact indexes' rid
+fetches, :meth:`Relation.fetch_tids` and :meth:`Relation.fetch_clustered`,
+are built on the kernel.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator, Mapping
+from typing import Any, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -23,19 +27,20 @@ from repro.storage.clock import CPU_TUPLE_SCAN
 from repro.storage.device import PAGE_SIZE, Device
 
 
-@dataclass(frozen=True)
-class PageView:
-    """Tuples of one data page, as column slices."""
+class PageScan(NamedTuple):
+    """Per-pair outcome of :meth:`Relation.scan_keys` (all NumPy arrays)."""
 
-    page_id: int
-    first_tid: int
-    columns: Mapping[str, np.ndarray]
+    matches: np.ndarray      # matching tuples on the scanned prefix
+    examined: np.ndarray     # tuples examined
+    beyond: np.ndarray       # the page's first tuple exceeds the key
+    hit_pair: np.ndarray     # pair of each matching tuple, ascending
+    hit_tid: np.ndarray      # tid of each matching tuple
 
-    def __len__(self) -> int:
-        return len(next(iter(self.columns.values())))
 
-    def column(self, name: str) -> np.ndarray:
-        return self.columns[name]
+def charge_scan(device: Device, examined: int) -> None:
+    """Charge the CPU cost of examining ``examined`` tuples on ``device``."""
+    device.stats.tuples_scanned += examined
+    device.clock.advance(examined * CPU_TUPLE_SCAN)
 
 
 class Relation:
@@ -99,59 +104,128 @@ class Relation:
     # ------------------------------------------------------------------
     # access paths
     # ------------------------------------------------------------------
-    def fetch_page(
-        self, page_id: int, device: Device, sequential: bool | None = None
-    ) -> PageView:
-        """Read one page through ``device`` (charging I/O) and return it."""
-        device.read_page(page_id, sequential=sequential)
-        return self.view_page(page_id)
+    def scan_keys(self, column: str, keys: Sequence[Any] | np.ndarray,
+                  pids: Sequence[int] | np.ndarray, stop_early: bool
+                  ) -> PageScan:
+        """Scan data page ``pids[i]`` for ``keys[i]``, for every pair at once.
 
-    def view_page(self, page_id: int) -> PageView:
-        """Return the page contents *without* charging any I/O.
+        The page-scan kernel every index's data fetch runs through.  Per
+        pair it returns what a tuple-by-tuple scan of the page would
+        find: the matches, the tuples ``examined`` and ``beyond`` (the
+        page's first tuple already exceeds the key, so on ordered data no
+        later page can match).  With ``stop_early`` the scan stops after
+        the first tuple greater than the key, the paper's probe on
+        ordered data ("as long as the key of the current tuple is smaller
+        than the search key"); without it every tuple is examined.
+        Matching tids come back flat, as ``(hit_pair, hit_tid)`` in pair
+        then tid order.
 
-        Used by index builders that already accounted for the scan, and by
-        tests.
+        Pages are gathered by tid arithmetic (``pid * tuples_per_page``),
+        the last partial page padded and masked.  A pid outside
+        ``[0, npages)`` raises :class:`IndexError`.  Nothing is charged:
+        callers charge the pages they read and the tuples they examined.
         """
-        first, last = self.page_bounds(page_id)
-        return PageView(
-            page_id=page_id,
-            first_tid=first,
-            columns={k: v[first:last] for k, v in self.columns.items()},
+        col = self.columns[column]
+        page = np.asarray(pids, dtype=np.int64).reshape(-1)
+        n = len(page)
+        key: np.ndarray
+        values: np.ndarray
+        examined: np.ndarray
+        if col.dtype == object or not n:
+            key = np.fromiter(keys, dtype=col.dtype, count=n)
+        else:
+            key = np.asarray(keys).reshape(-1)
+        if len(key) != n:
+            raise ValueError(f"{len(key)} keys for {n} pages")
+        top = page.max() if n else -1
+        if n and (page.min() < 0 or top >= self.npages):
+            raise IndexError(f"page ids outside [0, {self.npages})")
+        tpp = self.tuples_per_page
+        offsets = np.arange(tpp)
+        tids = page[:, None] * tpp + offsets
+        # Only the last page can be partial: pad it with its last tuple
+        # and cap every scan at its page's real length.
+        partial = top == self.npages - 1 and self.ntuples % tpp != 0
+        if partial:
+            values = col[np.minimum(tids, self.ntuples - 1)]
+            examined = np.minimum(self.ntuples - page * tpp, tpp)
+        else:
+            values = col[tids]
+            examined = np.full(n, tpp)
+        probe = key[:, None]
+        eq = values == probe
+        if stop_early:
+            gt = values > probe
+            first_gt = np.where(gt.any(axis=1), gt.argmax(axis=1) + 1, tpp)
+            examined = np.minimum(first_gt, examined)
+        if stop_early or partial:
+            eq &= offsets < examined[:, None]
+        hits = np.flatnonzero(eq)
+        hit_pair = hits // tpp
+        return PageScan(
+            matches=np.bincount(hit_pair, minlength=n),
+            examined=examined,
+            beyond=values[:, 0] > key,
+            hit_pair=hit_pair,
+            hit_tid=tids.ravel()[hits],
         )
 
-    def scan_pages(self, device: Device) -> Iterator[PageView]:
-        """Full sequential scan, charging one sequential read per page."""
-        for page_id in range(self.npages):
-            yield self.fetch_page(page_id, device, sequential=page_id > 0)
+    def fetch_tids(self, column: str, key: Any, tids: Sequence[int],
+                   device: Device | None, stop_early: bool) -> int:
+        """Read the data pages holding ``tids``; return how many there are.
 
-    def scan_page_for_key(
-        self,
-        page: PageView,
-        column: str,
-        key: int,
-        device: Device,
-        stop_early: bool = True,
-    ) -> int:
-        """Scan a fetched page for ``key`` in ``column``; return match count.
-
-        Charges CPU per tuple examined and updates ``tuples_scanned``.  With
-        ``stop_early`` (primary-key semantics) scanning stops at the first
-        tuple whose key exceeds the probe key, mirroring the paper's probe
-        behaviour for ordered data ("as long as the key of the current tuple
-        is smaller than the search key").
+        The rid fetch of the exact indexes: the distinct pages are read
+        in sorted order, the first charged random and every later one
+        sequential, and each is scanned for ``key`` (CPU per tuple
+        examined, counted in ``tuples_scanned``).  With no ``device``
+        nothing is charged.
         """
-        values = page.column(column)
-        matches = 0
-        examined = 0
-        for value in values:
-            examined += 1
-            if value == key:
-                matches += 1
-            elif stop_early and value > key:
-                break
-        device.stats.tuples_scanned += examined
-        device.clock.advance(examined * CPU_TUPLE_SCAN)
-        return matches
+        tid = np.asarray(tids, dtype=np.int64)
+        if len(tid) and (tid.min() < 0 or tid.max() >= self.ntuples):
+            raise IndexError(f"tuple ids outside [0, {self.ntuples})")
+        pages = np.unique(tid // self.tuples_per_page)
+        if device is not None and len(pages):
+            scan = self.scan_keys(column, [key] * len(pages), pages,
+                                  stop_early)
+            device.read_batch(1, len(pages) - 1, last_page=int(pages[-1]))
+            charge_scan(device, int(scan.examined.sum()))
+        return len(pages)
+
+    def fetch_clustered(self, column: str, key: Any, seed_tids: Iterable[int],
+                        device: Device | None) -> tuple[list[int], int]:
+        """Clustered probe for ``key``: ``(matching tids, pages read)``.
+
+        From each seed tid's page the fetch reads forward while the
+        key's duplicates continue onto the next page (the page's last
+        tuple and the next page's first both carry ``key``); a seed
+        whose page was already read starts nothing.  Each seed's run is
+        charged one random read and sequential reads for the rest.
+        Every page read counts all of its tuples in ``tuples_scanned``
+        and, unlike :meth:`fetch_tids`, charges no CPU.
+        """
+        col = self.columns[column]
+        pages: list[int] = []
+        n_runs = scanned = 0
+        for seed in sorted(seed_tids):
+            pid = self.page_of(seed)
+            if pages and pid <= pages[-1]:
+                continue
+            n_runs += 1
+            while True:
+                pages.append(pid)
+                first, last = self.page_bounds(pid)
+                scanned += last - first
+                if not (last < self.ntuples and col[last - 1] == key
+                        and col[last] == key):
+                    break
+                pid += 1
+        scan = self.scan_keys(column, [key] * len(pages), pages,
+                              stop_early=True)
+        if device is not None and pages:
+            device.read_batch(n_runs, len(pages) - n_runs,
+                              last_page=pages[-1])
+            device.stats.tuples_scanned += scanned
+        return scan.hit_tid.tolist(), len(pages)
 
     def __repr__(self) -> str:  # pragma: no cover
         return (

@@ -54,6 +54,37 @@ class TestChargeDiscipline:
         src = "def f(dev, pid):\n    dev.read_page(pid)\n"
         assert lint_source(src, "tests/test_device.py") == []
 
+    def test_float_literal_in_cpu_charge_flagged(self):
+        # The bug class: a page scan charged 25e-9 per tuple inline while
+        # the rest of the stack charged CPU_TUPLE_SCAN.
+        vs = lint_source(
+            "class T:\n"
+            "    def scan(self, examined):\n"
+            "        self._charge_cpu(examined * 25e-9)\n"
+        )
+        assert ids_of(vs) == ["C3"]
+        assert vs[0].line == 3
+        assert "repro.storage.clock" in vs[0].message
+
+    def test_float_literal_in_clock_advance_flagged(self):
+        vs = lint_source("def f(clock, n):\n"
+                         "    clock.advance(seconds=n * 0.4e-6)\n",
+                         "src/repro/storage/device.py")
+        assert ids_of(vs) == ["C3"]
+
+    def test_cost_constant_charge_is_clean(self):
+        assert lint_source(
+            "from repro.storage.clock import CPU_TUPLE_SCAN\n"
+            "def f(self, clock, n):\n"
+            "    self._charge_cpu(n * CPU_TUPLE_SCAN)\n"
+            "    clock.advance(2 * CPU_TUPLE_SCAN)\n"
+        ) == []
+
+    def test_float_literal_outside_src_is_exempt(self):
+        src = "def f(clock):\n    clock.advance(1.5)\n"
+        assert lint_source(src, "tests/test_clock.py") == []
+        assert lint_source(src, "benchmarks/bench_x.py") == []
+
 
 # ======================================================================
 # protocol-discipline (P1/P2/P3)

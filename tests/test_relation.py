@@ -61,51 +61,65 @@ class TestGeometry:
 
 
 class TestAccess:
-    def test_view_page_contents(self):
+    def test_scan_keys_page_contents(self):
         rel = _relation(n=40)
-        view = rel.view_page(1)
-        assert list(view.column("k")) == list(range(16, 32))
-        assert view.first_tid == 16
-        assert len(view) == 16
+        keys = list(range(16, 32))
+        scan = rel.scan_keys("k", keys, [1] * 16, stop_early=False)
+        assert scan.hit_tid.tolist() == list(range(16, 32))
+        assert scan.hit_pair.tolist() == list(range(16))
+        assert rel.page_bounds(1)[0] == 16
+        assert scan.examined.tolist() == [16] * 16
 
-    def test_fetch_page_charges_device(self):
-        rel = _relation()
-        device = _device()
-        rel.fetch_page(3, device)
-        assert device.stats.data_random_reads == 1
-
-    def test_scan_pages_sequential(self):
-        rel = _relation(n=64)  # 4 pages
-        device = _device()
-        pages = list(rel.scan_pages(device))
-        assert len(pages) == 4
-        assert device.stats.data_random_reads == 1
-        assert device.stats.data_seq_reads == 3
-
-    def test_scan_page_for_key_counts(self):
+    def test_scan_keys_counts(self):
         rel = Relation(
             {"k": np.asarray([1, 2, 2, 2, 3], dtype=np.int64)}, tuple_size=512
         )
-        device = _device()
-        view = rel.view_page(0)
-        assert rel.scan_page_for_key(view, "k", 2, device) == 3
+        scan = rel.scan_keys("k", [2], [0], stop_early=True)
+        assert scan.matches.tolist() == [3]
 
     def test_scan_stop_early(self):
         rel = _relation(n=16)
         device = _device()
-        rel.scan_page_for_key(rel.view_page(0), "k", 2, device, stop_early=True)
+        rel.fetch_tids("k", 2, [2], device, stop_early=True)
         # keys 0,1,2 then stop at 3 -> 4 tuples examined
         assert device.stats.tuples_scanned == 4
 
     def test_scan_full_when_not_stopping(self):
         rel = _relation(n=16)
         device = _device()
-        rel.scan_page_for_key(rel.view_page(0), "k", 2, device, stop_early=False)
+        rel.fetch_tids("k", 2, [2], device, stop_early=False)
         assert device.stats.tuples_scanned == 16
 
     def test_multi_column_views(self):
         rel = Relation(
             {"a": np.arange(10), "b": np.arange(10) * 2}, tuple_size=512
         )
-        view = rel.view_page(0)
-        assert list(view.column("b")) == [0, 2, 4, 6, 8, 10, 12, 14]
+        keys = [0, 2, 4, 6, 8, 10, 12, 14]
+        scan = rel.scan_keys("b", keys, [0] * 8, stop_early=False)
+        assert scan.hit_tid.tolist() == list(range(8))
+
+    def test_fetch_tids_charges_one_random_then_sequential(self):
+        rel = _relation(n=64)  # 4 pages
+        device = _device()
+        assert rel.fetch_tids("k", 5, [5, 40, 60, 41], device, True) == 3
+        assert device.stats.data_random_reads == 1
+        assert device.stats.data_seq_reads == 2
+
+    def test_fetch_tids_out_of_range(self):
+        with pytest.raises(IndexError):
+            _relation(10).fetch_tids("k", 1, [10], _device(), True)
+
+    def test_fetch_clustered_follows_duplicates(self):
+        # 4 tuples per page: key 5 runs from the end of page 0 into the
+        # start of page 3, whose last tuple ends the walk.
+        values = [0, 1, 2, 5, 5, 5, 5, 5, 5, 5, 5, 5, 5, 7, 8, 9, 9]
+        rel = Relation({"k": np.asarray(values)}, tuple_size=1024)
+        device = _device()
+        tids, pages = rel.fetch_clustered("k", 5, [3, 4, 12], device)
+        assert tids == list(range(3, 13))
+        assert pages == 4
+        assert device.stats.data_random_reads == 1
+        assert device.stats.data_seq_reads == 3
+        assert device.stats.tuples_scanned == 16
+        assert device.clock.now() == pytest.approx(
+            SSD_PROFILE.random_read + 3 * SSD_PROFILE.seq_read)

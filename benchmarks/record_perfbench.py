@@ -2,16 +2,20 @@
 """Append perfbench medians to ``BENCH_perfbench.json``, one entry per commit.
 
 Runs the repo benchmark (``perfbench/run.py``, declared in
-``BENCHMARK.json``) on every workload ``--runs`` times untraced, then
-``read_heavy`` once traced (``--trace 1``), and appends an entry keyed by
-commit, core count and python/numpy versions: the median of each
-end-to-end metric per workload, whether every run answered correctly,
-the operations that failed, and the traced per-layer metrics.
+``BENCHMARK.json``) on every workload ``RUNS`` times untraced, at seed
+``SEED`` for ``BENCHMARK.json``'s ``run_seconds``, then ``read_heavy`` once
+traced (``--trace 1``).  It appends an entry keyed by commit, core count
+and python/numpy versions: per workload and end-to-end metric, the
+median, the quartiles and every run's value in run order; whether every
+run answered correctly; the operations that failed; and the traced
+per-layer metrics.
 
 Given several ``--root`` checkouts (e.g. a parent commit and a change),
-the runs alternate between them — run 1 of every root, then run 2, ... —
-so a drift in host speed hits each side alike; one entry is appended per
-root, in ``--root`` order.
+the runs form pairs — run *i* of every root back to back, the first root
+rotating from pair to pair — so a drift in host speed hits each side
+alike and ``values[i]`` of two entries compare as pair *i*.  ``RUNS`` is
+ten, the fewest pairs a gain may be claimed on.  One entry is appended
+per root, in ``--root`` order.
 
 Usage, from the repo root::
 
@@ -38,13 +42,14 @@ import numpy as np
 REPO = Path(__file__).resolve().parents[1]
 OUT = REPO / "BENCH_perfbench.json"
 TRACED_WORKLOAD = "read_heavy"
+RUNS = 10
+SEED = 1
 
 
-def _run(root: Path, workload: str, seed: int, seconds: float,
-         trace: int) -> dict:
+def _run(root: Path, workload: str, seconds: float, trace: int) -> dict:
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
-         "--seed", str(seed), "--seconds", str(seconds),
+         "--seed", str(SEED), "--seconds", str(seconds),
          "--trace", str(trace)],
         cwd=root, capture_output=True, text=True,
     )
@@ -55,58 +60,59 @@ def _run(root: Path, workload: str, seed: int, seconds: float,
     return json.loads(lines[-1])
 
 
+def _summary(results: list[dict]) -> dict:
+    values = {name: [round(r["metrics"][name]["value"], 4) for r in results]
+              for name in results[0]["metrics"]}
+    return {
+        "correct": all(r["correct"] for r in results),
+        "failed": sum(r["failed"] for r in results),
+        "median": {name: round(statistics.median(v), 4)
+                   for name, v in values.items()},
+        "quartiles": {name: [round(q, 4) for q in
+                             statistics.quantiles(v, n=4)[::2]]
+                      for name, v in values.items()},
+        "values": values,
+    }
+
+
 def _commit(root: Path) -> str:
     proc = subprocess.run(["git", "rev-parse", "HEAD"], cwd=root,
                           capture_output=True, text=True)
     return proc.stdout.strip() or "unknown"
 
 
-def record(roots: list[Path], commits: list[str | None], runs: int,
-           seed: int, seconds: float) -> list[dict]:
+def record(roots: list[Path], commits: list[str | None]) -> list[dict]:
     spec = json.loads((roots[0] / "BENCHMARK.json").read_text())
     workloads = [w["name"] for w in spec["workloads"]]
+    seconds = float(spec["run_seconds"])
     raw: list[dict[str, list[dict]]] = [
         {w: [] for w in workloads} for _ in roots
     ]
-    for _ in range(runs):
+    order = list(range(len(roots)))
+    for pair in range(RUNS):
+        first = pair % len(roots)
         for workload in workloads:
-            for i, root in enumerate(roots):
-                raw[i][workload].append(_run(root, workload, seed, seconds,
+            for i in order[first:] + order[:first]:
+                raw[i][workload].append(_run(roots[i], workload, seconds,
                                              trace=0))
-    traced = [_run(root, TRACED_WORKLOAD, seed, seconds, trace=1)
+    traced = [_run(root, TRACED_WORKLOAD, seconds, trace=1)
               for root in roots]
-    entries = []
-    for root, commit, per_workload, trace in zip(roots, commits, raw,
-                                                  traced):
-        entries.append({
-            "commit": commit or _commit(root),
-            "recorded": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-            "cores": os.cpu_count(),
-            "python": platform.python_version(),
-            "numpy": np.__version__,
-            "seed": seed,
-            "seconds": seconds,
-            "runs": runs,
-            "workloads": {
-                workload: {
-                    "correct": all(r["correct"] for r in results),
-                    "failed": sum(r["failed"] for r in results),
-                    "median": {
-                        name: round(statistics.median(
-                            r["metrics"][name]["value"] for r in results), 4)
-                        for name in results[0]["metrics"]
-                    },
-                }
-                for workload, results in per_workload.items()
-            },
-            "traced": {
-                "workload": TRACED_WORKLOAD,
-                "correct": trace["correct"],
-                "metrics": {name: round(m["value"], 4)
-                            for name, m in trace["metrics"].items()},
-            },
-        })
-    return entries
+    return [{
+        "commit": commit or _commit(root),
+        "recorded": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
+        "cores": os.cpu_count(),
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "workloads": {workload: _summary(results)
+                      for workload, results in per_workload.items()},
+        "traced": {
+            "workload": TRACED_WORKLOAD,
+            "correct": trace["correct"],
+            "metrics": {name: round(m["value"], 4)
+                        for name, m in trace["metrics"].items()},
+        },
+    } for root, commit, per_workload, trace in zip(roots, commits, raw,
+                                                    traced)]
 
 
 def main(argv=None) -> int:
@@ -117,22 +123,12 @@ def main(argv=None) -> int:
     parser.add_argument("--commit", action="append", default=[],
                         help="commit id to record for the matching --root "
                              "(default: git HEAD of that root)")
-    parser.add_argument("--runs", type=int, default=3,
-                        help="untraced runs per workload and root")
-    parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--seconds", type=float, default=None,
-                        help="closed-loop seconds per run (default: "
-                             "BENCHMARK.json run_seconds)")
     args = parser.parse_args(argv)
     roots = [r.resolve() for r in (args.root or [REPO])]
     if len(args.commit) > len(roots):
         parser.error("more --commit than --root")
     commits = args.commit + [None] * (len(roots) - len(args.commit))
-    seconds = args.seconds
-    if seconds is None:
-        spec = json.loads((roots[0] / "BENCHMARK.json").read_text())
-        seconds = float(spec["run_seconds"])
-    entries = record(roots, commits, args.runs, args.seed, seconds)
+    entries = record(roots, commits)
     data = json.loads(OUT.read_text()) if OUT.exists() else {"runs": []}
     data["runs"].extend(entries)
     OUT.write_text(json.dumps(data, indent=2) + "\n")

@@ -46,6 +46,12 @@ class SearchResult:
     false_pages: int = 0
     tids: list[int] = field(default_factory=list)
 
+    @classmethod
+    def fetched(cls, tids: list[int], pages_read: int) -> SearchResult:
+        """An exact index's rid fetch: found when ``tids`` is non-empty."""
+        return cls(found=bool(tids), matches=len(tids),
+                   pages_read=pages_read, tids=tids)
+
 
 @dataclass
 class RangeScanResult:

@@ -278,11 +278,12 @@ class BPlusTree(IndexBackend):
         # fetch continues through following pages while they still lead
         # with ``key`` — the paper's probe for consecutive duplicates.
         if self.config.clustered and not self.unique:
-            return self._fetch_clustered(key, tids)
-        pages = self.relation.fetch_tids(self.key_column, key, tids,
-                                         self._data_device, self.unique)
-        return SearchResult(found=bool(tids), matches=len(tids),
-                            pages_read=pages, tids=tids)
+            tids, pages = self.relation.fetch_clustered(
+                self.key_column, key, tids, self._data_device)
+        else:
+            pages = self.relation.fetch_tids(self.key_column, key, tids,
+                                             self._data_device, self.unique)
+        return SearchResult.fetched(tids, pages)
 
     # search_many / insert_many / delete_many come from BatchFallbackMixin:
     # the exact index has no per-filter fan-out to vectorize — a probe is
@@ -391,13 +392,6 @@ class BPlusTree(IndexBackend):
         )
         self.store.read(leaf_id)
         return self.leaves[leaf_id]
-
-    def _fetch_clustered(self, key, seed_tids: list[int]) -> SearchResult:
-        """Scan forward from each seed rid through consecutive duplicates."""
-        tids, pages = self.relation.fetch_clustered(
-            self.key_column, key, seed_tids, self._data_device)
-        return SearchResult(found=bool(tids), matches=len(tids),
-                            pages_read=pages, tids=tids)
 
     # ==================================================================
     # updates

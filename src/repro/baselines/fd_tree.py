@@ -248,11 +248,13 @@ class FDTree(IndexBackend):
         if not tids:
             return SearchResult(found=False)
         if self.config.clustered and not self.unique:
-            return self._fetch_clustered(key, tids)
-        pages = self.relation.fetch_tids(self.key_column, key, tids,
-                                         self._data_device, self.unique)
-        return SearchResult(found=bool(tids), matches=len(tids),
-                            pages_read=pages, tids=tids)
+            # Scan forward from the first occurrence through the duplicates.
+            tids, pages = self.relation.fetch_clustered(
+                self.key_column, key, [min(tids)], self._data_device)
+        else:
+            pages = self.relation.fetch_tids(self.key_column, key, tids,
+                                             self._data_device, self.unique)
+        return SearchResult.fetched(tids, pages)
 
     def _head_matches(self, key) -> list[tuple[object, int]]:
         # (key,) sorts before (key, t) for every t, so the scan starts
@@ -274,13 +276,6 @@ class FDTree(IndexBackend):
             matches.append(level[i][1])
             i += 1
         return matches, page_off
-
-    def _fetch_clustered(self, key, seed_tids: list[int]) -> SearchResult:
-        """Scan forward from the first occurrence through the duplicates."""
-        tids, pages = self.relation.fetch_clustered(
-            self.key_column, key, [min(seed_tids)], self._data_device)
-        return SearchResult(found=bool(tids), matches=len(tids),
-                            pages_read=pages, tids=tids)
 
     # ==================================================================
     # updates: logarithmic merges

@@ -93,8 +93,7 @@ class HashIndex(IndexBackend):
             return SearchResult(found=False)
         pages = self.relation.fetch_tids(self.key_column, key, tids,
                                          self._data_device, self.unique)
-        return SearchResult(found=bool(tids), matches=len(tids),
-                            pages_read=pages, tids=list(tids))
+        return SearchResult.fetched(list(tids), pages)
 
     def insert(self, key, tid: int) -> None:
         self._map[key].append(tid)

@@ -139,8 +139,7 @@ class SiltStore(IndexBackend):
         tids.sort()
         pages = self.relation.fetch_tids(self.key_column, key, tids,
                                          self._data_device, self.unique)
-        return SearchResult(found=bool(tids), matches=len(tids),
-                            pages_read=pages, tids=tids)
+        return SearchResult.fetched(tids, pages)
 
     # insert / delete / range_scan: inherited capability-gated defaults
     # raise UnsupportedOperationError (a NotImplementedError subclass) —

@@ -960,7 +960,8 @@ class BFTree(IndexBackend):
 
         The batch is charged in aggregate (one :meth:`Device.read_batch`,
         one CPU charge for the tuples examined).  Returns one result and
-        one simulated latency per key: the sum of that key's own charges.
+        one simulated latency per key: the sum of that key's own charges,
+        its page reads priced by :meth:`Device.read_cost`.
         """
         pids = [pid for runs in run_lists for first, npages in runs
                 for pid in range(first, first + npages)]
@@ -977,8 +978,6 @@ class BFTree(IndexBackend):
         hit_tids = scan.hit_tid.tolist()
         device = self._data_device
         stats = self._stats()
-        random_s = device.profile.random_read if device is not None else 0.0
-        seq_s = device.profile.seq_read if device is not None else 0.0
         cpu_s = CPU_TUPLE_SCAN if self._clock() is not None else 0.0
         results: list[SearchResult] = []
         latencies: list[float] = []
@@ -1009,9 +1008,9 @@ class BFTree(IndexBackend):
                 found=bool(tids), matches=len(tids), pages_read=n_pages,
                 false_pages=false_pages, tids=tids,
             ))
-            latencies.append(n_random * random_s
-                             + (n_pages - n_random) * seq_s
-                             + n_examined * cpu_s)
+            io_s = (device.read_cost(n_random, n_pages - n_random)
+                    if device is not None else 0.0)
+            latencies.append(io_s + n_examined * cpu_s)
             if n_pages:
                 last_page = pids[read_end - 1]
             total_random += n_random

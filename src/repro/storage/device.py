@@ -191,8 +191,7 @@ class Device:
             raise ValueError("read counts must be >= 0")
         if n_random == 0 and n_sequential == 0:
             return
-        self.clock.advance(n_random * self.profile.random_read
-                           + n_sequential * self.profile.seq_read)
+        self.clock.advance(self.read_cost(n_random, n_sequential))
         if self.role == "index":
             self.stats.index_random_reads += n_random
             self.stats.index_seq_reads += n_sequential
@@ -201,6 +200,11 @@ class Device:
             self.stats.data_seq_reads += n_sequential
         if last_page is not None:
             self._last_page = last_page
+
+    def read_cost(self, n_random: int, n_sequential: int) -> float:
+        """Seconds :meth:`read_batch` charges for these page reads."""
+        return (n_random * self.profile.random_read
+                + n_sequential * self.profile.seq_read)
 
     def write_page(self, page_id: int, sequential: bool | None = None) -> None:
         """Charge the cost of writing one page."""

@@ -110,6 +110,16 @@ class TestDevice:
         device.read_run(5, 0)
         assert clock.now() == 0.0
 
+    def test_read_batch_charges_read_cost(self):
+        device, clock, stats = self._device()
+        device.read_batch(2, 3, last_page=7)
+        assert clock.now() == device.read_cost(2, 3)
+        assert clock.now() == pytest.approx(
+            2 * SSD_PROFILE.random_read + 3 * SSD_PROFILE.seq_read)
+        assert (stats.data_random_reads, stats.data_seq_reads) == (2, 3)
+        device.read_page(8)
+        assert stats.data_seq_reads == 4
+
     def test_index_role_counters(self):
         device, _, stats = self._device(role="index")
         device.read_page(0)

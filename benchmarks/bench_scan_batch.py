@@ -9,8 +9,8 @@ through two identically built 4-shard services, once op by op through
 the service's per-op ``search``/``insert``/``range_scan`` calls (the
 per-op loop the test suite also holds the Router to,
 ``tests/per_op_replay.py``; each read is a batch of one) and once
-through the Router, whose scans ride the shared read-phase buffer into
-``range_scan_many``, and checks the contract:
+through the Router, whose per-shard ``apply_many`` calls drive each run
+of scans through ``range_scan_many``, and checks the contract:
 
 * the two replays produce **bit-identical** per-op results and equal
   merged ``IOStats`` (per-op simulated latencies and clocks equal up to

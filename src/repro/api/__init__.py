@@ -15,11 +15,16 @@ Extension point::
 """
 
 from repro.api.protocol import (
+    OP_INSERT,
+    OP_READ,
+    OP_SCAN,
     BatchFallbackMixin,
     Capabilities,
     Index,
     IndexBackend,
+    Op,
     UnsupportedOperationError,
+    apply_in_runs,
 )
 from repro.api.registry import (
     BackendSpec,
@@ -37,6 +42,11 @@ from repro.api.results import (
 )
 
 __all__ = [
+    "OP_INSERT",
+    "OP_READ",
+    "OP_SCAN",
+    "Op",
+    "apply_in_runs",
     "BatchFallbackMixin",
     "Capabilities",
     "Index",

@@ -23,7 +23,12 @@ identical traffic.  This module defines that contract:
   up to float summation order) because they *are* that loop, with the
   same ``latency_sink`` accounting the vectorized engines report.
   Backends with real vectorized engines (BF-Tree, B+-Tree) override
-  them; every other backend batches for free.
+  them; every other backend batches for free.  Its ``apply_many`` —
+  one ordered call for a mix of point reads, scans and inserts — is
+  :func:`apply_in_runs`: each maximal insert run through
+  ``insert_many``, each run of reads and scans through ``search_many``
+  and ``range_scan_many``.  The BF-Tree plans a whole mixed chunk at
+  once instead.
 * :class:`IndexBackend` — the concrete base class backends inherit:
   the batch fallbacks plus capability-gated defaults for the mutating
   and scanning operations.
@@ -49,6 +54,16 @@ from repro.api.results import (
     as_scalar,
     normalize_scan_windows,
 )
+
+
+#: Op codes of :meth:`Index.apply_many` (and of mixed workload traces).
+OP_READ = 0
+OP_INSERT = 1
+OP_SCAN = 2
+
+#: One :meth:`Index.apply_many` op: ``(OP_READ, key, None)``,
+#: ``(OP_INSERT, key, write target)`` or ``(OP_SCAN, lo, hi)``.
+Op = tuple[int, Any, Any]
 
 
 @dataclass(frozen=True)
@@ -138,6 +153,9 @@ class Index(Protocol):
     def range_scan_many(self, windows: Sequence[tuple[Any, Any]],
                         latency_sink: list[float] | None = None
                         ) -> list[RangeScanResult]: ...
+    def apply_many(self, ops: Sequence[Op],
+                   latency_sink: list[float] | None = None
+                   ) -> list[Any]: ...
     def snapshot_state(self) -> dict[str, Any]: ...
     def restore_state(self, state: dict[str, Any]) -> None: ...
 
@@ -153,6 +171,78 @@ class Index(Protocol):
 
     @property
     def size_pages(self) -> int: ...
+
+
+class RunTarget(Protocol):
+    """The batch calls :func:`apply_in_runs` splits an op sequence into
+    (an :class:`Index`, or the sharded service re-routing by key)."""
+
+    def search_many(self, keys: Sequence[Any], /,
+                    latency_sink: list[float] | None = None
+                    ) -> Sequence[Any]: ...
+    def insert_many(self, keys: Sequence[Any], targets: Sequence[int], /,
+                    latency_sink: list[float] | None = None) -> None: ...
+    def range_scan_many(self, windows: Sequence[tuple[Any, Any]], /,
+                        latency_sink: list[float] | None = None
+                        ) -> Sequence[Any]: ...
+
+
+def check_op_codes(ops: Sequence[Op]) -> None:
+    """Raise ``ValueError`` on any op code other than read/insert/scan
+    (before anything is applied)."""
+    unknown = {op[0] for op in ops}.difference((OP_READ, OP_INSERT, OP_SCAN))
+    if unknown:
+        raise ValueError(f"unknown op code {min(unknown)}")
+
+
+def apply_in_runs(target: RunTarget, ops: Sequence[Op],
+                  latency_sink: list[float] | None = None) -> list[Any]:
+    """Apply ``ops`` in order as maximal runs of one kind.
+
+    Each run of inserts is one ``insert_many`` call; each run of reads
+    and scans is one ``search_many`` call for its reads and one
+    ``range_scan_many`` call for its scans.  Reads and scans change no
+    state and every charge on their paths declares its access pattern,
+    so their relative order inside a run changes no simulated number;
+    inserts fence them, so an op issued after an insert observes it.
+    Returns one result per op (``None`` for inserts); ``latency_sink``
+    receives one simulated latency per op, aligned with ``ops``.
+    """
+    check_op_codes(ops)
+    n = len(ops)
+    results: list[Any] = [None] * n
+    latencies = [0.0] * n
+    start = 0
+    while start < n:
+        inserting = ops[start][0] == OP_INSERT
+        stop = start + 1
+        while stop < n and (ops[stop][0] == OP_INSERT) == inserting:
+            stop += 1
+        for code in (OP_INSERT,) if inserting else (OP_READ, OP_SCAN):
+            idx = [i for i in range(start, stop) if ops[i][0] == code]
+            if not idx:
+                continue
+            sink: list[float] = []
+            got: Sequence[Any]
+            if code == OP_INSERT:
+                target.insert_many([ops[i][1] for i in idx],
+                                   [ops[i][2] for i in idx],
+                                   latency_sink=sink)
+                got = [None] * len(idx)
+            elif code == OP_READ:
+                got = target.search_many([ops[i][1] for i in idx],
+                                         latency_sink=sink)
+            else:
+                got = target.range_scan_many(
+                    [(ops[i][1], ops[i][2]) for i in idx], latency_sink=sink
+                )
+            for i, result, latency in zip(idx, got, sink):
+                results[i] = result
+                latencies[i] = latency
+        start = stop
+    if latency_sink is not None:
+        latency_sink.extend(latencies)
+    return results
 
 
 class BatchFallbackMixin:
@@ -251,6 +341,12 @@ class BatchFallbackMixin:
         if latency_sink is not None and not track:
             latency_sink.extend(0.0 for _ in results)
         return results
+
+    def apply_many(self, ops: Sequence[Op],
+                   latency_sink: list[float] | None = None) -> list[Any]:
+        """Point reads, scans and inserts in one ordered call, answered
+        as if applied one by one (:func:`apply_in_runs`)."""
+        return apply_in_runs(self, ops, latency_sink)
 
 
 class IndexBackend(BatchFallbackMixin):

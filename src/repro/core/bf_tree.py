@@ -9,20 +9,22 @@ of §1.1.
 
 Algorithms implemented, with their paper counterparts:
 
-* :meth:`BFTree.search_many` — Algorithm 1 (probe all BFs of the leaf,
-  fetch matching pages sorted, stop early for unique keys) over a probe
-  batch, with the whole batch hashed in one call and the Bloom-filter
-  tests collapsed into one page gather per touched leaf.
-  :meth:`BFTree.search` is a batch of one; the harness's ``run_probes``
-  and the CLI's ``probe`` replay whole probe sets through it.
+* :meth:`BFTree.apply_many` — Algorithm 1 (probe all BFs of the leaf,
+  fetch matching pages sorted, stop early for unique keys) and
+  Algorithm 3 over one ordered chunk of point reads, inserts and scans,
+  answered as if applied one by one: the chunk is routed and hashed in
+  one pass per plan round (a split re-plans the rest), each touched
+  leaf's Bloom-filter tests collapse into one page gather, and every
+  read's data pages are scanned in one kernel pass.  The Router replays
+  each shard's ops through it.  :meth:`BFTree.search_many` and
+  :meth:`BFTree.insert_many` are its read-only and insert-only cases,
+  and :meth:`BFTree.search` a batch of one; the harness's
+  ``run_probes`` and the CLI's ``probe`` replay whole probe sets
+  through it.
 * :meth:`BFTree.insert`      — Algorithm 3 (extend key range, bump #keys,
   add to the per-page BF; split when over capacity).
-* :meth:`BFTree.insert_many` / :meth:`BFTree.delete_many` — vectorized
-  Algorithm 3 over a write batch: identical tree state, filter bitsets
-  and I/O charging to the scalar loop (splits included, handled by
-  re-planning the affected sub-batch), with the batch routed and hashed
-  in one pass per plan round.  The Router's write batching
-  and ``serve-bench``'s batch write mode run on it.
+* :meth:`BFTree.delete_many` — vectorized deletes over a batch routed in
+  one pass: identical tree state and I/O charging to the scalar loop.
 * :meth:`BFTree._split_leaf` — Algorithm 2 (rebuild two leaves; we rebuild
   by re-scanning the leaf's small page range, the recomputation that §3
   argues is feasible precisely because leaf ranges are small).
@@ -46,13 +48,20 @@ data device.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
 from itertools import accumulate
 from typing import Sequence
 
 import numpy as np
 
-from repro.api.protocol import Capabilities, IndexBackend
+from repro.api.protocol import (
+    OP_INSERT,
+    OP_READ,
+    OP_SCAN,
+    Capabilities,
+    IndexBackend,
+    check_op_codes,
+)
 from repro.analysis.sanitize import maybe_check
 from repro.api.results import (
     DeleteOutcome,
@@ -125,6 +134,37 @@ class BFTreeConfig:
                 f"filter_kind must be 'plain' or 'counting', "
                 f"got {self.filter_kind!r}"
             )
+
+
+@dataclass
+class _Walk:
+    """Per-call state of :meth:`BFTree.apply_many`, indexed by op."""
+
+    codes: list[int]
+    keys: list
+    #: The op's third field: a scan's ``hi`` (an insert's pid, unused).
+    args: list
+    #: Inserts' data pages, -1 for other ops.
+    pids: list[int]
+    results: list
+    latencies: list[float]
+    track: bool
+    clock: object
+    stats: object
+    #: The current plan round's descent paths per leaf id, and filter
+    #: positions with one row per point op.
+    paths: dict = field(default_factory=dict)
+    rows: object = None
+    #: The round's known duplicate re-inserts, queued per leaf id.
+    pending: dict[int, list[int]] = field(default_factory=dict)
+    #: Filter tests queued per leaf id: (op, plan row or None).
+    probes: dict[int, list] = field(default_factory=dict)
+    #: Reads past their filter probe: (op, candidate leaf ids).
+    fetches: list[tuple[int, list[int]]] = field(default_factory=list)
+    #: Page runs each (op, candidate leaf id) filter test nominated.
+    runs_for: dict[tuple[int, int], list] = field(default_factory=dict)
+    #: Scans of the current read run, dispatched before the next insert.
+    scans: list[int] = field(default_factory=list)
 
 
 # Canonical result types live in the protocol layer (repro.api.results);
@@ -806,95 +846,298 @@ class BFTree(IndexBackend):
     def search_many(self, keys,
                     latency_sink: list[float] | None = None
                     ) -> list[SearchResult]:
-        """Algorithm 1 over a whole batch of probe keys.
+        """Algorithm 1 over a whole batch of probe keys: :meth:`apply_many`
+        over reads.
 
         Result ``j`` depends on ``keys[j]`` alone: a batch returns the
         same per-key :class:`SearchResult`, the same IOStats counters and
         the same simulated clock time as one batch of one per key (the
         identical set of charges, summed in a different order, so the
-        float total can differ in its last couple of bits).  The
-        Bloom-filter membership tests, a probe's dominant CPU cost,
-        collapse into NumPy passes: keys are routed first and grouped by
-        candidate leaf, every (key, leaf) row is hashed in one call
-        (:meth:`BFLeaf.hash_segments`), and each leaf tests its key group
-        against its whole filter page at once
-        (:meth:`BFLeaf.matching_page_runs_many`).  Descents and leaf
-        reads are charged per key; the data pages of every key are
-        scanned in one kernel pass and charged in aggregate
-        (:meth:`_fetch_runs`).
+        float total can differ in its last couple of bits).
 
         ``latency_sink``, if given, receives one simulated per-key
-        latency per probe (aligned with ``keys``): the clock time of
-        that key's pass through the per-key routing loop (phase 1) plus
-        the sum of its data-fetch charges (phase 3) — the vectorized
-        filter pass charges nothing — which is the latency of that key
-        probed alone.  The service layer's tail-latency percentiles are
-        computed from this.
+        latency per probe (aligned with ``keys``): the clock time of that
+        key's descent and filter probe plus the sum of its data-fetch
+        charges — the vectorized filter pass charges nothing — which is
+        the latency of that key probed alone.  The service layer's
+        tail-latency percentiles are computed from this.
         """
-        keys = [as_scalar(k) for k in keys]
-        results: list[SearchResult | None] = [None] * len(keys)
-        stats = self._stats()
+        return self.apply_many([(OP_READ, key, None) for key in keys],
+                               latency_sink)
+
+    def apply_many(self, ops, latency_sink: list[float] | None = None
+                   ) -> list:
+        """Point reads, range scans and inserts in one ordered call.
+
+        ``ops`` are ``(OP_READ, key, None)``, ``(OP_INSERT, key, pid)``
+        and ``(OP_SCAN, lo, hi)`` triples.  The results (one
+        :class:`SearchResult`, ``None`` or :class:`RangeScanResult` per
+        op), the tree state, the IOStats counters and the simulated clock
+        (up to float summation order) are those of applying the ops one
+        by one in order; ``latency_sink`` receives one simulated latency
+        per op, as that loop would bracket them.  The chunk is planned
+        once and walked in order:
+
+        * every point key is routed over the flattened directory and
+          hashed under its target leaf's seed in one call
+          (:meth:`_plan_ops`);
+        * every charge that touches the index store lands at the op's
+          turn, as the per-op loop makes it — descent and leaf reads
+          (replayed from the routing table's path), neighbour-leaf reads
+          on partitioned data, insert and split writes — because
+          buffer-pool residency and hit counters depend on that order.
+          Inserts run through Algorithm 3's write rounds (duplicate
+          queues, dirty groups, split flushes), and a split re-plans
+          every op not yet applied;
+        * only charge-free work waits.  A read's filter test queues on
+          its leaf and runs (one :meth:`BFLeaf.matching_page_runs_many`
+          per leaf group) before any insert into that leaf applies,
+          before a re-plan and at chunk end, so it sees exactly the bits
+          set before it.  A run of scans goes through
+          :meth:`range_scan_many` before the next insert;
+        * the data pages of every read are fetched in one
+          :meth:`_fetch_runs` pass after the walk.  Those charges touch
+          only the data device and state their access pattern, so moving
+          them past the chunk's index writes changes no counter; a read's
+          latency is its descent/probe clock time plus the
+          :meth:`Device.read_cost` of its own pages.
+
+        Unknown op codes and inverted scan windows raise ``ValueError``
+        before anything is applied.
+        """
+        check_op_codes(ops)
+        n = len(ops)
+        codes = [op[0] for op in ops]
+        keys = [as_scalar(op[1]) for op in ops]
+        args = [op[2] for op in ops]
         clock = self._clock()
-        track = latency_sink is not None and clock is not None
-        latencies = [0.0] * len(keys)
-        # Phase 1: route every key, charging descent and candidate-leaf
-        # I/O and the per-filter probe CPU.
-        pending: list[tuple[int, object, list[BFLeaf]]] = []
-        by_leaf: dict[int, list[tuple[int, object]]] = {}
-        for i, key in enumerate(keys):
-            start = clock.now() if track else 0.0
-            leaf = self._descend_and_read(key)
-            if leaf is None:
-                results[i] = SearchResult(found=False)
-                if track:
-                    latencies[i] = clock.now() - start
-                continue
-            candidates = [
-                c for c in self._candidate_leaves(key, leaf)
-                if c.covers_key(key)
-            ]
-            if not candidates:
-                results[i] = SearchResult(found=False)
-                if track:
-                    latencies[i] = clock.now() - start
-                continue
-            for candidate in candidates:
-                if stats is not None:
-                    stats.bloom_probes += candidate.nfilters
-                self._charge_cpu(candidate.nfilters * CPU_BLOOM_PROBE)
-                by_leaf.setdefault(candidate.node_id, []).append((i, key))
-            pending.append((i, key, candidates))
-            if track:
-                latencies[i] = clock.now() - start
-        # Phase 2: hash every (key, leaf) row of the batch in one call,
-        # then one page gather per touched leaf.
-        runs_for: dict[tuple[int, int], list[tuple[int, int]]] = {}
-        touched = [self.leaves[leaf_id] for leaf_id in by_leaf]
-        row_keys = [key for group in by_leaf.values() for _, key in group]
-        bounds = np.cumsum([0] + [len(g) for g in by_leaf.values()])
-        segments = BFLeaf.hash_segments(row_keys, touched, bounds)
-        for leaf, positions, (b0, b1) in zip(touched, segments,
-                                             zip(bounds, bounds[1:])):
-            run_lists = leaf.matching_page_runs_many(row_keys[b0:b1],
-                                                     positions)
-            leaf_id = leaf.node_id
-            for (i, _), runs in zip(by_leaf[leaf_id], run_lists):
-                runs_for[(i, leaf_id)] = runs
-        # Phase 3: scan every key's candidate pages in one kernel pass
-        # (early termination for unique keys and ordered data included).
-        fetched, fetch_latencies = self._fetch_runs(
-            [key for _, key, _ in pending],
-            [sorted(run for c in candidates
-                    for run in runs_for[(i, c.node_id)])
-             for i, _, candidates in pending],
+        walk = _Walk(
+            codes=codes,
+            keys=keys,
+            args=args,
+            pids=[int(arg) if code == OP_INSERT else -1
+                  for code, arg in zip(codes, args)],
+            results=[None] * n,
+            latencies=[0.0] * n,
+            track=latency_sink is not None and clock is not None,
+            clock=clock,
+            stats=self._stats(),
         )
-        for (i, _, _), result, latency in zip(pending, fetched,
-                                              fetch_latencies):
-            results[i] = result
-            latencies[i] += latency
+        point_keys, point_pids = keys, walk.pids
+        if OP_SCAN in codes:
+            normalize_scan_windows([(keys[i], args[i]) for i in range(n)
+                                    if codes[i] == OP_SCAN])
+            point = [i for i in range(n) if codes[i] != OP_SCAN]
+            point_keys = [keys[i] for i in point]
+            point_pids = [walk.pids[i] for i in point]
+        i = j = 0   # next op; next point op (index into ``point_keys``)
+        while i < n:
+            try:
+                plan = self._plan_ops(point_keys, point_pids, j)
+            except LookupError:
+                if OP_INSERT in codes[i:]:
+                    raise LookupError(
+                        "insert into an unbuilt tree; bulk_load first"
+                    ) from None
+                # Empty tree: reads find nothing; scans see no leaves.
+                for k in range(i, n):
+                    if codes[k] == OP_READ:
+                        walk.results[k] = SearchResult(found=False)
+                    else:
+                        walk.scans.append(k)
+                break
+            try:
+                i, j = self._apply_round(walk, i, j, plan)
+            finally:
+                # Queued duplicates precede any aborting op in scalar
+                # order: apply them even when an exception propagates.
+                for leaf_id in list(walk.pending):
+                    self._flush_duplicates(walk, leaf_id)
+                # A split invalidates the plan: test every queued read
+                # before re-planning.
+                for leaf_id in list(walk.probes):
+                    self._test_probes(walk, leaf_id)
+        self._run_scans(walk)
+        fetches = walk.fetches
+        if fetches:
+            fetched, fetch_latencies = self._fetch_runs(
+                [walk.keys[k] for k, _ in fetches],
+                [sorted(run for leaf_id in leaf_ids
+                        for run in walk.runs_for[(k, leaf_id)])
+                 for k, leaf_ids in fetches],
+            )
+            for (k, _), result, latency in zip(fetches, fetched,
+                                               fetch_latencies):
+                walk.results[k] = result
+                walk.latencies[k] += latency
         if latency_sink is not None:
-            latency_sink.extend(latencies)
-        return results
+            latency_sink.extend(walk.latencies)
+        if OP_INSERT in codes:
+            maybe_check(self)
+        return walk.results
+
+    def _apply_round(self, walk: "_Walk", i: int, j: int,
+                     plan) -> tuple[int, int]:
+        """One plan round of :meth:`apply_many`'s walk, from op ``i``
+        (point op ``j``).  Returns the next unapplied op and point op:
+        the end when the chunk is done, earlier when a split demands a
+        re-plan.  The caller flushes the round's queues on any exit."""
+        pred, paths, rows, dup0, grp = plan
+        walk.paths, walk.rows = paths, rows
+        pending = walk.pending
+        base = j
+        n = len(walk.codes)
+        clock = walk.clock
+        track = walk.track
+        # Known duplicate re-inserts commute (no bits change, no splits,
+        # no filter growth), so within one plan round they can be queued
+        # per leaf and charge-aggregated in one flush.  Any other insert
+        # flushes its own leaf first (it may grow the leaf's filters or
+        # discard tombstones the queued duplicates interact with), a
+        # read or scan flushes every queue (it must see their effects),
+        # and an insert about to *split* flushes every queue: queued
+        # positions precede the split in scalar order, and their charges
+        # must land in the pre-split tree AND buffer-pool state (a split
+        # writes inner nodes, which evicts them from a warm pool —
+        # charges replayed after it would see misses the scalar loop
+        # never paid).  A non-duplicate add also distrusts the plan's
+        # duplicate flags for its filter group from then on (``dirty``):
+        # it set new bits, which can flip both the membership verdict
+        # and the trust gate for later keys, so those re-test live.
+        fast_dups = self.config.filter_kind != "counting"
+        dirty: set[tuple[int, int]] = set()
+        codes = walk.codes
+        while i < n:
+            code = codes[i]
+            if code != OP_INSERT:
+                for lid in list(pending):
+                    self._flush_duplicates(walk, lid)
+                if code == OP_SCAN:
+                    walk.scans.append(i)
+                else:
+                    leaf_id = pred[j - base]
+                    self._probe(walk, i, self.leaves[leaf_id],
+                                paths[leaf_id], j - base)
+                    j += 1
+                i += 1
+                continue
+            # Scans and reads before this insert must not see it.
+            self._run_scans(walk)
+            rel = j - base
+            leaf_id = pred[rel]
+            self._test_probes(walk, leaf_id)
+            pid = walk.pids[i]
+            known_dup = dup0[rel] and (leaf_id, grp[rel]) not in dirty
+            if known_dup and fast_dups:
+                pending.setdefault(leaf_id, []).append(i)
+                i += 1
+                j += 1
+                continue
+            leaf = self.leaves[leaf_id]
+            positions = rows[rel].tolist()
+            # Pre-batch flags only say "duplicate"; a negative (or a
+            # dirtied flag) is re-tested live, since earlier keys in
+            # the batch may have set these bits.
+            duplicate = True if known_dup else None
+            will_split = False
+            if duplicate is None:
+                try:
+                    duplicate = leaf.duplicate_prehashed(pid, positions)
+                except ValueError:
+                    # pid precedes the leaf range: the add will raise
+                    # after the descent charges, as the scalar does.
+                    duplicate = None
+                if duplicate is False:
+                    group = leaf.group_of(pid)
+                    will_split = (
+                        group >= leaf.geometry.max_filters
+                        or leaf.nkeys + 1 > leaf.key_capacity
+                    )
+            for lid in list(pending) if will_split else [leaf_id]:
+                self._flush_duplicates(walk, lid)
+            start = clock.now() if track else 0.0
+            self._charge_descent(leaf, paths[leaf_id])
+            split = self._insert_into(
+                leaf, walk.keys[i], pid,
+                positions=positions, duplicate=duplicate,
+            )
+            dirty.add((leaf_id, grp[rel]))
+            if track:
+                walk.latencies[i] = clock.now() - start
+            i += 1
+            j += 1
+            if split:
+                break
+        return i, j
+
+    def _probe(self, walk: "_Walk", i: int, leaf: BFLeaf, path: list[int],
+               rel: int) -> None:
+        """A read's turn in :meth:`apply_many`: charge its descent, any
+        neighbour-leaf reads and the per-filter probe CPU now, and queue
+        its filter test on every candidate leaf (``rel`` is its row in
+        the plan, hashed under ``leaf``; neighbours hash at test time)."""
+        clock = walk.clock
+        start = clock.now() if walk.track else 0.0
+        key = walk.keys[i]
+        self._charge_descent(leaf, path)
+        candidates = [c for c in self._candidate_leaves(key, leaf)
+                      if c.covers_key(key)]
+        if candidates:
+            stats = walk.stats
+            probes = walk.probes
+            for c in candidates:
+                if stats is not None:
+                    stats.bloom_probes += c.nfilters
+                if clock is not None:
+                    clock.advance(c.nfilters * CPU_BLOOM_PROBE)
+                probes.setdefault(c.node_id, []).append(
+                    (i, rel if c is leaf else None)
+                )
+            walk.fetches.append((i, [c.node_id for c in candidates]))
+        else:
+            walk.results[i] = SearchResult(found=False)
+        if walk.track:
+            walk.latencies[i] = clock.now() - start
+
+    def _test_probes(self, walk: "_Walk", leaf_id: int) -> None:
+        """Run the filter tests queued on one leaf, in one page gather."""
+        group = walk.probes.pop(leaf_id, None)
+        if not group:
+            return
+        leaf = self.leaves[leaf_id]
+        keys = [walk.keys[i] for i, _ in group]
+        rels = [rel for _, rel in group]
+        if None in rels:
+            positions = leaf.hash_batch(keys)
+        else:
+            positions = walk.rows[rels]
+        for (i, _), runs in zip(group,
+                                leaf.matching_page_runs_many(keys, positions)):
+            walk.runs_for[(i, leaf_id)] = runs
+
+    def _run_scans(self, walk: "_Walk") -> None:
+        """Dispatch the queued run of scans through :meth:`range_scan_many`."""
+        if not walk.scans:
+            return
+        sink: list[float] = []
+        got = self.range_scan_many(
+            [(walk.keys[i], walk.args[i]) for i in walk.scans],
+            latency_sink=sink,
+        )
+        for i, result, latency in zip(walk.scans, got, sink):
+            walk.results[i] = result
+            walk.latencies[i] = latency
+        walk.scans.clear()
+
+    def _flush_duplicates(self, walk: "_Walk", leaf_id: int) -> None:
+        """Apply one leaf's queued duplicate re-inserts."""
+        js = walk.pending.pop(leaf_id, None)
+        if js:
+            self._apply_duplicate_chunk(
+                self.leaves[leaf_id], walk.paths[leaf_id],
+                [walk.keys[k] for k in js], [walk.pids[k] for k in js],
+                js, walk.latencies if walk.track else None,
+            )
 
     def _candidate_leaves(self, key, leaf: BFLeaf) -> list[BFLeaf]:
         """Leaves whose key range may contain ``key``.
@@ -1083,162 +1326,46 @@ class BFTree(IndexBackend):
 
     def insert_many(self, keys, pids,
                     latency_sink: list[float] | None = None) -> None:
-        """Vectorized Algorithm 3 over a whole batch of inserts.
+        """Vectorized Algorithm 3 over a whole batch of inserts:
+        :meth:`apply_many` over inserts.
 
         Leaves the tree in exactly the state ``[self.insert(k, p) for
         k, p in zip(keys, pids)]`` would — the same leaf structure and
         filter bitsets (splits included, at the same points), the same
         ``nkeys``/tombstone bookkeeping, the same IOStats counters and
         the same simulated clock charges (equal up to float summation
-        order) — but the per-key Python work collapses:
-
-        * the batch is routed in one pass over a flattened directory
-          (:meth:`InnerTree.routing_table`), then grouped by target leaf;
-        * the whole batch is hashed in one call, each key under its
-          target leaf's seed (:meth:`BFLeaf.hash_segments`), and each
-          leaf pre-tests its key group against its filter page
-          (:meth:`BFLeaf.duplicate_flags`);
-        * re-inserts of already-present keys — the steady state of a
-          mixed workload, where inserts re-index live keys — queue per
-          leaf and flush as one chunk that charges the first key
-          normally, then replays the identical charges arithmetically
-          for the rest;
-        * a split invalidates the plan, so every queue is flushed into
-          the pre-split state first and the affected sub-batch (every
-          key not yet applied) is re-routed and re-hashed.
+        order).  Each plan round routes and hashes the remaining keys in
+        one pass and pre-tests them against their leaves' filter pages
+        (:meth:`BFLeaf.duplicate_flags`); re-inserts of already-present
+        keys — the steady state of a mixed workload — queue per leaf and
+        flush as one chunk that charges the first key normally, then
+        replays the identical charges arithmetically for the rest.
 
         ``latency_sink``, if given, receives one simulated per-op latency
         per insert, exactly as the scalar loop would have bracketed them.
         """
-        keys = [as_scalar(k) for k in keys]
-        pids = [int(p) for p in pids]
+        keys = list(keys)
+        pids = list(pids)
         if len(keys) != len(pids):
             raise ValueError("keys and pids must have the same length")
-        n = len(keys)
-        clock = self._clock()
-        track = latency_sink is not None and clock is not None
-        latencies = [0.0] * n
-        i = 0
-        while i < n:
-            try:
-                pred, paths, rows, dup0, grp = self._plan_writes(
-                    keys, pids, i
-                )
-            except LookupError:
-                raise LookupError(
-                    "insert into an unbuilt tree; bulk_load first"
-                ) from None
-            base = i
-            replan = False
-            # Known duplicate re-inserts commute (no bits change, no
-            # splits, no filter growth), so within one plan round they
-            # can be queued per leaf and charge-aggregated in one flush.
-            # Any other key flushes its own leaf first (it may grow the
-            # leaf's filters or discard tombstones the queued duplicates
-            # interact with), and a key about to *split* flushes every
-            # queue: queued positions precede the split in scalar order,
-            # and their charges must land in the pre-split tree AND
-            # buffer-pool state (a split writes inner nodes, which
-            # evicts them from a warm pool — charges replayed after it
-            # would see misses the scalar loop never paid).  A non-
-            # duplicate add also distrusts the plan's duplicate flags
-            # for its filter group from then on (``dirty``): it set new
-            # bits, which can flip both the membership verdict and the
-            # trust gate for later keys, so those re-test live.
-            fast_dups = self.config.filter_kind != "counting"
-            pending: dict[int, list[int]] = {}
-            dirty: set[tuple[int, int]] = set()
+        self.apply_many([(OP_INSERT, key, pid)
+                         for key, pid in zip(keys, pids)], latency_sink)
 
-            def flush_leaf(leaf_id: int) -> None:
-                js = pending.pop(leaf_id, None)
-                if js:
-                    self._apply_duplicate_chunk(
-                        self.leaves[leaf_id], paths[leaf_id],
-                        [keys[j] for j in js], [pids[j] for j in js],
-                        js, latencies if track else None,
-                    )
+    def _plan_ops(self, keys, pids, start: int):
+        """Route point keys ``keys[start:]`` structurally and hash them
+        in one call.
 
-            try:
-                i = self._apply_write_round(
-                    keys, pids, i, n, base, pred, paths, rows,
-                    dup0, grp, fast_dups, pending, dirty, flush_leaf,
-                    clock, track, latencies,
-                )
-            finally:
-                # Queued duplicates precede any aborting key in scalar
-                # order; apply them even when an exception propagates.
-                for leaf_id in list(pending):
-                    flush_leaf(leaf_id)
-        if latency_sink is not None:
-            latency_sink.extend(latencies)
-        maybe_check(self)
-
-    def _apply_write_round(self, keys, pids, i, n, base, pred, paths,
-                           rows, dup0, grp, fast_dups, pending, dirty,
-                           flush_leaf, clock, track, latencies) -> int:
-        """One plan round of :meth:`insert_many`'s apply loop (split out
-        so the caller can flush the round's pending queues on any exit).
-        Returns the index of the first unapplied key: ``n`` when the
-        batch is done, less when a split demands a re-plan."""
-        while i < n:
-            rel = i - base
-            leaf_id = pred[rel]
-            known_dup = dup0[rel] and (leaf_id, grp[rel]) not in dirty
-            if known_dup and fast_dups:
-                pending.setdefault(leaf_id, []).append(i)
-                i += 1
-                continue
-            leaf = self.leaves[leaf_id]
-            positions = rows[rel].tolist()
-            # Pre-batch flags only say "duplicate"; a negative (or a
-            # dirtied flag) is re-tested live, since earlier keys in
-            # the batch may have set these bits.
-            duplicate = True if known_dup else None
-            will_split = False
-            if duplicate is None:
-                try:
-                    duplicate = leaf.duplicate_prehashed(pids[i], positions)
-                except ValueError:
-                    # pid precedes the leaf range: the add will raise
-                    # after the descent charges, as the scalar does.
-                    duplicate = None
-                if duplicate is False:
-                    group = leaf.group_of(pids[i])
-                    will_split = (
-                        group >= leaf.geometry.max_filters
-                        or leaf.nkeys + 1 > leaf.key_capacity
-                    )
-            if will_split:
-                for lid in list(pending):
-                    flush_leaf(lid)
-            else:
-                flush_leaf(leaf_id)
-            start = clock.now() if track else 0.0
-            self._charge_descent(leaf, paths[leaf_id])
-            split = self._insert_into(
-                leaf, keys[i], pids[i],
-                positions=positions, duplicate=duplicate,
-            )
-            dirty.add((leaf_id, grp[rel]))
-            if track:
-                latencies[i] = clock.now() - start
-            i += 1
-            if split:
-                break
-        return i
-
-    def _plan_writes(self, keys, pids, start: int):
-        """Route ``keys[start:]`` structurally and hash them in one call.
-
-        Returns ``(pred, paths, rows, dup0, grp)`` — per-key predicted
-        leaf id, per-leaf descent paths, per-key filter position rows,
-        per-key pre-batch duplicate flags (membership *and* the
-        filter-trust gate, both monotone under adds), and per-key
-        filter group (-1 when the pid precedes the leaf range).  No I/O
-        is charged here: the apply loop replays each key's descent
-        charges itself.  Valid until the next split; a flag for a group
-        later written by a non-duplicate add is invalidated by the
-        apply loop's dirty-set.
+        ``pids`` are the inserts' data pages, -1 for reads (no group, no
+        duplicate flag).  Returns ``(pred, paths, rows, dup0, grp)`` —
+        per-key predicted leaf id, per-leaf descent paths, a matrix of
+        filter positions with one row per key (None when no key is
+        left), per-key pre-batch duplicate flags (membership *and* the
+        filter-trust gate, both monotone under adds), and per-key filter
+        group (-1 when the pid precedes the leaf range); the last two
+        are None when no insert is left.  No I/O is charged here: the
+        walk replays each key's descent charges itself.  Valid until the
+        next split; a flag for a group later written by a non-duplicate
+        add is invalidated by the walk's dirty-set.
         """
         fences, leaf_ids, paths = self.inner.routing_table()
         sub = keys[start:]
@@ -1246,40 +1373,37 @@ class BFTree(IndexBackend):
         arr = np.asarray(sub)
         slots = np.asarray(route_batch(fences, sub), dtype=np.int64)
         pred = [leaf_ids[s] for s in slots.tolist()]
-        pids_sub = np.asarray(pids[start:], dtype=np.int64)
-        rows: list = [None] * m
-        dup0 = np.zeros(m, dtype=bool)
-        grp = np.full(m, -1, dtype=np.int64)
         # Group keys by target leaf with one stable argsort (slot value
         # <-> leaf is 1:1), instead of a per-key dict pass.
         order = np.argsort(slots, kind="stable")
         sorted_slots = slots[order]
-        if m:
-            bounds = np.nonzero(
-                np.r_[True, sorted_slots[1:] != sorted_slots[:-1]]
-            )[0].tolist() + [m]
-        else:
-            bounds = [0]
+        bounds = ([0] + (np.flatnonzero(np.diff(sorted_slots)) + 1).tolist()
+                  + [m] if m else [0])
         # One hash call for the whole sub-batch: each key under its
         # target leaf's seed.
         spans = list(zip(bounds, bounds[1:]))
         touched = [self.leaves[leaf_ids[int(sorted_slots[b0])]]
                    for b0, _ in spans]
         segments = BFLeaf.hash_segments(arr[order], touched, bounds)
-        for leaf, positions, (b0, b1) in zip(touched, segments, spans):
+        if not segments:
+            return pred, paths, None, None, None
+        rows = np.empty_like(segments[0], shape=(m, segments[0].shape[1]))
+        rows[order] = np.concatenate(segments)
+        pids_sub = np.asarray(pids[start:], dtype=np.int64)
+        if not (pids_sub >= 0).any():
+            return pred, paths, rows, None, None
+        dup0 = np.zeros(m, dtype=bool)
+        grp = np.full(m, -1, dtype=np.int64)
+        for leaf, (b0, b1) in zip(touched, spans):
             idxs = order[b0:b1]
-            for r, idx in enumerate(idxs.tolist()):
-                rows[idx] = positions[r]
             pid_arr = pids_sub[idxs]
             groups = (pid_arr - leaf.min_pid) // leaf.geometry.pages_per_bf
-            grp[idxs[pid_arr >= leaf.min_pid]] = \
-                groups[pid_arr >= leaf.min_pid]
-            valid = (pid_arr >= leaf.min_pid) & (groups < leaf.nfilters)
-            vrows = np.nonzero(valid)[0]
+            in_range = pid_arr >= leaf.min_pid
+            grp[idxs[in_range]] = groups[in_range]
+            valid = in_range & (groups < leaf.nfilters)
+            vrows = idxs[np.nonzero(valid)[0]]
             if len(vrows):
-                dup0[idxs[vrows]] = leaf.duplicate_flags(
-                    groups[vrows], positions[vrows]
-                )
+                dup0[vrows] = leaf.duplicate_flags(groups[valid], rows[vrows])
         return pred, paths, rows, dup0.tolist(), grp.tolist()
 
     def _charge_descent(self, leaf: BFLeaf, path: list[int]) -> None:

@@ -15,8 +15,9 @@ still in service.  :func:`split_durable_shard` and
 :func:`merge_durable_shards` reshape a durable service on disk with the
 same commit discipline the shard manifests use:
 
-1. drain Router buffers *through the wrapper* (buffered writes land in
-   the parent's WAL — still recoverable if we crash right here);
+1. drain the shard *through the wrapper* (a process executor folds its
+   workers' state back into the parent, whose WAL the workers already
+   wrote — still recoverable if we crash right here);
 2. unwrap the parent ``DurableIndex`` and run the in-memory topology
    op (``split_shard``/``merge_shards``);
 3. checkpoint each child into its fresh ``shard-<id>`` directory;
@@ -214,11 +215,12 @@ def recover_service(
 
 
 def _unwrap(service: ShardedIndex, shard_id: int) -> DurableIndex:
-    """Drain buffers through the wrapper, then expose the inner index.
+    """Drain the shard through the wrapper, then expose the inner index.
 
-    The drained writes are WAL-logged by the parent before anything
-    moves, so a crash at any point before the manifest rewrite still
-    recovers every acknowledged op from the parent's directory.
+    Every write drained back from executor workers is already in the
+    parent's WAL before anything moves, so a crash at any point before
+    the manifest rewrite still recovers every acknowledged op from the
+    parent's directory.
     """
     shard = service.shard_by_id(shard_id)
     if shard is None:

@@ -5,15 +5,15 @@ one indexed column across N independent shards (each with its own
 device/clock/buffer-pool stack) under an epoch-versioned
 :class:`RoutingTable`, a :class:`Router` splits mixed read/insert/scan
 batches per shard and replays them through one batched engine
-(:class:`ReplayCore`: vectorized probe, write and scan calls) on a
+(:class:`ReplayCore`: one ordered ``apply_many`` call per shard chunk) on a
 pluggable :class:`ShardExecutor` (serial, or true process-per-shard
 parallelism — see :mod:`repro.service.executor`), and
 :class:`ServiceStats` merges per-shard IOStats and folds per-op
 simulated latencies into p50/p95/p99 summaries.
 
 The topology is *dynamic*: ``split_shard``/``merge_shards`` reshape the
-partition layout live (stable shard ids, epoch bumps, Router drain hooks
-preserving read-your-writes), and the :class:`Rebalancer` control loop
+partition layout live (stable shard ids, epoch bumps, drain hooks that
+sync executor workers first), and the :class:`Rebalancer` control loop
 drives them from windowed per-shard load with hysteresis — see
 :mod:`repro.service.routing` and :mod:`repro.service.rebalance`.
 

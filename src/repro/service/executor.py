@@ -62,10 +62,9 @@ from typing import TYPE_CHECKING, Any, Iterator, Sequence
 import numpy as np
 
 from repro.analysis import sanitize
-from repro.api.protocol import Index
+from repro.api.protocol import OP_INSERT, OP_SCAN, Index, Op
 from repro.service.sharded import ShardedIndex
 from repro.service.stats import ShardDelta
-from repro.workloads.mixed import OP_INSERT, OP_READ, OP_SCAN
 
 if TYPE_CHECKING:
     from multiprocessing.connection import Connection
@@ -89,142 +88,61 @@ class SubOp:
 OutRecord = tuple[int, int, float, Any]
 #: One planned shard batch: (stable shard id, sub-ops in trace order).
 ShardPlan = tuple[int, "list[SubOp]"]
-#: Ops per engine call when a phase buffer flushes.
+#: Sub-ops per ``apply_many`` call.
 REPLAY_CHUNK = 512
 
 
-@dataclass
-class _ShardSession:
-    """Replay state for one shard, keyed by its stable id.
-
-    Holding the *id* (not the Shard object) is what lets the drain hook
-    and the flush paths resolve the current owner through the routing
-    table at dispatch time.
-    """
-
-    sid: int
-    out: list[OutRecord] = field(default_factory=list)
-    read_buffer: list[SubOp] = field(default_factory=list)
-    write_buffer: list[SubOp] = field(default_factory=list)
-
-
 class ReplayCore:
-    """The per-shard batch replay engine shared by every executor.
+    """The per-shard replay engine shared by every executor.
 
-    Turns one shard's sub-op list into batched engine calls via the
-    phase-buffer state machine: reads and scans share the read phase,
-    writes fence it (and vice versa), so per-shard trace order — and
-    read-your-writes — is preserved.  The *same* instance runs in the
-    parent for the serial executor and (via fork) inside each worker
-    process, which is what makes the executors bit-identical.
+    Turns one shard's sub-op list into one ordered ``apply_many`` call
+    per :data:`REPLAY_CHUNK` slice: reads, scans and inserts keep their
+    per-shard trace order inside the engine (an op issued after an
+    insert observes it, and vice versa), so nothing is buffered between
+    calls.  The *same* instance runs in the parent for the serial
+    executor and (via fork) inside each worker process, which is what
+    makes the executors bit-identical.
     """
 
     def __init__(self, service: ShardedIndex) -> None:
         self.service = service
-        #: Live replay sessions by stable shard id (drain-hook target).
-        self._sessions: dict[int, _ShardSession] = {}
 
-    # ------------------------------------------------------------------
     def replay_shard(self, sid: int, subops: list[SubOp]) -> list[OutRecord]:
         """Run one shard's sub-ops in order; return (op_index, code,
         latency, result) records (executor-confined, merged by the
-        Router's replay)."""
-        session = _ShardSession(sid=sid)
-        self._sessions[sid] = session
-        try:
-            # At most one buffer is ever non-empty: an op of the other
-            # phase flushes it first, which keeps per-shard trace order
-            # (a read or scan issued after an insert observes it, and
-            # vice versa).  Reads and scans share the read phase — only
-            # writes fence it.
-            for op in subops:
-                if op.code == OP_READ or op.code == OP_SCAN:
-                    self._flush_writes(session)
-                    session.read_buffer.append(op)
-                elif op.code == OP_INSERT:
-                    self._flush_reads(session)
-                    session.write_buffer.append(op)
+        Router's replay).  An unknown op code raises ``ValueError``."""
+        service = self.service
+        out: list[OutRecord] = []
+        for start in range(0, len(subops), REPLAY_CHUNK):
+            chunk = subops[start : start + REPLAY_CHUNK]
+            shard = service.shard_by_id(sid)
+            # A shard retired mid-replay has no owner any more: the
+            # service-level call re-routes each op by key (and re-plans
+            # each scan leg's sub-window, which still partitions the
+            # original window) under the current epoch.  It takes tuple
+            # ids; a shard's index takes its native write targets.
+            target: ShardedIndex | Index = (
+                service if shard is None else shard.index
+            )
+            ops: list[Op] = []
+            inserts = False
+            for op in chunk:
+                if op.code == OP_INSERT:
+                    inserts = True
+                    tid = (op.tid if shard is None
+                           else shard.index.write_target(op.tid))
+                    ops.append((op.code, op.key, tid))
+                elif op.code == OP_SCAN:
+                    ops.append((op.code, op.sub_lo, op.sub_hi))
                 else:
-                    # Fail loudly: a new op code buffered as if it were
-                    # a scan would be silently dropped by _flush_reads.
-                    raise ValueError(f"unknown op code {op.code}")
-            self._flush_reads(session)
-            self._flush_writes(session)
-        finally:
-            self._sessions.pop(sid, None)
-        return session.out
-
-    def flush_session(self, sid: int) -> None:
-        """Flush any live buffers for shard ``sid`` (drain-hook path)."""
-        session = self._sessions.get(sid)
-        if session is None:
-            return
-        self._flush_reads(session)
-        self._flush_writes(session)
-
-    # ------------------------------------------------------------------
-    def _flush_reads(self, session: _ShardSession) -> None:
-        # The read-phase buffer holds point reads and scan legs: both
-        # are read-only, so each chunk can dispatch its reads and its
-        # scans as two sub-batches — every charge on the read path
-        # declares its access pattern explicitly, so the relative order
-        # cannot change any simulated number.
-        buffer = session.read_buffer
-        if not buffer:
-            return
-        service = self.service
-        shard = service.shard_by_id(session.sid)
-        # A shard retired mid-replay has no owner any more: the
-        # service-level calls re-route each read by key (and re-plan
-        # each scan leg's sub-window, which still partitions the
-        # original window) under the current epoch.
-        target: ShardedIndex | Index = (
-            service if shard is None else shard.index
-        )
-        out = session.out
-        for start in range(0, len(buffer), REPLAY_CHUNK):
-            chunk = buffer[start : start + REPLAY_CHUNK]
-            reads = [op for op in chunk if op.code == OP_READ]
-            scans = [op for op in chunk if op.code == OP_SCAN]
-            if reads:
-                sink: list[float] = []
-                results = target.search_many(
-                    [op.key for op in reads], latency_sink=sink
-                )
-                for op, latency, result in zip(reads, sink, results):
-                    out.append((op.op_index, op.code, latency, result))
-            if scans:
-                scan_sink: list[float] = []
-                scan_results = target.range_scan_many(
-                    [(op.sub_lo, op.sub_hi) for op in scans],
-                    latency_sink=scan_sink,
-                )
-                for op, latency, result in zip(scans, scan_sink,
-                                               scan_results):
-                    out.append((op.op_index, op.code, latency, result))
-        buffer.clear()
-
-    def _flush_writes(self, session: _ShardSession) -> None:
-        buffer = session.write_buffer
-        if not buffer:
-            return
-        service = self.service
-        shard = service.shard_by_id(session.sid)
-        out = session.out
-        for start in range(0, len(buffer), REPLAY_CHUNK):
-            chunk = buffer[start : start + REPLAY_CHUNK]
-            keys = [op.key for op in chunk]
-            tids = [op.tid for op in chunk]
+                    ops.append((op.code, op.key, None))
             sink: list[float] = []
-            if shard is None:
-                # Shard retired mid-replay: re-route by key under the
-                # current epoch.
-                service.insert_many(keys, tids, latency_sink=sink)
-            else:
-                service.insert_many_on(shard, keys, tids, latency_sink=sink)
-            for op, latency in zip(chunk, sink):
-                out.append((op.op_index, op.code, latency, None))
-        buffer.clear()
+            results = target.apply_many(ops, latency_sink=sink)
+            for op, latency, result in zip(chunk, sink, results):
+                out.append((op.op_index, op.code, latency, result))
+            if inserts:
+                sanitize.maybe_check(service)
+        return out
 
 
 # ----------------------------------------------------------------------
@@ -258,10 +176,9 @@ class ShardExecutor:
 
     Lifecycle: the Router builds a :class:`ReplayCore`, calls
     :meth:`attach`, then :meth:`run` once per replay with the full list
-    of per-shard plans; :meth:`drain` is forwarded from the service's
-    drain hooks before a topology change retires a shard; :meth:`close`
-    releases executor resources.  Implementations must be bit-identical
-    to :class:`SerialExecutor` in results, IOStats and per-op latencies.
+    of per-shard plans; :meth:`close` releases executor resources.
+    Implementations must be bit-identical to :class:`SerialExecutor` in
+    results, IOStats and per-op latencies.
     """
 
     name = "base"
@@ -281,11 +198,6 @@ class ShardExecutor:
     def run(self, plans: list[ShardPlan]) -> list[list[OutRecord]]:
         """Execute every plan; return outcome lists aligned with ``plans``."""
         raise NotImplementedError
-
-    def drain(self, sid: int) -> None:
-        """Flush buffered work for shard ``sid`` ahead of its retirement."""
-        if self._core is not None:
-            self._core.flush_session(sid)
 
     def close(self) -> None:
         """Release executor resources (idempotent)."""
@@ -529,12 +441,21 @@ class ProcessExecutor(ShardExecutor):
             self._dispatch(active, outcomes)
         return [outcomes.get(pos, []) for pos in range(len(plans))]
 
+    def attach(self, core: ReplayCore) -> None:
+        super().attach(core)
+        core.service.register_drain_hook(self.drain)
+
     def drain(self, sid: int) -> None:
-        super().drain(sid)  # a parent-side fallback session may be live
+        """Service drain hook: a topology change is about to retire
+        shard ``sid`` — fold every worker's state back into the parent
+        (the change happens there) and stop the workers; the next
+        replay forks fresh ones under the new epoch."""
         if self._handles or self._journal:
             self._sync_and_stop_all()
 
     def close(self) -> None:
+        if self._core is not None:
+            self._core.service.unregister_drain_hook(self.drain)
         if self._handles or self._journal:
             self._sync_and_stop_all()
 

@@ -23,10 +23,10 @@ fires per window, and every decision is recorded in the
 
 :func:`run_elastic_service` is the driving loop: it replays a trace in
 fixed-size windows through one :class:`~repro.service.router.Router`,
-feeds each window's load to the rebalancer *between* windows (buffered
-sub-ops are always flushed by then; mid-window migrations are covered by
-the Router's drain hook), and collects per-op results, latencies and
-stable owner ids for the report.
+feeds each window's load to the rebalancer *between* windows (the
+Router buffers nothing across replays; a process executor syncs its
+workers back at the service's drain hook), and collects per-op results,
+latencies and stable owner ids for the report.
 """
 
 from __future__ import annotations

@@ -3,44 +3,37 @@
 The router turns a :class:`~repro.workloads.mixed.MixedTrace` into
 per-shard work lists and hands them to a pluggable
 :class:`~repro.service.executor.ShardExecutor`, which replays each list
-through the one batched replay engine,
+through the one replay engine,
 :class:`~repro.service.executor.ReplayCore`:
 
-* point reads are routed by key and **batched** — consecutive reads on
-  one shard flow through the shard's vectorized ``search_many``, with
-  the per-op latency sink recovering each op's simulated latency for
-  the percentile report;
-* inserts are **write-batched** the same way: consecutive inserts on
-  one shard flush through ``insert_many``; a read or scan arrival
-  flushes the write buffer first, so an operation issued after an
-  insert always observes it (read-your-writes order is preserved);
-* scans share the read-phase buffer with the point reads (both are
-  read-only; only writes fence the read phase), and each flush
-  dispatches its scans through the vectorized ``range_scan_many``;
-* a scan whose window spans multiple shards is split into per-shard
-  legs (scatter-gather, planned vectorized via ``scan_plan_many``);
-  its latency is the *sum* of its legs' simulated time, and its result
-  merges the legs' counts.
+* point reads and inserts are routed by key; a scan whose window spans
+  multiple shards is split into per-shard legs (scatter-gather, planned
+  vectorized via ``scan_plan_many``); its latency is the *sum* of its
+  legs' simulated time, and its result merges the legs' counts;
+* each shard's list goes to its index as one ordered ``apply_many``
+  call per chunk — reads, scans and inserts together, in trace order.
+  The engine answers them as if applied one by one, so an operation
+  issued after an insert observes it (read-your-writes), and the
+  per-op latency sink recovers each op's simulated latency for the
+  percentile report.
 
-Every batched call is bit-identical to the same ops issued one by one
+Every replay is bit-identical to the same ops issued one by one
 through :class:`~repro.service.sharded.ShardedIndex` in trace order
 (results and IOStats; per-op latencies and clocks up to float
 summation order) — the tests hold the Router to that per-op loop.
 
 **Topology discipline.**  Routing goes through the service's
 :class:`~repro.service.routing.RoutingTable`; plan-time shard ordinals
-are resolved to *stable shard ids* before any work is buffered, and
-every flush re-resolves its shard id through the table at dispatch time
-(reprolint rule P4 forbids retaining ``shards[i]`` objects here).  The
-Router registers a **drain hook** with the service for its lifetime:
-when a shard's range is about to migrate (``split_shard`` /
-``merge_shards``), any buffered sub-ops for that shard are flushed to
-the *old* shard before the epoch flips — read-your-writes holds across
-live topology changes (the process executor additionally tears down and
-resynchronizes its workers at the drain, and respawns them under the
-new epoch).  Should a buffered shard id nonetheless vanish (retired
-mid-replay), the flush falls back to service-level batch calls, which
-re-route each op by key under the new epoch.
+are resolved to *stable shard ids* before dispatch, and each chunk
+re-resolves its shard id through the table (reprolint rule P4 forbids
+retaining ``shards[i]`` objects here).  Nothing is buffered between
+engine calls, so a live topology change (``split_shard`` /
+``merge_shards``) has nothing of the Router's to flush; the process
+executor registers a drain hook that tears down and resynchronizes its
+workers before the epoch flips, and respawns them under the new epoch.
+Should a shard id nonetheless vanish (retired mid-replay), its chunks
+fall back to the service-level ``apply_many``, which re-routes each op
+by key under the new epoch.
 
 Per-shard operation order always follows trace order.  Because every
 shard owns a private tree, stack and clock, shards share no mutable
@@ -57,8 +50,8 @@ state — which executor replays them is a pure deployment knob:
 Both produce bit-identical results, IOStats and per-op simulated
 latencies (``tests/test_service.py::TestExecutorEquivalence``).  Live
 topology changes remain a control-plane action: trigger them between
-replay calls (as the elastic control loop does) or from the replaying
-thread via a drain hook — not concurrently from another thread.
+replay calls (as the elastic control loop does) — not concurrently from
+another thread.
 """
 
 from __future__ import annotations
@@ -92,21 +85,13 @@ class Router:
         self._core = ReplayCore(service)
         self.executor = make_executor(executor, workers=workers)
         self.executor.attach(self._core)
-        service.register_drain_hook(self._drain)
 
     def close(self) -> None:
-        """Unregister the drain hook and release executor resources
-        (worker processes for the process executor — which also folds
-        any outstanding worker state back into the service, so call
-        this before checkpointing or unbinding)."""
-        self.service.unregister_drain_hook(self._drain)
+        """Release executor resources (worker processes for the process
+        executor — which also folds any outstanding worker state back
+        into the service, so call this before checkpointing or
+        unbinding)."""
         self.executor.close()
-
-    def _drain(self, sid: int) -> None:
-        """Service drain hook: a topology change is about to retire
-        shard ``sid`` — flush everything buffered for it to the old
-        shard while the old routing epoch is still current."""
-        self.executor.drain(sid)
 
     # ------------------------------------------------------------------
     # planning

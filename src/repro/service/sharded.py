@@ -23,11 +23,11 @@ protocol hook that maps a tuple id to the backend's native target
 map from key ranges to *stable shard ids*.  :meth:`split_shard` and
 :meth:`merge_shards` change the layout live — children are rebuilt from
 the parent's leaf run via the same ``shard_from_leaves`` hook the static
-builder uses, registered drain hooks flush any Router-buffered writes
-for the migrating range to the old shard first, and only then does the
-table's epoch flip.  Positional shard ordinals are meaningful within a
-single epoch only; resolve shards by stable id (:meth:`shard_by_id`)
-when holding state across operations.
+builder uses, registered drain hooks run first (a process executor
+folds its workers' state back into the parent there), and only then
+does the table's epoch flip.  Positional shard ordinals are meaningful
+within a single epoch only; resolve shards by stable id
+(:meth:`shard_by_id`) when holding state across operations.
 
 **Construction is equivalence-preserving.**  ``build`` bulk-loads one
 donor index over the whole relation, then slices its leaf chain into
@@ -69,7 +69,7 @@ from typing import Any, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from repro.api.protocol import Index
+from repro.api.protocol import Index, Op, apply_in_runs
 from repro.api.registry import make_index
 from repro.analysis.sanitize import maybe_check
 from repro.api.results import (
@@ -283,8 +283,8 @@ class ShardedIndex:
     def register_drain_hook(self, hook: Callable[[int], None]) -> None:
         """Register a callback invoked with a shard id immediately
         *before* that shard's range migrates (split/merge), while the
-        old routing epoch is still current — the Router uses this to
-        flush buffered writes to the old shard (read-your-writes)."""
+        old routing epoch is still current — the process executor uses
+        this to fold its workers' state back into the parent."""
         self._drain_hooks.append(hook)
 
     def unregister_drain_hook(self, hook: Callable[[int], None]) -> None:
@@ -294,11 +294,12 @@ class ShardedIndex:
             pass
 
     def drain(self, shard_id: int) -> None:
-        """Flush any registered buffered state targeting ``shard_id``
-        (e.g. Router read/write buffers) to the shard *as currently
-        routed*.  Topology operations call this before anything moves;
-        external orchestration (durable split/merge) may call it to
-        land buffered writes on a wrapper before unwrapping it."""
+        """Run the registered drain hooks for ``shard_id`` while it is
+        still routed as it is now (e.g. the process executor syncing
+        its workers back into the parent).  Topology operations call
+        this before anything moves; external orchestration (durable
+        split/merge) calls it to land that state on a wrapper before
+        unwrapping it."""
         for hook in list(self._drain_hooks):
             hook(shard_id)
 
@@ -380,7 +381,7 @@ class ShardedIndex:
         backend's ``shard_from_leaves`` hook — the children reuse the
         parent's leaf objects, so reads served after the split are
         bit-identical to reads served before it.  Drain hooks run
-        before anything moves (Router-buffered writes land on the old
+        before anything moves (executor workers sync back into the old
         shard first), the parent's charged IOStats/clock are retired
         into the service accumulators, and the routing-table epoch flips
         last, once the children are registered and bound.
@@ -401,8 +402,8 @@ class ShardedIndex:
                 f"shard {shard_id} has {index.n_leaves} leaves; a split "
                 "needs at least 4 (two per child)"
             )
-        # Flush Router-buffered writes for the migrating range to the
-        # *old* shard while the old epoch is still current.
+        # Sync executor state for the migrating range into the *old*
+        # shard while the old epoch is still current.
         self.drain(shard_id)
         leaves = index.shard_leaves()
         cut = self._split_cut(index, leaves, at)
@@ -591,10 +592,10 @@ class ShardedIndex:
             sub_sink: list[float] | None = (
                 [] if latency_sink is not None else None
             )
-            self.insert_many_on(
-                shard,
+            index = shard.index
+            index.insert_many(
                 [keys[i] for i in idx],
-                [int(tids[i]) for i in idx],
+                [index.write_target(int(tids[i])) for i in idx],
                 latency_sink=sub_sink,
             )
             if sub_sink is not None:
@@ -602,15 +603,6 @@ class ShardedIndex:
                     latencies[i] = sub_sink[j]
         if latency_sink is not None:
             latency_sink.extend(latencies)
-        maybe_check(self)
-
-    def insert_many_on(self, shard: Shard, keys: Sequence[Any],
-                       tids: Sequence[int],
-                       latency_sink: list[float] | None = None) -> None:
-        """Batch :meth:`insert` for an already-routed key group — the
-        Router's write-batching entry point."""
-        targets = [shard.index.write_target(int(t)) for t in tids]
-        shard.index.insert_many(keys, targets, latency_sink=latency_sink)
         maybe_check(self)
 
     def delete_many(self, keys: Sequence[Any],
@@ -716,6 +708,15 @@ class ShardedIndex:
         if latency_sink is not None:
             latency_sink.extend(latencies)
         return results
+
+    def apply_many(self, ops: Sequence[Op],
+                   latency_sink: list[float] | None = None) -> list[Any]:
+        """Point reads, scans and inserts in one ordered call, each run
+        of one kind routed by key through the batch calls above
+        (:func:`~repro.api.protocol.apply_in_runs`).  Inserts carry tuple
+        ids, as in :meth:`insert_many`.  The Router's replay falls back
+        to this for a shard retired mid-replay."""
+        return apply_in_runs(self, ops, latency_sink)
 
     # ==================================================================
     # introspection

@@ -32,13 +32,13 @@ from typing import Iterator
 
 import numpy as np
 
+# Operation codes stored in MixedTrace.ops: the Index protocol's
+# apply_many codes, so a trace op feeds the engines unchanged.
+from repro.api.protocol import OP_INSERT as OP_INSERT
+from repro.api.protocol import OP_READ as OP_READ
+from repro.api.protocol import OP_SCAN as OP_SCAN
 from repro.storage.relation import Relation
 from repro.workloads.seeds import derive_seed
-
-# Operation codes stored in MixedTrace.ops.
-OP_READ = 0
-OP_INSERT = 1
-OP_SCAN = 2
 
 OP_NAMES = {OP_READ: "read", OP_INSERT: "insert", OP_SCAN: "scan"}
 

@@ -6,7 +6,8 @@ tests pin the unified Index protocol down:
 * scalar/batch **bit-identity** — ``search_many`` / ``delete_many`` /
   ``range_scan_many`` produce exactly the per-item scalar loop's
   results, IOStats and simulated clock, on every backend (vectorized
-  engine or generic fallback alike);
+  engine or generic fallback alike), and one ordered ``apply_many``
+  call equals the same ops sent as run-by-run batch calls;
 * normalized **return types** — ``SearchResult`` / ``DeleteOutcome`` /
   ``RangeScanResult`` everywhere;
 * **capability-gated errors** — operations outside a backend's
@@ -25,6 +26,9 @@ import pytest
 from per_op_replay import replay_per_op
 
 from repro.api import (
+    OP_INSERT,
+    OP_READ,
+    OP_SCAN,
     Capabilities,
     DeleteOutcome,
     Index,
@@ -221,6 +225,106 @@ def test_range_scan_many_bit_identical_to_scalar(name, pk_relation):
     assert batch[0].matches == 101
     assert stack_b.stats.snapshot() == stack_s.stats.snapshot()
     assert len(sink) == len(windows)
+
+
+def _mixed_ops(name, index):
+    """Reads (hits and misses), plus scans and inserts where the backend
+    supports them, interleaved so every kind starts and ends a run."""
+    caps = EXPECTED_CAPS[name]
+    ops = [(OP_READ, k, None) for k in (5, 10**7, 300)]
+    if caps["scannable"]:
+        ops += [(OP_SCAN, 0, 100), (OP_READ, 8191, None),
+                (OP_SCAN, 8000, 9000)]
+    if caps["mutable"]:
+        ops += [(OP_INSERT, 9000, index.write_target(8191)),
+                (OP_INSERT, 100, index.write_target(100)),
+                (OP_READ, 9000, None), (OP_READ, 100, None),
+                (OP_INSERT, 9001, index.write_target(8191))]
+    if caps["scannable"]:
+        ops += [(OP_SCAN, 50, 150), (OP_SCAN, 8100, 9100)]
+    return ops + [(OP_READ, 4000, None)]
+
+
+def _run_by_run(index, ops, sink):
+    """The ops as maximal runs: one insert_many per insert run; per run
+    of reads and scans, one search_many then one range_scan_many."""
+    results, latencies = [None] * len(ops), [0.0] * len(ops)
+    start = 0
+    while start < len(ops):
+        inserting = ops[start][0] == OP_INSERT
+        stop = start
+        while stop < len(ops) and (ops[stop][0] == OP_INSERT) == inserting:
+            stop += 1
+        for code in (OP_INSERT, OP_READ, OP_SCAN):
+            idx = [i for i in range(start, stop) if ops[i][0] == code]
+            if not idx:
+                continue
+            part: list[float] = []
+            if code == OP_INSERT:
+                index.insert_many([ops[i][1] for i in idx],
+                                  [ops[i][2] for i in idx],
+                                  latency_sink=part)
+                got = [None] * len(idx)
+            elif code == OP_READ:
+                got = index.search_many([ops[i][1] for i in idx],
+                                        latency_sink=part)
+            else:
+                got = index.range_scan_many(
+                    [(ops[i][1], ops[i][2]) for i in idx], latency_sink=part
+                )
+            for i, result, latency in zip(idx, got, part):
+                results[i] = result
+                latencies[i] = latency
+        start = stop
+    sink.extend(latencies)
+    return results
+
+
+@pytest.mark.parametrize("name", BACKENDS)
+def test_apply_many_equals_run_by_run_batches(name, pk_relation):
+    runs_index, index = _build(name, pk_relation), _build(name, pk_relation)
+    ops = _mixed_ops(name, index)
+
+    stack_r = build_stack(CONFIG)
+    runs_index.bind(stack_r)
+    want_lat: list[float] = []
+    want = _run_by_run(runs_index, ops, want_lat)
+    runs_index.unbind()
+
+    stack = build_stack(CONFIG)
+    index.bind(stack)
+    sink: list[float] = []
+    got = index.apply_many(ops, latency_sink=sink)
+    index.unbind()
+
+    assert got == want
+    assert stack.stats.snapshot() == stack_r.stats.snapshot()
+    assert math.isclose(stack.clock.now(), stack_r.clock.now(),
+                        rel_tol=1e-9)
+    np.testing.assert_allclose(sink, want_lat, rtol=1e-9)
+
+
+@pytest.mark.parametrize("name", MUTABLE)
+def test_apply_many_read_sees_only_earlier_inserts(name, pk_relation):
+    index = _build(name, pk_relation)
+    index.delete(4242)
+    before, _, after = index.apply_many([
+        (OP_READ, 4242, None),
+        (OP_INSERT, 4242, index.write_target(4242)),
+        (OP_READ, 4242, None),
+    ])
+    assert not before.found
+    assert after.found
+
+
+@pytest.mark.parametrize("name", BACKENDS)
+def test_apply_many_rejects_unknown_op_code(name, pk_relation):
+    index = _build(name, pk_relation)
+    stack = build_stack(CONFIG)
+    index.bind(stack)
+    with pytest.raises(ValueError, match="unknown op code 9"):
+        index.apply_many([(OP_READ, 5, None), (9, 5, None)])
+    assert stack.stats.snapshot() == build_stack(CONFIG).stats.snapshot()
 
 
 # ======================================================================

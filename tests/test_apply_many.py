@@ -1,0 +1,265 @@
+"""``BFTree.apply_many``: one ordered call for reads, scans and inserts.
+
+The engine plans a whole mixed chunk at once (one routing pass, one hash
+call) and walks it in order, deferring only charge-free work.  Its
+contract is the per-op loop: applying the same ops one by one through
+the scalar ``search`` / ``insert`` / ``range_scan`` calls must give the
+same results, tree state (filter bitsets included), IOStats, simulated
+clock and per-op latencies (floats to ``rtol=1e-9``).  The property
+test drives that over arbitrary interleavings on trees whose leaves
+split mid-chunk, a partitioned column, counting filters, ``str`` keys
+and a warm buffer pool.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from repro.api import OP_INSERT, OP_READ, OP_SCAN, as_scalar
+from repro.core import BFTree, BFTreeConfig
+from repro.storage import Relation, build_stack
+from repro.workloads import tpch
+
+N_KEYS = 4096
+N_NOVEL = 48
+
+
+def _tree_fingerprint(tree):
+    out = []
+    for leaf in tree.leaves_in_order():
+        filters = [
+            (f.count, bytes(f._counters) if hasattr(f, "_counters")
+             else f._bits)
+            for f in leaf.filters
+        ]
+        out.append((
+            leaf.node_id, leaf.min_pid, leaf.min_key, leaf.max_key,
+            leaf.nkeys, leaf.pages_covered, sorted(leaf.deleted_keys),
+            filters,
+        ))
+    return out
+
+
+class World:
+    """One relation + tree configuration, and a map from drawn integers
+    to ops over it.  ``tombstones`` are deleted before the ops run, so
+    re-inserting one makes it visible again."""
+
+    def __init__(self, name, relation, column, config, *, unique,
+                 ordered=None, warm=False, str_keys=False):
+        self.name = name
+        self.relation = relation
+        self.column = column
+        self.config = config
+        self.unique = unique
+        self.ordered = ordered
+        self.warm = warm
+        self.str_keys = str_keys
+        self.values = relation.columns[column]
+        n = len(self.values)
+        self.tombstones = [as_scalar(self.values[t])
+                           for t in range(5, n, n // 6)]
+        self.layout = self.build()
+
+    def build(self):
+        tree = BFTree.bulk_load(self.relation, self.column, self.config,
+                                unique=self.unique, ordered=self.ordered)
+        for key in self.tombstones:
+            tree.delete(key)
+        return tree
+
+    def novel(self, x):
+        return f"N{x % N_NOVEL:04d}" if self.str_keys else 10**6 + x % N_NOVEL
+
+    def absent(self, x):
+        return f"K{2 * (x % N_KEYS) + 1:06d}" if self.str_keys else -1 - x
+
+    def op(self, kind, x):
+        n = len(self.values)
+        tid = x % n
+        last_page = self.relation.npages - 1
+        if kind == "read":
+            pick = x % 10
+            if pick < 6:
+                key = as_scalar(self.values[tid])
+            elif pick < 8:
+                key = self.tombstones[x % len(self.tombstones)]
+            elif pick < 9 and self.ordered is not False:
+                key = self.novel(x // 10)
+            else:
+                key = self.absent(x)
+            return (OP_READ, key, None)
+        if kind == "insert":
+            if x % 3 == 0 and self.ordered is not False:
+                return (OP_INSERT, self.novel(x // 3), last_page)
+            if x % 3 == 1:
+                key = self.tombstones[x % len(self.tombstones)]
+            else:
+                key = as_scalar(self.values[tid])
+            if self.ordered is not False:
+                tid = int(np.searchsorted(self.values, key))
+                return (OP_INSERT, key, self.relation.page_of(tid))
+            # Partitioned data: the key's tuples may lie outside the leaf
+            # it routes to; index it on that leaf's last page, which
+            # stays inside the range of whichever child a split routes
+            # it to.
+            leaf_id, _ = self.layout.inner.descend(key, charge_io=False)
+            leaf = self.layout.leaves[leaf_id]
+            return (OP_INSERT, key, leaf.min_pid + leaf.pages_covered - 1)
+        lo = as_scalar(self.values[tid])
+        hi = as_scalar(self.values[min(n - 1, tid + 1 + x % 40)])
+        return (OP_SCAN, min(lo, hi), max(lo, hi))
+
+
+def _pk_relation(n=N_KEYS):
+    return Relation({"k": np.arange(n, dtype=np.int64)}, tuple_size=256)
+
+
+def _str_relation(n=N_KEYS // 2):
+    keys = np.array([f"K{2 * i:06d}" for i in range(n)], dtype=object)
+    return Relation({"k": keys}, tuple_size=256)
+
+
+WORLDS = {
+    w.name: w for w in (
+        World("splits", _pk_relation(), "k",
+              BFTreeConfig(fpp=1e-3, page_size=512), unique=True),
+        World("partitioned", tpch.generate(N_KEYS, seed=5), "commitdate",
+              BFTreeConfig(fpp=1e-3), unique=False, ordered=False),
+        World("counting", _pk_relation(), "k",
+              BFTreeConfig(fpp=1e-3, page_size=1024,
+                           filter_kind="counting"), unique=True),
+        World("str_keys", _str_relation(), "k",
+              BFTreeConfig(fpp=1e-3, page_size=1024), unique=True,
+              str_keys=True),
+        World("warm_pool", _pk_relation(), "k",
+              BFTreeConfig(fpp=1e-3, page_size=512), unique=True,
+              warm=True),
+    )
+}
+
+
+def _per_op(tree, ops, stack):
+    results, latencies = [], []
+    for code, key, arg in ops:
+        start = stack.clock.now()
+        if code == OP_READ:
+            results.append(tree.search(key))
+        elif code == OP_INSERT:
+            results.append(tree.insert(key, arg))
+        else:
+            results.append(tree.range_scan(key, arg))
+        latencies.append(stack.clock.now() - start)
+    return results, latencies
+
+
+def _check_against_per_op(world, ops):
+    ref_tree, tree = world.build(), world.build()
+    ref_stack, stack = build_stack("MEM/SSD"), build_stack("MEM/SSD")
+    ref_tree.bind(ref_stack, warm=world.warm)
+    tree.bind(stack, warm=world.warm)
+    want, want_lat = _per_op(ref_tree, ops, ref_stack)
+    sink: list[float] = []
+    got = tree.apply_many(ops, latency_sink=sink)
+    assert got == want
+    assert stack.stats.snapshot() == ref_stack.stats.snapshot()
+    assert math.isclose(stack.clock.now(), ref_stack.clock.now(),
+                        rel_tol=1e-9)
+    np.testing.assert_allclose(sink, want_lat, rtol=1e-9)
+    assert _tree_fingerprint(tree) == _tree_fingerprint(ref_tree)
+    return ref_tree
+
+
+op_lists = st.lists(
+    st.tuples(st.sampled_from(["read", "read", "read", "insert", "insert",
+                               "scan"]),
+              st.integers(min_value=0, max_value=10**6)),
+    min_size=1, max_size=120,
+)
+
+
+@pytest.mark.parametrize("world", sorted(WORLDS))
+@given(drawn=op_lists)
+@settings(max_examples=12, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+def test_apply_many_equals_per_op_loop(world, drawn):
+    w = WORLDS[world]
+    _check_against_per_op(w, [w.op(kind, x) for kind, x in drawn])
+
+
+@pytest.mark.parametrize("world", ["splits", "warm_pool", "str_keys"])
+def test_splits_mid_chunk(world):
+    """Novel inserts fill the last leaf and split it while reads and
+    scans queued before the split still wait for their filter tests."""
+    w = WORLDS[world]
+    rng = np.random.default_rng(11)
+    ops = []
+    for j in range(600):
+        kind = ("insert", "read", "read", "scan")[j % 4]
+        ops.append(w.op(kind, 3 * int(rng.integers(0, 10**5))))
+    before = w.build().n_leaves
+    assert _check_against_per_op(w, ops).n_leaves > before
+
+
+def test_read_sees_exactly_the_inserts_before_it():
+    w = WORLDS["splits"]
+    key = w.tombstones[0]
+    page = w.relation.page_of(int(key))
+    tree = w.build()
+    tree.bind(build_stack("MEM/SSD"))
+    before, _, after, scan = tree.apply_many([
+        (OP_READ, key, None), (OP_INSERT, key, page), (OP_READ, key, None),
+        (OP_SCAN, key, key),
+    ])
+    assert not before.found
+    assert after.found and after.tids == [int(key)]
+    assert scan.matches == 1
+
+
+def test_unknown_op_code_raises_before_applying():
+    w = WORLDS["splits"]
+    tree = w.build()
+    stack = build_stack("MEM/SSD")
+    tree.bind(stack)
+    state = _tree_fingerprint(tree)
+    with pytest.raises(ValueError, match="unknown op code 7"):
+        tree.apply_many([(OP_INSERT, 10**6, w.relation.npages - 1),
+                         (7, 1, None)])
+    assert stack.stats.snapshot() == build_stack("MEM/SSD").stats.snapshot()
+    assert _tree_fingerprint(tree) == state
+
+
+def test_sharded_apply_many_equals_per_op_service_calls(pk_relation):
+    """The service-level call (the Router's fallback for a shard retired
+    mid-replay) routes each run by key; inserts carry tuple ids."""
+    from repro.service import ShardedIndex
+
+    def build():
+        service = ShardedIndex.build(pk_relation, "pk", n_shards=3,
+                                     unique=True, fpp=1e-3)
+        service.bind("MEM/SSD")
+        return service
+
+    ops = [(OP_READ, 10, None), (OP_SCAN, 2000, 6000),
+           (OP_INSERT, 4242, 4242), (OP_INSERT, 10**6, 8191),
+           (OP_READ, 4242, None), (OP_READ, 10**6, None),
+           (OP_SCAN, 8000, 10**6), (OP_READ, 7000, None)]
+    ref = build()
+    want, want_lat = [], []
+    for code, key, arg in ops:
+        start = sum(ref.shard_clocks())
+        if code == OP_READ:
+            want.append(ref.search(key))
+        elif code == OP_INSERT:
+            want.append(ref.insert(key, arg))
+        else:
+            want.append(ref.range_scan(key, arg))
+        want_lat.append(sum(ref.shard_clocks()) - start)
+    service = build()
+    sink: list[float] = []
+    assert service.apply_many(ops, latency_sink=sink) == want
+    assert service.merged_io() == ref.merged_io()
+    np.testing.assert_allclose(sink, want_lat, rtol=1e-9)

@@ -1010,16 +1010,10 @@ class BFTree(IndexBackend):
         while i < n:
             code = codes[i]
             if code != OP_INSERT:
-                for lid in list(pending):
-                    self._flush_duplicates(walk, lid)
-                if code == OP_SCAN:
-                    walk.scans.append(i)
-                else:
-                    leaf_id = pred[j - base]
-                    self._probe(walk, i, self.leaves[leaf_id],
-                                paths[leaf_id], j - base)
-                    j += 1
-                i += 1
+                if pending:
+                    for lid in list(pending):
+                        self._flush_duplicates(walk, lid)
+                i, j = self._read_run(walk, i, j, base, pred, paths)
                 continue
             # Scans and reads before this insert must not see it.
             self._run_scans(walk)
@@ -1070,34 +1064,51 @@ class BFTree(IndexBackend):
                 break
         return i, j
 
-    def _probe(self, walk: "_Walk", i: int, leaf: BFLeaf, path: list[int],
-               rel: int) -> None:
-        """A read's turn in :meth:`apply_many`: charge its descent, any
-        neighbour-leaf reads and the per-filter probe CPU now, and queue
-        its filter test on every candidate leaf (``rel`` is its row in
-        the plan, hashed under ``leaf``; neighbours hash at test time)."""
-        clock = walk.clock
-        start = clock.now() if walk.track else 0.0
-        key = walk.keys[i]
-        self._charge_descent(leaf, path)
-        candidates = [c for c in self._candidate_leaves(key, leaf)
-                      if c.covers_key(key)]
-        if candidates:
-            stats = walk.stats
-            probes = walk.probes
-            for c in candidates:
-                if stats is not None:
-                    stats.bloom_probes += c.nfilters
-                if clock is not None:
-                    clock.advance(c.nfilters * CPU_BLOOM_PROBE)
-                probes.setdefault(c.node_id, []).append(
-                    (i, rel if c is leaf else None)
-                )
-            walk.fetches.append((i, [c.node_id for c in candidates]))
-        else:
-            walk.results[i] = SearchResult(found=False)
-        if walk.track:
-            walk.latencies[i] = clock.now() - start
+    def _read_run(self, walk: "_Walk", i: int, j: int, base: int, pred,
+                  paths) -> tuple[int, int]:
+        """Take the reads and scans from op ``i`` (point op ``j``) up to
+        the next insert; return the next op and point op.  Each read's
+        descent, neighbour-leaf reads and per-filter probe CPU are
+        charged at its turn, and its filter test queues on every
+        candidate leaf (its plan row is hashed under its predicted leaf;
+        neighbours hash at test time).  Scans queue for the run's one
+        :meth:`range_scan_many` call."""
+        codes, keys, probes = walk.codes, walk.keys, walk.probes
+        clock, stats, track = walk.clock, walk.stats, walk.track
+        leaves = self.leaves
+        n = len(codes)
+        while i < n:
+            code = codes[i]
+            if code == OP_INSERT:
+                break
+            if code == OP_SCAN:
+                walk.scans.append(i)
+                i += 1
+                continue
+            rel = j - base
+            leaf = leaves[pred[rel]]
+            key = keys[i]
+            start = clock.now() if track else 0.0
+            self._charge_descent(leaf, paths[leaf.node_id])
+            candidates = [c for c in self._candidate_leaves(key, leaf)
+                          if c.covers_key(key)]
+            if candidates:
+                for c in candidates:
+                    if stats is not None:
+                        stats.bloom_probes += c.nfilters
+                    if clock is not None:
+                        clock.advance(c.nfilters * CPU_BLOOM_PROBE)
+                    probes.setdefault(c.node_id, []).append(
+                        (i, rel if c is leaf else None)
+                    )
+                walk.fetches.append((i, [c.node_id for c in candidates]))
+            else:
+                walk.results[i] = SearchResult(found=False)
+            if track:
+                walk.latencies[i] = clock.now() - start
+            i += 1
+            j += 1
+        return i, j
 
     def _test_probes(self, walk: "_Walk", leaf_id: int) -> None:
         """Run the filter tests queued on one leaf, in one page gather."""
@@ -1371,8 +1382,9 @@ class BFTree(IndexBackend):
         sub = keys[start:]
         m = len(sub)
         arr = np.asarray(sub)
-        slots = np.asarray(route_batch(fences, sub), dtype=np.int64)
-        pred = [leaf_ids[s] for s in slots.tolist()]
+        route = route_batch(fences, arr)
+        pred = [leaf_ids[s] for s in route]
+        slots = np.asarray(route, dtype=np.int64)
         # Group keys by target leaf with one stable argsort (slot value
         # <-> leaf is 1:1), instead of a per-key dict pass.
         order = np.argsort(slots, kind="stable")
@@ -1389,9 +1401,9 @@ class BFTree(IndexBackend):
             return pred, paths, None, None, None
         rows = np.empty_like(segments[0], shape=(m, segments[0].shape[1]))
         rows[order] = np.concatenate(segments)
-        pids_sub = np.asarray(pids[start:], dtype=np.int64)
-        if not (pids_sub >= 0).any():
+        if max(pids[start:]) < 0:
             return pred, paths, rows, None, None
+        pids_sub = np.asarray(pids[start:], dtype=np.int64)
         dup0 = np.zeros(m, dtype=bool)
         grp = np.full(m, -1, dtype=np.int64)
         for leaf, (b0, b1) in zip(touched, spans):

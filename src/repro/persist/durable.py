@@ -35,7 +35,10 @@ charges, same structural sanitizer verdict.
 
 Reads delegate straight to the inner backend; the WAL is real file I/O
 outside the storage simulator, so durability never perturbs IOStats or
-the simulated clock.
+the simulated clock.  ``apply_many`` is the protocol's generic run
+split (:func:`~repro.api.protocol.apply_in_runs`), so each run of
+inserts in a mixed chunk is one logged ``insert_many`` record with its
+own rollback scope.
 """
 
 from __future__ import annotations

@@ -22,7 +22,7 @@ matrix, so per-filter writes land in the page and a batch probe tests
 all S filters with one gather (:meth:`BFLeaf._match_matrix`).  Rows past
 ``nfilters`` stay zero and can never match.  Every filter of a leaf
 shares nbits/k/seed, so a key is hashed once per leaf; a tree hashes all
-(key, leaf) rows of a batch in a single call (:meth:`BFLeaf.hash_segments`)
+(key, leaf) rows of a batch in a single call (:meth:`BFLeaf.hash_rows`)
 and bulk loading hashes each leaf's pages in one call
 (:meth:`BFLeaf.add_pages`).  Counting-filter leaves (§7) keep a plain
 list of per-filter counter arrays instead of a page.
@@ -530,28 +530,23 @@ class BFLeaf:
         return out
 
     @staticmethod
-    def hash_segments(keys, leaves, bounds) -> list[np.ndarray]:
-        """Hash consecutive key segments for many leaves in one call.
+    def hash_rows(keys, leaves, which) -> np.ndarray:
+        """Hash each key under one of many leaves in one call.
 
-        Segment ``s`` is ``keys[bounds[s]:bounds[s + 1]]``, hashed under
-        ``leaves[s]``'s filter seed; the returned arrays equal
-        ``leaves[s].hash_batch(segment)`` row for row.  The leaves must
-        share their hash geometry (k, bits per filter), as all leaves of
-        one tree do, so the whole batch is one
+        Row ``j`` is ``keys[j]`` hashed under ``leaves[which[j]]``'s
+        filter seed, equal to that leaf's :meth:`hash_batch` row.  The
+        leaves must share their hash geometry (k, bits per filter), as
+        all leaves of one tree do, so the whole batch is one
         :func:`bloom_positions_batch` call with a per-row seed array.
         """
-        if not leaves:
-            return []
         geo = leaves[0].geometry
-        seeds = np.repeat(
-            np.fromiter((leaf.filter_hash_seed() & MASK64 for leaf in leaves),
-                        dtype=np.uint64, count=len(leaves)),
-            np.diff(bounds),
-        )
-        positions = bloom_positions_batch(
+        seeds = np.fromiter(
+            (leaf.filter_hash_seed() & MASK64 for leaf in leaves),
+            dtype=np.uint64, count=len(leaves),
+        )[which]
+        return bloom_positions_batch(
             keys_to_int_array(keys), geo.hash_count, geo.bits_per_bf, seeds
         )
-        return [positions[b0:b1] for b0, b1 in zip(bounds, bounds[1:])]
 
     def _match_matrix(self, positions: np.ndarray) -> np.ndarray:
         """Raw ``(n, nfilters)`` boolean filter-match matrix of prehashed

@@ -862,8 +862,9 @@ class BFTree(IndexBackend):
         the latency of that key probed alone.  The service layer's
         tail-latency percentiles are computed from this.
         """
-        return self.apply_many([(OP_READ, key, None) for key in keys],
-                               latency_sink)
+        keys = [as_scalar(k) for k in keys]
+        n = len(keys)
+        return self._apply([OP_READ] * n, keys, [None] * n, latency_sink)
 
     def apply_many(self, ops, latency_sink: list[float] | None = None
                    ) -> list:
@@ -906,17 +907,22 @@ class BFTree(IndexBackend):
         before anything is applied.
         """
         check_op_codes(ops)
-        n = len(ops)
-        codes = [op[0] for op in ops]
-        keys = [as_scalar(op[1]) for op in ops]
-        args = [op[2] for op in ops]
+        return self._apply([op[0] for op in ops],
+                           [as_scalar(op[1]) for op in ops],
+                           [op[2] for op in ops], latency_sink)
+
+    def _apply(self, codes: list[int], keys: list, args: list,
+               latency_sink: list[float] | None) -> list:
+        """:meth:`apply_many` over its ops split into parallel lists."""
+        n = len(codes)
         clock = self._clock()
         walk = _Walk(
             codes=codes,
             keys=keys,
             args=args,
-            pids=[int(arg) if code == OP_INSERT else -1
-                  for code, arg in zip(codes, args)],
+            pids=([int(arg) if code == OP_INSERT else -1
+                   for code, arg in zip(codes, args)]
+                  if OP_INSERT in codes else [-1] * n),
             results=[None] * n,
             latencies=[0.0] * n,
             track=latency_sink is not None and clock is not None,
@@ -1355,12 +1361,11 @@ class BFTree(IndexBackend):
         ``latency_sink``, if given, receives one simulated per-op latency
         per insert, exactly as the scalar loop would have bracketed them.
         """
-        keys = list(keys)
+        keys = [as_scalar(k) for k in keys]
         pids = list(pids)
         if len(keys) != len(pids):
             raise ValueError("keys and pids must have the same length")
-        self.apply_many([(OP_INSERT, key, pid)
-                         for key, pid in zip(keys, pids)], latency_sink)
+        self._apply([OP_INSERT] * len(keys), keys, pids, latency_sink)
 
     def _plan_ops(self, keys, pids, start: int):
         """Route point keys ``keys[start:]`` structurally and hash them
@@ -1380,33 +1385,27 @@ class BFTree(IndexBackend):
         """
         fences, leaf_ids, paths = self.inner.routing_table()
         sub = keys[start:]
+        if not sub:
+            return [], paths, None, None, None
         m = len(sub)
         arr = np.asarray(sub)
         route = route_batch(fences, arr)
         pred = [leaf_ids[s] for s in route]
-        slots = np.asarray(route, dtype=np.int64)
-        # Group keys by target leaf with one stable argsort (slot value
-        # <-> leaf is 1:1), instead of a per-key dict pass.
-        order = np.argsort(slots, kind="stable")
-        sorted_slots = slots[order]
-        bounds = ([0] + (np.flatnonzero(np.diff(sorted_slots)) + 1).tolist()
-                  + [m] if m else [0])
         # One hash call for the whole sub-batch: each key under its
         # target leaf's seed.
-        spans = list(zip(bounds, bounds[1:]))
-        touched = [self.leaves[leaf_ids[int(sorted_slots[b0])]]
-                   for b0, _ in spans]
-        segments = BFLeaf.hash_segments(arr[order], touched, bounds)
-        if not segments:
-            return pred, paths, None, None, None
-        rows = np.empty_like(segments[0], shape=(m, segments[0].shape[1]))
-        rows[order] = np.concatenate(segments)
+        slot_of = {s: t for t, s in enumerate(dict.fromkeys(route))}
+        which = np.asarray([slot_of[s] for s in route])
+        touched = [self.leaves[leaf_ids[s]] for s in slot_of]
+        rows = BFLeaf.hash_rows(arr, touched, which)
         if max(pids[start:]) < 0:
             return pred, paths, rows, None, None
         pids_sub = np.asarray(pids[start:], dtype=np.int64)
         dup0 = np.zeros(m, dtype=bool)
         grp = np.full(m, -1, dtype=np.int64)
-        for leaf, (b0, b1) in zip(touched, spans):
+        # Group keys by target leaf with one stable argsort.
+        order = np.argsort(which, kind="stable")
+        cuts = np.searchsorted(which[order], np.arange(len(touched) + 1))
+        for leaf, b0, b1 in zip(touched, cuts, cuts[1:]):
             idxs = order[b0:b1]
             pid_arr = pids_sub[idxs]
             groups = (pid_arr - leaf.min_pid) // leaf.geometry.pages_per_bf

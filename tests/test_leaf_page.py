@@ -219,15 +219,15 @@ class TestPageKernels:
         assert (one.nkeys, one.min_key, one.max_key, one.pages_covered) \
             == (run.nkeys, run.min_key, run.max_key, run.pages_covered)
 
-    def test_hash_segments_equal_per_leaf_hashing(self):
+    def test_hash_rows_equal_per_leaf_hashing(self):
         leaves = [_leaf(), BFLeaf(node_id=2**63 + 11,
                                   geometry=_leaf().geometry, min_pid=0)]
         leaves[0].filter_seed = 77
         keys = [5, -3, 2**40, 8, 9]
-        bounds = [0, 3, 5]
-        got = BFLeaf.hash_segments(keys, leaves, bounds)
-        for leaf, seg, (b0, b1) in zip(leaves, got, zip(bounds, bounds[1:])):
-            assert np.array_equal(seg, leaf.hash_batch(keys[b0:b1]))
+        which = [0, 1, 0, 0, 1]
+        got = BFLeaf.hash_rows(keys, leaves, which)
+        for key, t, row in zip(keys, which, got):
+            assert np.array_equal(row, leaves[t].hash_batch([key])[0])
 
     def test_duplicate_flags_equal_scalar_verdicts(self):
         leaf = _leaf()

@@ -172,7 +172,8 @@ def _dominating(cfg: CFG, doms: list[set[int]], target: int,
 # D1 — log-before-apply
 
 
-_D1_MUTATORS = frozenset({"insert", "delete", "insert_many", "delete_many"})
+_D1_MUTATORS = frozenset(
+    {"insert", "delete", "insert_many", "delete_many", "apply_many"})
 _D1_APPLY_PARAMS = frozenset({"apply", "apply_fn"})
 
 

@@ -938,10 +938,11 @@ class BFTree(IndexBackend):
             point_pids = [walk.pids[i] for i in point]
         i = j = 0   # next op; next point op (index into ``point_keys``)
         while i < n:
+            inserting = OP_INSERT in codes[i:]
             try:
-                plan = self._plan_ops(point_keys, point_pids, j)
+                plan = self._plan_ops(point_keys, point_pids, j, inserting)
             except LookupError:
-                if OP_INSERT in codes[i:]:
+                if inserting:
                     raise LookupError(
                         "insert into an unbuilt tree; bulk_load first"
                     ) from None
@@ -1367,12 +1368,15 @@ class BFTree(IndexBackend):
             raise ValueError("keys and pids must have the same length")
         self._apply([OP_INSERT] * len(keys), keys, pids, latency_sink)
 
-    def _plan_ops(self, keys, pids, start: int):
+    def _plan_ops(self, keys, pids, start: int, inserting: bool):
         """Route point keys ``keys[start:]`` structurally and hash them
         in one call.
 
         ``pids`` are the inserts' data pages, -1 for reads (no group, no
-        duplicate flag).  Returns ``(pred, paths, rows, dup0, grp)`` —
+        duplicate flag).  ``inserting`` says whether an insert is left:
+        a pid's sign cannot tell, since an insert's pid may itself be
+        negative (the walk then raises as the scalar insert does).
+        Returns ``(pred, paths, rows, dup0, grp)`` —
         per-key predicted leaf id, per-leaf descent paths, a matrix of
         filter positions with one row per key (None when no key is
         left), per-key pre-batch duplicate flags (membership *and* the
@@ -1397,7 +1401,7 @@ class BFTree(IndexBackend):
         which = np.asarray([slot_of[s] for s in route])
         touched = [self.leaves[leaf_ids[s]] for s in slot_of]
         rows = BFLeaf.hash_rows(arr, touched, which)
-        if max(pids[start:]) < 0:
+        if not inserting:
             return pred, paths, rows, None, None
         pids_sub = np.asarray(pids[start:], dtype=np.int64)
         dup0 = np.zeros(m, dtype=bool)
@@ -1461,10 +1465,7 @@ class BFTree(IndexBackend):
             if clock is not None:
                 clock.advance(dt * (m - 1))
             if stats is not None:
-                delta = stats.diff(before)
-                for f in fields(delta):
-                    setattr(stats, f.name, getattr(stats, f.name)
-                            + (m - 1) * getattr(delta, f.name))
+                stats.add_scaled_diff(before, m - 1)
         ppb = leaf.geometry.pages_per_bf
         min_pid = leaf.min_pid
         filters = leaf.filters

@@ -35,10 +35,11 @@ charges, same structural sanitizer verdict.
 
 Reads delegate straight to the inner backend; the WAL is real file I/O
 outside the storage simulator, so durability never perturbs IOStats or
-the simulated clock.  ``apply_many`` is the protocol's generic run
-split (:func:`~repro.api.protocol.apply_in_runs`), so each run of
-inserts in a mixed chunk is one logged ``insert_many`` record with its
-own rollback scope.
+the simulated clock.  ``apply_many`` frames one ``insert_many`` record
+per maximal run of inserts in the chunk (the records the per-run split
+would write), then makes one ordered ``apply_many`` call on the inner
+backend inside one rollback scope: a chunk that fails anywhere leaves
+none of its records in the log.  Read-only chunks log nothing.
 """
 
 from __future__ import annotations
@@ -50,7 +51,13 @@ from contextlib import contextmanager
 from pathlib import Path
 from typing import Any, Callable, Iterator, Sequence, TypeVar
 
-from repro.api.protocol import Capabilities, Index, IndexBackend
+from repro.api.protocol import (
+    OP_INSERT,
+    Capabilities,
+    Index,
+    IndexBackend,
+    Op,
+)
 from repro.api.results import (
     DeleteOutcome,
     RangeScanResult,
@@ -152,6 +159,25 @@ def _jsonable(value: Any) -> bool:
     except (TypeError, ValueError):
         return False
     return True
+
+
+def _insert_run_records(ops: Sequence[Op]) -> list[dict[str, Any]]:
+    """One ``insert_many`` WAL record per maximal run of inserts in
+    ``ops``, in op order."""
+    records: list[dict[str, Any]] = []
+    keys: list[Any] | None = None
+    targets: list[int] = []
+    for code, key, target in ops:
+        if code != OP_INSERT:
+            keys = None
+            continue
+        if keys is None:
+            keys, targets = [], []
+            records.append({"op": "insert_many", "keys": keys,
+                            "targets": targets})
+        keys.append(as_scalar(key))
+        targets.append(int(target))
+    return records
 
 
 def _record_op_count(record: dict[str, Any]) -> int:
@@ -288,7 +314,7 @@ class DurableIndex(IndexBackend):
         self._require_mutable("insert")
         k = as_scalar(key)
         self._log_apply(
-            {"op": "insert", "key": k, "target": int(target)},
+            [{"op": "insert", "key": k, "target": int(target)}],
             lambda: self.inner.insert(k, target),
         )
         self._note_ops(1)
@@ -297,8 +323,8 @@ class DurableIndex(IndexBackend):
         self._require_mutable("delete")
         k = as_scalar(key)
         outcome = self._log_apply(
-            {"op": "delete", "key": k,
-             "target": None if target is None else int(target)},
+            [{"op": "delete", "key": k,
+              "target": None if target is None else int(target)}],
             lambda: self.inner.delete(k, target),
         )
         self._note_ops(1)
@@ -309,8 +335,8 @@ class DurableIndex(IndexBackend):
         self._require_mutable("insert_many")
         ks = [as_scalar(k) for k in keys]
         self._log_apply(
-            {"op": "insert_many", "keys": ks,
-             "targets": [int(t) for t in targets]},
+            [{"op": "insert_many", "keys": ks,
+              "targets": [int(t) for t in targets]}],
             lambda: self.inner.insert_many(ks, targets,
                                            latency_sink=latency_sink),
         )
@@ -323,18 +349,38 @@ class DurableIndex(IndexBackend):
         self._require_mutable("delete_many")
         ks = [as_scalar(k) for k in keys]
         outcomes = self._log_apply(
-            {
+            [{
                 "op": "delete_many",
                 "keys": ks,
                 "targets": None if targets is None else [
                     None if t is None else int(t) for t in targets
                 ],
-            },
+            }],
             lambda: self.inner.delete_many(ks, targets,
                                            latency_sink=latency_sink),
         )
         self._note_ops(len(ks))
         return outcomes
+
+    def apply_many(self, ops: Sequence[Op],
+                   latency_sink: list[float] | None = None) -> list[Any]:
+        """One ordered inner ``apply_many`` call for a mixed chunk.
+
+        Each maximal run of inserts is framed as one ``insert_many``
+        record, in op order, before the call; a failure anywhere in the
+        chunk rolls every one of them back out of the log.  Inserts
+        count toward ``checkpoint_every`` once the whole chunk applied.
+        """
+        records = [] if self._log_suspended else _insert_run_records(ops)
+        if not records:
+            return self.inner.apply_many(ops, latency_sink=latency_sink)  # reprolint: disable=D1 -- a read-only chunk mutates nothing, and a suspended-logging replay re-applies ops already framed in the WAL
+        self._require_mutable("apply_many")
+        results = self._log_apply(
+            records,
+            lambda: self.inner.apply_many(ops, latency_sink=latency_sink),
+        )
+        self._note_ops(sum(len(r["keys"]) for r in records))
+        return results
 
     def snapshot_state(self) -> dict[str, Any]:
         return self.inner.snapshot_state()
@@ -361,17 +407,17 @@ class DurableIndex(IndexBackend):
         if not self.inner.capabilities().mutable:
             raise self._unsupported(op, "mutable")
 
-    def _log_apply(self, record: dict[str, Any],
+    def _log_apply(self, records: list[dict[str, Any]],
                    apply: Callable[[], _T]) -> _T:
         """WAL-before-apply with compensation.
 
-        The record is framed (and acknowledged per ``sync_every``)
-        before the inner op runs; if the op raises, the record is
-        rolled back out of the log so replay cannot resurrect an op the
-        caller observed as failed.  A failed *batch* op may leave the
-        live inner tree partially applied (the backend's own contract),
-        but after a crash the whole batch is absent — recovery only
-        replays acknowledged records.
+        The records are framed in order (and acknowledged per
+        ``sync_every``) before the inner op runs; if the op raises, all
+        of them are rolled back out of the log so replay cannot
+        resurrect an op the caller observed as failed.  A failed *batch*
+        op may leave the live inner tree partially applied (the
+        backend's own contract), but after a crash the whole batch is
+        absent — recovery only replays acknowledged records.
         """
         if self._log_suspended:
             return apply()  # reprolint: disable=D1 -- replay path: the op is already framed in the WAL being replayed; logging it again would double-apply it on recovery
@@ -383,7 +429,12 @@ class DurableIndex(IndexBackend):
             # A failed append (write or fsync) may have left part or all
             # of the frame in the file: it is rolled back like a failed
             # apply, so recovery cannot replay an op that was never acked.
-            wal.append(record)
+            # ``records`` is never empty; appending the first outside
+            # the loop makes the apply provably log-dominated (D1).
+            first, *rest = records
+            wal.append(first)
+            for record in rest:
+                wal.append(record)
             return apply()
         except BaseException:
             wal.rollback(start)

@@ -52,6 +52,14 @@ class IOStats:
             }
         )
 
+    def add_scaled_diff(self, earlier: "IOStats", factor: int) -> None:
+        """Add ``factor`` more copies of the counters accumulated since
+        ``earlier`` was snapshotted (a charge sequence replayed
+        arithmetically instead of re-run)."""
+        for name in _FIELDS:
+            now = getattr(self, name)
+            setattr(self, name, now + factor * (now - getattr(earlier, name)))
+
     @property
     def total_reads(self) -> int:
         """All page reads, both devices, both access patterns."""

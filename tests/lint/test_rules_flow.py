@@ -81,6 +81,29 @@ class TestD1LogBeforeApply:
         )
         assert lint_source(src, PERSIST) == []
 
+    def test_unlogged_apply_many_flagged(self):
+        src = (
+            "class DurableIndex:\n"
+            "    def apply_many(self, ops, latency_sink=None):\n"
+            "        return self.inner.apply_many(ops, latency_sink)\n"
+        )
+        vs = lint_source(src, PERSIST)
+        assert ids_of(vs) == ["D1"]
+        assert "self.inner.apply_many()" in vs[0].message
+
+    def test_apply_many_after_run_records_is_clean(self):
+        src = (
+            "class DurableIndex:\n"
+            "    def apply_many(self, ops, latency_sink=None):\n"
+            "        records = runs(ops)\n"
+            "        first, *rest = records\n"
+            "        self._wal.append(first)\n"
+            "        for record in rest:\n"
+            "            self._wal.append(record)\n"
+            "        return self.inner.apply_many(ops, latency_sink)\n"
+        )
+        assert lint_source(src, PERSIST) == []
+
     def test_other_classes_are_exempt(self):
         src = D1_BAD.replace("DurableIndex", "CacheIndex")
         assert lint_source(src, PERSIST) == []

@@ -232,6 +232,19 @@ def test_unknown_op_code_raises_before_applying():
     assert _tree_fingerprint(tree) == state
 
 
+def test_negative_insert_page_raises_like_the_scalar_insert():
+    """-1 is also the plan's read sentinel; a lone insert with that page
+    must still be planned as an insert and fail as ``insert`` does."""
+    w = WORLDS["splits"]
+    with pytest.raises(ValueError, match="page -1 below leaf range") as err:
+        w.build().insert(5, -1)
+    for call in (lambda t: t.insert_many([5], [-1]),
+                 lambda t: t.apply_many([(OP_INSERT, 5, -1)])):
+        with pytest.raises(ValueError) as got:
+            call(w.build())
+        assert str(got.value) == str(err.value)
+
+
 def test_sharded_apply_many_equals_per_op_service_calls(pk_relation):
     """The service-level call (the Router's fallback for a shard retired
     mid-replay) routes each run by key; inserts carry tuple ids."""

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from repro.analysis.sanitize import StructuralCorruption, force
-from repro.api import make_index
+from repro.api import OP_INSERT, OP_READ, OP_SCAN, make_index
 from repro.persist import (
     CorruptManifestError,
     CorruptSnapshotError,
@@ -442,6 +442,77 @@ class TestFailedOpCompensation:
         assert not r.search(3).found
         assert r._ops_since_checkpoint == 1  # failed record doesn't count
         r.close()
+
+
+    def test_failed_apply_many_rolls_back_every_run(self, tiny_relation,
+                                                    tmp_path):
+        """A chunk that fails in its second insert run leaves none of its
+        records in the log, so its first run does not come back."""
+        d = tmp_path / "idx"
+        index = _durable(tiny_relation, d)
+        index.delete(7)
+        with pytest.raises(ValueError, match="below leaf range"):
+            index.apply_many([(OP_INSERT, 7, 0), (OP_READ, 5, None),
+                              (OP_INSERT, 9, -1)])
+        index.close()
+        records, _ = replay_wal(index.wal_path)
+        assert [r["op"] for r in records] == ["delete"]
+        r = recover(d, tiny_relation)
+        assert not r.search(7).found
+        r.close()
+
+
+class TestDurableApplyMany:
+    """A mixed chunk is framed as the per-run split would frame it, then
+    applied in one inner call."""
+
+    CHUNK = [(OP_INSERT, 3, 0), (OP_INSERT, 4, 0), (OP_READ, 3, None),
+             (OP_SCAN, 1, 5), (OP_INSERT, np.int64(70), 4),
+             (OP_READ, 300, None), (OP_INSERT, 9, 0)]
+
+    def test_one_insert_many_record_per_insert_run(self, tiny_relation,
+                                                   tmp_path):
+        index = _durable(tiny_relation, tmp_path / "idx")
+        before = index._ops_since_checkpoint
+        sink: list[float] = []
+        results = index.apply_many(self.CHUNK, latency_sink=sink)
+        assert index._ops_since_checkpoint == before + 4
+        index.close()
+        records, _ = replay_wal(index.wal_path)
+        assert records == [
+            {"op": "insert_many", "keys": [3, 4], "targets": [0, 0]},
+            {"op": "insert_many", "keys": [70], "targets": [4]},
+            {"op": "insert_many", "keys": [9], "targets": [0]},
+        ]
+        plain = make_index("bf", tiny_relation, "pk", unique=True, fpp=1e-3)
+        plain_sink: list[float] = []
+        assert results == plain.apply_many(self.CHUNK,
+                                           latency_sink=plain_sink)
+        assert sink == plain_sink and len(sink) == len(self.CHUNK)
+
+    def test_read_only_and_suspended_chunks_frame_nothing(
+            self, tiny_relation, tmp_path):
+        index = _durable(tiny_relation, tmp_path / "idx")
+        reads = [(OP_READ, 3, None), (OP_SCAN, 1, 5)]
+        assert index.apply_many(reads)[0].found
+        with index.suspended_logging():
+            index.apply_many(self.CHUNK)
+        assert index._ops_since_checkpoint == 0
+        index.close()
+        records, _ = replay_wal(index.wal_path)
+        assert records == []
+
+    def test_checkpoint_due_mid_chunk_runs_at_its_end(self, tiny_relation,
+                                                      tmp_path):
+        index = _durable(tiny_relation, tmp_path / "idx",
+                         checkpoint_every=2)
+        generation = index._generation
+        index.apply_many(self.CHUNK)
+        assert index._generation == generation + 1
+        assert index._ops_since_checkpoint == 0
+        records, _ = replay_wal(index.wal_path)
+        assert records == []
+        index.close()
 
 
 class TestWalIoErrors:

@@ -17,14 +17,7 @@ batch-probe engine.  It reports, as one JSON document:
   (the contract the leaf-slicing construction guarantees);
 * **speedup** — wall-clock throughput of the batched sharded service at
   4 shards over the unsharded scalar probe loop (contract: >= 2x; in
-  practice far higher, since the batch engine alone is ~35x);
-* **executors** — the cores-vs-throughput curve: serial and process
-  executors replay the same trace at a fixed shard count, the process
-  executor sweeping worker counts.  Both must stay bit-identical in
-  results, merged IOStats and per-op latencies (gated always); the
-  process executor at 4 workers must beat serial by >= 2x — gated only
-  on machines with >= 4 cores, recorded as skipped (with the core
-  count) elsewhere, since the GIL-free speedup physically needs cores.
+  practice far higher, since the batch engine alone is ~35x).
 
 Run standalone (also the CI smoke gate)::
 
@@ -35,11 +28,8 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
-
-import numpy as np
 
 from repro.core import BFTree, BFTreeConfig
 from repro.harness import run_service
@@ -48,8 +38,6 @@ from repro.storage import build_stack
 from repro.workloads import derive_seed, generate_trace, synthetic
 
 MIN_SPEEDUP = 2.0
-MIN_PROCESS_SPEEDUP = 2.0
-MIN_CORES_FOR_PROCESS_GATE = 4
 DEFAULT_MIXES = ("read_heavy", "balanced", "insert_heavy", "scan_mix")
 
 
@@ -138,67 +126,6 @@ def _equivalence_section(relation, column, unique, args):
     return out
 
 
-def _executor_section(relation, column, unique, args):
-    """Executor equivalence + the process-worker cores-vs-throughput curve.
-
-    Every run builds a fresh service from the same relation and replays
-    the same seeded balanced trace, so the serial run is the bit-exact
-    reference for every executor and worker count.
-    """
-    n_shards = 4 if 4 in args.shards else max(args.shards)
-    trace = generate_trace(
-        relation, column, mix="balanced", n_ops=args.ops, skew=args.skew,
-        theta=args.theta, seed=derive_seed(args.seed, "trace"),
-    )
-
-    def replay(executor, workers=None):
-        service = _build_service(relation, column, n_shards, args.fpp,
-                                 unique)
-        return run_service(service, trace, args.config, executor=executor,
-                           workers=workers)
-
-    cores = os.cpu_count() or 1
-    out = {"cores": cores, "shards": n_shards, "equivalence": [],
-           "curve": [], "gate": {}}
-    ref = replay("serial")
-    serial_wall = ref.stats.wall_secs
-    for executor, kwargs in (
-        ("serial", {}),
-        ("process", {"workers": min(4, n_shards)}),
-    ):
-        report = ref if executor == "serial" else replay(executor, **kwargs)
-        out["equivalence"].append({
-            "executor": executor,
-            **kwargs,
-            "results_identical": report.results == ref.results,
-            "iostats_identical": report.io == ref.io,
-            "latencies_identical": bool(np.array_equal(
-                report.stats.op_latencies, ref.stats.op_latencies
-            )),
-            "wall_secs": report.stats.wall_secs,
-        })
-    for workers in sorted({1, 2, min(4, n_shards), n_shards}):
-        report = replay("process", workers=workers)
-        wall = report.stats.wall_secs
-        out["curve"].append({
-            "workers": workers,
-            "wall_secs": wall,
-            "ops_per_wall_sec": len(trace) / wall if wall > 0 else 0.0,
-            "speedup_vs_serial": serial_wall / wall if wall > 0 else 0.0,
-        })
-    at_four = next((p for p in out["curve"]
-                    if p["workers"] == min(4, n_shards)), out["curve"][-1])
-    out["gate"] = {
-        "cores": cores,
-        "required": cores >= MIN_CORES_FOR_PROCESS_GATE,
-        "min_cores": MIN_CORES_FOR_PROCESS_GATE,
-        "min_speedup": MIN_PROCESS_SPEEDUP,
-        "workers_measured": at_four["workers"],
-        "speedup": at_four["speedup_vs_serial"],
-    }
-    return out
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--smoke", action="store_true",
@@ -242,7 +169,6 @@ def main(argv=None) -> int:
         },
         "scaling": _scaling_section(relation, column, unique, args),
         "equivalence": _equivalence_section(relation, column, unique, args),
-        "executors": _executor_section(relation, column, unique, args),
     }
 
     payload = json.dumps(report, indent=2)
@@ -265,32 +191,13 @@ def main(argv=None) -> int:
             f"batched sharded throughput only {speedup:.1f}x the scalar "
             f"loop (contract: >= {MIN_SPEEDUP}x)"
         )
-    for check in report["executors"]["equivalence"]:
-        if not (check["results_identical"] and check["iostats_identical"]
-                and check["latencies_identical"]):
-            failures.append(f"{check['executor']} executor diverged from "
-                            "the serial reference")
-    gate = report["executors"]["gate"]
-    if gate["required"] and gate["speedup"] < MIN_PROCESS_SPEEDUP:
-        failures.append(
-            f"process executor at {gate['workers_measured']} workers only "
-            f"{gate['speedup']:.2f}x serial on a {gate['cores']}-core "
-            f"machine (contract: >= {MIN_PROCESS_SPEEDUP}x)"
-        )
     if failures:
         print("\n".join("FAIL: " + f for f in failures), file=sys.stderr)
         return 1
     measured = report["equivalence"]["speedup"].get("shards_measured")
-    if gate["required"]:
-        process_note = (f"process executor {gate['speedup']:.1f}x serial "
-                        f"at {gate['workers_measured']} workers")
-    else:
-        process_note = (f"process speedup gate skipped "
-                        f"({gate['cores']} < {gate['min_cores']} cores)")
     print(
-        f"OK: bit-identical across shard counts and executors; "
-        f"{measured}-shard batched replay {speedup:.1f}x the scalar loop; "
-        f"{process_note}",
+        f"OK: bit-identical across shard counts; {measured}-shard batched "
+        f"replay {speedup:.1f}x the scalar loop",
         file=sys.stderr,
     )
     return 0

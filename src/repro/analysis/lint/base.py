@@ -1,9 +1,9 @@
 """Shared lint-engine vocabulary: findings, the rule registry, scoping.
 
-Every rule has a stable short id (``C1`` … ``X1`` ported from the flat
-linter, ``D1``/``D2``/``D3``/``E1``/``E2``/``R1`` from the CFG/dataflow
-engine, ``U1``–``U3`` for suppression hygiene) plus a category string
-grouping ids that encode one project invariant.  Suppression comments,
+Every rule has a stable short id (``C1`` … ``F2`` ported from the flat
+linter, ``D1``/``D2``/``E1`` from the CFG/dataflow engine, ``U1``–``U3``
+for suppression hygiene) plus a category string grouping ids that
+encode one project invariant.  Suppression comments,
 the baseline file and SARIF output all key on the short id.
 """
 
@@ -64,27 +64,15 @@ RULES: dict[str, tuple[str, str]] = {
            "no pickle.load(s) under src/: unchecksummed, code-executing"),
     "F2": ("format-discipline",
            "no binary-write open() outside repro.persist"),
-    "X1": ("executor-confinement",
-           "multiprocessing/concurrent.futures imports are confined to the "
-           "executor module"),
     "D1": ("durability-ordering",
            "in DurableIndex mutators the WAL append must dominate the "
            "inner-index mutation"),
     "D2": ("durability-ordering",
            "in persist/, the atomic manifest commit must dominate any "
            "stale-generation unlink/rmtree"),
-    "D3": ("durability-ordering",
-           "in executor worker loops the WAL fsync must dominate the "
-           "batch ack send"),
     "E1": ("epoch-discipline",
            "values derived from routing ordinals/.shards may not flow "
            "across a call that can bump the topology epoch"),
-    "E2": ("epoch-discipline",
-           "journal replay must run inside a suspended_charges/"
-           "suspended_logging scope"),
-    "R1": ("resource-lifecycle",
-           "every SharedMemory create must reach close()+unlink() on all "
-           "paths, exception edges included"),
     "U1": ("suppression", "suppression comment matched no finding"),
     "U2": ("suppression",
            "suppression comment lacks the mandatory '-- reason'"),
@@ -96,9 +84,9 @@ RULES: dict[str, tuple[str, str]] = {
 #: could express exactly these.  Flow rules are everything else.
 PORTED_IDS = frozenset(
     {"C1", "C2", "P1", "P2", "P3", "P4", "S1", "S2", "S3", "L1",
-     "F1", "F2", "X1"}
+     "F1", "F2"}
 )
-FLOW_IDS = frozenset({"D1", "D2", "D3", "E1", "E2", "R1"})
+FLOW_IDS = frozenset({"D1", "D2", "E1"})
 
 
 # ---------------------------------------------------------------------------
@@ -118,7 +106,7 @@ def in_charge_scope(relpath: str) -> bool:
 
 
 def in_src_scope(relpath: str) -> bool:
-    """C3 applies to library code, the storage layer included."""
+    """C3/D1 apply to library code, the storage layer included."""
     return posix(relpath).startswith("src/")
 
 
@@ -146,12 +134,6 @@ def in_topology_scope(relpath: str) -> bool:
     return p.rsplit("/", 1)[-1] not in ("sharded.py", "routing.py")
 
 
-def in_executor_scope(relpath: str) -> bool:
-    """X1 applies to library code outside the executor layer's home."""
-    p = posix(relpath)
-    return p.startswith("src/") and p != "src/repro/service/executor.py"
-
-
 def in_format_scope(relpath: str) -> bool:
     """F1/F2 apply to library code outside the persist package."""
     p = posix(relpath)
@@ -161,21 +143,6 @@ def in_format_scope(relpath: str) -> bool:
 def in_persist_scope(relpath: str) -> bool:
     """D1/D2's home turf: the durability layer itself."""
     return posix(relpath).startswith("src/repro/persist/")
-
-
-def in_service_scope(relpath: str) -> bool:
-    """E2's home turf: the serving layer."""
-    return posix(relpath).startswith("src/repro/service/")
-
-
-def is_executor_module(relpath: str) -> bool:
-    """D3's home turf: the worker-loop module."""
-    return posix(relpath) == "src/repro/service/executor.py"
-
-
-def in_src_scope(relpath: str) -> bool:
-    """R1 applies to all library code."""
-    return posix(relpath).startswith("src/")
 
 
 # ---------------------------------------------------------------------------

@@ -14,8 +14,8 @@
   until a catch-all handler or the nearest ``finally`` head (whose body
   re-propagates onward itself), else the ``raise`` exit;
 * every node records the stack of context-manager names whose ``with``
-  body encloses it (``node.with_scopes``), which is how scope-discipline
-  rules (E2) test "dominated by entry into a suspended context".
+  body encloses it (``node.with_scopes``), so a scope-discipline rule
+  can test "runs inside a given context manager".
 
 Deliberate simplifications, chosen to keep ordering rules (``A must
 dominate B``) free of false positives: ``return``/``break``/``continue``

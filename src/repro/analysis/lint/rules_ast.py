@@ -1,9 +1,9 @@
 """Flat AST rules ported from the first-generation linter.
 
-These are the seven pattern-level rule classes (C, P, S, L, F, X) that
-needed no control-flow reasoning; their semantics are unchanged, each
-finding now carries its stable short id (C1, C2, P1–P4, S1–S3, L1, F1,
-F2, X1) so suppressions and the baseline can target it precisely.  C3
+These are the pattern-level rule classes (C, P, S, L, F) that needed
+no control-flow reasoning; their semantics are unchanged, each finding
+now carries its stable short id (C1, C2, P1–P4, S1–S3, L1, F1, F2) so
+suppressions and the baseline can target it precisely.  C3
 is a later pattern rule of the same kind.
 """
 
@@ -18,7 +18,6 @@ from repro.analysis.lint.base import (
     dotted_parts,
     in_bare_item_scope,
     in_charge_scope,
-    in_executor_scope,
     in_format_scope,
     in_protocol_scope,
     in_scalar_scope,
@@ -92,7 +91,6 @@ def check_file(unit: FileUnit) -> Iterator[Violation]:
     """Run every single-file ported rule over one parsed unit."""
     yield from _check_calls(unit)
     yield from _check_shard_caching(unit)
-    yield from _check_executor_confinement(unit)
 
 
 def _check_calls(unit: FileUnit) -> Iterator[Violation]:
@@ -258,43 +256,6 @@ def _check_shard_caching(unit: FileUnit) -> Iterator[Violation]:
                     "caching .shards state in a self attribute; shard "
                     "ordinals are valid for one routing-table epoch only "
                     "— re-read service.shards on every use",
-                )
-
-
-_PARALLEL_MODULES = ("multiprocessing", "concurrent.futures")
-
-
-def _parallel_module(name: str) -> str | None:
-    for mod in _PARALLEL_MODULES:
-        if name == mod or name.startswith(mod + "."):
-            return mod
-    return None
-
-
-def _check_executor_confinement(unit: FileUnit) -> Iterator[Violation]:
-    """X1: parallel-execution primitives imported outside the executor."""
-    if not in_executor_scope(unit.relpath):
-        return
-    for node in ast.walk(unit.tree):
-        modules: list[str]
-        if isinstance(node, ast.Import):
-            modules = [a.name for a in node.names]
-        elif isinstance(node, ast.ImportFrom) and node.level == 0:
-            if node.module is None:
-                continue
-            modules = [node.module]
-            if node.module == "concurrent":
-                modules.extend(f"concurrent.{a.name}" for a in node.names)
-        else:
-            continue
-        for mod in modules:
-            hit = _parallel_module(mod)
-            if hit is not None:
-                yield Violation(
-                    "X1", "executor-confinement", unit.relpath, node.lineno,
-                    f"import of {mod} outside repro.service.executor; "
-                    "parallel shard execution is confined to the "
-                    "equivalence-tested executor layer",
                 )
 
 

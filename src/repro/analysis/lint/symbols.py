@@ -1,19 +1,13 @@
 """Project-wide symbol table and heuristic call graph.
 
-The flow rules need three *transitive* facts no single file can supply:
-
-* which functions eventually force bytes to disk (the **fsync family**:
-  transitively reach ``os.fsync`` or a ``.sync()`` method) — D3;
-* which calls can bump the routing-table epoch (the **epoch bumpers**:
-  transitively reach ``split_shard``/``merge_shards``) — E1;
-* which context managers suspend charging/logging (the **suspend
-  family**: transitively reach ``suspended_charges``/
-  ``suspended_logging``) — E2.
+The flow rules need one *transitive* fact no single file can supply:
+which calls can bump the routing-table epoch (the **epoch bumpers**:
+transitively reach ``split_shard``/``merge_shards``) — E1.
 
 The call graph is name-based: a call ``x.f(...)`` or ``f(...)`` is an
 edge to every project function named ``f``.  That is deliberately
 conservative in the direction these rules need — a family can only grow,
-so "this call may fsync / may bump the epoch" over-approximates — and it
+so "this call may bump the epoch" over-approximates — and it
 needs no type inference, which keeps whole-repo analysis well inside the
 CI time budget.
 """
@@ -105,7 +99,5 @@ def _callee_name(call: ast.Call) -> str | None:
     return None
 
 
-#: Seed call names for the three transitive families.
-FSYNC_SEEDS = frozenset({"fsync", "sync"})
+#: Seed call names for the epoch-bumper family.
 EPOCH_BUMP_SEEDS = frozenset({"split_shard", "merge_shards"})
-SUSPEND_SEEDS = frozenset({"suspended_charges", "suspended_logging"})

@@ -48,13 +48,6 @@ def force(on: bool | None) -> None:
     _FORCED = on
 
 
-def forced() -> bool | None:
-    """Current override state (for propagating into worker processes:
-    the process executor re-applies it via :func:`force` so sanitizer
-    settings survive the fork under any start method)."""
-    return _FORCED
-
-
 def enabled() -> bool:
     """True when sanitizer checks should run."""
     if _FORCED is not None:

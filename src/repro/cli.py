@@ -318,8 +318,6 @@ def _serve_bench_rebalance(args, relation, column, trace, config,
             rebalancer=rebalancer,
             window_ops=args.window_ops,
             warm=args.warm,
-            executor=args.executor,
-            workers=args.workers,
         )
         reports.append(report)
         reads = LatencySummary.from_latencies(
@@ -409,11 +407,7 @@ def cmd_serve_bench(args: argparse.Namespace) -> int:
                 )
         except ValueError as exc:
             raise SystemExit(str(exc)) from None
-        report = run_service(
-            service, trace, config, warm=args.warm,
-            executor=args.executor,
-            workers=args.workers,
-        )
+        report = run_service(service, trace, config, warm=args.warm)
         reports.append(report)
         reads = report.latency("read")
         rows.append([
@@ -653,15 +647,6 @@ def build_parser() -> argparse.ArgumentParser:
                          choices=sorted(CONFIGS_BY_NAME),
                          help="storage config (default MEM/SSD)")
     p_serve.add_argument("--warm", action="store_true")
-    p_serve.add_argument("--executor", default=None,
-                         choices=["serial", "process"],
-                         help="shard execution model: serial (reference; "
-                              "the default) or process (one forked worker "
-                              "per shard, shared-memory batches, true "
-                              "multi-core parallelism)")
-    p_serve.add_argument("--workers", type=int, default=None,
-                         help="cap the process executor's worker pool "
-                              "(default: one worker per shard)")
     p_serve.add_argument("--rebalance", action="store_true",
                          help="attach the hot-shard Rebalancer: replay in "
                               "--window-ops windows, splitting sustained "

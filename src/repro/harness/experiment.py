@@ -215,8 +215,6 @@ class ServiceReport:
     mix: str
     skew: str
     stats: ServiceStats
-    executor: str = "serial"
-    workers: int | None = None
     results: list = field(repr=False, default_factory=list)
 
     @property
@@ -232,8 +230,6 @@ class ServiceReport:
             "config": self.config,
             "mix": self.mix,
             "skew": self.skew,
-            "executor": self.executor,
-            "workers": self.workers,
             **self.stats.to_dict(),
         }
 
@@ -243,8 +239,6 @@ def run_service(
     trace: MixedTrace,
     config: StorageConfig | str,
     warm: bool = False,
-    executor: str | None = None,
-    workers: int | None = None,
 ) -> ServiceReport:
     """Replay a mixed workload trace through a sharded index service.
 
@@ -256,18 +250,11 @@ def run_service(
     percentiles, simulated makespan throughput (shards progress in
     parallel, so the service finishes with its slowest shard) and replay
     wall time.
-
-    ``executor`` picks the execution model — ``"serial"`` (the default
-    and reference) or ``"process"`` (one forked worker per shard, capped
-    at ``workers``; the one that scales with cores).  Both are
-    bit-identical in every simulated number.
     """
     service.bind(config, warm=warm)
-    router = Router(service, executor=executor, workers=workers)
     try:
-        results, stats = router.replay(trace)
+        results, stats = Router(service).replay(trace)
     finally:
-        router.close()
         service.unbind()
     return ServiceReport(
         n_ops=len(trace),
@@ -275,8 +262,6 @@ def run_service(
         config=config if isinstance(config, str) else config.name,
         mix=trace.mix.name,
         skew=trace.skew,
-        executor=router.executor.name,
-        workers=workers,
         stats=stats,
         results=results,
     )

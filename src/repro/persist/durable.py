@@ -47,9 +47,8 @@ from __future__ import annotations
 import dataclasses
 import importlib
 import json
-from contextlib import contextmanager
 from pathlib import Path
-from typing import Any, Callable, Iterator, Sequence, TypeVar
+from typing import Any, Callable, Sequence, TypeVar
 
 from repro.api.protocol import (
     OP_INSERT,
@@ -247,7 +246,6 @@ class DurableIndex(IndexBackend):
         self._seed = seed
         self._ops_total = 0
         self._ops_since_checkpoint = 0
-        self._log_suspended = False
         self._generation = 0
         self._wal: WriteAheadLog | None = None
         if _recovered_generation is None:
@@ -371,9 +369,9 @@ class DurableIndex(IndexBackend):
         chunk rolls every one of them back out of the log.  Inserts
         count toward ``checkpoint_every`` once the whole chunk applied.
         """
-        records = [] if self._log_suspended else _insert_run_records(ops)
+        records = _insert_run_records(ops)
         if not records:
-            return self.inner.apply_many(ops, latency_sink=latency_sink)  # reprolint: disable=D1 -- a read-only chunk mutates nothing, and a suspended-logging replay re-applies ops already framed in the WAL
+            return self.inner.apply_many(ops, latency_sink=latency_sink)  # reprolint: disable=D1 -- a read-only chunk mutates nothing
         self._require_mutable("apply_many")
         results = self._log_apply(
             records,
@@ -419,8 +417,6 @@ class DurableIndex(IndexBackend):
         backend's own contract), but after a crash the whole batch is
         absent — recovery only replays acknowledged records.
         """
-        if self._log_suspended:
-            return apply()  # reprolint: disable=D1 -- replay path: the op is already framed in the WAL being replayed; logging it again would double-apply it on recovery
         wal = self._wal
         assert wal is not None
         wal.check_writable()
@@ -441,31 +437,11 @@ class DurableIndex(IndexBackend):
             raise
 
     def _note_ops(self, n: int) -> None:
-        if self._log_suspended:
-            return
         self._ops_total += n
         self._ops_since_checkpoint += n
         if (self.checkpoint_every is not None
                 and self._ops_since_checkpoint >= self.checkpoint_every):
             self.checkpoint()
-
-    @contextmanager
-    def suspended_logging(self) -> Iterator[None]:
-        """Apply mutations without writing (or counting) WAL records.
-
-        For state-reconstruction replays of *already-logged* ops: the
-        process executor serializes WAL appends through the worker that
-        owns a shard, and the parent later re-applies the same batches
-        to rebuild its in-memory copy — re-framing those records here
-        would duplicate them in the log and double recovery.  Checkpoint
-        triggering is suppressed alongside (op counts were taken when
-        the records were framed)."""
-        prev = self._log_suspended
-        self._log_suspended = True
-        try:
-            yield
-        finally:
-            self._log_suspended = prev
 
     def checkpoint(self) -> dict[str, Any]:
         """Snapshot the inner backend, commit the manifest, rotate the WAL.

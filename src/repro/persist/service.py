@@ -15,17 +15,15 @@ still in service.  :func:`split_durable_shard` and
 :func:`merge_durable_shards` reshape a durable service on disk with the
 same commit discipline the shard manifests use:
 
-1. drain the shard *through the wrapper* (a process executor folds its
-   workers' state back into the parent, whose WAL the workers already
-   wrote — still recoverable if we crash right here);
-2. unwrap the parent ``DurableIndex`` and run the in-memory topology
-   op (``split_shard``/``merge_shards``);
-3. checkpoint each child into its fresh ``shard-<id>`` directory;
-4. atomically rewrite ``SERVICE.json`` — **the commit point**: before
+1. unwrap the parent ``DurableIndex`` and run the in-memory topology
+   op (``split_shard``/``merge_shards``) — every acknowledged op is
+   already in the parent's WAL, so a crash here still recovers it;
+2. checkpoint each child into its fresh ``shard-<id>`` directory;
+3. atomically rewrite ``SERVICE.json`` — **the commit point**: before
    the rename, recovery sees the pre-split layout backed by the intact
    parent directory; after it, the post-split layout backed by the
    children;
-5. remove the now-unreferenced parent directory.
+4. remove the now-unreferenced parent directory.
 
 :func:`recover_service` reverses it all — read the service manifest,
 :func:`~repro.persist.durable.recover` every listed shard directory,
@@ -34,16 +32,6 @@ and epoch, so the Router serves the exact tree the crashed process had
 acknowledged.  Version-1 manifests (pre-elasticity, ordinal-keyed) are
 still accepted: ids are synthesized as ``0..n-1`` at epoch 0, matching
 the directories version 1 wrote.
-
-Under the process executor (:mod:`repro.service.executor`), each
-shard's WAL appends happen inside the forked worker that owns the
-shard — the per-shard directory layout means no two processes ever
-append to the same log file.  The parent fsyncs every shard before
-forking, a worker fsyncs its shard's log before acknowledging each
-batch, and executor sync points (topology changes, drains, close)
-serialize the handoff back to the parent, so the on-disk WAL is
-always single-writer and an acked op is always durable no matter
-which process appended it.
 """
 
 from __future__ import annotations
@@ -215,12 +203,11 @@ def recover_service(
 
 
 def _unwrap(service: ShardedIndex, shard_id: int) -> DurableIndex:
-    """Drain the shard through the wrapper, then expose the inner index.
+    """Expose a durable shard's inner index for a topology change.
 
-    Every write drained back from executor workers is already in the
-    parent's WAL before anything moves, so a crash at any point before
-    the manifest rewrite still recovers every acknowledged op from the
-    parent's directory.
+    Every acknowledged write is already in the parent's WAL before
+    anything moves, so a crash at any point before the manifest rewrite
+    still recovers it from the parent's directory.
     """
     shard = service.shard_by_id(shard_id)
     if shard is None:
@@ -232,7 +219,6 @@ def _unwrap(service: ShardedIndex, shard_id: int) -> DurableIndex:
             f"({type(durable).__name__}); use ShardedIndex.split_shard/"
             "merge_shards directly for in-memory services"
         )
-    service.drain(shard_id)
     shard.index = durable.inner
     return durable
 

@@ -4,17 +4,15 @@ The production-facing subsystem: a :class:`ShardedIndex` range-partitions
 one indexed column across N independent shards (each with its own
 device/clock/buffer-pool stack) under an epoch-versioned
 :class:`RoutingTable`, a :class:`Router` splits mixed read/insert/scan
-batches per shard and replays them through one batched engine
-(:class:`ReplayCore`: one ordered ``apply_many`` call per shard chunk) on a
-pluggable :class:`ShardExecutor` (serial, or true process-per-shard
-parallelism — see :mod:`repro.service.executor`), and
+batches per shard and replays them through the :class:`SerialExecutor`
+(one ordered ``apply_many`` call per shard chunk), and
 :class:`ServiceStats` merges per-shard IOStats and folds per-op
 simulated latencies into p50/p95/p99 summaries.
 
 The topology is *dynamic*: ``split_shard``/``merge_shards`` reshape the
-partition layout live (stable shard ids, epoch bumps, drain hooks that
-sync executor workers first), and the :class:`Rebalancer` control loop
-drives them from windowed per-shard load with hysteresis — see
+partition layout live (stable shard ids, epoch bumps), and the
+:class:`Rebalancer` control loop drives them from windowed per-shard
+load with hysteresis — see
 :mod:`repro.service.routing` and :mod:`repro.service.rebalance`.
 
 Everything here speaks the unified Index protocol (:mod:`repro.api`):
@@ -23,15 +21,7 @@ range-partitioned, the rest run as a single-shard degenerate case —
 with no backend-specific branches in the service code.
 """
 
-from repro.service.executor import (
-    ExecutorError,
-    ProcessExecutor,
-    ReplayCore,
-    SerialExecutor,
-    ShardExecutor,
-    SubOp,
-    make_executor,
-)
+from repro.service.executor import SerialExecutor, SubOp
 from repro.service.rebalance import (
     ElasticReport,
     RebalanceDecision,
@@ -53,26 +43,21 @@ from repro.service.stats import (
 
 __all__ = [
     "ElasticReport",
-    "ExecutorError",
     "LatencySummary",
     "LoadWindow",
-    "ProcessExecutor",
     "RebalanceDecision",
     "RebalanceLog",
     "Rebalancer",
     "RebalancerConfig",
-    "ReplayCore",
     "RouteEntry",
     "Router",
     "RoutingTable",
     "SerialExecutor",
     "ServiceStats",
     "Shard",
-    "ShardExecutor",
     "ShardedIndex",
     "SubOp",
     "WindowedLoad",
-    "make_executor",
     "queued_response_times",
     "run_elastic_service",
 ]

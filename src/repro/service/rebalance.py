@@ -24,8 +24,7 @@ fires per window, and every decision is recorded in the
 :func:`run_elastic_service` is the driving loop: it replays a trace in
 fixed-size windows through one :class:`~repro.service.router.Router`,
 feeds each window's load to the rebalancer *between* windows (the
-Router buffers nothing across replays; a process executor syncs its
-workers back at the service's drain hook), and collects per-op results,
+Router buffers nothing across replays), and collects per-op results,
 latencies and stable owner ids for the report.
 """
 
@@ -317,8 +316,6 @@ def run_elastic_service(
     rebalancer: Rebalancer | None = None,
     window_ops: int = 512,
     warm: bool = False,
-    executor: str | None = None,
-    workers: int | None = None,
 ) -> ElasticReport:
     """Replay ``trace`` in windows, letting ``rebalancer`` (if given)
     reshape the topology between windows.
@@ -326,14 +323,10 @@ def run_elastic_service(
     With ``rebalancer=None`` this is a windowed replay over a static
     topology — the control it is benchmarked against.  Results are
     per-op and aligned with the trace, exactly as
-    :meth:`Router.replay` returns them.  ``executor``/``workers``
-    select the shard-execution model (see
-    :mod:`repro.service.executor`); topology changes between windows
-    are exactly the control-plane sync points the process executor's
-    drain handling is built around.
+    :meth:`Router.replay` returns them.
     """
     service.bind(config, warm=warm)
-    router = Router(service, executor=executor, workers=workers)
+    router = Router(service)
     initial_shards = service.n_shards
     windows = WindowedLoad()
     log = rebalancer.log if rebalancer is not None else RebalanceLog()
@@ -393,5 +386,4 @@ def run_elastic_service(
         )
         return report
     finally:
-        router.close()
         service.unbind()

@@ -1,10 +1,9 @@
 """Router: splits mixed-operation batches per shard and dispatches them.
 
 The router turns a :class:`~repro.workloads.mixed.MixedTrace` into
-per-shard work lists and hands them to a pluggable
-:class:`~repro.service.executor.ShardExecutor`, which replays each list
-through the one replay engine,
-:class:`~repro.service.executor.ReplayCore`:
+per-shard work lists and hands them to
+:class:`~repro.service.executor.SerialExecutor`, which replays each list
+on the calling thread:
 
 * point reads and inserts are routed by key; a scan whose window spans
   multiple shards is split into per-shard legs (scatter-gather, planned
@@ -28,29 +27,14 @@ are resolved to *stable shard ids* before dispatch, and each chunk
 re-resolves its shard id through the table (reprolint rule P4 forbids
 retaining ``shards[i]`` objects here).  Nothing is buffered between
 engine calls, so a live topology change (``split_shard`` /
-``merge_shards``) has nothing of the Router's to flush; the process
-executor registers a drain hook that tears down and resynchronizes its
-workers before the epoch flips, and respawns them under the new epoch.
-Should a shard id nonetheless vanish (retired mid-replay), its chunks
-fall back to the service-level ``apply_many``, which re-routes each op
-by key under the new epoch.
+``merge_shards``) has nothing of the Router's to flush.  Should a shard
+id vanish (retired mid-replay), its chunks fall back to the
+service-level ``apply_many``, which re-routes each op by key under the
+new epoch.
 
-Per-shard operation order always follows trace order.  Because every
-shard owns a private tree, stack and clock, shards share no mutable
-state — which executor replays them is a pure deployment knob:
-
-===========  ==========================================================
-``serial``   One shard after another on the calling thread.  The
-             reference semantics; lowest overhead for small traces.
-``process``  One long-lived forked worker per shard (``workers=N``
-             cap), batches shipped via shared memory.  Real multi-core
-             parallelism; the choice for throughput on ≥ 2 cores.
-===========  ==========================================================
-
-Both produce bit-identical results, IOStats and per-op simulated
-latencies (``tests/test_service.py::TestExecutorEquivalence``).  Live
-topology changes remain a control-plane action: trigger them between
-replay calls (as the elastic control loop does) — not concurrently from
+Per-shard operation order always follows trace order.  Live topology
+changes remain a control-plane action: trigger them between replay
+calls (as the elastic control loop does) — not concurrently from
 another thread.
 """
 
@@ -62,7 +46,7 @@ from typing import Any
 import numpy as np
 
 from repro.api.results import RangeScanResult, as_scalar
-from repro.service.executor import ReplayCore, ShardExecutor, SubOp, make_executor
+from repro.service.executor import SerialExecutor, SubOp
 from repro.service.sharded import ShardedIndex
 from repro.service.stats import ServiceStats
 from repro.storage.iostats import IOStats
@@ -72,26 +56,13 @@ from repro.workloads.mixed import OP_INSERT, OP_READ, OP_SCAN, MixedTrace
 class Router:
     """Dispatches trace operations to the shards of a :class:`ShardedIndex`."""
 
-    def __init__(
-        self,
-        service: ShardedIndex,
-        executor: str | ShardExecutor | None = None,
-        workers: int | None = None,
-    ) -> None:
-        """``executor`` picks the execution model (``"serial"``, the
-        default, or ``"process"``, capped at ``workers``; or a prebuilt
-        :class:`ShardExecutor`)."""
+    def __init__(self, service: ShardedIndex) -> None:
         self.service = service
-        self._core = ReplayCore(service)
-        self.executor = make_executor(executor, workers=workers)
-        self.executor.attach(self._core)
+        self.executor = SerialExecutor(service)
 
     def close(self) -> None:
-        """Release executor resources (worker processes for the process
-        executor — which also folds any outstanding worker state back
-        into the service, so call this before checkpointing or
-        unbinding)."""
-        self.executor.close()
+        """No-op: the Router holds no resources.  Kept for callers that
+        release their Router when done (``perfbench/run.py``)."""
 
     # ------------------------------------------------------------------
     # planning
@@ -195,8 +166,8 @@ class Router:
             per_shard_clock.append(shard.stack.clock.now() - c0)
             shard_ids.append(shard.shard_id)
             live_ids.add(shard.shard_id)
-        # Work retired mid-replay (a shard split/merged away while its
-        # buffers were live): the service accumulators grew by those
+        # Work retired mid-replay (a shard split/merged away during
+        # the replay): the service accumulators grew by those
         # shards' *lifetime* counters; subtract their replay-start
         # snapshots to keep only this replay's share.
         retired_io = service.retired_io.diff(retired_io0)

@@ -23,11 +23,10 @@ protocol hook that maps a tuple id to the backend's native target
 map from key ranges to *stable shard ids*.  :meth:`split_shard` and
 :meth:`merge_shards` change the layout live — children are rebuilt from
 the parent's leaf run via the same ``shard_from_leaves`` hook the static
-builder uses, registered drain hooks run first (a process executor
-folds its workers' state back into the parent there), and only then
-does the table's epoch flip.  Positional shard ordinals are meaningful
-within a single epoch only; resolve shards by stable id
-(:meth:`shard_by_id`) when holding state across operations.
+builder uses, and only then does the table's epoch flip.  Positional
+shard ordinals are meaningful within a single epoch only; resolve
+shards by stable id (:meth:`shard_by_id`) when holding state across
+operations.
 
 **Construction is equivalence-preserving.**  ``build`` bulk-loads one
 donor index over the whole relation, then slices its leaf chain into
@@ -62,10 +61,8 @@ remains exact.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass
-from dataclasses import fields as dataclass_fields
-from typing import Any, Callable, Iterable, Iterator, Sequence
+from typing import Any, Iterable, Sequence
 
 import numpy as np
 
@@ -155,7 +152,6 @@ class ShardedIndex:
         #: to the pre-topology-change totals for already-charged work.
         self.retired_io = IOStats()
         self.retired_clock = 0.0
-        self._drain_hooks: list[Callable[[int], None]] = []
 
     # ==================================================================
     # construction
@@ -280,55 +276,6 @@ class ShardedIndex:
         """Resolve a stable shard id (None once split/merged away)."""
         return self._by_id.get(shard_id)
 
-    def register_drain_hook(self, hook: Callable[[int], None]) -> None:
-        """Register a callback invoked with a shard id immediately
-        *before* that shard's range migrates (split/merge), while the
-        old routing epoch is still current — the process executor uses
-        this to fold its workers' state back into the parent."""
-        self._drain_hooks.append(hook)
-
-    def unregister_drain_hook(self, hook: Callable[[int], None]) -> None:
-        try:
-            self._drain_hooks.remove(hook)
-        except ValueError:
-            pass
-
-    def drain(self, shard_id: int) -> None:
-        """Run the registered drain hooks for ``shard_id`` while it is
-        still routed as it is now (e.g. the process executor syncing
-        its workers back into the parent).  Topology operations call
-        this before anything moves; external orchestration (durable
-        split/merge) calls it to land that state on a wrapper before
-        unwrapping it."""
-        for hook in list(self._drain_hooks):
-            hook(shard_id)
-
-    @contextmanager
-    def suspended_charges(self, shard_id: int) -> Iterator[None]:
-        """Run state-reconstruction work against one shard without
-        leaving a trace in its counters.
-
-        The process executor merges a worker's IOStats/clock deltas as
-        batches are acknowledged; when it later replays the same batches
-        in the parent to rebuild the in-memory structures (tree, buffer
-        pool residency), the replay's charges would double-count.  This
-        snapshots the shard's stats and clock on entry and restores both
-        on exit, so the replayed work changes state but not books."""
-        shard = self._by_id.get(shard_id)
-        stack = shard.stack if shard is not None else None
-        if stack is None:
-            yield
-            return
-        keep_io = stack.stats.snapshot()
-        keep_clock = stack.clock.now()
-        try:
-            yield
-        finally:
-            for f in dataclass_fields(keep_io):
-                setattr(stack.stats, f.name, getattr(keep_io, f.name))
-            stack.clock.reset()
-            stack.clock.advance(keep_clock)
-
     def _retire_stack(self, shard: Shard) -> None:
         """Absorb a to-be-discarded shard's charged work into the
         service-level accumulators so ``merged_io`` stays continuous."""
@@ -380,11 +327,10 @@ class ShardedIndex:
         each half rebuilt into an independent shard directory via the
         backend's ``shard_from_leaves`` hook — the children reuse the
         parent's leaf objects, so reads served after the split are
-        bit-identical to reads served before it.  Drain hooks run
-        before anything moves (executor workers sync back into the old
-        shard first), the parent's charged IOStats/clock are retired
-        into the service accumulators, and the routing-table epoch flips
-        last, once the children are registered and bound.
+        bit-identical to reads served before it.  The parent's charged
+        IOStats/clock are retired into the service accumulators, and the
+        routing-table epoch flips last, once the children are registered
+        and bound.
 
         Returns the two fresh child shard ids (left, right).
         """
@@ -402,9 +348,6 @@ class ShardedIndex:
                 f"shard {shard_id} has {index.n_leaves} leaves; a split "
                 "needs at least 4 (two per child)"
             )
-        # Sync executor state for the migrating range into the *old*
-        # shard while the old epoch is still current.
-        self.drain(shard_id)
         leaves = index.shard_leaves()
         cut = self._split_cut(index, leaves, at)
         left_run, right_run = leaves[:cut], leaves[cut:]
@@ -431,8 +374,8 @@ class ShardedIndex:
 
         The two leaf runs are concatenated in key order and rebuilt into
         one shard directory (``shard_from_leaves`` relinks the chain
-        across the old seam).  Drain hooks, stack retirement and the
-        epoch flip follow the same discipline as :meth:`split_shard`.
+        across the old seam).  Stack retirement and the epoch flip follow
+        the same discipline as :meth:`split_shard`.
 
         Returns the fresh merged shard id.
         """
@@ -455,8 +398,6 @@ class ShardedIndex:
                 f"shards {sid_a}/{sid_b} are not leaf-sliceable and "
                 "cannot be merged"
             )
-        self.drain(sid_a)
-        self.drain(sid_b)
         run = left.index.shard_leaves() + right.index.shard_leaves()
         merged_hi = as_scalar(left.index.shard_leaf_span(run[-1])[1])
         self._retire_stack(left)

@@ -35,50 +35,8 @@ from typing import Any, Mapping, Sequence
 
 import numpy as np
 
-from repro.storage.config import StorageStack
 from repro.storage.iostats import IOStats
 from repro.workloads.mixed import OP_NAMES
-
-
-@dataclass(frozen=True)
-class ShardDelta:
-    """One shard's counter movement over a worker-executed batch.
-
-    The process executor measures this inside the worker (IOStats diff
-    and clock advance across the batch replay), ships it over the pipe
-    as plain builtins (:meth:`to_wire`/:meth:`from_wire` — no numpy, no
-    custom classes), and the parent folds it into the owning shard's
-    live stack with :meth:`apply`.  Because the fold is additive on the
-    same counters the in-process executors mutate directly, everything
-    downstream — :class:`ServiceStats` before/after snapshots, retired-
-    counter continuity across ``split_shard``/``merge_shards``, and the
-    rebalancer's load windows — sees one continuous series regardless
-    of which process did the work.
-    """
-
-    io: IOStats
-    clock: float
-
-    def to_wire(self) -> dict[str, Any]:
-        return {
-            "io": {f.name: getattr(self.io, f.name) for f in fields(self.io)},
-            "clock": self.clock,
-        }
-
-    @classmethod
-    def from_wire(cls, doc: Mapping[str, Any]) -> "ShardDelta":
-        return cls(
-            io=IOStats(**{k: int(v) for k, v in doc["io"].items()}),
-            clock=float(doc["clock"]),
-        )
-
-    def apply(self, stack: StorageStack) -> None:
-        """Fold this delta into a live shard stack's counters."""
-        stats = stack.stats
-        for f in fields(self.io):
-            setattr(stats, f.name,
-                    getattr(stats, f.name) + getattr(self.io, f.name))
-        stack.clock.advance(self.clock)
 
 
 @dataclass(frozen=True)

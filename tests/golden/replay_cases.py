@@ -266,7 +266,6 @@ def run_case(case: Case) -> dict:
                               in zip(stats.shard_ids,
                                      stats.per_shard_clock)})
         finally:
-            router.close()
             service.unbind()
             for shard in service.shards:
                 if isinstance(shard.index, DurableIndex):

@@ -94,13 +94,13 @@ class TestConstruction:
     def test_with_scopes_recorded(self):
         cfg = cfg_of(
             "def f(svc, sid):\n"
-            "    with svc.suspended_charges(sid):\n"
+            "    with svc.locked(sid):\n"
             "        with quiet(svc):\n"
             "            replay(sid)\n"
             "    after(sid)\n"
         )
         inner = node_at(cfg, 4)
-        assert inner.with_scopes == ("svc.suspended_charges", "quiet")
+        assert inner.with_scopes == ("svc.locked", "quiet")
         assert node_at(cfg, 5).with_scopes == ()
 
     def test_lambda_bodies_not_walked(self):

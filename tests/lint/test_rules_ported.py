@@ -327,49 +327,6 @@ class TestFormatDiscipline:
 
 
 # ======================================================================
-# executor-confinement (X1)
-# ======================================================================
-class TestExecutorConfinement:
-    EXECUTOR = "src/repro/service/executor.py"
-
-    @pytest.mark.parametrize("snippet", [
-        "from concurrent.futures import ThreadPoolExecutor\n",
-        "import concurrent.futures\n",
-        "from concurrent import futures\n",
-        "import multiprocessing\n",
-        "import multiprocessing.shared_memory\n",
-        "from multiprocessing import shared_memory\n",
-        "from multiprocessing.connection import Connection\n",
-    ])
-    def test_parallel_imports_flagged_in_library_code(self, snippet):
-        assert ids_of(lint_source(snippet)) == ["X1"]
-        assert ids_of(
-            lint_source(snippet, "src/repro/service/router.py")) == ["X1"]
-
-    @pytest.mark.parametrize("snippet", [
-        "from concurrent.futures import ThreadPoolExecutor\n",
-        "import multiprocessing\n",
-        "from multiprocessing import shared_memory\n",
-    ])
-    def test_executor_module_is_the_sanctioned_home(self, snippet):
-        assert lint_source(snippet, self.EXECUTOR) == []
-
-    def test_tests_and_benchmarks_are_exempt(self):
-        src = "import multiprocessing\n"
-        assert lint_source(src, "tests/test_service.py") == []
-        assert lint_source(src, "benchmarks/bench_service_scaling.py") == []
-
-    @pytest.mark.parametrize("snippet", [
-        "import threading\n",
-        "import concurrency_helpers\n",
-        "from concurrent_utils import pool\n",
-        "import os\nimport sys\n",
-    ])
-    def test_unrelated_imports_clean(self, snippet):
-        assert lint_source(snippet) == []
-
-
-# ======================================================================
 # plumbing
 # ======================================================================
 def test_violation_format_is_precise():

@@ -490,13 +490,10 @@ class TestDurableApplyMany:
                                            latency_sink=plain_sink)
         assert sink == plain_sink and len(sink) == len(self.CHUNK)
 
-    def test_read_only_and_suspended_chunks_frame_nothing(
-            self, tiny_relation, tmp_path):
+    def test_read_only_chunk_frames_nothing(self, tiny_relation, tmp_path):
         index = _durable(tiny_relation, tmp_path / "idx")
         reads = [(OP_READ, 3, None), (OP_SCAN, 1, 5)]
         assert index.apply_many(reads)[0].found
-        with index.suspended_logging():
-            index.apply_many(self.CHUNK)
         assert index._ops_since_checkpoint == 0
         index.close()
         records, _ = replay_wal(index.wal_path)

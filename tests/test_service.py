@@ -590,7 +590,6 @@ class TestDynamicTopology:
                     dyn.merge_shards(*children)
             dyn_io = dyn.merged_io().snapshot().__dict__
         finally:
-            router.close()
             dyn.unbind()
         assert dyn.topology_epoch == 2
         assert len(got) == len(want)
@@ -727,181 +726,41 @@ class TestQueueingModel:
 
 
 # ---------------------------------------------------------------------------
-# pluggable shard execution: serial / process equivalence
+# durable shards under the Router
 # ---------------------------------------------------------------------------
 
-import os                            # noqa: E402  (grouped with their tests)
-import signal                        # noqa: E402
-
-from repro.persist import (          # noqa: E402
+from repro.persist import (          # noqa: E402  (grouped with their tests)
     make_durable_service,
     recover_service,
 )
-from repro.service import ExecutorError  # noqa: E402
-
-EXECUTOR_PARAMS = [
-    ("serial", {}),
-    ("process", {"workers": 4}),
-]
 
 
-def _serial_reference(wide_relation, trace):
-    return run_service(_wide_service(wide_relation), trace, CONFIG)
-
-
-class TestExecutorEquivalence:
-    """The tentpole contract: every executor — including one forked
-    worker process per shard — is bit-identical to serial dispatch in
-    results, merged IOStats and per-op simulated latencies."""
-
-    @pytest.mark.parametrize("executor,kwargs", EXECUTOR_PARAMS)
-    @pytest.mark.parametrize("mix,skew", [
-        ("balanced", "uniform"),
-        ("scan_mix", "zipfian"),
-    ])
-    def test_bit_identical_to_serial(self, wide_relation, executor,
-                                     kwargs, mix, skew):
-        trace = generate_trace(wide_relation, "pk", mix=mix, n_ops=600,
-                               skew=skew, seed=13)
-        ref = _serial_reference(wide_relation, trace)
-        svc = _wide_service(wide_relation)
-        report = run_service(svc, trace, CONFIG, executor=executor,
-                             **kwargs)
-        assert report.executor == executor
-        assert report.results == ref.results
-        assert report.io == ref.io
-        assert np.array_equal(report.stats.op_latencies,
-                              ref.stats.op_latencies)
-
-    def test_read_your_writes_through_workers(self, wide_relation):
-        """Inserts acknowledged by a worker must be visible to reads the
-        parent routes later — the balanced mix interleaves both, and the
-        serial reference proves the worker-owned shard images stay the
-        authoritative ones."""
-        trace = generate_trace(wide_relation, "pk", mix="insert_heavy",
-                               n_ops=600, skew="uniform", seed=29)
-        assert (np.asarray(trace.ops) == OP_INSERT).any()
-        ref = _serial_reference(wide_relation, trace)
-        report = run_service(_wide_service(wide_relation), trace, CONFIG,
-                             executor="process", workers=4)
-        assert report.results == ref.results
-        assert report.io == ref.io
-
-    @pytest.mark.parametrize("executor,kwargs", EXECUTOR_PARAMS)
-    def test_mid_trace_split_and_merge(self, wide_relation, executor,
-                                       kwargs):
-        """Live split + merge mid-trace (epoch bumps force the process
-        executor through its teardown/respawn sync points) preserves
-        bit-identity with a static serial replay."""
-        trace = generate_trace(wide_relation, "pk", mix="balanced",
-                               n_ops=1800, skew="hotspot", seed=77)
-        ref = _serial_reference(wide_relation, trace)
-
-        dyn = _wide_service(wide_relation)
-        dyn.bind(CONFIG)
-        router = Router(dyn, executor=executor, **kwargs)
-        got = []
-        try:
-            cuts = [0, 600, 1200, len(trace)]
-            children = None
-            for j, (lo, hi) in enumerate(zip(cuts, cuts[1:])):
-                got.extend(router.replay(trace.slice(lo, hi))[0])
-                if j == 0:
-                    victim = max(
-                        dyn.shards, key=lambda s: s.index.n_leaves
-                    ).shard_id
-                    children = dyn.split_shard(victim)
-                elif j == 1:
-                    dyn.merge_shards(*children)
-            dyn_io = dyn.merged_io().snapshot()
-        finally:
-            router.close()
-            dyn.unbind()
-        assert dyn.topology_epoch == 2
-        assert got == ref.results
-        assert dyn_io == ref.io
-
-    def test_worker_death_degrades_gracefully(self, wide_relation):
-        """SIGKILL-ing a pinned worker between batches: the orphaned
-        batch is replayed serially (no acknowledged op lost), replay
-        completes bit-identically, and a precise ExecutorError naming
-        the shard and trace-op offset lands in ``failures``."""
-        trace = generate_trace(wide_relation, "pk", mix="balanced",
-                               n_ops=600, skew="uniform", seed=11)
-        ref = _serial_reference(wide_relation, trace)
-
-        svc = _wide_service(wide_relation)
-        svc.bind(CONFIG)
-        router = Router(svc, executor="process", workers=4)
-        got = []
-        try:
-            got.extend(router.replay(trace.slice(0, 200))[0])
-            victim = router.executor._handles[0].process
-            os.kill(victim.pid, signal.SIGKILL)
-            victim.join(timeout=10)
-            got.extend(router.replay(trace.slice(200, len(trace)))[0])
-            io = svc.merged_io().snapshot()
-        finally:
-            failures = list(router.executor.failures)
-            router.close()
-            svc.unbind()
-        assert failures, "worker death must be recorded, not swallowed"
-        err = failures[0]
-        assert isinstance(err, ExecutorError)
-        assert isinstance(err.shard_id, int)
-        assert isinstance(err.op_offset, int)
-        assert str(err.shard_id) in str(err)
-        assert got == ref.results
-        assert io == ref.io
-
-    def test_durable_service_survives_process_replay(self, wide_relation,
+def test_durable_router_replay_recovers_every_insert(wide_relation,
                                                      tmp_path):
-        """Durable WAL appends serialize through the owning worker: a
-        process-executor replay over durable shards matches serial, and
-        recovery sees every acknowledged insert."""
-        trace = generate_trace(wide_relation, "pk", mix="balanced",
-                               n_ops=400, skew="uniform", seed=5)
-        ref_svc = make_durable_service(
-            wide_relation, "pk", tmp_path / "serial", n_shards=4,
-            kind="bf", fpp=FPP,
-        )
-        ref = run_service(ref_svc, trace, CONFIG)
+    """A Router replay over durable shards answers like the in-memory
+    service, and recovery finds every inserted key."""
+    trace = generate_trace(wide_relation, "pk", mix="balanced",
+                           n_ops=400, skew="uniform", seed=5)
+    ref = run_service(_wide_service(wide_relation), trace, CONFIG)
+    svc = make_durable_service(
+        wide_relation, "pk", tmp_path, n_shards=4, kind="bf", fpp=FPP,
+    )
+    report = run_service(svc, trace, CONFIG)
+    assert report.results == ref.results
+    assert report.io == ref.io
+    assert np.array_equal(report.stats.op_latencies,
+                          ref.stats.op_latencies)
 
-        svc = make_durable_service(
-            wide_relation, "pk", tmp_path / "process", n_shards=4,
-            kind="bf", fpp=FPP,
-        )
-        report = run_service(svc, trace, CONFIG, executor="process",
-                             workers=4)
-        assert report.results == ref.results
-        assert report.io == ref.io
-        assert np.array_equal(report.stats.op_latencies,
-                              ref.stats.op_latencies)
-
-        inserted = [int(k) for k, op in zip(trace.keys, trace.ops)
-                    if int(op) == OP_INSERT]
-        assert inserted
-        recovered = recover_service(tmp_path / "process", wide_relation)
-        recovered.bind(CONFIG)
-        try:
-            results = recovered.search_many(inserted)
-        finally:
-            recovered.unbind()
-        assert all(r.found for r in results)
-
-    def test_sanitizer_propagates_into_workers(self, wide_relation,
-                                               monkeypatch):
-        """REPRO_SANITIZE=1 set in the parent is honored inside forked
-        workers (the spawn path re-applies the forced setting), and the
-        sanitized replay stays bit-identical."""
-        monkeypatch.setenv("REPRO_SANITIZE", "1")
-        trace = generate_trace(wide_relation, "pk", mix="balanced",
-                               n_ops=400, skew="uniform", seed=3)
-        ref = _serial_reference(wide_relation, trace)
-        report = run_service(_wide_service(wide_relation), trace, CONFIG,
-                             executor="process", workers=4)
-        assert report.results == ref.results
-        assert report.io == ref.io
+    inserted = [int(k) for k, op in zip(trace.keys, trace.ops)
+                if int(op) == OP_INSERT]
+    assert inserted
+    recovered = recover_service(tmp_path, wide_relation)
+    recovered.bind(CONFIG)
+    try:
+        results = recovered.search_many(inserted)
+    finally:
+        recovered.unbind()
+    assert all(r.found for r in results)
 
 
 # ---------------------------------------------------------------------------
@@ -972,13 +831,12 @@ def _dblp_trace(rel, n_ops, seed, novel_spread=8):
 class TestNonIntegerKeys:
     """String keys — Python ``str`` in an object column and NumPy
     ``str_`` in a ``<U`` column — serve through the Router on the bf,
-    bplus, hash and fd backends under both executors, and every result
-    agrees with a dict oracle."""
+    bplus, hash and fd backends, and every result agrees with a dict
+    oracle."""
 
-    @pytest.mark.parametrize("executor", ["serial", "process"])
     @pytest.mark.parametrize("kind", ["bf", "bplus", "hash", "fd"])
     @pytest.mark.parametrize("dtype", ["object", "unicode"])
-    def test_router_replay_matches_oracle(self, dtype, kind, executor):
+    def test_router_replay_matches_oracle(self, dtype, kind):
         rel = _dblp_relation(dtype)
         # ~1000 novel inserts overflow the last BF-leaf; the other
         # backends need no split and their sanitizer checks cost
@@ -990,7 +848,7 @@ class TestNonIntegerKeys:
                                              if kind == "bf" else None),
                                      unique=True)
         leaves_before = service.n_leaves
-        report = run_service(service, trace, CONFIG, executor=executor)
+        report = run_service(service, trace, CONFIG)
 
         # entries: key -> tids the index holds; data: key -> tids whose
         # tuple really carries the key.  The BF-Tree is approximate and

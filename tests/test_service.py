@@ -764,6 +764,52 @@ def test_durable_router_replay_recovers_every_insert(wide_relation,
 
 
 # ---------------------------------------------------------------------------
+# the serial executor against a static-topology reference
+# ---------------------------------------------------------------------------
+
+from repro.service import SerialExecutor  # noqa: E402
+
+
+class TestExecutorEquivalence:
+    """The Router's executor, replaying a trace in slices while the
+    topology changes between them, matches one static serial replay in
+    results and merged IOStats."""
+
+    @pytest.mark.parametrize("executor,kwargs", [("serial", {})])
+    def test_mid_trace_split_and_merge(self, wide_relation, executor,
+                                       kwargs):
+        trace = generate_trace(wide_relation, "pk", mix="balanced",
+                               n_ops=1800, skew="hotspot", seed=77)
+        ref = run_service(_wide_service(wide_relation), trace, CONFIG)
+
+        dyn = _wide_service(wide_relation)
+        dyn.bind(CONFIG)
+        router = Router(dyn, **kwargs)
+        assert isinstance(router.executor, SerialExecutor)
+        assert executor == "serial"
+        got = []
+        try:
+            cuts = [0, 600, 1200, len(trace)]
+            children = None
+            for j, (lo, hi) in enumerate(zip(cuts, cuts[1:])):
+                got.extend(router.replay(trace.slice(lo, hi))[0])
+                if j == 0:
+                    victim = max(
+                        dyn.shards, key=lambda s: s.index.n_leaves
+                    ).shard_id
+                    children = dyn.split_shard(victim)
+                elif j == 1:
+                    dyn.merge_shards(*children)
+            dyn_io = dyn.merged_io().snapshot()
+        finally:
+            router.close()
+            dyn.unbind()
+        assert dyn.topology_epoch == 2
+        assert got == ref.results
+        assert dyn_io == ref.io
+
+
+# ---------------------------------------------------------------------------
 # non-integer keys: DBLP-style string columns served end to end
 # ---------------------------------------------------------------------------
 

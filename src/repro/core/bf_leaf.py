@@ -518,16 +518,14 @@ class BFLeaf:
         """
         if positions is None:
             positions = self.hash_batch(keys)
-        matrix = self._match_matrix(positions)
-        out: list[list[tuple[int, int]]] = []
-        for j, key in enumerate(keys):
-            if key in self.deleted_keys:
-                out.append([])
-            else:
-                out.append(
-                    self._build_runs(key, np.nonzero(matrix[j])[0].tolist())
-                )
-        return out
+        # One nonzero over the whole matrix: row-major, so each key's
+        # matched groups are a contiguous, ascending slice of ``groups``.
+        rows, groups = np.nonzero(self._match_matrix(positions))
+        cuts = np.searchsorted(rows, np.arange(len(keys) + 1)).tolist()
+        groups = groups.tolist()
+        deleted = self.deleted_keys
+        return [[] if key in deleted else self._build_runs(key, groups[a:b])
+                for key, a, b in zip(keys, cuts, cuts[1:])]
 
     @staticmethod
     def hash_rows(keys, leaves, which) -> np.ndarray:
@@ -570,7 +568,8 @@ class BFLeaf:
         """Merge matched ``groups`` into fetchable (first_pid, npages) runs.
 
         ``key`` must not be tombstoned (callers check); it is only used
-        for the spill-back test on the leaf's minimum key.
+        for the spill-back test on the leaf's minimum key.  Each group's
+        pages are :meth:`group_page_range`, computed inline.
         """
         runs: list[tuple[int, int]] = []
         if (
@@ -580,8 +579,12 @@ class BFLeaf:
         ):
             runs.append((self.min_pid - self.spill_back_pages,
                          self.spill_back_pages))
+        g = self.geometry.pages_per_bf
+        min_pid = self.min_pid
+        end = min_pid + self.pages_covered
         for group in groups:
-            first, npages = self.group_page_range(group)
+            first = min_pid + group * g
+            npages = min(g, end - first)
             if npages <= 0:
                 continue
             if runs and runs[-1][0] + runs[-1][1] == first:

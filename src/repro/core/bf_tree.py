@@ -575,7 +575,11 @@ class BFTree(IndexBackend):
 
         ``warm=True`` models the paper's warm-cache mode: all internal
         nodes are memory-resident, so only the leaf access (and data pages)
-        cost device I/O.
+        cost device I/O.  The warm pool is unbounded and never admits a
+        page on a miss, so no read changes which pages are resident;
+        :meth:`apply_many` relies on this to charge a run of reads into
+        one leaf once and replay it.  Keep both properties (or charge
+        every read at its turn again) when changing the pool.
         """
         self.store.device = stack.index_device
         self._data_device = stack.data_device
@@ -882,20 +886,23 @@ class BFTree(IndexBackend):
         * every point key is routed over the flattened directory and
           hashed under its target leaf's seed in one call
           (:meth:`_plan_ops`);
-        * every charge that touches the index store lands at the op's
-          turn, as the per-op loop makes it — descent and leaf reads
-          (replayed from the routing table's path), neighbour-leaf reads
-          on partitioned data, insert and split writes — because
-          buffer-pool residency and hit counters depend on that order.
-          Inserts run through Algorithm 3's write rounds (duplicate
-          queues, dirty groups, split flushes), and a split re-plans
-          every op not yet applied;
-        * only charge-free work waits.  A read's filter test queues on
-          its leaf and runs (one :meth:`BFLeaf.matching_page_runs_many`
-          per leaf group) before any insert into that leaf applies,
-          before a re-plan and at chunk end, so it sees exactly the bits
-          set before it.  A run of scans goes through
-          :meth:`range_scan_many` before the next insert;
+        * writes and splits charge the index store at the op's turn,
+          as the per-op loop makes them: inserts run through Algorithm
+          3's write rounds (duplicate queues, dirty groups, split
+          flushes), and a split re-plans every op not yet applied.  The
+          reads between two inserts commute: no read changes which
+          index pages are resident (see :meth:`bind`), so every read
+          into one leaf that visits the same neighbour leaves pays the
+          same descent, leaf and neighbour reads (replayed from the
+          routing table's path).  :meth:`_read_run` charges each such
+          group once and replays it for the rest;
+        * otherwise only charge-free work waits.  A read's filter test
+          queues on its leaf and runs (one
+          :meth:`BFLeaf.matching_page_runs_many` per leaf group) before
+          any insert into that leaf applies, before a re-plan and at
+          chunk end, so it sees exactly the bits set before it.  A run
+          of scans goes through :meth:`range_scan_many` before the next
+          insert;
         * the data pages of every read are fetched in one
           :meth:`_fetch_runs` pass after the walk.  Those charges touch
           only the data device and state their access pattern, so moving
@@ -969,8 +976,10 @@ class BFTree(IndexBackend):
         if fetches:
             fetched, fetch_latencies = self._fetch_runs(
                 [walk.keys[k] for k, _ in fetches],
-                [sorted(run for leaf_id in leaf_ids
-                        for run in walk.runs_for[(k, leaf_id)])
+                # One leaf's runs are already sorted; several merge.
+                [walk.runs_for[(k, leaf_ids[0])] if len(leaf_ids) == 1
+                 else sorted(run for leaf_id in leaf_ids
+                             for run in walk.runs_for[(k, leaf_id)])
                  for k, leaf_ids in fetches],
             )
             for (k, _), result, latency in zip(fetches, fetched,
@@ -1074,16 +1083,29 @@ class BFTree(IndexBackend):
     def _read_run(self, walk: "_Walk", i: int, j: int, base: int, pred,
                   paths) -> tuple[int, int]:
         """Take the reads and scans from op ``i`` (point op ``j``) up to
-        the next insert; return the next op and point op.  Each read's
-        descent, neighbour-leaf reads and per-filter probe CPU are
-        charged at its turn, and its filter test queues on every
-        candidate leaf (its plan row is hashed under its predicted leaf;
-        neighbours hash at test time).  Scans queue for the run's one
-        :meth:`range_scan_many` call."""
+        the next insert; return the next op and point op.
+
+        Nothing in a read run writes, and a read cannot change which
+        index pages are resident (see :meth:`bind`), so every read into
+        the same leaf that visits the same neighbours pays the same
+        descent and neighbour-leaf charges, wherever it sits in the run.
+        Pass 1 charges nothing: it finds each read's candidate leaves,
+        queues its filter test on every candidate that covers the key
+        (its plan row is hashed under its predicted leaf; neighbours
+        hash at test time) and its data fetch in op order.  Pass 2
+        charges each (leaf, neighbours) group once for real and replays
+        it for the group's other reads (:meth:`_charge_repeated`), then
+        charges the group's per-filter probe CPU in one sum; a read's
+        latency is the measured charge plus its own probe CPU.  Scans
+        queue for the run's one :meth:`range_scan_many` call."""
         codes, keys, probes = walk.codes, walk.keys, walk.probes
-        clock, stats, track = walk.clock, walk.stats, walk.track
+        results, fetches = walk.results, walk.fetches
         leaves = self.leaves
+        neighbour_ids = self._neighbour_ids
         n = len(codes)
+        # (leaf id, neighbour ids) -> [(op, filters probed)]
+        groups: dict[tuple, list[tuple[int, int]]] = {}
+        group = None
         while i < n:
             code = codes[i]
             if code == OP_INSERT:
@@ -1093,29 +1115,52 @@ class BFTree(IndexBackend):
                 i += 1
                 continue
             rel = j - base
-            leaf = leaves[pred[rel]]
+            leaf_id = pred[rel]
             key = keys[i]
-            start = clock.now() if track else 0.0
-            self._charge_descent(leaf, paths[leaf.node_id])
-            candidates = [c for c in self._candidate_leaves(key, leaf)
-                          if c.covers_key(key)]
-            if candidates:
-                for c in candidates:
-                    if stats is not None:
-                        stats.bloom_probes += c.nfilters
-                    if clock is not None:
-                        clock.advance(c.nfilters * CPU_BLOOM_PROBE)
-                    probes.setdefault(c.node_id, []).append(
-                        (i, rel if c is leaf else None)
+            nbrs = neighbour_ids(key, leaves[leaf_id])
+            nprobed = 0
+            covering = []
+            for cid in (leaf_id, *nbrs):
+                c = leaves[cid]
+                if c.covers_key(key):
+                    nprobed += c.nfilters
+                    probes.setdefault(cid, []).append(
+                        (i, rel if cid == leaf_id else None)
                     )
-                walk.fetches.append((i, [c.node_id for c in candidates]))
+                    covering.append(cid)
+            if covering:
+                fetches.append((i, covering))
             else:
-                walk.results[i] = SearchResult(found=False)
-            if track:
-                walk.latencies[i] = clock.now() - start
+                results[i] = SearchResult(found=False)
+            group = (leaf_id, nbrs)
+            groups.setdefault(group, []).append((i, nprobed))
             i += 1
             j += 1
+        if group is not None:
+            # The run's last read charges last, as in op order, so the
+            # index device ends on the same head position.
+            groups[group] = groups.pop(group)
+        clock, stats, track = walk.clock, walk.stats, walk.track
+        latencies = walk.latencies
+        for (leaf_id, nbrs), ops in groups.items():
+            dt = self._charge_repeated(len(ops), self._charge_read,
+                                       leaves[leaf_id], paths[leaf_id], nbrs)
+            nprobed = sum([nf for _, nf in ops])
+            if stats is not None:
+                stats.bloom_probes += nprobed
+            if clock is not None and nprobed:
+                clock.advance(nprobed * CPU_BLOOM_PROBE)
+            if track:
+                for k, nf in ops:
+                    latencies[k] = dt + nf * CPU_BLOOM_PROBE
         return i, j
+
+    def _charge_read(self, leaf: BFLeaf, path: list[int],
+                     neighbours: tuple[int, ...]) -> None:
+        """One point read's index charges: the descent to ``leaf``, then
+        one read per neighbour leaf it visits."""
+        self._charge_descent(leaf, path)
+        self._read_neighbours(neighbours)
 
     def _test_probes(self, walk: "_Walk", leaf_id: int) -> None:
         """Run the filter tests queued on one leaf, in one page gather."""
@@ -1157,34 +1202,40 @@ class BFTree(IndexBackend):
                 js, walk.latencies if walk.track else None,
             )
 
-    def _candidate_leaves(self, key, leaf: BFLeaf) -> list[BFLeaf]:
-        """Leaves whose key range may contain ``key``.
+    def _neighbour_ids(self, key, leaf: BFLeaf) -> tuple[int, ...]:
+        """Ids of the leaves next to ``leaf`` whose key range may also
+        contain ``key``, in visit order.  Charges nothing;
+        :meth:`_read_neighbours` charges the visits.
 
         For ordered data the directory routes exactly (boundary-spanning
         keys are handled by spill-back), so only the descend target is
-        probed.  For partitioned data, overlapping neighbour ranges are
-        walked in both directions, one leaf read each.
+        probed and there are none.  For partitioned data, overlapping
+        neighbour ranges are walked in both directions, at one leaf read
+        each.
         """
         if self.ordered:
-            return [leaf]
-        candidates = [leaf]
+            return ()
+        visited = []
         current = leaf
         while current.prev_leaf_id is not None:
             prev = self.leaves.get(current.prev_leaf_id)
             if prev is None or prev.max_key is None or key > prev.max_key:
                 break
-            self.store.read(prev.node_id)
-            candidates.insert(0, prev)
+            visited.append(prev.node_id)
             current = prev
         current = leaf
         while current.next_leaf_id is not None:
             nxt = self.leaves.get(current.next_leaf_id)
             if nxt is None or nxt.min_key is None or key < nxt.min_key:
                 break
-            self.store.read(nxt.node_id)
-            candidates.append(nxt)
+            visited.append(nxt.node_id)
             current = nxt
-        return candidates
+        return tuple(visited)
+
+    def _read_neighbours(self, neighbours: tuple[int, ...]) -> None:
+        """Charge one leaf read per id of :meth:`_neighbour_ids`."""
+        for node_id in neighbours:
+            self.store.read(node_id)
 
     def _descend_and_read(self, key) -> BFLeaf | None:
         """Route to the leaf for ``key``; charge internal + leaf reads."""
@@ -1434,6 +1485,31 @@ class BFTree(IndexBackend):
         for _ in range(extra_pages):
             self.store.read(leaf.node_id, sequential=True)
 
+    def _charge_repeated(self, m: int, charge, *args) -> float:
+        """Make ``m`` identical copies of one charge sequence.
+
+        ``charge(*args)`` runs once through the real charging calls
+        (buffer pool included) and is measured; the other ``m - 1``
+        copies replay its IOStats and clock delta arithmetically.  The
+        caller guarantees every copy would charge the same: nothing
+        between them changes pool residency, and every charge states its
+        access pattern.  IOStats are then exact, and the clock differs
+        from ``m`` real runs only by float summation order.  Returns the
+        measured clock delta (0.0 when unbound).
+        """
+        clock = self._clock()
+        stats = self._stats()
+        before = stats.snapshot() if stats is not None and m > 1 else None
+        t0 = clock.now() if clock is not None else 0.0
+        charge(*args)
+        dt = clock.now() - t0 if clock is not None else 0.0
+        if m > 1:
+            if clock is not None:
+                clock.advance(dt * (m - 1))
+            if stats is not None:
+                stats.add_scaled_diff(before, m - 1)
+        return dt
+
     def _apply_duplicate_chunk(self, leaf: BFLeaf, path: list[int],
                                chunk_keys, chunk_pids, js,
                                latencies: list[float] | None) -> None:
@@ -1442,30 +1518,20 @@ class BFTree(IndexBackend):
 
         Duplicates change no filter bits, never split, and never grow
         the filter list, so every key charges the identical descent +
-        CPU + leaf write sequence: the first key runs through the real
-        charging calls (pool behaviour included) and is measured; the
-        remaining ``m - 1`` replay that measurement arithmetically
-        (clock totals then differ from the scalar loop only by float
-        summation order; IOStats stay exact).  Bookkeeping (filter add
+        CPU + leaf write sequence, charged once and replayed for the
+        rest (:meth:`_charge_repeated`).  Bookkeeping (filter add
         multiplicity, key range, page coverage, tombstone clearing) is
         applied in bulk — all of it commutative, so order inside the
         chunk cannot matter.  ``js`` are the keys' batch indices, for
         the latency scatter.
         """
-        m = len(chunk_keys)
-        clock = self._clock()
-        stats = self._stats()
-        before = stats.snapshot() if stats is not None and m > 1 else None
-        t0 = clock.now() if clock is not None else 0.0
-        self._charge_descent(leaf, path)
-        self._charge_cpu(CPU_BLOOM_INSERT)
-        self.store.write(leaf.node_id)
-        dt = clock.now() - t0 if clock is not None else 0.0
-        if m > 1:
-            if clock is not None:
-                clock.advance(dt * (m - 1))
-            if stats is not None:
-                stats.add_scaled_diff(before, m - 1)
+
+        def charge() -> None:
+            self._charge_descent(leaf, path)
+            self._charge_cpu(CPU_BLOOM_INSERT)
+            self.store.write(leaf.node_id)
+
+        dt = self._charge_repeated(len(chunk_keys), charge)
         ppb = leaf.geometry.pages_per_bf
         min_pid = leaf.min_pid
         filters = leaf.filters
@@ -1977,7 +2043,9 @@ class BFTree(IndexBackend):
         if leaf is None:
             return pages
         stats = self._stats()
-        for candidate in self._candidate_leaves(key, leaf):
+        neighbours = self._neighbour_ids(key, leaf)
+        self._read_neighbours(neighbours)
+        for candidate in [leaf, *(self.leaves[nid] for nid in neighbours)]:
             if not candidate.covers_key(key):
                 continue
             if stats is not None:

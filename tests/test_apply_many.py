@@ -204,6 +204,50 @@ def test_splits_mid_chunk(world):
     assert _check_against_per_op(w, ops).n_leaves > before
 
 
+def _two_leaf_reads(w, tree):
+    """60 reads: interleaved over two adjacent leaves of an ordered
+    tree; spread over the whole column (overlapping leaf ranges
+    included) of a partitioned one."""
+    if w.ordered is False:
+        values = sorted(set(w.values.tolist()))
+        return values[::max(1, len(values) // 60)][:60]
+    left, right = tree.leaves_in_order()[1:3]
+    return [leaf.min_key + (7 * x) % (leaf.max_key - leaf.min_key + 1)
+            for x in range(60) for leaf in [(left, right)[x % 2]]]
+
+
+@pytest.mark.parametrize("world", ["warm_pool", "partitioned"])
+def test_read_run_charges_each_group_once(world, monkeypatch):
+    """A read-only chunk is one read run.  Its reads into one leaf that
+    visit the same neighbour leaves make one real descent charge between
+    them; the rest replay it, and every read is still charged, timed and
+    given a latency as in the per-op loop."""
+    w = WORLDS[world]
+    tree = w.build()
+    tree.bind(build_stack("MEM/SSD"), warm=w.warm)
+    keys = _two_leaf_reads(w, tree)
+    groups = set()
+    for key in keys:
+        leaf_id, _ = tree.inner.descend(key, charge_io=False)
+        groups.add((leaf_id,
+                    tree._neighbour_ids(key, tree.leaves[leaf_id])))
+    assert len({leaf_id for leaf_id, _ in groups}) == 2
+    # Partitioned: some reads also visit the other leaf as a neighbour.
+    assert any(nbrs for _, nbrs in groups) == (w.ordered is False)
+    descents = []
+    real = BFTree._charge_descent
+
+    def counted(self, leaf, path):
+        descents.append(leaf.node_id)
+        real(self, leaf, path)
+
+    monkeypatch.setattr(BFTree, "_charge_descent", counted)
+    tree.apply_many([(OP_READ, key, None) for key in keys])
+    monkeypatch.undo()
+    assert sorted(descents) == sorted(leaf_id for leaf_id, _ in groups)
+    _check_against_per_op(w, [(OP_READ, key, None) for key in keys])
+
+
 def test_read_sees_exactly_the_inserts_before_it():
     w = WORLDS["splits"]
     key = w.tombstones[0]

@@ -211,9 +211,12 @@ def _two_leaf_reads(w, tree):
     if w.ordered is False:
         values = sorted(set(w.values.tolist()))
         return values[::max(1, len(values) // 60)][:60]
-    left, right = tree.leaves_in_order()[1:3]
-    return [leaf.min_key + (7 * x) % (leaf.max_key - leaf.min_key + 1)
-            for x in range(60) for leaf in [(left, right)[x % 2]]]
+    pair = tree.leaves_in_order()[1:3]
+    keys = []
+    for x in range(60):
+        leaf = pair[x % 2]
+        keys.append(leaf.min_key + (7 * x) % (leaf.max_key - leaf.min_key + 1))
+    return keys
 
 
 @pytest.mark.parametrize("world", ["warm_pool", "partitioned"])

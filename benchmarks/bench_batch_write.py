@@ -49,7 +49,7 @@ def _tree_fingerprint(tree):
             leaf.node_id, leaf.min_pid, leaf.min_key, leaf.max_key,
             leaf.nkeys, leaf.extra_inserts, leaf.pages_covered,
             sorted(leaf.deleted_keys),
-            [(f.count, f._bits) for f in leaf.filters],
+            list(leaf.counts), leaf.page[:leaf.nfilters].tobytes(),
         ))
     return out
 

@@ -8,8 +8,10 @@ never perturbs IOStats or the simulated clock — and raises
 violated invariant:
 
 * :func:`check_tree` — BF-Tree leaf-chain pointer integrity and key
-  ordering, per-leaf ``nkeys``/filter-count/capacity consistency,
-  filter-parameter uniformity, directory ↔ chain agreement;
+  ordering, per-leaf ``nkeys``/add-count/capacity consistency, the
+  filter layout (add counts per filter, zero rows past the filters in
+  use, a counting leaf's bit page equal to its counters above zero),
+  hash-geometry uniformity, directory ↔ chain agreement;
 * :func:`check_bplus` — B+-Tree chain pointers, in-leaf key order,
   key/ridlist pairing, cross-leaf span ordering;
 * :func:`check_fd` — FD-Tree head/level sort order, merge-level
@@ -31,6 +33,8 @@ from __future__ import annotations
 
 import os
 from typing import Any, Iterable
+
+import numpy as np
 
 
 ENV_VAR = "REPRO_SANITIZE"
@@ -200,48 +204,45 @@ def _check_bf_leaf(name: str, leaf: Any) -> None:
               f"{where}: nkeys {leaf.nkeys} exceeds capacity "
               f"{leaf.key_capacity} but extra_inserts "
               f"{leaf.extra_inserts} < {over} (overflow unaccounted)")
-    if leaf.filters:
-        total = sum(f.count for f in leaf.filters)
-        if leaf.nkeys > total:
-            _fail(name,
-                  f"{where}: nkeys {leaf.nkeys} exceeds total filter "
-                  f"insert count {total} (keys unindexed by any filter)")
-        first = leaf.filters[0]
-        for i, f in enumerate(leaf.filters[1:], start=1):
-            if (f.nbits, f.k, f.seed) != (first.nbits, first.k, first.seed):
-                _fail(name,
-                      f"{where}: filter {i} parameters (nbits={f.nbits}, "
-                      f"k={f.k}, seed={f.seed}) diverge from filter 0 "
-                      f"(nbits={first.nbits}, k={first.k}, "
-                      f"seed={first.seed})")
-    elif leaf.nkeys:
-        _fail(name, f"{where}: {leaf.nkeys} keys but no filters")
-    if leaf.geometry.filter_kind != "counting":
-        _check_leaf_page(name, where, leaf)
+    _check_leaf_filters(name, where, leaf)
 
 
-def _check_leaf_page(name: str, where: str, leaf: Any) -> None:
-    """A plain leaf's filters are row views of its page, whose unused
-    rows are zero (so a batch probe gathering the page matches exactly
-    what probing the filters one by one would)."""
-    page = leaf.page
-    if page is None:
-        if leaf.filters:
-            _fail(name, f"{where}: {leaf.nfilters} filters but no page")
+def _check_leaf_filters(name: str, where: str, leaf: Any) -> None:
+    """The filter layout: one add count per filter in use, at least one
+    add per indexed key, zero rows past the filters in use (so a batch
+    probe gathering the whole page matches nothing there), and on a
+    counting leaf a bit page equal to its counters above zero."""
+    # Imported here: repro.core imports this module.
+    from repro.core.bloom import page_from_bits, words_per_filter
+
+    n = leaf.nfilters
+    if len(leaf.counts) != n:
+        _fail(name, f"{where}: {len(leaf.counts)} add counts for "
+                    f"{n} filters")
+    total = sum(leaf.counts)
+    if leaf.nkeys > total:
+        _fail(name,
+              f"{where}: nkeys {leaf.nkeys} exceeds total filter "
+              f"insert count {total} (keys unindexed by any filter)")
+    page, geo = leaf.page, leaf.geometry
+    if page.shape[0] < n or page.shape[1:] != (
+            words_per_filter(geo.bits_per_bf),):
+        _fail(name, f"{where}: page of shape {page.shape} cannot hold "
+                    f"{n} filters of {geo.bits_per_bf} bits")
+    if page[n:].any():
+        _fail(name, f"{where}: page rows at or past nfilters={n} hold "
+                    f"set bits")
+    counters = leaf.counters
+    if counters is None:
         return
-    if page.shape[0] < leaf.nfilters:
-        _fail(name, f"{where}: page has {page.shape[0]} rows for "
-                    f"{leaf.nfilters} filters")
-    shape = page.shape[1:]
-    addr, stride = page.ctypes.data, page.strides[0]
-    for i, f in enumerate(leaf.filters):
-        words = f._words
-        if words.shape != shape or words.ctypes.data != addr + i * stride:
-            _fail(name, f"{where}: filter {i}'s words are not row {i} of "
-                        f"the leaf page")
-    if page[leaf.nfilters:].any():
-        _fail(name, f"{where}: page rows at or past nfilters="
-                    f"{leaf.nfilters} hold set bits")
+    if counters.shape[0] < n or counters.shape[1:] != (geo.bits_per_bf,):
+        _fail(name, f"{where}: counter page of shape {counters.shape} "
+                    f"cannot hold {n} filters of {geo.bits_per_bf} bits")
+    if counters[n:].any():
+        _fail(name, f"{where}: counter rows at or past nfilters={n} are "
+                    f"nonzero")
+    if not np.array_equal(page[:n], page_from_bits(counters[:n] > 0)):
+        _fail(name, f"{where}: bit page disagrees with counters > 0")
 
 
 # ---------------------------------------------------------------------------

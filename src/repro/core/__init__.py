@@ -19,7 +19,6 @@ from repro.core.bloom import (
     optimal_hash_count,
 )
 from repro.core.hashing import bloom_positions, hash_pair, key_to_int, splitmix64
-from repro.core.variants import CountingBloomFilter, ScalableBloomFilter
 
 __all__ = [
     "BFLeaf",
@@ -42,6 +41,4 @@ __all__ = [
     "hash_pair",
     "key_to_int",
     "splitmix64",
-    "CountingBloomFilter",
-    "ScalableBloomFilter",
 ]

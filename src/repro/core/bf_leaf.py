@@ -14,18 +14,22 @@ keys stays at ``-ln(fpp) / ln^2(2)`` the leaf-wide false-positive
 probability is the configured ``fpp`` regardless of how many filters the
 budget is split into.
 
-Layout: like the paper's index page, a plain leaf stores its filters in
-one contiguous ``(capacity, words_per_filter)`` uint64 matrix,
-:attr:`BFLeaf.page`.  Each :class:`~repro.core.bloom.BloomFilter` in
-``filters`` is a thin handle whose word array is a row view of that
-matrix, so per-filter writes land in the page and a batch probe tests
-all S filters with one gather (:meth:`BFLeaf._match_matrix`).  Rows past
-``nfilters`` stay zero and can never match.  Every filter of a leaf
-shares nbits/k/seed, so a key is hashed once per leaf; a tree hashes all
-(key, leaf) rows of a batch in a single call (:meth:`BFLeaf.hash_rows`)
-and bulk loading hashes each leaf's pages in one call
-(:meth:`BFLeaf.add_pages`).  Counting-filter leaves (§7) keep a plain
-list of per-filter counter arrays instead of a page.
+Layout: like the paper's index page, every leaf keeps its filters as
+the rows of one ``(capacity, words_per_filter)`` uint64 matrix,
+:attr:`BFLeaf.page`, beside a ``counts`` vector (adds per filter) and
+one hash seed, :attr:`BFLeaf.filter_seed`, fixed when the leaf is made.
+Rows ``[0, nfilters)`` are in use; the rest stay zero and never match.
+A batch probe tests all S filters with one gather
+(:meth:`BFLeaf._match_matrix`).  Every filter of a leaf shares nbits/k
+and the seed, so a key is hashed once per leaf; a tree hashes all (key,
+leaf) rows of a batch in a single call (:meth:`BFLeaf.hash_rows`) and
+bulk loading hashes each leaf's pages in one call
+(:meth:`BFLeaf.add_pages`).  A counting leaf (§7; Fan et al.'s counting
+filters) also keeps an ``(capacity, bits_per_bf)`` uint8 counter page,
+:attr:`BFLeaf.counters`, in step with its bit page: a bit is set iff its
+counter is above zero.  Probes and duplicate tests read the bit page
+alone, so they run one code path for both kinds; only adds and
+:meth:`BFLeaf.remove_key` touch the counters.
 
 Update support (paper §7): the leaf keeps a *deleted-key list* so deletes
 do not degrade the fpp, and tracks ``extra_inserts`` beyond nominal
@@ -46,14 +50,17 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.core.bloom import (
-    BloomFilter,
     bits_for_capacity,
+    counter_page_add,
     fpp_after_inserts,
     optimal_hash_count,
     page_popcount,
     page_set_positions,
     page_test,
     page_test_rows,
+    row_clear_positions,
+    row_set_positions,
+    row_test_positions,
     words_per_filter,
 )
 from repro.core.hashing import (
@@ -138,6 +145,11 @@ class BFLeafGeometry:
             raise ValueError(
                 f"filter_kind must be 'plain' or 'counting', got {filter_kind!r}"
             )
+        if not 2 <= counter_bits <= 8:
+            raise ValueError(
+                f"counter_bits must be in [2, 8] (uint8 counters), "
+                f"got {counter_bits}"
+            )
         budget_bits = (page_size - LEAF_HEADER_BYTES) * 8
         per_group = max(1.0, expected_keys_per_group)
         bits_per_bf = max(4, round(bits_for_capacity(per_group, fpp)))
@@ -169,8 +181,7 @@ class BFLeaf:
     nkeys: int = 0                      # indexed (key, group) insertions
     next_leaf_id: int | None = None
     prev_leaf_id: int | None = None
-    filters: list[BloomFilter] = field(default_factory=list)
-    pages_covered: int = 0              # may be < len(filters) * pages_per_bf
+    pages_covered: int = 0              # may be < nfilters * pages_per_bf
     deleted_keys: set = field(default_factory=set)
     extra_inserts: int = 0              # inserts beyond nominal capacity
     #: Pages *before* ``min_pid`` that also contain ``min_key``.  When a
@@ -178,27 +189,30 @@ class BFLeaf:
     #: page ranges overlap; we record the overlap here so a probe for
     #: ``min_key`` also fetches the preceding pages.
     spill_back_pages: int = 0
-    #: Hash seed shared by every filter of this leaf.  ``None`` (the
-    #: bulk-load default) means "use the node id at filter creation";
-    #: it is pinned explicitly when the leaf changes owner (sharding
-    #: reallocates node ids) or is created by a split (which derives a
-    #: *structural* seed from the covered pages), so that filter bit
-    #: patterns — and therefore false positives — do not depend on the
-    #: allocation order of whichever tree happens to hold the leaf.
-    #: All filters of one leaf must share one seed: the vectorized
-    #: probe path hashes each key batch once per leaf.
+    #: Hash seed shared by every filter of this leaf, fixed when the leaf
+    #: is made: the node id by default (bulk load), a *structural* seed
+    #: derived from the covered pages for a split's children.  It stays
+    #: put when the leaf changes owner (sharding reallocates node ids),
+    #: so filter bit patterns — and therefore false positives — do not
+    #: depend on the allocation order of whichever tree holds the leaf.
     filter_seed: int | None = None
-    #: The index page of a plain leaf: a ``(capacity, words_per_filter)``
-    #: uint64 matrix whose row ``i`` is ``filters[i]._words`` (rows at or
-    #: past ``nfilters`` are zero).  ``None`` before the first filter
-    #: exists and for counting leaves.  Filters passed to the constructor
-    #: are copied onto a fresh page.
-    page: np.ndarray | None = field(default=None, repr=False, compare=False)
+    #: Filters in use: rows ``[0, nfilters)`` of the pages.
+    nfilters: int = 0
+    #: Adds (with multiplicity) per filter, ``nfilters`` entries.
+    counts: list[int] = field(default_factory=list)
+    #: The index page: a ``(capacity, words_per_filter)`` uint64 matrix
+    #: whose row ``i`` is filter ``i``'s bits.  Rows passed to the
+    #: constructor are copied onto a fresh page.
+    page: np.ndarray = field(default=None, repr=False, compare=False)
+    #: Counting leaves only: the ``(capacity, bits_per_bf)`` uint8
+    #: counter page, kept in step with ``page``; None for plain leaves.
+    counters: np.ndarray | None = field(default=None, repr=False,
+                                        compare=False)
 
     def __post_init__(self) -> None:
-        if (self.filters and self.page is None
-                and self.geometry.filter_kind != "counting"):
-            self._repage(len(self.filters))
+        if self.filter_seed is None:
+            self.filter_seed = self.node_id
+        self._repage(self.nfilters)
 
     # ------------------------------------------------------------------
     # geometry
@@ -207,10 +221,6 @@ class BFLeaf:
     def max_pid(self) -> int:
         """Last data page covered (inclusive)."""
         return self.min_pid + max(self.pages_covered, 1) - 1
-
-    @property
-    def nfilters(self) -> int:
-        return len(self.filters)
 
     @property
     def key_capacity(self) -> int:
@@ -245,18 +255,12 @@ class BFLeaf:
     # ------------------------------------------------------------------
     # mutation
     # ------------------------------------------------------------------
-    def filter_hash_seed(self) -> int:
-        """The hash seed every filter of this leaf uses (see filter_seed)."""
-        if self.filters:
-            return self.filters[0].seed
-        return self.node_id if self.filter_seed is None else self.filter_seed
-
     def key_positions(self, key) -> list[int]:
         """The k filter bit positions ``key`` hashes to in this leaf."""
         geo = self.geometry
         return bloom_positions(
             key_to_int(key), geo.hash_count, geo.bits_per_bf,
-            self.filter_hash_seed(),
+            self.filter_seed,
         )
 
     def hash_batch(self, keys) -> np.ndarray:
@@ -269,7 +273,7 @@ class BFLeaf:
         geo = self.geometry
         return bloom_positions_batch(
             keys_to_int_array(keys), geo.hash_count, geo.bits_per_bf,
-            self.filter_hash_seed(),
+            self.filter_seed,
         )
 
     def add(self, key, pid: int) -> bool:
@@ -288,9 +292,24 @@ class BFLeaf:
         the leaf already promises.  Once a filter degrades past
         :data:`DUPLICATE_TRUST_MAX_FPP` the test is ignored and every
         insert counts as new, so a saturated filter can never freeze
-        ``nkeys`` and suppress the split that would rebuild it.)
+        ``nkeys`` and suppress the split that would rebuild it.)  A
+        counting leaf still counts the re-insert in its counters, so
+        one :meth:`remove_key` later leaves the key present.
         """
         return self.add_prehashed(key, pid, self.key_positions(key))
+
+    def _holds(self, group: int, positions) -> bool:
+        """Does existing filter ``group`` report the key present, and is
+        it still reliable enough to say so (effective fpp, its fill
+        fraction to the k-th power, at most
+        :data:`DUPLICATE_TRUST_MAX_FPP`)?"""
+        row = self.page[group]
+        if not row_test_positions(row, positions):
+            return False
+        geo = self.geometry
+        ones = int.from_bytes(row.tobytes(), "little").bit_count()
+        return (ones / geo.bits_per_bf) ** geo.hash_count \
+            <= DUPLICATE_TRUST_MAX_FPP
 
     def duplicate_prehashed(self, pid: int, positions) -> bool:
         """Would adding a key with these positions on ``pid`` be a re-insert?
@@ -302,32 +321,17 @@ class BFLeaf:
         ``nkeys``.
         """
         group = self.group_of(pid)
-        if group >= self.nfilters:
-            return False
-        filt = self.filters[group]
-        return (filt.contains_positions(positions)
-                and filt.effective_fpp() <= DUPLICATE_TRUST_MAX_FPP)
+        return group < self.nfilters and self._holds(group, positions)
 
     def duplicate_flags(self, groups: np.ndarray,
                         positions: np.ndarray) -> np.ndarray:
         """Vectorized :meth:`duplicate_prehashed` for a key batch.
 
         Key ``j`` has bit ``positions[j]`` and lands in existing filter
-        ``groups[j]`` (``< nfilters``).  A plain leaf answers from its
-        page: one row gather for membership, plus a popcount of only the
-        rows the batch touches for the trust gate (the float expression
-        of :meth:`BloomFilter.effective_fpp`, vectorized).
+        ``groups[j]`` (``< nfilters``).  One row gather answers
+        membership, plus a popcount of only the rows the batch touches
+        for the trust gate.
         """
-        if self.page is None:
-            flags = np.zeros(len(groups), dtype=bool)
-            by_group: dict[int, list[int]] = {}
-            for r, group in enumerate(groups.tolist()):
-                by_group.setdefault(group, []).append(r)
-            for group, rs in by_group.items():
-                filt = self.filters[group]
-                if filt.effective_fpp() <= DUPLICATE_TRUST_MAX_FPP:
-                    flags[rs] = filt.test_positions(positions[rs])
-            return flags
         geo = self.geometry
         fill = page_popcount(self.page, groups) / geo.bits_per_bf
         trust = fill ** geo.hash_count <= DUPLICATE_TRUST_MAX_FPP
@@ -350,17 +354,12 @@ class BFLeaf:
                 f"{self.geometry.max_filters}"
             )
         self._grow_to(group)
-        filt = self.filters[group]
         if duplicate is None:
-            duplicate = (filt.contains_positions(positions)
-                         and filt.effective_fpp()
-                         <= DUPLICATE_TRUST_MAX_FPP)
-        if duplicate and self.geometry.filter_kind != "counting":
-            # All bits already set: the scatter would be a no-op.  Only
-            # the add multiplicity is recorded (as filter.add would).
-            filt.count += 1
-        else:
-            filt.add_positions(positions)
+            duplicate = self._holds(group, positions)
+        if not duplicate:  # a duplicate's bits are all set already
+            row_set_positions(self.page[group], positions)
+        self.counts[group] += 1
+        self._bump_counters([group], [positions])
         self.pages_covered = max(self.pages_covered, pid - self.min_pid + 1)
         if not duplicate:
             self.nkeys += 1
@@ -373,41 +372,61 @@ class BFLeaf:
         self.deleted_keys.discard(key)
         return not duplicate
 
+    def add_duplicates(self, keys, pids, positions: np.ndarray) -> None:
+        """Re-insert keys whose filters already hold them, in one pass.
+
+        Key ``j`` has bit ``positions[j]`` and lives on page ``pids[j]``
+        of an existing filter that reports it present; the result equals
+        :meth:`add_prehashed` with ``duplicate=True`` for each key, in
+        any order.  No bit changes and ``nkeys`` stays; the filters'
+        add counts, a counting leaf's counters (one saturating add), the
+        key range, page coverage and tombstones are updated in bulk.
+        """
+        ppb, min_pid = self.geometry.pages_per_bf, self.min_pid
+        groups = [(pid - min_pid) // ppb for pid in pids]
+        counts = self.counts
+        for group in groups:
+            counts[group] += 1
+        self._bump_counters(groups, positions)
+        self.pages_covered = max(self.pages_covered,
+                                 max(pids) - min_pid + 1)
+        lo, hi = min(keys), max(keys)
+        if self.min_key is None or lo < self.min_key:
+            self.min_key = lo
+        if self.max_key is None or hi > self.max_key:
+            self.max_key = hi
+        if self.deleted_keys:
+            self.deleted_keys.difference_update(keys)
+
     def add_pages(self, keys, pids) -> None:
         """Vectorized :meth:`add` of a run of data pages (bulk load).
 
         ``keys`` concatenates the sorted distinct keys of each page, and
         ``pids`` holds each key's page id, non-decreasing.  The resulting
-        filter bits equal :meth:`add` applied key by key, but a plain
-        leaf hashes the whole run in one call and ORs every bit into its
-        page in one scatter, and every key counts toward ``nkeys``.
-        Raises :class:`LeafOverflow` before changing anything when the
-        last page lies past the leaf's filter budget.
+        filter state equals :meth:`add` applied key by key, but the leaf
+        hashes the whole run in one call and ORs every bit into its page
+        in one scatter, and every key counts toward ``nkeys``.  Raises
+        :class:`LeafOverflow` before changing anything when the last page
+        lies past the leaf's filter budget.
         """
         if len(keys) == 0:
             return
         pids = np.asarray(pids, dtype=np.int64)
-        first = self.group_of(int(pids[0]))
         last = self.group_of(int(pids[-1]))
         if last >= self.geometry.max_filters:
             raise LeafOverflow(
                 f"page {int(pids[-1])} needs filter {last} but leaf holds "
                 f"at most {self.geometry.max_filters}"
             )
+        first = self.group_of(int(pids[0]))
         self._grow_to(last)
         groups = (pids - self.min_pid) // self.geometry.pages_per_bf
-        cuts = np.flatnonzero(pids[1:] != pids[:-1]) + 1
-        heads, ends = np.r_[0, cuts], np.r_[cuts, len(keys)]
-        if self.page is None:
-            # Counting filters keep their per-filter path, one page at a
-            # time (counter saturation is applied per bulk_add call).
-            for lo, hi in zip(heads.tolist(), ends.tolist()):
-                self.filters[int(groups[lo])].bulk_add(keys[lo:hi])
-        else:
-            page_set_positions(self.page, groups, self.hash_batch(keys))
-            counts = np.bincount(groups - first).tolist()
-            for group, count in enumerate(counts, start=first):
-                self.filters[group].count += count
+        positions = self.hash_batch(keys)
+        page_set_positions(self.page, groups, positions)
+        for group, n in enumerate(np.bincount(groups - first).tolist(),
+                                  start=first):
+            self.counts[group] += n
+        self._bump_counters(groups, positions)
         self.pages_covered = max(self.pages_covered,
                                  int(pids[-1]) - self.min_pid + 1)
         self.nkeys += len(keys)
@@ -419,56 +438,52 @@ class BFLeaf:
             # Re-inserted keys stop being tombstoned, same as :meth:`add`.
             self.deleted_keys.difference_update(keys.tolist())
         # Each page's keys are sorted: its first and last are its range.
-        lo_key = min(keys[heads].tolist())
-        hi_key = max(keys[ends - 1].tolist())
+        cuts = np.flatnonzero(pids[1:] != pids[:-1]) + 1
+        lo_key = min(keys[np.r_[0, cuts]].tolist())
+        hi_key = max(keys[np.r_[cuts - 1, len(keys) - 1]].tolist())
         if self.min_key is None or lo_key < self.min_key:
             self.min_key = lo_key
         if self.max_key is None or hi_key > self.max_key:
             self.max_key = hi_key
 
+    def _bump_counters(self, groups, positions) -> None:
+        """On a counting leaf, add key ``j`` (bit ``positions[j]``) to
+        the counters of filter ``groups[j]``, saturating."""
+        if self.counters is not None:
+            counter_page_add(self.counters, groups, positions,
+                             self._counter_max)
+
+    @property
+    def _counter_max(self) -> int:
+        return (1 << self.geometry.counter_bits) - 1
+
     def _grow_to(self, group: int) -> None:
-        """Append empty filters until filter ``group`` exists.
-
-        Plain filters are row views of the page, which is reallocated
-        (rows copied, every filter re-pointed) when an oversized leaf
-        outgrows it.
-        """
-        if self.nfilters > group:
+        """Bring empty filters into use until filter ``group`` exists,
+        moving to a page twice the size when an oversized leaf outgrows
+        its own."""
+        if group < self.nfilters:
             return
-        geo = self.geometry
-        seed = self.node_id if self.filter_seed is None else self.filter_seed
-        if geo.filter_kind == "counting":
-            from repro.core.variants import CountingBloomFilter
-
-            while self.nfilters <= group:
-                self.filters.append(CountingBloomFilter(
-                    nbits=geo.bits_per_bf, k=geo.hash_count, seed=seed,
-                    counter_bits=geo.counter_bits,
-                ))
-            return
-        if self.page is None or self.page.shape[0] <= group:
-            self._repage(group + 1)
-        page = self.page
-        while self.nfilters <= group:
-            self.filters.append(BloomFilter(
-                nbits=geo.bits_per_bf, k=geo.hash_count, seed=seed,
-                words=page[self.nfilters],
-            ))
+        if group >= len(self.page):
+            self._repage(max(group + 1, 2 * len(self.page)))
+        self.counts.extend([0] * (group + 1 - self.nfilters))
+        self.nfilters = group + 1
 
     def _repage(self, need: int) -> None:
-        """Move the plain filters onto a new zeroed page with room for at
-        least ``need`` filters (the geometry's budget, or double the old
-        page for an oversized leaf, whichever is larger)."""
-        old = 0 if self.page is None else self.page.shape[0]
-        capacity = max(need, self.geometry.max_filters, 2 * old)
-        page = np.zeros(
-            (capacity, words_per_filter(self.geometry.bits_per_bf)),
-            dtype=np.uint64,
-        )
-        for i, filt in enumerate(self.filters):
-            page[i] = filt._words
-            filt._words = page[i]
+        """Copy the filters in use onto zeroed pages with room for
+        ``need`` filters, or the geometry's budget if that is larger."""
+        geo = self.geometry
+        n = self.nfilters
+        capacity = max(need, geo.max_filters)
+        page = np.zeros((capacity, words_per_filter(geo.bits_per_bf)),
+                        dtype=np.uint64)
+        if self.page is not None:
+            page[:n] = self.page[:n]
         self.page = page
+        if geo.filter_kind == "counting":
+            counters = np.zeros((capacity, geo.bits_per_bf), dtype=np.uint8)
+            if self.counters is not None:
+                counters[:n] = self.counters[:n]
+            self.counters = counters
 
     def mark_deleted(self, key) -> None:
         """Record ``key`` in the deleted list (fpp-preserving delete, §7)."""
@@ -481,7 +496,7 @@ class BFLeaf:
         a filter the key was never added to would corrupt other keys'
         counters.
         """
-        if self.geometry.filter_kind != "counting":
+        if self.counters is None:
             raise ValueError(
                 "remove_key requires filter_kind='counting'; plain filters "
                 "delete through the tombstone list (mark_deleted)"
@@ -489,15 +504,37 @@ class BFLeaf:
         return self.remove_key_prehashed(pid, self.key_positions(key))
 
     def remove_key_prehashed(self, pid: int, positions) -> bool:
-        """:meth:`remove_key` with the key's positions already computed
-        (the batch delete path hashes once per leaf)."""
+        """:meth:`remove_key` with the key's positions already computed.
+
+        Returns False, changing nothing, when the group filter does not
+        hold the key.  Otherwise each of the key's counters drops by one
+        (a saturated counter stays: it may hide other keys' adds, so it
+        never decrements, which can leave a bit set but never causes a
+        false negative) and bits whose counter reaches zero clear.
+        ``nkeys`` follows :meth:`add`'s rule in reverse: it shrinks
+        unless the filter still holds the key and is trusted to say so,
+        as after removing one of two adds of the key.  It also shrinks
+        when it would otherwise exceed the adds the leaf still counts
+        (a false positive after the decrement, in a leaf that holds no
+        re-adds).
+        """
         group = self.group_of(pid)
         if group >= self.nfilters:
             return False
-        removed = self.filters[group].remove_positions(positions)
-        if removed:
+        counters = self.counters[group]
+        if not all(counters[pos] for pos in positions):
+            return False
+        cap = self._counter_max
+        for pos in positions:
+            if 0 < counters[pos] < cap:
+                counters[pos] -= 1
+        row_clear_positions(self.page[group],
+                            [pos for pos in positions if not counters[pos]])
+        self.counts[group] = max(0, self.counts[group] - 1)
+        if (not self._holds(group, positions)
+                or self.nkeys > sum(self.counts)):
             self.nkeys = max(0, self.nkeys - 1)
-        return removed
+        return True
 
     # ------------------------------------------------------------------
     # probing
@@ -539,7 +576,7 @@ class BFLeaf:
         """
         geo = leaves[0].geometry
         seeds = np.fromiter(
-            (leaf.filter_hash_seed() & MASK64 for leaf in leaves),
+            (leaf.filter_seed & MASK64 for leaf in leaves),
             dtype=np.uint64, count=len(leaves),
         )[which]
         return bloom_positions_batch(
@@ -548,21 +585,14 @@ class BFLeaf:
 
     def _match_matrix(self, positions: np.ndarray) -> np.ndarray:
         """Raw ``(n, nfilters)`` boolean filter-match matrix of prehashed
-        ``(n, k)`` bit positions.
+        ``(n, k)`` bit positions, gathered from the page.
 
-        No tombstone handling — callers apply the deleted-key list.  A
-        plain leaf gathers straight from its page; counting filters are
-        tested one by one.
+        No tombstone handling — callers apply the deleted-key list.
         """
         n = len(positions)
-        if n == 0 or not self.filters:
+        if n == 0 or not self.nfilters:
             return np.zeros((n, self.nfilters), dtype=bool)
-        if self.page is not None:
-            return page_test(self.page[:self.nfilters], positions)
-        matrix = np.empty((n, self.nfilters), dtype=bool)
-        for i, bf in enumerate(self.filters):
-            matrix[:, i] = bf.test_positions(positions)
-        return matrix
+        return page_test(self.page[:self.nfilters], positions)
 
     def _build_runs(self, key, groups) -> list[tuple[int, int]]:
         """Merge matched ``groups`` into fetchable (first_pid, npages) runs.
@@ -599,7 +629,7 @@ class BFLeaf:
     # ------------------------------------------------------------------
     def bits_used(self) -> int:
         per_slot = self.geometry.bits_per_bf
-        if self.geometry.filter_kind == "counting":
+        if self.counters is not None:
             per_slot *= self.geometry.counter_bits
         return self.nfilters * per_slot
 
@@ -617,10 +647,11 @@ class BFLeaf:
 
     def measured_fill(self) -> float:
         """Mean fill fraction across populated filters (diagnostics)."""
-        populated = [f for f in self.filters if f.count]
-        if not populated:
+        populated = np.flatnonzero(self.counts)
+        if not len(populated):
             return 0.0
-        return sum(f.fill_fraction() for f in populated) / len(populated)
+        ones = page_popcount(self.page, populated)
+        return float(ones.mean()) / self.geometry.bits_per_bf
 
 
 class LeafOverflow(Exception):

@@ -100,6 +100,11 @@ SKEW_GUARD_FPP = 1e-4
 #: re-sizes filters (half a page: invisible next to the true-match fetch).
 FALSE_PAGE_BUDGET = 0.5
 
+#: ``format`` tag of :meth:`BFTree.snapshot_state`.  Version 2 stores
+#: each leaf's filters as page rows plus an add-count vector; states of
+#: the per-filter format (plain ``"bf-tree"``) are rejected.
+SNAPSHOT_FORMAT = "bf-tree/2"
+
 
 @dataclass(frozen=True)
 class BFTreeConfig:
@@ -155,8 +160,9 @@ class _Walk:
     #: positions with one row per point op.
     paths: dict = field(default_factory=dict)
     rows: object = None
-    #: The round's known duplicate re-inserts, queued per leaf id.
-    pending: dict[int, list[int]] = field(default_factory=dict)
+    #: The round's known duplicate re-inserts, queued per leaf id:
+    #: (op, plan row).
+    pending: dict[int, list[tuple[int, int]]] = field(default_factory=dict)
     #: Filter tests queued per leaf id: (op, plan row or None).
     probes: dict[int, list] = field(default_factory=dict)
     #: Reads past their filter probe: (op, candidate leaf ids).
@@ -292,14 +298,7 @@ class BFTree(IndexBackend):
             else BFLeafGeometry(**vars(leaves[0].geometry))
         )
         for leaf in leaves:
-            # Pin the filter hash seed before the node id changes hands:
-            # existing filters carry the donor's seed, and any filter the
-            # leaf grows later must hash identically (the vectorized
-            # probe path hashes each key batch once per leaf).
-            if leaf.filter_seed is None:
-                leaf.filter_seed = (
-                    leaf.filters[0].seed if leaf.filters else leaf.node_id
-                )
+            # The leaf keeps its filter seed: only the node id moves.
             leaf.node_id = tree.store.allocate()
             tree.leaves[leaf.node_id] = leaf
         for prev, nxt in zip(leaves, leaves[1:]):
@@ -665,16 +664,19 @@ class BFTree(IndexBackend):
     # checkpoint hooks (repro.persist)
     # ==================================================================
     def snapshot_state(self) -> dict:
-        """Full structural dump: directory, leaf chain, filter bitsets.
+        """Full structural dump: directory, leaf chain, filter pages.
 
         Node ids, chain pointers and the allocator cursor are captured
         verbatim so a restored tree is *bit-identical* to the original —
         same descent paths, same filter bit patterns (and therefore the
-        same false positives), same simulated I/O charges.  Filter seeds
-        ride along per leaf, exactly as in the sharding path.
+        same false positives), same simulated I/O charges.  Each leaf
+        contributes its filter seed, add counts and the rows in use of
+        its bit page (and counter page, for counting filters): one array
+        each, close to the information-theoretic size the paper's
+        Table 2 space story depends on.
         """
         return {
-            "format": "bf-tree",
+            "format": SNAPSHOT_FORMAT,
             "column": self.key_column,
             "config": {f.name: getattr(self.config, f.name)
                        for f in fields(self.config)},
@@ -689,50 +691,8 @@ class BFTree(IndexBackend):
         }
 
     @staticmethod
-    def _filters_state(filters) -> dict:
-        """Columnar dump of a leaf's per-group filters.
-
-        A leaf holds one filter per page group — hundreds for a large
-        leaf — so per-filter JSON dicts would dwarf the actual bit
-        arrays.  Instead the metadata rides in packed arrays and every
-        bit/counter payload is concatenated into one blob per kind,
-        keeping the checkpoint close to the information-theoretic size
-        the paper's Table 2 space story depends on.
-        """
-        from repro.core.variants import CountingBloomFilter
-
-        n = len(filters)
-        kinds = np.zeros(n, dtype=np.uint8)  # 0 = plain, 1 = counting
-        nbits = np.zeros(n, dtype=np.int32)
-        ks = np.zeros(n, dtype=np.int16)
-        seeds = np.zeros(n, dtype=np.int64)
-        counts = np.zeros(n, dtype=np.int32)
-        counter_bits = np.zeros(n, dtype=np.uint8)
-        word_parts: list[np.ndarray] = []
-        counter_parts: list[bytes] = []
-        for i, f in enumerate(filters):
-            nbits[i], ks[i], seeds[i] = f.nbits, f.k, f.seed
-            counts[i] = f.count
-            if isinstance(f, CountingBloomFilter):
-                kinds[i] = 1
-                counter_bits[i] = f.counter_bits
-                counter_parts.append(bytes(f._counters))
-            else:
-                word_parts.append(np.asarray(f._words, dtype=np.uint64))
-        return {
-            "n": n,
-            "kinds": kinds,
-            "nbits": nbits,
-            "k": ks,
-            "seed": seeds,
-            "count": counts,
-            "counter_bits": counter_bits,
-            "words": (np.concatenate(word_parts) if word_parts
-                      else np.zeros(0, dtype=np.uint64)),
-            "counters": b"".join(counter_parts),
-        }
-
-    def _leaf_state(self, leaf: BFLeaf) -> dict:
+    def _leaf_state(leaf: BFLeaf) -> dict:
+        n = leaf.nfilters
         return {
             "node_id": leaf.node_id,
             "min_pid": leaf.min_pid,
@@ -745,47 +705,14 @@ class BFTree(IndexBackend):
             "spill_back_pages": leaf.spill_back_pages,
             "filter_seed": leaf.filter_seed,
             "geometry": dict(vars(leaf.geometry)),
-            "filters": self._filters_state(leaf.filters),
+            "counts": np.asarray(leaf.counts, dtype=np.int64),
+            "page": leaf.page[:n],
+            "counters": None if leaf.counters is None else leaf.counters[:n],
         }
 
     @staticmethod
-    def _filters_from_state(rec: dict) -> list:
-        from repro.core.bloom import BloomFilter
-        from repro.core.variants import CountingBloomFilter
-
-        kinds = np.asarray(rec["kinds"], dtype=np.uint8)
-        nbits = np.asarray(rec["nbits"], dtype=np.int64)
-        ks = np.asarray(rec["k"], dtype=np.int64)
-        seeds = np.asarray(rec["seed"], dtype=np.int64)
-        counts = np.asarray(rec["count"], dtype=np.int64)
-        counter_bits = np.asarray(rec["counter_bits"], dtype=np.int64)
-        words = np.asarray(rec["words"], dtype=np.uint64)
-        counters = rec["counters"]
-        filters = []
-        w_off = c_off = 0
-        for i in range(int(rec["n"])):
-            if kinds[i]:
-                cf = CountingBloomFilter(
-                    int(nbits[i]), int(ks[i]), int(seeds[i]),
-                    counter_bits=int(counter_bits[i]),
-                )
-                span = len(cf._counters)
-                cf._counters = bytearray(counters[c_off:c_off + span])
-                c_off += span
-                cf.count = int(counts[i])
-                filters.append(cf)
-            else:
-                bf = BloomFilter(int(nbits[i]), int(ks[i]), int(seeds[i]))
-                span = len(bf._words)
-                bf._words = words[w_off:w_off + span].copy()
-                w_off += span
-                bf.count = int(counts[i])
-                filters.append(bf)
-        return filters
-
-    @staticmethod
     def _leaf_from_state(rec: dict) -> BFLeaf:
-        seed = rec["filter_seed"]
+        counts = [int(c) for c in rec["counts"]]
         return BFLeaf(
             node_id=int(rec["node_id"]),
             geometry=BFLeafGeometry(**rec["geometry"]),
@@ -793,19 +720,22 @@ class BFTree(IndexBackend):
             min_key=rec["min_key"],
             max_key=rec["max_key"],
             nkeys=int(rec["nkeys"]),
-            filters=BFTree._filters_from_state(rec["filters"]),
             pages_covered=int(rec["pages_covered"]),
             deleted_keys=set(rec["deleted_keys"]),
             extra_inserts=int(rec["extra_inserts"]),
             spill_back_pages=int(rec["spill_back_pages"]),
-            filter_seed=None if seed is None else int(seed),
+            filter_seed=int(rec["filter_seed"]),
+            nfilters=len(counts),
+            counts=counts,
+            page=rec["page"],
+            counters=rec["counters"],
         )
 
     def restore_state(self, state: dict) -> None:
-        if state.get("format") != "bf-tree":
+        if state.get("format") != SNAPSHOT_FORMAT:
             raise ValueError(
                 f"BFTree cannot restore snapshot format "
-                f"{state.get('format')!r}"
+                f"{state.get('format')!r}; expected {SNAPSHOT_FORMAT!r}"
             )
         self.config = BFTreeConfig(**state["config"])
         self.unique = bool(state["unique"])
@@ -1020,7 +950,6 @@ class BFTree(IndexBackend):
         # duplicate flags for its filter group from then on (``dirty``):
         # it set new bits, which can flip both the membership verdict
         # and the trust gate for later keys, so those re-test live.
-        fast_dups = self.config.filter_kind != "counting"
         dirty: set[tuple[int, int]] = set()
         codes = walk.codes
         while i < n:
@@ -1038,8 +967,8 @@ class BFTree(IndexBackend):
             self._test_probes(walk, leaf_id)
             pid = walk.pids[i]
             known_dup = dup0[rel] and (leaf_id, grp[rel]) not in dirty
-            if known_dup and fast_dups:
-                pending.setdefault(leaf_id, []).append(i)
+            if known_dup:
+                pending.setdefault(leaf_id, []).append((i, rel))
                 i += 1
                 j += 1
                 continue
@@ -1048,21 +977,19 @@ class BFTree(IndexBackend):
             # Pre-batch flags only say "duplicate"; a negative (or a
             # dirtied flag) is re-tested live, since earlier keys in
             # the batch may have set these bits.
-            duplicate = True if known_dup else None
             will_split = False
-            if duplicate is None:
-                try:
-                    duplicate = leaf.duplicate_prehashed(pid, positions)
-                except ValueError:
-                    # pid precedes the leaf range: the add will raise
-                    # after the descent charges, as the scalar does.
-                    duplicate = None
-                if duplicate is False:
-                    group = leaf.group_of(pid)
-                    will_split = (
-                        group >= leaf.geometry.max_filters
-                        or leaf.nkeys + 1 > leaf.key_capacity
-                    )
+            try:
+                duplicate = leaf.duplicate_prehashed(pid, positions)
+            except ValueError:
+                # pid precedes the leaf range: the add will raise
+                # after the descent charges, as the scalar does.
+                duplicate = None
+            if duplicate is False:
+                group = leaf.group_of(pid)
+                will_split = (
+                    group >= leaf.geometry.max_filters
+                    or leaf.nkeys + 1 > leaf.key_capacity
+                )
             for lid in list(pending) if will_split else [leaf_id]:
                 self._flush_duplicates(walk, lid)
             start = clock.now() if track else 0.0
@@ -1194,11 +1121,13 @@ class BFTree(IndexBackend):
 
     def _flush_duplicates(self, walk: "_Walk", leaf_id: int) -> None:
         """Apply one leaf's queued duplicate re-inserts."""
-        js = walk.pending.pop(leaf_id, None)
-        if js:
+        queued = walk.pending.pop(leaf_id, None)
+        if queued:
+            js = [i for i, _ in queued]
             self._apply_duplicate_chunk(
                 self.leaves[leaf_id], walk.paths[leaf_id],
                 [walk.keys[k] for k in js], [walk.pids[k] for k in js],
+                walk.rows[[rel for _, rel in queued]],
                 js, walk.latencies if walk.track else None,
             )
 
@@ -1511,19 +1440,20 @@ class BFTree(IndexBackend):
         return dt
 
     def _apply_duplicate_chunk(self, leaf: BFLeaf, path: list[int],
-                               chunk_keys, chunk_pids, js,
+                               chunk_keys, chunk_pids, positions, js,
                                latencies: list[float] | None) -> None:
         """Apply a chunk of known re-inserts of already-present keys to
-        one leaf (plain filters) in one pass.
+        one leaf in one pass.
 
         Duplicates change no filter bits, never split, and never grow
         the filter list, so every key charges the identical descent +
         CPU + leaf write sequence, charged once and replayed for the
-        rest (:meth:`_charge_repeated`).  Bookkeeping (filter add
-        multiplicity, key range, page coverage, tombstone clearing) is
-        applied in bulk — all of it commutative, so order inside the
-        chunk cannot matter.  ``js`` are the keys' batch indices, for
-        the latency scatter.
+        rest (:meth:`_charge_repeated`).  Bookkeeping (add counts, a
+        counting leaf's counters, key range, page coverage, tombstone
+        clearing) is applied in bulk by :meth:`BFLeaf.add_duplicates` —
+        all of it commutative, so order inside the chunk cannot matter.
+        ``positions`` are the keys' bit positions under the leaf's seed,
+        and ``js`` their batch indices, for the latency scatter.
         """
 
         def charge() -> None:
@@ -1532,21 +1462,7 @@ class BFTree(IndexBackend):
             self.store.write(leaf.node_id)
 
         dt = self._charge_repeated(len(chunk_keys), charge)
-        ppb = leaf.geometry.pages_per_bf
-        min_pid = leaf.min_pid
-        filters = leaf.filters
-        for pid in chunk_pids:
-            filters[(pid - min_pid) // ppb].count += 1
-        leaf.pages_covered = max(
-            leaf.pages_covered, max(chunk_pids) - min_pid + 1
-        )
-        lo, hi = min(chunk_keys), max(chunk_keys)
-        if leaf.min_key is None or lo < leaf.min_key:
-            leaf.min_key = lo
-        if leaf.max_key is None or hi > leaf.max_key:
-            leaf.max_key = hi
-        if leaf.deleted_keys:
-            leaf.deleted_keys.difference_update(chunk_keys)
+        leaf.add_duplicates(chunk_keys, chunk_pids, positions)
         if latencies is not None:
             for j in js:
                 latencies[j] = dt
@@ -1588,6 +1504,11 @@ class BFTree(IndexBackend):
         counters of the filter covering that page are decremented — a
         true in-place delete with no tombstone growth.
 
+        A counting tree counts re-inserts of present keys: inserting a
+        key its filter already holds adds to its counters (``nkeys``
+        stays), so it takes one in-place delete per insert before the key
+        tests absent, and only that last delete shrinks ``nkeys``.
+
         A counting-filter tree deleted *without* ``pid`` cannot decrement
         safely (the key's page group is unknown) and falls back to the
         tombstone list; the returned :class:`DeleteOutcome` surfaces that
@@ -1623,10 +1544,10 @@ class BFTree(IndexBackend):
         IOStats and clock charges versus the scalar loop.
 
         ``pids`` is a parallel sequence of data page ids (entries may be
-        None), meaningful for counting-filter trees, where each leaf then
-        hashes its key group once instead of k Python hash rounds per
-        key.  Deletes never restructure the tree, so one routing pass
-        covers the whole batch.  ``latency_sink`` receives per-op
+        None), meaningful for counting-filter trees, where every (key,
+        leaf) row with a page id is hashed in one call instead of k
+        Python hash rounds per key.  Deletes never restructure the tree,
+        so one routing pass covers the whole batch.  ``latency_sink`` receives per-op
         simulated latencies, as the scalar loop would bracket them.
         """
         keys = [as_scalar(k) for k in keys]
@@ -1648,20 +1569,21 @@ class BFTree(IndexBackend):
             if latency_sink is not None:
                 latency_sink.extend(latencies)
             return outcomes
-        prehash = self.config.filter_kind == "counting"
         slots = route_batch(fences, keys)
         rows: list = [None] * n
-        if prehash:
-            by_leaf: dict[int, list[int]] = {}
-            for j, s in enumerate(slots):
-                if pids[j] is not None:
-                    by_leaf.setdefault(leaf_ids[s], []).append(j)
-            for leaf_id, js in by_leaf.items():
-                positions = self.leaves[leaf_id].hash_batch(
-                    [keys[j] for j in js]
-                )
-                for r, j in enumerate(js):
-                    rows[j] = positions[r]
+        js = [j for j in range(n) if pids[j] is not None]
+        if self.config.filter_kind == "counting" and js:
+            # One hash call for every in-place delete, each key under
+            # its target leaf's seed.
+            slot_of = {s: t for t, s in
+                       enumerate(dict.fromkeys(slots[j] for j in js))}
+            hashed = BFLeaf.hash_rows(
+                [keys[j] for j in js],
+                [self.leaves[leaf_ids[s]] for s in slot_of],
+                np.asarray([slot_of[slots[j]] for j in js]),
+            )
+            for j, row in zip(js, hashed):
+                rows[j] = row
         for j, key in enumerate(keys):
             leaf = self.leaves[leaf_ids[slots[j]]]
             start = clock.now() if track else 0.0

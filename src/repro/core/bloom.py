@@ -13,13 +13,15 @@ positive probability ``p``.  Two properties follow (paper §3):
    This is what lets a BF-leaf dedicate one small filter per data page.
 2. Halving p costs only logarithmically many extra bits per element.
 
-:class:`BloomFilter` is the runtime structure: a ``uint64`` word array
-plus k re-mixed hash probes.  The words either belong to the filter or,
-for the filters of one BF-leaf, are one row of the leaf's shared
-``(S, words_per_filter)`` page matrix (see :mod:`repro.core.bf_leaf`),
-so the leaf can test a whole probe batch against all S filters in one
-gather.  The module-level functions are the analytical counterparts used
-by the model in :mod:`repro.model.equations`.
+At runtime a BF-leaf keeps its S same-geometry filters as the rows of
+one ``(S, words_per_filter)`` uint64 *page* (see
+:mod:`repro.core.bf_leaf`): the page functions below set a batch of
+keys' bits, test a probe batch against all S rows in one gather, and
+count set bits.  A counting leaf (§7) also keeps one uint8 counter per
+bit in an ``(S, bits)`` *counter page*, bumped by
+:func:`counter_page_add`.  :class:`BloomFilter` is a standalone filter
+with the same bit layout and hashing.  The analytical functions are the
+counterparts used by the model in :mod:`repro.model.equations`.
 """
 
 from __future__ import annotations
@@ -29,12 +31,7 @@ import sys
 
 import numpy as np
 
-from repro.core.hashing import (
-    bloom_positions,
-    bloom_positions_batch,
-    key_to_int,
-    keys_to_int_array,
-)
+from repro.core.hashing import bloom_positions, key_to_int
 
 LN2 = math.log(2.0)
 LN2_SQ = LN2 * LN2
@@ -99,7 +96,7 @@ def _check_fpp(fpp: float) -> None:
 
 
 # ----------------------------------------------------------------------
-# Runtime structure
+# Filter pages: S same-geometry filters as the rows of one word matrix
 # ----------------------------------------------------------------------
 _BIT = np.uint64(1) << np.arange(64, dtype=np.uint64)
 """Lookup of single-bit uint64 masks, indexed by bit offset within a word."""
@@ -110,16 +107,13 @@ def words_per_filter(nbits: int) -> int:
     return (nbits + 63) // 64
 
 
-# ----------------------------------------------------------------------
-# Filter pages: S same-geometry filters as the rows of one word matrix
-# ----------------------------------------------------------------------
 def page_set_positions(page: np.ndarray, rows: np.ndarray,
                        positions: np.ndarray) -> None:
     """OR key ``j``'s k bit ``positions[j]`` into filter row ``rows[j]``.
 
     ``page`` is an ``(S, words_per_filter)`` uint64 matrix whose rows are
-    filters of one geometry; the scatter is bit-for-bit what
-    :meth:`BloomFilter.add_positions` does row by row.
+    filters of one geometry; bit ``i`` of a row is bit ``i % 64`` of its
+    word ``i // 64``.
     """
     flat = positions.ravel()
     np.bitwise_or.at(
@@ -128,11 +122,34 @@ def page_set_positions(page: np.ndarray, rows: np.ndarray,
     )
 
 
+def row_set_positions(row: np.ndarray, positions) -> None:
+    """Set one key's bit ``positions`` in one filter's word array (a
+    page row): the scalar :func:`page_set_positions`."""
+    for pos in positions:
+        row[pos >> 6] |= _BIT[pos & 63]
+
+
+def row_clear_positions(row: np.ndarray, positions) -> None:
+    """Clear bit ``positions`` in one filter's word array (a counting
+    filter's bits whose counters dropped to zero)."""
+    for pos in positions:
+        row[pos >> 6] &= ~_BIT[pos & 63]
+
+
+def row_test_positions(row: np.ndarray, positions) -> bool:
+    """Are all of one key's bit ``positions`` set in one filter's word
+    array?  The scalar :func:`page_test_rows`."""
+    for pos in positions:
+        if not (int(row[pos >> 6]) >> (pos & 63)) & 1:
+            return False
+    return True
+
+
 def page_test(page: np.ndarray, positions: np.ndarray) -> np.ndarray:
     """Test ``(n, k)`` bit positions against every row of a filter page.
 
-    Returns an ``(n, S)`` boolean matrix whose column ``i`` equals
-    :meth:`BloomFilter.test_positions` of row ``i``: every (key, filter)
+    Returns an ``(n, S)`` boolean matrix: entry ``(j, i)`` is True when
+    all of key ``j``'s bits are set in row ``i``.  Every (key, filter)
     pair is read in one fancy-index gather over the page's bytes (a
     byte gather moves an eighth of the data a word gather would).  The
     key batch is processed in chunks bounding the ``(S, chunk, k)``
@@ -179,25 +196,51 @@ def page_popcount(page: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return np.unpackbits(page[rows].view(np.uint8), axis=1).sum(axis=1)
 
 
+def page_from_bits(bits: np.ndarray) -> np.ndarray:
+    """The filter page whose row ``i`` has bit ``j`` set iff
+    ``bits[i, j]``, for an ``(S, nbits)`` boolean matrix."""
+    s, nbits = bits.shape
+    raw = np.zeros((s, words_per_filter(nbits) * 8), dtype=np.uint8)
+    raw[:, :(nbits + 7) // 8] = np.packbits(bits, axis=1, bitorder="little")
+    return raw.view("<u8").astype(np.uint64)
+
+
+# ----------------------------------------------------------------------
+# Counter pages: the counting filters of §7, one uint8 counter per bit
+# ----------------------------------------------------------------------
+def counter_page_add(counters: np.ndarray, rows: np.ndarray,
+                     positions: np.ndarray, cap: int) -> None:
+    """Add one to counter row ``rows[j]`` at each of key ``j``'s
+    ``positions[j]``, saturating at ``cap``.
+
+    ``counters`` is a C-contiguous ``(S, nbits)`` uint8 matrix.  Each
+    touched counter takes all of its increments in one saturating add,
+    which equals applying them one at a time in any order (a position
+    repeated within one key counts twice).
+    """
+    positions = np.asarray(positions)
+    nbits = counters.shape[1]
+    cells = np.repeat(np.asarray(rows, dtype=np.int64) * nbits,
+                      positions.shape[1]) + positions.ravel()
+    cells, n = np.unique(cells, return_counts=True)
+    flat = counters.reshape(-1)
+    flat[cells] = np.minimum(flat[cells] + n, cap)
+
+
 class BloomFilter:
-    """A fixed-size Bloom filter over integer-canonicalized keys.
+    """A standalone fixed-size Bloom filter over integer-canonicalized keys.
 
-    The bit array is a NumPy ``uint64`` word array (bit ``i`` of the
-    filter is bit ``i % 64`` of word ``i // 64``), which keeps the scalar
-    probe path cheap while letting :meth:`might_contain_many` test a whole
-    probe batch against the filter in one vectorized gather.
-
-    ``words``, when given, is the storage to use instead of a private
-    zeroed array — a ``uint64`` array of :func:`words_per_filter` entries.
-    A BF-leaf passes row ``i`` of its page matrix, so every write through
-    this filter lands in the page and batch probes can gather all of the
-    leaf's filters at once.
+    BF-leaves do not use it: a leaf keeps its filters as the rows of one
+    page (the functions above).  This is the single filter Figure 14's
+    validation overfills; its bits are laid out like one page row (bit
+    ``i`` is bit ``i % 64`` of word ``i // 64``) and its keys hash like a
+    leaf's.
     """
 
-    __slots__ = ("nbits", "k", "seed", "_words", "count")
+    __slots__ = ("nbits", "k", "seed", "_words")
 
-    def __init__(self, nbits: int, k: int = DEFAULT_HASH_COUNT, seed: int = 0,
-                 words: np.ndarray | None = None) -> None:
+    def __init__(self, nbits: int, k: int = DEFAULT_HASH_COUNT,
+                 seed: int = 0) -> None:
         if nbits <= 0:
             raise ValueError("nbits must be positive")
         if k <= 0:
@@ -205,135 +248,15 @@ class BloomFilter:
         self.nbits = nbits
         self.k = k
         self.seed = seed
-        if words is None:
-            words = np.zeros(words_per_filter(nbits), dtype=np.uint64)
-        self._words = words
-        self.count = 0  # elements added (with multiplicity of distinct adds)
+        self._words = np.zeros(words_per_filter(nbits), dtype=np.uint64)
 
-    @property
-    def _bits(self) -> int:
-        """The bit array as one big-int (bit ``i`` set = position ``i`` hit).
+    def _positions(self, key: object) -> list[int]:
+        return bloom_positions(key_to_int(key), self.k, self.nbits, self.seed)
 
-        Diagnostic view of the word array; comparisons through it are
-        layout-independent, which the equality tests rely on.
-        """
-        return int.from_bytes(self._words.tobytes(), "little")
-
-    @classmethod
-    def for_capacity(
-        cls, nkeys: int, fpp: float, k: int = DEFAULT_HASH_COUNT, seed: int = 0
-    ) -> "BloomFilter":
-        """Size a filter for ``nkeys`` elements at target ``fpp`` (Eq. 1)."""
-        nbits = max(1, math.ceil(bits_for_capacity(max(nkeys, 1), fpp)))
-        return cls(nbits=nbits, k=k, seed=seed)
-
-    # ------------------------------------------------------------------
     def add(self, key: object) -> None:
         """Insert ``key`` (no-op on the bit level if all bits already set)."""
-        self.add_positions(
-            bloom_positions(key_to_int(key), self.k, self.nbits, self.seed)
-        )
-
-    def add_positions(self, positions) -> None:
-        """Insert one key given its precomputed k bit positions.
-
-        The scatter half of :meth:`add`: a BF-leaf that adds a key batch
-        to several same-geometry filters hashes the batch once
-        (:func:`~repro.core.hashing.bloom_positions_batch`) and feeds each
-        filter only the rows it owns.
-        """
-        words = self._words
-        for pos in positions:
-            words[pos >> 6] |= _BIT[pos & 63]
-        self.count += 1
-
-    def contains_positions(self, positions) -> bool:
-        """Membership test of one key's precomputed k bit positions."""
-        words = self._words
-        for pos in positions:
-            if not (int(words[pos >> 6]) >> (pos & 63)) & 1:
-                return False
-        return True
-
-    def bulk_add(self, keys) -> None:
-        """Insert a NumPy array of integer keys in one vectorized pass.
-
-        Bit-for-bit identical to adding each key with :meth:`add`; used by
-        bulk loading, where per-key Python overhead dominates build time.
-        """
-        keys = np.asarray(keys)
-        if len(keys) == 0:
-            return
-        positions = bloom_positions_batch(keys, self.k, self.nbits, self.seed)
-        flat = positions.ravel()
-        np.bitwise_or.at(self._words, flat >> 6, _BIT[flat & 63])
-        self.count += len(keys)
+        row_set_positions(self._words, self._positions(key))
 
     def might_contain(self, key: object) -> bool:
         """Membership test: False is definite, True may be a false positive."""
-        return self.contains_positions(
-            bloom_positions(key_to_int(key), self.k, self.nbits, self.seed)
-        )
-
-    __contains__ = might_contain
-
-    def might_contain_many(self, keys) -> np.ndarray:
-        """Vectorized :meth:`might_contain` for a batch of keys.
-
-        Returns a boolean array of ``len(keys)``; entry ``j`` equals
-        ``might_contain(keys[j])`` exactly (same double-hashed positions,
-        computed by :func:`~repro.core.hashing.bloom_positions_batch`
-        over the canonicalized uint64 form of each key).
-        """
-        if len(keys) == 0:
-            return np.zeros(0, dtype=bool)
-        keys = keys_to_int_array(keys)
-        positions = bloom_positions_batch(keys, self.k, self.nbits, self.seed)
-        return self.test_positions(positions)
-
-    def test_positions(self, positions: np.ndarray) -> np.ndarray:
-        """Membership of precomputed ``(n, k)`` bit positions (one row per key).
-
-        Lets a caller that probes many same-geometry filters (a BF-leaf,
-        whose S filters share nbits/k/seed) hash the key batch once and
-        test the resulting positions against every filter.
-        """
-        words = self._words[positions >> 6]
-        bits = (words >> (positions & 63).astype(np.uint64)) & np.uint64(1)
-        return bits.all(axis=1)
-
-    # ------------------------------------------------------------------
-    def bits_set(self) -> int:
-        """Number of 1-bits in the array (diagnostics; not a hot path)."""
-        return self._bits.bit_count()
-
-    def fill_fraction(self) -> float:
-        """Fraction of bits set; drives the effective false-positive rate."""
-        return self.bits_set() / self.nbits
-
-    def effective_fpp(self) -> float:
-        """Current false-positive probability given the observed fill.
-
-        A probe false-positives iff all k probed bits are set, so the rate
-        is ``fill_fraction ** k`` under the usual independence assumption.
-        """
-        return self.fill_fraction() ** self.k
-
-    def expected_fpp(self) -> float:
-        """Model-predicted fpp for the number of keys added so far."""
-        return expected_fpp(self.nbits, self.count, self.k)
-
-    def clear(self) -> None:
-        """Reset to an empty filter."""
-        self._words[:] = 0
-        self.count = 0
-
-    def size_bytes(self) -> int:
-        """Bytes this filter occupies on an index page."""
-        return -(-self.nbits // 8)
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return (
-            f"BloomFilter(nbits={self.nbits}, k={self.k}, "
-            f"count={self.count}, fill={self.fill_fraction():.3f})"
-        )
+        return row_test_positions(self._words, self._positions(key))

@@ -5,10 +5,10 @@ File layout::
     b"RPSNAP01" | u32 header_len | u32 crc32(header) | header JSON | blobs
 
 The header holds the backend's ``snapshot_state()`` dict with every
-binary value (NumPy arrays — Bloom filter words — and byte strings —
-counting-filter counters) swapped for an index into the trailing blob
-region: ``{"__ndarray__": i, "dtype": ..., "shape": [...]}`` or
-``{"__bytes__": i}``.  ``blob_lens`` in the header slices the region
+binary value (NumPy arrays — a BF-leaf's filter page, add counts and,
+for counting filters, counter page — and byte strings) swapped for an
+index into the trailing blob region: ``{"__ndarray__": i, "dtype": ...,
+"shape": [...]}`` or ``{"__bytes__": i}``.  ``blob_lens`` in the header slices the region
 back apart and ``blob_crc`` checksums it, so corruption anywhere in the
 file — header or bits — surfaces as :class:`CorruptSnapshotError` with
 a precise diagnostic instead of a silently wrong tree.

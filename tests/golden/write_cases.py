@@ -165,20 +165,12 @@ def _filter_rows(leaf):
     """``(count, bits, counters)`` per filter row of ``leaf``: its add
     count, its bits as booleans and its counters (``None`` for plain
     filters)."""
-    rows = []
-    for f in leaf.filters:
-        if hasattr(f, "_counters"):
-            counters = np.frombuffer(bytes(f._counters), dtype=np.uint8)
-            rows.append((f.count, counters > 0, counters))
-        else:
-            raw = np.asarray(f._words).astype("<u8").view(np.uint8)
-            bits = np.unpackbits(raw, bitorder="little")[:f.nbits]
-            rows.append((f.count, bits.astype(bool), None))
-    return rows
-
-
-def _leaf_seed(leaf) -> int:
-    return leaf.filter_hash_seed()
+    n, nbits = leaf.nfilters, leaf.geometry.bits_per_bf
+    raw = leaf.page[:n].astype("<u8").view(np.uint8)
+    bits = np.unpackbits(raw, axis=1, bitorder="little")[:, :nbits]
+    counters = (leaf.counters[:n] if leaf.counters is not None
+                else [None] * n)
+    return list(zip(leaf.counts, bits.astype(bool), counters))
 
 
 def leaf_digest(leaf) -> dict:
@@ -200,7 +192,7 @@ def leaf_digest(leaf) -> dict:
         "pages_covered": leaf.pages_covered,
         "spill_back_pages": leaf.spill_back_pages,
         "tombstones": [len(leaf.deleted_keys), deleted],
-        "seed": _leaf_seed(leaf),
+        "seed": leaf.filter_seed,
         "nfilters": leaf.nfilters,
         "filters": h.hexdigest()[:16],
     }

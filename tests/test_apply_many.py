@@ -30,11 +30,10 @@ N_NOVEL = 48
 def _tree_fingerprint(tree):
     out = []
     for leaf in tree.leaves_in_order():
-        filters = [
-            (f.count, bytes(f._counters) if hasattr(f, "_counters")
-             else f._bits)
-            for f in leaf.filters
-        ]
+        n = leaf.nfilters
+        filters = (list(leaf.counts), leaf.page[:n].tobytes(),
+                   None if leaf.counters is None
+                   else leaf.counters[:n].tobytes())
         out.append((
             leaf.node_id, leaf.min_pid, leaf.min_key, leaf.max_key,
             leaf.nkeys, leaf.pages_covered, sorted(leaf.deleted_keys),

@@ -23,6 +23,9 @@ from hypothesis import strategies as st
 
 from repro.baselines import BPlusTree
 from repro.core import BFTree, BFTreeConfig, BloomFilter
+from repro.core.bf_leaf import BFLeaf, BFLeafGeometry
+from repro.core.bloom import page_test, row_test_positions
+from repro.core.hashing import bloom_positions_batch, keys_to_int_array
 from repro.storage import Relation, build_stack
 from repro.workloads import point_probes
 
@@ -60,6 +63,20 @@ def _assert_batch_equals_scalar(tree, probe_keys):
 # ----------------------------------------------------------------------
 # Bloom filter / BF-leaf layers
 # ----------------------------------------------------------------------
+def _page_test_one(bf, probes):
+    """``probes`` batch-tested against ``bf``'s bits as a one-row page."""
+    positions = bloom_positions_batch(keys_to_int_array(probes), bf.k,
+                                      bf.nbits, bf.seed)
+    return page_test(bf._words[None, :], positions)[:, 0].tolist()
+
+
+def _scalar_groups(leaf, key):
+    """Filters of ``leaf`` whose bits hold ``key``, tested one by one."""
+    positions = leaf.key_positions(key)
+    return [i for i in range(leaf.nfilters)
+            if row_test_positions(leaf.page[i], positions)]
+
+
 class TestBatchFilterLayers:
     @given(
         keys=st.lists(st.integers(min_value=-(2**62), max_value=2**62),
@@ -69,11 +86,12 @@ class TestBatchFilterLayers:
     )
     @settings(max_examples=40, deadline=None)
     def test_might_contain_many_equals_scalar(self, keys, probes):
+        """A filter page's batch test equals the scalar filter's."""
         bf = BloomFilter(512, 5, seed=11)
         for key in keys:
             bf.add(key)
-        batch = bf.might_contain_many(np.asarray(probes, dtype=np.int64))
-        assert batch.tolist() == [bf.might_contain(p) for p in probes]
+        assert _page_test_one(bf, probes) == [bf.might_contain(p)
+                                              for p in probes]
 
     def test_might_contain_many_mixed_width_keys(self):
         """A python list mixing signs and >int64 magnitudes must not be
@@ -83,23 +101,22 @@ class TestBatchFilterLayers:
         keys = [2**63 + 1, -1, 2**64 + 17, 0, "abc"]
         for key in keys:
             bf.add(key)
-        assert bf.might_contain_many(keys).all()
-        assert (bf.might_contain_many([2**63 + 2, -2]).tolist()
+        assert all(_page_test_one(bf, keys))
+        assert (_page_test_one(bf, [2**63 + 2, -2])
                 == [bf.might_contain(2**63 + 2), bf.might_contain(-2)])
 
     def test_variant_filters_batch_equals_scalar(self):
-        from repro.core import CountingBloomFilter, ScalableBloomFilter
-
-        probes = list(range(200))
-        counting = CountingBloomFilter(512, 5, seed=7)
-        scalable = ScalableBloomFilter(initial_capacity=16, max_fpp=0.05)
+        """A counting leaf, after in-place removals, probes in batch
+        exactly as key by key against each filter's bits."""
+        geo = BFLeafGeometry.plan(0.05, 10.0, filter_kind="counting")
+        leaf = BFLeaf(node_id=7, geometry=geo, min_pid=0)
         for key in range(0, 120, 3):
-            counting.add(key)
-            scalable.add(key)
-        counting.remove(30)
-        for f in (counting, scalable):
-            assert (f.might_contain_many(probes).tolist()
-                    == [f.might_contain(p) for p in probes])
+            leaf.add(key, key % 4)
+        assert leaf.remove_key(30, 30 % 4)
+        probes = list(range(200))
+        assert leaf.matching_page_runs_many(probes) == [
+            leaf._build_runs(p, _scalar_groups(leaf, p)) for p in probes
+        ]
 
     @given(keys=sorted_keys)
     @settings(max_examples=25, deadline=None,
@@ -111,10 +128,9 @@ class TestBatchFilterLayers:
         for leaf in tree.leaves_in_order():
             runs = leaf.matching_page_runs_many(probes)
             for j, probe in enumerate(probes):
-                # Oracle: Algorithm 1's per-filter membership tests
-                # through the standalone BloomFilter API.
-                groups = [i for i, f in enumerate(leaf.filters)
-                          if f.might_contain(probe)]
+                # Oracle: Algorithm 1's per-filter membership tests,
+                # one scalar bit test per filter.
+                groups = _scalar_groups(leaf, probe)
                 expected = ([] if probe in leaf.deleted_keys
                             else leaf._build_runs(probe, groups))
                 assert runs[j] == expected

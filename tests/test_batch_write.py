@@ -36,12 +36,10 @@ def _tree_fingerprint(tree):
     chain with filter bitsets (or counters) and all bookkeeping."""
     out = []
     for leaf in tree.leaves_in_order():
-        filters = []
-        for f in leaf.filters:
-            payload = (
-                bytes(f._counters) if hasattr(f, "_counters") else f._bits
-            )
-            filters.append((f.count, payload))
+        n = leaf.nfilters
+        filters = (list(leaf.counts), leaf.page[:n].tobytes(),
+                   None if leaf.counters is None
+                   else leaf.counters[:n].tobytes())
         out.append((
             leaf.node_id, leaf.min_pid, leaf.min_key, leaf.max_key,
             leaf.nkeys, leaf.extra_inserts, leaf.pages_covered,
@@ -319,13 +317,14 @@ class TestDeleteManyEqualsScalarLoop:
 
 class TestFilterAndLeafLayers:
     def test_bloom_add_positions_round_trip(self):
+        from repro.core.bloom import row_set_positions, row_test_positions
         from repro.core.hashing import bloom_positions
 
         bf = BloomFilter(256, 4, seed=2)
         positions = bloom_positions(1234, bf.k, bf.nbits, bf.seed)
-        assert not bf.contains_positions(positions)
-        bf.add_positions(positions)
-        assert bf.contains_positions(positions)
+        assert not row_test_positions(bf._words, positions)
+        row_set_positions(bf._words, positions)
+        assert row_test_positions(bf._words, positions)
         assert bf.might_contain(1234)
 
     def test_bptree_insert_many_parity(self, dup_relation):

@@ -106,7 +106,8 @@ class TestAdd:
         assert scalar.nkeys == bulk.nkeys
         assert scalar.min_key == bulk.min_key
         assert scalar.max_key == bulk.max_key
-        assert scalar.filters[2]._bits == bulk.filters[2]._bits
+        assert np.array_equal(scalar.page, bulk.page)
+        assert scalar.counts == bulk.counts
 
     def test_add_page_keys_empty(self):
         leaf = _leaf()
@@ -120,11 +121,11 @@ class TestAdd:
         leaf toward a premature split."""
         leaf = _leaf()
         leaf.add(42, 0)
-        bits = leaf.filters[0]._bits
+        bits = leaf.page[0].copy()
         assert leaf.add(42, 0) is False       # did not grow
         assert leaf.nkeys == 1
-        assert leaf.filters[0]._bits == bits  # bit-level no-op
-        assert leaf.filters[0].count == 2     # multiplicity still recorded
+        assert np.array_equal(leaf.page[0], bits)  # bit-level no-op
+        assert leaf.counts[0] == 2            # multiplicity still recorded
         # A different page group is a new (key, group) insertion.
         assert leaf.add(42, 1) is True
         assert leaf.nkeys == 2

@@ -1,4 +1,4 @@
-"""Unit tests for Bloom filters and the Equation-1 sizing math."""
+"""Unit tests for Bloom filters, filter pages and the Equation-1 sizing math."""
 
 import math
 import random
@@ -6,6 +6,7 @@ import random
 import numpy as np
 import pytest
 
+from repro.core.bf_leaf import DUPLICATE_TRUST_MAX_FPP, BFLeaf, BFLeafGeometry
 from repro.core.bloom import (
     BloomFilter,
     bits_for_capacity,
@@ -14,7 +15,11 @@ from repro.core.bloom import (
     fpp_after_deletes,
     fpp_after_inserts,
     optimal_hash_count,
+    page_popcount,
+    page_set_positions,
+    words_per_filter,
 )
+from repro.core.hashing import bloom_positions_batch
 
 
 class TestEquationOne:
@@ -88,24 +93,22 @@ class TestBloomFilterBasics:
             bf.add(key)
         assert all(bf.might_contain(k) for k in keys)
 
-    def test_contains_operator(self):
-        bf = BloomFilter(64, 3)
-        bf.add(5)
-        assert 5 in bf
-
     def test_empty_filter_rejects(self):
         bf = BloomFilter(64, 3)
         assert not bf.might_contain(1)
 
     def test_count_tracks_adds(self):
-        bf = BloomFilter(64, 3)
-        bf.add(1)
-        bf.add(1)
-        assert bf.count == 2
+        """A leaf counts adds per filter, re-adds included."""
+        leaf = BFLeaf(node_id=1, geometry=BFLeafGeometry.plan(0.01, 16.0),
+                      min_pid=0)
+        leaf.add(1, 2)
+        leaf.add(1, 2)
+        assert leaf.counts == [0, 0, 2]
 
     def test_for_capacity_sizing(self):
-        bf = BloomFilter.for_capacity(100, 0.01)
-        assert bf.nbits == math.ceil(bits_for_capacity(100, 0.01))
+        """A leaf's filters are sized for their expected keys (Eq. 1)."""
+        geo = BFLeafGeometry.plan(0.01, 100)
+        assert geo.bits_per_bf == round(bits_for_capacity(100, 0.01))
 
     def test_invalid_geometry(self):
         with pytest.raises(ValueError):
@@ -113,35 +116,30 @@ class TestBloomFilterBasics:
         with pytest.raises(ValueError):
             BloomFilter(64, 0)
 
-    def test_clear(self):
-        bf = BloomFilter(64, 3)
-        bf.add(7)
-        bf.clear()
-        assert bf.count == 0 and not bf.might_contain(7)
-
     def test_string_keys(self):
         bf = BloomFilter(256, 4)
         bf.add("hello")
         assert bf.might_contain("hello")
         assert not bf.might_contain("warld-xyz-very-unlikely")
 
-    def test_size_bytes(self):
-        assert BloomFilter(100, 3).size_bytes() == 13
-
     def test_bulk_add_equivalent_to_scalar(self):
+        """One page scatter of a key batch sets the bits a filter's
+        scalar adds set, row by row."""
         keys = np.arange(100, 150, dtype=np.int64)
-        a = BloomFilter(400, 5, seed=2)
-        b = BloomFilter(400, 5, seed=2)
-        for key in keys:
-            a.add(int(key))
-        b.bulk_add(keys)
-        assert a._bits == b._bits
-        assert a.count == b.count
+        rows = keys % 3
+        page = np.zeros((3, words_per_filter(400)), dtype=np.uint64)
+        page_set_positions(page, rows, bloom_positions_batch(keys, 5, 400, 2))
+        for row in range(3):
+            bf = BloomFilter(400, 5, seed=2)
+            for key in keys[rows == row]:
+                bf.add(int(key))
+            assert np.array_equal(page[row], bf._words)
 
     def test_bulk_add_empty(self):
-        bf = BloomFilter(64, 3)
-        bf.bulk_add(np.empty(0, dtype=np.int64))
-        assert bf.count == 0
+        page = np.zeros((2, 1), dtype=np.uint64)
+        page_set_positions(page, np.empty(0, dtype=np.int64),
+                           np.empty((0, 3), dtype=np.int64))
+        assert not page.any()
 
 
 class TestMeasuredFpp:
@@ -150,9 +148,8 @@ class TestMeasuredFpp:
         rng = random.Random(42)
         for target in (0.1, 0.01):
             n = 200
-            bf = BloomFilter.for_capacity(
-                n, target, k=optimal_hash_count(bits_for_capacity(n, target), n)
-            )
+            nbits = math.ceil(bits_for_capacity(n, target))
+            bf = BloomFilter(nbits, k=optimal_hash_count(nbits, n))
             members = rng.sample(range(10**9), n)
             for key in members:
                 bf.add(key)
@@ -162,17 +159,29 @@ class TestMeasuredFpp:
             assert rate > target / 10
 
     def test_effective_fpp_from_fill(self):
-        bf = BloomFilter.for_capacity(100, 0.01, k=7)
-        for key in range(100):
-            bf.add(key)
-        assert bf.effective_fpp() == pytest.approx(bf.fill_fraction() ** 7)
+        """A filter's effective fpp is its fill to the k-th power; past
+        DUPLICATE_TRUST_MAX_FPP its membership verdicts are not trusted
+        to classify re-inserts."""
+        geo = BFLeafGeometry.plan(0.01, 16.0)
+        leaf = BFLeaf(node_id=1, geometry=geo, min_pid=0)
+        leaf.add(7, 0)
+        positions = leaf.hash_batch([7])
+        groups = np.zeros(1, dtype=np.int64)
+        assert leaf.duplicate_flags(groups, positions).tolist() == [True]
+        fill = page_popcount(leaf.page, groups)[0] / geo.bits_per_bf
+        assert fill ** geo.hash_count <= DUPLICATE_TRUST_MAX_FPP
+        leaf.page[0] = ~np.uint64(0)          # saturate filter 0
+        assert leaf.duplicate_flags(groups, positions).tolist() == [False]
+        assert not leaf.duplicate_prehashed(0, positions[0].tolist())
 
     def test_fill_fraction_bounds(self):
-        bf = BloomFilter(64, 3)
-        assert bf.fill_fraction() == 0.0
-        for key in range(1000):
-            bf.add(key)
-        assert bf.fill_fraction() <= 1.0
+        page = np.zeros((1, words_per_filter(64)), dtype=np.uint64)
+        rows = np.zeros(1, dtype=np.int64)
+        assert page_popcount(page, rows).tolist() == [0]
+        keys = np.arange(1000, dtype=np.int64)
+        page_set_positions(page, np.zeros(1000, dtype=np.int64),
+                           bloom_positions_batch(keys, 3, 64))
+        assert page_popcount(page, rows).tolist() == [64]
 
 
 class TestDegradationFormulas:

@@ -121,6 +121,33 @@ class TestDeletes:
         assert not tree.search(700).found
         assert not tree.search(701).found
 
+    @pytest.mark.parametrize("batch", [False, True])
+    def test_nkeys_tracks_reinserted_key(self, pk_relation, batch):
+        """A counting tree counts a re-insert of a present key: the key
+        then takes two in-place deletes to go, and only the one that
+        leaves it absent shrinks its leaf's ``nkeys``."""
+        tree = BFTree.bulk_load(
+            pk_relation, "pk", BFTreeConfig(fpp=1e-3, filter_kind="counting"),
+            unique=True,
+        )
+        key, pid = 1000, pk_relation.page_of(1000)
+        leaf = next(l for l in tree.leaves.values() if l.covers_key(key))
+        start = leaf.nkeys
+        tree.insert(key, pid)
+        assert leaf.nkeys == start
+
+        def delete():
+            if batch:
+                return tree.delete_many([key], [pid])[0]
+            return tree.delete(key, pid=pid)
+
+        assert delete().removed
+        assert tree.search(key).found
+        assert leaf.nkeys == start
+        assert delete().removed
+        assert not tree.search(key).found
+        assert leaf.nkeys == start - 1
+
     def test_plain_tree_rejects_remove_key(self, pk_relation):
         tree = BFTree.bulk_load(pk_relation, "pk", BFTreeConfig(fpp=1e-3),
                                 unique=True)

@@ -168,7 +168,7 @@ class TestProbeRobustness:
         la, lb = a.leaves_in_order(), b.leaves_in_order()
         assert [l.min_pid for l in la] == [l.min_pid for l in lb]
         assert all(
-            x._bits == y._bits
+            np.array_equal(p.page[:p.nfilters], q.page[:q.nfilters])
+            and p.counts == q.counts
             for p, q in zip(la, lb)
-            for x, y in zip(p.filters, q.filters)
         )

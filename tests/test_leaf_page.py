@@ -1,10 +1,12 @@
 """The BF-leaf page matrix: one ``(capacity, words_per_filter)`` uint64
-matrix per plain leaf, each filter's words a row view of it.
+matrix per leaf whose row ``i`` is filter ``i``, beside one add count per
+filter and, on a counting leaf, a counter page in step with it.
 
-Covers the sanitizer invariant (filter ``i`` aliases page row ``i``, rows
-past ``nfilters`` are zero) after every structural change that creates,
-grows or moves filters, plus the page-level kernels against their
-per-filter counterparts.
+Covers the sanitizer's layout invariants (one add count per filter in
+use, rows past ``nfilters`` zero, a counting leaf's bits equal to its
+counters above zero) after every structural change that creates, grows
+or moves filters, each invariant failing on a leaf corrupted in exactly
+that way, plus the page-level kernels against one-filter oracles.
 """
 
 import numpy as np
@@ -13,7 +15,7 @@ import pytest
 from repro.analysis.sanitize import StructuralCorruption, check_tree
 from repro.core import BFTree, BFTreeConfig
 from repro.core.bf_leaf import BFLeaf, BFLeafGeometry
-from repro.core.bloom import BloomFilter
+from repro.core.bloom import BloomFilter, row_test_positions
 from repro.service import ShardedIndex
 from repro.storage import Relation, build_stack
 
@@ -31,12 +33,11 @@ def _groups(leaf, key):
 
 
 def _assert_paged(tree):
-    """The sanitizer check passes and every plain leaf has a page."""
+    """The sanitizer check passes and every leaf has a page of its
+    filters' width."""
     check_tree(tree)
     for leaf in tree.leaves.values():
-        if leaf.filters:
-            assert leaf.page is not None
-            assert leaf.page.shape[1] == (leaf.geometry.bits_per_bf + 63) // 64
+        assert leaf.page.shape[1] == (leaf.geometry.bits_per_bf + 63) // 64
 
 
 # ======================================================================
@@ -67,7 +68,7 @@ class TestInvariantHolds:
 
     def test_spanning_key_oversized_growth(self):
         """An add past the leaf budget grows the geometry, and the page
-        with it: existing rows move, filters are re-pointed."""
+        with it: existing rows move to the new page."""
         rel, tree = _pk_tree()
         last = tree.leaves_in_order()[-1]
         budget = last.geometry.max_filters
@@ -129,18 +130,33 @@ class TestInvariantHolds:
 # the invariant catches broken pages
 # ======================================================================
 class TestInvariantFires:
-    def test_filter_detached_from_page(self):
+    def test_counts_not_one_per_filter(self):
         _, tree = _pk_tree()
-        leaf = tree.leaves_in_order()[0]
-        leaf.filters[3]._words = leaf.filters[3]._words.copy()
-        with pytest.raises(StructuralCorruption, match="not row 3"):
+        tree.leaves_in_order()[0].counts.append(0)
+        with pytest.raises(StructuralCorruption,
+                           match="add counts for .* filters"):
             check_tree(tree)
 
-    def test_filter_on_wrong_row(self):
-        _, tree = _pk_tree()
+    def test_counter_in_unused_row(self):
+        _, tree = _pk_tree(filter_kind="counting")
+        check_tree(tree)
+        leaf = next(l for l in tree.leaves_in_order()
+                    if l.nfilters < l.counters.shape[0])
+        leaf.counters[leaf.nfilters, 3] = 1
+        with pytest.raises(StructuralCorruption, match="counter rows"):
+            check_tree(tree)
+
+    @pytest.mark.parametrize("corrupt", ["bit", "counter"])
+    def test_bits_disagree_with_counters(self, corrupt):
+        _, tree = _pk_tree(filter_kind="counting")
         leaf = tree.leaves_in_order()[0]
-        leaf.filters[2]._words = leaf.page[5]
-        with pytest.raises(StructuralCorruption, match="not row 2"):
+        zero = int(np.flatnonzero(leaf.counters[1] == 0)[0])
+        if corrupt == "bit":      # a set bit with a zero counter
+            leaf.page[1, zero >> 6] |= np.uint64(1) << np.uint64(zero & 63)
+        else:                     # a nonzero counter with a clear bit
+            leaf.counters[1, zero] = 2
+        with pytest.raises(StructuralCorruption,
+                           match="bit page disagrees with counters"):
             check_tree(tree)
 
     def test_leaves_with_differing_hash_geometry(self):
@@ -178,16 +194,20 @@ class TestPageKernels:
         leaf.add(42, 2)
         assert leaf.nfilters == 3
         assert leaf.page[2].any() and not leaf.page[:2].any()
-        assert np.array_equal(leaf.page[2], leaf.filters[2]._words)
+        assert leaf.counts == [0, 0, 1]
+        assert row_test_positions(leaf.page[2], leaf.key_positions(42))
 
     def test_constructor_filters_are_copied_onto_a_page(self):
         geo = _leaf().geometry
-        filters = [BloomFilter(geo.bits_per_bf, geo.hash_count, seed=9)
-                   for _ in range(3)]
-        filters[1].add(7)
-        leaf = BFLeaf(node_id=1, geometry=geo, min_pid=0, filters=filters)
+        bf = BloomFilter(geo.bits_per_bf, geo.hash_count, seed=9)
+        bf.add(7)
+        rows = np.zeros((3, bf._words.shape[0]), dtype=np.uint64)
+        rows[1] = bf._words
+        leaf = BFLeaf(node_id=1, geometry=geo, min_pid=0, filter_seed=9,
+                      nfilters=3, counts=[0, 1, 0], page=rows)
         assert leaf.page.shape == (geo.max_filters,
                                    (geo.bits_per_bf + 63) // 64)
+        assert leaf.page is not rows
         assert _groups(leaf, 7) == [1]
 
     def test_match_matrix_equals_per_filter_tests(self):
@@ -196,13 +216,17 @@ class TestPageKernels:
         keys = rng.integers(0, 10**6, size=200)
         for j, key in enumerate(keys.tolist()):
             leaf.add(key, j % 8)
+        # Oracle: one standalone filter per group, fed the same keys.
+        filters = [BloomFilter(leaf.geometry.bits_per_bf,
+                               leaf.geometry.hash_count, leaf.filter_seed)
+                   for _ in range(leaf.nfilters)]
+        for j, key in enumerate(keys.tolist()):
+            filters[j % 8].add(key)
         probes = np.concatenate([keys[:50], rng.integers(0, 10**6, 50)])
-        positions = leaf.hash_batch(probes)
-        matrix = leaf._match_matrix(positions)
-        expected = np.stack(
-            [f.test_positions(positions) for f in leaf.filters], axis=1
-        )
-        assert np.array_equal(matrix, expected)
+        matrix = leaf._match_matrix(leaf.hash_batch(probes))
+        expected = [[f.might_contain(p) for f in filters]
+                    for p in probes.tolist()]
+        assert matrix.tolist() == expected
 
     def test_add_pages_equals_page_by_page(self):
         pages = [np.array([1, 5, 9]), np.array([9, 12]), np.array([20])]
@@ -214,10 +238,34 @@ class TestPageKernels:
         run.add_pages(np.concatenate(pages),
                       np.repeat(pids, [len(p) for p in pages]))
         assert np.array_equal(one.page, run.page)
-        assert [f.count for f in one.filters] == \
-            [f.count for f in run.filters]
+        assert one.counts == run.counts
         assert (one.nkeys, one.min_key, one.max_key, one.pages_covered) \
             == (run.nkeys, run.min_key, run.max_key, run.pages_covered)
+
+    def test_counting_add_pages_equals_scalar_adds(self):
+        """Bulk, scalar and duplicate-chunk adds leave equal bits,
+        counters and counts on a counting leaf."""
+        geo = BFLeafGeometry.plan(0.01, 16.0, filter_kind="counting")
+        keys = np.array([1, 5, 9, 9, 12, 20, 21])
+        pids = np.array([0, 0, 0, 1, 1, 3, 3])
+        bulk, scalar = (BFLeaf(node_id=4, geometry=geo, min_pid=0)
+                        for _ in range(2))
+        bulk.add_pages(keys, pids)
+        for key, pid in zip(keys.tolist(), pids.tolist()):
+            scalar.add(key, pid)
+        assert np.array_equal(bulk.page, scalar.page)
+        assert np.array_equal(bulk.counters, scalar.counters)
+        assert bulk.counts == scalar.counts == [3, 2, 0, 2]
+        # Re-inserting present keys: one chunk equals adds in turn.
+        chunk = BFLeaf(node_id=4, geometry=geo, min_pid=0)
+        chunk.add_pages(keys, pids)
+        chunk.add_duplicates(keys[:4].tolist(), pids[:4].tolist(),
+                             chunk.hash_batch(keys[:4]))
+        for key, pid in zip(keys[:4].tolist(), pids[:4].tolist()):
+            assert not scalar.add(key, pid)
+        assert np.array_equal(chunk.page, scalar.page)
+        assert np.array_equal(chunk.counters, scalar.counters)
+        assert chunk.counts == scalar.counts
 
     def test_hash_rows_equal_per_leaf_hashing(self):
         leaves = [_leaf(), BFLeaf(node_id=2**63 + 11,

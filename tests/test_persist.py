@@ -11,6 +11,7 @@ import shutil
 
 import numpy as np
 import pytest
+from golden.write_cases import leaf_digest
 
 from repro.analysis.sanitize import StructuralCorruption, force
 from repro.api import OP_INSERT, OP_READ, OP_SCAN, make_index
@@ -28,8 +29,9 @@ from repro.persist import (
     write_manifest,
     write_snapshot,
 )
+from repro.core import BFTree, BFTreeConfig
 from repro.persist.errors import PersistError, WALFailedError
-from repro.storage import Relation
+from repro.storage import Relation, build_stack
 
 
 @pytest.fixture(scope="module")
@@ -201,6 +203,58 @@ class TestSnapshot:
 # ======================================================================
 # manifest
 # ======================================================================
+class TestBFTreeSnapshot:
+    """BF-Tree ``snapshot_state``/``restore_state`` through the file
+    container, on the counting layout (bit page plus counter page)."""
+
+    @staticmethod
+    def _counting_tree(relation):
+        return BFTree.bulk_load(
+            relation, "pk", BFTreeConfig(fpp=1e-3, filter_kind="counting"),
+            unique=True,
+        )
+
+    def test_counting_round_trip(self, pk_relation, tmp_path):
+        tree = self._counting_tree(pk_relation)
+        page = pk_relation.page_of
+        for key in range(40, 4000, 97):
+            assert tree.delete(key, pid=page(key))        # in place
+        for key in range(40, 2000, 194):
+            tree.insert(key, page(key))                   # back again
+        for key in range(3, 4000, 211):
+            tree.insert(key, page(key))                   # counted twice
+        tree.delete(5000)                                 # tombstone
+        path = tmp_path / "bf.snap"
+        write_snapshot(path, tree.snapshot_state())
+        fresh = BFTree(pk_relation, "pk", tree.config, unique=True)
+        fresh.restore_state(read_snapshot(path))
+        assert ([leaf_digest(l) for l in fresh.leaves_in_order()]
+                == [leaf_digest(l) for l in tree.leaves_in_order()])
+        probes = list(range(0, 8192, 37)) + [10**6]
+        results, stats = [], []
+        for index in (tree, fresh):
+            stack = build_stack("SSD/SSD")
+            index.bind(stack)
+            results.append(index.search_many(probes))
+            stats.append(stack.stats.snapshot())
+        assert results[0] == results[1]
+        assert stats[0] == stats[1]
+        # Both keep deleting in place identically.
+        key = 3
+        assert tree.delete(key, pid=page(key)) == \
+            fresh.delete(key, pid=page(key))
+        assert leaf_digest(tree.leaves_in_order()[0]) == \
+            leaf_digest(fresh.leaves_in_order()[0])
+
+    def test_old_format_rejected(self, pk_relation):
+        tree = self._counting_tree(pk_relation)
+        state = tree.snapshot_state()
+        state["format"] = "bf-tree"
+        fresh = BFTree(pk_relation, "pk", tree.config, unique=True)
+        with pytest.raises(ValueError, match="'bf-tree'.*'bf-tree/2'"):
+            fresh.restore_state(state)
+
+
 class TestManifest:
     def test_round_trip(self, tmp_path):
         path = tmp_path / "MANIFEST.json"

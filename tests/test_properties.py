@@ -17,8 +17,13 @@ from hypothesis import strategies as st
 
 from repro.baselines import BPlusTree
 from repro.core import BFTree, BFTreeConfig, BloomFilter
-from repro.core.bloom import bits_for_capacity, capacity_for_bits, fpp_after_inserts
-from repro.core.hashing import bloom_positions, key_to_int
+from repro.core.bloom import (
+    bits_for_capacity,
+    capacity_for_bits,
+    fpp_after_inserts,
+    page_set_positions,
+)
+from repro.core.hashing import bloom_positions, bloom_positions_batch, key_to_int
 from repro.storage import Relation
 
 # Sorted, possibly-duplicated key columns of modest size.
@@ -49,12 +54,16 @@ class TestBloomFilterProperties:
     )
     @settings(max_examples=40, deadline=None)
     def test_bulk_add_equals_scalar(self, keys):
+        """One page scatter of a key batch sets a scalar filter's bits."""
         a = BloomFilter(512, 5, seed=7)
-        b = BloomFilter(512, 5, seed=7)
         for key in keys:
             a.add(key)
-        b.bulk_add(np.asarray(keys, dtype=np.int64))
-        assert a._bits == b._bits
+        page = np.zeros((1, a._words.shape[0]), dtype=np.uint64)
+        positions = bloom_positions_batch(np.asarray(keys, dtype=np.int64),
+                                          5, 512, 7)
+        page_set_positions(page, np.zeros(len(keys), dtype=np.int64),
+                           positions)
+        assert np.array_equal(page[0], a._words)
 
     @given(key=st.integers(min_value=-(2**63), max_value=2**63 - 1),
            k=st.integers(min_value=1, max_value=32),

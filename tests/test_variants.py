@@ -1,164 +1,167 @@
-"""Tests for the counting and scalable Bloom-filter variants (§2, §7)."""
+"""Counting filters (§7) on the leaf's pages, and plain-filter overfill.
 
+A counting leaf keeps one uint8 counter per filter bit in a counter
+page beside its bit page; :meth:`BFLeaf.remove_key` decrements a key's
+counters in place.  These are the properties Fan et al.'s counting
+filters promise, checked on that layout: no false negatives, removal
+restores the other keys' state, saturated counters never decrement.
+"""
+
+import math
 import random
 
+import numpy as np
 import pytest
 
-from repro.core.bloom import BloomFilter
-from repro.core.variants import CountingBloomFilter, ScalableBloomFilter
+from repro.core.bf_leaf import BFLeaf, BFLeafGeometry
+from repro.core.bloom import BloomFilter, bits_for_capacity, counter_page_add
+
+
+def _counting_leaf(fpp=0.01, keys_per_group=40.0, **geo):
+    plan = BFLeafGeometry.plan(fpp, keys_per_group, filter_kind="counting")
+    return BFLeaf(node_id=5, geometry=BFLeafGeometry(**{**vars(plan), **geo}),
+                  min_pid=0)
+
+
+def _present(leaf, key, pid=0):
+    """Does the filter of page ``pid`` report ``key`` present?"""
+    return leaf.group_of(pid) in np.flatnonzero(
+        leaf._match_matrix(leaf.hash_batch([key]))[0]
+    )
+
+
+def _fill(leaf, group=0):
+    return int(np.count_nonzero(leaf.counters[group])) \
+        / leaf.geometry.bits_per_bf
 
 
 class TestCountingBasics:
     def test_no_false_negatives(self):
-        cbf = CountingBloomFilter(512, k=4)
+        leaf = _counting_leaf()
         keys = random.Random(1).sample(range(10**9), 40)
-        for key in keys:
-            cbf.add(key)
-        assert all(cbf.might_contain(k) for k in keys)
+        for j, key in enumerate(keys):
+            leaf.add(key, j % 4)
+        assert all(_present(leaf, key, j % 4) for j, key in enumerate(keys))
 
     def test_contains_operator(self):
-        cbf = CountingBloomFilter(64, 3)
-        cbf.add(9)
-        assert 9 in cbf
+        """The scalar membership test of a counting leaf's filter."""
+        leaf = _counting_leaf()
+        leaf.add(9, 0)
+        assert leaf.duplicate_prehashed(0, leaf.key_positions(9))
+        assert not leaf.duplicate_prehashed(0, leaf.key_positions(10))
 
     def test_empty_rejects(self):
-        assert not CountingBloomFilter(64, 3).might_contain(1)
+        leaf = _counting_leaf()
+        assert leaf.matching_page_runs_many([1]) == [[]]
+
+    def test_for_capacity_matches_plain_sizing(self):
+        """Counters change the space per bit, not the position math."""
+        counting = BFLeafGeometry.plan(0.01, 100, filter_kind="counting")
+        plain = BFLeafGeometry.plan(0.01, 100)
+        assert counting.bits_per_bf == plain.bits_per_bf
+        assert counting.hash_count == plain.hash_count
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            CountingBloomFilter(0, 3)
+            BFLeafGeometry.plan(0.01, 16, filter_kind="quotient")
         with pytest.raises(ValueError):
-            CountingBloomFilter(64, 0)
-        with pytest.raises(ValueError):
-            CountingBloomFilter(64, 3, counter_bits=1)
-
-    def test_for_capacity_matches_plain_sizing(self):
-        cbf = CountingBloomFilter.for_capacity(100, 0.01)
-        bf = BloomFilter.for_capacity(100, 0.01)
-        assert cbf.nbits == bf.nbits
+            BFLeafGeometry.plan(0.01, 16, filter_kind="counting",
+                                counter_bits=1)
 
     def test_space_cost_is_counter_bits(self):
-        cbf = CountingBloomFilter(800, 3, counter_bits=4)
-        bf = BloomFilter(800, 3)
-        assert cbf.size_bytes() == 4 * bf.size_bytes()
+        counting = _counting_leaf()
+        plain = BFLeaf(node_id=6, geometry=BFLeafGeometry.plan(0.01, 40.0),
+                       min_pid=0)
+        counting.add(1, 2)
+        plain.add(1, 2)
+        assert counting.bits_used() == 4 * plain.bits_used()
 
 
 class TestCountingDeletes:
     def test_remove_restores_state(self):
         """Deleting a key removes it without touching other keys."""
-        cbf = CountingBloomFilter(1024, k=4)
+        leaf = _counting_leaf()
         keys = random.Random(2).sample(range(10**9), 30)
         for key in keys:
-            cbf.add(key)
+            leaf.add(key, 0)
         victim = keys[7]
-        assert cbf.remove(victim)
+        assert leaf.remove_key(victim, 0)
+        assert not _present(leaf, victim)
         for key in keys:
             if key != victim:
-                assert cbf.might_contain(key)
+                assert _present(leaf, key)
 
     def test_remove_absent_key_noop(self):
-        cbf = CountingBloomFilter(256, 3)
-        cbf.add(5)
-        before = bytes(cbf._counters)
-        assert not cbf.remove(999_999_999)
-        assert bytes(cbf._counters) == before
+        leaf = _counting_leaf()
+        leaf.add(5, 0)
+        before = (leaf.page.copy(), leaf.counters.copy(), list(leaf.counts),
+                  leaf.nkeys)
+        assert not leaf.remove_key(999_999_999, 0)
+        assert not leaf.remove_key(5, 3)          # a filter not in use
+        assert np.array_equal(leaf.page, before[0])
+        assert np.array_equal(leaf.counters, before[1])
+        assert (list(leaf.counts), leaf.nkeys) == (before[2], before[3])
 
     def test_remove_duplicate_occurrences(self):
-        cbf = CountingBloomFilter(256, 3)
-        cbf.add(5)
-        cbf.add(5)
-        assert cbf.remove(5)
-        assert cbf.might_contain(5)   # one occurrence left
-        assert cbf.remove(5)
+        leaf = _counting_leaf()
+        leaf.add(5, 0)
+        leaf.add(5, 0)
+        assert leaf.remove_key(5, 0)
+        assert _present(leaf, 5)    # one occurrence left
+        assert leaf.remove_key(5, 0)
+        assert not _present(leaf, 5)
 
     def test_delete_does_not_raise_fpp(self):
         """Unlike §7's in-place bit clearing, counter deletes keep the
         fill fraction at the pre-insert level."""
-        cbf = CountingBloomFilter.for_capacity(200, 0.01, k=7)
+        leaf = _counting_leaf(keys_per_group=200.0)
         rng = random.Random(3)
-        keys = rng.sample(range(10**9), 200)
-        for key in keys:
-            cbf.add(key)
-        baseline = cbf.fill_fraction()
+        for key in rng.sample(range(10**9), 200):
+            leaf.add(key, 0)
+        baseline = _fill(leaf)
         extra = rng.sample(range(2 * 10**9, 3 * 10**9), 50)
         for key in extra:
-            cbf.add(key)
-        assert cbf.fill_fraction() >= baseline
+            leaf.add(key, 0)
+        assert _fill(leaf) >= baseline
         for key in extra:
-            cbf.remove(key)
-        assert cbf.fill_fraction() == pytest.approx(baseline, abs=0.01)
+            leaf.remove_key(key, 0)
+        assert _fill(leaf) == pytest.approx(baseline, abs=0.01)
 
     def test_counter_saturation_safe(self):
         """Saturated counters are never decremented (no false negatives)."""
-        cbf = CountingBloomFilter(8, k=2, counter_bits=2)   # tiny: saturates
+        leaf = _counting_leaf(bits_per_bf=8, hash_count=2, counter_bits=2,
+                              max_filters=1)       # tiny: saturates
         for i in range(50):
-            cbf.add(i)
+            leaf.add(i, 0)
+        assert leaf.counters.max() == 3
         for i in range(50):
-            cbf.remove(i)
+            leaf.remove_key(i, 0)
         # Saturation means residual bits may remain, but adds are intact.
-        cbf.add(123)
-        assert cbf.might_contain(123)
+        leaf.add(123, 0)
+        assert _present(leaf, 123)
+
+
+class TestCounterPage:
+    def test_saturating_add_equals_increments_in_turn(self):
+        rng = np.random.default_rng(9)
+        counters = rng.integers(0, 16, size=(4, 50)).astype(np.uint8)
+        rows = rng.integers(0, 4, size=300)
+        positions = rng.integers(0, 50, size=(300, 3))
+        expected = counters.astype(np.int64)
+        for row, pos in zip(rows, positions):
+            for p in pos:
+                expected[row, p] = min(expected[row, p] + 1, 15)
+        counter_page_add(counters, rows, positions, 15)
+        assert np.array_equal(counters, expected)
 
 
 class TestScalable:
-    def test_no_false_negatives_across_growth(self):
-        sbf = ScalableBloomFilter(initial_capacity=32, max_fpp=0.01)
-        keys = random.Random(4).sample(range(10**9), 500)
-        for key in keys:
-            sbf.add(key)
-        assert sbf.n_stages > 1
-        assert all(sbf.might_contain(k) for k in keys)
-
-    def test_stage_growth_geometric(self):
-        sbf = ScalableBloomFilter(initial_capacity=16, growth=2)
-        for i in range(100):
-            sbf.add(i)
-        assert sbf._stage_capacity[:3] == [16, 32, 64]
-
-    def test_compound_fpp_stays_bounded(self):
-        """The point of the structure: fpp stays below the ceiling even
-        after growing far past the initial capacity."""
-        rng = random.Random(5)
-        sbf = ScalableBloomFilter(initial_capacity=100, max_fpp=0.02)
-        for key in rng.sample(range(10**9), 2000):
-            sbf.add(key)
-        probes = rng.sample(range(10**9, 2 * 10**9), 30_000)
-        rate = sum(sbf.might_contain(p) for p in probes) / len(probes)
-        assert rate < 0.05   # ceiling 0.02 with sampling slack
-
     def test_plain_filter_degrades_in_contrast(self):
-        """The same overfill on a plain filter blows past the target."""
+        """A plain filter overfilled twentyfold blows past its target."""
         rng = random.Random(6)
-        bf = BloomFilter.for_capacity(100, 0.02, k=5)
+        bf = BloomFilter(math.ceil(bits_for_capacity(100, 0.02)), k=5)
         for key in rng.sample(range(10**9), 2000):
             bf.add(key)
         probes = rng.sample(range(10**9, 2 * 10**9), 10_000)
         rate = sum(bf.might_contain(p) for p in probes) / len(probes)
         assert rate > 0.5
-
-    def test_expected_fpp_monotone(self):
-        sbf = ScalableBloomFilter(initial_capacity=64, max_fpp=0.01)
-        previous = 0.0
-        for i in range(300):
-            sbf.add(i)
-            if i % 100 == 99:
-                current = sbf.expected_fpp()
-                assert current >= previous - 1e-12
-                previous = current
-
-    def test_size_grows_with_stages(self):
-        sbf = ScalableBloomFilter(initial_capacity=16)
-        one_stage = sbf.size_bytes()
-        for i in range(200):
-            sbf.add(i)
-        assert sbf.size_bytes() > one_stage
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            ScalableBloomFilter(initial_capacity=0)
-        with pytest.raises(ValueError):
-            ScalableBloomFilter(max_fpp=1.5)
-        with pytest.raises(ValueError):
-            ScalableBloomFilter(growth=1)
-        with pytest.raises(ValueError):
-            ScalableBloomFilter(tightening=0.0)

@@ -476,7 +476,7 @@ class BFLeaf:
         capacity = max(need, geo.max_filters)
         page = np.zeros((capacity, words_per_filter(geo.bits_per_bf)),
                         dtype=np.uint64)
-        if self.page is not None:
+        if n:
             page[:n] = self.page[:n]
         self.page = page
         if geo.filter_kind == "counting":

@@ -31,7 +31,13 @@ import sys
 
 import numpy as np
 
-from repro.core.hashing import bloom_positions, key_to_int
+# ``bloom_positions_batch`` is the batch hasher whose ``(n, k)`` rows the
+# page functions below take; it stays importable from this module.
+from repro.core.hashing import (  # noqa: F401
+    bloom_positions,
+    bloom_positions_batch,
+    key_to_int,
+)
 
 LN2 = math.log(2.0)
 LN2_SQ = LN2 * LN2

@@ -137,6 +137,15 @@ class TestInvariantFires:
                            match="add counts for .* filters"):
             check_tree(tree)
 
+    @pytest.mark.parametrize("matrix", ["page", "counters"])
+    def test_page_too_small(self, matrix):
+        _, tree = _pk_tree(filter_kind="counting")
+        leaf = tree.leaves_in_order()[0]
+        setattr(leaf, matrix, getattr(leaf, matrix)[:leaf.nfilters - 1])
+        with pytest.raises(StructuralCorruption,
+                           match="of shape .* cannot hold"):
+            check_tree(tree)
+
     def test_counter_in_unused_row(self):
         _, tree = _pk_tree(filter_kind="counting")
         check_tree(tree)

@@ -372,11 +372,12 @@ class BFLeaf:
         self.deleted_keys.discard(key)
         return not duplicate
 
-    def add_duplicates(self, keys, pids, positions: np.ndarray) -> None:
+    def add_duplicates(self, keys, pids, rows: np.ndarray, which) -> None:
         """Re-insert keys whose filters already hold them, in one pass.
 
-        Key ``j`` has bit ``positions[j]`` and lives on page ``pids[j]``
-        of an existing filter that reports it present; the result equals
+        Key ``j`` has bit positions ``rows[which[j]]`` and lives on page
+        ``pids[j]`` of an existing filter that reports it present (only a
+        counting leaf reads the positions); the result equals
         :meth:`add_prehashed` with ``duplicate=True`` for each key, in
         any order.  No bit changes and ``nkeys`` stays; the filters'
         add counts, a counting leaf's counters (one saturating add), the
@@ -387,7 +388,7 @@ class BFLeaf:
         counts = self.counts
         for group in groups:
             counts[group] += 1
-        self._bump_counters(groups, positions)
+        self._bump_counters(groups, rows, which)
         self.pages_covered = max(self.pages_covered,
                                  max(pids) - min_pid + 1)
         lo, hi = min(keys), max(keys)
@@ -446,12 +447,13 @@ class BFLeaf:
         if self.max_key is None or hi_key > self.max_key:
             self.max_key = hi_key
 
-    def _bump_counters(self, groups, positions) -> None:
-        """On a counting leaf, add key ``j`` (bit ``positions[j]``) to
-        the counters of filter ``groups[j]``, saturating."""
+    def _bump_counters(self, groups, rows, which=slice(None)) -> None:
+        """On a counting leaf, add key ``j`` (bit positions
+        ``rows[which][j]``) to the counters of filter ``groups[j]``,
+        saturating."""
         if self.counters is not None:
-            counter_page_add(self.counters, groups, positions,
-                             self._counter_max)
+            counter_page_add(self.counters, groups,
+                             np.asarray(rows)[which], self._counter_max)
 
     @property
     def _counter_max(self) -> int:

@@ -1127,7 +1127,7 @@ class BFTree(IndexBackend):
             self._apply_duplicate_chunk(
                 self.leaves[leaf_id], walk.paths[leaf_id],
                 [walk.keys[k] for k in js], [walk.pids[k] for k in js],
-                walk.rows[[rel for _, rel in queued]],
+                walk.rows, [rel for _, rel in queued],
                 js, walk.latencies if walk.track else None,
             )
 
@@ -1440,7 +1440,7 @@ class BFTree(IndexBackend):
         return dt
 
     def _apply_duplicate_chunk(self, leaf: BFLeaf, path: list[int],
-                               chunk_keys, chunk_pids, positions, js,
+                               chunk_keys, chunk_pids, rows, rels, js,
                                latencies: list[float] | None) -> None:
         """Apply a chunk of known re-inserts of already-present keys to
         one leaf in one pass.
@@ -1452,7 +1452,7 @@ class BFTree(IndexBackend):
         counting leaf's counters, key range, page coverage, tombstone
         clearing) is applied in bulk by :meth:`BFLeaf.add_duplicates` —
         all of it commutative, so order inside the chunk cannot matter.
-        ``positions`` are the keys' bit positions under the leaf's seed,
+        ``rows[rels]`` are the keys' bit positions under the leaf's seed,
         and ``js`` their batch indices, for the latency scatter.
         """
 
@@ -1462,7 +1462,7 @@ class BFTree(IndexBackend):
             self.store.write(leaf.node_id)
 
         dt = self._charge_repeated(len(chunk_keys), charge)
-        leaf.add_duplicates(chunk_keys, chunk_pids, positions)
+        leaf.add_duplicates(chunk_keys, chunk_pids, rows, rels)
         if latencies is not None:
             for j in js:
                 latencies[j] = dt

@@ -269,7 +269,7 @@ class TestPageKernels:
         chunk = BFLeaf(node_id=4, geometry=geo, min_pid=0)
         chunk.add_pages(keys, pids)
         chunk.add_duplicates(keys[:4].tolist(), pids[:4].tolist(),
-                             chunk.hash_batch(keys[:4]))
+                             chunk.hash_batch(keys), [0, 1, 2, 3])
         for key, pid in zip(keys[:4].tolist(), pids[:4].tolist()):
             assert not scalar.add(key, pid)
         assert np.array_equal(chunk.page, scalar.page)

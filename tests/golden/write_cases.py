@@ -161,25 +161,23 @@ def steps_digest(step_list) -> str:
 # ----------------------------------------------------------------------
 # layout-independent leaf digests
 # ----------------------------------------------------------------------
-def _filter_rows(leaf):
-    """``(count, bits, counters)`` per filter row of ``leaf``: its add
-    count, its bits as booleans and its counters (``None`` for plain
-    filters)."""
+def _filters_digest(leaf) -> str:
+    """Digest of each filter row in order: its add count (8 bytes, little
+    endian), its bits packed little-endian, then its counters (counting
+    filters only)."""
     n, nbits = leaf.nfilters, leaf.geometry.bits_per_bf
     raw = leaf.page[:n].astype("<u8").view(np.uint8)
     bits = np.unpackbits(raw, axis=1, bitorder="little")[:, :nbits]
-    counters = (leaf.counters[:n] if leaf.counters is not None
-                else [None] * n)
-    return list(zip(leaf.counts, bits.astype(bool), counters))
+    parts = [
+        np.asarray(leaf.counts, dtype="<i8").view(np.uint8).reshape(n, 8),
+        np.packbits(bits, axis=1, bitorder="little"),
+    ]
+    if leaf.counters is not None:
+        parts.append(leaf.counters[:n])
+    return hashlib.sha1(np.hstack(parts).tobytes()).hexdigest()[:16]
 
 
 def leaf_digest(leaf) -> dict:
-    h = hashlib.sha1()
-    for count, bits, counters in _filter_rows(leaf):
-        h.update(int(count).to_bytes(8, "little"))
-        h.update(np.packbits(bits, bitorder="little").tobytes())
-        if counters is not None:
-            h.update(np.asarray(counters, dtype=np.uint8).tobytes())
     deleted = hashlib.sha1(
         repr(sorted(leaf.deleted_keys)).encode()
     ).hexdigest()[:16]
@@ -194,7 +192,7 @@ def leaf_digest(leaf) -> dict:
         "tombstones": [len(leaf.deleted_keys), deleted],
         "seed": leaf.filter_seed,
         "nfilters": leaf.nfilters,
-        "filters": h.hexdigest()[:16],
+        "filters": _filters_digest(leaf),
     }
 
 

@@ -1646,7 +1646,15 @@ class BFTree(IndexBackend):
         return left, right
 
     def _rescan_leaf(self, leaf: BFLeaf) -> list[tuple[object, int]]:
-        """Distinct (key, pid) pairs in the leaf's page range (charged I/O)."""
+        """Distinct (key, pid) pairs of the leaf's key range in its page
+        range (charged I/O).
+
+        An earlier split whose median was not page-aligned leaves a page
+        shared with a neighbour leaf; that page's keys outside
+        ``[min_key, max_key]`` belong to the neighbour and are skipped,
+        so a re-split never pulls them in and leaf key ranges never
+        overlap.
+        """
         pairs: list[tuple[object, int]] = []
         device = self._data_device
         if device is not None and leaf.pages_covered > 0:
@@ -1657,7 +1665,9 @@ class BFTree(IndexBackend):
                 break
             first, last = self.relation.page_bounds(pid)
             for key in np.unique(column[first:last]):
-                pairs.append((as_scalar(key), pid))
+                key = as_scalar(key)
+                if leaf.covers_key(key):
+                    pairs.append((key, pid))
         return pairs
 
     def _relink(self, old: BFLeaf, left: BFLeaf, right: BFLeaf) -> None:
@@ -1766,9 +1776,15 @@ class BFTree(IndexBackend):
             return results
         slots = route_batch(fences, [lo for lo, _ in wins])
         device = self._data_device
-        # Deferred match counting: (scan, first_pid, npages) jobs, one
-        # row per charged page run, counted vectorized after the sweep.
+        # Deferred match counting: (scan, first_pid, npages, lo, hi)
+        # jobs, one row per charged page run, counted vectorized after
+        # the sweep.  A job's key bounds are the window clamped to the
+        # reading leaf's key range, so a page two adjacent leaves share
+        # (after a split whose median was not page-aligned) counts each
+        # tuple once.
         jobs_scan: list[int] = []
+        jobs_lo: list = []
+        jobs_hi: list = []
         jobs_first: list[int] = []
         jobs_count: list[int] = []
         for j in range(n):
@@ -1808,17 +1824,21 @@ class BFTree(IndexBackend):
                         device.read_batch(n_random, n_seq,
                                           last_page=prev_pid)
                     res.pages_read += n_random + n_seq
+                    key_lo = max(lo, current.min_key)
+                    key_hi = min(hi, current.max_key)
                     for first, cnt in runs:
                         jobs_scan.append(j)
                         jobs_first.append(first)
                         jobs_count.append(cnt)
+                        jobs_lo.append(key_lo)
+                        jobs_hi.append(key_hi)
                 next_id = current.next_leaf_id
                 current = (self.leaves.get(next_id)
                            if next_id is not None else None)
             if track:
                 latencies[j] = clock.now() - start_t
-        self._count_scan_jobs(wins, results, jobs_scan, jobs_first,
-                              jobs_count)
+        self._count_scan_jobs(results, jobs_scan, jobs_first, jobs_count,
+                              jobs_lo, jobs_hi)
         if latency_sink is not None:
             latency_sink.extend(latencies)
         return results
@@ -1867,16 +1887,17 @@ class BFTree(IndexBackend):
                 out.append((pid, 1))
         return out
 
-    def _count_scan_jobs(self, wins, results, jobs_scan, jobs_first,
-                         jobs_count) -> None:
+    def _count_scan_jobs(self, results, jobs_scan, jobs_first, jobs_count,
+                         jobs_lo, jobs_hi) -> None:
         """Vectorized deferred match counting for :meth:`range_scan_many`.
 
         Ordered data: one global ``searchsorted`` pair over the sorted
         column resolves every job's count arithmetically.  Partitioned
         data: jobs are grouped by page and all scans covering a page are
         counted in one vectorized pass over that page's column.  Both
-        count, per scan, the tuples with key in ``[lo, hi]`` on every
-        page the scan read.
+        count, per job, the tuples with key in the job's ``[lo, hi]``
+        (the window clamped to the reading leaf's key range) on the
+        job's pages.
         """
         if not jobs_scan:
             return
@@ -1888,12 +1909,8 @@ class BFTree(IndexBackend):
         count_arr = np.asarray(jobs_count, dtype=np.int64)
         if self.ordered:
             col = np.asarray(rel.columns[self.key_column])
-            lo_idx = np.searchsorted(
-                col, np.asarray([wins[j][0] for j in jobs_scan]), side="left"
-            )
-            hi_idx = np.searchsorted(
-                col, np.asarray([wins[j][1] for j in jobs_scan]), side="right"
-            )
+            lo_idx = np.searchsorted(col, np.asarray(jobs_lo), side="left")
+            hi_idx = np.searchsorted(col, np.asarray(jobs_hi), side="right")
             start_tid = first_arr * tpp
             end_tid = np.minimum((first_arr + count_arr) * tpp, rel.ntuples)
             counts = np.maximum(
@@ -1912,8 +1929,8 @@ class BFTree(IndexBackend):
             for pid, rows in by_pid.items():
                 first, last = rel.page_bounds(pid)
                 v = col[first:last]
-                lo_arr = np.asarray([wins[jobs_scan[r]][0] for r in rows])
-                hi_arr = np.asarray([wins[jobs_scan[r]][1] for r in rows])
+                lo_arr = np.asarray([jobs_lo[r] for r in rows])
+                hi_arr = np.asarray([jobs_hi[r] for r in rows])
                 counts = (
                     (v >= lo_arr[:, None]) & (v <= hi_arr[:, None])
                 ).sum(axis=1)

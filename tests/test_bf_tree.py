@@ -233,6 +233,22 @@ class TestSplitLeaf:
         tree._split_leaf(tree.leaves_in_order()[0])
         assert tree.n_leaves == before + 1
 
+    def test_resplit_skips_keys_of_a_shared_page(self, pk_relation):
+        # A split whose median is not page-aligned leaves its children
+        # sharing a page; re-splitting either child must not pull in the
+        # sibling's keys on that page.
+        tree = _pk_tree(pk_relation, fpp=0.01)
+        left, right = tree._split_leaf(tree.leaves_in_order()[1])
+        assert left.max_pid == right.min_pid
+        tree._split_leaf(right)
+        tree._split_leaf(left)
+        leaves = tree.leaves_in_order()
+        for prev, nxt in zip(leaves, leaves[1:]):
+            assert prev.max_key < nxt.min_key
+        tree.bind(build_stack("MEM/SSD"))
+        lo, hi = left.max_key - 20, right.min_key + 20
+        assert tree.range_scan(lo, hi).matches == hi - lo + 1
+
     def test_single_key_leaf_cannot_split(self):
         keys = np.zeros(16, dtype=np.int64)
         rel = Relation({"k": keys}, tuple_size=256)

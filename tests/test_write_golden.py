@@ -5,7 +5,11 @@
 delta and simulated latencies, a digest of the whole tree after every
 step and each leaf's digest at the end (filter bits, counters and add
 counts, ``nkeys``, overflow, tombstones and hash seed).  It was recorded
-before BF-leaves moved to one filter layout (the commit is in the file).
+before BF-leaves moved to one filter layout, on that code plus two
+fixes: a split's leaf rescan keeps only keys inside the leaf's own key
+range (a page shared with a neighbour no longer pulls the neighbour's
+keys in), and a range scan counts each leaf's pages only within that
+leaf's key range (a shared page is counted once).
 Integers and digests must match exactly; latencies to ``rtol=1e-9``,
 since the same charges may be summed in a different order.
 """

@@ -145,7 +145,7 @@ class BFLeafGeometry:
             raise ValueError(
                 f"filter_kind must be 'plain' or 'counting', got {filter_kind!r}"
             )
-        if not 2 <= counter_bits <= 8:
+        if filter_kind == "counting" and not 2 <= counter_bits <= 8:
             raise ValueError(
                 f"counter_bits must be in [2, 8] (uint8 counters), "
                 f"got {counter_bits}"
@@ -212,6 +212,13 @@ class BFLeaf:
     def __post_init__(self) -> None:
         if self.filter_seed is None:
             self.filter_seed = self.node_id
+        if len(self.counts) != self.nfilters:
+            raise ValueError(
+                f"BFLeaf: {len(self.counts)} counts for "
+                f"{self.nfilters} filters"
+            )
+        if self.nfilters and self.page is None:
+            raise ValueError(f"BFLeaf: {self.nfilters} filters but no page")
         self._repage(self.nfilters)
 
     # ------------------------------------------------------------------

@@ -219,6 +219,16 @@ class TestPageKernels:
         assert leaf.page is not rows
         assert _groups(leaf, 7) == [1]
 
+    def test_constructor_rejects_a_layout_it_cannot_page(self):
+        geo = _leaf().geometry
+        rows = np.zeros((2, (geo.bits_per_bf + 63) // 64), dtype=np.uint64)
+        with pytest.raises(ValueError, match="no page"):
+            BFLeaf(node_id=1, geometry=geo, min_pid=0, nfilters=2,
+                   counts=[0, 0])
+        with pytest.raises(ValueError, match="1 counts for 2 filters"):
+            BFLeaf(node_id=1, geometry=geo, min_pid=0, nfilters=2,
+                   counts=[0], page=rows)
+
     def test_match_matrix_equals_per_filter_tests(self):
         leaf = _leaf()
         rng = np.random.default_rng(4)

@@ -67,6 +67,11 @@ class TestCountingBasics:
         with pytest.raises(ValueError):
             BFLeafGeometry.plan(0.01, 16, filter_kind="counting",
                                 counter_bits=1)
+        with pytest.raises(ValueError):
+            BFLeafGeometry.plan(0.01, 16, filter_kind="counting",
+                                counter_bits=9)
+        # Plain filters have no counters, so the width is not checked.
+        assert BFLeafGeometry.plan(0.01, 16, counter_bits=9).max_filters
 
     def test_space_cost_is_counter_bits(self):
         counting = _counting_leaf()

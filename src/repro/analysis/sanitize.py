@@ -209,9 +209,11 @@ def _check_bf_leaf(name: str, leaf: Any) -> None:
 
 def _check_leaf_filters(name: str, where: str, leaf: Any) -> None:
     """The filter layout: one add count per filter in use, at least one
-    add per indexed key, zero rows past the filters in use (so a batch
-    probe gathering the whole page matches nothing there), and on a
-    counting leaf a bit page equal to its counters above zero."""
+    add per indexed key, a data page for every filter in use (filters
+    grow only with the pages they cover, so a probe's page runs are
+    never empty), zero rows past the filters in use (so a batch probe
+    gathering the whole page matches nothing there), and on a counting
+    leaf a bit page equal to its counters above zero."""
     # Imported here: repro.core imports this module.
     from repro.core.bloom import page_from_bits, words_per_filter
 
@@ -225,6 +227,9 @@ def _check_leaf_filters(name: str, where: str, leaf: Any) -> None:
               f"{where}: nkeys {leaf.nkeys} exceeds total filter "
               f"insert count {total} (keys unindexed by any filter)")
     page, geo = leaf.page, leaf.geometry
+    if n and leaf.pages_covered <= (n - 1) * geo.pages_per_bf:
+        _fail(name, f"{where}: filter {n - 1} covers no page "
+                    f"(pages_covered={leaf.pages_covered})")
     if page.shape[0] < n or page.shape[1:] != (
             words_per_filter(geo.bits_per_bf),):
         _fail(name, f"{where}: page of shape {page.shape} cannot hold "

@@ -36,16 +36,25 @@ do not degrade the fpp, and tracks ``extra_inserts`` beyond nominal
 capacity so the effective fpp after overflowing inserts follows
 Equation 14.
 
-Probing is batch-only: :meth:`BFLeaf.matching_page_runs_many` runs
-Algorithm 1's all-filter test for a batch of keys (optionally fed
-prehashed positions); a single key is a batch of one.  Writes come as
-scalar :meth:`BFLeaf.add` and the prehashed :meth:`BFLeaf.add_prehashed`
-that ``BFTree.insert_many`` drives; both leave bit-identical state.
+Probing is batch-only and array-at-a-time: :meth:`BFLeaf.match_keys`
+runs Algorithm 1's all-filter test for a batch of keys (optionally fed
+prehashed positions) and keeps the match matrix's ``nonzero`` output
+with the leaf's page geometry; :func:`build_page_runs` turns any number
+of such tests, from any leaves, into CSR page runs (per-read offsets
+into ``(first_pid, npages)`` arrays) in one NumPy pass.  The tree's
+read engine queues one test per leaf group and builds every read's runs
+once per flush; :meth:`BFLeaf.matching_page_runs_many` is the same
+builder split into one run list per key, and a single key is a batch of
+one.  Writes come as scalar :meth:`BFLeaf.add` and the prehashed
+:meth:`BFLeaf.add_prehashed` that ``BFTree.insert_many`` drives; both
+leave bit-identical state.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import accumulate
+from typing import NamedTuple
 
 import numpy as np
 
@@ -167,6 +176,103 @@ class BFLeafGeometry:
             filter_kind=filter_kind,
             counter_bits=counter_bits,
         )
+
+
+class LeafMatches(NamedTuple):
+    """One leaf's filter test of a batch of keys (:meth:`BFLeaf.match_keys`),
+    the input of :func:`build_page_runs`."""
+
+    #: Keys tested.
+    nkeys: int
+    #: ``np.nonzero`` of the match matrix: key row and matched filter
+    #: per pair, rows ascending, each row's groups ascending.
+    rows: np.ndarray
+    groups: np.ndarray
+    #: The leaf's page geometry when tested: first page, pages per
+    #: filter, end of its page coverage (exclusive) and spill-back pages.
+    min_pid: int
+    pages_per_bf: int
+    end: int
+    spill_pages: int
+    #: Rows whose key is the leaf's minimum, fetched with the spill-back
+    #: pages (empty when the leaf has none).
+    spill_rows: list[int]
+
+
+def build_page_runs(tests: list[LeafMatches],
+                    read_ids: list[int] | None = None
+                    ) -> tuple[list[int], np.ndarray, np.ndarray]:
+    """The ``(first_pid, npages)`` runs of queued filter tests, CSR style.
+
+    The tested keys are numbered in order (row ``r`` of ``tests[e]`` is
+    test-read ``r`` plus the keys of the tests before it).  One NumPy
+    pass over all tests maps each matched filter to its page range,
+    clipped to the leaf's coverage, puts a spill-back run before the
+    groups of a leaf's minimum key and merges a read's adjacent ranges.
+    Returns ``(offsets, first, npages)``: read ``t``'s runs, ascending,
+    are ``first[offsets[t]:offsets[t + 1]]`` and the same slice of
+    ``npages``.
+
+    ``read_ids`` regroups the runs when one read was tested on several
+    leaves: test-read ``t`` belongs to read ``read_ids[t]`` (reads are
+    numbered from 0 up, each tested at least once), whose runs from all
+    its tests come sorted by ``(first, npages)`` and are never merged
+    across tests.
+    """
+    if len(tests) == 1:
+        test = tests[0]
+        read, groups = test.rows, test.groups
+        g = test.pages_per_bf
+        first = groups * g
+        first += test.min_pid
+        npages = np.minimum(test.end - first, g)
+        ntested = test.nkeys
+        bases = [0]
+    else:
+        lens = [len(test.rows) for test in tests]
+        bases = list(accumulate([test.nkeys for test in tests], initial=0))
+        ntested = bases.pop()
+        geo = np.array([(test.min_pid, test.pages_per_bf, test.end)
+                        for test in tests]).repeat(lens, axis=0)
+        read = (np.concatenate([test.rows for test in tests])
+                + np.array(bases).repeat(lens))
+        g = geo[:, 1]
+        first = np.concatenate([test.groups for test in tests]) * g
+        first += geo[:, 0]
+        npages = np.minimum(geo[:, 2] - first, g)
+    if any(test.spill_rows for test in tests):
+        read, first, npages = _insert_spill_runs(tests, bases, read, first,
+                                                 npages)
+    # A pair extends the previous pair's run when it continues that
+    # pair's pages for the same test-read.
+    extends = first[1:] == (first + npages)[:-1]
+    extends &= read[1:] == read[:-1]
+    if len(extends.nonzero()[0]):
+        cut = np.concatenate(([0], (~extends).nonzero()[0] + 1))
+        read, first = read[cut], first[cut]
+        npages = np.add.reduceat(npages, cut)
+    if read_ids is not None:
+        read = np.asarray(read_ids)[read]
+        order = np.lexsort((npages, first, read))
+        read, first, npages = read[order], first[order], npages[order]
+        ntested = max(read_ids) + 1
+    counts = np.bincount(read, minlength=ntested).tolist()
+    return list(accumulate(counts, initial=0)), first, npages
+
+
+def _insert_spill_runs(tests, bases, read, first, npages):
+    """Insert each spill row's spill-back run before that row's pairs."""
+    at, reads, firsts, sizes = [], [], [], []
+    offset = 0
+    for test, base in zip(tests, bases):
+        for row in test.spill_rows:
+            at.append(offset + int(test.rows.searchsorted(row)))
+            reads.append(base + row)
+            firsts.append(test.min_pid - test.spill_pages)
+            sizes.append(test.spill_pages)
+        offset += len(test.rows)
+    return (np.insert(read, at, reads), np.insert(first, at, firsts),
+            np.insert(npages, at, sizes))
 
 
 @dataclass
@@ -548,30 +654,52 @@ class BFLeaf:
     # ------------------------------------------------------------------
     # probing
     # ------------------------------------------------------------------
+    def match_keys(self, keys, positions=None) -> LeafMatches:
+        """Algorithm 1's all-filter test of a batch of keys.
+
+        All S filters are tested for all N keys in one NumPy pass.  The
+        leaf's filters share geometry (nbits/k/seed), so the k bit
+        positions per key are hashed once (or passed in as
+        ``positions``, the :meth:`hash_batch` rows of ``keys``) and
+        gathered against the whole page.  The match matrix's ``nonzero``
+        output is kept as is, minus the rows of tombstoned keys, beside
+        the page geometry the runs need, read now: later inserts into the
+        leaf cannot move a test's runs.  :func:`build_page_runs` turns it
+        into runs.  The caller charges the probe CPU.
+        """
+        if positions is None:
+            positions = self.hash_batch(keys)
+        # Row-major: each key's matched groups are a contiguous,
+        # ascending slice.
+        rows, groups = self._match_matrix(positions).nonzero()
+        g = self.geometry.pages_per_bf
+        deleted = self.deleted_keys
+        if deleted:
+            live = [key not in deleted for key in keys]
+            keep = np.asarray(live)[rows]
+            rows, groups = rows[keep], groups[keep]
+        spill_rows = []
+        if self.spill_back_pages and self.min_key is not None:
+            spill_rows = [r for r, key in enumerate(keys)
+                          if key == self.min_key and key not in deleted]
+        return LeafMatches(len(keys), rows, groups, self.min_pid, g,
+                           self.min_pid + self.pages_covered,
+                           self.spill_back_pages, spill_rows)
+
     def matching_page_runs_many(self, keys, positions=None
                                 ) -> list[list[tuple[int, int]]]:
         """(first_pid, npages) runs to fetch for each probe key.
 
-        Algorithm 1 probes *every* filter of the leaf; here all S filters
-        are tested for all N keys in one NumPy pass.  The leaf's filters
-        share geometry (nbits/k/seed), so the k bit positions per key are
-        hashed once (or passed in as ``positions``, the
-        :meth:`hash_batch` rows of ``keys``) and gathered against the
-        whole page.  Entry ``j`` holds the matched groups' page ranges,
-        adjacent ones merged, plus the spill-back pages when ``keys[j]``
-        is the leaf's minimum; a tombstoned key matches nothing.  The
-        caller charges the probe CPU.
+        :meth:`match_keys` then :func:`build_page_runs`, split per key:
+        entry ``j`` holds the matched groups' page ranges, adjacent ones
+        merged, after the spill-back pages when ``keys[j]`` is the leaf's
+        minimum; a tombstoned key matches nothing.
         """
-        if positions is None:
-            positions = self.hash_batch(keys)
-        # One nonzero over the whole matrix: row-major, so each key's
-        # matched groups are a contiguous, ascending slice of ``groups``.
-        rows, groups = np.nonzero(self._match_matrix(positions))
-        cuts = np.searchsorted(rows, np.arange(len(keys) + 1)).tolist()
-        groups = groups.tolist()
-        deleted = self.deleted_keys
-        return [[] if key in deleted else self._build_runs(key, groups[a:b])
-                for key, a, b in zip(keys, cuts, cuts[1:])]
+        offsets, first, npages = build_page_runs(
+            [self.match_keys(keys, positions)])
+        first, npages = first.tolist(), npages.tolist()
+        return [list(zip(first[a:b], npages[a:b]))
+                for a, b in zip(offsets, offsets[1:])]
 
     @staticmethod
     def hash_rows(keys, leaves, which) -> np.ndarray:
@@ -602,36 +730,6 @@ class BFLeaf:
         if n == 0 or not self.nfilters:
             return np.zeros((n, self.nfilters), dtype=bool)
         return page_test(self.page[:self.nfilters], positions)
-
-    def _build_runs(self, key, groups) -> list[tuple[int, int]]:
-        """Merge matched ``groups`` into fetchable (first_pid, npages) runs.
-
-        ``key`` must not be tombstoned (callers check); it is only used
-        for the spill-back test on the leaf's minimum key.  Each group's
-        pages are :meth:`group_page_range`, computed inline.
-        """
-        runs: list[tuple[int, int]] = []
-        if (
-            self.spill_back_pages
-            and self.min_key is not None
-            and key == self.min_key
-        ):
-            runs.append((self.min_pid - self.spill_back_pages,
-                         self.spill_back_pages))
-        g = self.geometry.pages_per_bf
-        min_pid = self.min_pid
-        end = min_pid + self.pages_covered
-        for group in groups:
-            first = min_pid + group * g
-            npages = min(g, end - first)
-            if npages <= 0:
-                continue
-            if runs and runs[-1][0] + runs[-1][1] == first:
-                prev_first, prev_n = runs[-1]
-                runs[-1] = (prev_first, prev_n + npages)
-            else:
-                runs.append((first, npages))
-        return runs
 
     # ------------------------------------------------------------------
     # accounting

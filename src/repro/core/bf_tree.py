@@ -48,6 +48,7 @@ data device.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field, fields, replace
 from itertools import accumulate
 from typing import Sequence
@@ -74,7 +75,9 @@ from repro.core.bf_leaf import (
     LEAF_HEADER_BYTES,
     BFLeaf,
     BFLeafGeometry,
+    LeafMatches,
     LeafOverflow,
+    build_page_runs,
 )
 from repro.core.node import InnerTree, NodeStore, fanout_for, route_batch
 from repro.storage.buffer_pool import BufferPool
@@ -165,10 +168,10 @@ class _Walk:
     pending: dict[int, list[tuple[int, int]]] = field(default_factory=dict)
     #: Filter tests queued per leaf id: (op, plan row or None).
     probes: dict[int, list] = field(default_factory=dict)
-    #: Reads past their filter probe: (op, candidate leaf ids).
-    fetches: list[tuple[int, list[int]]] = field(default_factory=list)
-    #: Page runs each (op, candidate leaf id) filter test nominated.
-    runs_for: dict[tuple[int, int], list] = field(default_factory=dict)
+    #: Filter tests run, one per leaf group, and the op of each tested
+    #: key in test order; every tested read fetches after the walk.
+    tests: list[LeafMatches] = field(default_factory=list)
+    tested: list[int] = field(default_factory=list)
     #: Scans of the current read run, dispatched before the next insert.
     scans: list[int] = field(default_factory=list)
 
@@ -827,18 +830,21 @@ class BFTree(IndexBackend):
           routing table's path).  :meth:`_read_run` charges each such
           group once and replays it for the rest;
         * otherwise only charge-free work waits.  A read's filter test
-          queues on its leaf and runs (one
-          :meth:`BFLeaf.matching_page_runs_many` per leaf group) before
-          any insert into that leaf applies, before a re-plan and at
-          chunk end, so it sees exactly the bits set before it.  A run
-          of scans goes through :meth:`range_scan_many` before the next
-          insert;
-        * the data pages of every read are fetched in one
-          :meth:`_fetch_runs` pass after the walk.  Those charges touch
-          only the data device and state their access pattern, so moving
-          them past the chunk's index writes changes no counter; a read's
-          latency is its descent/probe clock time plus the
-          :meth:`Device.read_cost` of its own pages.
+          queues on its leaf and runs (one :meth:`BFLeaf.match_keys` page
+          gather per leaf group) before any insert into that leaf
+          applies, before a re-plan and at chunk end, so it sees exactly
+          the bits set before it; the test keeps the match matrix's
+          ``nonzero`` output and the leaf's page geometry of that moment.
+          A run of scans goes through :meth:`range_scan_many` before the
+          next insert;
+        * after the walk, one :func:`build_page_runs` pass turns every
+          queued test into CSR page runs (per-read offsets into
+          ``(first_pid, npages)`` arrays), and the data pages of every
+          read are fetched in one :meth:`_fetch_runs` pass.  Those
+          charges touch only the data device and state their access
+          pattern, so moving them past the chunk's index writes changes
+          no counter; a read's latency is its descent/probe clock time
+          plus the :meth:`Device.read_cost` of its own pages.
 
         Unknown op codes and inverted scan windows raise ``ValueError``
         before anything is applied.
@@ -902,20 +908,25 @@ class BFTree(IndexBackend):
                 for leaf_id in list(walk.probes):
                     self._test_probes(walk, leaf_id)
         self._run_scans(walk)
-        fetches = walk.fetches
-        if fetches:
+        if walk.tests:
+            if self.ordered:
+                # Each read was tested on its one target leaf: its runs
+                # are one test's, already sorted, in test order.
+                ops = walk.tested
+                runs = build_page_runs(walk.tests)
+            else:
+                # Neighbour leaves tested some reads too: regroup the
+                # runs per read, in op order.
+                ops = sorted(set(walk.tested))
+                read_of = {k: r for r, k in enumerate(ops)}
+                runs = build_page_runs(walk.tests,
+                                       [read_of[k] for k in walk.tested])
             fetched, fetch_latencies = self._fetch_runs(
-                [walk.keys[k] for k, _ in fetches],
-                # One leaf's runs are already sorted; several merge.
-                [walk.runs_for[(k, leaf_ids[0])] if len(leaf_ids) == 1
-                 else sorted(run for leaf_id in leaf_ids
-                             for run in walk.runs_for[(k, leaf_id)])
-                 for k, leaf_ids in fetches],
-            )
-            for (k, _), result, latency in zip(fetches, fetched,
-                                               fetch_latencies):
-                walk.results[k] = result
-                walk.latencies[k] += latency
+                [walk.keys[k] for k in ops], *runs, ops)
+            results, latencies = walk.results, walk.latencies
+            for k, result, latency in zip(ops, fetched, fetch_latencies):
+                results[k] = result
+                latencies[k] += latency
         if latency_sink is not None:
             latency_sink.extend(walk.latencies)
         if OP_INSERT in codes:
@@ -1016,17 +1027,17 @@ class BFTree(IndexBackend):
         index pages are resident (see :meth:`bind`), so every read into
         the same leaf that visits the same neighbours pays the same
         descent and neighbour-leaf charges, wherever it sits in the run.
-        Pass 1 charges nothing: it finds each read's candidate leaves,
-        queues its filter test on every candidate that covers the key
-        (its plan row is hashed under its predicted leaf; neighbours
-        hash at test time) and its data fetch in op order.  Pass 2
+        Pass 1 charges nothing: it finds each read's candidate leaves
+        and queues its filter test on every candidate that covers the
+        key (its plan row is hashed under its predicted leaf; neighbours
+        hash at test time); a tested read fetches after the walk.  Pass 2
         charges each (leaf, neighbours) group once for real and replays
         it for the group's other reads (:meth:`_charge_repeated`), then
         charges the group's per-filter probe CPU in one sum; a read's
         latency is the measured charge plus its own probe CPU.  Scans
         queue for the run's one :meth:`range_scan_many` call."""
         codes, keys, probes = walk.codes, walk.keys, walk.probes
-        results, fetches = walk.results, walk.fetches
+        results = walk.results
         leaves = self.leaves
         neighbour_ids = self._neighbour_ids
         n = len(codes)
@@ -1046,7 +1057,7 @@ class BFTree(IndexBackend):
             key = keys[i]
             nbrs = neighbour_ids(key, leaves[leaf_id])
             nprobed = 0
-            covering = []
+            covered = False
             for cid in (leaf_id, *nbrs):
                 c = leaves[cid]
                 if c.covers_key(key):
@@ -1054,10 +1065,8 @@ class BFTree(IndexBackend):
                     probes.setdefault(cid, []).append(
                         (i, rel if cid == leaf_id else None)
                     )
-                    covering.append(cid)
-            if covering:
-                fetches.append((i, covering))
-            else:
+                    covered = True
+            if not covered:
                 results[i] = SearchResult(found=False)
             group = (leaf_id, nbrs)
             groups.setdefault(group, []).append((i, nprobed))
@@ -1090,20 +1099,21 @@ class BFTree(IndexBackend):
         self._read_neighbours(neighbours)
 
     def _test_probes(self, walk: "_Walk", leaf_id: int) -> None:
-        """Run the filter tests queued on one leaf, in one page gather."""
+        """Run the filter tests queued on one leaf, in one page gather,
+        and queue the result for the flush's run build."""
         group = walk.probes.pop(leaf_id, None)
         if not group:
             return
         leaf = self.leaves[leaf_id]
-        keys = [walk.keys[i] for i, _ in group]
+        ops = [i for i, _ in group]
+        keys = [walk.keys[i] for i in ops]
         rels = [rel for _, rel in group]
         if None in rels:
             positions = leaf.hash_batch(keys)
         else:
             positions = walk.rows[rels]
-        for (i, _), runs in zip(group,
-                                leaf.matching_page_runs_many(keys, positions)):
-            walk.runs_for[(i, leaf_id)] = runs
+        walk.tests.append(leaf.match_keys(keys, positions))
+        walk.tested += ops
 
     def _run_scans(self, walk: "_Walk") -> None:
         """Dispatch the queued run of scans through :meth:`range_scan_many`."""
@@ -1184,67 +1194,89 @@ class BFTree(IndexBackend):
             self.store.read(leaf_id, sequential=True)
         return leaf
 
-    def _fetch_runs(self, keys, run_lists: list[list[tuple[int, int]]]
+    def _fetch_runs(self, keys, offsets: list[int], first: np.ndarray,
+                    npages: np.ndarray, ops: list[int]
                     ) -> tuple[list[SearchResult], list[float]]:
-        """Fetch each key's sorted candidate page runs and scan them.
+        """Fetch each read's candidate page runs and scan them.
 
-        One :meth:`Relation.scan_keys` call scans every candidate page of
-        every key.  A per-key pass over page-level integers then applies
-        the stop rules: a unique index stops at the first page with a
-        match, and on ordered data a page that starts past the key ends
-        the fetch (no later page can match).  Pages after a stop are not
-        read.  Each run reached is charged like :meth:`Device.read_run` —
-        one random positioning, sequential for the rest — so disjoint
-        runs pay one seek each (Eq. 13), as in ``range_scan`` and
-        ``_rescan_leaf``.  A run in which no page matched counts its
-        pages as false reads.
+        The runs come CSR style from :func:`build_page_runs`: read ``r``
+        (key ``keys[r]``, op ``ops[r]``) has the sorted runs
+        ``offsets[r]:offsets[r + 1]`` of ``first`` and ``npages``.  Their
+        page ids are expanded with ``repeat``/``arange``, and one
+        :meth:`Relation.scan_keys` call scans every candidate page of
+        every read.  The stop rules then run per read over prefix sums
+        of page-level integers: a unique index stops at the first page
+        with a match, and on ordered data a page that starts past the
+        key ends the fetch (no later page can match).  Pages after a
+        stop are not read.  Each run reached is charged like
+        :meth:`Device.read_run` — one random positioning, sequential for
+        the rest — so disjoint runs pay one seek each (Eq. 13), as in
+        ``range_scan`` and ``_rescan_leaf``.  A run in which no page read
+        matched counts those pages as false reads.
 
         The batch is charged in aggregate (one :meth:`Device.read_batch`,
-        one CPU charge for the tuples examined).  Returns one result and
-        one simulated latency per key: the sum of that key's own charges,
-        its page reads priced by :meth:`Device.read_cost`.
+        one CPU charge for the tuples examined), and the data device's
+        head ends on the last page of the last read, in op order, that
+        read any.  Returns one result and one simulated latency per
+        read: the sum of that read's own charges, its page reads priced
+        by :meth:`Device.read_cost`.
         """
-        pids = [pid for runs in run_lists for first, npages in runs
-                for pid in range(first, first + npages)]
-        key_pages = [sum(npages for _, npages in runs) for runs in run_lists]
+        ends = npages.cumsum()
+        starts = ends - npages
+        # Page offset of each run's first page, then of the end.
+        run_at = [0, *ends.tolist()]
+        total = run_at[-1]
+        pids = (first - starts).repeat(npages) + np.arange(total)
+        key_pages = [run_at[b] - run_at[a]
+                     for a, b in zip(offsets, offsets[1:])]
         scan = self.relation.scan_keys(self.key_column,
-                                       np.repeat(np.asarray(keys), key_pages),
+                                       np.asarray(keys).repeat(key_pages),
                                        pids, stop_early=self.ordered)
-        stops = ((self.unique & (scan.matches > 0))
-                 | (self.ordered & scan.beyond)).tolist()
-        # Prefix sums over pairs: hits and tuples examined in [a, b) are
+        if self.unique:
+            stops = scan.matches > 0
+            if self.ordered:
+                stops |= scan.beyond
+            stop_at = stops.nonzero()[0].tolist()
+        else:
+            stop_at = scan.beyond.nonzero()[0].tolist() if self.ordered else []
+        stop_at.append(total)
+        # Prefix sums over pages: hits and tuples examined in [a, b) are
         # hit_start[b] - hit_start[a] and examined_at[b] - examined_at[a].
         hit_start = list(accumulate(scan.matches.tolist(), initial=0))
         examined_at = list(accumulate(scan.examined.tolist(), initial=0))
         hit_tids = scan.hit_tid.tolist()
+        # Prefix sum over runs of the pages of runs that match nothing:
+        # a read's fully read runs count their false pages from it.
+        false_at = [0]
+        if total:
+            idle = np.add.reduceat(scan.matches, starts) == 0
+            false_at = list(accumulate((npages * idle).tolist(), initial=0))
         device = self._data_device
         stats = self._stats()
         cpu_s = CPU_TUPLE_SCAN if self._clock() is not None else 0.0
         results: list[SearchResult] = []
         latencies: list[float] = []
         total_random = total_pages = total_examined = total_false = 0
-        last_page = None
-        end = 0
-        for runs, npages_key in zip(run_lists, key_pages):
-            first = end
-            end += npages_key
-            try:  # pages are read up to and including the first stop
-                read_end = stops.index(True, first, end) + 1
-            except ValueError:
-                read_end = end
-            n_random = false_pages = 0
-            run_first = first
-            for _, npages in runs:
-                if run_first >= read_end:
-                    break
-                n_random += 1
-                run_end = min(run_first + npages, read_end)
-                if hit_start[run_end] == hit_start[run_first]:
-                    false_pages += run_end - run_first
-                run_first += npages
-            n_pages = read_end - first
-            n_examined = examined_at[read_end] - examined_at[first]
-            tids = hit_tids[hit_start[first]:hit_start[read_end]]
+        last_op = last_end = -1
+        for a, b, op in zip(offsets, offsets[1:], ops):
+            page0, end = run_at[a], run_at[b]
+            # Pages are read up to and including the first stop.
+            stop = stop_at[bisect_left(stop_at, page0)]
+            read_end = stop + 1 if stop < end else end
+            # Runs a .. reached - 1 start before read_end.
+            reached = bisect_left(run_at, read_end, a, b)
+            n_random = reached - a
+            false_pages = 0
+            if n_random:
+                last = run_at[reached - 1]
+                false_pages = false_at[reached - 1] - false_at[a]
+                if hit_start[read_end] == hit_start[last]:
+                    false_pages += read_end - last
+                if op > last_op:
+                    last_op, last_end = op, read_end
+            n_pages = read_end - page0
+            n_examined = examined_at[read_end] - examined_at[page0]
+            tids = hit_tids[hit_start[page0]:hit_start[read_end]]
             results.append(SearchResult(
                 found=bool(tids), matches=len(tids), pages_read=n_pages,
                 false_pages=false_pages, tids=tids,
@@ -1252,15 +1284,15 @@ class BFTree(IndexBackend):
             io_s = (device.read_cost(n_random, n_pages - n_random)
                     if device is not None else 0.0)
             latencies.append(io_s + n_examined * cpu_s)
-            if n_pages:
-                last_page = pids[read_end - 1]
             total_random += n_random
             total_pages += n_pages
             total_examined += n_examined
             total_false += false_pages
         if device is not None:
-            device.read_batch(total_random, total_pages - total_random,
-                              last_page=last_page)
+            device.read_batch(
+                total_random, total_pages - total_random,
+                last_page=int(pids[last_end - 1]) if last_end > 0 else None,
+            )
         if stats is not None:
             stats.tuples_scanned += total_examined
             stats.false_reads += total_false
@@ -1386,10 +1418,15 @@ class BFTree(IndexBackend):
         pids_sub = np.asarray(pids[start:], dtype=np.int64)
         dup0 = np.zeros(m, dtype=bool)
         grp = np.full(m, -1, dtype=np.int64)
-        # Group keys by target leaf with one stable argsort.
-        order = np.argsort(which, kind="stable")
-        cuts = np.searchsorted(which[order], np.arange(len(touched) + 1))
-        for leaf, b0, b1 in zip(touched, cuts, cuts[1:]):
+        # Only inserts get flags and groups: a read's pid is -1, and an
+        # insert's negative pid precedes every leaf's range.  Group the
+        # insert rows by target leaf with one stable argsort.
+        ins = (pids_sub >= 0).nonzero()[0]
+        order = ins[which[ins].argsort(kind="stable")]
+        cuts = which[order].searchsorted(np.arange(len(touched) + 1))
+        for leaf, b0, b1 in zip(touched, cuts.tolist(), cuts[1:].tolist()):
+            if b0 == b1:
+                continue
             idxs = order[b0:b1]
             pid_arr = pids_sub[idxs]
             groups = (pid_arr - leaf.min_pid) // leaf.geometry.pages_per_bf

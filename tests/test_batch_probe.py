@@ -26,7 +26,9 @@ from repro.core import BFTree, BFTreeConfig, BloomFilter
 from repro.core.bf_leaf import BFLeaf, BFLeafGeometry
 from repro.core.bloom import page_test, row_test_positions
 from repro.core.hashing import bloom_positions_batch, keys_to_int_array
-from repro.storage import Relation, build_stack
+from repro.core.bf_tree import SearchResult
+from repro.storage import IOStats, Relation, build_stack
+from repro.storage.clock import CPU_TUPLE_SCAN
 from repro.workloads import point_probes
 
 sorted_keys = st.lists(
@@ -68,6 +70,30 @@ def _page_test_one(bf, probes):
     positions = bloom_positions_batch(keys_to_int_array(probes), bf.k,
                                       bf.nbits, bf.seed)
     return page_test(bf._words[None, :], positions)[:, 0].tolist()
+
+
+def _build_runs(leaf, key, groups):
+    """Reference run builder: merge one key's matched ``groups`` into
+    fetchable ``(first_pid, npages)`` runs, one group at a time.
+
+    ``key`` must not be tombstoned; it is only used for the spill-back
+    test on the leaf's minimum key.  Each group's pages are
+    ``BFLeaf.group_page_range``, clipped to the leaf's coverage.
+    """
+    runs = []
+    if (leaf.spill_back_pages and leaf.min_key is not None
+            and key == leaf.min_key):
+        runs.append((leaf.min_pid - leaf.spill_back_pages,
+                     leaf.spill_back_pages))
+    for group in groups:
+        first, npages = leaf.group_page_range(group)
+        if npages <= 0:
+            continue
+        if runs and runs[-1][0] + runs[-1][1] == first:
+            runs[-1] = (runs[-1][0], runs[-1][1] + npages)
+        else:
+            runs.append((first, npages))
+    return runs
 
 
 def _scalar_groups(leaf, key):
@@ -115,7 +141,7 @@ class TestBatchFilterLayers:
         assert leaf.remove_key(30, 30 % 4)
         probes = list(range(200))
         assert leaf.matching_page_runs_many(probes) == [
-            leaf._build_runs(p, _scalar_groups(leaf, p)) for p in probes
+            _build_runs(leaf, p, _scalar_groups(leaf, p)) for p in probes
         ]
 
     @given(keys=sorted_keys)
@@ -132,7 +158,7 @@ class TestBatchFilterLayers:
                 # one scalar bit test per filter.
                 groups = _scalar_groups(leaf, probe)
                 expected = ([] if probe in leaf.deleted_keys
-                            else leaf._build_runs(probe, groups))
+                            else _build_runs(leaf, probe, groups))
                 assert runs[j] == expected
                 assert runs[j] == leaf.matching_page_runs_many([probe])[0]
 
@@ -296,3 +322,248 @@ class TestFetchRunAccounting:
                 assert expected_pages == io.data_reads
         finally:
             tree.unbind()
+
+
+# ----------------------------------------------------------------------
+# Array run builder and fetch against the per-read reference
+# ----------------------------------------------------------------------
+def _covering_leaves(tree, key):
+    """The target leaf and neighbour leaves whose key range holds ``key``."""
+    try:
+        leaf_id, _ = tree.inner.descend(key)
+    except LookupError:
+        return []
+    leaf = tree.leaves[leaf_id]
+    leaves = [leaf, *(tree.leaves[i] for i in tree._neighbour_ids(key, leaf))]
+    return [c for c in leaves if c.covers_key(key)]
+
+
+def _reference_runs(tree, key):
+    """Sorted candidate runs of one read (``None``: no leaf covers it),
+    built leaf by leaf with ``_build_runs`` from scalar filter tests."""
+    per_leaf = [[] if key in c.deleted_keys
+                else _build_runs(c, key, _scalar_groups(c, key))
+                for c in _covering_leaves(tree, key)]
+    if not per_leaf:
+        return None
+    if len(per_leaf) == 1:
+        return per_leaf[0]
+    return sorted(run for runs in per_leaf for run in runs)
+
+
+def _reference_fetch(tree, key, runs):
+    """Fetch ``runs`` page by page, tuple by tuple, as Algorithm 1 reads
+    them.  Returns ``(result, n_random, n_pages, examined, last_pid)``."""
+    rel = tree.relation
+    col = rel.columns[tree.key_column]
+    tids, n_random, n_pages, false_pages, examined = [], 0, 0, 0, 0
+    last_pid = None
+    stopped = False
+    for first, npages in runs:
+        if stopped:
+            break
+        n_random += 1
+        run_hits = run_pages = 0
+        for pid in range(first, first + npages):
+            lo, hi = rel.page_bounds(pid)
+            page_hits = 0
+            for tid in range(lo, hi):
+                examined += 1
+                if col[tid] == key:
+                    tids.append(tid)
+                    page_hits += 1
+                elif tree.ordered and col[tid] > key:
+                    break
+            run_pages += 1
+            run_hits += page_hits
+            last_pid = pid
+            if ((tree.unique and page_hits)
+                    or (tree.ordered and col[lo] > key)):
+                stopped = True
+                break
+        n_pages += run_pages
+        if not run_hits:
+            false_pages += run_pages
+    result = SearchResult(found=bool(tids), matches=len(tids),
+                          pages_read=n_pages, false_pages=false_pages,
+                          tids=tids)
+    return result, n_random, n_pages, examined, last_pid
+
+
+def _capture_fetch(tree, calls):
+    """Record each ``_fetch_runs`` call's runs, results, latencies and
+    IOStats/clock delta on ``tree`` (an instance attribute shadows the
+    method)."""
+    method = tree._fetch_runs
+
+    def fetch(keys, offsets, first, npages, ops):
+        stats, clock = tree._stats(), tree._clock()
+        before, t0 = stats.snapshot(), clock.now()
+        results, latencies = method(keys, offsets, first, npages, ops)
+        first, npages = first.tolist(), npages.tolist()
+        runs = {op: list(zip(first[a:b], npages[a:b]))
+                for op, a, b in zip(ops, offsets, offsets[1:])}
+        calls.append((runs, dict(zip(ops, zip(results, latencies))),
+                      stats.diff(before), clock.now() - t0))
+        return results, latencies
+
+    tree._fetch_runs = fetch
+
+
+def _assert_runs_match_reference(values, ordered, unique, pages_per_bf,
+                                 page_size, fpp, dead, extra):
+    """Per read, the CSR runs one flush builds and the array fetch's
+    SearchResult, latency and IOStats delta equal the reference: runs
+    merged group by group, pages scanned tuple by tuple.  Returns the
+    tree."""
+    if unique:
+        values = list(dict.fromkeys(values))
+    if ordered:
+        values = sorted(values)
+    rel = _relation_from(values)
+    tree = BFTree.bulk_load(
+        rel, "k",
+        BFTreeConfig(fpp=fpp, pages_per_bf=pages_per_bf,
+                     page_size=page_size),
+        unique=unique, ordered=ordered,
+    )
+    for key in dead:
+        tree.delete(key)
+    # Leaf minimums take the spill-back pages on ordered trees.
+    probes = ([leaf.min_key for leaf in tree.leaves_in_order()]
+              + values[::7] + dead + extra)
+    stack = build_stack("MEM/SSD")
+    tree.bind(stack)
+    calls = []
+    _capture_fetch(tree, calls)
+    try:
+        got = tree.search_many(probes)
+        device = tree._data_device
+        head = device._last_page
+    finally:
+        tree.unbind()
+    expected_runs = [_reference_runs(tree, key) for key in probes]
+    fetched = [op for op, runs in enumerate(expected_runs)
+               if runs is not None]
+    if not fetched:
+        assert not calls
+        assert got == [SearchResult(found=False)] * len(probes)
+        return tree
+    [(runs, per_op, io, elapsed)] = calls
+    assert sorted(runs) == fetched
+    n_random = n_pages = examined = false_reads = 0
+    last_pid = None
+    for op, key in enumerate(probes):
+        if expected_runs[op] is None:
+            assert got[op] == SearchResult(found=False)
+            continue
+        assert runs[op] == expected_runs[op]
+        result, rnd, pages, exam, last = _reference_fetch(
+            tree, key, expected_runs[op])
+        assert got[op] == result
+        assert per_op[op][0] == result
+        assert per_op[op][1] == (
+            device.read_cost(rnd, pages - rnd) + exam * CPU_TUPLE_SCAN)
+        n_random += rnd
+        n_pages += pages
+        examined += exam
+        false_reads += result.false_pages
+        if last is not None:
+            last_pid = last
+    assert io == IOStats(data_random_reads=n_random,
+                         data_seq_reads=n_pages - n_random,
+                         false_reads=false_reads, tuples_scanned=examined)
+    assert math.isclose(
+        elapsed,
+        device.read_cost(n_random, n_pages - n_random)
+        + examined * CPU_TUPLE_SCAN,
+        rel_tol=1e-9, abs_tol=1e-15,
+    )
+    assert head == last_pid
+    return tree
+
+
+class TestArrayRunsEqualReference:
+    @given(
+        values=st.lists(st.integers(min_value=0, max_value=150),
+                        min_size=16, max_size=700),
+        ordered=st.booleans(),
+        unique=st.booleans(),
+        pages_per_bf=st.sampled_from([1, 3]),
+        page_size=st.sampled_from([128, 4096]),
+        fpp=st.sampled_from([0.3, 0.05]),
+        dead=st.lists(st.integers(min_value=0, max_value=150), max_size=8),
+        extra=st.lists(st.integers(min_value=-5, max_value=160),
+                       max_size=20),
+    )
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    def test_property(self, values, ordered, unique, pages_per_bf,
+                      page_size, fpp, dead, extra):
+        _assert_runs_match_reference(values, ordered, unique, pages_per_bf,
+                                     page_size, fpp, dead, extra)
+
+    @pytest.mark.parametrize("pages_per_bf", [1, 3])
+    @pytest.mark.parametrize("unique", [False, True])
+    @pytest.mark.parametrize("ordered", [True, False])
+    @pytest.mark.parametrize("page_size", [128, 4096])
+    def test_trees(self, page_size, ordered, unique, pages_per_bf):
+        """Index pages of 128 bytes make many leaves: spill-back pages on
+        ordered trees, reads tested on several leaves on partitioned
+        ones.  4096 makes one leaf, so a flush tests one leaf group.
+        Both end on a filter covering fewer than ``pages_per_bf``
+        pages when that is more than one."""
+        rng = np.random.default_rng(7)
+        if unique:
+            values = rng.permutation(1502).tolist()
+        else:
+            values = rng.integers(0, 150, 1502).tolist()
+        dead = values[5:400:37]
+        tree = _assert_runs_match_reference(
+            values, ordered, unique, pages_per_bf, page_size, 0.05, dead,
+            [-1, 10**6])
+        leaves = tree.leaves_in_order()
+        assert (len(leaves) > 1) == (page_size == 128)
+        assert any(leaf.deleted_keys for leaf in leaves)
+        if pages_per_bf > 1:
+            assert any(leaf.pages_covered
+                       < leaf.nfilters * leaf.geometry.pages_per_bf
+                       for leaf in leaves)
+        if page_size == 128 and ordered and not unique:
+            assert any(leaf.spill_back_pages for leaf in leaves)
+        if page_size == 128 and not ordered:
+            assert any(len(_covering_leaves(tree, key)) > 1
+                       for key in values[::7])
+
+
+class TestDataDeviceHead:
+    def test_head_ends_on_last_read_in_op_order(self, dup_relation):
+        """After a flush the data device's head is where the per-op loop
+        leaves it: the last page of the last read, in op order, that read
+        pages — not of the last leaf group the flush tested."""
+        tree = BFTree.bulk_load(dup_relation, "att1",
+                                BFTreeConfig(fpp=0.01, page_size=512))
+        leaves = tree.leaves_in_order()
+        assert len(leaves) >= 3
+        a, b, c = (leaf.min_key + 1 for leaf in leaves[:3])
+        # Leaf groups are tested in the order of their first read (a's
+        # leaf, then b's, then c's), so the last group's read is not the
+        # last read in op order; the trailing miss reads no page.
+        keys = [a, b, c, b, a, max(dup_relation.columns["att1"]) + 1]
+        heads = []
+        for batch in (False, True):
+            stack = build_stack("MEM/SSD")
+            tree.bind(stack)
+            try:
+                if batch:
+                    results = tree.search_many(keys)
+                else:
+                    results = [tree.search(key) for key in keys]
+                heads.append(stack.data_device._last_page)
+            finally:
+                tree.unbind()
+            assert all(r.pages_read for r in results[:-1])
+            assert not results[-1].pages_read
+        assert heads[0] == heads[1]
+        last_run = tree.leaves[tree.inner.descend(a)[0]]
+        assert last_run.covers_pid(heads[1])

@@ -436,19 +436,37 @@ class BFLeaf:
         group = self.group_of(pid)
         return group < self.nfilters and self._holds(group, positions)
 
-    def duplicate_flags(self, groups: np.ndarray,
+    @staticmethod
+    def duplicate_flags(leaves, which, groups: np.ndarray,
                         positions: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`duplicate_prehashed` for a key batch.
+        """Vectorized :meth:`duplicate_prehashed` over many leaves.
 
-        Key ``j`` has bit ``positions[j]`` and lands in existing filter
-        ``groups[j]`` (``< nfilters``).  One row gather answers
-        membership, plus a popcount of only the rows the batch touches
-        for the trust gate.
+        Key ``j`` has bit positions ``positions[j]`` and lands in existing
+        filter ``groups[j]`` (``< nfilters``) of ``leaves[which[j]]``.
+        The filters in use of every leaf a key lands in are stacked into
+        one page, so a single row gather answers membership and a single
+        popcount of the gathered rows answers the trust gate.  The leaves
+        must share their hash geometry, as :meth:`hash_rows` requires.
         """
-        geo = self.geometry
-        fill = page_popcount(self.page, groups) / geo.bits_per_bf
+        which = np.asarray(which)
+        used = dict.fromkeys(which.tolist())
+        if len(used) == 1:
+            page, rows = leaves[which[0]].page, groups
+        else:
+            offset = np.zeros(len(leaves), dtype=np.int64)
+            pages = []
+            at = 0
+            for t in used:
+                leaf = leaves[t]
+                offset[t] = at
+                at += leaf.nfilters
+                pages.append(leaf.page[:leaf.nfilters])
+            page = np.concatenate(pages)
+            rows = offset[which] + groups
+        geo = leaves[which[0]].geometry
+        fill = page_popcount(page, rows) / geo.bits_per_bf
         trust = fill ** geo.hash_count <= DUPLICATE_TRUST_MAX_FPP
-        return page_test_rows(self.page, groups, positions) & trust
+        return page_test_rows(page, rows, positions) & trust
 
     def add_prehashed(self, key, pid: int, positions,
                       duplicate: bool | None = None) -> bool:

@@ -159,12 +159,21 @@ class _Walk:
     track: bool
     clock: object
     stats: object
-    #: The current plan round's descent paths per leaf id, and filter
-    #: positions with one row per point op.
+    #: The current plan round (see :meth:`BFTree._plan_ops`): its first
+    #: point op, each point op's predicted leaf id, the descent paths
+    #: per leaf id, filter positions with one row per point op, and each
+    #: insert's duplicate flag and filter group.
+    base: int = 0
+    pred: list = field(default_factory=list)
     paths: dict = field(default_factory=dict)
     rows: object = None
-    #: The round's known duplicate re-inserts, queued per leaf id:
-    #: (op, plan row).
+    dup0: list | None = None
+    grp: list | None = None
+    #: (leaf id, group) pairs whose plan flags a non-duplicate add of
+    #: this round has made stale.
+    dirty: set = field(default_factory=set)
+    #: The round's known duplicate re-inserts that no read or scan can
+    #: see, queued per leaf id: (op, plan row).
     pending: dict[int, list[tuple[int, int]]] = field(default_factory=dict)
     #: Filter tests queued per leaf id: (op, plan row or None).
     probes: dict[int, list] = field(default_factory=dict)
@@ -172,8 +181,15 @@ class _Walk:
     #: key in test order; every tested read fetches after the walk.
     tests: list[LeafMatches] = field(default_factory=list)
     tested: list[int] = field(default_factory=list)
-    #: Scans of the current read run, dispatched before the next insert.
+    #: Scans of the current read run, dispatched before the next insert
+    #: a scan can see.
     scans: list[int] = field(default_factory=list)
+    #: The latest op, in op order, whose charges have moved the index
+    #: device's head, and where they left it; the latest op whose
+    #: charges during the walk moved the data device's head.
+    index_op: int = -1
+    index_page: int | None = None
+    data_op: int = -1
 
 
 # Canonical result types live in the protocol layer (repro.api.results);
@@ -578,10 +594,13 @@ class BFTree(IndexBackend):
         ``warm=True`` models the paper's warm-cache mode: all internal
         nodes are memory-resident, so only the leaf access (and data pages)
         cost device I/O.  The warm pool is unbounded and never admits a
-        page on a miss, so no read changes which pages are resident;
-        :meth:`apply_many` relies on this to charge a run of reads into
-        one leaf once and replay it.  Keep both properties (or charge
-        every read at its turn again) when changing the pool.
+        page on a miss, so no read changes which pages are resident, and
+        no leaf is ever resident, so a leaf write's invalidation evicts
+        nothing.  :meth:`apply_many` relies on both to charge a run of
+        reads into one leaf once and replay it, and to charge the
+        duplicate re-inserts inside that run in one later flush.  Keep
+        these properties (or charge every read and write at its turn
+        again) when changing the pool.
         """
         self.store.device = stack.index_device
         self._data_device = stack.data_device
@@ -817,26 +836,36 @@ class BFTree(IndexBackend):
         once and walked in order:
 
         * every point key is routed over the flattened directory and
-          hashed under its target leaf's seed in one call
-          (:meth:`_plan_ops`);
-        * writes and splits charge the index store at the op's turn,
-          as the per-op loop makes them: inserts run through Algorithm
-          3's write rounds (duplicate queues, dirty groups, split
-          flushes), and a split re-plans every op not yet applied.  The
-          reads between two inserts commute: no read changes which
-          index pages are resident (see :meth:`bind`), so every read
-          into one leaf that visits the same neighbour leaves pays the
-          same descent, leaf and neighbour reads (replayed from the
-          routing table's path).  :meth:`_read_run` charges each such
-          group once and replays it for the rest;
+          hashed under its target leaf's seed in one call, and every
+          insert is pre-tested against its leaf's filters in one page
+          gather (:meth:`_plan_ops`);
+        * an insert a read or scan can see — a new key, or a re-insert
+          of a tombstoned key, of a key outside its leaf's key range or
+          on a page past the leaf's coverage — charges the index store
+          at its turn, as the per-op loop makes it, and a split re-plans
+          every op not yet applied.  A known duplicate re-insert no read
+          or scan can see changes no bit, range, coverage or tombstone:
+          it queues on its leaf, and each queue is charged once and
+          replayed for the rest (:meth:`_apply_duplicate_chunk`) before
+          the next non-duplicate insert into that leaf, before a split
+          and at the end of the plan round (Algorithm 3's write rounds:
+          duplicate queues, dirty groups, split flushes);
+        * the reads and invisible duplicates between two visible inserts
+          form one read run.  No read changes which index pages are
+          resident, and a leaf write evicts no resident page (see
+          :meth:`bind`), so every read into one leaf that visits the
+          same neighbour leaves pays the same descent, leaf and
+          neighbour reads (replayed from the routing table's path).
+          :meth:`_read_run` charges each such group once and replays it
+          for the rest;
         * otherwise only charge-free work waits.  A read's filter test
           queues on its leaf and runs (one :meth:`BFLeaf.match_keys` page
-          gather per leaf group) before any insert into that leaf
-          applies, before a re-plan and at chunk end, so it sees exactly
-          the bits set before it; the test keeps the match matrix's
-          ``nonzero`` output and the leaf's page geometry of that moment.
-          A run of scans goes through :meth:`range_scan_many` before the
-          next insert;
+          gather per leaf group) before any visible insert into that
+          leaf applies, before a re-plan and at chunk end, so it sees
+          exactly the bits set before it; the test keeps the match
+          matrix's ``nonzero`` output and the leaf's page geometry of
+          that moment.  A run of scans goes through
+          :meth:`range_scan_many` before the next visible insert;
         * after the walk, one :func:`build_page_runs` pass turns every
           queued test into CSR page runs (per-read offsets into
           ``(first_pid, npages)`` arrays), and the data pages of every
@@ -844,7 +873,11 @@ class BFTree(IndexBackend):
           charges touch only the data device and state their access
           pattern, so moving them past the chunk's index writes changes
           no counter; a read's latency is its descent/probe clock time
-          plus the :meth:`Device.read_cost` of its own pages.
+          plus the :meth:`Device.read_cost` of its own pages;
+        * every charge states its access pattern, so only where each
+          device's head comes to rest depends on the charging order: the
+          walk records which op last moved it and leaves it where the
+          last op, in op order, would.
 
         Unknown op codes and inverted scan windows raise ``ValueError``
         before anything is applied.
@@ -922,11 +955,13 @@ class BFTree(IndexBackend):
                 runs = build_page_runs(walk.tests,
                                        [read_of[k] for k in walk.tested])
             fetched, fetch_latencies = self._fetch_runs(
-                [walk.keys[k] for k in ops], *runs, ops)
+                [walk.keys[k] for k in ops], *runs, ops, walk.data_op)
             results, latencies = walk.results, walk.latencies
             for k, result, latency in zip(ops, fetched, fetch_latencies):
                 results[k] = result
                 latencies[k] += latency
+        if walk.index_op >= 0:
+            self.store.device.head = walk.index_page
         if latency_sink is not None:
             latency_sink.extend(walk.latencies)
         if OP_INSERT in codes:
@@ -939,123 +974,138 @@ class BFTree(IndexBackend):
         (point op ``j``).  Returns the next unapplied op and point op:
         the end when the chunk is done, earlier when a split demands a
         re-plan.  The caller flushes the round's queues on any exit."""
+        walk.pred, walk.paths, walk.rows, walk.dup0, walk.grp = plan
+        walk.base = base = j
+        walk.dirty = dirty = set()
         pred, paths, rows, dup0, grp = plan
-        walk.paths, walk.rows = paths, rows
         pending = walk.pending
-        base = j
         n = len(walk.codes)
-        clock = walk.clock
-        track = walk.track
-        # Known duplicate re-inserts commute (no bits change, no splits,
-        # no filter growth), so within one plan round they can be queued
-        # per leaf and charge-aggregated in one flush.  Any other insert
-        # flushes its own leaf first (it may grow the leaf's filters or
-        # discard tombstones the queued duplicates interact with), a
-        # read or scan flushes every queue (it must see their effects),
-        # and an insert about to *split* flushes every queue: queued
-        # positions precede the split in scalar order, and their charges
-        # must land in the pre-split tree AND buffer-pool state (a split
-        # writes inner nodes, which evicts them from a warm pool —
-        # charges replayed after it would see misses the scalar loop
-        # never paid).  A non-duplicate add also distrusts the plan's
-        # duplicate flags for its filter group from then on (``dirty``):
-        # it set new bits, which can flip both the membership verdict
-        # and the trust gate for later keys, so those re-test live.
-        dirty: set[tuple[int, int]] = set()
-        codes = walk.codes
+        clock, track = walk.clock, walk.track
+        data = self._data_device
+        # A known duplicate re-insert sets no bit, never splits and never
+        # grows the filter list.  When its key is inside the leaf's key
+        # range, not tombstoned, and its page already covered, no read
+        # or scan can see it either: it joins its leaf's queue inside the
+        # read run (:meth:`_read_run`), and the queue is charge-
+        # aggregated in one flush.  Every other insert applies at its
+        # turn.  A non-duplicate insert flushes its own leaf's queue
+        # first (it may grow the leaf's filters), and an insert about to
+        # *split* flushes every queue: queued positions precede the
+        # split in scalar order, and their charges must land in the
+        # pre-split tree AND buffer-pool state (a split writes inner
+        # nodes, which evicts them from a warm pool — charges replayed
+        # after it would see misses the scalar loop never paid).  A
+        # non-duplicate add also distrusts the plan's duplicate flags
+        # for its filter group from then on (``dirty``): it set new
+        # bits, which can flip both the membership verdict and the trust
+        # gate for later keys, so those re-test live.
         while i < n:
-            code = codes[i]
-            if code != OP_INSERT:
-                if pending:
-                    for lid in list(pending):
-                        self._flush_duplicates(walk, lid)
-                i, j = self._read_run(walk, i, j, base, pred, paths)
-                continue
-            # Scans and reads before this insert must not see it.
+            i, j = self._read_run(walk, i, j)
+            if i == n:
+                break
+            # Op i is an insert a read or scan can see: the scans and
+            # reads before it must not.
             self._run_scans(walk)
             rel = j - base
             leaf_id = pred[rel]
             self._test_probes(walk, leaf_id)
-            pid = walk.pids[i]
-            known_dup = dup0[rel] and (leaf_id, grp[rel]) not in dirty
-            if known_dup:
-                pending.setdefault(leaf_id, []).append((i, rel))
-                i += 1
-                j += 1
-                continue
             leaf = self.leaves[leaf_id]
+            pid = walk.pids[i]
             positions = rows[rel].tolist()
-            # Pre-batch flags only say "duplicate"; a negative (or a
-            # dirtied flag) is re-tested live, since earlier keys in
-            # the batch may have set these bits.
             will_split = False
-            try:
-                duplicate = leaf.duplicate_prehashed(pid, positions)
-            except ValueError:
-                # pid precedes the leaf range: the add will raise
-                # after the descent charges, as the scalar does.
-                duplicate = None
-            if duplicate is False:
-                group = leaf.group_of(pid)
-                will_split = (
-                    group >= leaf.geometry.max_filters
-                    or leaf.nkeys + 1 > leaf.key_capacity
-                )
-            for lid in list(pending) if will_split else [leaf_id]:
-                self._flush_duplicates(walk, lid)
+            if dup0[rel] and (leaf_id, grp[rel]) not in dirty:
+                duplicate = True
+            else:
+                # Pre-batch flags only say "duplicate"; a negative (or
+                # a dirtied flag) is re-tested live, since earlier keys
+                # in the batch may have set these bits.
+                try:
+                    duplicate = leaf.duplicate_prehashed(pid, positions)
+                except ValueError:
+                    # pid precedes the leaf range: the add will raise
+                    # after the descent charges, as the scalar does.
+                    duplicate = None
+                if duplicate is False:
+                    group = leaf.group_of(pid)
+                    will_split = (
+                        group >= leaf.geometry.max_filters
+                        or leaf.nkeys + 1 > leaf.key_capacity
+                    )
+                for lid in list(pending) if will_split else [leaf_id]:
+                    self._flush_duplicates(walk, lid)
+            data_reads = data.stats.data_random_reads if data else 0
             start = clock.now() if track else 0.0
             self._charge_descent(leaf, paths[leaf_id])
             split = self._insert_into(
                 leaf, walk.keys[i], pid,
                 positions=positions, duplicate=duplicate,
             )
-            dirty.add((leaf_id, grp[rel]))
+            if not duplicate:
+                dirty.add((leaf_id, grp[rel]))
             if track:
                 walk.latencies[i] = clock.now() - start
+            self._note_index_head(walk, i)
+            if data and data.stats.data_random_reads != data_reads:
+                # The split re-scanned the leaf's data pages.
+                walk.data_op = i
             i += 1
             j += 1
             if split:
                 break
         return i, j
 
-    def _read_run(self, walk: "_Walk", i: int, j: int, base: int, pred,
-                  paths) -> tuple[int, int]:
+    def _read_run(self, walk: "_Walk", i: int, j: int) -> tuple[int, int]:
         """Take the reads and scans from op ``i`` (point op ``j``) up to
-        the next insert; return the next op and point op.
+        the next insert a read can observe; return the next op and
+        point op.
 
-        Nothing in a read run writes, and a read cannot change which
-        index pages are resident (see :meth:`bind`), so every read into
-        the same leaf that visits the same neighbours pays the same
-        descent and neighbour-leaf charges, wherever it sits in the run.
-        Pass 1 charges nothing: it finds each read's candidate leaves
-        and queues its filter test on every candidate that covers the
-        key (its plan row is hashed under its predicted leaf; neighbours
-        hash at test time); a tested read fetches after the walk.  Pass 2
-        charges each (leaf, neighbours) group once for real and replays
-        it for the group's other reads (:meth:`_charge_repeated`), then
-        charges the group's per-filter probe CPU in one sum; a read's
-        latency is the measured charge plus its own probe CPU.  Scans
-        queue for the run's one :meth:`range_scan_many` call."""
-        codes, keys, probes = walk.codes, walk.keys, walk.probes
-        results = walk.results
+        Nothing in a read run changes what a read or scan sees: the
+        known duplicates inside it (see :meth:`_apply_round`) join their
+        leaves' queues.  A read cannot change which index pages are
+        resident (see :meth:`bind`), so every read into the same leaf
+        that visits the same neighbours pays the same descent and
+        neighbour-leaf charges, wherever it sits in the run.  Pass 1
+        charges nothing: it finds each read's candidate leaves and
+        queues its filter test on every candidate that covers the key
+        (its plan row is hashed under its predicted leaf; neighbours
+        hash at test time); a tested read fetches after the walk.  Pass
+        2 charges each (leaf, neighbours) group once for real and
+        replays it for the group's other reads (:meth:`_charge_repeated`),
+        then charges the group's per-filter probe CPU in one sum; a
+        read's latency is the measured charge plus its own probe CPU.
+        Scans queue for one :meth:`range_scan_many` call."""
+        codes, keys, pids = walk.codes, walk.keys, walk.pids
+        results, probes, pending = walk.results, walk.probes, walk.pending
+        pred, dup0, grp, dirty = walk.pred, walk.dup0, walk.grp, walk.dirty
+        base = walk.base
         leaves = self.leaves
         neighbour_ids = self._neighbour_ids
         n = len(codes)
         # (leaf id, neighbour ids) -> [(op, filters probed)]
         groups: dict[tuple, list[tuple[int, int]]] = {}
         group = None
+        last_read = -1
         while i < n:
             code = codes[i]
-            if code == OP_INSERT:
-                break
             if code == OP_SCAN:
                 walk.scans.append(i)
                 i += 1
                 continue
             rel = j - base
             leaf_id = pred[rel]
+            leaf = leaves[leaf_id]
             key = keys[i]
-            nbrs = neighbour_ids(key, leaves[leaf_id])
+            if code == OP_INSERT:
+                if not (dup0[rel] and leaf.covers_key(key)
+                        and pids[i] < leaf.min_pid + leaf.pages_covered
+                        and key not in leaf.deleted_keys
+                        and (leaf_id, grp[rel]) not in dirty):
+                    break
+                pending.setdefault(leaf_id, []).append((i, rel))
+                i += 1
+                j += 1
+                continue
+            nbrs = neighbour_ids(key, leaf)
             nprobed = 0
             covered = False
             for cid in (leaf_id, *nbrs):
@@ -1070,14 +1120,17 @@ class BFTree(IndexBackend):
                 results[i] = SearchResult(found=False)
             group = (leaf_id, nbrs)
             groups.setdefault(group, []).append((i, nprobed))
+            last_read = i
             i += 1
             j += 1
-        if group is not None:
-            # The run's last read charges last, as in op order, so the
-            # index device ends on the same head position.
-            groups[group] = groups.pop(group)
+        if group is None:
+            return i, j
+        # The run's last read charges last, so the index device's head
+        # rests where that read left it.
+        groups[group] = groups.pop(group)
         clock, stats, track = walk.clock, walk.stats, walk.track
         latencies = walk.latencies
+        paths = walk.paths
         for (leaf_id, nbrs), ops in groups.items():
             dt = self._charge_repeated(len(ops), self._charge_read,
                                        leaves[leaf_id], paths[leaf_id], nbrs)
@@ -1089,7 +1142,21 @@ class BFTree(IndexBackend):
             if track:
                 for k, nf in ops:
                     latencies[k] = dt + nf * CPU_BLOOM_PROBE
+        self._note_index_head(walk, last_read)
         return i, j
+
+    def _note_index_head(self, walk: "_Walk", op: int) -> None:
+        """Record where the charges just made for op ``op`` left the
+        index device's head, if no later op's charges have landed yet.
+
+        The walk charges writes at their turn but reads, scans and
+        queued duplicates in aggregate, out of op order.  Every charge
+        states its access pattern, so only the head's final resting
+        place depends on that order; :meth:`_apply` puts it back where
+        the last op would leave it."""
+        device = self.store.device
+        if device is not None and op > walk.index_op:
+            walk.index_op, walk.index_page = op, device.head
 
     def _charge_read(self, leaf: BFLeaf, path: list[int],
                      neighbours: tuple[int, ...]) -> None:
@@ -1120,13 +1187,22 @@ class BFTree(IndexBackend):
         if not walk.scans:
             return
         sink: list[float] = []
+        touched: list[tuple[bool, bool]] = []
         got = self.range_scan_many(
             [(walk.keys[i], walk.args[i]) for i in walk.scans],
-            latency_sink=sink,
+            latency_sink=sink, touch_sink=touched,
         )
-        for i, result, latency in zip(walk.scans, got, sink):
+        last_index = -1
+        for i, result, latency, (index, data) in zip(walk.scans, got, sink,
+                                                     touched):
             walk.results[i] = result
             walk.latencies[i] = latency
+            if index:
+                last_index = i
+            if data:
+                walk.data_op = i
+        if last_index >= 0:
+            self._note_index_head(walk, last_index)
         walk.scans.clear()
 
     def _flush_duplicates(self, walk: "_Walk", leaf_id: int) -> None:
@@ -1140,6 +1216,7 @@ class BFTree(IndexBackend):
                 walk.rows, [rel for _, rel in queued],
                 js, walk.latencies if walk.track else None,
             )
+            self._note_index_head(walk, js[-1])
 
     def _neighbour_ids(self, key, leaf: BFLeaf) -> tuple[int, ...]:
         """Ids of the leaves next to ``leaf`` whose key range may also
@@ -1195,7 +1272,7 @@ class BFTree(IndexBackend):
         return leaf
 
     def _fetch_runs(self, keys, offsets: list[int], first: np.ndarray,
-                    npages: np.ndarray, ops: list[int]
+                    npages: np.ndarray, ops: list[int], head_op: int = -1
                     ) -> tuple[list[SearchResult], list[float]]:
         """Fetch each read's candidate page runs and scan them.
 
@@ -1217,9 +1294,10 @@ class BFTree(IndexBackend):
         The batch is charged in aggregate (one :meth:`Device.read_batch`,
         one CPU charge for the tuples examined), and the data device's
         head ends on the last page of the last read, in op order, that
-        read any.  Returns one result and one simulated latency per
-        read: the sum of that read's own charges, its page reads priced
-        by :meth:`Device.read_cost`.
+        read any — unless op ``head_op``, charged already and later in
+        op order, moved it last.  Returns one result and one simulated
+        latency per read: the sum of that read's own charges, its page
+        reads priced by :meth:`Device.read_cost`.
         """
         ends = npages.cumsum()
         starts = ends - npages
@@ -1257,7 +1335,7 @@ class BFTree(IndexBackend):
         results: list[SearchResult] = []
         latencies: list[float] = []
         total_random = total_pages = total_examined = total_false = 0
-        last_op = last_end = -1
+        last_op, last_end = head_op, -1
         for a, b, op in zip(offsets, offsets[1:], ops):
             page0, end = run_at[a], run_at[b]
             # Pages are read up to and including the first stop.
@@ -1365,11 +1443,12 @@ class BFTree(IndexBackend):
         ``nkeys``/tombstone bookkeeping, the same IOStats counters and
         the same simulated clock charges (equal up to float summation
         order).  Each plan round routes and hashes the remaining keys in
-        one pass and pre-tests them against their leaves' filter pages
-        (:meth:`BFLeaf.duplicate_flags`); re-inserts of already-present
-        keys — the steady state of a mixed workload — queue per leaf and
-        flush as one chunk that charges the first key normally, then
-        replays the identical charges arithmetically for the rest.
+        one pass and pre-tests them all against their leaves' filter
+        pages in one gather (:meth:`BFLeaf.duplicate_flags`); re-inserts
+        of already-present keys on covered pages — the steady state of a
+        mixed workload — queue per leaf and flush as one chunk that
+        charges the first key normally, then replays the identical
+        charges arithmetically for the rest.
 
         ``latency_sink``, if given, receives one simulated per-op latency
         per insert, exactly as the scalar loop would have bracketed them.
@@ -1392,12 +1471,13 @@ class BFTree(IndexBackend):
         per-key predicted leaf id, per-leaf descent paths, a matrix of
         filter positions with one row per key (None when no key is
         left), per-key pre-batch duplicate flags (membership *and* the
-        filter-trust gate, both monotone under adds), and per-key filter
-        group (-1 when the pid precedes the leaf range); the last two
-        are None when no insert is left.  No I/O is charged here: the
-        walk replays each key's descent charges itself.  Valid until the
-        next split; a flag for a group later written by a non-duplicate
-        add is invalidated by the walk's dirty-set.
+        filter-trust gate, both monotone under adds; one
+        :meth:`BFLeaf.duplicate_flags` gather for every insert), and
+        per-key filter group (-1 when the pid precedes the leaf range);
+        the last two are None when no insert is left.  No I/O is charged
+        here: the walk replays each key's descent charges itself.  Valid
+        until the next split; a flag for a group later written by a
+        non-duplicate add is invalidated by the walk's dirty-set.
         """
         fences, leaf_ids, paths = self.inner.routing_table()
         sub = keys[start:]
@@ -1415,27 +1495,24 @@ class BFTree(IndexBackend):
         rows = BFLeaf.hash_rows(arr, touched, which)
         if not inserting:
             return pred, paths, rows, None, None
+        # Only inserts get groups and flags: a read's pid is -1, and an
+        # insert's negative pid precedes every leaf's range.  All leaves
+        # of a tree share pages_per_bf.
         pids_sub = np.asarray(pids[start:], dtype=np.int64)
+        min_pid = np.fromiter((leaf.min_pid for leaf in touched),
+                              dtype=np.int64, count=len(touched))[which]
+        nfilters = np.fromiter((leaf.nfilters for leaf in touched),
+                               dtype=np.int64, count=len(touched))[which]
+        in_range = pids_sub >= min_pid
+        grp = np.where(
+            in_range,
+            (pids_sub - min_pid) // touched[0].geometry.pages_per_bf, -1,
+        )
         dup0 = np.zeros(m, dtype=bool)
-        grp = np.full(m, -1, dtype=np.int64)
-        # Only inserts get flags and groups: a read's pid is -1, and an
-        # insert's negative pid precedes every leaf's range.  Group the
-        # insert rows by target leaf with one stable argsort.
-        ins = (pids_sub >= 0).nonzero()[0]
-        order = ins[which[ins].argsort(kind="stable")]
-        cuts = which[order].searchsorted(np.arange(len(touched) + 1))
-        for leaf, b0, b1 in zip(touched, cuts.tolist(), cuts[1:].tolist()):
-            if b0 == b1:
-                continue
-            idxs = order[b0:b1]
-            pid_arr = pids_sub[idxs]
-            groups = (pid_arr - leaf.min_pid) // leaf.geometry.pages_per_bf
-            in_range = pid_arr >= leaf.min_pid
-            grp[idxs[in_range]] = groups[in_range]
-            valid = in_range & (groups < leaf.nfilters)
-            vrows = idxs[np.nonzero(valid)[0]]
-            if len(vrows):
-                dup0[vrows] = leaf.duplicate_flags(groups[valid], rows[vrows])
+        valid = (in_range & (grp < nfilters)).nonzero()[0]
+        if len(valid):
+            dup0[valid] = BFLeaf.duplicate_flags(
+                touched, which[valid], grp[valid], rows[valid])
         return pred, paths, rows, dup0.tolist(), grp.tolist()
 
     def _charge_descent(self, leaf: BFLeaf, path: list[int]) -> None:
@@ -1763,7 +1840,8 @@ class BFTree(IndexBackend):
         return self.range_scan_many([(lo, hi)], enumerate_boundaries)[0]
 
     def range_scan_many(self, windows, enumerate_boundaries: bool = False,
-                        latency_sink: list[float] | None = None
+                        latency_sink: list[float] | None = None,
+                        touch_sink: list[tuple[bool, bool]] | None = None
                         ) -> list[RangeScanResult]:
         """§7 range scans over a batch of ``(lo, hi)`` windows.
 
@@ -1792,7 +1870,11 @@ class BFTree(IndexBackend):
         declares its access pattern explicitly, so per-scan charges are
         independent of processing order; ``latency_sink`` receives one
         simulated per-scan latency per window (aligned with
-        ``windows``), exactly as a batch of one would measure it.
+        ``windows``), exactly as a batch of one would measure it, and
+        ``touch_sink`` one ``(index, data)`` pair per window: whether that
+        scan charged the index device and the data device (the scans
+        charge in window order, so each device's head rests where the
+        last scan that charged it left it).
         Invalid windows (``lo > hi``) are rejected up front, before any
         charges land.
         """
@@ -1810,7 +1892,10 @@ class BFTree(IndexBackend):
         except LookupError:
             if latency_sink is not None:
                 latency_sink.extend(latencies)
+            if touch_sink is not None:
+                touch_sink.extend([(False, False)] * n)
             return results
+        stats = self._stats() if touch_sink is not None else None
         slots = route_batch(fences, [lo for lo, _ in wins])
         device = self._data_device
         # Deferred match counting: (scan, first_pid, npages, lo, hi)
@@ -1828,6 +1913,10 @@ class BFTree(IndexBackend):
             lo, hi = wins[j]
             res = results[j]
             start_t = clock.now() if track else 0.0
+            # A scan's first index-device read (a path node the pool
+            # misses, or its first leaf) is random.
+            index_reads = (stats.index_random_reads if stats is not None
+                           else 0)
             leaf_id = leaf_ids[slots[j]]
             path = paths[leaf_id]
             for node_id in path:
@@ -1874,6 +1963,12 @@ class BFTree(IndexBackend):
                            if next_id is not None else None)
             if track:
                 latencies[j] = clock.now() - start_t
+            if touch_sink is not None:
+                touch_sink.append((
+                    stats is not None
+                    and stats.index_random_reads != index_reads,
+                    device is not None and res.pages_read > 0,
+                ))
         self._count_scan_jobs(results, jobs_scan, jobs_first, jobs_count,
                               jobs_lo, jobs_hi)
         if latency_sink is not None:

@@ -88,8 +88,8 @@ def bloom_positions_batch(keys, k: int, nbits: int, seed=0):
     with np.errstate(over="ignore"):
         if np.ndim(seed) == 0:
             seed = int(seed)
-            mix1 = np.uint64(seed & MASK64)
-            mix2 = np.uint64((_SEED2 + ((seed << 1) & MASK64)) & MASK64)
+            mix1 = _u64(seed & MASK64)
+            mix2 = _u64((_SEED2 + ((seed << 1) & MASK64)) & MASK64)
         else:
             mix1 = _seeds_to_uint64(seed)
             mix2 = (mix1 << _U1) + _U_SEED2
@@ -101,7 +101,7 @@ def bloom_positions_batch(keys, k: int, nbits: int, seed=0):
         h2 |= _U1
         tmp = tmp[0]
         positions = np.empty((k, n), dtype=np.uint64)
-        m = np.uint64(nbits)
+        m = _u64(nbits)
         for i in range(k):
             np.remainder(acc, m, out=positions[i])
             if i + 1 < k:
@@ -120,12 +120,19 @@ def _seeds_to_uint64(seeds):
                        count=len(seeds))
 
 
-_U1 = np.uint64(1)
-_U_SEED1 = np.uint64(_SEED1)
-_U_SEED2 = np.uint64(_SEED2)
-_U_MUL1 = np.uint64(0xBF58476D1CE4E5B9)
-_U_MUL2 = np.uint64(0x94D049BB133111EB)
-_U30, _U27, _U31 = np.uint64(30), np.uint64(27), np.uint64(31)
+def _u64(value: int) -> np.ndarray:
+    """``value`` as a 0-d uint64 array.  A ufunc takes a 0-d array
+    operand at about half the per-call cost of a NumPy scalar, and the
+    kernel is dominated by per-call cost; the arithmetic is the same."""
+    return np.array(value, dtype=np.uint64)
+
+
+_U1 = _u64(1)
+_U_SEED1 = _u64(_SEED1)
+_U_SEED2 = _u64(_SEED2)
+_U_MUL1 = _u64(0xBF58476D1CE4E5B9)
+_U_MUL2 = _u64(0x94D049BB133111EB)
+_U30, _U27, _U31 = _u64(30), _u64(27), _u64(31)
 
 
 def _splitmix64_inplace(v, tmp) -> None:

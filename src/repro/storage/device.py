@@ -154,6 +154,19 @@ class Device:
     def is_memory(self) -> bool:
         return self.profile.medium is Medium.MEMORY
 
+    @property
+    def head(self) -> int | None:
+        """The page the head rests on: the last page accessed, or None.
+
+        An access that states no pattern is sequential iff it is the
+        next page.  An engine that charges a batch of ops out of order
+        sets it to where the batch's last op, in op order, left it."""
+        return self._last_page
+
+    @head.setter
+    def head(self, page_id: int | None) -> None:
+        self._last_page = page_id
+
     def read_page(self, page_id: int, sequential: bool | None = None) -> None:
         """Charge the cost of reading one page.
 

@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 
 from repro.api import OP_INSERT, OP_READ, OP_SCAN, as_scalar
 from repro.core import BFTree, BFTreeConfig
+from repro.core.bf_leaf import BFLeaf
 from repro.storage import Relation, build_stack
 from repro.workloads import tpch
 
@@ -155,6 +156,12 @@ def _per_op(tree, ops, stack):
     return results, latencies
 
 
+def _device_heads(stack):
+    """Where each device's head rests: the page a later access with
+    no stated pattern would be sequential after."""
+    return stack.index_device._last_page, stack.data_device._last_page
+
+
 def _check_against_per_op(world, ops):
     ref_tree, tree = world.build(), world.build()
     ref_stack, stack = build_stack("MEM/SSD"), build_stack("MEM/SSD")
@@ -169,6 +176,7 @@ def _check_against_per_op(world, ops):
                         rel_tol=1e-9)
     np.testing.assert_allclose(sink, want_lat, rtol=1e-9)
     assert _tree_fingerprint(tree) == _tree_fingerprint(ref_tree)
+    assert _device_heads(stack) == _device_heads(ref_stack)
     return ref_tree
 
 
@@ -248,6 +256,118 @@ def test_read_run_charges_each_group_once(world, monkeypatch):
     monkeypatch.undo()
     assert sorted(descents) == sorted(leaf_id for leaf_id, _ in groups)
     _check_against_per_op(w, [(OP_READ, key, None) for key in keys])
+
+
+def _invisible(leaf, key, pid):
+    """Would re-inserting ``key`` on ``pid`` into ``leaf`` be a known
+    duplicate that no read or scan can see?"""
+    return (leaf.duplicate_prehashed(pid, leaf.key_positions(key))
+            and leaf.covers_key(key) and leaf.covers_pid(pid)
+            and key not in leaf.deleted_keys)
+
+
+@pytest.mark.parametrize("world", ["warm_pool", "counting"])
+def test_invisible_duplicates_stay_inside_the_read_run(world, monkeypatch):
+    """Re-inserts no read can see do not end a read run: reads over two
+    leaves interleaved with them still test each leaf's filters in one
+    gather and charge each (leaf, neighbours) group once, and each
+    leaf's queued duplicates charge once more, in one flush."""
+    w = WORLDS[world]
+    tree = w.build()
+    tree.bind(build_stack("MEM/SSD"), warm=w.warm)
+    keys = _two_leaf_reads(w, tree)
+    live = [key for key in keys if key not in w.tombstones]
+    ops = []
+    for x, key in enumerate(keys):
+        ops.append((OP_READ, key, None))
+        if x % 3 == 1:
+            dup = live[(5 * x) % len(live)]
+            ops.append((OP_INSERT, dup, w.relation.page_of(int(dup))))
+    leaf_of = {}
+    for code, key, arg in ops:
+        leaf_id, _ = tree.inner.descend(key, charge_io=False)
+        leaf_of[key] = leaf_id
+        if code == OP_INSERT:
+            assert _invisible(tree.leaves[leaf_id], key, arg)
+    queues = {leaf_of[key] for code, key, _ in ops if code == OP_INSERT}
+    assert len(queues) == 2
+    descents, tests = [], []
+    real_descent, real_match = BFTree._charge_descent, BFLeaf.match_keys
+
+    def counted_descent(self, leaf, path):
+        descents.append(leaf.node_id)
+        real_descent(self, leaf, path)
+
+    def counted_match(self, keys, positions=None):
+        tests.append(self.node_id)
+        return real_match(self, keys, positions)
+
+    monkeypatch.setattr(BFTree, "_charge_descent", counted_descent)
+    monkeypatch.setattr(BFLeaf, "match_keys", counted_match)
+    tree.apply_many(ops)
+    monkeypatch.undo()
+    # Ordered data: one group per leaf, so each leaf charges one read
+    # group and one duplicate queue.
+    assert sorted(descents) == sorted(2 * list(queues))
+    assert sorted(tests) == sorted(queues)
+    _check_against_per_op(w, ops)
+
+
+PPB3 = {
+    kind: World(f"ppb3_{kind}", _pk_relation(), "k",
+                BFTreeConfig(fpp=1e-3, page_size=1024, pages_per_bf=3,
+                             filter_kind=kind), unique=False)
+    for kind in ("plain", "counting")
+}
+
+
+def _visible_duplicate(w, tree, kind):
+    """A re-insert its leaf's filter already holds, which a read of the
+    key can see: of a tombstoned key, on a page of the key's filter
+    group past the leaf's page coverage, or of an absent key outside
+    the leaf's key range that the filter reports present."""
+    chain = tree.leaves_in_order()
+    leaf = chain[0]
+    g = leaf.geometry.pages_per_bf
+    if kind == "tombstone":
+        key = next(k for k in w.tombstones if leaf.covers_key(k))
+        return key, w.relation.page_of(int(key))
+    if kind == "past_coverage":
+        group = leaf.nfilters - 1
+        first = leaf.min_pid + group * g
+        end = leaf.min_pid + leaf.pages_covered
+        assert end < first + g          # the last group has room
+        key = first * w.relation.tuples_per_page
+        assert leaf.covers_key(key) and key not in leaf.deleted_keys
+        return key, end
+    # Keys past the last leaf's range route to it.
+    leaf = chain[-1]
+    absent = np.arange(10**6, 10**6 + 50_000)
+    rows, groups = leaf._match_matrix(leaf.hash_batch(absent)).nonzero()
+    assert not leaf.covers_key(int(absent[rows[0]]))
+    return int(absent[rows[0]]), leaf.min_pid + g * int(groups[0])
+
+
+@pytest.mark.parametrize("filter_kind", sorted(PPB3))
+@pytest.mark.parametrize("kind", ["tombstone", "past_coverage",
+                                  "out_of_range"])
+def test_visible_duplicate_applies_at_its_turn(kind, filter_kind):
+    """A known duplicate a read can see is applied at its turn, as any
+    other insert: the read after it sees it and the read before does
+    not, exactly as in the per-op loop."""
+    w = PPB3[filter_kind]
+    tree = w.build()
+    key, pid = _visible_duplicate(w, tree, kind)
+    leaf_id, _ = tree.inner.descend(key, charge_io=False)
+    leaf = tree.leaves[leaf_id]
+    assert leaf.duplicate_prehashed(pid, leaf.key_positions(key))
+    assert not _invisible(leaf, key, pid)
+    ops = [(OP_READ, key, None), (OP_INSERT, key, pid),
+           (OP_READ, key, None)]
+    tree.bind(build_stack("MEM/SSD"))
+    before, _, after = tree.apply_many(ops)
+    assert before != after
+    _check_against_per_op(w, ops)
 
 
 def test_read_sees_exactly_the_inserts_before_it():

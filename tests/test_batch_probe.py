@@ -396,10 +396,11 @@ def _capture_fetch(tree, calls):
     method)."""
     method = tree._fetch_runs
 
-    def fetch(keys, offsets, first, npages, ops):
+    def fetch(keys, offsets, first, npages, ops, *rest):
         stats, clock = tree._stats(), tree._clock()
         before, t0 = stats.snapshot(), clock.now()
-        results, latencies = method(keys, offsets, first, npages, ops)
+        results, latencies = method(keys, offsets, first, npages, ops,
+                                    *rest)
         first, npages = first.tolist(), npages.tolist()
         runs = {op: list(zip(first[a:b], npages[a:b]))
                 for op, a, b in zip(ops, offsets, offsets[1:])}

@@ -167,11 +167,16 @@ class TestMeasuredFpp:
         leaf.add(7, 0)
         positions = leaf.hash_batch([7])
         groups = np.zeros(1, dtype=np.int64)
-        assert leaf.duplicate_flags(groups, positions).tolist() == [True]
+
+        def flags():
+            return BFLeaf.duplicate_flags([leaf], [0], groups,
+                                          positions).tolist()
+
+        assert flags() == [True]
         fill = page_popcount(leaf.page, groups)[0] / geo.bits_per_bf
         assert fill ** geo.hash_count <= DUPLICATE_TRUST_MAX_FPP
         leaf.page[0] = ~np.uint64(0)          # saturate filter 0
-        assert leaf.duplicate_flags(groups, positions).tolist() == [False]
+        assert flags() == [False]
         assert not leaf.duplicate_prehashed(0, positions[0].tolist())
 
     def test_fill_fraction_bounds(self):

@@ -9,6 +9,8 @@ or moves filters, each invariant failing on a leaf corrupted in exactly
 that way, plus the page-level kernels against one-filter oracles.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -169,8 +171,6 @@ class TestInvariantFires:
             check_tree(tree)
 
     def test_leaves_with_differing_hash_geometry(self):
-        from dataclasses import replace
-
         _, tree = _pk_tree()
         leaf = tree.leaves_in_order()[1]
         leaf.geometry = replace(leaf.geometry,
@@ -297,17 +297,37 @@ class TestPageKernels:
             assert np.array_equal(row, leaves[t].hash_batch([key])[0])
 
     def test_duplicate_flags_equal_scalar_verdicts(self):
-        leaf = _leaf()
+        """One call over keys bound for several leaves — one of them
+        oversized, on a page with room for more filters than the
+        geometry's budget, and one saturated past the trust gate —
+        answers each key as its own leaf's scalar test does."""
+        leaves = [_leaf(), _leaf(max_filters=2), _leaf()]
+        for t, leaf in enumerate(leaves):
+            leaf.filter_seed = 100 + t
+        # Grow one leaf past its budget, as a spanning key does
+        # (BFTree._leaf_add_unchecked).
+        leaves[1].geometry = replace(leaves[1].geometry, max_filters=12)
         for key in range(60):
-            leaf.add(key, key % 4)
-        keys = list(range(40, 100))
-        groups = np.array([k % 4 for k in keys])
-        positions = leaf.hash_batch(keys)
-        flags = leaf.duplicate_flags(groups, positions)
-        assert flags.tolist() == [
-            leaf.duplicate_prehashed(k % 4, positions[j].tolist())
-            for j, k in enumerate(keys)
+            leaves[0].add(key, key % 4)
+            leaves[1].add(key, key % 12)
+            leaves[2].add(key, key % 3)
+        assert len(leaves[1].page) > len(leaves[0].page)
+        leaves[2].page[1] = ~np.uint64(0)   # distrust filter 1
+        keys = list(range(40, 100)) * 3
+        which = np.repeat(np.arange(3), 60)
+        groups = np.array([k % (4, 12, 3)[t] for k, t in zip(keys, which)])
+        positions = BFLeaf.hash_rows(keys, leaves, which)
+        flags = BFLeaf.duplicate_flags(leaves, which, groups, positions)
+        want = [
+            leaves[t].duplicate_prehashed(int(g), positions[j].tolist())
+            for j, (t, g) in enumerate(zip(which, groups))
         ]
+        assert flags.tolist() == want
+        assert True in want and False in want
+        # A batch landing in one leaf reads that leaf's page alone.
+        one = BFLeaf.duplicate_flags(leaves, which[60:120], groups[60:120],
+                                     positions[60:120])
+        assert one.tolist() == want[60:120]
 
 
 # ======================================================================

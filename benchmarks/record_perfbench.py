@@ -3,12 +3,15 @@
 
 Runs the repo benchmark (``perfbench/run.py``, declared in
 ``BENCHMARK.json``) on every workload ``RUNS`` times untraced, at seed
-``SEED`` for ``BENCHMARK.json``'s ``run_seconds``, then ``read_heavy`` once
-traced (``--trace 1``).  It appends an entry keyed by commit, core count
-and python/numpy versions: per workload and end-to-end metric, the
+``SEED`` for ``BENCHMARK.json``'s ``run_seconds``, then every workload
+once traced (``--trace 1``).  It appends an entry keyed by commit, core
+count and python/numpy versions: per workload and end-to-end metric, the
 median, the quartiles and every run's value in run order; whether every
-run answered correctly; the operations that failed; and the traced
-per-layer metrics.
+run answered correctly; the operations that failed; and, under
+``traced``, each workload's per-layer metrics keyed by workload name, so
+a claimed workload's layer numbers sit beside its pairs.  (Entries
+recorded before every workload was traced hold one traced ``read_heavy``
+run, named in ``traced["workload"]``.)
 
 Given several ``--root`` checkouts (e.g. a parent commit and a change),
 the runs form pairs — run *i* of every root back to back, the first root
@@ -41,7 +44,6 @@ import numpy as np
 
 REPO = Path(__file__).resolve().parents[1]
 OUT = REPO / "BENCH_perfbench.json"
-TRACED_WORKLOAD = "read_heavy"
 RUNS = 10
 SEED = 1
 
@@ -95,7 +97,8 @@ def record(roots: list[Path], commits: list[str | None]) -> list[dict]:
             for i in order[first:] + order[:first]:
                 raw[i][workload].append(_run(roots[i], workload, seconds,
                                              trace=0))
-    traced = [_run(root, TRACED_WORKLOAD, seconds, trace=1)
+    traced = [{workload: _run(root, workload, seconds, trace=1)
+               for workload in workloads}
               for root in roots]
     return [{
         "commit": commit or _commit(root),
@@ -106,13 +109,15 @@ def record(roots: list[Path], commits: list[str | None]) -> list[dict]:
         "workloads": {workload: _summary(results)
                       for workload, results in per_workload.items()},
         "traced": {
-            "workload": TRACED_WORKLOAD,
-            "correct": trace["correct"],
-            "metrics": {name: round(m["value"], 4)
-                        for name, m in trace["metrics"].items()},
+            workload: {
+                "correct": trace["correct"],
+                "metrics": {name: round(m["value"], 4)
+                            for name, m in trace["metrics"].items()},
+            }
+            for workload, trace in per_root.items()
         },
-    } for root, commit, per_workload, trace in zip(roots, commits, raw,
-                                                    traced)]
+    } for root, commit, per_workload, per_root in zip(roots, commits, raw,
+                                                       traced)]
 
 
 def main(argv=None) -> int:

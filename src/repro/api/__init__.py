@@ -38,6 +38,7 @@ from repro.api.results import (
     RangeScanResult,
     SearchResult,
     as_scalar,
+    as_scalars,
     normalize_scan_windows,
 )
 
@@ -61,5 +62,6 @@ __all__ = [
     "RangeScanResult",
     "SearchResult",
     "as_scalar",
+    "as_scalars",
     "normalize_scan_windows",
 ]

@@ -36,6 +36,21 @@ def as_scalar(value: Any) -> Any:
     return value
 
 
+def as_scalars(values: Iterable[Any]) -> list[Any]:
+    """:func:`as_scalar` over a batch, as a new list.
+
+    The common batch holds no NumPy value at all (keys that came through
+    ``ndarray.tolist()`` or from Python code); one ``set(map(type, ...))``
+    pass proves that at C speed, and only a batch holding a NumPy scalar
+    or array pays the per-value call.
+    """
+    batch = list(values)
+    if any(issubclass(t, (np.generic, np.ndarray))
+           for t in set(map(type, batch))):
+        return [as_scalar(v) for v in batch]
+    return batch
+
+
 @dataclass
 class SearchResult:
     """Outcome of one point probe."""

@@ -69,6 +69,7 @@ from repro.api.results import (
     RangeScanResult,
     SearchResult,
     as_scalar,
+    as_scalars,
     normalize_scan_windows,
 )
 from repro.core.bf_leaf import (
@@ -818,7 +819,7 @@ class BFTree(IndexBackend):
         the latency of that key probed alone.  The service layer's
         tail-latency percentiles are computed from this.
         """
-        keys = [as_scalar(k) for k in keys]
+        keys = as_scalars(keys)
         n = len(keys)
         return self._apply([OP_READ] * n, keys, [None] * n, latency_sink)
 
@@ -880,12 +881,20 @@ class BFTree(IndexBackend):
           last op, in op order, would.
 
         Unknown op codes and inverted scan windows raise ``ValueError``
-        before anything is applied.
+        before anything is applied.  The triples are unpacked into
+        columns once, and NumPy scalar or 0-d array keys (a scan's ``lo``
+        included) are normalised to native Python values in one
+        :func:`as_scalars` pass (a C-level type check when there are
+        none), so every key a leaf stores (``min_key``, ``max_key``,
+        ``deleted_keys``) is native; :meth:`range_scan_many` normalises
+        a scan's ``hi``.
         """
         check_op_codes(ops)
-        return self._apply([op[0] for op in ops],
-                           [as_scalar(op[1]) for op in ops],
-                           [op[2] for op in ops], latency_sink)
+        if not ops:
+            return self._apply([], [], [], latency_sink)
+        codes, keys, args = zip(*ops)
+        return self._apply(list(codes), as_scalars(keys), list(args),
+                           latency_sink)
 
     def _apply(self, codes: list[int], keys: list, args: list,
                latency_sink: list[float] | None) -> list:
@@ -1079,6 +1088,7 @@ class BFTree(IndexBackend):
         pred, dup0, grp, dirty = walk.pred, walk.dup0, walk.grp, walk.dirty
         base = walk.base
         leaves = self.leaves
+        ordered = self.ordered
         neighbour_ids = self._neighbour_ids
         n = len(codes)
         # (leaf id, neighbour ids) -> [(op, filters probed)]
@@ -1105,16 +1115,21 @@ class BFTree(IndexBackend):
                 i += 1
                 j += 1
                 continue
-            nbrs = neighbour_ids(key, leaf)
-            nprobed = 0
-            covered = False
-            for cid in (leaf_id, *nbrs):
+            # The target leaf's cover test, inlined; only a partitioned
+            # tree has neighbour leaves to test after it.
+            min_key = leaf.min_key
+            covered = min_key is not None and min_key <= key <= leaf.max_key
+            if covered:
+                nprobed = leaf.nfilters
+                probes.setdefault(leaf_id, []).append((i, rel))
+            else:
+                nprobed = 0
+            nbrs = () if ordered else neighbour_ids(key, leaf)
+            for cid in nbrs:
                 c = leaves[cid]
                 if c.covers_key(key):
                     nprobed += c.nfilters
-                    probes.setdefault(cid, []).append(
-                        (i, rel if cid == leaf_id else None)
-                    )
+                    probes.setdefault(cid, []).append((i, None))
                     covered = True
             if not covered:
                 results[i] = SearchResult(found=False)
@@ -1289,7 +1304,9 @@ class BFTree(IndexBackend):
         :meth:`Device.read_run` — one random positioning, sequential for
         the rest — so disjoint runs pay one seek each (Eq. 13), as in
         ``range_scan`` and ``_rescan_leaf``.  A run in which no page read
-        matched counts those pages as false reads.
+        matched counts those pages as false reads.  A read with no run
+        (every filter rejected its key) reads nothing and costs exactly
+        0.0; it skips the stop-rule arithmetic.
 
         The batch is charged in aggregate (one :meth:`Device.read_batch`,
         one CPU charge for the tuples examined), and the data device's
@@ -1337,6 +1354,12 @@ class BFTree(IndexBackend):
         total_random = total_pages = total_examined = total_false = 0
         last_op, last_end = head_op, -1
         for a, b, op in zip(offsets, offsets[1:], ops):
+            if a == b:
+                # No candidate page: nothing is read or charged, and
+                # read_cost(0, 0) + 0 tuples' CPU is exactly 0.0.
+                results.append(SearchResult(found=False))
+                latencies.append(0.0)
+                continue
             page0, end = run_at[a], run_at[b]
             # Pages are read up to and including the first stop.
             stop = stop_at[bisect_left(stop_at, page0)]
@@ -1453,7 +1476,7 @@ class BFTree(IndexBackend):
         ``latency_sink``, if given, receives one simulated per-op latency
         per insert, exactly as the scalar loop would have bracketed them.
         """
-        keys = [as_scalar(k) for k in keys]
+        keys = as_scalars(keys)
         pids = list(pids)
         if len(keys) != len(pids):
             raise ValueError("keys and pids must have the same length")
@@ -1664,7 +1687,7 @@ class BFTree(IndexBackend):
         so one routing pass covers the whole batch.  ``latency_sink`` receives per-op
         simulated latencies, as the scalar loop would bracket them.
         """
-        keys = [as_scalar(k) for k in keys]
+        keys = as_scalars(keys)
         n = len(keys)
         if pids is None:
             pids = [None] * n

@@ -4,8 +4,9 @@ The production-facing subsystem: a :class:`ShardedIndex` range-partitions
 one indexed column across N independent shards (each with its own
 device/clock/buffer-pool stack) under an epoch-versioned
 :class:`RoutingTable`, a :class:`Router` splits mixed read/insert/scan
-batches per shard and replays them through the :class:`SerialExecutor`
-(one ordered ``apply_many`` call per shard chunk), and
+batches into per-shard column batches (:class:`ShardBatch`) and replays
+them through the :class:`SerialExecutor` (one ordered ``apply_many``
+call per shard chunk), and
 :class:`ServiceStats` merges per-shard IOStats and folds per-op
 simulated latencies into p50/p95/p99 summaries.
 
@@ -21,7 +22,7 @@ range-partitioned, the rest run as a single-shard degenerate case —
 with no backend-specific branches in the service code.
 """
 
-from repro.service.executor import SerialExecutor, SubOp
+from repro.service.executor import SerialExecutor, ShardBatch
 from repro.service.rebalance import (
     ElasticReport,
     RebalanceDecision,
@@ -55,8 +56,8 @@ __all__ = [
     "SerialExecutor",
     "ServiceStats",
     "Shard",
+    "ShardBatch",
     "ShardedIndex",
-    "SubOp",
     "WindowedLoad",
     "queued_response_times",
     "run_elastic_service",

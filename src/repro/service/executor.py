@@ -1,46 +1,48 @@
 """Shard execution: replay each planned shard batch on the calling thread.
 
-The Router plans a trace into per-shard sub-op lists; this module runs
-them.  :class:`SerialExecutor` receives ``(stable shard id, sub-ops)``
-plans and returns per-op outcome records, replaying the shards one
-after another, each as one ordered ``apply_many`` call per
-:data:`REPLAY_CHUNK` slice.
+The Router plans a trace into one :class:`ShardBatch` per shard: parallel
+columns of trace op indices, op codes, keys and third fields, in trace
+order.  :class:`SerialExecutor` receives ``(stable shard id, batch)``
+plans and replays the shards one after another, each as one ordered
+``apply_many`` call per :data:`REPLAY_CHUNK` slice of its columns.  It
+returns one ``(results, latencies)`` pair of lists per shard, aligned
+with the batch's columns; no per-op record is built on either side.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any
+from typing import Any, NamedTuple
 
 from repro.analysis import sanitize
-from repro.api.protocol import OP_INSERT, OP_SCAN, Index, Op
+from repro.api.protocol import OP_INSERT, Index
 from repro.service.sharded import ShardedIndex
 
 
-@dataclass(frozen=True)
-class SubOp:
-    """One shard-local unit of work derived from a trace operation."""
+class ShardBatch(NamedTuple):
+    """One shard's share of a trace, as parallel columns in trace order.
 
-    op_index: int
-    code: int
-    key: Any
-    tid: int = -1
-    sub_lo: Any = None
-    sub_hi: Any = None
+    A point op is ``(code, key, tid)`` with ``tid`` None for reads; a
+    scan leg carries its shard's sub-window as ``(OP_SCAN, sub_lo,
+    sub_hi)``.
+    """
+
+    #: Trace op index of each entry (an op appears at most once).
+    ops: list[int]
+    codes: list[int]
+    #: Point key, or a scan leg's ``sub_lo``.
+    keys: list[Any]
+    #: An insert's tuple id, None for a read, a scan leg's ``sub_hi``.
+    args: list[Any]
 
 
-#: One per-op outcome record: (op_index, code, simulated latency, result).
-OutRecord = tuple[int, int, float, Any]
-#: One planned shard batch: (stable shard id, sub-ops in trace order).
-ShardPlan = tuple[int, "list[SubOp]"]
-#: Sub-ops per ``apply_many`` call.
+#: Ops per ``apply_many`` call.
 REPLAY_CHUNK = 512
 
 
 class SerialExecutor:
     """Replay shards one after another on the calling thread.
 
-    Each shard's sub-op list becomes one ordered ``apply_many`` call per
+    Each shard's batch becomes one ordered ``apply_many`` call per
     :data:`REPLAY_CHUNK` slice: reads, scans and inserts keep their
     per-shard trace order inside the engine (an op issued after an
     insert observes it, and vice versa), so nothing is buffered between
@@ -50,18 +52,24 @@ class SerialExecutor:
     def __init__(self, service: ShardedIndex) -> None:
         self.service = service
 
-    def run(self, plans: list[ShardPlan]) -> list[list[OutRecord]]:
-        """Execute every plan; return outcome lists aligned with ``plans``."""
-        return [self.replay_shard(sid, subops) for sid, subops in plans]
+    def run(self, plans: list[tuple[int, ShardBatch]]
+            ) -> list[tuple[list[Any], list[float]]]:
+        """Execute every plan; return ``(results, latencies)`` per plan,
+        aligned with ``plans``."""
+        return [self.replay_shard(sid, batch) for sid, batch in plans]
 
-    def replay_shard(self, sid: int, subops: list[SubOp]) -> list[OutRecord]:
-        """Run one shard's sub-ops in order; return (op_index, code,
-        latency, result) records.  An unknown op code raises
-        ``ValueError``."""
+    def replay_shard(self, sid: int, batch: ShardBatch
+                     ) -> tuple[list[Any], list[float]]:
+        """Run one shard's batch in order; return its per-op results and
+        simulated latencies.  An unknown op code raises ``ValueError``."""
         service = self.service
-        out: list[OutRecord] = []
-        for start in range(0, len(subops), REPLAY_CHUNK):
-            chunk = subops[start : start + REPLAY_CHUNK]
+        codes, keys, args = batch.codes, batch.keys, batch.args
+        results: list[Any] = []
+        latencies: list[float] = []
+        for start in range(0, len(codes), REPLAY_CHUNK):
+            stop = start + REPLAY_CHUNK
+            chunk_codes = codes[start:stop]
+            chunk_args = args[start:stop]
             shard = service.shard_by_id(sid)
             # A shard retired mid-replay has no owner any more: the
             # service-level call re-routes each op by key (and re-plans
@@ -71,22 +79,18 @@ class SerialExecutor:
             target: ShardedIndex | Index = (
                 service if shard is None else shard.index
             )
-            ops: list[Op] = []
-            inserts = False
-            for op in chunk:
-                if op.code == OP_INSERT:
-                    inserts = True
-                    tid = (op.tid if shard is None
-                           else shard.index.write_target(op.tid))
-                    ops.append((op.code, op.key, tid))
-                elif op.code == OP_SCAN:
-                    ops.append((op.code, op.sub_lo, op.sub_hi))
-                else:
-                    ops.append((op.code, op.key, None))
+            inserts = OP_INSERT in chunk_codes
+            if inserts and shard is not None:
+                write_target = shard.index.write_target
+                chunk_args = [write_target(arg) if code == OP_INSERT
+                              else arg
+                              for code, arg in zip(chunk_codes, chunk_args)]
             sink: list[float] = []
-            results = target.apply_many(ops, latency_sink=sink)
-            for op, latency, result in zip(chunk, sink, results):
-                out.append((op.op_index, op.code, latency, result))
+            results += target.apply_many(
+                list(zip(chunk_codes, keys[start:stop], chunk_args)),
+                latency_sink=sink,
+            )
+            latencies += sink
             if inserts:
                 sanitize.maybe_check(service)
-        return out
+        return results, latencies

@@ -1,20 +1,29 @@
 """Router: splits mixed-operation batches per shard and dispatches them.
 
-The router turns a :class:`~repro.workloads.mixed.MixedTrace` into
-per-shard work lists and hands them to
-:class:`~repro.service.executor.SerialExecutor`, which replays each list
-on the calling thread:
+The router turns a :class:`~repro.workloads.mixed.MixedTrace` into one
+:class:`~repro.service.executor.ShardBatch` per shard and hands them to
+:class:`~repro.service.executor.SerialExecutor`, which replays each batch
+on the calling thread.  The trace stays columnar from end to end: no
+per-op object is built between the trace's arrays and the engine's
+``apply_many`` triples, or between the engine's result lists and the
+merged replay.
 
-* point reads and inserts are routed by key; a scan whose window spans
-  multiple shards is split into per-shard legs (scatter-gather, planned
-  vectorized via ``scan_plan_many``); its latency is the *sum* of its
-  legs' simulated time, and its result merges the legs' counts;
-* each shard's list goes to its index as one ordered ``apply_many``
+* point reads and inserts are routed by key and grouped per shard by
+  one stable ``argsort`` of their shard ordinals, so each batch holds
+  slices of op indices, codes, keys and third fields (an insert's tuple
+  id, None for a read) in trace order;
+* a scan whose window spans multiple shards is split into per-shard
+  legs (scatter-gather, planned vectorized via ``scan_plan_many``) that
+  one ``(shard, op index)`` ``lexsort`` splices in among the point ops;
+  its latency is the *sum* of its legs' simulated time, and its result
+  merges the legs' counts;
+* each shard's batch goes to its index as one ordered ``apply_many``
   call per chunk — reads, scans and inserts together, in trace order.
   The engine answers them as if applied one by one, so an operation
   issued after an insert observes it (read-your-writes), and the
   per-op latency sink recovers each op's simulated latency for the
-  percentile report.
+  percentile report.  The merge scatters each shard's results and
+  latencies back by op index.
 
 Every replay is bit-identical to the same ops issued one by one
 through :class:`~repro.service.sharded.ShardedIndex` in trace order
@@ -45,12 +54,12 @@ from typing import Any
 
 import numpy as np
 
-from repro.api.results import RangeScanResult, as_scalar
-from repro.service.executor import SerialExecutor, SubOp
+from repro.api.results import RangeScanResult, as_scalars
+from repro.service.executor import SerialExecutor, ShardBatch
 from repro.service.sharded import ShardedIndex
 from repro.service.stats import ServiceStats
 from repro.storage.iostats import IOStats
-from repro.workloads.mixed import OP_INSERT, OP_READ, OP_SCAN, MixedTrace
+from repro.workloads.mixed import OP_INSERT, OP_SCAN, MixedTrace
 
 
 class Router:
@@ -67,43 +76,62 @@ class Router:
     # ------------------------------------------------------------------
     # planning
     # ------------------------------------------------------------------
-    def plan(self, trace: MixedTrace) -> list[list[SubOp]]:
-        """Split the trace into per-shard sub-op lists (trace order kept).
+    def plan(self, trace: MixedTrace) -> list[ShardBatch]:
+        """Split the trace into one column batch per shard (trace order
+        kept within each).
 
         List positions are the *current epoch's* shard ordinals; replay
         resolves them to stable ids immediately, before any dispatch.
+        Point ops are grouped by shard with one stable ``argsort`` of
+        their routed ordinals.  Scan legs are planned for the whole
+        trace in one vectorized pass (both window endpoints routed
+        batch-wise); when there are any, one ``(shard, op index)``
+        ``lexsort`` splices them in among the point ops.
         """
-        per_shard: list[list[SubOp]] = [[] for _ in self.service.shards]
-        assign = self.service.route(trace.keys)
-        keys = [as_scalar(k) for k in trace.keys.tolist()]
-        # Scan legs are planned for the whole trace in one vectorized
-        # pass (both window endpoints routed batch-wise), then spliced
-        # back at each scan's trace position.
-        scan_idx = np.nonzero(trace.ops == OP_SCAN)[0]
-        scan_legs: dict[int, list[tuple[int, Any, Any]]] = {}
-        if len(scan_idx):
-            windows = [
-                (keys[i], keys[i] + int(trace.scan_widths[i]) - 1)
-                for i in scan_idx
-            ]
-            for i, legs in zip(scan_idx.tolist(),
-                               self.service.scan_plan_many(windows)):
-                scan_legs[i] = legs
-        for i in range(len(trace)):
-            code = int(trace.ops[i])
-            key = keys[i]
-            if code == OP_READ:
-                per_shard[assign[i]].append(SubOp(i, code, key))
-            elif code == OP_INSERT:
-                per_shard[assign[i]].append(
-                    SubOp(i, code, key, tid=int(trace.tids[i]))
-                )
-            else:  # OP_SCAN: one leg per overlapping shard
-                for s, sub_lo, sub_hi in scan_legs[i]:
-                    per_shard[s].append(
-                        SubOp(i, code, key, sub_lo=sub_lo, sub_hi=sub_hi)
-                    )
-        return per_shard
+        service = self.service
+        codes = trace.ops
+        shard = service.route(trace.keys)
+        tid_args = np.full(len(trace), None, dtype=object)
+        inserts = np.flatnonzero(codes == OP_INSERT)
+        tid_args[inserts] = trace.tids[inserts].tolist()
+        scan_idx = np.flatnonzero(codes == OP_SCAN)
+        if len(scan_idx) == 0:
+            ops = np.argsort(shard, kind="stable")
+            keys = trace.keys[ops].tolist()
+            args = tid_args[ops].tolist()
+        else:
+            los = as_scalars(trace.keys[scan_idx].tolist())
+            widths = trace.scan_widths[scan_idx].tolist()
+            leg_ops: list[int] = []
+            leg_shards: list[int] = []
+            leg_los: list[Any] = []
+            leg_his: list[Any] = []
+            for i, legs in zip(scan_idx.tolist(), service.scan_plan_many(
+                    [(lo, lo + w - 1) for lo, w in zip(los, widths)])):
+                for s, sub_lo, sub_hi in legs:
+                    leg_ops.append(i)
+                    leg_shards.append(s)
+                    leg_los.append(sub_lo)
+                    leg_his.append(sub_hi)
+            point = np.flatnonzero(codes != OP_SCAN)
+            ops = np.concatenate([point, np.asarray(leg_ops, dtype=np.int64)])
+            shard = np.concatenate(
+                [shard[point], np.asarray(leg_shards, dtype=np.int64)])
+            order = np.lexsort((ops, shard))
+            ops = ops[order]
+            take = order.tolist()
+            point_keys = trace.keys[point].tolist() + leg_los
+            point_args = tid_args[point].tolist() + leg_his
+            keys = [point_keys[k] for k in take]
+            args = [point_args[k] for k in take]
+        keys = as_scalars(keys)
+        cuts = [0, *np.bincount(shard, minlength=len(service.shards))
+                .cumsum().tolist()]
+        op_list = ops.tolist()
+        code_list = codes[ops].tolist()
+        return [ShardBatch(op_list[a:b], code_list[a:b], keys[a:b],
+                           args[a:b])
+                for a, b in zip(cuts, cuts[1:])]
 
     # ------------------------------------------------------------------
     # replay
@@ -119,12 +147,12 @@ class Router:
         service = self.service
         if any(not shard.bound for shard in service.shards):
             raise RuntimeError("service is not bound; call bind() first")
-        per_shard = self.plan(trace)
+        batches = self.plan(trace)
         # Resolve this epoch's ordinals to stable ids before dispatch;
         # snapshot per-shard counters by id so the books stay right even
         # if the topology changes under us mid-replay.
         table = service.table
-        sids = [table.id_at(s) for s in range(len(per_shard))]
+        plans = [(table.id_at(s), batch) for s, batch in enumerate(batches)]
         before: dict[int, tuple[IOStats, float]] = {}
         for shard in service.shards:
             assert shard.stack is not None
@@ -134,26 +162,32 @@ class Router:
         retired_io0 = service.retired_io.snapshot()
         retired_clock0 = service.retired_clock
         t0 = time.perf_counter()
-        outcomes = self.executor.run(list(zip(sids, per_shard)))
+        outcomes = self.executor.run(plans)
         wall_secs = time.perf_counter() - t0
 
+        # An op appears at most once per shard, so one indexed add per
+        # shard, in plan order, sums a scan's leg latencies shard by shard.
         results: list[Any] = [None] * len(trace)
         latencies = np.zeros(len(trace), dtype=np.float64)
-        for shard_outcome in outcomes:
-            for op_index, code, latency, result in shard_outcome:
-                latencies[op_index] += latency
-                if code == OP_SCAN:
-                    merged = results[op_index]
-                    if merged is None:
-                        merged = RangeScanResult(
-                            matches=0, pages_read=0, leaves_visited=0
-                        )
-                        results[op_index] = merged
-                    merged.matches += result.matches
-                    merged.pages_read += result.pages_read
-                    merged.leaves_visited += result.leaves_visited
-                else:
-                    results[op_index] = result
+        scans: dict[int, RangeScanResult] = {}
+        for batch, (shard_results, shard_latencies) in zip(batches, outcomes):
+            latencies[batch.ops] += shard_latencies
+            for i, result in zip(batch.ops, shard_results):
+                results[i] = result
+            if OP_SCAN in batch.codes:
+                for i, code, leg in zip(batch.ops, batch.codes,
+                                        shard_results):
+                    if code == OP_SCAN:
+                        merged = scans.get(i)
+                        if merged is None:
+                            scans[i] = merged = RangeScanResult(
+                                matches=0, pages_read=0, leaves_visited=0
+                            )
+                        merged.matches += leg.matches
+                        merged.pages_read += leg.pages_read
+                        merged.leaves_visited += leg.leaves_visited
+        for i, merged in scans.items():
+            results[i] = merged
 
         per_shard_io: list[IOStats] = []
         per_shard_clock: list[float] = []

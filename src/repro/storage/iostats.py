@@ -8,7 +8,7 @@ on every access; the harness snapshots and diffs it around each probe.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 
 @dataclass
@@ -18,7 +18,10 @@ class IOStats:
     Counters are split by device role (``index`` vs ``data``) because the
     paper places the index and the main data on different media, and by
     access pattern (random vs sequential), because the two have vastly
-    different cost on HDD.
+    different cost on HDD.  The counters are an instance's only
+    attributes, so the arithmetic below runs over its ``vars()`` dict
+    (the charge replay and the Router's books call it per charge group
+    and per shard).
     """
 
     index_random_reads: int = 0
@@ -36,29 +39,26 @@ class IOStats:
 
     def reset(self) -> None:
         """Zero every counter."""
-        for name in _FIELDS:
-            setattr(self, name, 0)
+        counters = vars(self)
+        counters.update(dict.fromkeys(counters, 0))
 
     def snapshot(self) -> "IOStats":
         """Return an immutable-by-convention copy of the current counters."""
-        return IOStats(**{name: getattr(self, name) for name in _FIELDS})
+        return IOStats(**vars(self))
 
     def diff(self, earlier: "IOStats") -> "IOStats":
         """Return counters accumulated since ``earlier`` was snapshotted."""
-        return IOStats(
-            **{
-                name: getattr(self, name) - getattr(earlier, name)
-                for name in _FIELDS
-            }
-        )
+        was = vars(earlier)
+        return IOStats(**{name: now - was[name]
+                          for name, now in vars(self).items()})
 
     def add_scaled_diff(self, earlier: "IOStats", factor: int) -> None:
         """Add ``factor`` more copies of the counters accumulated since
         ``earlier`` was snapshotted (a charge sequence replayed
         arithmetically instead of re-run)."""
-        for name in _FIELDS:
-            now = getattr(self, name)
-            setattr(self, name, now + factor * (now - getattr(earlier, name)))
+        counters, was = vars(self), vars(earlier)
+        counters.update({name: now + factor * (now - was[name])
+                         for name, now in counters.items()})
 
     @property
     def total_reads(self) -> int:
@@ -81,17 +81,9 @@ class IOStats:
         return self.index_random_reads + self.index_seq_reads
 
     def __add__(self, other: "IOStats") -> "IOStats":
-        return IOStats(
-            **{
-                name: getattr(self, name) + getattr(other, name)
-                for name in _FIELDS
-            }
-        )
-
-
-#: Counter names, computed once: ``dataclasses.fields`` per call showed
-#: up in write-path profiles (snapshot/diff run around every op).
-_FIELDS: tuple[str, ...] = tuple(f.name for f in fields(IOStats))
+        more = vars(other)
+        return IOStats(**{name: now + more[name]
+                          for name, now in vars(self).items()})
 
 
 @dataclass

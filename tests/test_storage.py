@@ -1,5 +1,7 @@
 """Unit tests for the storage substrate: clock, devices, stats, configs."""
 
+import dataclasses
+
 import pytest
 
 from repro.storage import (
@@ -172,6 +174,19 @@ class TestIOStats:
         b = IOStats(false_reads=2, data_seq_reads=5)
         c = a + b
         assert c.false_reads == 3 and c.data_seq_reads == 5
+
+    @pytest.mark.parametrize("m", [0, 1, 2, 7])
+    def test_add_scaled_diff_equals_m_diffs(self, m):
+        names = [f.name for f in dataclasses.fields(IOStats)]
+        before = IOStats(**{n: 3 * i for i, n in enumerate(names)})
+        now = IOStats(**{n: 3 * i + i % 4 for i, n in enumerate(names)})
+        want = now.snapshot()
+        for _ in range(m):
+            want = want + now.diff(before)
+        now.add_scaled_diff(before, m)
+        assert now == want
+        assert all(type(v) is int for v in vars(now).values())
+        assert before == IOStats(**{n: 3 * i for i, n in enumerate(names)})
 
 
 class TestConfigs:

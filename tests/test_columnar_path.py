@@ -12,7 +12,7 @@ nothing at fetch time.
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.api import OP_INSERT, OP_READ, OP_SCAN, SearchResult
@@ -107,9 +107,13 @@ SETTINGS = settings(max_examples=40, deadline=None,
 
 def test_services_have_several_shards():
     assert all(len(s.shards) == 4 for s in SERVICES.values())
+    assert len(SERVICES["int"].scan_plan(100, 6099)) > 2
 
 
 @given(drawn=int_ops)
+@example(drawn=[(OP_INSERT, 7000, 1), (OP_SCAN, 100, 6000),
+                (OP_READ, 5000, 1), (OP_SCAN, 3000, 2000),
+                (OP_READ, 20, 1)])
 @SETTINGS
 def test_plan_splits_int_trace_with_spanning_scans(drawn):
     ops = [code for code, _, _ in drawn]
@@ -121,6 +125,8 @@ def test_plan_splits_int_trace_with_spanning_scans(drawn):
 
 
 @given(drawn=str_ops)
+@example(drawn=[(OP_READ, 4000), (OP_INSERT, 10), (OP_READ, 11),
+                (OP_INSERT, 3001), (OP_READ, 4000)])
 @SETTINGS
 def test_plan_splits_unicode_key_trace(drawn):
     ops = [code for code, _ in drawn]

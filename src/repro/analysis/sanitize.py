@@ -11,9 +11,11 @@ violated invariant:
   ordering, per-leaf ``nkeys``/add-count/capacity consistency, the
   filter layout (add counts per filter, zero rows past the filters in
   use, a counting leaf's bit page equal to its counters above zero),
-  hash-geometry uniformity, directory ↔ chain agreement;
+  hash-geometry uniformity, directory ↔ chain agreement, the cached
+  routing table equal to a fresh one;
 * :func:`check_bplus` — B+-Tree chain pointers, in-leaf key order,
-  key/ridlist pairing, cross-leaf span ordering;
+  key/ridlist pairing, cross-leaf span ordering, and the same
+  directory checks;
 * :func:`check_fd` — FD-Tree head/level sort order, merge-level
   tombstone annihilation, tombstone victim range;
 * :func:`check_sharded` — routing-table ↔ shard ``lo_key`` agreement,
@@ -172,13 +174,32 @@ def check_tree(tree: Any) -> None:
                       f"page order inverted across leaves {left.node_id} "
                       f"-> {right.node_id}: min_pid {right.min_pid} < "
                       f"{left.min_pid}")
-    directory = list(tree.inner.iter_leaf_ids())
+    _check_directory(name, tree.inner, chain)
+
+
+def _check_directory(name: str, inner: Any, chain: list[Any]) -> None:
+    """A cached routing table equals one built afresh from the nodes
+    (so no edit bypassed the directory's own mutators), the table's
+    leaves are the chain's in order, and its fences are sorted.  Builds
+    the fresh table aside: checking never fills or drops the cache."""
+    if not chain:
+        return
+    cached = inner._table
+    fresh = inner._build_table()
+    if cached is not None and (
+            cached.fences != fresh.fences
+            or cached.leaf_ids != fresh.leaf_ids
+            or cached.paths != fresh.paths
+            or not np.array_equal(cached.fence_array, fresh.fence_array)):
+        _fail(name, "cached routing table is stale: it disagrees with "
+                    "the directory's nodes")
+    directory = fresh.leaf_ids
     chain_ids = [l.node_id for l in chain]
     if directory != chain_ids:
         _fail(name,
               f"directory leaf order {directory[:8]}... disagrees with "
               f"chain order {chain_ids[:8]}...")
-    fences, _, _ = tree.inner.routing_table()
+    fences = fresh.fences
     if any(b < a for a, b in zip(fences, fences[1:])):
         _fail(name, f"directory fences not sorted: {fences[:8]}...")
 
@@ -272,6 +293,7 @@ def check_bplus(tree: Any) -> None:
             _fail(name,
                   f"key order inverted across leaves {left.node_id} -> "
                   f"{right.node_id}: {left.keys[-1]!r} > {right.keys[0]!r}")
+    _check_directory(name, tree.inner, chain)
 
 
 # ---------------------------------------------------------------------------

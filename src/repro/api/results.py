@@ -100,16 +100,16 @@ def normalize_scan_windows(windows: Iterable[tuple[Any, Any]]
                            ) -> list[tuple[Any, Any]]:
     """Canonicalize a batch of ``(lo, hi)`` scan windows.
 
-    NumPy scalars are unwrapped to Python values and every window is
-    validated (``lo > hi`` raises, with the scalar paths' message)
-    before any I/O is charged — shared by every ``range_scan_many``
-    engine and the sharded scan planner.
+    NumPy scalars are unwrapped to Python values (one :func:`as_scalars`
+    pass per bound column) and every window is validated (``lo > hi``
+    raises, with the scalar paths' message) before any I/O is charged —
+    shared by every ``range_scan_many`` engine and the sharded scan
+    planner.
     """
-    wins: list[tuple[Any, Any]] = []
-    for lo, hi in windows:
-        lo = as_scalar(lo)
-        hi = as_scalar(hi)
+    pairs = list(windows)
+    wins = list(zip(as_scalars([lo for lo, _ in pairs]),
+                    as_scalars([hi for _, hi in pairs])))
+    for lo, hi in wins:
         if lo > hi:
             raise ValueError(f"empty range: lo={lo} > hi={hi}")
-        wins.append((lo, hi))
     return wins

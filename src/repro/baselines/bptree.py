@@ -34,7 +34,7 @@ from repro.api.results import (
     as_scalar,
     normalize_scan_windows,
 )
-from repro.core.node import InnerTree, NodeStore, fanout_for, route_batch
+from repro.core.node import InnerTree, NodeStore, fanout_for
 from repro.storage.buffer_pool import BufferPool
 from repro.storage.clock import CPU_KEY_COMPARE
 from repro.storage.config import StorageStack
@@ -384,12 +384,10 @@ class BPlusTree(IndexBackend):
 
     def _descend_and_read(self, key) -> BPLeaf | None:
         try:
-            leaf_id, path = self.inner.descend(key)
+            leaf_id, path = self.inner.route(key)
         except LookupError:
             return None
-        self._charge_cpu(
-            len(path) * math.log2(max(2, self.inner.fanout)) * CPU_KEY_COMPARE
-        )
+        self.inner.charge_path(path)
         self.store.read(leaf_id)
         return self.leaves[leaf_id]
 
@@ -485,8 +483,8 @@ class BPlusTree(IndexBackend):
         Result ``j`` depends on ``windows[j]`` alone — a batch matches
         one batch of one per window in results and IOStats, clock equal
         up to float summation order.  Windows are routed in one pass over
-        the flattened directory, the clustered path skips the per-rid
-        leaf walk, and data-page runs are charged through
+        the directory's cached routing table, the clustered path skips
+        the per-rid leaf walk, and data-page runs are charged through
         :meth:`Device.read_batch`.  ``latency_sink`` receives one
         simulated per-scan latency per window.  Invalid windows (``lo >
         hi``) are rejected up front, before any charges land.
@@ -503,26 +501,20 @@ class BPlusTree(IndexBackend):
         track = latency_sink is not None and clock is not None
         latencies = [0.0] * n
         try:
-            fences, leaf_ids, paths = self.inner.routing_table()
+            targets = self.inner.route_batch([lo for lo, _ in wins])
         except LookupError:
             if latency_sink is not None:
                 latency_sink.extend(latencies)
             return results
-        slots = route_batch(fences, [lo for lo, _ in wins])
+        paths = self.inner.routing_table().paths
         device = self._data_device
         values = np.asarray(self.relation.columns[self.key_column])
         for j in range(n):
             lo, hi = wins[j]
             res = results[j]
             start_t = clock.now() if track else 0.0
-            leaf_id = leaf_ids[slots[j]]
-            path = paths[leaf_id]
-            for node_id in path:
-                self.store.read(node_id)
-            self._charge_cpu(
-                len(path) * math.log2(max(2, self.inner.fanout))
-                * CPU_KEY_COMPARE
-            )
+            leaf_id = targets[j]
+            self.inner.charge_path(paths[leaf_id])
             matches = 0
             pages: set[int] = set()
             current: BPLeaf | None = self.leaves[leaf_id]

@@ -80,12 +80,11 @@ from repro.core.bf_leaf import (
     LeafOverflow,
     build_page_runs,
 )
-from repro.core.node import InnerTree, NodeStore, fanout_for, route_batch
+from repro.core.node import InnerTree, NodeStore, fanout_for
 from repro.storage.buffer_pool import BufferPool
 from repro.storage.clock import (
     CPU_BLOOM_INSERT,
     CPU_BLOOM_PROBE,
-    CPU_KEY_COMPARE,
     CPU_TUPLE_SCAN,
 )
 from repro.storage.config import StorageStack
@@ -1271,19 +1270,11 @@ class BFTree(IndexBackend):
     def _descend_and_read(self, key) -> BFLeaf | None:
         """Route to the leaf for ``key``; charge internal + leaf reads."""
         try:
-            leaf_id, path = self.inner.descend(key)
+            leaf_id, path = self.inner.route(key)
         except LookupError:
             return None
-        # Binary search inside each internal node costs CPU.
-        self._charge_cpu(
-            len(path) * math.log2(max(2, self.inner.fanout)) * CPU_KEY_COMPARE
-        )
-        self.store.read(leaf_id)
         leaf = self.leaves[leaf_id]
-        # Oversized leaves occupy extra index pages, read sequentially.
-        extra_pages = self._leaf_index_pages(leaf) - 1
-        for _ in range(extra_pages):
-            self.store.read(leaf_id, sequential=True)
+        self._charge_descent(leaf, path)
         return leaf
 
     def _fetch_runs(self, keys, offsets: list[int], first: np.ndarray,
@@ -1502,19 +1493,18 @@ class BFTree(IndexBackend):
         until the next split; a flag for a group later written by a
         non-duplicate add is invalidated by the walk's dirty-set.
         """
-        fences, leaf_ids, paths = self.inner.routing_table()
+        paths = self.inner.routing_table().paths
         sub = keys[start:]
         if not sub:
             return [], paths, None, None, None
         m = len(sub)
         arr = np.asarray(sub)
-        route = route_batch(fences, arr)
-        pred = [leaf_ids[s] for s in route]
+        pred = self.inner.route_batch(arr)
         # One hash call for the whole sub-batch: each key under its
         # target leaf's seed.
-        slot_of = {s: t for t, s in enumerate(dict.fromkeys(route))}
-        which = np.asarray([slot_of[s] for s in route])
-        touched = [self.leaves[leaf_ids[s]] for s in slot_of]
+        slot_of = {leaf: t for t, leaf in enumerate(dict.fromkeys(pred))}
+        which = np.asarray([slot_of[leaf] for leaf in pred])
+        touched = [self.leaves[leaf] for leaf in slot_of]
         rows = BFLeaf.hash_rows(arr, touched, which)
         if not inserting:
             return pred, paths, rows, None, None
@@ -1539,14 +1529,11 @@ class BFTree(IndexBackend):
         return pred, paths, rows, dup0.tolist(), grp.tolist()
 
     def _charge_descent(self, leaf: BFLeaf, path: list[int]) -> None:
-        """Replay the exact charges of ``_descend_and_read`` for a key
-        whose target leaf (and internal path) is already known."""
-        for node_id in path:
-            self.store.read(node_id)
-        self._charge_cpu(
-            len(path) * math.log2(max(2, self.inner.fanout)) * CPU_KEY_COMPARE
-        )
+        """Charge one key's descent to ``leaf`` through internal path
+        ``path``: the path, then the leaf's index pages."""
+        self.inner.charge_path(path)
         self.store.read(leaf.node_id)
+        # Oversized leaves occupy extra index pages, read sequentially.
         extra_pages = self._leaf_index_pages(leaf) - 1
         for _ in range(extra_pages):
             self.store.read(leaf.node_id, sequential=True)
@@ -1700,29 +1687,29 @@ class BFTree(IndexBackend):
         latencies = [0.0] * n
         outcomes: list[DeleteOutcome] = [DeleteOutcome(removed=False)] * n
         try:
-            fences, leaf_ids, paths = self.inner.routing_table()
+            targets = self.inner.route_batch(keys)
         except LookupError:
             # Empty tree: scalar delete reports not-found per key.
             if latency_sink is not None:
                 latency_sink.extend(latencies)
             return outcomes
-        slots = route_batch(fences, keys)
+        paths = self.inner.routing_table().paths
         rows: list = [None] * n
         js = [j for j in range(n) if pids[j] is not None]
         if self.config.filter_kind == "counting" and js:
             # One hash call for every in-place delete, each key under
             # its target leaf's seed.
-            slot_of = {s: t for t, s in
-                       enumerate(dict.fromkeys(slots[j] for j in js))}
+            slot_of = {leaf: t for t, leaf in
+                       enumerate(dict.fromkeys(targets[j] for j in js))}
             hashed = BFLeaf.hash_rows(
                 [keys[j] for j in js],
-                [self.leaves[leaf_ids[s]] for s in slot_of],
-                np.asarray([slot_of[slots[j]] for j in js]),
+                [self.leaves[leaf] for leaf in slot_of],
+                np.asarray([slot_of[targets[j]] for j in js]),
             )
             for j, row in zip(js, hashed):
                 rows[j] = row
         for j, key in enumerate(keys):
-            leaf = self.leaves[leaf_ids[slots[j]]]
+            leaf = self.leaves[targets[j]]
             start = clock.now() if track else 0.0
             self._charge_descent(leaf, path=paths[leaf.node_id])
             if leaf.covers_key(key):
@@ -1777,7 +1764,8 @@ class BFTree(IndexBackend):
         left.deleted_keys = {k for k in leaf.deleted_keys if k < mid}
         right.deleted_keys = {k for k in leaf.deleted_keys if k >= mid}
         self._relink(leaf, left, right)
-        self.inner_replace(leaf, left, right, separator=mid)
+        self.inner.split_child(leaf.node_id, mid, right.node_id,
+                               left=left.node_id)
         self.store.write(left.node_id)
         self.store.write(right.node_id)
         return left, right
@@ -1821,20 +1809,6 @@ class BFTree(IndexBackend):
                 other.next_leaf_id = left.node_id
         del self.leaves[old.node_id]
 
-    def inner_replace(self, old: BFLeaf, left: BFLeaf, right: BFLeaf,
-                      separator) -> None:
-        """Swap ``old`` for ``left`` in the directory and add ``right``."""
-        if self.inner.root_id is None:
-            # Degenerate single-leaf tree.
-            self.inner._single_leaf = None
-            self.inner.register_single_leaf(left.node_id)
-            self.inner.split_child(left.node_id, separator, right.node_id)
-            return
-        path = self.inner._path_to_child(old.node_id)
-        parent = path[-1]
-        parent.children[parent.child_index(old.node_id)] = left.node_id
-        self.inner.split_child(left.node_id, separator, right.node_id)
-
     # ==================================================================
     # range scans (paper §7)
     # ==================================================================
@@ -1874,9 +1848,9 @@ class BFTree(IndexBackend):
         order) as one batch of one per window, and the per-page Python
         work collapses:
 
-        * every window is routed in one pass over the flattened
-          directory (:meth:`InnerTree.routing_table`), as the batch
-          write engine does, skipping the per-scan directory walk;
+        * every window is routed in one pass over the directory's
+          cached routing table (:meth:`InnerTree.route_batch`), as the
+          batch write engine does;
         * each scan's data-page runs are charged through
           :meth:`Device.read_batch` — one aggregate advance per leaf
           visit with the exact Eq. 13 random/sequential split of a
@@ -1911,15 +1885,15 @@ class BFTree(IndexBackend):
         track = latency_sink is not None and clock is not None
         latencies = [0.0] * n
         try:
-            fences, leaf_ids, paths = self.inner.routing_table()
+            targets = self.inner.route_batch([lo for lo, _ in wins])
         except LookupError:
             if latency_sink is not None:
                 latency_sink.extend(latencies)
             if touch_sink is not None:
                 touch_sink.extend([(False, False)] * n)
             return results
+        paths = self.inner.routing_table().paths
         stats = self._stats() if touch_sink is not None else None
-        slots = route_batch(fences, [lo for lo, _ in wins])
         device = self._data_device
         # Deferred match counting: (scan, first_pid, npages, lo, hi)
         # jobs, one row per charged page run, counted vectorized after
@@ -1940,14 +1914,8 @@ class BFTree(IndexBackend):
             # misses, or its first leaf) is random.
             index_reads = (stats.index_random_reads if stats is not None
                            else 0)
-            leaf_id = leaf_ids[slots[j]]
-            path = paths[leaf_id]
-            for node_id in path:
-                self.store.read(node_id)
-            self._charge_cpu(
-                len(path) * math.log2(max(2, self.inner.fanout))
-                * CPU_KEY_COMPARE
-            )
+            leaf_id = targets[j]
+            self.inner.charge_path(paths[leaf_id])
             current: BFLeaf | None = self.leaves[leaf_id]
             if not self.ordered:
                 while current.prev_leaf_id is not None:

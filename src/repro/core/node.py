@@ -13,17 +13,23 @@ here.
 * :class:`InternalNode` is a <key, child-pointer> page with the fanout of
   Equation 2 (``pagesize / (ptrsize + keysize)``).
 * :class:`InnerTree` owns the internal levels: bulk build over leaf
-  separators, point descent, and separator insertion with node splits.
+  separators, separator insertion with node splits, and the one
+  routing table (:class:`RoutingTable`) every descent reads.  It is the
+  only code that edits an :class:`InternalNode`, so it knows when its
+  cached table goes stale.
 """
 
 from __future__ import annotations
 
 import bisect
+import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from repro.storage.buffer_pool import BufferPool
+from repro.storage.clock import CPU_KEY_COMPARE
 from repro.storage.device import PAGE_SIZE, Device
 
 DEFAULT_KEY_SIZE = 8
@@ -39,23 +45,16 @@ def fanout_for(key_size: int = DEFAULT_KEY_SIZE, ptr_size: int = DEFAULT_PTR_SIZ
     return fanout
 
 
-def route_batch(fences: list, keys) -> list[int]:
-    """Rightmost-biased slot routing of a key batch over sorted fences.
+class RoutingTable(NamedTuple):
+    """The directory flattened for one pass: key ``k`` lands on leaf
+    ``leaf_ids[bisect_right(fences, k)]`` through the internal node ids
+    ``paths[leaf_id]`` (root first).  ``fence_array`` is ``fences`` as
+    one NumPy array, for vectorized batch routing."""
 
-    Slot ``j`` equals ``bisect_right(fences, keys[j])`` — the flattened
-    form of :meth:`InternalNode.child_for`'s per-level descent, matching
-    :meth:`InnerTree.routing_table`'s contract — computed with one
-    vectorized ``searchsorted`` for numeric key batches.  Every batch
-    engine (writes, deletes, scans) routes through this.
-    """
-    n = len(keys)
-    if not fences or not n:
-        return [0] * n
-    arr = np.asarray(keys)
-    if arr.dtype.kind in "iufb":
-        return np.searchsorted(np.asarray(fences), arr,
-                               side="right").tolist()
-    return [bisect.bisect_right(fences, k) for k in keys]
+    fences: list
+    leaf_ids: list[int]
+    paths: dict[int, list[int]]
+    fence_array: np.ndarray
 
 
 class NodeStore:
@@ -109,17 +108,6 @@ class InternalNode:
     children: list[int] = field(default_factory=list)
     level: int = 1  # 1 = just above the leaves
 
-    def child_for(self, key) -> int:
-        """Child id to descend into for ``key`` (rightmost-biased)."""
-        lo, hi = 0, len(self.keys)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if key < self.keys[mid]:
-                hi = mid
-            else:
-                lo = mid + 1
-        return self.children[lo]
-
     def child_index(self, child_id: int) -> int:
         return self.children.index(child_id)
 
@@ -133,7 +121,11 @@ class InnerTree:
 
     The leaf level is owned by the concrete index (BF-Tree or B+-Tree);
     this class routes keys to leaf ids and keeps the directory balanced
-    under splits.
+    under splits.  Routing reads one :class:`RoutingTable`, built on
+    first use and dropped by every method here that edits a built
+    directory (:meth:`build`, :meth:`split_child`, :meth:`load_state`).
+    An empty tree, the only one :meth:`register_single_leaf` accepts,
+    never holds a table.
     """
 
     def __init__(self, store: NodeStore, fanout: int | None = None) -> None:
@@ -142,6 +134,7 @@ class InnerTree:
         self.nodes: dict[int, InternalNode] = {}
         self.root_id: int | None = None
         self._single_leaf: int | None = None  # degenerate tree of one leaf
+        self._table: RoutingTable | None = None
 
     # ------------------------------------------------------------------
     # introspection
@@ -172,6 +165,7 @@ class InnerTree:
         self.nodes.clear()
         self.root_id = None
         self._single_leaf = None
+        self._table = None
         if len(leaf_ids) == 1:
             self._single_leaf = leaf_ids[0]
             return
@@ -215,44 +209,27 @@ class InnerTree:
     # ------------------------------------------------------------------
     # descent
     # ------------------------------------------------------------------
-    def descend(self, key, charge_io: bool = True) -> tuple[int, list[int]]:
-        """Route ``key`` to a leaf id; return (leaf_id, internal path ids).
+    def routing_table(self) -> RoutingTable:
+        """The directory's :class:`RoutingTable` (cached).
 
-        Charges one node read per internal level when ``charge_io``.
+        Collapsing the per-level rightmost-biased binary searches into
+        one sorted fence list routes every key to the leaf a level-by-
+        level walk reaches, since each subtree's fences lie between the
+        separators around it.  Callers must not edit the table.
+
+        Raises ``LookupError`` on an empty tree.
         """
+        if self._table is None:
+            self._table = self._build_table()
+        return self._table
+
+    def _build_table(self) -> RoutingTable:
+        """Walk the directory once into a fresh :class:`RoutingTable`."""
         if self.root_id is None:
             if self._single_leaf is None:
                 raise LookupError("empty tree")
-            return self._single_leaf, []
-        path: list[int] = []
-        node = self.nodes[self.root_id]
-        while True:
-            if charge_io:
-                self.store.read(node.node_id)
-            path.append(node.node_id)
-            child = node.child_for(key)
-            if node.level == 1:
-                return child, path
-            node = self.nodes[child]
-
-    def routing_table(self) -> tuple[list, list[int], dict[int, list[int]]]:
-        """Flattened descent: ``(fences, leaf_ids, paths)``.
-
-        ``descend(key)`` lands on ``leaf_ids[bisect_right(fences, key)]``
-        through internal path ``paths[leaf_id]`` — the same rightmost-
-        biased routing :meth:`InternalNode.child_for` performs, with the
-        per-level binary searches collapsed into one sorted fence list.
-        The batch write path uses this to route a whole key batch in one
-        vectorized pass (and to replay each key's descent I/O charges
-        without re-walking the tree).  The table is a snapshot: any
-        structural change (a split) invalidates it.
-
-        Raises ``LookupError`` on an empty tree, like :meth:`descend`.
-        """
-        if self.root_id is None:
-            if self._single_leaf is None:
-                raise LookupError("empty tree")
-            return [], [self._single_leaf], {self._single_leaf: []}
+            return RoutingTable([], [self._single_leaf],
+                                {self._single_leaf: []}, np.asarray([]))
         fences: list = []
         leaf_ids: list[int] = []
         paths: dict[int, list[int]] = {}
@@ -270,26 +247,46 @@ class InnerTree:
                     walk(child, path)
 
         walk(self.root_id, [])
-        return fences, leaf_ids, paths
+        return RoutingTable(fences, leaf_ids, paths, np.asarray(fences))
 
-    def iter_leaf_ids(self) -> list[int]:
-        """All leaf ids left-to-right (no I/O charged; structural walk)."""
-        if self.root_id is None:
-            return [] if self._single_leaf is None else [self._single_leaf]
-        result: list[int] = []
-        stack = [self.root_id]
-        # DFS preserving order: expand children right-to-left onto the stack.
-        while stack:
-            node_id = stack.pop()
-            node = self.nodes.get(node_id)
-            if node is None or node.level < 1:
-                result.append(node_id)
-                continue
-            if node.level == 1:
-                result.extend(node.children)
-            else:
-                stack.extend(reversed(node.children))
-        return result
+    def route(self, key) -> tuple[int, list[int]]:
+        """Route ``key`` to ``(leaf id, internal path ids)``; charges
+        nothing (:meth:`charge_path` charges the descent).
+
+        Raises ``LookupError`` on an empty tree.
+        """
+        table = self.routing_table()
+        leaf_id = table.leaf_ids[bisect.bisect_right(table.fences, key)]
+        return leaf_id, table.paths[leaf_id]
+
+    def route_batch(self, keys) -> list[int]:
+        """Leaf id of every key of a batch, as :meth:`route` gives it.
+
+        A numeric batch is routed with one vectorized ``searchsorted``
+        over the cached fence array; any other with one ``bisect_right``
+        per key.  Every batch engine (reads, writes, deletes, scans)
+        routes through this.  Raises ``LookupError`` on an empty tree.
+        """
+        fences, leaf_ids, _, fence_array = self.routing_table()
+        n = len(keys)
+        if not fences or not n:
+            return [leaf_ids[0]] * n
+        arr = np.asarray(keys)
+        if arr.dtype.kind in "iufb":
+            slots = np.searchsorted(fence_array, arr, side="right").tolist()
+        else:
+            slots = [bisect.bisect_right(fences, k) for k in keys]
+        return [leaf_ids[s] for s in slots]
+
+    def charge_path(self, path: list[int]) -> None:
+        """Charge a descent through internal nodes ``path``: one node
+        read each, then a binary search's key compares in each."""
+        for node_id in path:
+            self.store.read(node_id)
+        if self.store.device is not None:
+            self.store.device.clock.advance(
+                len(path) * math.log2(max(2, self.fanout)) * CPU_KEY_COMPARE
+            )
 
     # ------------------------------------------------------------------
     # incremental maintenance
@@ -300,54 +297,36 @@ class InnerTree:
             raise ValueError("tree is not empty")
         self._single_leaf = leaf_id
 
-    def split_child(self, old_leaf: int, separator, new_leaf: int) -> None:
-        """Record that ``old_leaf`` split; ``new_leaf`` holds keys >= separator."""
+    def split_child(self, old_leaf: int, separator, new_leaf: int,
+                    left: int | None = None) -> None:
+        """Record that ``old_leaf`` split: ``new_leaf`` holds keys >=
+        ``separator``, and ``left`` (default: ``old_leaf`` itself, split
+        in place) takes ``old_leaf``'s slot below it."""
+        if left is None:
+            left = old_leaf
         if self.root_id is None:
             if self._single_leaf != old_leaf:
                 raise ValueError("unknown leaf in degenerate tree")
             root = InternalNode(
                 node_id=self.store.allocate(),
                 keys=[separator],
-                children=[old_leaf, new_leaf],
+                children=[left, new_leaf],
                 level=1,
             )
             self.nodes[root.node_id] = root
             self.root_id = root.node_id
             self._single_leaf = None
+            self._table = None
             return
-        path = self._path_to_child(old_leaf)
+        path = [self.nodes[i] for i in self.routing_table().paths[old_leaf]]
+        self._table = None
         parent = path[-1]
         idx = parent.child_index(old_leaf)
+        parent.children[idx] = left
         parent.keys.insert(idx, separator)
         parent.children.insert(idx + 1, new_leaf)
         self.store.write(parent.node_id)
         self._split_up(path)
-
-    def _path_to_child(self, leaf_id: int) -> list[InternalNode]:
-        """Internal path (root..parent) leading to ``leaf_id`` (structural)."""
-        assert self.root_id is not None
-        node = self.nodes[self.root_id]
-        path = [node]
-        while node.level > 1:
-            # Structural search: find the child subtree containing leaf_id.
-            for child in node.children:
-                subtree = self.nodes[child]
-                if self._subtree_contains(subtree, leaf_id):
-                    node = subtree
-                    path.append(node)
-                    break
-            else:
-                raise LookupError(f"leaf {leaf_id} not found")
-        if leaf_id not in node.children:
-            raise LookupError(f"leaf {leaf_id} not under expected parent")
-        return path
-
-    def _subtree_contains(self, node: InternalNode, leaf_id: int) -> bool:
-        if node.level == 1:
-            return leaf_id in node.children
-        return any(
-            self._subtree_contains(self.nodes[c], leaf_id) for c in node.children
-        )
 
     def _split_up(self, path: list[InternalNode]) -> None:
         """Split any overfull internal nodes on ``path``, bottom-up."""
@@ -435,4 +414,5 @@ class InnerTree:
         self.root_id = None if root is None else int(root)
         single = state["single_leaf"]
         self._single_leaf = None if single is None else int(single)
+        self._table = None
         self.store._next_id = int(state["next_id"])

@@ -106,7 +106,7 @@ class World:
             # it routes to; index it on that leaf's last page, which
             # stays inside the range of whichever child a split routes
             # it to.
-            leaf_id, _ = self.layout.inner.descend(key, charge_io=False)
+            leaf_id, _ = self.layout.inner.route(key)
             leaf = self.layout.leaves[leaf_id]
             return (OP_INSERT, key, leaf.min_pid + leaf.pages_covered - 1)
         lo = as_scalar(self.values[tid])
@@ -238,7 +238,7 @@ def test_read_run_charges_each_group_once(world, monkeypatch):
     keys = _two_leaf_reads(w, tree)
     groups = set()
     for key in keys:
-        leaf_id, _ = tree.inner.descend(key, charge_io=False)
+        leaf_id, _ = tree.inner.route(key)
         groups.add((leaf_id,
                     tree._neighbour_ids(key, tree.leaves[leaf_id])))
     assert len({leaf_id for leaf_id, _ in groups}) == 2
@@ -285,7 +285,7 @@ def test_invisible_duplicates_stay_inside_the_read_run(world, monkeypatch):
             ops.append((OP_INSERT, dup, w.relation.page_of(int(dup))))
     leaf_of = {}
     for code, key, arg in ops:
-        leaf_id, _ = tree.inner.descend(key, charge_io=False)
+        leaf_id, _ = tree.inner.route(key)
         leaf_of[key] = leaf_id
         if code == OP_INSERT:
             assert _invisible(tree.leaves[leaf_id], key, arg)
@@ -358,7 +358,7 @@ def test_visible_duplicate_applies_at_its_turn(kind, filter_kind):
     w = PPB3[filter_kind]
     tree = w.build()
     key, pid = _visible_duplicate(w, tree, kind)
-    leaf_id, _ = tree.inner.descend(key, charge_io=False)
+    leaf_id, _ = tree.inner.route(key)
     leaf = tree.leaves[leaf_id]
     assert leaf.duplicate_prehashed(pid, leaf.key_positions(key))
     assert not _invisible(leaf, key, pid)

@@ -330,7 +330,7 @@ class TestFetchRunAccounting:
 def _covering_leaves(tree, key):
     """The target leaf and neighbour leaves whose key range holds ``key``."""
     try:
-        leaf_id, _ = tree.inner.descend(key)
+        leaf_id, _ = tree.inner.route(key)
     except LookupError:
         return []
     leaf = tree.leaves[leaf_id]
@@ -566,5 +566,5 @@ class TestDataDeviceHead:
             assert all(r.pages_read for r in results[:-1])
             assert not results[-1].pages_read
         assert heads[0] == heads[1]
-        last_run = tree.leaves[tree.inner.descend(a)[0]]
+        last_run = tree.leaves[tree.inner.route(a)[0]]
         assert last_run.covers_pid(heads[1])

@@ -15,7 +15,13 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from repro.api import OP_INSERT, OP_READ, OP_SCAN, SearchResult
+from repro.api import (
+    OP_INSERT,
+    OP_READ,
+    OP_SCAN,
+    SearchResult,
+    normalize_scan_windows,
+)
 from repro.core import BFTree, BFTreeConfig
 from repro.service import Router, ShardBatch, ShardedIndex
 from repro.storage import Relation, build_stack
@@ -289,3 +295,37 @@ def test_filter_rejected_reads_fetch_nothing():
     if len(rejected) == len(absent):
         assert data.head == 3
         assert stack.stats.diff(before).data_reads == 0
+
+
+def test_scan_windows_normalise_to_native_bounds():
+    """NumPy and native bounds, mixed within a batch and within a window,
+    come out as native values equal to the inputs."""
+    windows = [(np.int64(3), 5), (4, np.int64(9)), (np.int32(7), 7),
+               (np.str_("a"), "b"), ("c", np.str_("d")),
+               (np.asarray(2), np.float64(2.5))]
+    wins = normalize_scan_windows(windows)
+    assert wins == [(3, 5), (4, 9), (7, 7), ("a", "b"), ("c", "d"),
+                    (2, 2.5)]
+    assert [tuple(type(b) for b in w) for w in wins] == [
+        (int, int), (int, int), (int, int), (str, str), (str, str),
+        (int, float)]
+    assert normalize_scan_windows(iter([(1, 2)])) == [(1, 2)]
+    assert normalize_scan_windows([]) == []
+
+
+@pytest.mark.parametrize("entry", ["range_scan_many", "apply_many"])
+def test_inverted_scan_window_raises_before_any_charge(entry):
+    """The first inverted window raises with its native bounds in the
+    message, and nothing in the batch is charged or applied."""
+    tree, stack = _bound_tree(_int_relation(), [])
+    before = (stack.stats.snapshot(), stack.clock.now(), _leaf_state(tree))
+    windows = [(np.int64(2), 40), (np.int64(90), np.int64(10)), (9, 3)]
+    with pytest.raises(ValueError,
+                       match=r"^empty range: lo=90 > hi=10$"):
+        if entry == "range_scan_many":
+            tree.range_scan_many(windows)
+        else:
+            tree.apply_many([(OP_INSERT, 41, 1), (OP_READ, 4, None)]
+                            + [(OP_SCAN, lo, hi) for lo, hi in windows])
+    assert before == (stack.stats.snapshot(), stack.clock.now(),
+                      _leaf_state(tree))

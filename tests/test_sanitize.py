@@ -152,6 +152,30 @@ class TestFilterAccounting:
 
 
 # ======================================================================
+# scenario 2b: directory edited behind InnerTree's back
+# ======================================================================
+class TestDirectory:
+    @pytest.mark.parametrize("kind", ["bf", "bplus"])
+    def test_node_edited_behind_the_table(self, kind, request):
+        tree = request.getfixturevalue(kind)
+        assert tree.inner.root_id is not None
+        table = tree.inner.routing_table()
+        check(tree)
+        # Shift one separator inside its neighbours: fences stay sorted
+        # and the chain order holds, so only the cached table is stale.
+        node = next(n for n in tree.inner.nodes.values() if n.level == 1)
+        node.keys[0] += 1
+        assert tree.inner.routing_table() is table
+        with pytest.raises(StructuralCorruption,
+                           match="cached routing table is stale"):
+            check(tree)
+
+    def test_no_cached_table_is_fine(self, bf):
+        check_tree(bf)
+        assert bf.inner._table is None     # checking does not fill it
+
+
+# ======================================================================
 # scenario 3: FD-Tree tombstone corruption
 # ======================================================================
 class TestFDTombstones:

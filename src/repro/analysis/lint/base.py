@@ -195,13 +195,3 @@ def str_arg(call: ast.Call, idx: int) -> str | None:
         if isinstance(arg, ast.Constant) and isinstance(arg.value, str):
             return arg.value
     return None
-
-
-def call_name(call: ast.Call) -> str | None:
-    """The bare callee name: ``f`` for ``f(...)`` and ``x.f(...)``."""
-    func = call.func
-    if isinstance(func, ast.Name):
-        return func.id
-    if isinstance(func, ast.Attribute):
-        return func.attr
-    return None

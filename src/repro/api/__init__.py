@@ -24,7 +24,6 @@ from repro.api.protocol import (
     IndexBackend,
     Op,
     UnsupportedOperationError,
-    apply_in_runs,
 )
 from repro.api.registry import (
     BackendSpec,
@@ -47,7 +46,6 @@ __all__ = [
     "OP_READ",
     "OP_SCAN",
     "Op",
-    "apply_in_runs",
     "BatchFallbackMixin",
     "Capabilities",
     "Index",

@@ -18,17 +18,15 @@ identical traffic.  This module defines that contract:
   capabilities; the message names the missing capability.
 * :class:`BatchFallbackMixin` — generic scalar-loop implementations of
   ``search_many`` / ``insert_many`` / ``delete_many`` /
-  ``range_scan_many``.  They are **bit-identical** to calling the
-  scalar operation per item (same results, same IOStats, clock equal
-  up to float summation order) because they *are* that loop, with the
-  same ``latency_sink`` accounting the vectorized engines report.
-  Backends with real vectorized engines (BF-Tree, B+-Tree) override
-  them; every other backend batches for free.  Its ``apply_many`` —
-  one ordered call for a mix of point reads, scans and inserts — is
-  :func:`apply_in_runs`: each maximal insert run through
-  ``insert_many``, each run of reads and scans through ``search_many``
-  and ``range_scan_many``.  The BF-Tree plans a whole mixed chunk at
-  once instead.
+  ``range_scan_many`` / ``apply_many``.  They are **bit-identical** to
+  calling the scalar operation per item (same results, same IOStats,
+  clock equal up to float summation order) because they *are* that
+  loop, with the same ``latency_sink`` accounting the vectorized
+  engines report.  ``apply_many`` — one ordered call for a mix of point
+  reads, scans and inserts — validates every op before the first one
+  applies.  Backends with real vectorized engines override them (the
+  BF-Tree all five, the B+-Tree ``range_scan_many``); every other
+  backend batches for free.
 * :class:`IndexBackend` — the concrete base class backends inherit:
   the batch fallbacks plus capability-gated defaults for the mutating
   and scanning operations.
@@ -173,76 +171,12 @@ class Index(Protocol):
     def size_pages(self) -> int: ...
 
 
-class RunTarget(Protocol):
-    """The batch calls :func:`apply_in_runs` splits an op sequence into
-    (an :class:`Index`, or the sharded service re-routing by key)."""
-
-    def search_many(self, keys: Sequence[Any], /,
-                    latency_sink: list[float] | None = None
-                    ) -> Sequence[Any]: ...
-    def insert_many(self, keys: Sequence[Any], targets: Sequence[int], /,
-                    latency_sink: list[float] | None = None) -> None: ...
-    def range_scan_many(self, windows: Sequence[tuple[Any, Any]], /,
-                        latency_sink: list[float] | None = None
-                        ) -> Sequence[Any]: ...
-
-
 def check_op_codes(ops: Sequence[Op]) -> None:
     """Raise ``ValueError`` on any op code other than read/insert/scan
     (before anything is applied)."""
     unknown = {op[0] for op in ops}.difference((OP_READ, OP_INSERT, OP_SCAN))
     if unknown:
         raise ValueError(f"unknown op code {min(unknown)}")
-
-
-def apply_in_runs(target: RunTarget, ops: Sequence[Op],
-                  latency_sink: list[float] | None = None) -> list[Any]:
-    """Apply ``ops`` in order as maximal runs of one kind.
-
-    Each run of inserts is one ``insert_many`` call; each run of reads
-    and scans is one ``search_many`` call for its reads and one
-    ``range_scan_many`` call for its scans.  Reads and scans change no
-    state and every charge on their paths declares its access pattern,
-    so their relative order inside a run changes no simulated number;
-    inserts fence them, so an op issued after an insert observes it.
-    Returns one result per op (``None`` for inserts); ``latency_sink``
-    receives one simulated latency per op, aligned with ``ops``.
-    """
-    check_op_codes(ops)
-    n = len(ops)
-    results: list[Any] = [None] * n
-    latencies = [0.0] * n
-    start = 0
-    while start < n:
-        inserting = ops[start][0] == OP_INSERT
-        stop = start + 1
-        while stop < n and (ops[stop][0] == OP_INSERT) == inserting:
-            stop += 1
-        for code in (OP_INSERT,) if inserting else (OP_READ, OP_SCAN):
-            idx = [i for i in range(start, stop) if ops[i][0] == code]
-            if not idx:
-                continue
-            sink: list[float] = []
-            got: Sequence[Any]
-            if code == OP_INSERT:
-                target.insert_many([ops[i][1] for i in idx],
-                                   [ops[i][2] for i in idx],
-                                   latency_sink=sink)
-                got = [None] * len(idx)
-            elif code == OP_READ:
-                got = target.search_many([ops[i][1] for i in idx],
-                                         latency_sink=sink)
-            else:
-                got = target.range_scan_many(
-                    [(ops[i][1], ops[i][2]) for i in idx], latency_sink=sink
-                )
-            for i, result, latency in zip(idx, got, sink):
-                results[i] = result
-                latencies[i] = latency
-        start = stop
-    if latency_sink is not None:
-        latency_sink.extend(latencies)
-    return results
 
 
 class BatchFallbackMixin:
@@ -269,6 +203,9 @@ class BatchFallbackMixin:
         def delete(self, key: Any,
                    target: int | None = None) -> DeleteOutcome: ...
         def range_scan(self, lo: Any, hi: Any) -> RangeScanResult: ...
+        def capabilities(self) -> Capabilities: ...
+        def _unsupported(self, op: str,
+                         capability: str) -> UnsupportedOperationError: ...
 
     def _sim_clock(self) -> Any:
         """The bound stack's simulated clock, or None when unbound."""
@@ -344,9 +281,42 @@ class BatchFallbackMixin:
 
     def apply_many(self, ops: Sequence[Op],
                    latency_sink: list[float] | None = None) -> list[Any]:
-        """Point reads, scans and inserts in one ordered call, answered
-        as if applied one by one (:func:`apply_in_runs`)."""
-        return apply_in_runs(self, ops, latency_sink)
+        """Point reads, scans and inserts in one ordered call: the
+        per-op loop over :meth:`search`, :meth:`insert` and
+        :meth:`range_scan`.
+
+        Unknown op codes, inverted scan windows (one
+        :func:`normalize_scan_windows` pass over the scans) and ops
+        outside the backend's capabilities raise before any op applies.
+        """
+        check_op_codes(ops)
+        codes = [op[0] for op in ops]
+        windows = iter(normalize_scan_windows(
+            [(op[1], op[2]) for op in ops if op[0] == OP_SCAN]))
+        caps = self.capabilities()
+        if OP_INSERT in codes and not caps.mutable:
+            raise self._unsupported("insert", "mutable")
+        if OP_SCAN in codes and not caps.scannable:
+            raise self._unsupported("range_scan", "scannable")
+        clock = self._sim_clock()
+        track = latency_sink is not None and clock is not None
+        results: list[Any] = []
+        for code, key, arg in ops:
+            start = clock.now() if track else 0.0
+            if code == OP_READ:
+                results.append(self.search(as_scalar(key)))
+            elif code == OP_INSERT:
+                self.insert(as_scalar(key), int(arg))
+                results.append(None)
+            else:
+                results.append(self.range_scan(*next(windows)))
+            if track and latency_sink is not None:
+                latency_sink.append(clock.now() - start)
+        if latency_sink is not None and not track:
+            latency_sink.extend(0.0 for _ in ops)
+        if OP_INSERT in codes:
+            maybe_check(self)
+        return results
 
 
 class IndexBackend(BatchFallbackMixin):

@@ -1593,17 +1593,8 @@ class BFTree(IndexBackend):
 
     @staticmethod
     def _route_after_split(key, left: BFLeaf, right: BFLeaf) -> BFLeaf:
-        """Post-split insert routing, tolerant of a degenerate empty side.
-
-        ``_split_leaf`` guarantees both sides hold live keys, but a leaf
-        whose side went empty (e.g. trees deserialized from older state)
-        must not crash routing: an empty side has ``min_key is None``, and
-        comparing against ``None`` raises ``TypeError``.
-        """
-        if right.min_key is None:
-            return left
-        if left.min_key is None:
-            return right
+        """The split child ``key`` belongs to (``_split_leaf`` leaves a
+        live key on each side, so ``right.min_key`` is set)."""
         return right if key >= right.min_key else left
 
     def insert_overflow(self, key, pid: int) -> None:

@@ -38,7 +38,7 @@ def atomic_write_json(path: str | Path, data: dict[str, Any]) -> None:
         f.flush()
         os.fsync(f.fileno())
     os.replace(tmp, target)
-    _fsync_dir(target.parent)
+    fsync_dir(target.parent)
 
 
 def write_manifest(path: str | Path, data: dict[str, Any]) -> None:
@@ -53,8 +53,7 @@ def read_manifest(
     """Parse and validate a manifest; raise :class:`CorruptManifestError`.
 
     ``versions`` is the set of format versions the caller can decode —
-    shard manifests are at version 1, service manifests accept both the
-    legacy ordinal-keyed layout (1) and the stable-id layout (2).
+    shard manifests are at version 1, service manifests at version 2.
     """
     p = Path(path)
     try:
@@ -80,7 +79,8 @@ def read_manifest(
     return data
 
 
-def _fsync_dir(directory: Path) -> None:
+def fsync_dir(directory: Path) -> None:
+    """Best-effort directory fsync so the rename itself is durable."""
     try:
         fd = os.open(directory, os.O_RDONLY)
     except OSError:  # pragma: no cover - platform without dir fds

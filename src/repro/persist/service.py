@@ -29,9 +29,7 @@ same commit discipline the shard manifests use:
 :func:`~repro.persist.durable.recover` every listed shard directory,
 and reassemble the :class:`ShardedIndex` with the recorded fences, ids
 and epoch, so the Router serves the exact tree the crashed process had
-acknowledged.  Version-1 manifests (pre-elasticity, ordinal-keyed) are
-still accepted: ids are synthesized as ``0..n-1`` at epoch 0, matching
-the directories version 1 wrote.
+acknowledged.
 """
 
 from __future__ import annotations
@@ -121,31 +119,7 @@ def make_durable_service(
 def _manifest_layout(
     root: Path, manifest: dict[str, Any]
 ) -> tuple[int, list[dict[str, Any]]]:
-    """Normalize a v1 or v2 service manifest to ``(epoch, shard specs)``.
-
-    Version 1 predates dynamic topology: directories were keyed by
-    routing ordinal and the manifest carried parallel fence lists, which
-    is exactly the layout stable ids ``0..n-1`` at epoch 0 describe.
-    """
-    version = manifest.get("version")
-    if version == 1:
-        n_shards = int(manifest["n_shards"])
-        lo_keys = list(manifest["lo_keys"])
-        hi_keys = list(manifest["hi_keys"])
-        if len(lo_keys) != n_shards or len(hi_keys) != n_shards:
-            raise CorruptManifestError(
-                f"service manifest fence lists disagree with n_shards="
-                f"{n_shards}"
-            )
-        return 0, [
-            {"id": i, "lo_key": lo_keys[i], "hi_key": hi_keys[i]}
-            for i in range(n_shards)
-        ]
-    if version != SERVICE_VERSION:
-        raise CorruptManifestError(
-            f"service manifest has version {version!r}, expected "
-            f"{SERVICE_VERSION} (or legacy 1)"
-        )
+    """Validate a service manifest's layout: ``(epoch, shard specs)``."""
     specs = manifest.get("shards")
     if not isinstance(specs, list) or not specs:
         raise CorruptManifestError(
@@ -181,7 +155,7 @@ def recover_service(
     """
     root = Path(directory)
     manifest = read_manifest(root / SERVICE_MANIFEST,
-                             versions=(1, SERVICE_VERSION))
+                             versions=(SERVICE_VERSION,))
     epoch, specs = _manifest_layout(root, manifest)
     shards: list[Shard] = []
     for spec in specs:

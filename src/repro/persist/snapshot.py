@@ -30,6 +30,7 @@ import numpy as np
 
 from repro.api.results import as_scalar
 from repro.persist.errors import CorruptSnapshotError
+from repro.persist.manifest import fsync_dir
 
 MAGIC = b"RPSNAP01"
 _HEAD = struct.Struct("<II")  # (header length, CRC32 of header)
@@ -106,7 +107,7 @@ def write_snapshot(path: str | Path, state: dict[str, Any]) -> tuple[int, int]:
         f.flush()
         os.fsync(f.fileno())
     os.replace(tmp, target)
-    _fsync_dir(target.parent)
+    fsync_dir(target.parent)
     return len(body), zlib.crc32(body)
 
 
@@ -173,16 +174,3 @@ def file_crc32(path: str | Path) -> int:
     """CRC32 of a whole file (for manifest cross-checks)."""
     return zlib.crc32(Path(path).read_bytes())
 
-
-def _fsync_dir(directory: Path) -> None:
-    """Best-effort directory fsync so the rename itself is durable."""
-    try:
-        fd = os.open(directory, os.O_RDONLY)
-    except OSError:  # pragma: no cover - platform without dir fds
-        return
-    try:
-        os.fsync(fd)
-    except OSError:  # pragma: no cover
-        pass
-    finally:
-        os.close(fd)

@@ -6,12 +6,12 @@ device/clock/buffer-pool stack) under an epoch-versioned
 :class:`RoutingTable`, a :class:`Router` splits mixed read/insert/scan
 batches into per-shard column batches (:class:`ShardBatch`) and replays
 them through the :class:`SerialExecutor` (one ordered ``apply_many``
-call per shard chunk), and
+call per shard chunk) — the service's only batch path — and
 :class:`ServiceStats` merges per-shard IOStats and folds per-op
 simulated latencies into p50/p95/p99 summaries.
 
 The topology is *dynamic*: ``split_shard``/``merge_shards`` reshape the
-partition layout live (stable shard ids, epoch bumps), and the
+partition layout between replays (stable shard ids, epoch bumps), and the
 :class:`Rebalancer` control loop drives them from windowed per-shard
 load with hysteresis — see
 :mod:`repro.service.routing` and :mod:`repro.service.rebalance`.

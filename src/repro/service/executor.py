@@ -4,9 +4,12 @@ The Router plans a trace into one :class:`ShardBatch` per shard: parallel
 columns of trace op indices, op codes, keys and third fields, in trace
 order.  :class:`SerialExecutor` receives ``(stable shard id, batch)``
 plans and replays the shards one after another, each as one ordered
-``apply_many`` call per :data:`REPLAY_CHUNK` slice of its columns.  It
-returns one ``(results, latencies)`` pair of lists per shard, aligned
-with the batch's columns; no per-op record is built on either side.
+``apply_many`` call per :data:`REPLAY_CHUNK` slice of its columns on
+that shard's own index.  It returns one ``(results, latencies)`` pair
+of lists per shard, aligned with the batch's columns; no per-op record
+is built on either side.  Topology changes are made between replays,
+so every planned shard id is still in the routing table at dispatch;
+one that is not raises ``RuntimeError``.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from __future__ import annotations
 from typing import Any, NamedTuple
 
 from repro.analysis import sanitize
-from repro.api.protocol import OP_INSERT, Index
+from repro.api.protocol import OP_INSERT
 from repro.service.sharded import ShardedIndex
 
 
@@ -61,8 +64,17 @@ class SerialExecutor:
     def replay_shard(self, sid: int, batch: ShardBatch
                      ) -> tuple[list[Any], list[float]]:
         """Run one shard's batch in order; return its per-op results and
-        simulated latencies.  An unknown op code raises ``ValueError``."""
+        simulated latencies.  An unknown op code raises ``ValueError``;
+        a shard id missing from the routing table raises
+        ``RuntimeError`` (topology changes belong between replays)."""
         service = self.service
+        shard = service.shard_by_id(sid)
+        if shard is None:
+            raise RuntimeError(
+                f"shard id {sid} left the routing table between plan and "
+                f"replay; change the topology between replays"
+            )
+        index = shard.index
         codes, keys, args = batch.codes, batch.keys, batch.args
         results: list[Any] = []
         latencies: list[float] = []
@@ -70,23 +82,14 @@ class SerialExecutor:
             stop = start + REPLAY_CHUNK
             chunk_codes = codes[start:stop]
             chunk_args = args[start:stop]
-            shard = service.shard_by_id(sid)
-            # A shard retired mid-replay has no owner any more: the
-            # service-level call re-routes each op by key (and re-plans
-            # each scan leg's sub-window, which still partitions the
-            # original window) under the current epoch.  It takes tuple
-            # ids; a shard's index takes its native write targets.
-            target: ShardedIndex | Index = (
-                service if shard is None else shard.index
-            )
             inserts = OP_INSERT in chunk_codes
-            if inserts and shard is not None:
-                write_target = shard.index.write_target
+            if inserts:
+                write_target = index.write_target
                 chunk_args = [write_target(arg) if code == OP_INSERT
                               else arg
                               for code, arg in zip(chunk_codes, chunk_args)]
             sink: list[float] = []
-            results += target.apply_many(
+            results += index.apply_many(
                 list(zip(chunk_codes, keys[start:stop], chunk_args)),
                 latency_sink=sink,
             )

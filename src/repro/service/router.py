@@ -32,19 +32,16 @@ summation order) — the tests hold the Router to that per-op loop.
 
 **Topology discipline.**  Routing goes through the service's
 :class:`~repro.service.routing.RoutingTable`; plan-time shard ordinals
-are resolved to *stable shard ids* before dispatch, and each chunk
-re-resolves its shard id through the table (reprolint rule P4 forbids
-retaining ``shards[i]`` objects here).  Nothing is buffered between
-engine calls, so a live topology change (``split_shard`` /
-``merge_shards``) has nothing of the Router's to flush.  Should a shard
-id vanish (retired mid-replay), its chunks fall back to the
-service-level ``apply_many``, which re-routes each op by key under the
-new epoch.
+are resolved to *stable shard ids* before dispatch, and the executor
+resolves each id back to its shard through the table (reprolint rule
+P4 forbids retaining ``shards[i]`` objects here).  Nothing is buffered
+between replays, so a topology change (``split_shard`` /
+``merge_shards``) has nothing of the Router's to flush.  Topology
+changes are a control-plane action: make them between replay calls, as
+the elastic control loop does.  A planned shard id that has left the
+table by dispatch raises ``RuntimeError``.
 
-Per-shard operation order always follows trace order.  Live topology
-changes remain a control-plane action: trigger them between replay
-calls (as the elastic control loop does) — not concurrently from
-another thread.
+Per-shard operation order always follows trace order.
 """
 
 from __future__ import annotations
@@ -148,19 +145,14 @@ class Router:
         if any(not shard.bound for shard in service.shards):
             raise RuntimeError("service is not bound; call bind() first")
         batches = self.plan(trace)
-        # Resolve this epoch's ordinals to stable ids before dispatch;
-        # snapshot per-shard counters by id so the books stay right even
-        # if the topology changes under us mid-replay.
+        # Resolve this epoch's ordinals to stable ids before dispatch.
         table = service.table
         plans = [(table.id_at(s), batch) for s, batch in enumerate(batches)]
-        before: dict[int, tuple[IOStats, float]] = {}
+        before: list[tuple[IOStats, float]] = []
         for shard in service.shards:
             assert shard.stack is not None
-            before[shard.shard_id] = (
-                shard.stack.stats.snapshot(), shard.stack.clock.now()
-            )
-        retired_io0 = service.retired_io.snapshot()
-        retired_clock0 = service.retired_clock
+            before.append((shard.stack.stats.snapshot(),
+                           shard.stack.clock.now()))
         t0 = time.perf_counter()
         outcomes = self.executor.run(plans)
         wall_secs = time.perf_counter() - t0
@@ -192,24 +184,11 @@ class Router:
         per_shard_io: list[IOStats] = []
         per_shard_clock: list[float] = []
         shard_ids: list[int] = []
-        live_ids = set()
-        for shard in service.shards:
+        for shard, (io0, c0) in zip(service.shards, before):
             assert shard.stack is not None
-            io0, c0 = before.get(shard.shard_id, (IOStats(), 0.0))
             per_shard_io.append(shard.stack.stats.diff(io0))
             per_shard_clock.append(shard.stack.clock.now() - c0)
             shard_ids.append(shard.shard_id)
-            live_ids.add(shard.shard_id)
-        # Work retired mid-replay (a shard split/merged away during
-        # the replay): the service accumulators grew by those
-        # shards' *lifetime* counters; subtract their replay-start
-        # snapshots to keep only this replay's share.
-        retired_io = service.retired_io.diff(retired_io0)
-        retired_clock = service.retired_clock - retired_clock0
-        for sid, (io0, c0) in before.items():
-            if sid not in live_ids:
-                retired_io = retired_io.diff(io0)
-                retired_clock -= c0
         stats = ServiceStats(
             per_shard_io=per_shard_io,
             per_shard_clock=per_shard_clock,
@@ -217,8 +196,6 @@ class Router:
             op_latencies=latencies,
             wall_secs=wall_secs,
             shard_ids=shard_ids,
-            retired_io=retired_io,
-            retired_clock=retired_clock,
             epoch=service.topology_epoch,
         )
         return results, stats

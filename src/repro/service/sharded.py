@@ -66,7 +66,7 @@ from typing import Any, Iterable, Sequence
 
 import numpy as np
 
-from repro.api.protocol import Index, Op, apply_in_runs
+from repro.api.protocol import Index
 from repro.api.registry import make_index
 from repro.analysis.sanitize import maybe_check
 from repro.api.results import (
@@ -447,7 +447,7 @@ class ShardedIndex:
         Both endpoints of every window are routed in one
         ``searchsorted`` pass each; entry ``j`` equals
         ``scan_plan(*windows[j])`` exactly.  The Router's trace planning
-        and :meth:`range_scan_many` run on this.
+        runs on this.
         """
         wins = normalize_scan_windows(windows)
         if not wins:
@@ -469,37 +469,13 @@ class ShardedIndex:
         return plans
 
     # ==================================================================
-    # operations (single-caller convenience; the Router batches)
+    # operations: the per-op reference.  The Router is the service's
+    # batch path; these scalar calls are what it is held to, op by op
+    # in trace order (tests/per_op_replay.py).  ``delete_many`` is the
+    # service's only delete (traces carry no delete op).
     # ==================================================================
     def search(self, key: Any) -> SearchResult:
         return self.shards[self.route_key(key)].index.search(key)
-
-    def search_many(self, keys: Sequence[Any],
-                    latency_sink: list[float] | None = None
-                    ) -> list[SearchResult | None]:
-        """Route a probe batch and dispatch each shard's slice through
-        its ``search_many``; results come back in input order."""
-        keys = [as_scalar(k) for k in keys]
-        assign = self.route(keys)
-        results: list[SearchResult | None] = [None] * len(keys)
-        latencies = [0.0] * len(keys)
-        for s, shard in enumerate(self.shards):
-            idx = np.nonzero(assign == s)[0]
-            if not len(idx):
-                continue
-            sub_sink: list[float] | None = (
-                [] if latency_sink is not None else None
-            )
-            shard_results = shard.index.search_many(
-                [keys[i] for i in idx], latency_sink=sub_sink
-            )
-            for j, i in enumerate(idx):
-                results[i] = shard_results[j]
-                if sub_sink is not None:
-                    latencies[i] = sub_sink[j]
-        if latency_sink is not None:
-            latency_sink.extend(latencies)
-        return results
 
     def insert(self, key: Any, tid: int) -> None:
         """Index tuple ``tid`` under ``key`` on the owning shard.
@@ -512,44 +488,11 @@ class ShardedIndex:
         shard = self.shards[self.route_key(key)]
         shard.index.insert(key, shard.index.write_target(int(tid)))
 
-    def insert_many(self, keys: Sequence[Any], tids: Sequence[int],
-                    latency_sink: list[float] | None = None) -> None:
-        """Vectorized batch insert: route the whole batch in one pass,
-        then drive each shard's slice through its ``insert_many``.
-
-        Bit-identical to per-key :meth:`insert` calls in trace order —
-        each shard receives its keys in input order and the shards share
-        no state, so the interleaving across shards cannot matter.
-        ``latency_sink`` receives per-op simulated latencies aligned
-        with ``keys``.
-        """
-        keys = [as_scalar(k) for k in keys]
-        assign = self.route(keys)
-        latencies = [0.0] * len(keys)
-        for s, shard in enumerate(self.shards):
-            idx = np.nonzero(assign == s)[0]
-            if not len(idx):
-                continue
-            sub_sink: list[float] | None = (
-                [] if latency_sink is not None else None
-            )
-            index = shard.index
-            index.insert_many(
-                [keys[i] for i in idx],
-                [index.write_target(int(tids[i])) for i in idx],
-                latency_sink=sub_sink,
-            )
-            if sub_sink is not None:
-                for j, i in enumerate(idx):
-                    latencies[i] = sub_sink[j]
-        if latency_sink is not None:
-            latency_sink.extend(latencies)
-        maybe_check(self)
-
     def delete_many(self, keys: Sequence[Any],
                     tids: Sequence[int | None] | None = None,
                     latency_sink: list[float] | None = None) -> list[Any]:
-        """Batch delete, routed like :meth:`insert_many`.
+        """Batch delete: route every key in one pass, then drive each
+        shard's slice through its index's ``delete_many``.
 
         ``tids`` (tuple ids, translated per backend via ``write_target``
         — e.g. to page ids for BF shards, enabling the counting-filter
@@ -599,65 +542,6 @@ class ShardedIndex:
             total.pages_read += part.pages_read
             total.leaves_visited += part.leaves_visited
         return total
-
-    def range_scan_many(self, windows: Iterable[tuple[Any, Any]],
-                        latency_sink: list[float] | None = None
-                        ) -> list[RangeScanResult]:
-        """Vectorized batch :meth:`range_scan`: plan every window's legs
-        in one pass (:meth:`scan_plan_many`), drive each shard's leg
-        group through its index's ``range_scan_many``, and merge the
-        legs back per scan.
-
-        Bit-identical to per-window :meth:`range_scan` calls — legs land
-        on the same shards with the same sub-windows, and each shard's
-        batch scan engine is charge-identical to its scalar loop.
-        ``latency_sink`` receives one simulated per-scan latency per
-        window (a cross-shard scan's latency is the sum of its legs',
-        matching the Router's scatter-gather accounting).
-        """
-        plans = self.scan_plan_many(windows)
-        n = len(plans)
-        results = [
-            RangeScanResult(matches=0, pages_read=0, leaves_visited=0)
-            for _ in range(n)
-        ]
-        latencies = [0.0] * n
-        per_shard: list[list[tuple[int, Any, Any]]] = [
-            [] for _ in self.shards
-        ]
-        for j, legs in enumerate(plans):
-            for s, sub_lo, sub_hi in legs:
-                per_shard[s].append((j, sub_lo, sub_hi))
-        for s, shard in enumerate(self.shards):
-            group = per_shard[s]
-            if not group:
-                continue
-            sub_sink: list[float] | None = (
-                [] if latency_sink is not None else None
-            )
-            shard_results = shard.index.range_scan_many(
-                [(sub_lo, sub_hi) for _, sub_lo, sub_hi in group],
-                latency_sink=sub_sink,
-            )
-            for (j, _, _), part in zip(group, shard_results):
-                results[j].matches += part.matches
-                results[j].pages_read += part.pages_read
-                results[j].leaves_visited += part.leaves_visited
-            if sub_sink is not None:
-                for (j, _, _), latency in zip(group, sub_sink):
-                    latencies[j] += latency
-        if latency_sink is not None:
-            latency_sink.extend(latencies)
-        return results
-
-    def apply_many(self, ops: Sequence[Op],
-                   latency_sink: list[float] | None = None) -> list[Any]:
-        """Point reads, scans and inserts in one ordered call, each run
-        of one kind routed by key through the batch calls above
-        (:func:`~repro.api.protocol.apply_in_runs`).  Inserts carry tuple
-        ids, as in :meth:`insert_many`.  The Router's replay falls back
-        to this for a shard retired mid-replay."""
-        return apply_in_runs(self, ops, latency_sink)
 
     # ==================================================================
     # introspection

@@ -77,9 +77,7 @@ class ServiceStats:
     the merged counters, percentile summaries and throughput from them.
 
     ``shard_ids`` (when present) aligns the per-shard lists with stable
-    routing-table shard ids; ``retired_io``/``retired_clock`` hold work
-    charged during the replay by shards that were split or merged away
-    mid-replay, so :attr:`io` stays a complete account.
+    routing-table shard ids.
     """
 
     def __init__(
@@ -90,8 +88,6 @@ class ServiceStats:
         op_latencies: np.ndarray,
         wall_secs: float,
         shard_ids: list[int] | None = None,
-        retired_io: IOStats | None = None,
-        retired_clock: float = 0.0,
         epoch: int | None = None,
     ) -> None:
         self.per_shard_io = per_shard_io
@@ -100,8 +96,6 @@ class ServiceStats:
         self.op_latencies = np.asarray(op_latencies, dtype=np.float64)
         self.wall_secs = wall_secs
         self.shard_ids = shard_ids
-        self.retired_io = IOStats() if retired_io is None else retired_io
-        self.retired_clock = retired_clock
         self.epoch = epoch
 
     # ------------------------------------------------------------------
@@ -115,8 +109,8 @@ class ServiceStats:
 
     @property
     def io(self) -> IOStats:
-        """All shards' counters summed into one block (retired included)."""
-        total = IOStats() + self.retired_io
+        """All shards' counters summed into one block."""
+        total = IOStats()
         for stats in self.per_shard_io:
             total = total + stats
         return total
@@ -129,7 +123,7 @@ class ServiceStats:
     @property
     def total_sim_seconds(self) -> float:
         """Total simulated device/CPU time across all shards."""
-        return float(sum(self.per_shard_clock)) + self.retired_clock
+        return float(sum(self.per_shard_clock))
 
     @property
     def load_balance(self) -> float:

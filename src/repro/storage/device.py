@@ -151,10 +151,6 @@ class Device:
         return self.profile.medium
 
     @property
-    def is_memory(self) -> bool:
-        return self.profile.medium is Medium.MEMORY
-
-    @property
     def head(self) -> int | None:
         """The page the head rests on: the last page accessed, or None.
 

@@ -327,6 +327,42 @@ def test_apply_many_rejects_unknown_op_code(name, pk_relation):
     assert stack.stats.snapshot() == build_stack(CONFIG).stats.snapshot()
 
 
+@pytest.mark.parametrize("name", BACKENDS)
+def test_apply_many_rejects_bad_scan_before_applying(name, pk_relation):
+    """An inverted scan window anywhere in the call raises before the
+    insert ahead of it applies: nothing is charged, nothing indexed."""
+    index = _build(name, pk_relation)
+    stack = build_stack(CONFIG)
+    index.bind(stack)
+    with pytest.raises(ValueError, match="empty range"):
+        index.apply_many([(OP_INSERT, 10**7, index.write_target(8191)),
+                          (OP_SCAN, 10, 5)])
+    assert stack.stats.snapshot() == build_stack(CONFIG).stats.snapshot()
+    assert not index.search(10**7).found
+
+
+@pytest.mark.parametrize("name", sorted(set(IMMUTABLE) | set(UNSCANNABLE)))
+def test_apply_many_checks_capabilities_before_applying(name, pk_relation):
+    """An op outside the backend's capabilities raises before any op of
+    the call applies (an insert ahead of a scan on an unscannable
+    backend, a read ahead of an insert on an immutable one)."""
+    caps = EXPECTED_CAPS[name]
+    index = _build(name, pk_relation)
+    stack = build_stack(CONFIG)
+    index.bind(stack)
+    if caps["mutable"]:
+        ops = [(OP_INSERT, 10**7, index.write_target(8191)),
+               (OP_SCAN, 0, 100)]
+        missing = "not scannable"
+    else:
+        ops = [(OP_READ, 5, None), (OP_INSERT, 10**7, 0)]
+        missing = "not mutable"
+    with pytest.raises(UnsupportedOperationError, match=missing):
+        index.apply_many(ops)
+    assert stack.stats.snapshot() == build_stack(CONFIG).stats.snapshot()
+    assert not index.search(10**7).found
+
+
 # ======================================================================
 # normalized mutation semantics
 # ======================================================================
@@ -401,7 +437,7 @@ def test_sharded_vs_unsharded_bit_identity(name, pk_relation):
                                  unique=True, fpp=FPP)
     assert service.n_shards > 1
     service.bind(CONFIG)
-    results = service.search_many(keys)
+    results = [service.search(k) for k in keys]
     merged = service.merged_io()
     service.unbind()
     assert results == ref
@@ -414,7 +450,7 @@ def test_unshardable_backend_serves_single_shard(name, pk_relation):
                                  unique=True, fpp=FPP)
     assert service.n_shards == 1
     service.bind(CONFIG)
-    results = service.search_many([0, 1000, 10**9])
+    results = [service.search(k) for k in (0, 1000, 10**9)]
     service.unbind()
     assert [r.found for r in results] == [True, True, False]
 

@@ -410,35 +410,3 @@ def test_negative_insert_page_raises_like_the_scalar_insert():
             call(w.build())
         assert str(got.value) == str(err.value)
 
-
-def test_sharded_apply_many_equals_per_op_service_calls(pk_relation):
-    """The service-level call (the Router's fallback for a shard retired
-    mid-replay) routes each run by key; inserts carry tuple ids."""
-    from repro.service import ShardedIndex
-
-    def build():
-        service = ShardedIndex.build(pk_relation, "pk", n_shards=3,
-                                     unique=True, fpp=1e-3)
-        service.bind("MEM/SSD")
-        return service
-
-    ops = [(OP_READ, 10, None), (OP_SCAN, 2000, 6000),
-           (OP_INSERT, 4242, 4242), (OP_INSERT, 10**6, 8191),
-           (OP_READ, 4242, None), (OP_READ, 10**6, None),
-           (OP_SCAN, 8000, 10**6), (OP_READ, 7000, None)]
-    ref = build()
-    want, want_lat = [], []
-    for code, key, arg in ops:
-        start = sum(ref.shard_clocks())
-        if code == OP_READ:
-            want.append(ref.search(key))
-        elif code == OP_INSERT:
-            want.append(ref.insert(key, arg))
-        else:
-            want.append(ref.range_scan(key, arg))
-        want_lat.append(sum(ref.shard_clocks()) - start)
-    service = build()
-    sink: list[float] = []
-    assert service.apply_many(ops, latency_sink=sink) == want
-    assert service.merged_io() == ref.merged_io()
-    np.testing.assert_allclose(sink, want_lat, rtol=1e-9)

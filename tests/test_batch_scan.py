@@ -179,27 +179,6 @@ class TestBPlusTreeScanEquivalence:
 
 
 class TestShardedScanEquivalence:
-    @pytest.mark.parametrize("kind", ["bf", "bplus"])
-    def test_range_scan_many_matches_scalar(self, relation, kind):
-        windows = _windows(80, 16384, 250, seed=16)
-        config = BFTreeConfig(fpp=FPP) if kind == "bf" else None
-
-        def build():
-            return ShardedIndex.build(relation, "pk", n_shards=4, kind=kind,
-                                      config=config, unique=True)
-
-        scalar_svc, batch_svc = build(), build()
-        scalar_svc.bind(CONFIG)
-        batch_svc.bind(CONFIG)
-        ref = [scalar_svc.range_scan(lo, hi) for lo, hi in windows]
-        sink: list[float] = []
-        got = batch_svc.range_scan_many(windows, latency_sink=sink)
-        assert got == ref
-        assert batch_svc.merged_io() == scalar_svc.merged_io()
-        assert len(sink) == len(windows)
-        scalar_svc.unbind()
-        batch_svc.unbind()
-
     def test_scan_plan_many_matches_scan_plan(self, relation):
         service = ShardedIndex.build(relation, "pk", n_shards=4, kind="bf",
                                      config=BFTreeConfig(fpp=FPP),

@@ -22,8 +22,10 @@ from repro.persist import (
     WriteAheadLog,
     apply_record,
     read_manifest,
+    make_durable_service,
     read_snapshot,
     recover,
+    recover_service,
     replay_wal,
     truncate_wal,
     write_manifest,
@@ -31,6 +33,7 @@ from repro.persist import (
 )
 from repro.core import BFTree, BFTreeConfig
 from repro.persist.errors import PersistError, WALFailedError
+from repro.persist.service import SERVICE_MANIFEST
 from repro.storage import Relation, build_stack
 
 
@@ -282,6 +285,30 @@ class TestManifest:
     def test_no_temp_file_left_behind(self, tmp_path):
         write_manifest(tmp_path / "MANIFEST.json", {"backend": "bf"})
         assert [p.name for p in tmp_path.iterdir()] == ["MANIFEST.json"]
+
+    def test_service_manifest_v1_layout_rejected(self, tmp_path):
+        """The ordinal-keyed version-1 service layout (parallel
+        ``lo_keys``/``hi_keys`` lists) is no longer recovered."""
+        rel = Relation({"pk": np.arange(8192, dtype=np.int64)},
+                       tuple_size=256, name="v1-rel")
+        service = make_durable_service(rel, "pk", tmp_path, n_shards=2,
+                                       kind="bf", unique=True, fpp=1e-3)
+        path = tmp_path / SERVICE_MANIFEST
+        v2 = json.loads(path.read_text())
+        path.write_text(json.dumps({
+            "version": 1,
+            "kind": v2["kind"],
+            "column": v2["column"],
+            "unique": v2["unique"],
+            "n_shards": v2["n_shards"],
+            "donor_height": v2["donor_height"],
+            "lo_keys": [s["lo_key"] for s in v2["shards"]],
+            "hi_keys": [s["hi_key"] for s in v2["shards"]],
+        }))
+        for shard in service.shards:
+            shard.index.close()
+        with pytest.raises(CorruptManifestError, match="version 1"):
+            recover_service(tmp_path, rel)
 
 
 # ======================================================================

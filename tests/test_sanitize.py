@@ -22,10 +22,12 @@ from repro.analysis.sanitize import (
     force,
     maybe_check,
 )
-from repro.api import make_index
-from repro.service import ShardedIndex
+from repro.api import OP_INSERT, make_index
+from repro.service import Router, ShardedIndex
 from repro.service.routing import RouteEntry
 from repro.storage.relation import Relation
+from repro.workloads import MixedTrace
+from repro.workloads.mixed import MIXES
 
 FPP = 1e-3
 
@@ -340,12 +342,21 @@ class TestEnablement:
             bf.insert_many([10**7], [last_pid])
 
     def test_sharded_insert_many_hook_fires(self, sharded):
-        # The service takes tuple ids; write_target maps them to pages.
+        # A Router replay validates the whole service after each shard
+        # chunk that inserts; the trace carries tuple ids.
         force(True)
         last_tid = sharded.relation.ntuples - 1
+        sharded.bind("MEM/SSD")
         sharded.shards[1].lo_key += 1
+        trace = MixedTrace(
+            ops=np.array([OP_INSERT], dtype=np.int8),
+            keys=np.array([10**7], dtype=np.int64),
+            tids=np.array([last_tid], dtype=np.int64),
+            scan_widths=np.zeros(1, dtype=np.int64),
+            mix=MIXES["insert_heavy"], skew="uniform", theta=0.99, seed=0,
+        )
         with pytest.raises(StructuralCorruption):
-            sharded.insert_many([10**7], [last_tid])
+            Router(sharded).replay(trace)
 
     def test_sanitize_passes_during_real_mutation(self, bf):
         # A genuine mutation batch under the sanitizer: no false alarms.

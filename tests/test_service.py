@@ -272,9 +272,9 @@ class TestWriteBatching:
         assert batched.io == scalar.io
 
     def test_sharded_insert_many_equals_unsharded_loop(self, relation):
-        """ShardedIndex.insert_many routes vectorized but performs the
-        exact scalar work: merged IOStats and post-insert probes match
-        an unsharded tree inserting the same batch in order."""
+        """An insert-only Router replay routes vectorized but performs
+        the exact scalar work: merged IOStats and post-insert probes
+        match an unsharded tree inserting the same batch in order."""
         rng = np.random.default_rng(41)
         keys = rng.integers(0, 16384, size=500).tolist()
         values = np.asarray(relation.columns["pk"])
@@ -294,12 +294,20 @@ class TestWriteBatching:
                                      config=BFTreeConfig(fpp=FPP),
                                      unique=True)
         service.bind(CONFIG)
-        sink: list[float] = []
-        service.insert_many(keys, tids, latency_sink=sink)
+        n = len(keys)
+        trace = MixedTrace(
+            ops=np.full(n, OP_INSERT, dtype=np.int8),
+            keys=np.asarray(keys, dtype=np.int64),
+            tids=np.asarray(tids, dtype=np.int64),
+            scan_widths=np.zeros(n, dtype=np.int64),
+            mix=MIXES["insert_heavy"], skew="uniform", theta=0.99, seed=41,
+        )
+        _, stats = Router(service).replay(trace)
         insert_io = service.merged_io()
-        results = service.search_many(probes.keys)
+        results = [service.search(k.item()) for k in probes.keys]
         service.unbind()
-        assert len(sink) == len(keys)
+        assert len(stats.op_latencies) == n
+        assert stats.io == ref_insert_io
         assert insert_io == ref_insert_io
         assert results == ref_results
 
@@ -370,7 +378,7 @@ class TestRouterValidation:
                                      unique=True)
         assert service.n_shards == 1
         service.bind(CONFIG)
-        results = service.search_many([5, 17, 10**9])
+        results = [service.search(k) for k in (5, 17, 10**9)]
         service.unbind()
         assert [r.found for r in results] == [True, True, False]
 
@@ -380,7 +388,7 @@ class TestRouterValidation:
                                      config=BFTreeConfig(fpp=FPP),
                                      unique=True)
         probes = point_probes(relation, "pk", 20, seed=2)
-        results = service.search_many(probes.keys)
+        results = [service.search(k.item()) for k in probes.keys]
         assert len(results) == 20
         assert all(r.found for r in results)
 
@@ -486,14 +494,14 @@ class TestDynamicTopology:
         svc.bind(CONFIG)
         try:
             keys = list(range(0, 32768, 97))
-            before = svc.search_many(keys)
+            before = [svc.search(k) for k in keys]
             io0 = svc.merged_io().snapshot().__dict__
             victim = max(svc.shards,
                          key=lambda s: s.index.n_leaves).shard_id
             svc.split_shard(victim)
             # Splitting charges no I/O and loses none already charged.
             assert svc.merged_io().snapshot().__dict__ == io0
-            after = svc.search_many(keys)
+            after = [svc.search(k) for k in keys]
             assert after == before
         finally:
             svc.unbind()
@@ -514,16 +522,17 @@ class TestDynamicTopology:
         svc.bind(CONFIG)
         try:
             leaves0 = svc.n_leaves
-            svc.insert_many(novel, tids)
+            for key, tid in zip(novel, tids):
+                svc.insert(key, tid)
             assert svc.n_leaves > leaves0          # leaf splits ran
             last = svc.shards[-1]
             assert len(last.index.shard_leaves()) == last.index.n_leaves
             keys = list(range(0, 32768, 97)) + novel
-            before = svc.search_many(keys)
+            before = [svc.search(k) for k in keys]
             n_leaves = svc.n_leaves
             svc.split_shard(last.shard_id)
             assert svc.n_leaves == n_leaves
-            assert svc.search_many(keys) == before
+            assert [svc.search(k) for k in keys] == before
         finally:
             svc.unbind()
 
@@ -536,7 +545,7 @@ class TestDynamicTopology:
         assert svc.topology_epoch == 2
         assert svc.n_shards == 4
         assert svc.table.span_of(merged) == (lo, hi)
-        results = svc.search_many(list(range(0, 32768, 131)))
+        results = [svc.search(k) for k in range(0, 32768, 131)]
         assert all(r.found for r in results)
 
     def test_split_validations(self, wide_relation):
@@ -757,7 +766,7 @@ def test_durable_router_replay_recovers_every_insert(wide_relation,
     recovered = recover_service(tmp_path, wide_relation)
     recovered.bind(CONFIG)
     try:
-        results = recovered.search_many(inserted)
+        results = [recovered.search(k) for k in inserted]
     finally:
         recovered.unbind()
     assert all(r.found for r in results)
@@ -807,6 +816,24 @@ class TestExecutorEquivalence:
         assert dyn.topology_epoch == 2
         assert got == ref.results
         assert dyn_io == ref.io
+
+    def test_split_between_plan_and_run_raises(self, wide_relation):
+        """Topology changes belong between replays: a planned shard id
+        that a split retired before dispatch raises, naming the id."""
+        trace = generate_trace(wide_relation, "pk", mix="balanced",
+                               n_ops=200, skew="uniform", seed=3)
+        svc = _wide_service(wide_relation)
+        svc.bind(CONFIG)
+        try:
+            router = Router(svc)
+            plans = [(svc.table.id_at(s), batch)
+                     for s, batch in enumerate(router.plan(trace))]
+            victim = plans[1][0]
+            svc.split_shard(victim)
+            with pytest.raises(RuntimeError, match=f"shard id {victim} "):
+                router.executor.run(plans)
+        finally:
+            svc.unbind()
 
 
 # ---------------------------------------------------------------------------

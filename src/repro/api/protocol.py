@@ -179,6 +179,13 @@ def check_op_codes(ops: Sequence[Op]) -> None:
         raise ValueError(f"unknown op code {min(unknown)}")
 
 
+def _check_targets(keys: Sequence[Any], targets: Sequence[Any]) -> None:
+    """Reject a batch whose targets do not pair one to one with its keys,
+    before any item applies (as the vectorized engines do)."""
+    if len(keys) != len(targets):
+        raise ValueError("keys and targets must have the same length")
+
+
 class BatchFallbackMixin:
     """Generic batch operations as per-item scalar loops.
 
@@ -228,6 +235,7 @@ class BatchFallbackMixin:
 
     def insert_many(self, keys: Sequence[Any], targets: Sequence[int],
                     latency_sink: list[float] | None = None) -> None:
+        _check_targets(keys, targets)
         clock = self._sim_clock()
         track = latency_sink is not None and clock is not None
         for key, target in zip(keys, targets):
@@ -243,8 +251,8 @@ class BatchFallbackMixin:
                     targets: Sequence[int | None] | None = None,
                     latency_sink: list[float] | None = None
                     ) -> list[DeleteOutcome]:
-        n = len(keys)
-        targets = [None] * n if targets is None else list(targets)
+        targets = [None] * len(keys) if targets is None else list(targets)
+        _check_targets(keys, targets)
         clock = self._sim_clock()
         track = latency_sink is not None and clock is not None
         outcomes: list[DeleteOutcome] = []

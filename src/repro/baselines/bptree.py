@@ -560,18 +560,16 @@ class BPlusTree(IndexBackend):
                 npages = last_page - first_page + 1
                 if device is not None:
                     device.read_batch(
-                        *classify_read_runs([(first_page, npages)])[:2],
-                        last_page=last_page,
-                    )
+                        *classify_read_runs([(first_page, npages)])[:2])
                 res.matches = last - first + 1
                 res.pages_read = npages
             else:
                 ordered = sorted(pages)
                 if device is not None and ordered:
-                    n_random, n_seq, last_pid = classify_read_runs(
+                    n_random, n_seq, _ = classify_read_runs(
                         [(pid, 1) for pid in ordered]
                     )
-                    device.read_batch(n_random, n_seq, last_page=last_pid)
+                    device.read_batch(n_random, n_seq)
                 res.matches = matches
                 res.pages_read = len(ordered)
             if track:

@@ -54,22 +54,6 @@ class FDTreeConfig:
     def entries_per_page(self) -> int:
         return self.page_size // (self.key_size + self.ptr_size)
 
-    @staticmethod
-    def choose_size_ratio(n_entries: int, update_fraction: float = 0.1) -> int:
-        """FD-Tree's cost-model flavour of picking k.
-
-        Searches favour a large k (fewer levels); merges favour a small k.
-        The FD-Tree paper balances them around ``k ~ (n / f)^(1/levels)``
-        with more levels as the update fraction grows.  Read-mostly
-        workloads (our experiments) get a large ratio.
-        """
-        if not 0.0 <= update_fraction <= 1.0:
-            raise ValueError("update_fraction must be in [0, 1]")
-        levels = max(1, round(1 + 3 * update_fraction))
-        pages = max(1, n_entries)
-        ratio = max(2, round(pages ** (1.0 / (levels + 1))))
-        return min(ratio, 256)
-
 
 class FDTree(IndexBackend):
     """Head tree + logarithmically growing sorted levels.

@@ -142,9 +142,7 @@ class SortedFileSearch(IndexBackend):
             right += 1
         spill = [*range(left, pid), *range(pid + 1, right + 1)]
         if self._data_device is not None and spill:
-            self._data_device.read_batch(
-                pid - left, right - pid,
-                last_page=right if right > pid else left)
+            self._data_device.read_batch(pid - left, right - pid)
         matches += self._count_matches(spill, key, stop_early=True)
         return SearchResult(found=True, matches=matches,
                             pages_read=1 + len(spill))

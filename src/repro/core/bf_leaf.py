@@ -752,12 +752,6 @@ class BFLeaf:
     # ------------------------------------------------------------------
     # accounting
     # ------------------------------------------------------------------
-    def bits_used(self) -> int:
-        per_slot = self.geometry.bits_per_bf
-        if self.counters is not None:
-            per_slot *= self.geometry.counter_bits
-        return self.nfilters * per_slot
-
     def effective_fpp(self) -> float:
         """Nominal fpp adjusted for overflow inserts (Equation 14)."""
         if self.nkeys == 0:
@@ -769,14 +763,6 @@ class BFLeaf:
         if nominal <= 0:
             return 1.0
         return fpp_after_inserts(base, self.extra_inserts / nominal)
-
-    def measured_fill(self) -> float:
-        """Mean fill fraction across populated filters (diagnostics)."""
-        populated = np.flatnonzero(self.counts)
-        if not len(populated):
-            return 0.0
-        ones = page_popcount(self.page, populated)
-        return float(ones.mean()) / self.geometry.bits_per_bf
 
 
 class LeafOverflow(Exception):

@@ -42,7 +42,9 @@ Storage binding: the tree's structure is device-independent.  Before
 measuring, call :meth:`bind` with a :class:`~repro.storage.config.
 StorageStack`; internal/leaf node accesses then charge the index device
 (optionally through a warm buffer pool) and data-page fetches charge the
-data device.
+data device.  Every charge states its access pattern (random or
+sequential, Eq. 13) and devices keep no head position, so the batch
+engines may charge in any order without changing a counter.
 """
 
 from __future__ import annotations
@@ -184,12 +186,6 @@ class _Walk:
     #: Scans of the current read run, dispatched before the next insert
     #: a scan can see.
     scans: list[int] = field(default_factory=list)
-    #: The latest op, in op order, whose charges have moved the index
-    #: device's head, and where they left it; the latest op whose
-    #: charges during the walk moved the data device's head.
-    index_op: int = -1
-    index_page: int | None = None
-    data_op: int = -1
 
 
 # Canonical result types live in the protocol layer (repro.api.results);
@@ -873,11 +869,11 @@ class BFTree(IndexBackend):
           charges touch only the data device and state their access
           pattern, so moving them past the chunk's index writes changes
           no counter; a read's latency is its descent/probe clock time
-          plus the :meth:`Device.read_cost` of its own pages;
-        * every charge states its access pattern, so only where each
-          device's head comes to rest depends on the charging order: the
-          walk records which op last moved it and leaves it where the
-          last op, in op order, would.
+          plus the :meth:`Device.read_cost` of its own pages.
+
+        Every charge states its access pattern and devices keep no head
+        position, so the order in which the walk charges changes no
+        counter: it tracks only results, latencies and its queues.
 
         Unknown op codes and inverted scan windows raise ``ValueError``
         before anything is applied.  The triples are unpacked into
@@ -963,13 +959,11 @@ class BFTree(IndexBackend):
                 runs = build_page_runs(walk.tests,
                                        [read_of[k] for k in walk.tested])
             fetched, fetch_latencies = self._fetch_runs(
-                [walk.keys[k] for k in ops], *runs, ops, walk.data_op)
+                [walk.keys[k] for k in ops], *runs, ops)
             results, latencies = walk.results, walk.latencies
             for k, result, latency in zip(ops, fetched, fetch_latencies):
                 results[k] = result
                 latencies[k] += latency
-        if walk.index_op >= 0:
-            self.store.device.head = walk.index_page
         if latency_sink is not None:
             latency_sink.extend(walk.latencies)
         if OP_INSERT in codes:
@@ -989,7 +983,6 @@ class BFTree(IndexBackend):
         pending = walk.pending
         n = len(walk.codes)
         clock, track = walk.clock, walk.track
-        data = self._data_device
         # A known duplicate re-insert sets no bit, never splits and never
         # grows the filter list.  When its key is inside the leaf's key
         # range, not tombstoned, and its page already covered, no read
@@ -1041,7 +1034,6 @@ class BFTree(IndexBackend):
                     )
                 for lid in list(pending) if will_split else [leaf_id]:
                     self._flush_duplicates(walk, lid)
-            data_reads = data.stats.data_random_reads if data else 0
             start = clock.now() if track else 0.0
             self._charge_descent(leaf, paths[leaf_id])
             split = self._insert_into(
@@ -1052,10 +1044,6 @@ class BFTree(IndexBackend):
                 dirty.add((leaf_id, grp[rel]))
             if track:
                 walk.latencies[i] = clock.now() - start
-            self._note_index_head(walk, i)
-            if data and data.stats.data_random_reads != data_reads:
-                # The split re-scanned the leaf's data pages.
-                walk.data_op = i
             i += 1
             j += 1
             if split:
@@ -1093,7 +1081,6 @@ class BFTree(IndexBackend):
         # (leaf id, neighbour ids) -> [(op, filters probed)]
         groups: dict[tuple, list[tuple[int, int]]] = {}
         group = None
-        last_read = -1
         while i < n:
             code = codes[i]
             if code == OP_SCAN:
@@ -1134,13 +1121,13 @@ class BFTree(IndexBackend):
                 results[i] = SearchResult(found=False)
             group = (leaf_id, nbrs)
             groups.setdefault(group, []).append((i, nprobed))
-            last_read = i
             i += 1
             j += 1
         if group is None:
             return i, j
-        # The run's last read charges last, so the index device's head
-        # rests where that read left it.
+        # The group of the run's last read charges last.  The order
+        # changes no counter; it fixes the order in which the clock sums
+        # its float charges, and so the last bits of replay latencies.
         groups[group] = groups.pop(group)
         clock, stats, track = walk.clock, walk.stats, walk.track
         latencies = walk.latencies
@@ -1156,21 +1143,7 @@ class BFTree(IndexBackend):
             if track:
                 for k, nf in ops:
                     latencies[k] = dt + nf * CPU_BLOOM_PROBE
-        self._note_index_head(walk, last_read)
         return i, j
-
-    def _note_index_head(self, walk: "_Walk", op: int) -> None:
-        """Record where the charges just made for op ``op`` left the
-        index device's head, if no later op's charges have landed yet.
-
-        The walk charges writes at their turn but reads, scans and
-        queued duplicates in aggregate, out of op order.  Every charge
-        states its access pattern, so only the head's final resting
-        place depends on that order; :meth:`_apply` puts it back where
-        the last op would leave it."""
-        device = self.store.device
-        if device is not None and op > walk.index_op:
-            walk.index_op, walk.index_page = op, device.head
 
     def _charge_read(self, leaf: BFLeaf, path: list[int],
                      neighbours: tuple[int, ...]) -> None:
@@ -1201,22 +1174,13 @@ class BFTree(IndexBackend):
         if not walk.scans:
             return
         sink: list[float] = []
-        touched: list[tuple[bool, bool]] = []
         got = self.range_scan_many(
             [(walk.keys[i], walk.args[i]) for i in walk.scans],
-            latency_sink=sink, touch_sink=touched,
+            latency_sink=sink,
         )
-        last_index = -1
-        for i, result, latency, (index, data) in zip(walk.scans, got, sink,
-                                                     touched):
+        for i, result, latency in zip(walk.scans, got, sink):
             walk.results[i] = result
             walk.latencies[i] = latency
-            if index:
-                last_index = i
-            if data:
-                walk.data_op = i
-        if last_index >= 0:
-            self._note_index_head(walk, last_index)
         walk.scans.clear()
 
     def _flush_duplicates(self, walk: "_Walk", leaf_id: int) -> None:
@@ -1230,7 +1194,6 @@ class BFTree(IndexBackend):
                 walk.rows, [rel for _, rel in queued],
                 js, walk.latencies if walk.track else None,
             )
-            self._note_index_head(walk, js[-1])
 
     def _neighbour_ids(self, key, leaf: BFLeaf) -> tuple[int, ...]:
         """Ids of the leaves next to ``leaf`` whose key range may also
@@ -1278,12 +1241,13 @@ class BFTree(IndexBackend):
         return leaf
 
     def _fetch_runs(self, keys, offsets: list[int], first: np.ndarray,
-                    npages: np.ndarray, ops: list[int], head_op: int = -1
+                    npages: np.ndarray, ops: list[int]
                     ) -> tuple[list[SearchResult], list[float]]:
         """Fetch each read's candidate page runs and scan them.
 
         The runs come CSR style from :func:`build_page_runs`: read ``r``
-        (key ``keys[r]``, op ``ops[r]``) has the sorted runs
+        (key ``keys[r]``, op ``ops[r]`` of the caller's chunk, which
+        names the read and changes no charge) has the sorted runs
         ``offsets[r]:offsets[r + 1]`` of ``first`` and ``npages``.  Their
         page ids are expanded with ``repeat``/``arange``, and one
         :meth:`Relation.scan_keys` call scans every candidate page of
@@ -1300,10 +1264,7 @@ class BFTree(IndexBackend):
         0.0; it skips the stop-rule arithmetic.
 
         The batch is charged in aggregate (one :meth:`Device.read_batch`,
-        one CPU charge for the tuples examined), and the data device's
-        head ends on the last page of the last read, in op order, that
-        read any — unless op ``head_op``, charged already and later in
-        op order, moved it last.  Returns one result and one simulated
+        one CPU charge for the tuples examined).  Returns one result and one simulated
         latency per read: the sum of that read's own charges, its page
         reads priced by :meth:`Device.read_cost`.
         """
@@ -1343,8 +1304,7 @@ class BFTree(IndexBackend):
         results: list[SearchResult] = []
         latencies: list[float] = []
         total_random = total_pages = total_examined = total_false = 0
-        last_op, last_end = head_op, -1
-        for a, b, op in zip(offsets, offsets[1:], ops):
+        for a, b in zip(offsets, offsets[1:]):
             if a == b:
                 # No candidate page: nothing is read or charged, and
                 # read_cost(0, 0) + 0 tuples' CPU is exactly 0.0.
@@ -1364,8 +1324,6 @@ class BFTree(IndexBackend):
                 false_pages = false_at[reached - 1] - false_at[a]
                 if hit_start[read_end] == hit_start[last]:
                     false_pages += read_end - last
-                if op > last_op:
-                    last_op, last_end = op, read_end
             n_pages = read_end - page0
             n_examined = examined_at[read_end] - examined_at[page0]
             tids = hit_tids[hit_start[page0]:hit_start[read_end]]
@@ -1381,10 +1339,7 @@ class BFTree(IndexBackend):
             total_examined += n_examined
             total_false += false_pages
         if device is not None:
-            device.read_batch(
-                total_random, total_pages - total_random,
-                last_page=int(pids[last_end - 1]) if last_end > 0 else None,
-            )
+            device.read_batch(total_random, total_pages - total_random)
         if stats is not None:
             stats.tuples_scanned += total_examined
             stats.false_reads += total_false
@@ -1828,8 +1783,7 @@ class BFTree(IndexBackend):
         return self.range_scan_many([(lo, hi)], enumerate_boundaries)[0]
 
     def range_scan_many(self, windows, enumerate_boundaries: bool = False,
-                        latency_sink: list[float] | None = None,
-                        touch_sink: list[tuple[bool, bool]] | None = None
+                        latency_sink: list[float] | None = None
                         ) -> list[RangeScanResult]:
         """§7 range scans over a batch of ``(lo, hi)`` windows.
 
@@ -1858,11 +1812,7 @@ class BFTree(IndexBackend):
         declares its access pattern explicitly, so per-scan charges are
         independent of processing order; ``latency_sink`` receives one
         simulated per-scan latency per window (aligned with
-        ``windows``), exactly as a batch of one would measure it, and
-        ``touch_sink`` one ``(index, data)`` pair per window: whether that
-        scan charged the index device and the data device (the scans
-        charge in window order, so each device's head rests where the
-        last scan that charged it left it).
+        ``windows``), exactly as a batch of one would measure it.
         Invalid windows (``lo > hi``) are rejected up front, before any
         charges land.
         """
@@ -1880,11 +1830,8 @@ class BFTree(IndexBackend):
         except LookupError:
             if latency_sink is not None:
                 latency_sink.extend(latencies)
-            if touch_sink is not None:
-                touch_sink.extend([(False, False)] * n)
             return results
         paths = self.inner.routing_table().paths
-        stats = self._stats() if touch_sink is not None else None
         device = self._data_device
         # Deferred match counting: (scan, first_pid, npages, lo, hi)
         # jobs, one row per charged page run, counted vectorized after
@@ -1901,10 +1848,6 @@ class BFTree(IndexBackend):
             lo, hi = wins[j]
             res = results[j]
             start_t = clock.now() if track else 0.0
-            # A scan's first index-device read (a path node the pool
-            # misses, or its first leaf) is random.
-            index_reads = (stats.index_random_reads if stats is not None
-                           else 0)
             leaf_id = targets[j]
             self.inner.charge_path(paths[leaf_id])
             current: BFLeaf | None = self.leaves[leaf_id]
@@ -1929,8 +1872,7 @@ class BFTree(IndexBackend):
                         runs, prev_pid
                     )
                     if device is not None:
-                        device.read_batch(n_random, n_seq,
-                                          last_page=prev_pid)
+                        device.read_batch(n_random, n_seq)
                     res.pages_read += n_random + n_seq
                     key_lo = max(lo, current.min_key)
                     key_hi = min(hi, current.max_key)
@@ -1945,12 +1887,6 @@ class BFTree(IndexBackend):
                            if next_id is not None else None)
             if track:
                 latencies[j] = clock.now() - start_t
-            if touch_sink is not None:
-                touch_sink.append((
-                    stats is not None
-                    and stats.index_random_reads != index_reads,
-                    device is not None and res.pages_read > 0,
-                ))
         self._count_scan_jobs(results, jobs_scan, jobs_first, jobs_count,
                               jobs_lo, jobs_hi)
         if latency_sink is not None:

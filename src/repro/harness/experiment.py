@@ -59,19 +59,17 @@ def run_probes(
     vectorized batch-probe engine where one exists (BF-Tree), the
     generic per-key loop everywhere else.  A probe's charges do not
     depend on the others in its batch, so the numbers equal those of
-    probing each key alone.  Every charge on the search path declares
-    its access pattern explicitly — the first data page of each probe is
-    charged as random, the cold per-query behaviour of the paper's
-    O_DIRECT runs — so the device heads are reset once, up front.
-    ``warm`` prefaults internal index nodes.
+    probing each key alone.  Every charge on the search path states its
+    access pattern — the first data page of each probe is charged as
+    random, the cold per-query behaviour of the paper's O_DIRECT runs —
+    so no device state carries from one probe to the next.  ``warm``
+    prefaults internal index nodes.
     """
     keys = probes.keys if isinstance(probes, ProbeSet) else np.asarray(probes)
     stack = build_stack(config)
     index.bind(stack, warm=warm)
     try:
         before = stack.stats.snapshot()
-        stack.index_device.reset_head()
-        stack.data_device.reset_head()
         start = stack.clock.now()
         results = index.search_many(keys)
         total_latency = stack.clock.now() - start

@@ -80,14 +80,17 @@ def read_manifest(
 
 
 def fsync_dir(directory: Path) -> None:
-    """Best-effort directory fsync so the rename itself is durable."""
+    """Fsync ``directory`` so a rename into it is durable.
+
+    A failed fsync raises: the rename may not survive a crash, so the
+    write it commits must not be reported as committed.  Only a platform
+    that cannot open a directory at all skips the sync.
+    """
     try:
         fd = os.open(directory, os.O_RDONLY)
     except OSError:  # pragma: no cover - platform without dir fds
         return
     try:
         os.fsync(fd)
-    except OSError:  # pragma: no cover
-        pass
     finally:
         os.close(fd)

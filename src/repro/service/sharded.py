@@ -578,14 +578,6 @@ class ShardedIndex:
                 total = total + shard.stack.stats
         return total
 
-    def shard_clocks(self) -> list[float]:
-        """Per live shard simulated clocks, in key-range order
-        (``retired_clock`` holds the since-retired shards' time)."""
-        return [
-            s.stack.clock.now() if s.stack is not None else 0.0
-            for s in self.shards
-        ]
-
     def __repr__(self) -> str:  # pragma: no cover
         return (
             f"ShardedIndex(kind={self.kind!r}, column={self.key_column!r}, "

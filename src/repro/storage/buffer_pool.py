@@ -52,7 +52,7 @@ class BufferPool:
         return len(self._pages)
 
     # ------------------------------------------------------------------
-    def read_page(self, page_id: int, sequential: bool | None = None) -> bool:
+    def read_page(self, page_id: int, sequential: bool) -> bool:
         """Access ``page_id``; return True on a cache hit.
 
         A hit costs one DRAM page touch.  A miss charges the device and

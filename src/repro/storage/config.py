@@ -75,11 +75,9 @@ class StorageStack:
         )
 
     def reset(self) -> None:
-        """Zero the clock and counters, forget device head positions."""
+        """Zero the clock and counters (devices keep no other state)."""
         self.clock.reset()
         self.stats.reset()
-        self.index_device.reset_head()
-        self.data_device.reset_head()
 
 
 def build_stack(config: StorageConfig | str) -> StorageStack:

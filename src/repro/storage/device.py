@@ -8,10 +8,10 @@ read/write) and a :class:`Device` that charges a shared
 :class:`~repro.storage.clock.SimulatedClock` on every access and updates a
 shared :class:`~repro.storage.iostats.IOStats`.
 
-Sequential detection: a read is charged the sequential latency when its
-page id immediately follows the device's previously accessed page id, or
-when the caller explicitly declares it sequential (the BF-Tree hands the
-controller a sorted list of candidate pages, cf. Eq. 13's ``seqDtIO``).
+Access patterns: every charge states whether it is random or sequential
+(Eq. 13's ``idxIO``/``dataIO`` versus ``seqDtIO``).  A device keeps no
+head position and infers nothing from page adjacency; callers that read
+planned page runs split them with :func:`classify_read_runs`.
 """
 
 from __future__ import annotations
@@ -128,7 +128,10 @@ class Device:
 
     ``role`` selects which IOStats counters this device updates: ``"index"``
     for the device holding the index and ``"data"`` for the device holding
-    the main file.
+    the main file.  The device keeps no position: each access states its
+    pattern (``sequential`` is required on :meth:`read_page` and
+    :meth:`write_page`; :meth:`read_run` and :meth:`read_batch` carry
+    explicit counts), so the order of charges never changes their cost.
     """
 
     def __init__(
@@ -144,36 +147,15 @@ class Device:
         self.clock = clock
         self.stats = stats
         self.role = role
-        self._last_page: int | None = None
 
     @property
     def medium(self) -> Medium:
         return self.profile.medium
 
-    @property
-    def head(self) -> int | None:
-        """The page the head rests on: the last page accessed, or None.
-
-        An access that states no pattern is sequential iff it is the
-        next page.  An engine that charges a batch of ops out of order
-        sets it to where the batch's last op, in op order, left it."""
-        return self._last_page
-
-    @head.setter
-    def head(self, page_id: int | None) -> None:
-        self._last_page = page_id
-
-    def read_page(self, page_id: int, sequential: bool | None = None) -> None:
-        """Charge the cost of reading one page.
-
-        ``sequential`` forces the access pattern; when ``None`` the device
-        infers it from adjacency with the previously accessed page.
-        """
-        if sequential is None:
-            sequential = self._last_page is not None and page_id == self._last_page + 1
-        self._last_page = page_id
+    def read_page(self, page_id: int, sequential: bool) -> None:
+        """Charge the cost of reading one page with the stated pattern."""
         self.clock.advance(self.profile.read_latency(sequential))
-        self._count(read=True, sequential=sequential)
+        self._count(sequential)
 
     def read_run(self, first_page: int, npages: int) -> None:
         """Charge one random positioning plus ``npages - 1`` sequential reads."""
@@ -183,8 +165,7 @@ class Device:
         for offset in range(1, npages):
             self.read_page(first_page + offset, sequential=True)
 
-    def read_batch(self, n_random: int, n_sequential: int,
-                   last_page: int | None = None) -> None:
+    def read_batch(self, n_random: int, n_sequential: int) -> None:
         """Charge ``n_random`` random plus ``n_sequential`` sequential page
         reads in one clock advance.
 
@@ -193,8 +174,6 @@ class Device:
         and the clock total equals the per-page loop up to float summation
         order (one multiply-add instead of N additions).  The batch scan
         engine charges each scan's planned page runs through this.
-        ``last_page`` records the head position after the batch, as the
-        last per-page call would have.
         """
         if n_random < 0 or n_sequential < 0:
             raise ValueError("read counts must be >= 0")
@@ -207,32 +186,21 @@ class Device:
         else:
             self.stats.data_random_reads += n_random
             self.stats.data_seq_reads += n_sequential
-        if last_page is not None:
-            self._last_page = last_page
 
     def read_cost(self, n_random: int, n_sequential: int) -> float:
         """Seconds :meth:`read_batch` charges for these page reads."""
         return (n_random * self.profile.random_read
                 + n_sequential * self.profile.seq_read)
 
-    def write_page(self, page_id: int, sequential: bool | None = None) -> None:
-        """Charge the cost of writing one page."""
-        if sequential is None:
-            sequential = self._last_page is not None and page_id == self._last_page + 1
-        self._last_page = page_id
+    def write_page(self, page_id: int, sequential: bool) -> None:
+        """Charge the cost of writing one page with the stated pattern."""
         self.clock.advance(self.profile.write_latency(sequential))
         if self.role == "index":
             self.stats.index_writes += 1
         else:
             self.stats.data_writes += 1
 
-    def reset_head(self) -> None:
-        """Forget positional state (next access will be charged as random)."""
-        self._last_page = None
-
-    def _count(self, read: bool, sequential: bool) -> None:
-        if not read:  # pragma: no cover - writes counted inline
-            return
+    def _count(self, sequential: bool) -> None:
         if self.role == "index":
             if sequential:
                 self.stats.index_seq_reads += 1

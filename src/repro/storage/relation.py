@@ -187,7 +187,7 @@ class Relation:
         if device is not None and len(pages):
             scan = self.scan_keys(column, [key] * len(pages), pages,
                                   stop_early)
-            device.read_batch(1, len(pages) - 1, last_page=int(pages[-1]))
+            device.read_batch(1, len(pages) - 1)
             charge_scan(device, int(scan.examined.sum()))
         return len(pages)
 
@@ -222,8 +222,7 @@ class Relation:
         scan = self.scan_keys(column, [key] * len(pages), pages,
                               stop_early=True)
         if device is not None and pages:
-            device.read_batch(n_runs, len(pages) - n_runs,
-                              last_page=pages[-1])
+            device.read_batch(n_runs, len(pages) - n_runs)
             device.stats.tuples_scanned += scanned
         return scan.hit_tid.tolist(), len(pages)
 

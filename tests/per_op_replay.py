@@ -25,6 +25,11 @@ from repro.service import ShardedIndex, ServiceStats
 from repro.workloads import OP_INSERT, OP_READ, MixedTrace
 
 
+def _shard_clocks(service: ShardedIndex) -> list[float]:
+    """Each live shard's simulated clock, in key-range order."""
+    return [s.stack.clock.now() for s in service.shards]
+
+
 def replay_per_op(service: ShardedIndex, trace: MixedTrace,
                   config: str) -> ServiceReport:
     """Bind ``service`` to fresh ``config`` stacks, replay ``trace`` one
@@ -37,7 +42,7 @@ def replay_per_op(service: ShardedIndex, trace: MixedTrace,
         for i in range(len(trace)):
             key = as_scalar(trace.keys[i])
             code = int(trace.ops[i])
-            before = sum(service.shard_clocks())
+            before = sum(_shard_clocks(service))
             if code == OP_READ:
                 results.append(service.search(key))
             elif code == OP_INSERT:
@@ -46,12 +51,12 @@ def replay_per_op(service: ShardedIndex, trace: MixedTrace,
             else:
                 hi = key + int(trace.scan_widths[i]) - 1
                 results.append(service.range_scan(key, hi))
-            latencies[i] = sum(service.shard_clocks()) - before
+            latencies[i] = sum(_shard_clocks(service)) - before
         wall_secs = time.perf_counter() - t0
         shards = service.shards
         stats = ServiceStats(
             per_shard_io=[s.stack.stats.snapshot() for s in shards],
-            per_shard_clock=service.shard_clocks(),
+            per_shard_clock=_shard_clocks(service),
             op_codes=trace.ops,
             op_latencies=latencies,
             wall_secs=wall_secs,

@@ -170,18 +170,16 @@ def test_search_many_bit_identical_to_scalar(name, pk_relation):
 
 @pytest.mark.parametrize("name", BACKENDS)
 def test_run_probes_matches_per_probe_loop(name, pk_relation):
-    """run_probes resets the device heads once and replays the whole
-    probe set through search_many; on every backend that must equal
-    probing key by key with the heads reset before each probe (the
-    paper's cold per-query O_DIRECT behaviour)."""
+    """run_probes replays the whole probe set through search_many; on
+    every backend that must equal probing key by key (each probe's
+    first data page charged random: the paper's cold per-query O_DIRECT
+    behaviour)."""
     keys = np.asarray(list(range(0, 8192, 511)), dtype=np.int64)
     index = _build(name, pk_relation)
     stack = build_stack(CONFIG)
     index.bind(stack)
     hits = 0
     for key in keys.tolist():
-        stack.index_device.reset_head()
-        stack.data_device.reset_head()
         hits += index.search(key).found
     index.unbind()
     stats = run_probes(index, keys, CONFIG)
@@ -385,6 +383,37 @@ def test_insert_roundtrip_via_write_target(name, pk_relation):
     assert index.search(key).found
     assert index.delete(key)
     assert not index.search(key).found
+
+
+def _build_mutable(name, relation, tmp_path):
+    """A registered mutable backend, or ``durable-<kind>``: that backend
+    wrapped in a :class:`DurableIndex` logging to ``tmp_path``."""
+    if not name.startswith("durable-"):
+        return _build(name, relation)
+    from repro.persist import DurableIndex
+
+    kind = name.removeprefix("durable-")
+    return DurableIndex(_build(kind, relation), tmp_path, kind=kind,
+                        column="pk", unique=True, fpp=FPP)
+
+
+@pytest.mark.parametrize("name", [*MUTABLE, "durable-bplus"])
+def test_batch_writes_reject_mismatched_targets(name, pk_relation,
+                                                tmp_path):
+    """A batch whose targets do not pair one to one with its keys raises
+    ``ValueError`` before any item applies, on the generic fallback as
+    on the vectorized engine; a durable wrapper logs nothing for it."""
+    index = _build_mutable(name, pk_relation, tmp_path)
+    wal = getattr(index, "_wal", None)
+    logged = wal.nbytes if wal is not None else None
+    with pytest.raises(ValueError):
+        index.delete_many([1, 2, 3], [None])
+    with pytest.raises(ValueError):
+        index.insert_many([10**7, 10**7 + 1], [index.write_target(0)])
+    assert all(index.search(k).found for k in (1, 2, 3))
+    assert not index.search(10**7).found
+    if wal is not None:
+        assert wal.nbytes == logged
 
 
 @pytest.mark.parametrize("name", IMMUTABLE)

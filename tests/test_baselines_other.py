@@ -112,11 +112,6 @@ class TestFDTree:
         key = int(att1[123])
         assert tree.search(key).matches == int(np.count_nonzero(att1 == key))
 
-    def test_choose_size_ratio_bounds(self):
-        assert 2 <= FDTreeConfig.choose_size_ratio(10**6) <= 256
-        with pytest.raises(ValueError):
-            FDTreeConfig.choose_size_ratio(1000, update_fraction=2.0)
-
     def test_size_close_to_bptree(self, pk_relation):
         """Paper §5: FD-Tree has the same size as a vanilla B+-Tree."""
         fd = FDTree.bulk_load(pk_relation, "pk")

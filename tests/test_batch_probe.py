@@ -353,11 +353,10 @@ def _reference_runs(tree, key):
 
 def _reference_fetch(tree, key, runs):
     """Fetch ``runs`` page by page, tuple by tuple, as Algorithm 1 reads
-    them.  Returns ``(result, n_random, n_pages, examined, last_pid)``."""
+    them.  Returns ``(result, n_random, n_pages, examined)``."""
     rel = tree.relation
     col = rel.columns[tree.key_column]
     tids, n_random, n_pages, false_pages, examined = [], 0, 0, 0, 0
-    last_pid = None
     stopped = False
     for first, npages in runs:
         if stopped:
@@ -376,7 +375,6 @@ def _reference_fetch(tree, key, runs):
                     break
             run_pages += 1
             run_hits += page_hits
-            last_pid = pid
             if ((tree.unique and page_hits)
                     or (tree.ordered and col[lo] > key)):
                 stopped = True
@@ -387,7 +385,7 @@ def _reference_fetch(tree, key, runs):
     result = SearchResult(found=bool(tids), matches=len(tids),
                           pages_read=n_pages, false_pages=false_pages,
                           tids=tids)
-    return result, n_random, n_pages, examined, last_pid
+    return result, n_random, n_pages, examined
 
 
 def _capture_fetch(tree, calls):
@@ -396,11 +394,10 @@ def _capture_fetch(tree, calls):
     method)."""
     method = tree._fetch_runs
 
-    def fetch(keys, offsets, first, npages, ops, *rest):
+    def fetch(keys, offsets, first, npages, ops):
         stats, clock = tree._stats(), tree._clock()
         before, t0 = stats.snapshot(), clock.now()
-        results, latencies = method(keys, offsets, first, npages, ops,
-                                    *rest)
+        results, latencies = method(keys, offsets, first, npages, ops)
         first, npages = first.tolist(), npages.tolist()
         runs = {op: list(zip(first[a:b], npages[a:b]))
                 for op, a, b in zip(ops, offsets, offsets[1:])}
@@ -440,7 +437,6 @@ def _assert_runs_match_reference(values, ordered, unique, pages_per_bf,
     try:
         got = tree.search_many(probes)
         device = tree._data_device
-        head = device._last_page
     finally:
         tree.unbind()
     expected_runs = [_reference_runs(tree, key) for key in probes]
@@ -453,13 +449,12 @@ def _assert_runs_match_reference(values, ordered, unique, pages_per_bf,
     [(runs, per_op, io, elapsed)] = calls
     assert sorted(runs) == fetched
     n_random = n_pages = examined = false_reads = 0
-    last_pid = None
     for op, key in enumerate(probes):
         if expected_runs[op] is None:
             assert got[op] == SearchResult(found=False)
             continue
         assert runs[op] == expected_runs[op]
-        result, rnd, pages, exam, last = _reference_fetch(
+        result, rnd, pages, exam = _reference_fetch(
             tree, key, expected_runs[op])
         assert got[op] == result
         assert per_op[op][0] == result
@@ -469,8 +464,6 @@ def _assert_runs_match_reference(values, ordered, unique, pages_per_bf,
         n_pages += pages
         examined += exam
         false_reads += result.false_pages
-        if last is not None:
-            last_pid = last
     assert io == IOStats(data_random_reads=n_random,
                          data_seq_reads=n_pages - n_random,
                          false_reads=false_reads, tuples_scanned=examined)
@@ -480,7 +473,6 @@ def _assert_runs_match_reference(values, ordered, unique, pages_per_bf,
         + examined * CPU_TUPLE_SCAN,
         rel_tol=1e-9, abs_tol=1e-15,
     )
-    assert head == last_pid
     return tree
 
 
@@ -536,35 +528,3 @@ class TestArrayRunsEqualReference:
             assert any(len(_covering_leaves(tree, key)) > 1
                        for key in values[::7])
 
-
-class TestDataDeviceHead:
-    def test_head_ends_on_last_read_in_op_order(self, dup_relation):
-        """After a flush the data device's head is where the per-op loop
-        leaves it: the last page of the last read, in op order, that read
-        pages — not of the last leaf group the flush tested."""
-        tree = BFTree.bulk_load(dup_relation, "att1",
-                                BFTreeConfig(fpp=0.01, page_size=512))
-        leaves = tree.leaves_in_order()
-        assert len(leaves) >= 3
-        a, b, c = (leaf.min_key + 1 for leaf in leaves[:3])
-        # Leaf groups are tested in the order of their first read (a's
-        # leaf, then b's, then c's), so the last group's read is not the
-        # last read in op order; the trailing miss reads no page.
-        keys = [a, b, c, b, a, max(dup_relation.columns["att1"]) + 1]
-        heads = []
-        for batch in (False, True):
-            stack = build_stack("MEM/SSD")
-            tree.bind(stack)
-            try:
-                if batch:
-                    results = tree.search_many(keys)
-                else:
-                    results = [tree.search(key) for key in keys]
-                heads.append(stack.data_device._last_page)
-            finally:
-                tree.unbind()
-            assert all(r.pages_read for r in results[:-1])
-            assert not results[-1].pages_read
-        assert heads[0] == heads[1]
-        last_run = tree.leaves[tree.inner.route(a)[0]]
-        assert last_run.covers_pid(heads[1])

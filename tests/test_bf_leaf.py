@@ -213,13 +213,3 @@ class TestEffectiveFpp:
         expected = 0.01 ** (1 / (1 + leaf.extra_inserts / capacity))
         assert leaf.effective_fpp() == pytest.approx(expected, rel=0.01)
 
-    def test_bits_used(self):
-        leaf = _leaf()
-        leaf.add(1, 2)
-        assert leaf.bits_used() == 3 * leaf.geometry.bits_per_bf
-
-    def test_measured_fill(self):
-        leaf = _leaf()
-        assert leaf.measured_fill() == 0.0
-        leaf.add(1, 0)
-        assert 0 < leaf.measured_fill() < 1

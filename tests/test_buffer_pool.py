@@ -14,16 +14,16 @@ def _pool(capacity):
 class TestBasics:
     def test_miss_charges_device(self):
         pool, device = _pool(4)
-        hit = pool.read_page(1)
+        hit = pool.read_page(1, sequential=False)
         assert not hit
         assert device.stats.index_random_reads == 1
         assert device.stats.cache_misses == 1
 
     def test_hit_charges_memory_only(self):
         pool, device = _pool(4)
-        pool.read_page(1)
+        pool.read_page(1, sequential=False)
         before = device.clock.now()
-        hit = pool.read_page(1)
+        hit = pool.read_page(1, sequential=False)
         assert hit
         assert device.stats.cache_hits == 1
         assert device.clock.now() - before == pytest.approx(
@@ -32,8 +32,8 @@ class TestBasics:
 
     def test_zero_capacity_never_caches(self):
         pool, device = _pool(0)
-        pool.read_page(1)
-        pool.read_page(1)
+        pool.read_page(1, sequential=False)
+        pool.read_page(1, sequential=False)
         assert device.stats.index_random_reads == 2
         assert not pool.enabled
 
@@ -42,40 +42,40 @@ class TestBasics:
         charge cache_misses — there is no cache, and counting misses
         deflated hit-rate metrics computed over cold-cache runs."""
         pool, device = _pool(0)
-        pool.read_page(1)
-        pool.read_page(1)
+        pool.read_page(1, sequential=False)
+        pool.read_page(1, sequential=False)
         assert device.stats.cache_misses == 0
         assert device.stats.cache_hits == 0
 
     def test_enabled_pool_still_counts_misses(self):
         pool, device = _pool(2)
-        pool.read_page(1)
-        pool.read_page(2)
-        pool.read_page(1)
+        pool.read_page(1, sequential=False)
+        pool.read_page(2, sequential=False)
+        pool.read_page(1, sequential=False)
         assert device.stats.cache_misses == 2
         assert device.stats.cache_hits == 1
 
     def test_unbounded_capacity(self):
         pool, _ = _pool(None)
         for page in range(1000):
-            pool.read_page(page)
+            pool.read_page(page, sequential=False)
         assert len(pool) == 1000
 
 
 class TestLRU:
     def test_eviction_order(self):
         pool, _ = _pool(2)
-        pool.read_page(1)
-        pool.read_page(2)
-        pool.read_page(3)          # evicts 1
+        pool.read_page(1, sequential=False)
+        pool.read_page(2, sequential=False)
+        pool.read_page(3, sequential=False)          # evicts 1
         assert 1 not in pool and 2 in pool and 3 in pool
 
     def test_touch_refreshes_recency(self):
         pool, _ = _pool(2)
-        pool.read_page(1)
-        pool.read_page(2)
-        pool.read_page(1)          # 2 becomes LRU
-        pool.read_page(3)          # evicts 2
+        pool.read_page(1, sequential=False)
+        pool.read_page(2, sequential=False)
+        pool.read_page(1, sequential=False)          # 2 becomes LRU
+        pool.read_page(3, sequential=False)          # evicts 2
         assert 1 in pool and 2 not in pool
 
 
@@ -93,12 +93,12 @@ class TestWarmSetup:
 
     def test_invalidate(self):
         pool, _ = _pool(4)
-        pool.read_page(1)
+        pool.read_page(1, sequential=False)
         pool.invalidate(1)
         assert 1 not in pool
 
     def test_clear(self):
         pool, _ = _pool(4)
-        pool.read_page(1)
+        pool.read_page(1, sequential=False)
         pool.clear()
         assert len(pool) == 0

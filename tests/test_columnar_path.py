@@ -250,12 +250,10 @@ def test_numpy_keys_equal_native_keys(kind, wrap):
 def test_read_with_no_runs_costs_exactly_nothing():
     rel = _int_relation()
     tree, stack = _bound_tree(rel, [])
-    data = stack.data_device
     key = 2 * 777
     pid = rel.page_of(777)
     empty = np.empty(0, dtype=np.int64)
 
-    data.head = 3
     before, t0 = stack.stats.snapshot(), stack.clock.now()
     results, latencies = tree._fetch_runs([key + 1], [0, 0], empty, empty,
                                           [0])
@@ -263,10 +261,9 @@ def test_read_with_no_runs_costs_exactly_nothing():
     assert latencies == [0.0]
     assert stack.stats == before
     assert stack.clock.now() == t0
-    assert data.head == 3
 
     # Behind a read that fetches, the runless read moves nothing: the
-    # head rests on the fetching read's page and the charges are its own.
+    # charges are the fetching read's own.
     one = np.asarray([pid], dtype=np.int64), np.ones(1, dtype=np.int64)
     before, t0 = stack.stats.snapshot(), stack.clock.now()
     alone, alone_lat = tree._fetch_runs([key], [0, 1], *one, [0])
@@ -278,22 +275,18 @@ def test_read_with_no_runs_costs_exactly_nothing():
     assert latencies == [*alone_lat, 0.0]
     assert stack.stats.diff(before) == alone_io
     assert stack.clock.now() - t0 == alone_dt
-    assert data.head == pid
 
 
 def test_filter_rejected_reads_fetch_nothing():
     rel = _int_relation()
     tree, stack = _bound_tree(rel, [])
     absent = list(range(1, 2 * N_INT, 2 * 61))
-    data = stack.data_device
-    data.head = 3
     before = stack.stats.snapshot()
     results = tree.search_many(absent)
     rejected = [r for r in results if r.pages_read == 0]
     assert len(rejected) > len(absent) // 2
     assert all(r == SearchResult(found=False) for r in rejected)
     if len(rejected) == len(absent):
-        assert data.head == 3
         assert stack.stats.diff(before).data_reads == 0
 
 

@@ -8,6 +8,7 @@ import errno
 import json
 import os
 import shutil
+import stat
 
 import numpy as np
 import pytest
@@ -463,6 +464,30 @@ class TestCheckpointAtomicity:
         assert index.snapshot_path.exists()
         assert not first.exists()  # stale generation unlinked post-commit
         index.close()
+
+    def test_failed_directory_fsync_raises(self, tiny_relation, tmp_path,
+                                           monkeypatch):
+        """A rename is durable only once its directory is synced: when
+        that fsync fails, the manifest write, the snapshot write and so
+        the checkpoint raise instead of reporting a commit."""
+        d = tmp_path / "idx"
+        index = _durable(tiny_relation, d)
+        index.delete(7)
+        real_fsync = os.fsync
+
+        def fsync(fd):
+            if stat.S_ISDIR(os.fstat(fd).st_mode):
+                raise OSError(errno.EIO, "simulated directory fsync error")
+            real_fsync(fd)
+
+        monkeypatch.setattr(os, "fsync", fsync)
+        with pytest.raises(OSError, match="directory fsync"):
+            write_manifest(tmp_path / "MANIFEST.json", {"backend": "bf"})
+        with pytest.raises(OSError, match="directory fsync"):
+            write_snapshot(tmp_path / "snap.bin", {"a": 1})
+        with pytest.raises(OSError, match="directory fsync"):
+            index.checkpoint()
+        monkeypatch.undo()
 
     def test_crash_between_snapshot_write_and_manifest_commit(
         self, tiny_relation, tmp_path, monkeypatch

@@ -77,24 +77,18 @@ class TestDevice:
 
     def test_random_read_charges_clock(self):
         device, clock, stats = self._device()
-        device.read_page(10)
+        device.read_page(10, sequential=False)
         assert clock.now() == pytest.approx(SSD_PROFILE.random_read)
         assert stats.data_random_reads == 1
 
-    def test_adjacent_read_is_sequential(self):
-        device, clock, stats = self._device()
-        device.read_page(10)
-        device.read_page(11)
-        assert stats.data_seq_reads == 1
-        assert clock.now() == pytest.approx(
-            SSD_PROFILE.random_read + SSD_PROFILE.seq_read
-        )
-
-    def test_non_adjacent_read_is_random(self):
-        device, _, stats = self._device()
-        device.read_page(10)
-        device.read_page(20)
-        assert stats.data_random_reads == 2
+    def test_access_pattern_is_required(self):
+        """A device keeps no head to infer a pattern from."""
+        device, clock, _ = self._device()
+        with pytest.raises(TypeError):
+            device.read_page(10)
+        with pytest.raises(TypeError):
+            device.write_page(10)
+        assert clock.now() == 0.0
 
     def test_explicit_sequential_override(self):
         device, _, stats = self._device()
@@ -114,17 +108,15 @@ class TestDevice:
 
     def test_read_batch_charges_read_cost(self):
         device, clock, stats = self._device()
-        device.read_batch(2, 3, last_page=7)
+        device.read_batch(2, 3)
         assert clock.now() == device.read_cost(2, 3)
         assert clock.now() == pytest.approx(
             2 * SSD_PROFILE.random_read + 3 * SSD_PROFILE.seq_read)
         assert (stats.data_random_reads, stats.data_seq_reads) == (2, 3)
-        device.read_page(8)
-        assert stats.data_seq_reads == 4
 
     def test_index_role_counters(self):
         device, _, stats = self._device(role="index")
-        device.read_page(0)
+        device.read_page(0, sequential=False)
         assert stats.index_random_reads == 1
         assert stats.data_random_reads == 0
 
@@ -134,16 +126,9 @@ class TestDevice:
 
     def test_write_counted(self):
         device, clock, stats = self._device()
-        device.write_page(3)
+        device.write_page(3, sequential=False)
         assert stats.data_writes == 1
         assert clock.now() > 0
-
-    def test_reset_head_forces_random(self):
-        device, _, stats = self._device()
-        device.read_page(10)
-        device.reset_head()
-        device.read_page(11)
-        assert stats.data_random_reads == 2
 
 
 class TestIOStats:
@@ -205,15 +190,15 @@ class TestConfigs:
 
     def test_devices_share_clock_and_stats(self):
         stack = build_stack("SSD/SSD")
-        stack.index_device.read_page(0)
-        stack.data_device.read_page(0)
+        stack.index_device.read_page(0, sequential=False)
+        stack.data_device.read_page(0, sequential=False)
         assert stack.stats.index_random_reads == 1
         assert stack.stats.data_random_reads == 1
         assert stack.clock.now() == pytest.approx(2 * SSD_PROFILE.random_read)
 
     def test_reset(self):
         stack = build_stack("MEM/SSD")
-        stack.data_device.read_page(0)
+        stack.data_device.read_page(0, sequential=False)
         stack.reset()
         assert stack.clock.now() == 0.0
         assert stack.stats.total_reads == 0

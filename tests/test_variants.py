@@ -74,12 +74,14 @@ class TestCountingBasics:
         assert BFLeafGeometry.plan(0.01, 16, counter_bits=9).max_filters
 
     def test_space_cost_is_counter_bits(self):
-        counting = _counting_leaf()
-        plain = BFLeaf(node_id=6, geometry=BFLeafGeometry.plan(0.01, 40.0),
-                       min_pid=0)
-        counting.add(1, 2)
-        plain.add(1, 2)
-        assert counting.bits_used() == 4 * plain.bits_used()
+        """Each filter bit costs ``counter_bits`` bits of leaf page, so a
+        counting leaf fits 1/``counter_bits`` as many filters."""
+        plain = BFLeafGeometry.plan(0.01, 40.0)
+        for counter_bits in (2, 4, 8):
+            counting = BFLeafGeometry.plan(0.01, 40.0, filter_kind="counting",
+                                           counter_bits=counter_bits)
+            assert counting.bits_per_bf == plain.bits_per_bf
+            assert counting.max_filters == plain.max_filters // counter_bits
 
 
 class TestCountingDeletes:

@@ -68,8 +68,8 @@ SCALAR_TO_BATCH = {
 }
 
 #: Base classes that mark a class as index-like and that are known to
-#: provide every ``*_many`` fallback (protocol.py's mixin hierarchy).
-_BATCH_PROVIDERS = frozenset({"BatchFallbackMixin", "IndexBackend"})
+#: provide every ``*_many`` fallback (protocol.py's ``IndexBackend``).
+_BATCH_PROVIDERS = frozenset({"IndexBackend"})
 _INDEX_MARKERS = _BATCH_PROVIDERS | {"Index"}
 
 #: Module-level RNG entry points that draw from a hidden global stream.

@@ -18,7 +18,6 @@ from repro.api.protocol import (
     OP_INSERT,
     OP_READ,
     OP_SCAN,
-    BatchFallbackMixin,
     Capabilities,
     Index,
     IndexBackend,
@@ -46,7 +45,6 @@ __all__ = [
     "OP_READ",
     "OP_SCAN",
     "Op",
-    "BatchFallbackMixin",
     "Capabilities",
     "Index",
     "IndexBackend",

@@ -16,20 +16,14 @@ identical traffic.  This module defines that contract:
 * :class:`UnsupportedOperationError` — raised (instead of
   ``AttributeError``) when an operation falls outside a backend's
   capabilities; the message names the missing capability.
-* :class:`BatchFallbackMixin` — generic scalar-loop implementations of
-  ``search_many`` / ``insert_many`` / ``delete_many`` /
-  ``range_scan_many`` / ``apply_many``.  They are **bit-identical** to
-  calling the scalar operation per item (same results, same IOStats,
-  clock equal up to float summation order) because they *are* that
-  loop, with the same ``latency_sink`` accounting the vectorized
-  engines report.  ``apply_many`` — one ordered call for a mix of point
-  reads, scans and inserts — validates every op before the first one
-  applies.  Backends with real vectorized engines override them (the
-  BF-Tree all five, the B+-Tree ``range_scan_many``); every other
-  backend batches for free.
 * :class:`IndexBackend` — the concrete base class backends inherit:
-  the batch fallbacks plus capability-gated defaults for the mutating
-  and scanning operations.
+  the one storage binding (``bind``/``unbind`` and the clock, IOStats
+  and CPU charges every backend reads through it), capability-gated
+  defaults for the mutating and scanning operations, and
+  **bit-identical** scalar-loop fallbacks for ``search_many`` /
+  ``insert_many`` / ``delete_many`` / ``range_scan_many`` /
+  ``apply_many``.  Backends with vectorized engines override those
+  (the BF-Tree all five, the B+-Tree ``range_scan_many``).
 
 Write addressing: the protocol's mutating operations take the backend's
 *native write target* — a tuple id for rid-based indexes, a data page id
@@ -52,6 +46,10 @@ from repro.api.results import (
     as_scalar,
     normalize_scan_windows,
 )
+from repro.storage.clock import SimulatedClock
+from repro.storage.config import StorageStack
+from repro.storage.device import Device
+from repro.storage.iostats import IOStats
 
 
 #: Op codes of :meth:`Index.apply_many` (and of mixed workload traces).
@@ -179,44 +177,109 @@ def check_op_codes(ops: Sequence[Op]) -> None:
         raise ValueError(f"unknown op code {min(unknown)}")
 
 
-def _check_targets(keys: Sequence[Any], targets: Sequence[Any]) -> None:
+def check_targets(keys: Sequence[Any], targets: Sequence[Any]) -> None:
     """Reject a batch whose targets do not pair one to one with its keys,
     before any item applies (as the vectorized engines do)."""
     if len(keys) != len(targets):
         raise ValueError("keys and targets must have the same length")
 
 
-class BatchFallbackMixin:
-    """Generic batch operations as per-item scalar loops.
+class IndexBackend:
+    """Concrete base every backend inherits.
 
-    Bit-identical to calling the scalar operation once per item on the
-    same bound stack — same results, same IOStats counters, clock equal
-    up to float summation order — because the loop body *is* the scalar
-    call.  ``latency_sink`` receives one simulated per-op latency per
-    item (zeros when unbound), matching the vectorized engines'
-    accounting, so Router percentile reports work on every backend.
+    **Storage binding.**  :meth:`bind` records the stack and its two
+    devices as plain attributes, so hot paths read them with no call;
+    :meth:`unbind` clears all three, after which every access is free
+    (the charge-free mode every backend supports).  ``_sim_clock``,
+    ``_stats`` and ``_charge_cpu`` reach the stack's one shared clock
+    and counters.  Paged trees extend :meth:`bind` with their directory
+    (:meth:`repro.core.node.InnerTree.bind`); wrappers delegate it.
 
-    Subclasses point :meth:`_sim_clock` at the simulated clock their
-    scalar operations charge; without it latencies degrade to zeros
-    (the unbound, charge-free mode every backend supports).
+    **Batch fallbacks.**  ``search_many`` and friends are per-item
+    scalar loops, bit-identical to calling the scalar operation once
+    per item on the same bound stack — same results, same IOStats
+    counters, clock equal up to float summation order — because the
+    loop body *is* the scalar call.  ``latency_sink`` receives one
+    simulated per-op latency per item (zeros when unbound), matching
+    the vectorized engines' accounting, so Router percentile reports
+    work on every backend.
+
+    **Capability-gated defaults.**  A backend that never defines
+    ``insert``/``delete`` is immutable, one that never defines
+    ``range_scan`` is unscannable — callers get an
+    :class:`UnsupportedOperationError` naming the missing capability
+    instead of an ``AttributeError``.  ``backend_name`` is the registry
+    name, filled in at registration time.
     """
 
-    if TYPE_CHECKING:
-        # Scalar ops the concrete backend supplies; typed stubs only, so
-        # the scalar-loop fallbacks type-check under mypy strict (at
-        # runtime IndexBackend's capability-gated defaults own these).
-        def search(self, key: Any) -> SearchResult: ...
-        def insert(self, key: Any, target: int) -> None: ...
-        def delete(self, key: Any,
-                   target: int | None = None) -> DeleteOutcome: ...
-        def range_scan(self, lo: Any, hi: Any) -> RangeScanResult: ...
-        def capabilities(self) -> Capabilities: ...
-        def _unsupported(self, op: str,
-                         capability: str) -> UnsupportedOperationError: ...
+    #: Registry name of this backend (set by repro.api.registry.register).
+    backend_name: str = ""
 
-    def _sim_clock(self) -> Any:
+    #: True when the backend can donate its leaf chain to ShardedIndex
+    #: (see the shard_* hooks on BFTree / BPlusTree).  Backends without
+    #: sliceable leaves serve as a single-shard degenerate case.
+    supports_sharding: bool = False
+
+    #: The bound storage stack and its devices; ``None`` while unbound.
+    stack: StorageStack | None = None
+    _index_device: Device | None = None
+    _data_device: Device | None = None
+
+    def capabilities(self) -> Capabilities:  # pragma: no cover - abstract
+        raise NotImplementedError(
+            f"{type(self).__name__} must implement capabilities()"
+        )
+
+    def _backend_label(self) -> str:
+        return self.backend_name or type(self).__name__
+
+    def _unsupported(self, op: str, capability: str) -> UnsupportedOperationError:
+        return UnsupportedOperationError(
+            self._backend_label(), op, capability, self.capabilities()
+        )
+
+    # ------------------------------------------------------------------
+    # storage binding
+    # ------------------------------------------------------------------
+    def bind(self, stack: StorageStack, warm: bool = False) -> None:
+        """Attach to a storage stack before measuring.
+
+        ``warm=True`` is the paper's warm-cache mode; only backends with
+        an index-resident directory act on it.
+        """
+        self.stack = stack
+        self._index_device = stack.index_device
+        self._data_device = stack.data_device
+
+    def unbind(self) -> None:
+        """Detach from any storage stack (accesses become free)."""
+        self.stack = None
+        self._index_device = None
+        self._data_device = None
+
+    def _sim_clock(self) -> SimulatedClock | None:
         """The bound stack's simulated clock, or None when unbound."""
-        return None
+        stack = self.stack
+        return None if stack is None else stack.clock
+
+    def _stats(self) -> IOStats | None:
+        """The bound stack's IOStats, or None when unbound."""
+        stack = self.stack
+        return None if stack is None else stack.stats
+
+    def _charge_cpu(self, seconds: float) -> None:
+        """Charge ``seconds`` of CPU work to the bound clock."""
+        stack = self.stack
+        if stack is not None:
+            stack.clock.advance(seconds)
+
+    # ------------------------------------------------------------------
+    # batch fallbacks: the per-item scalar loop
+    # ------------------------------------------------------------------
+    if TYPE_CHECKING:
+        # Every concrete backend defines ``search``; typed stub only, so
+        # the scalar-loop fallbacks type-check under mypy strict.
+        def search(self, key: Any) -> SearchResult: ...
 
     def search_many(self, keys: Sequence[Any],
                     latency_sink: list[float] | None = None
@@ -235,7 +298,7 @@ class BatchFallbackMixin:
 
     def insert_many(self, keys: Sequence[Any], targets: Sequence[int],
                     latency_sink: list[float] | None = None) -> None:
-        _check_targets(keys, targets)
+        check_targets(keys, targets)
         clock = self._sim_clock()
         track = latency_sink is not None and clock is not None
         for key, target in zip(keys, targets):
@@ -252,7 +315,7 @@ class BatchFallbackMixin:
                     latency_sink: list[float] | None = None
                     ) -> list[DeleteOutcome]:
         targets = [None] * len(keys) if targets is None else list(targets)
-        _check_targets(keys, targets)
+        check_targets(keys, targets)
         clock = self._sim_clock()
         track = latency_sink is not None and clock is not None
         outcomes: list[DeleteOutcome] = []
@@ -326,38 +389,6 @@ class BatchFallbackMixin:
             maybe_check(self)
         return results
 
-
-class IndexBackend(BatchFallbackMixin):
-    """Concrete base every backend inherits.
-
-    Provides the batch fallbacks plus capability-gated defaults: a
-    backend that never defines ``insert``/``delete`` is immutable, one
-    that never defines ``range_scan`` is unscannable — callers get an
-    :class:`UnsupportedOperationError` naming the missing capability
-    instead of an ``AttributeError``.  ``backend_name`` is the registry
-    name, filled in at registration time.
-    """
-
-    #: Registry name of this backend (set by repro.api.registry.register).
-    backend_name: str = ""
-
-    #: True when the backend can donate its leaf chain to ShardedIndex
-    #: (see the shard_* hooks on BFTree / BPlusTree).  Backends without
-    #: sliceable leaves serve as a single-shard degenerate case.
-    supports_sharding: bool = False
-
-    def capabilities(self) -> Capabilities:  # pragma: no cover - abstract
-        raise NotImplementedError(
-            f"{type(self).__name__} must implement capabilities()"
-        )
-
-    def _backend_label(self) -> str:
-        return self.backend_name or type(self).__name__
-
-    def _unsupported(self, op: str, capability: str) -> UnsupportedOperationError:
-        return UnsupportedOperationError(
-            self._backend_label(), op, capability, self.capabilities()
-        )
 
     # ------------------------------------------------------------------
     # write addressing

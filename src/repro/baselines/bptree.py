@@ -34,11 +34,16 @@ from repro.api.results import (
     as_scalar,
     normalize_scan_windows,
 )
-from repro.core.node import InnerTree, NodeStore, fanout_for
-from repro.storage.buffer_pool import BufferPool
+from repro.core.node import (
+    InnerTree,
+    NodeStore,
+    fanout_for,
+    link_chain,
+    ordered_chain,
+)
 from repro.storage.clock import CPU_KEY_COMPARE
 from repro.storage.config import StorageStack
-from repro.storage.device import PAGE_SIZE, Device, classify_read_runs
+from repro.storage.device import PAGE_SIZE, classify_read_runs
 from repro.storage.relation import Relation
 
 
@@ -113,8 +118,6 @@ class BPlusTree(IndexBackend):
                               self.config.page_size),
         )
         self.leaves: dict[int, BPLeaf] = {}
-        self._data_device: Device | None = None
-        self._index_pool: BufferPool | None = None
         # Key span this tree's leaves cover, maintained incrementally
         # (bulk load / from_leaves / insert) so the clustered range-scan
         # clamp stays O(1).  Deletes never shrink it: a too-wide span
@@ -165,9 +168,8 @@ class BPlusTree(IndexBackend):
                 leaf.keys.append(as_scalar(key))
                 leaf.ridlists.append(take)
                 used += ksz + len(take) * psz
-        tree._leaf_order = [l.node_id for l in order]
-        separators = [tree.leaves[lid].keys[0] for lid in tree._leaf_order[1:]]
-        tree.inner.build(separators, tree._leaf_order)
+        separators = [leaf.keys[0] for leaf in order[1:]]
+        tree.inner.build(separators, [leaf.node_id for leaf in order])
         tree._lo_key = order[0].keys[0]
         tree._hi_key = order[-1].keys[-1]
         return tree
@@ -195,14 +197,8 @@ class BPlusTree(IndexBackend):
         for leaf in leaves:
             leaf.node_id = tree.store.allocate()
             tree.leaves[leaf.node_id] = leaf
-        for prev, nxt in zip(leaves, leaves[1:]):
-            prev.next_leaf_id = nxt.node_id
-            nxt.prev_leaf_id = prev.node_id
-        leaves[0].prev_leaf_id = None
-        leaves[-1].next_leaf_id = None
-        tree._leaf_order = [leaf.node_id for leaf in leaves]
         separators = [leaf.keys[0] for leaf in leaves[1:]]
-        tree.inner.build(separators, tree._leaf_order)
+        tree.inner.build(separators, link_chain(leaves))
         tree._lo_key = leaves[0].keys[0]
         tree._hi_key = leaves[-1].keys[-1]
         return tree
@@ -217,28 +213,12 @@ class BPlusTree(IndexBackend):
     # ==================================================================
     def bind(self, stack: StorageStack, warm: bool = False) -> None:
         """Attach to a storage stack; ``warm`` pins internal nodes in memory."""
-        self.store.device = stack.index_device
-        self._data_device = stack.data_device
-        if warm:
-            # Paper warm-cache semantics: internal nodes resident, leaf
-            # accesses still cause I/O - so misses are never admitted.
-            pool = BufferPool(stack.index_device, capacity_pages=None,
-                              admit_on_miss=False)
-            pool.prefault(self.inner.internal_node_ids())
-            self._index_pool = pool
-        else:
-            self._index_pool = None
-        self.store.pool = self._index_pool
+        super().bind(stack, warm)
+        self.inner.bind(stack.index_device, warm)
 
     def unbind(self) -> None:
-        self.store.device = None
-        self.store.pool = None
-        self._data_device = None
-        self._index_pool = None
-
-    def _charge_cpu(self, seconds: float) -> None:
-        if self.store.device is not None:
-            self.store.device.clock.advance(seconds)
+        super().unbind()
+        self.inner.bind(None)
 
     # ==================================================================
     # point search
@@ -285,16 +265,11 @@ class BPlusTree(IndexBackend):
                                              self._data_device, self.unique)
         return SearchResult.fetched(tids, pages)
 
-    # search_many / insert_many / delete_many come from BatchFallbackMixin:
+    # search_many / insert_many / delete_many come from IndexBackend:
     # the exact index has no per-filter fan-out to vectorize — a probe is
     # one descent, one binary search and the rid fetch — so the generic
     # scalar loop *is* the batch engine, with identical I/O charging and
     # per-op latency_sink accounting to BFTree's vectorized paths.
-
-    def _sim_clock(self):
-        return (
-            self.store.device.clock if self.store.device is not None else None
-        )
 
     def capabilities(self) -> Capabilities:
         return Capabilities(ordered=True, mutable=True, scannable=True,
@@ -372,13 +347,7 @@ class BPlusTree(IndexBackend):
             )
             self.leaves[leaf.node_id] = leaf
             chain.append(leaf)
-        for prev, nxt in zip(chain, chain[1:]):
-            prev.next_leaf_id = nxt.node_id
-            nxt.prev_leaf_id = prev.node_id
-        if chain:
-            chain[0].prev_leaf_id = None
-            chain[-1].next_leaf_id = None
-        self._leaf_order = [leaf.node_id for leaf in chain]
+        link_chain(chain)
         self.inner.load_state(state["inner"])
         maybe_check(self)
 
@@ -495,9 +464,7 @@ class BPlusTree(IndexBackend):
             RangeScanResult(matches=0, pages_read=0, leaves_visited=0)
             for _ in range(n)
         ]
-        clock = (
-            self.store.device.clock if self.store.device is not None else None
-        )
+        clock = self._sim_clock()
         track = latency_sink is not None and clock is not None
         latencies = [0.0] * n
         try:
@@ -598,16 +565,9 @@ class BPlusTree(IndexBackend):
         return self.inner.height
 
     def leaves_in_order(self) -> list[BPLeaf]:
-        targets = {l.next_leaf_id for l in self.leaves.values()
-                   if l.next_leaf_id is not None}
-        heads = [l for lid, l in self.leaves.items() if lid not in targets]
-        if not heads:
-            return []
-        head = min(heads, key=lambda l: (l.keys[0] if l.keys else 0))
-        chain = [head]
-        while chain[-1].next_leaf_id is not None:
-            chain.append(self.leaves[chain[-1].next_leaf_id])
-        return chain
+        """Leaves left-to-right following next pointers."""
+        return ordered_chain(self.leaves,
+                             lambda l: l.keys[0] if l.keys else 0)
 
     def __repr__(self) -> str:  # pragma: no cover
         return (

@@ -27,10 +27,9 @@ import numpy as np
 from repro.analysis.sanitize import maybe_check
 from repro.api.protocol import Capabilities, IndexBackend
 from repro.api.results import DeleteOutcome, SearchResult, as_scalar
-from repro.storage.buffer_pool import BufferPool
 from repro.storage.clock import CPU_KEY_COMPARE
 from repro.storage.config import StorageStack
-from repro.storage.device import PAGE_SIZE, Device
+from repro.storage.device import PAGE_SIZE
 from repro.storage.relation import Relation
 
 
@@ -80,9 +79,6 @@ class FDTree(IndexBackend):
         self.head: list[tuple[object, int]] = []      # in-memory, sorted
         self.levels: list[list[tuple[object, int]]] = []  # L1.. sorted runs
         self._level_page_base: list[int] = []         # page-id offsets
-        self._data_device: Device | None = None
-        self._index_device: Device | None = None
-        self._index_pool: BufferPool | None = None
         self._warm = False
 
     # ==================================================================
@@ -145,32 +141,18 @@ class FDTree(IndexBackend):
         read for the target page of each level; only the head tree and
         fences are memory-resident, which they are here by construction.
         """
-        self._index_device = stack.index_device
-        self._data_device = stack.data_device
-        self._index_pool = None
+        super().bind(stack, warm)
         # Warm caches pin the fence-only levels (they are tiny); the data
         # levels are still read from the device, matching §6.5.
         self._warm = warm
 
     def unbind(self) -> None:
-        self._index_device = None
-        self._data_device = None
-        self._index_pool = None
+        super().unbind()
         self._warm = False
-
-    def _charge_cpu(self, seconds: float) -> None:
-        if self._index_device is not None:
-            self._index_device.clock.advance(seconds)
 
     def capabilities(self) -> Capabilities:
         return Capabilities(ordered=True, mutable=True, scannable=False,
                             unique=self.unique)
-
-    def _sim_clock(self):
-        return (
-            self._index_device.clock if self._index_device is not None
-            else None
-        )
 
     # ==================================================================
     # point search

@@ -17,8 +17,7 @@ from repro.analysis.sanitize import maybe_check
 from repro.api.protocol import Capabilities, IndexBackend
 from repro.api.results import DeleteOutcome, SearchResult, as_scalar
 from repro.storage.clock import CPU_HASH_PROBE
-from repro.storage.config import StorageStack
-from repro.storage.device import PAGE_SIZE, Device
+from repro.storage.device import PAGE_SIZE
 from repro.storage.relation import Relation
 
 
@@ -49,8 +48,6 @@ class HashIndex(IndexBackend):
         self.key_size = key_size
         self.ptr_size = ptr_size
         self._map: dict[object, list[int]] = defaultdict(list)
-        self._data_device: Device | None = None
-        self._clock = None
 
     @classmethod
     def build(
@@ -67,27 +64,14 @@ class HashIndex(IndexBackend):
         return index
 
     # ------------------------------------------------------------------
-    def bind(self, stack: StorageStack, warm: bool = False) -> None:
-        """Attach to a storage stack (index stays in memory; warm is a no-op)."""
-        self._data_device = stack.data_device
-        self._clock = stack.clock
-
-    def unbind(self) -> None:
-        self._data_device = None
-        self._clock = None
-
     def capabilities(self) -> Capabilities:
         return Capabilities(ordered=False, mutable=True, scannable=False,
                             unique=self.unique)
 
-    def _sim_clock(self):
-        return self._clock
-
     # ------------------------------------------------------------------
     def search(self, key) -> SearchResult:
         """Constant-time probe, then fetch matching data pages."""
-        if self._clock is not None:
-            self._clock.advance(CPU_HASH_PROBE)
+        self._charge_cpu(CPU_HASH_PROBE)
         tids = self._map.get(key)
         if not tids:
             return SearchResult(found=False)

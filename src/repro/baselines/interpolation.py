@@ -17,8 +17,6 @@ import numpy as np
 
 from repro.api.protocol import Capabilities, IndexBackend
 from repro.api.results import SearchResult
-from repro.storage.config import StorageStack
-from repro.storage.device import Device
 from repro.storage.relation import Relation, charge_scan
 
 
@@ -38,7 +36,6 @@ class SortedFileSearch(IndexBackend):
     unique: bool = False
 
     def __post_init__(self) -> None:
-        self._data_device: Device | None = None
         keys = np.asarray(self.relation.columns[self.key_column])
         if np.any(keys[1:] < keys[:-1]):
             raise ValueError(
@@ -46,21 +43,9 @@ class SortedFileSearch(IndexBackend):
                 "binary/interpolation search"
             )
 
-    def bind(self, stack: StorageStack, warm: bool = False) -> None:
-        """Attach the data device (there is no index to warm)."""
-        self._data_device = stack.data_device
-
-    def unbind(self) -> None:
-        self._data_device = None
-
     def capabilities(self) -> Capabilities:
         return Capabilities(ordered=True, mutable=False, scannable=False,
                             unique=self.unique)
-
-    def _sim_clock(self):
-        return (
-            self._data_device.clock if self._data_device is not None else None
-        )
 
     # ------------------------------------------------------------------
     def _page_first_key(self, pid: int):

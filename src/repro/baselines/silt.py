@@ -25,8 +25,7 @@ import numpy as np
 from repro.api.protocol import Capabilities, IndexBackend
 from repro.api.results import SearchResult
 from repro.storage.clock import CPU_KEY_COMPARE
-from repro.storage.config import StorageStack
-from repro.storage.device import PAGE_SIZE, Device
+from repro.storage.device import PAGE_SIZE
 from repro.storage.relation import Relation
 
 
@@ -73,8 +72,6 @@ class SiltStore(IndexBackend):
         self.unique = unique
         self._keys = np.empty(0)
         self._tids = np.empty(0, dtype=np.int64)
-        self._data_device: Device | None = None
-        self._index_device: Device | None = None
 
     @classmethod
     def build(
@@ -93,27 +90,9 @@ class SiltStore(IndexBackend):
         return store
 
     # ------------------------------------------------------------------
-    def bind(self, stack: StorageStack, warm: bool = False) -> None:
-        self._index_device = stack.index_device
-        self._data_device = stack.data_device
-
-    def unbind(self) -> None:
-        self._index_device = None
-        self._data_device = None
-
-    def _charge_cpu(self, seconds: float) -> None:
-        if self._index_device is not None:
-            self._index_device.clock.advance(seconds)
-
     def capabilities(self) -> Capabilities:
         return Capabilities(ordered=True, mutable=False, scannable=False,
                             unique=self.unique)
-
-    def _sim_clock(self):
-        return (
-            self._index_device.clock if self._index_device is not None
-            else None
-        )
 
     # ------------------------------------------------------------------
     def search(self, key) -> SearchResult:

@@ -82,15 +82,20 @@ from repro.core.bf_leaf import (
     LeafOverflow,
     build_page_runs,
 )
-from repro.core.node import InnerTree, NodeStore, fanout_for
-from repro.storage.buffer_pool import BufferPool
+from repro.core.node import (
+    InnerTree,
+    NodeStore,
+    fanout_for,
+    link_chain,
+    ordered_chain,
+)
 from repro.storage.clock import (
     CPU_BLOOM_INSERT,
     CPU_BLOOM_PROBE,
     CPU_TUPLE_SCAN,
 )
 from repro.storage.config import StorageStack
-from repro.storage.device import PAGE_SIZE, Device, classify_read_runs
+from repro.storage.device import PAGE_SIZE, classify_read_runs
 from repro.storage.relation import Relation
 
 
@@ -225,8 +230,6 @@ class BFTree(IndexBackend):
         )
         self.leaves: dict[int, BFLeaf] = {}
         self.geometry: BFLeafGeometry | None = None
-        self._data_device: Device | None = None
-        self._index_pool: BufferPool | None = None
         self._avg_cardinality = 1.0
 
     # ==================================================================
@@ -316,12 +319,7 @@ class BFTree(IndexBackend):
             # The leaf keeps its filter seed: only the node id moves.
             leaf.node_id = tree.store.allocate()
             tree.leaves[leaf.node_id] = leaf
-        for prev, nxt in zip(leaves, leaves[1:]):
-            prev.next_leaf_id = nxt.node_id
-            nxt.prev_leaf_id = prev.node_id
-        leaves[0].prev_leaf_id = None
-        leaves[-1].next_leaf_id = None
-        tree._leaf_order = [leaf.node_id for leaf in leaves]
+        tree._leaf_order = link_chain(leaves)
         tree._build_directory()
         return tree
 
@@ -585,53 +583,14 @@ class BFTree(IndexBackend):
     # storage binding
     # ==================================================================
     def bind(self, stack: StorageStack, warm: bool = False) -> None:
-        """Attach the tree to a storage stack before measuring.
-
-        ``warm=True`` models the paper's warm-cache mode: all internal
-        nodes are memory-resident, so only the leaf access (and data pages)
-        cost device I/O.  The warm pool is unbounded and never admits a
-        page on a miss, so no read changes which pages are resident, and
-        no leaf is ever resident, so a leaf write's invalidation evicts
-        nothing.  :meth:`apply_many` relies on both to charge a run of
-        reads into one leaf once and replay it, and to charge the
-        duplicate re-inserts inside that run in one later flush.  Keep
-        these properties (or charge every read and write at its turn
-        again) when changing the pool.
-        """
-        self.store.device = stack.index_device
-        self._data_device = stack.data_device
-        if warm:
-            # Paper warm-cache semantics: internal nodes resident, leaf
-            # accesses still cause I/O - so misses are never admitted.
-            pool = BufferPool(stack.index_device, capacity_pages=None,
-                              admit_on_miss=False)
-            pool.prefault(self.inner.internal_node_ids())
-            self._index_pool = pool
-        else:
-            self._index_pool = None
-        self.store.pool = self._index_pool
+        """Attach the tree to a storage stack before measuring;
+        ``warm=True`` pins the internal nodes (:meth:`InnerTree.bind`)."""
+        super().bind(stack, warm)
+        self.inner.bind(stack.index_device, warm)
 
     def unbind(self) -> None:
-        """Detach from any storage stack (accesses become free)."""
-        self.store.device = None
-        self.store.pool = None
-        self._data_device = None
-        self._index_pool = None
-
-    def _clock(self):
-        if self.store.device is not None:
-            return self.store.device.clock
-        return None
-
-    def _charge_cpu(self, seconds: float) -> None:
-        clock = self._clock()
-        if clock is not None:
-            clock.advance(seconds)
-
-    def _stats(self):
-        if self.store.device is not None:
-            return self.store.device.stats
-        return None
+        super().unbind()
+        self.inner.bind(None)
 
     # ==================================================================
     # Index protocol surface (repro.api)
@@ -644,9 +603,6 @@ class BFTree(IndexBackend):
         """BF-Trees index data *pages*: the write target of tuple ``tid``
         is its page id (rid-based backends keep the tuple id)."""
         return self.relation.page_of(int(tid))
-
-    def _sim_clock(self):
-        return self._clock()
 
     supports_sharding = True
 
@@ -767,13 +723,7 @@ class BFTree(IndexBackend):
             leaf = self._leaf_from_state(rec)
             self.leaves[leaf.node_id] = leaf
             chain.append(leaf)
-        for prev, nxt in zip(chain, chain[1:]):
-            prev.next_leaf_id = nxt.node_id
-            nxt.prev_leaf_id = prev.node_id
-        if chain:
-            chain[0].prev_leaf_id = None
-            chain[-1].next_leaf_id = None
-        self._leaf_order = [leaf.node_id for leaf in chain]
+        link_chain(chain)
         self.inner.load_state(state["inner"])
         maybe_check(self)
 
@@ -895,7 +845,7 @@ class BFTree(IndexBackend):
                latency_sink: list[float] | None) -> list:
         """:meth:`apply_many` over its ops split into parallel lists."""
         n = len(codes)
-        clock = self._clock()
+        clock = self._sim_clock()
         walk = _Walk(
             codes=codes,
             keys=keys,
@@ -1300,7 +1250,7 @@ class BFTree(IndexBackend):
             false_at = list(accumulate((npages * idle).tolist(), initial=0))
         device = self._data_device
         stats = self._stats()
-        cpu_s = CPU_TUPLE_SCAN if self._clock() is not None else 0.0
+        cpu_s = CPU_TUPLE_SCAN if self._sim_clock() is not None else 0.0
         results: list[SearchResult] = []
         latencies: list[float] = []
         total_random = total_pages = total_examined = total_false = 0
@@ -1505,7 +1455,7 @@ class BFTree(IndexBackend):
         from ``m`` real runs only by float summation order.  Returns the
         measured clock delta (0.0 when unbound).
         """
-        clock = self._clock()
+        clock = self._sim_clock()
         stats = self._stats()
         before = stats.snapshot() if stats is not None and m > 1 else None
         t0 = clock.now() if clock is not None else 0.0
@@ -1628,7 +1578,7 @@ class BFTree(IndexBackend):
             pids = [None if p is None else int(p) for p in pids]
         if len(pids) != n:
             raise ValueError("keys and pids must have the same length")
-        clock = self._clock()
+        clock = self._sim_clock()
         track = latency_sink is not None and clock is not None
         latencies = [0.0] * n
         outcomes: list[DeleteOutcome] = [DeleteOutcome(removed=False)] * n
@@ -1822,7 +1772,7 @@ class BFTree(IndexBackend):
             RangeScanResult(matches=0, pages_read=0, leaves_visited=0)
             for _ in range(n)
         ]
-        clock = self._clock()
+        clock = self._sim_clock()
         track = latency_sink is not None and clock is not None
         latencies = [0.0] * n
         try:
@@ -2081,16 +2031,7 @@ class BFTree(IndexBackend):
 
     def leaves_in_order(self) -> list[BFLeaf]:
         """Leaves left-to-right following next pointers."""
-        by_id = self.leaves
-        targets = {l.next_leaf_id for l in by_id.values() if l.next_leaf_id is not None}
-        heads = [l for lid, l in by_id.items() if lid not in targets]
-        if not heads:
-            return []
-        head = min(heads, key=lambda l: l.min_pid)
-        chain = [head]
-        while chain[-1].next_leaf_id is not None:
-            chain.append(by_id[chain[-1].next_leaf_id])
-        return chain
+        return ordered_chain(self.leaves, lambda l: l.min_pid)
 
     def __repr__(self) -> str:  # pragma: no cover
         return (

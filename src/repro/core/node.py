@@ -13,10 +13,13 @@ here.
 * :class:`InternalNode` is a <key, child-pointer> page with the fanout of
   Equation 2 (``pagesize / (ptrsize + keysize)``).
 * :class:`InnerTree` owns the internal levels: bulk build over leaf
-  separators, separator insertion with node splits, and the one
-  routing table (:class:`RoutingTable`) every descent reads.  It is the
-  only code that edits an :class:`InternalNode`, so it knows when its
-  cached table goes stale.
+  separators, separator insertion with node splits, the one routing
+  table (:class:`RoutingTable`) every descent reads, and the directory's
+  storage binding (:meth:`InnerTree.bind`, the paper's warm-cache rule).
+  It is the only code that edits an :class:`InternalNode`, so it knows
+  when its cached table goes stale.
+* :func:`link_chain` and :func:`ordered_chain` keep and walk the leaf
+  level's doubly linked chain for both trees.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from typing import Any, Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -45,6 +48,33 @@ def fanout_for(key_size: int = DEFAULT_KEY_SIZE, ptr_size: int = DEFAULT_PTR_SIZ
     return fanout
 
 
+def link_chain(leaves: Sequence[Any]) -> list[int]:
+    """Relink ``leaves`` into one doubly linked chain in list order, cut
+    it at both ends, and return the leaves' node ids in that order."""
+    for prev, nxt in zip(leaves, leaves[1:]):
+        prev.next_leaf_id = nxt.node_id
+        nxt.prev_leaf_id = prev.node_id
+    if leaves:
+        leaves[0].prev_leaf_id = None
+        leaves[-1].next_leaf_id = None
+    return [leaf.node_id for leaf in leaves]
+
+
+def ordered_chain(leaves: dict[int, Any],
+                  head_key: Callable[[Any], Any]) -> list[Any]:
+    """Leaves left to right following next pointers, from the head
+    (a leaf no next pointer names) with the smallest ``head_key``."""
+    targets = {l.next_leaf_id for l in leaves.values()
+               if l.next_leaf_id is not None}
+    heads = [l for lid, l in leaves.items() if lid not in targets]
+    if not heads:
+        return []
+    chain = [min(heads, key=head_key)]
+    while chain[-1].next_leaf_id is not None:
+        chain.append(leaves[chain[-1].next_leaf_id])
+    return chain
+
+
 class RoutingTable(NamedTuple):
     """The directory flattened for one pass: key ``k`` lands on leaf
     ``leaf_ids[bisect_right(fences, k)]`` through the internal node ids
@@ -60,14 +90,13 @@ class RoutingTable(NamedTuple):
 class NodeStore:
     """Allocates node ids (= index page ids) and charges node accesses.
 
-    ``device`` may be ``None`` for purely in-memory unit tests; in that
-    case accesses are free.
+    ``device`` and ``pool`` are set by :meth:`InnerTree.bind`; while
+    ``device`` is ``None`` accesses are free.
     """
 
-    def __init__(self, device: Device | None = None,
-                 pool: BufferPool | None = None) -> None:
-        self.device = device
-        self.pool = pool
+    def __init__(self) -> None:
+        self.device: Device | None = None
+        self.pool: BufferPool | None = None
         self._next_id = 0
 
     def allocate(self) -> int:
@@ -149,6 +178,31 @@ class InnerTree:
         if self.root_id is None:
             return 1
         return self.nodes[self.root_id].level + 1
+
+    # ------------------------------------------------------------------
+    # storage binding
+    # ------------------------------------------------------------------
+    def bind(self, device: Device | None, warm: bool = False) -> None:
+        """Charge node accesses to ``device`` (``None``: accesses are free).
+
+        ``warm=True`` models the paper's warm-cache mode: all internal
+        nodes are memory-resident, so only the leaf access (and data
+        pages) cost device I/O.  The warm pool is unbounded and never
+        admits a page on a miss, so no read changes which pages are
+        resident, and no leaf is ever resident, so a leaf write's
+        invalidation evicts nothing.  ``BFTree.apply_many`` relies on
+        both to charge a run of reads into one leaf once and replay it,
+        and to charge the duplicate re-inserts inside that run in one
+        later flush.  Keep these properties (or charge every read and
+        write at its turn again) when changing the pool.
+        """
+        self.store.device = device
+        pool = None
+        if warm and device is not None:
+            pool = BufferPool(device, capacity_pages=None,
+                              admit_on_miss=False)
+            pool.prefault(self.nodes)
+        self.store.pool = pool
 
     # ------------------------------------------------------------------
     # bulk build
@@ -362,10 +416,6 @@ class InnerTree:
             idx = parent.child_index(node.node_id)
             parent.keys.insert(idx, promoted)
             parent.children.insert(idx + 1, right.node_id)
-
-    def internal_node_ids(self) -> list[int]:
-        """Ids of all internal nodes (for warm-cache prefaulting)."""
-        return list(self.nodes)
 
     # ------------------------------------------------------------------
     # checkpoint serialization (repro.persist)

@@ -415,10 +415,17 @@ class DurableIndex(IndexBackend):
         resurrect an op the caller observed as failed.  A failed *batch*
         op may leave the live inner tree partially applied (the
         backend's own contract), but after a crash the whole batch is
-        absent — recovery only replays acknowledged records.
+        absent — recovery only replays acknowledged records.  With no
+        open log (after :meth:`close` or a failed :meth:`checkpoint`) it
+        raises :class:`PersistError` before anything is logged or applied.
         """
         wal = self._wal
-        assert wal is not None
+        if wal is None:
+            raise PersistError(
+                f"DurableIndex in {self.directory} is closed: its WAL was "
+                f"closed by close() or a failed checkpoint(); recover() it "
+                f"before writing"
+            )
         wal.check_writable()
         start = wal.nbytes
         try:

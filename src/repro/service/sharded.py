@@ -66,7 +66,7 @@ from typing import Any, Iterable, Sequence
 
 import numpy as np
 
-from repro.api.protocol import Index
+from repro.api.protocol import Index, check_targets
 from repro.api.registry import make_index
 from repro.analysis.sanitize import maybe_check
 from repro.api.results import (
@@ -498,12 +498,15 @@ class ShardedIndex:
         — e.g. to page ids for BF shards, enabling the counting-filter
         in-place path) come back as
         :class:`~repro.api.DeleteOutcome` objects aligned with ``keys``.
+        ``tids`` of another length than ``keys`` raise ``ValueError``
+        before any shard deletes.
         """
         keys = [as_scalar(k) for k in keys]
         n = len(keys)
         tid_list: list[int | None] = (
             [None] * n if tids is None else list(tids)
         )
+        check_targets(keys, tid_list)
         assign = self.route(keys)
         outcomes: list[Any] = [None] * n
         latencies = [0.0] * n

@@ -141,6 +141,48 @@ def test_register_and_make_custom_backend(pk_relation):
 
 
 # ======================================================================
+# storage binding
+# ======================================================================
+@pytest.mark.parametrize("name", BACKENDS)
+def test_rebind_moves_every_charge_to_the_new_stack(name, pk_relation):
+    """Bound to stack A (warm: trees pool their directory on A), ops
+    charge A; rebound to stack B (cold), only B's clock and IOStats
+    move; after ``unbind()`` ops charge nothing and the sink gets
+    zeros."""
+    keys = _probe_keys()
+    index = _build(name, pk_relation)
+    stack_a, stack_b = build_stack(CONFIG), build_stack(CONFIG)
+
+    index.bind(stack_a, warm=True)
+    index.search_many(keys)
+    index.search(keys[0])
+    a_io, a_clock = stack_a.stats.snapshot(), stack_a.clock.now()
+    assert a_clock > 0.0
+    assert a_io.total_reads > 0
+
+    index.bind(stack_b)
+    sink: list[float] = []
+    bound = index.search_many(keys, latency_sink=sink)
+    index.search(keys[0])
+    assert stack_a.stats.snapshot() == a_io
+    assert stack_a.clock.now() == a_clock
+    b_io, b_clock = stack_b.stats.snapshot(), stack_b.clock.now()
+    assert b_clock > 0.0
+    assert b_io.total_reads > 0
+    assert sum(sink) > 0.0
+
+    index.unbind()
+    sink = []
+    assert index.search_many(keys, latency_sink=sink) == bound
+    index.search(keys[0])
+    assert sink == [0.0] * len(keys)
+    assert stack_a.stats.snapshot() == a_io
+    assert stack_a.clock.now() == a_clock
+    assert stack_b.stats.snapshot() == b_io
+    assert stack_b.clock.now() == b_clock
+
+
+# ======================================================================
 # scalar/batch bit-identity
 # ======================================================================
 @pytest.mark.parametrize("name", BACKENDS)

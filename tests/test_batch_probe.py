@@ -395,7 +395,7 @@ def _capture_fetch(tree, calls):
     method = tree._fetch_runs
 
     def fetch(keys, offsets, first, npages, ops):
-        stats, clock = tree._stats(), tree._clock()
+        stats, clock = tree._stats(), tree._sim_clock()
         before, t0 = stats.snapshot(), clock.now()
         results, latencies = method(keys, offsets, first, npages, ops)
         first, npages = first.tolist(), npages.tolist()

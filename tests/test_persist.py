@@ -532,6 +532,28 @@ class TestFailedOpCompensation:
         assert r.search(5).found  # the failed insert left no trace
         r.close()
 
+    def test_write_after_close_raises_persist_error(self, tiny_relation,
+                                                    tmp_path):
+        """A closed index refuses every write with a ``PersistError``
+        naming the closed state, before anything is logged or applied."""
+        d = tmp_path / "idx"
+        index = _durable(tiny_relation, d)
+        index.delete(7)
+        index.close()
+        leaves = [leaf_digest(l) for l in index.inner.leaves_in_order()]
+        logged = index.wal_path.stat().st_size
+        with pytest.raises(PersistError, match="closed"):
+            index.insert(7, index.write_target(7))
+        with pytest.raises(PersistError, match="closed"):
+            index.delete_many([8, 9])
+        with pytest.raises(PersistError, match="closed"):
+            index.apply_many([(OP_INSERT, 7, index.write_target(7))])
+        assert [leaf_digest(l) for l in index.inner.leaves_in_order()] \
+            == leaves
+        assert not index.search(7).found
+        assert index.search(8).found and index.search(9).found
+        assert index.wal_path.stat().st_size == logged
+
     def test_replay_skips_record_of_an_op_that_failed(self, tiny_relation,
                                                       tmp_path):
         """Crash inside the rollback window: the failed op's frame is

@@ -271,6 +271,21 @@ class TestWriteBatching:
         assert batched.results == scalar.results
         assert batched.io == scalar.io
 
+    def test_delete_many_rejects_mismatched_tids_before_deleting(
+            self, relation):
+        """``tids`` of another length than ``keys`` raise ``ValueError``
+        before any shard deletes: extra tids are not ignored, and a short
+        list does not fail halfway, after an earlier shard deleted."""
+        service = ShardedIndex.build(relation, "pk", n_shards=2,
+                                     kind="bplus", unique=True)
+        assert len(service.shards) == 2
+        far = service.shards[1].lo_key
+        with pytest.raises(ValueError, match="same length"):
+            service.delete_many([1, 2, 3], [1, 2, 3, 4, 5])
+        with pytest.raises(ValueError, match="same length"):
+            service.delete_many([10, far], [10])
+        assert all(service.search(k).found for k in (1, 2, 3, 10, far))
+
     def test_sharded_insert_many_equals_unsharded_loop(self, relation):
         """An insert-only Router replay routes vectorized but performs
         the exact scalar work: merged IOStats and post-insert probes

@@ -46,7 +46,6 @@ from repro.api.results import (
     as_scalar,
     normalize_scan_windows,
 )
-from repro.storage.clock import SimulatedClock
 from repro.storage.config import StorageStack
 from repro.storage.device import Device
 from repro.storage.iostats import IOStats
@@ -257,8 +256,9 @@ class IndexBackend:
         self._index_device = None
         self._data_device = None
 
-    def _sim_clock(self) -> SimulatedClock | None:
-        """The bound stack's simulated clock, or None when unbound."""
+    def _sim_clock(self) -> Any:
+        """The bound stack's ``SimulatedClock``, or None when unbound
+        (typed ``Any``: the fallbacks test it once, through ``track``)."""
         stack = self.stack
         return None if stack is None else stack.clock
 

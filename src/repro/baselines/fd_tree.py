@@ -142,8 +142,6 @@ class FDTree(IndexBackend):
         fences are memory-resident, which they are here by construction.
         """
         super().bind(stack, warm)
-        # Warm caches pin the fence-only levels (they are tiny); the data
-        # levels are still read from the device, matching §6.5.
         self._warm = warm
 
     def unbind(self) -> None:

@@ -20,9 +20,9 @@ identical traffic.  This module defines that contract:
   the one storage binding (``bind``/``unbind`` and the clock, IOStats
   and CPU charges every backend reads through it), capability-gated
   defaults for the mutating and scanning operations, and
-  **bit-identical** scalar-loop fallbacks for ``search_many`` /
-  ``insert_many`` / ``delete_many`` / ``range_scan_many`` /
-  ``apply_many``.  Backends with vectorized engines override those
+  **bit-identical** scalar-loop fallbacks: ``apply_many``, which
+  ``search_many`` / ``insert_many`` / ``range_scan_many`` call, and
+  ``delete_many``.  Backends with vectorized engines override those
   (the BF-Tree all five, the B+-Tree ``range_scan_many``).
 
 Write addressing: the protocol's mutating operations take the backend's
@@ -194,14 +194,16 @@ class IndexBackend:
     and counters.  Paged trees extend :meth:`bind` with their directory
     (:meth:`repro.core.node.InnerTree.bind`); wrappers delegate it.
 
-    **Batch fallbacks.**  ``search_many`` and friends are per-item
-    scalar loops, bit-identical to calling the scalar operation once
-    per item on the same bound stack — same results, same IOStats
-    counters, clock equal up to float summation order — because the
-    loop body *is* the scalar call.  ``latency_sink`` receives one
-    simulated per-op latency per item (zeros when unbound), matching
-    the vectorized engines' accounting, so Router percentile reports
-    work on every backend.
+    **Batch fallbacks.**  :meth:`apply_many` is the one per-op loop:
+    ``search_many``, ``insert_many`` and ``range_scan_many`` build op
+    triples and call it, and only ``delete_many`` (there is no delete
+    op code) keeps a loop of its own.  Both are bit-identical to
+    calling the scalar operation once per item on the same bound stack
+    — same results, same IOStats counters, clock equal up to float
+    summation order — because the loop body *is* the scalar call.
+    ``latency_sink`` receives one simulated per-op latency per item
+    (zeros when unbound), matching the vectorized engines' accounting,
+    so Router percentile reports work on every backend.
 
     **Capability-gated defaults.**  A backend that never defines
     ``insert``/``delete`` is immutable, one that never defines
@@ -284,31 +286,13 @@ class IndexBackend:
     def search_many(self, keys: Sequence[Any],
                     latency_sink: list[float] | None = None
                     ) -> list[SearchResult]:
-        clock = self._sim_clock()
-        track = latency_sink is not None and clock is not None
-        results: list[SearchResult] = []
-        for key in keys:
-            start = clock.now() if track else 0.0
-            results.append(self.search(as_scalar(key)))
-            if track and latency_sink is not None:
-                latency_sink.append(clock.now() - start)
-        if latency_sink is not None and not track:
-            latency_sink.extend(0.0 for _ in results)
-        return results
+        return self.apply_many([(OP_READ, k, None) for k in keys], latency_sink)
 
     def insert_many(self, keys: Sequence[Any], targets: Sequence[int],
                     latency_sink: list[float] | None = None) -> None:
         check_targets(keys, targets)
-        clock = self._sim_clock()
-        track = latency_sink is not None and clock is not None
-        for key, target in zip(keys, targets):
-            start = clock.now() if track else 0.0
-            self.insert(as_scalar(key), int(target))
-            if track and latency_sink is not None:
-                latency_sink.append(clock.now() - start)
-        if latency_sink is not None and not track:
-            latency_sink.extend(0.0 for _ in keys)
-        maybe_check(self)
+        self.apply_many([(OP_INSERT, k, t) for k, t in zip(keys, targets)],
+                        latency_sink)
 
     def delete_many(self, keys: Sequence[Any],
                     targets: Sequence[int | None] | None = None,
@@ -335,20 +319,8 @@ class IndexBackend:
     def range_scan_many(self, windows: Sequence[tuple[Any, Any]],
                         latency_sink: list[float] | None = None
                         ) -> list[RangeScanResult]:
-        # Validate every window before any charge lands, matching the
-        # vectorized engines' up-front normalize_scan_windows pass.
-        wins = normalize_scan_windows(windows)
-        clock = self._sim_clock()
-        track = latency_sink is not None and clock is not None
-        results: list[RangeScanResult] = []
-        for lo, hi in wins:
-            start = clock.now() if track else 0.0
-            results.append(self.range_scan(lo, hi))
-            if track and latency_sink is not None:
-                latency_sink.append(clock.now() - start)
-        if latency_sink is not None and not track:
-            latency_sink.extend(0.0 for _ in results)
-        return results
+        return self.apply_many([(OP_SCAN, lo, hi) for lo, hi in windows],
+                               latency_sink)
 
     def apply_many(self, ops: Sequence[Op],
                    latency_sink: list[float] | None = None) -> list[Any]:
@@ -388,7 +360,6 @@ class IndexBackend:
         if OP_INSERT in codes:
             maybe_check(self)
         return results
-
 
     # ------------------------------------------------------------------
     # write addressing

@@ -1,7 +1,6 @@
 """Baseline access methods the paper compares BF-Trees against."""
 
 from repro.baselines.bptree import BPLeaf, BPlusTree, BPlusTreeConfig
-from repro.baselines.compressed import PrefixCompressionModel
 from repro.baselines.fd_tree import FDTree, FDTreeConfig
 from repro.baselines.hash_index import HashIndex
 from repro.baselines.interpolation import SortedFileSearch
@@ -11,7 +10,6 @@ __all__ = [
     "BPLeaf",
     "BPlusTree",
     "BPlusTreeConfig",
-    "PrefixCompressionModel",
     "FDTree",
     "FDTreeConfig",
     "HashIndex",

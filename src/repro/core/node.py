@@ -7,9 +7,9 @@ BF-Tree and our baseline B+-Tree place their upper levels in the classes
 here.
 
 * :class:`NodeStore` maps node ids 1:1 to index pages and charges the
-  index device (through an optional :class:`BufferPool`) on every node
-  access.  The warm-cache experiments prefault internal nodes into the
-  pool so only leaf reads cost I/O.
+  index device on every node access.  Warm-cache binding reads through
+  a :class:`BufferPool` holding the internal nodes as its resident set,
+  so only leaf reads cost I/O.
 * :class:`InternalNode` is a <key, child-pointer> page with the fanout of
   Equation 2 (``pagesize / (ptrsize + keysize)``).
 * :class:`InnerTree` owns the internal levels: bulk build over leaf
@@ -153,8 +153,8 @@ class InnerTree:
     under splits.  Routing reads one :class:`RoutingTable`, built on
     first use and dropped by every method here that edits a built
     directory (:meth:`build`, :meth:`split_child`, :meth:`load_state`).
-    An empty tree, the only one :meth:`register_single_leaf` accepts,
-    never holds a table.
+    An empty tree never holds a table; ``build([], [leaf])`` makes the
+    one-leaf tree a first split grows.
     """
 
     def __init__(self, store: NodeStore, fanout: int | None = None) -> None:
@@ -187,22 +187,19 @@ class InnerTree:
 
         ``warm=True`` models the paper's warm-cache mode: all internal
         nodes are memory-resident, so only the leaf access (and data
-        pages) cost device I/O.  The warm pool is unbounded and never
-        admits a page on a miss, so no read changes which pages are
-        resident, and no leaf is ever resident, so a leaf write's
-        invalidation evicts nothing.  ``BFTree.apply_many`` relies on
-        both to charge a run of reads into one leaf once and replay it,
-        and to charge the duplicate re-inserts inside that run in one
-        later flush.  Keep these properties (or charge every read and
-        write at its turn again) when changing the pool.
+        pages) cost device I/O.  The warm pool (:class:`BufferPool`)
+        holds the internal nodes present at bind time, less any a split
+        later writes.  No read changes which pages are resident, and no
+        leaf is ever resident, so a leaf write's invalidation evicts
+        nothing.  ``BFTree.apply_many`` relies on both to charge a run
+        of reads into one leaf once and replay it, and to charge the
+        duplicate re-inserts inside that run in one later flush.  Keep
+        these properties (or charge every read and write at its turn
+        again) when changing the pool.
         """
         self.store.device = device
-        pool = None
-        if warm and device is not None:
-            pool = BufferPool(device, capacity_pages=None,
-                              admit_on_miss=False)
-            pool.prefault(self.nodes)
-        self.store.pool = pool
+        self.store.pool = (BufferPool(device, self.nodes)
+                           if warm and device is not None else None)
 
     # ------------------------------------------------------------------
     # bulk build
@@ -345,12 +342,6 @@ class InnerTree:
     # ------------------------------------------------------------------
     # incremental maintenance
     # ------------------------------------------------------------------
-    def register_single_leaf(self, leaf_id: int) -> None:
-        """Initialize a brand-new tree whose only node is one leaf."""
-        if self.root_id is not None or self._single_leaf is not None:
-            raise ValueError("tree is not empty")
-        self._single_leaf = leaf_id
-
     def split_child(self, old_leaf: int, separator, new_leaf: int,
                     left: int | None = None) -> None:
         """Record that ``old_leaf`` split: ``new_leaf`` holds keys >=

@@ -15,7 +15,7 @@ from repro.harness.experiment import (
     run_service,
     sweep_bf_tree,
 )
-from repro.harness.results import format_series, format_table, ms, print_table, us
+from repro.harness.results import format_series, format_table, us
 
 __all__ = [
     "BreakEvenCurve",
@@ -31,7 +31,5 @@ __all__ = [
     "sweep_bf_tree",
     "format_series",
     "format_table",
-    "ms",
-    "print_table",
     "us",
 ]

@@ -4,8 +4,8 @@ This is the machinery behind every measured figure/table of Section 6:
 build an index once per parameterization, bind it to a fresh
 :class:`~repro.storage.config.StorageStack` per storage configuration,
 replay a :class:`~repro.workloads.queries.ProbeSet`, and report average
-simulated latency plus I/O counters.  Warm-cache mode prefaults the
-index's internal nodes, mirroring the paper's §6.2 "warm caches"
+simulated latency plus I/O counters.  Warm-cache mode keeps the
+index's internal nodes resident, mirroring the paper's §6.2 "warm caches"
 experiments where only leaf accesses cause I/O.
 """
 
@@ -63,7 +63,7 @@ def run_probes(
     access pattern — the first data page of each probe is charged as
     random, the cold per-query behaviour of the paper's O_DIRECT runs —
     so no device state carries from one probe to the next.  ``warm``
-    prefaults internal index nodes.
+    keeps the internal index nodes resident.
     """
     keys = probes.keys if isinstance(probes, ProbeSet) else np.asarray(probes)
     stack = build_stack(config)

@@ -27,12 +27,6 @@ def format_table(headers: Sequence[str], rows: Iterable[Sequence[object]],
     return "\n".join(lines)
 
 
-def print_table(headers: Sequence[str], rows: Iterable[Sequence[object]],
-                title: str | None = None) -> None:
-    print(format_table(headers, rows, title))
-    print()
-
-
 def format_series(name: str, xs: Sequence[object], ys: Sequence[object]) -> str:
     """Render one figure line as ``name: (x, y) (x, y) ...``."""
     pairs = " ".join(f"({_fmt(x)}, {_fmt(y)})" for x, y in zip(xs, ys))
@@ -54,8 +48,3 @@ def _fmt(value: object) -> str:
 def us(seconds: float) -> float:
     """Seconds -> microseconds (figures report response time in us/ms)."""
     return seconds * 1e6
-
-
-def ms(seconds: float) -> float:
-    """Seconds -> milliseconds."""
-    return seconds * 1e3

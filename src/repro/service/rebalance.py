@@ -154,14 +154,11 @@ class Rebalancer:
             self._hot_streak.clear()
             self._cold_streak.clear()
             return []
-        total = window.total_clock
-        if total <= 0.0:
+        if window.total_clock <= 0.0:
             return []
         order = self.service.table.shard_ids
         n = len(order)
-        shares = {
-            sid: float(window.clock.get(sid, 0.0)) / total for sid in order
-        }
+        shares = {sid: window.clock_share(sid) for sid in order}
 
         decision = self._try_split(window, order, shares, n)
         if decision is None:

@@ -1,8 +1,9 @@
-"""Simulated storage substrate: clock, devices, relations, buffer pool.
+"""Simulated storage substrate: clock, devices, relations, warm pool.
 
 This package replaces the paper's physical testbed (Seagate 10K HDD, OCZ
 Deneva SSD, 48 GB DRAM) with a deterministic simulator.  See DESIGN.md §3
-for the substitution argument.
+for the substitution argument.  :class:`BufferPool` is the warm-cache
+resident page set (the internal nodes a warm-bound tree keeps in memory).
 """
 
 from repro.storage.buffer_pool import BufferPool
@@ -29,7 +30,7 @@ from repro.storage.device import (
     DeviceProfile,
     Medium,
 )
-from repro.storage.iostats import IOStats, ProbeResult
+from repro.storage.iostats import IOStats
 from repro.storage.relation import Relation
 
 __all__ = [
@@ -54,6 +55,5 @@ __all__ = [
     "DeviceProfile",
     "Medium",
     "IOStats",
-    "ProbeResult",
     "Relation",
 ]

@@ -17,7 +17,7 @@ class SimulatedClock:
 
     The clock only moves forward.  Components call :meth:`advance` with the
     cost of the work they just performed; measurement code brackets an
-    operation with :meth:`now` calls, or uses :meth:`measure`.
+    operation with :meth:`now` calls.
     """
 
     __slots__ = ("_now",)
@@ -35,42 +35,8 @@ class SimulatedClock:
             raise ValueError(f"cannot move clock backwards ({seconds} s)")
         self._now += seconds
 
-    def reset(self) -> None:
-        """Rewind to time zero.  Only meant for experiment setup."""
-        self._now = 0.0
-
-    def measure(self) -> "ClockSpan":
-        """Return a context manager measuring elapsed virtual time.
-
-        Example::
-
-            span = clock.measure()
-            with span:
-                index.search(key)
-            latency = span.elapsed
-        """
-        return ClockSpan(self)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"SimulatedClock(now={self._now:.9f}s)"
-
-
-class ClockSpan:
-    """Context manager capturing elapsed virtual time on a clock."""
-
-    __slots__ = ("_clock", "_start", "elapsed")
-
-    def __init__(self, clock: SimulatedClock) -> None:
-        self._clock = clock
-        self._start = 0.0
-        self.elapsed = 0.0
-
-    def __enter__(self) -> "ClockSpan":
-        self._start = self._clock.now()
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.elapsed = self._clock.now() - self._start
 
 
 # CPU cost constants (seconds).  These are small relative to any device I/O

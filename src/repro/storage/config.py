@@ -74,11 +74,6 @@ class StorageStack:
             PROFILES[self.config.data_medium], self.clock, self.stats, role="data"
         )
 
-    def reset(self) -> None:
-        """Zero the clock and counters (devices keep no other state)."""
-        self.clock.reset()
-        self.stats.reset()
-
 
 def build_stack(config: StorageConfig | str) -> StorageStack:
     """Create a fresh :class:`StorageStack` for ``config`` (or its name)."""

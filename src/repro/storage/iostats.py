@@ -8,7 +8,7 @@ on every access; the harness snapshots and diffs it around each probe.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 @dataclass
@@ -36,11 +36,6 @@ class IOStats:
     tuples_scanned: int = 0
     cache_hits: int = 0
     cache_misses: int = 0
-
-    def reset(self) -> None:
-        """Zero every counter."""
-        counters = vars(self)
-        counters.update(dict.fromkeys(counters, 0))
 
     def snapshot(self) -> "IOStats":
         """Return an immutable-by-convention copy of the current counters."""
@@ -84,17 +79,3 @@ class IOStats:
         more = vars(other)
         return IOStats(**{name: now + more[name]
                           for name, now in vars(self).items()})
-
-
-@dataclass
-class ProbeResult:
-    """Outcome of a single measured index probe."""
-
-    found: bool
-    latency: float                # simulated seconds
-    io: IOStats = field(default_factory=IOStats)
-    matches: int = 0              # tuples returned
-
-    @property
-    def false_reads(self) -> int:
-        return self.io.false_reads

@@ -1,5 +1,4 @@
-"""Unit tests for hash index, FD-Tree, SILT, sorted-file search, and the
-compressed B+-Tree size model."""
+"""Unit tests for hash index, FD-Tree, SILT and sorted-file search."""
 
 import numpy as np
 import pytest
@@ -9,7 +8,6 @@ from repro.baselines import (
     FDTree,
     FDTreeConfig,
     HashIndex,
-    PrefixCompressionModel,
     SiltConfig,
     SiltStore,
     SortedFileSearch,
@@ -256,25 +254,3 @@ class TestSortedFileSearch:
     def test_zero_index_size(self, pk_relation):
         sf = SortedFileSearch(pk_relation, "pk")
         assert sf.size_pages == 0 and sf.size_bytes == 0
-
-
-class TestPrefixCompressionModel:
-    def test_compressed_smaller_than_raw(self):
-        model = PrefixCompressionModel(key_size=32)
-        raw_leaves = 10**6 * 40 / 4096
-        assert model.leaf_pages(10**6, 10**6) < raw_leaves
-
-    def test_key_bytes_bounded(self):
-        model = PrefixCompressionModel(key_size=32)
-        assert 1.0 <= model.compressed_key_bytes(10**6) <= 32
-
-    def test_single_key(self):
-        assert PrefixCompressionModel(key_size=8).compressed_key_bytes(1) == 1.0
-
-    def test_total_includes_directory(self):
-        model = PrefixCompressionModel(key_size=32)
-        assert model.total_pages(10**6, 10**6) > model.leaf_pages(10**6, 10**6)
-
-    def test_size_bytes(self):
-        model = PrefixCompressionModel(key_size=8)
-        assert model.size_bytes(1000, 1000) == model.total_pages(1000, 1000) * 4096

@@ -240,3 +240,31 @@ class TestRouterScanBatching:
                 assert (got.matches, got.pages_read) == \
                     (ref.matches, ref.pages_read)
         ref_tree.unbind()
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "range_scan_many reads a data page once per leaf covering it "
+    "(CHANGES.md, FOUND)"))
+def test_shared_page_is_charged_once():
+    """Two leaves share page 811 after the write golden's
+    ``bf_pk_fpp0.2`` case reaches step 209; a scan across both must not
+    charge that page twice."""
+    from golden.write_cases import _apply, cases, steps
+
+    case = next(c for c in cases() if c.name == "bf_pk_fpp0.2")
+    tree = case.build()
+    stack = build_stack(case.storage)
+    tree.bind(stack)
+    for step in steps(case)[:210]:
+        _apply(tree, step, [])
+    lo, hi = 12970, 12990
+    legs = [leaf for leaf in tree.leaves_in_order()
+            if leaf.min_key <= hi and leaf.max_key >= lo]
+    pages = set()
+    for leaf in legs:
+        pages.update(range(leaf.min_pid, leaf.min_pid + leaf.pages_covered))
+    assert len(legs) == 2 and len(pages) < sum(l.pages_covered for l in legs)
+    before = stack.stats.snapshot()
+    (result,) = tree.range_scan_many([(lo, hi)])
+    assert result.pages_read <= len(pages)
+    assert stack.stats.diff(before).data_reads <= len(pages)

@@ -180,3 +180,46 @@ class TestDeletes:
             tree.delete(key, pid=rel.page_of(key))
         after = false_rate()
         assert after <= before + 2
+
+
+class TestDeleteDefects:
+    """Known counting-delete defects (ROADMAP item 2), pinned until the
+    re-record that mends them: a counting delete decrements the filter
+    but leaves the tuple in the relation, so a key the filters still
+    test present is found again."""
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "ROADMAP item 2: an in-place delete leaves the key findable "
+        "wherever other keys still set its filter bits"))
+    def test_deleted_keys_are_not_found(self):
+        n = 32768
+        rel = Relation({"pk": np.arange(n, dtype=np.int64)}, tuple_size=256)
+        tree = BFTree.bulk_load(
+            rel, "pk", BFTreeConfig(fpp=0.2, filter_kind="counting"),
+            unique=True,
+        )
+        keys = np.random.default_rng(0).choice(n, 2000, replace=False)
+        for key in keys.tolist():
+            outcome = tree.delete(key, pid=rel.page_of(key))
+            assert outcome.removed and not outcome.tombstoned
+        found = [key for key in keys.tolist() if tree.search(key).found]
+        assert found == []
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "ROADMAP item 2: a counting leaf split rebuilds its children "
+        "from the relation, so keys deleted in place come back"))
+    def test_split_keeps_inplace_deletes(self, pk_relation):
+        tree = BFTree.bulk_load(
+            pk_relation, "pk", BFTreeConfig(fpp=1e-3, filter_kind="counting"),
+            unique=True,
+        )
+        key, pid = 500, pk_relation.page_of(500)
+        leaf = next(l for l in tree.leaves.values() if l.covers_key(key))
+        assert leaf.nkeys >= leaf.key_capacity     # one more key splits it
+        leaves = tree.n_leaves
+        assert tree.delete(key, pid=pid).removed
+        assert not tree.search(key).found
+        tree.insert(key, pid)                      # splits the full leaf
+        assert tree.n_leaves == leaves + 1
+        assert tree.delete(key, pid=pid).removed
+        assert not tree.search(key).found

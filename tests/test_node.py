@@ -134,7 +134,7 @@ class TestBuild:
 class TestSplits:
     def test_degenerate_split_creates_root(self):
         tree = _tree(fanout=4)
-        tree.register_single_leaf(0)
+        tree.build([], [0])
         tree.split_child(0, separator=50, new_leaf=1)
         assert tree.root_id is not None
         assert tree.route(10)[0] == 0
@@ -151,7 +151,7 @@ class TestSplits:
         """``left`` takes the split leaf's slot, in a degenerate tree and
         under an internal node alike."""
         tree = _tree(fanout=4)
-        tree.register_single_leaf(0)
+        tree.build([], [0])
         tree.split_child(0, separator=50, new_leaf=2, left=1)
         tree.split_child(2, separator=70, new_leaf=4, left=3)
         assert tree.routing_table().leaf_ids == [1, 3, 4]
@@ -160,7 +160,7 @@ class TestSplits:
 
     def test_cascading_splits_keep_routing(self):
         tree = _tree(fanout=4)
-        tree.register_single_leaf(0)
+        tree.build([], [0])
         # Split leaves repeatedly: leaf i covers keys [i*10, i*10+10).
         next_leaf = 1
         for sep in range(10, 300, 10):
@@ -173,12 +173,6 @@ class TestSplits:
         for node in tree.nodes.values():
             assert len(node.children) <= 4
             assert len(node.keys) == len(node.children) - 1
-
-    def test_registering_into_nonempty_fails(self):
-        tree = _tree()
-        tree.register_single_leaf(0)
-        with pytest.raises(ValueError):
-            tree.register_single_leaf(1)
 
 
 class TestRouteAgainstWalk:
@@ -212,7 +206,7 @@ class TestRouteAgainstWalk:
         if separators or data.draw(st.booleans(), label="build"):
             tree.build(separators, list(range(len(separators) + 1)))
         else:
-            tree.register_single_leaf(0)
+            tree.build([], [0])
         self._assert_routes_like_walk(tree)
         next_leaf = len(separators) + 1
         for _ in range(data.draw(st.integers(0, 40), label="splits")):
@@ -252,7 +246,7 @@ class TestTableCache:
         tree = _tree(fanout=3)
         with pytest.raises(LookupError):
             tree.route(1)                                 # caches nothing
-        tree.register_single_leaf(0)
+        tree.build([], [0])
         tree.route(1)
         tree.route_batch([1, 2])
         assert builds[0] == 2

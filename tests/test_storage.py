@@ -15,7 +15,6 @@ from repro.storage import (
     SimulatedClock,
     build_stack,
 )
-from repro.storage.clock import ClockSpan
 
 
 class TestClock:
@@ -31,22 +30,6 @@ class TestClock:
     def test_no_backwards(self):
         with pytest.raises(ValueError):
             SimulatedClock().advance(-1)
-
-    def test_reset(self):
-        clock = SimulatedClock()
-        clock.advance(3)
-        clock.reset()
-        assert clock.now() == 0.0
-
-    def test_measure_span(self):
-        clock = SimulatedClock()
-        span = clock.measure()
-        with span:
-            clock.advance(0.25)
-        assert span.elapsed == pytest.approx(0.25)
-
-    def test_span_type(self):
-        assert isinstance(SimulatedClock().measure(), ClockSpan)
 
 
 class TestProfiles:
@@ -132,11 +115,6 @@ class TestDevice:
 
 
 class TestIOStats:
-    def test_reset(self):
-        stats = IOStats(data_random_reads=5, false_reads=2)
-        stats.reset()
-        assert stats.data_random_reads == 0 and stats.false_reads == 0
-
     def test_snapshot_diff(self):
         stats = IOStats()
         stats.data_random_reads = 3
@@ -195,13 +173,6 @@ class TestConfigs:
         assert stack.stats.index_random_reads == 1
         assert stack.stats.data_random_reads == 1
         assert stack.clock.now() == pytest.approx(2 * SSD_PROFILE.random_read)
-
-    def test_reset(self):
-        stack = build_stack("MEM/SSD")
-        stack.data_device.read_page(0, sequential=False)
-        stack.reset()
-        assert stack.clock.now() == 0.0
-        assert stack.stats.total_reads == 0
 
     def test_index_in_memory_flag(self):
         assert build_stack("MEM/HDD").config.index_in_memory

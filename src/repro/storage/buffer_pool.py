@@ -4,8 +4,8 @@ The paper evaluates both *cold caches* (data accessed with O_DIRECT |
 O_SYNC, i.e. every page access hits the device) and *warm caches* (the
 index's internal nodes are memory-resident, so only leaf accesses cause
 I/O).  Cold mode has no pool at all.  Warm mode reads its index pages
-through a :class:`BufferPool`: a fixed set of resident pages, fixed when
-the pool is built, that a read never grows.
+through a :class:`BufferPool`: the resident pages given when the pool is
+built, a set no read adds to.
 """
 
 from __future__ import annotations

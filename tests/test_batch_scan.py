@@ -13,6 +13,7 @@ import math
 
 import numpy as np
 import pytest
+from golden.write_cases import _apply, cases, steps
 from per_op_replay import replay_per_op
 
 from repro.baselines import BPlusTree, BPlusTreeConfig
@@ -249,8 +250,6 @@ def test_shared_page_is_charged_once():
     """Two leaves share page 811 after the write golden's
     ``bf_pk_fpp0.2`` case reaches step 209; a scan across both must not
     charge that page twice."""
-    from golden.write_cases import _apply, cases, steps
-
     case = next(c for c in cases() if c.name == "bf_pk_fpp0.2")
     tree = case.build()
     stack = build_stack(case.storage)

@@ -34,6 +34,7 @@ import time
 import numpy as np
 
 from repro.core import BFTree, BFTreeConfig
+from repro.core.bloom import page_to_rows
 from repro.storage import build_stack
 from repro.workloads import derive_seed, synthetic
 
@@ -49,7 +50,7 @@ def _tree_fingerprint(tree):
             leaf.node_id, leaf.min_pid, leaf.min_key, leaf.max_key,
             leaf.nkeys, leaf.extra_inserts, leaf.pages_covered,
             sorted(leaf.deleted_keys),
-            list(leaf.counts), leaf.page[:leaf.nfilters].tobytes(),
+            list(leaf.counts), page_to_rows(leaf.page, leaf.nfilters).tobytes(),
         ))
     return out
 

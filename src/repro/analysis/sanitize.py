@@ -9,8 +9,9 @@ violated invariant:
 
 * :func:`check_tree` — BF-Tree leaf-chain pointer integrity and key
   ordering, per-leaf ``nkeys``/add-count/capacity consistency, the
-  filter layout (add counts per filter, zero rows past the filters in
-  use, a counting leaf's bit page equal to its counters above zero),
+  filter layout (add counts per filter, no bit set for a filter past
+  the ones in use, a counting leaf's bit page equal to its counters
+  above zero),
   hash-geometry uniformity, directory ↔ chain agreement, the cached
   routing table equal to a fresh one;
 * :func:`check_bplus` — B+-Tree chain pointers, in-leaf key order,
@@ -233,12 +234,10 @@ def _check_leaf_filters(name: str, where: str, leaf: Any) -> None:
     """The filter layout: one add count per filter in use, at least one
     add per indexed key, a data page for every filter in use (filters
     grow only with the pages they cover, so a probe's page runs are
-    never empty), zero rows past the filters in use (so a batch probe
-    gathering the whole page matches nothing there), and on a counting
+    never empty), a bit-sliced page with one row per filter bit and no
+    bit set for a filter past the ones in use (so a batch probe
+    gathering whole rows matches nothing there), and on a counting
     leaf a bit page equal to its counters above zero."""
-    # Imported here: repro.core imports this module.
-    from repro.core.bloom import page_from_bits, words_per_filter
-
     n = leaf.nfilters
     if len(leaf.counts) != n:
         _fail(name, f"{where}: {len(leaf.counts)} add counts for "
@@ -252,13 +251,14 @@ def _check_leaf_filters(name: str, where: str, leaf: Any) -> None:
     if n and leaf.pages_covered <= (n - 1) * geo.pages_per_bf:
         _fail(name, f"{where}: filter {n - 1} covers no page "
                     f"(pages_covered={leaf.pages_covered})")
-    if page.shape[0] < n or page.shape[1:] != (
-            words_per_filter(geo.bits_per_bf),):
+    if (page.ndim != 2 or page.shape[0] != geo.bits_per_bf
+            or 8 * page.shape[1] < n):
         _fail(name, f"{where}: page of shape {page.shape} cannot hold "
                     f"{n} filters of {geo.bits_per_bf} bits")
-    if page[n:].any():
-        _fail(name, f"{where}: page rows at or past nfilters={n} hold "
-                    f"set bits")
+    used = (n + 7) // 8
+    if page[:, used:].any() or (n & 7 and (page[:, n >> 3] >> (n & 7)).any()):
+        _fail(name, f"{where}: page bits of filters at or past "
+                    f"nfilters={n} hold set bits")
     counters = leaf.counters
     if counters is None:
         return
@@ -268,7 +268,9 @@ def _check_leaf_filters(name: str, where: str, leaf: Any) -> None:
     if counters[n:].any():
         _fail(name, f"{where}: counter rows at or past nfilters={n} are "
                     f"nonzero")
-    if not np.array_equal(page[:n], page_from_bits(counters[:n] > 0)):
+    if not np.array_equal(page[:, :used],
+                          np.packbits((counters[:n] > 0).T, axis=1,
+                                      bitorder="little")):
         _fail(name, f"{where}: bit page disagrees with counters > 0")
 
 

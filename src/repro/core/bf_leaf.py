@@ -14,38 +14,44 @@ keys stays at ``-ln(fpp) / ln^2(2)`` the leaf-wide false-positive
 probability is the configured ``fpp`` regardless of how many filters the
 budget is split into.
 
-Layout: like the paper's index page, every leaf keeps its filters as
-the rows of one ``(capacity, words_per_filter)`` uint64 matrix,
-:attr:`BFLeaf.page`, beside a ``counts`` vector (adds per filter) and
-one hash seed, :attr:`BFLeaf.filter_seed`, fixed when the leaf is made.
-Rows ``[0, nfilters)`` are in use; the rest stay zero and never match.
-A batch probe tests all S filters with one gather
-(:meth:`BFLeaf._match_matrix`).  Every filter of a leaf shares nbits/k
-and the seed, so a key is hashed once per leaf; a tree hashes all (key,
-leaf) rows of a batch in a single call (:meth:`BFLeaf.hash_rows`) and
-bulk loading hashes each leaf's pages in one call
-(:meth:`BFLeaf.add_pages`).  A counting leaf (§7; Fan et al.'s counting
-filters) also keeps an ``(capacity, bits_per_bf)`` uint8 counter page,
-:attr:`BFLeaf.counters`, in step with its bit page: a bit is set iff its
-counter is above zero.  Probes and duplicate tests read the bit page
-alone, so they run one code path for both kinds; only adds and
-:meth:`BFLeaf.remove_key` touch the counters.
+Layout: like the paper's index page, every leaf keeps its filters in
+one matrix, :attr:`BFLeaf.page`, beside a ``counts`` vector (adds per
+filter) and one hash seed, :attr:`BFLeaf.filter_seed`, fixed when the
+leaf is made.  The page is *bit-sliced* (Faloutsos & Christodoulakis'
+signature files, BitFunnel): a ``(bits_per_bf, ceil(capacity / 8))``
+uint8 matrix whose row ``b`` holds bit ``b`` of every filter, filter
+``g`` being bit ``g & 7`` of byte ``g >> 3``.  Filters ``[0, nfilters)``
+are in use; the bits of the rest stay zero and never match.  A key's
+test against all S filters is the AND of the k rows its bit positions
+name, S/8 bytes each, so the tests of many keys on many leaves are one
+row gather (:meth:`BFLeaf._match_matrix`).  Snapshots keep the row form,
+one filter per row (:func:`~repro.core.bloom.page_to_rows`).  Every
+filter of a leaf shares nbits/k and the seed, so a key is hashed once
+per leaf; a tree hashes all (key, leaf) rows of a batch in a single call
+(:meth:`BFLeaf.hash_rows`) and bulk loading hashes each leaf's pages in
+one call (:meth:`BFLeaf.add_pages`).  A counting leaf (§7; Fan et al.'s
+counting filters) also keeps an ``(capacity, bits_per_bf)`` uint8
+counter page, :attr:`BFLeaf.counters`, in step with its bit page: a bit
+is set iff its counter is above zero.  Probes and duplicate tests read
+the bit page alone, so they run one code path for both kinds; only adds
+and :meth:`BFLeaf.remove_key` touch the counters.
 
 Update support (paper §7): the leaf keeps a *deleted-key list* so deletes
 do not degrade the fpp, and tracks ``extra_inserts`` beyond nominal
 capacity so the effective fpp after overflowing inserts follows
 Equation 14.
 
-Probing is batch-only and array-at-a-time: :meth:`BFLeaf.match_keys`
-runs Algorithm 1's all-filter test for a batch of keys (optionally fed
-prehashed positions) and keeps the match matrix's ``nonzero`` output
-with the leaf's page geometry; :func:`build_page_runs` turns any number
-of such tests, from any leaves, into CSR page runs (per-read offsets
-into ``(first_pid, npages)`` arrays) in one NumPy pass.  The tree's
-read engine queues one test per leaf group and builds every read's runs
-once per flush; :meth:`BFLeaf.matching_page_runs_many` is the same
-builder split into one run list per key, and a single key is a batch of
-one.  Writes come as scalar :meth:`BFLeaf.add` and the prehashed
+Probing is batch-only and array-at-a-time: :meth:`BFLeaf.match_many`
+runs Algorithm 1's all-filter test for a batch of (key, leaf) pairs,
+over any number of leaves, in one gather, and keeps the match matrix's
+``nonzero`` output with each pair's page geometry;
+:func:`build_page_runs` turns any number of such tests into CSR page
+runs (per-read offsets into ``(first_pid, npages)`` arrays) in one
+NumPy pass.  The tree's read engine tests every queued read of a flush
+at once and builds every read's runs once per chunk;
+:meth:`BFLeaf.match_keys` is a batch of one leaf, and
+:meth:`BFLeaf.matching_page_runs_many` the same builder split into one
+run list per key.  Writes come as scalar :meth:`BFLeaf.add` and the prehashed
 :meth:`BFLeaf.add_prehashed` that ``BFTree.insert_many`` drives; both
 leave bit-identical state.
 """
@@ -63,14 +69,7 @@ from repro.core.bloom import (
     counter_page_add,
     fpp_after_inserts,
     optimal_hash_count,
-    page_popcount,
-    page_set_positions,
-    page_test,
-    page_test_rows,
-    row_clear_positions,
-    row_set_positions,
-    row_test_positions,
-    words_per_filter,
+    page_width,
 )
 from repro.core.hashing import (
     MASK64,
@@ -179,24 +178,26 @@ class BFLeafGeometry:
 
 
 class LeafMatches(NamedTuple):
-    """One leaf's filter test of a batch of keys (:meth:`BFLeaf.match_keys`),
-    the input of :func:`build_page_runs`."""
+    """The filter tests of a batch of (key, leaf) pairs
+    (:meth:`BFLeaf.match_many`), the input of :func:`build_page_runs`."""
 
-    #: Keys tested.
+    #: Pairs tested.
     nkeys: int
-    #: ``np.nonzero`` of the match matrix: key row and matched filter
-    #: per pair, rows ascending, each row's groups ascending.
+    #: ``np.nonzero`` of the match matrix minus tombstoned pairs: pair
+    #: row and matched filter, rows ascending, each row's groups
+    #: ascending.
     rows: np.ndarray
     groups: np.ndarray
-    #: The leaf's page geometry when tested: first page, pages per
-    #: filter, end of its page coverage (exclusive) and spill-back pages.
-    min_pid: int
+    #: Per pair, its leaf's page geometry when tested: first page and
+    #: end of page coverage (exclusive).
+    min_pid: np.ndarray
+    end: np.ndarray
+    #: Pages per filter, shared by the leaves tested.
     pages_per_bf: int
-    end: int
-    spill_pages: int
-    #: Rows whose key is the leaf's minimum, fetched with the spill-back
-    #: pages (empty when the leaf has none).
-    spill_rows: list[int]
+    #: ``(pair row, first_pid, npages)`` of the spill-back run of each
+    #: pair whose key is its leaf's minimum, fetched before that pair's
+    #: groups (empty when no leaf tested has spill-back pages).
+    spill: list[tuple[int, int, int]]
 
 
 def build_page_runs(tests: list[LeafMatches],
@@ -221,26 +222,25 @@ def build_page_runs(tests: list[LeafMatches],
     """
     if len(tests) == 1:
         test = tests[0]
-        read, groups = test.rows, test.groups
+        read = test.rows
         g = test.pages_per_bf
-        first = groups * g
-        first += test.min_pid
-        npages = np.minimum(test.end - first, g)
+        first = test.groups * g
+        first += test.min_pid[read]
+        npages = np.minimum(test.end[read] - first, g)
         ntested = test.nkeys
         bases = [0]
     else:
         lens = [len(test.rows) for test in tests]
         bases = list(accumulate([test.nkeys for test in tests], initial=0))
         ntested = bases.pop()
-        geo = np.array([(test.min_pid, test.pages_per_bf, test.end)
-                        for test in tests]).repeat(lens, axis=0)
         read = (np.concatenate([test.rows for test in tests])
                 + np.array(bases).repeat(lens))
-        g = geo[:, 1]
+        g = np.array([test.pages_per_bf for test in tests]).repeat(lens)
         first = np.concatenate([test.groups for test in tests]) * g
-        first += geo[:, 0]
-        npages = np.minimum(geo[:, 2] - first, g)
-    if any(test.spill_rows for test in tests):
+        first += np.concatenate([test.min_pid for test in tests])[read]
+        npages = np.minimum(
+            np.concatenate([test.end for test in tests])[read] - first, g)
+    if any(test.spill for test in tests):
         read, first, npages = _insert_spill_runs(tests, bases, read, first,
                                                  npages)
     # A pair extends the previous pair's run when it continues that
@@ -265,11 +265,11 @@ def _insert_spill_runs(tests, bases, read, first, npages):
     at, reads, firsts, sizes = [], [], [], []
     offset = 0
     for test, base in zip(tests, bases):
-        for row in test.spill_rows:
+        for row, spill_first, spill_pages in test.spill:
             at.append(offset + int(test.rows.searchsorted(row)))
             reads.append(base + row)
-            firsts.append(test.min_pid - test.spill_pages)
-            sizes.append(test.spill_pages)
+            firsts.append(spill_first)
+            sizes.append(spill_pages)
         offset += len(test.rows)
     return (np.insert(read, at, reads), np.insert(first, at, firsts),
             np.insert(npages, at, sizes))
@@ -306,9 +306,10 @@ class BFLeaf:
     nfilters: int = 0
     #: Adds (with multiplicity) per filter, ``nfilters`` entries.
     counts: list[int] = field(default_factory=list)
-    #: The index page: a ``(capacity, words_per_filter)`` uint64 matrix
-    #: whose row ``i`` is filter ``i``'s bits.  Rows passed to the
-    #: constructor are copied onto a fresh page.
+    #: The index page, bit-sliced: a ``(bits_per_bf, ceil(capacity /
+    #: 8))`` uint8 matrix whose row ``b`` holds bit ``b`` of every
+    #: filter; filter ``g`` is bit ``g & 7`` of byte ``g >> 3``.  A page
+    #: passed to the constructor is copied onto a fresh one.
     page: np.ndarray = field(default=None, repr=False, compare=False)
     #: Counting leaves only: the ``(capacity, bits_per_bf)`` uint8
     #: counter page, kept in step with ``page``; None for plain leaves.
@@ -416,11 +417,13 @@ class BFLeaf:
         it still reliable enough to say so (effective fpp, its fill
         fraction to the k-th power, at most
         :data:`DUPLICATE_TRUST_MAX_FPP`)?"""
-        row = self.page[group]
-        if not row_test_positions(row, positions):
-            return False
+        column = self.page[:, group >> 3]
+        mask = 1 << (group & 7)
+        for pos in positions:
+            if not column[pos] & mask:
+                return False
         geo = self.geometry
-        ones = int.from_bytes(row.tobytes(), "little").bit_count()
+        ones = np.count_nonzero(column & mask)
         return (ones / geo.bits_per_bf) ** geo.hash_count \
             <= DUPLICATE_TRUST_MAX_FPP
 
@@ -443,15 +446,18 @@ class BFLeaf:
 
         Key ``j`` has bit positions ``positions[j]`` and lands in existing
         filter ``groups[j]`` (``< nfilters``) of ``leaves[which[j]]``.
-        The filters in use of every leaf a key lands in are stacked into
-        one page, so a single row gather answers membership and a single
-        popcount of the gathered rows answers the trust gate.  The leaves
-        must share their hash geometry, as :meth:`hash_rows` requires.
+        The byte columns in use of every leaf a key lands in are stacked
+        side by side into one page, so a single gather of each key's k
+        bytes answers membership and a single gather of each key's
+        column, with its bit counted, answers the trust gate.  The
+        leaves must share their hash geometry, as :meth:`hash_rows`
+        requires.
         """
         which = np.asarray(which)
         used = dict.fromkeys(which.tolist())
+        column = groups >> 3
         if len(used) == 1:
-            page, rows = leaves[which[0]].page, groups
+            page = leaves[which[0]].page
         else:
             offset = np.zeros(len(leaves), dtype=np.int64)
             pages = []
@@ -459,14 +465,19 @@ class BFLeaf:
             for t in used:
                 leaf = leaves[t]
                 offset[t] = at
-                at += leaf.nfilters
-                pages.append(leaf.page[:leaf.nfilters])
-            page = np.concatenate(pages)
-            rows = offset[which] + groups
+                width = page_width(leaf.nfilters)
+                at += width
+                pages.append(leaf.page[:, :width])
+            page = np.concatenate(pages, axis=1)
+            column = column + offset[which]
+        mask = (1 << (groups & 7)).astype(np.uint8)
+        member = np.bitwise_and.reduce(page[positions, column[:, None]],
+                                       axis=1) & mask
         geo = leaves[which[0]].geometry
-        fill = page_popcount(page, rows) / geo.bits_per_bf
+        fill = np.count_nonzero(page[:, column] & mask, axis=0) \
+            / geo.bits_per_bf
         trust = fill ** geo.hash_count <= DUPLICATE_TRUST_MAX_FPP
-        return page_test_rows(page, rows, positions) & trust
+        return (member != 0) & trust
 
     def add_prehashed(self, key, pid: int, positions,
                       duplicate: bool | None = None) -> bool:
@@ -488,7 +499,7 @@ class BFLeaf:
         if duplicate is None:
             duplicate = self._holds(group, positions)
         if not duplicate:  # a duplicate's bits are all set already
-            row_set_positions(self.page[group], positions)
+            self.page[positions, group >> 3] |= np.uint8(1 << (group & 7))
         self.counts[group] += 1
         self._bump_counters([group], [positions])
         self.pages_covered = max(self.pages_covered, pid - self.min_pid + 1)
@@ -536,8 +547,9 @@ class BFLeaf:
         ``keys`` concatenates the sorted distinct keys of each page, and
         ``pids`` holds each key's page id, non-decreasing.  The resulting
         filter state equals :meth:`add` applied key by key, but the leaf
-        hashes the whole run in one call and ORs every bit into its page
-        in one scatter, and every key counts toward ``nkeys``.  Raises
+        hashes the whole run in one call, scatters every bit into a
+        boolean slice of the run's filters and ORs it into its page with
+        one ``packbits``, and every key counts toward ``nkeys``.  Raises
         :class:`LeafOverflow` before changing anything when the last page
         lies past the leaf's filter budget.
         """
@@ -554,7 +566,13 @@ class BFLeaf:
         self._grow_to(last)
         groups = (pids - self.min_pid) // self.geometry.pages_per_bf
         positions = self.hash_batch(keys)
-        page_set_positions(self.page, groups, positions)
+        # The run's filters fill byte columns [lo, hi) of the page.
+        lo, hi = first >> 3, (last >> 3) + 1
+        bits = np.zeros((self.geometry.bits_per_bf, 8 * (hi - lo)),
+                        dtype=bool)
+        bits[positions.ravel(),
+             (groups - 8 * lo).repeat(positions.shape[1])] = True
+        self.page[:, lo:hi] |= np.packbits(bits, axis=1, bitorder="little")
         for group, n in enumerate(np.bincount(groups - first).tolist(),
                                   start=first):
             self.counts[group] += n
@@ -596,8 +614,9 @@ class BFLeaf:
         its own."""
         if group < self.nfilters:
             return
-        if group >= len(self.page):
-            self._repage(max(group + 1, 2 * len(self.page)))
+        capacity = 8 * self.page.shape[1]
+        if group >= capacity:
+            self._repage(max(group + 1, 2 * capacity))
         self.counts.extend([0] * (group + 1 - self.nfilters))
         self.nfilters = group + 1
 
@@ -607,10 +626,11 @@ class BFLeaf:
         geo = self.geometry
         n = self.nfilters
         capacity = max(need, geo.max_filters)
-        page = np.zeros((capacity, words_per_filter(geo.bits_per_bf)),
-                        dtype=np.uint64)
+        page = np.zeros((geo.bits_per_bf, page_width(capacity)),
+                        dtype=np.uint8)
         if n:
-            page[:n] = self.page[:n]
+            used = page_width(n)
+            page[:, :used] = self.page[:, :used]
         self.page = page
         if geo.filter_kind == "counting":
             counters = np.zeros((capacity, geo.bits_per_bf), dtype=np.uint8)
@@ -661,8 +681,10 @@ class BFLeaf:
         for pos in positions:
             if 0 < counters[pos] < cap:
                 counters[pos] -= 1
-        row_clear_positions(self.page[group],
-                            [pos for pos in positions if not counters[pos]])
+        cleared = [pos for pos in positions if not counters[pos]]
+        if cleared:
+            self.page[cleared, group >> 3] &= np.uint8(
+                ~(1 << (group & 7)) & 0xFF)
         self.counts[group] = max(0, self.counts[group] - 1)
         if (not self._holds(group, positions)
                 or self.nkeys > sum(self.counts)):
@@ -673,36 +695,56 @@ class BFLeaf:
     # probing
     # ------------------------------------------------------------------
     def match_keys(self, keys, positions=None) -> LeafMatches:
-        """Algorithm 1's all-filter test of a batch of keys.
+        """Algorithm 1's all-filter test of a batch of keys on this leaf:
+        :meth:`match_many` with every pair on this leaf.
 
-        All S filters are tested for all N keys in one NumPy pass.  The
-        leaf's filters share geometry (nbits/k/seed), so the k bit
-        positions per key are hashed once (or passed in as
-        ``positions``, the :meth:`hash_batch` rows of ``keys``) and
-        gathered against the whole page.  The match matrix's ``nonzero``
-        output is kept as is, minus the rows of tombstoned keys, beside
-        the page geometry the runs need, read now: later inserts into the
-        leaf cannot move a test's runs.  :func:`build_page_runs` turns it
-        into runs.  The caller charges the probe CPU.
+        ``positions``, if given, are the :meth:`hash_batch` rows of
+        ``keys``.  The caller charges the probe CPU.
         """
         if positions is None:
             positions = self.hash_batch(keys)
-        # Row-major: each key's matched groups are a contiguous,
+        return BFLeaf.match_many(keys, [self],
+                                 np.zeros(len(keys), dtype=np.intp),
+                                 positions)
+
+    @staticmethod
+    def match_many(keys, leaves, which, positions) -> LeafMatches:
+        """Algorithm 1's all-filter test of a batch of (key, leaf) pairs.
+
+        Pair ``j`` tests ``keys[j]``, with bit positions
+        ``positions[j]`` (its :meth:`hash_rows` row), against every
+        filter of ``leaves[which[j]]``.  All pairs are tested in one
+        :meth:`_match_matrix` gather, whose ``nonzero`` output is kept as
+        is, minus the pairs whose key is tombstoned in their leaf, beside
+        each pair's page geometry, read now: later inserts into a leaf
+        cannot move a test's runs.  :func:`build_page_runs` turns it into
+        runs.  The leaves must share their geometry but for
+        ``max_filters``, so pages of different widths mix.  The caller
+        charges the probe CPU.
+        """
+        which = np.asarray(which, dtype=np.intp)
+        # Row-major: each pair's matched groups are a contiguous,
         # ascending slice.
-        rows, groups = self._match_matrix(positions).nonzero()
-        g = self.geometry.pages_per_bf
-        deleted = self.deleted_keys
-        if deleted:
-            live = [key not in deleted for key in keys]
-            keep = np.asarray(live)[rows]
+        rows, groups = BFLeaf._match_matrix([leaf.page for leaf in leaves],
+                                            which, positions)
+        cover = np.array([(leaf.min_pid, leaf.min_pid + leaf.pages_covered)
+                          for leaf in leaves], dtype=np.int64)[which]
+        spill = []
+        if any(leaf.deleted_keys or leaf.spill_back_pages
+               for leaf in leaves):
+            live = np.ones(len(which), dtype=bool)
+            for r, (t, key) in enumerate(zip(which.tolist(), keys)):
+                leaf = leaves[t]
+                if key in leaf.deleted_keys:
+                    live[r] = False
+                elif leaf.spill_back_pages and key == leaf.min_key:
+                    spill.append((r, leaf.min_pid - leaf.spill_back_pages,
+                                  leaf.spill_back_pages))
+            keep = live[rows]
             rows, groups = rows[keep], groups[keep]
-        spill_rows = []
-        if self.spill_back_pages and self.min_key is not None:
-            spill_rows = [r for r, key in enumerate(keys)
-                          if key == self.min_key and key not in deleted]
-        return LeafMatches(len(keys), rows, groups, self.min_pid, g,
-                           self.min_pid + self.pages_covered,
-                           self.spill_back_pages, spill_rows)
+        return LeafMatches(len(which), rows, groups, cover[:, 0],
+                           cover[:, 1], leaves[0].geometry.pages_per_bf,
+                           spill)
 
     def matching_page_runs_many(self, keys, positions=None
                                 ) -> list[list[tuple[int, int]]]:
@@ -738,16 +780,55 @@ class BFLeaf:
             keys_to_int_array(keys), geo.hash_count, geo.bits_per_bf, seeds
         )
 
-    def _match_matrix(self, positions: np.ndarray) -> np.ndarray:
-        """Raw ``(n, nfilters)`` boolean filter-match matrix of prehashed
-        ``(n, k)`` bit positions, gathered from the page.
+    @staticmethod
+    def _match_matrix(pages, which, positions: np.ndarray
+                      ) -> tuple[np.ndarray, np.ndarray]:
+        """The filter-match matrix of prehashed (key, page) rows, as its
+        ``np.nonzero`` output.
 
-        No tombstone handling — callers apply the deleted-key list.
+        Row ``j`` tests the ``(n, k)`` bit positions ``positions[j]``
+        against every filter of the bit-sliced page ``pages[which[j]]``:
+        the AND of the k page rows they name holds the row's matches,
+        packed like a page row, and entry ``(j, g)`` of the matrix is
+        bit ``g & 7`` of its byte ``g >> 3``.  The pages (of one
+        ``bits_per_bf``) are stacked into one matrix, narrower ones
+        padded with zero bytes, and every row of every pair is read in
+        one gather; a page's filters past the ones in use never match.
+        Only the nonzero bytes are unpacked.  Returns ``(rows, groups)``,
+        rows ascending and each row's groups ascending.  Rows are
+        gathered in chunks bounding the ``(chunk, k, width)`` gather to
+        ~64 MB, so a huge batch (a boundary-enumerating range scan can
+        probe 100k values) cannot blow up peak memory; normal probe
+        batches fit one chunk.
+
+        No tombstone handling — callers apply the deleted-key lists.
+        Static like :meth:`hash_rows`; call it through the class.
         """
-        n = len(positions)
-        if n == 0 or not self.nfilters:
-            return np.zeros((n, self.nfilters), dtype=bool)
-        return page_test(self.page[:self.nfilters], positions)
+        if len(pages) == 1:
+            stack, rows = pages[0], positions
+        else:
+            width = max(page.shape[1] for page in pages)
+            stack = np.concatenate([
+                page if page.shape[1] == width
+                else np.pad(page, ((0, 0), (0, width - page.shape[1])))
+                for page in pages
+            ])
+            rows = positions + (np.asarray(which) * len(pages[0]))[:, None]
+        n, k = positions.shape
+        width = stack.shape[1]
+        step = max(1, (1 << 26) // (width * k))
+        if n <= step:
+            hits = np.bitwise_and.reduce(stack[rows], axis=1)
+        else:
+            hits = np.empty((n, width), dtype=np.uint8)
+            for start in range(0, n, step):
+                hits[start:start + step] = np.bitwise_and.reduce(
+                    stack[rows[start:start + step]], axis=1)
+        flat = hits.reshape(-1)
+        at = flat.nonzero()[0]
+        bits = np.unpackbits(flat[at], bitorder="little").nonzero()[0]
+        row, byte = np.divmod(at[bits >> 3], width)
+        return row, (byte << 3) + (bits & 7)
 
     # ------------------------------------------------------------------
     # accounting

@@ -82,6 +82,7 @@ from repro.core.bf_leaf import (
     LeafOverflow,
     build_page_runs,
 )
+from repro.core.bloom import page_from_rows, page_to_rows
 from repro.core.node import (
     InnerTree,
     NodeStore,
@@ -111,8 +112,9 @@ SKEW_GUARD_FPP = 1e-4
 FALSE_PAGE_BUDGET = 0.5
 
 #: ``format`` tag of :meth:`BFTree.snapshot_state`.  Version 2 stores
-#: each leaf's filters as page rows plus an add-count vector; states of
-#: the per-filter format (plain ``"bf-tree"``) are rejected.
+#: each leaf's filters as row-form bit arrays, one per filter
+#: (:func:`~repro.core.bloom.page_to_rows`), plus an add-count vector;
+#: states of the per-filter format (plain ``"bf-tree"``) are rejected.
 SNAPSHOT_FORMAT = "bf-tree/2"
 
 
@@ -184,8 +186,9 @@ class _Walk:
     pending: dict[int, list[tuple[int, int]]] = field(default_factory=dict)
     #: Filter tests queued per leaf id: (op, plan row or None).
     probes: dict[int, list] = field(default_factory=dict)
-    #: Filter tests run, one per leaf group, and the op of each tested
-    #: key in test order; every tested read fetches after the walk.
+    #: Filter tests run, one per flush, and the op of each tested
+    #: (key, leaf) pair in test order; every tested read fetches after
+    #: the walk.
     tests: list[LeafMatches] = field(default_factory=list)
     tested: list[int] = field(default_factory=list)
     #: Scans of the current read run, dispatched before the next insert
@@ -680,16 +683,17 @@ class BFTree(IndexBackend):
             "filter_seed": leaf.filter_seed,
             "geometry": dict(vars(leaf.geometry)),
             "counts": np.asarray(leaf.counts, dtype=np.int64),
-            "page": leaf.page[:n],
+            "page": page_to_rows(leaf.page, n),
             "counters": None if leaf.counters is None else leaf.counters[:n],
         }
 
     @staticmethod
     def _leaf_from_state(rec: dict) -> BFLeaf:
         counts = [int(c) for c in rec["counts"]]
+        geometry = BFLeafGeometry(**rec["geometry"])
         return BFLeaf(
             node_id=int(rec["node_id"]),
-            geometry=BFLeafGeometry(**rec["geometry"]),
+            geometry=geometry,
             min_pid=int(rec["min_pid"]),
             min_key=rec["min_key"],
             max_key=rec["max_key"],
@@ -701,7 +705,7 @@ class BFTree(IndexBackend):
             filter_seed=int(rec["filter_seed"]),
             nfilters=len(counts),
             counts=counts,
-            page=rec["page"],
+            page=page_from_rows(rec["page"], geometry.bits_per_bf),
             counters=rec["counters"],
         )
 
@@ -805,15 +809,17 @@ class BFTree(IndexBackend):
           :meth:`_read_run` charges each such group once and replays it
           for the rest;
         * otherwise only charge-free work waits.  A read's filter test
-          queues on its leaf and runs (one :meth:`BFLeaf.match_keys` page
-          gather per leaf group) before any visible insert into that
-          leaf applies, before a re-plan and at chunk end, so it sees
-          exactly the bits set before it; the test keeps the match
-          matrix's ``nonzero`` output and the leaf's page geometry of
+          queues on its leaf, and every queue is tested in one flush
+          (one :meth:`BFLeaf.match_many` gather over all of them) before
+          any visible insert applies, before a re-plan and at chunk end.
+          Every queued read precedes the insert, and a leaf that took a
+          visible insert had its queue flushed first, so each test sees
+          exactly the bits set before its read; it keeps the match
+          matrix's ``nonzero`` output and each leaf's page geometry of
           that moment.  A run of scans goes through
           :meth:`range_scan_many` before the next visible insert;
         * after the walk, one :func:`build_page_runs` pass turns every
-          queued test into CSR page runs (per-read offsets into
+          flush's tests into CSR page runs (per-read offsets into
           ``(first_pid, npages)`` arrays), and the data pages of every
           read are fetched in one :meth:`_fetch_runs` pass.  Those
           charges touch only the data device and state their access
@@ -892,8 +898,7 @@ class BFTree(IndexBackend):
                     self._flush_duplicates(walk, leaf_id)
                 # A split invalidates the plan: test every queued read
                 # before re-planning.
-                for leaf_id in list(walk.probes):
-                    self._test_probes(walk, leaf_id)
+                self._flush_probes(walk)
         self._run_scans(walk)
         if walk.tests:
             if self.ordered:
@@ -959,7 +964,7 @@ class BFTree(IndexBackend):
             self._run_scans(walk)
             rel = j - base
             leaf_id = pred[rel]
-            self._test_probes(walk, leaf_id)
+            self._flush_probes(walk)
             leaf = self.leaves[leaf_id]
             pid = walk.pids[i]
             positions = rows[rel].tolist()
@@ -1102,21 +1107,39 @@ class BFTree(IndexBackend):
         self._charge_descent(leaf, path)
         self._read_neighbours(neighbours)
 
-    def _test_probes(self, walk: "_Walk", leaf_id: int) -> None:
-        """Run the filter tests queued on one leaf, in one page gather,
-        and queue the result for the flush's run build."""
-        group = walk.probes.pop(leaf_id, None)
-        if not group:
+    def _flush_probes(self, walk: "_Walk") -> None:
+        """Run every queued filter test, on every leaf, in one gather
+        (:meth:`BFLeaf.match_many`), and queue the result for the
+        chunk's run build.
+
+        A read's plan row is hashed under its target leaf; the rows of
+        the neighbour leaves a partitioned tree also tests are hashed in
+        one :meth:`BFLeaf.hash_rows` call.
+        """
+        probes = walk.probes
+        if not probes:
             return
-        leaf = self.leaves[leaf_id]
-        ops = [i for i, _ in group]
+        leaves = [self.leaves[leaf_id] for leaf_id in probes]
+        ops: list[int] = []
+        rels: list = []
+        which: list[int] = []
+        for t, group in enumerate(probes.values()):
+            ops += [i for i, _ in group]
+            rels += [rel for _, rel in group]
+            which += [t] * len(group)
+        probes.clear()
         keys = [walk.keys[i] for i in ops]
-        rels = [rel for _, rel in group]
         if None in rels:
-            positions = leaf.hash_batch(keys)
+            own = [r for r, rel in enumerate(rels) if rel is not None]
+            hashed = [r for r, rel in enumerate(rels) if rel is None]
+            positions = np.empty((len(rels), walk.rows.shape[1]),
+                                 dtype=walk.rows.dtype)
+            positions[own] = walk.rows[[rels[r] for r in own]]
+            positions[hashed] = BFLeaf.hash_rows(
+                [keys[r] for r in hashed], leaves, [which[r] for r in hashed])
         else:
             positions = walk.rows[rels]
-        walk.tests.append(leaf.match_keys(keys, positions))
+        walk.tests.append(BFLeaf.match_many(keys, leaves, which, positions))
         walk.tested += ops
 
     def _run_scans(self, walk: "_Walk") -> None:

@@ -13,26 +13,27 @@ positive probability ``p``.  Two properties follow (paper §3):
    This is what lets a BF-leaf dedicate one small filter per data page.
 2. Halving p costs only logarithmically many extra bits per element.
 
-At runtime a BF-leaf keeps its S same-geometry filters as the rows of
-one ``(S, words_per_filter)`` uint64 *page* (see
-:mod:`repro.core.bf_leaf`): the page functions below set a batch of
-keys' bits, test a probe batch against all S rows in one gather, and
-count set bits.  A counting leaf (§7) also keeps one uint8 counter per
-bit in an ``(S, bits)`` *counter page*, bumped by
-:func:`counter_page_add`.  :class:`BloomFilter` is a standalone filter
-with the same bit layout and hashing.  The analytical functions are the
-counterparts used by the model in :mod:`repro.model.equations`.
+At runtime a BF-leaf keeps its S same-geometry filters *bit-sliced* in
+one ``(bits, ceil(S / 8))`` uint8 *page* (see :mod:`repro.core.bf_leaf`):
+row ``b`` holds bit ``b`` of every filter, so a key's test against all S
+filters is the AND of its k rows (Faloutsos & Christodoulakis' bit-sliced
+signature files).  :func:`page_from_rows` and :func:`page_to_rows`
+convert to and from the row form, one filter per row, that snapshots
+store.  A counting leaf (§7) also keeps one uint8 counter per bit in an
+``(S, bits)`` *counter page*, bumped by :func:`counter_page_add`.
+:class:`BloomFilter` is a standalone filter in row form with the same
+hashing.  The analytical functions are the counterparts used by the
+model in :mod:`repro.model.equations`.
 """
 
 from __future__ import annotations
 
 import math
-import sys
 
 import numpy as np
 
 # ``bloom_positions_batch`` is the batch hasher whose ``(n, k)`` rows the
-# page functions below take; it stays importable from this module.
+# leaf pages take; it stays importable from this module.
 from repro.core.hashing import (  # noqa: F401
     bloom_positions,
     bloom_positions_batch,
@@ -102,113 +103,60 @@ def _check_fpp(fpp: float) -> None:
 
 
 # ----------------------------------------------------------------------
-# Filter pages: S same-geometry filters as the rows of one word matrix
+# Filter pages: S same-geometry filters, bit-sliced
 # ----------------------------------------------------------------------
 _BIT = np.uint64(1) << np.arange(64, dtype=np.uint64)
 """Lookup of single-bit uint64 masks, indexed by bit offset within a word."""
 
 
 def words_per_filter(nbits: int) -> int:
-    """uint64 words holding an ``nbits``-bit filter."""
+    """uint64 words holding an ``nbits``-bit filter in row form."""
     return (nbits + 63) // 64
 
 
-def page_set_positions(page: np.ndarray, rows: np.ndarray,
-                       positions: np.ndarray) -> None:
-    """OR key ``j``'s k bit ``positions[j]`` into filter row ``rows[j]``.
+def page_width(nfilters: int) -> int:
+    """Bytes per row of a bit-sliced page holding ``nfilters`` filters."""
+    return (nfilters + 7) // 8
 
-    ``page`` is an ``(S, words_per_filter)`` uint64 matrix whose rows are
-    filters of one geometry; bit ``i`` of a row is bit ``i % 64`` of its
-    word ``i // 64``.
+
+def page_from_rows(rows: np.ndarray, nbits: int) -> np.ndarray:
+    """The bit-sliced page of row-form filters.
+
+    ``rows`` is an ``(n, words_per_filter)`` uint64 matrix whose row
+    ``i`` is filter ``i`` (bit ``j`` is bit ``j % 64`` of word
+    ``j // 64``, the layout of :class:`BloomFilter` and of BF-Tree
+    snapshots).  Returns the ``(nbits, page_width(n))`` uint8 page whose
+    row ``b`` holds bit ``b`` of every filter: filter ``g`` is bit
+    ``g & 7`` of byte ``g >> 3``.  :func:`page_to_rows` is the inverse.
     """
-    flat = positions.ravel()
-    np.bitwise_or.at(
-        page, (np.repeat(rows, positions.shape[1]), flat >> 6),
-        _BIT[flat & 63],
-    )
+    raw = np.ascontiguousarray(rows, dtype="<u8").view(np.uint8)
+    bits = np.unpackbits(raw, axis=1, count=nbits, bitorder="little")
+    return np.packbits(bits.T, axis=1, bitorder="little")
+
+
+def page_to_rows(page: np.ndarray, n: int) -> np.ndarray:
+    """Filters ``[0, n)`` of a bit-sliced page in row form: the inverse
+    of :func:`page_from_rows`."""
+    nbits = page.shape[0]
+    bits = np.unpackbits(page, axis=1, count=n, bitorder="little").T
+    raw = np.zeros((n, words_per_filter(nbits) * 8), dtype=np.uint8)
+    raw[:, :(nbits + 7) // 8] = np.packbits(bits, axis=1, bitorder="little")
+    return raw.view("<u8").astype(np.uint64)
 
 
 def row_set_positions(row: np.ndarray, positions) -> None:
-    """Set one key's bit ``positions`` in one filter's word array (a
-    page row): the scalar :func:`page_set_positions`."""
+    """Set one key's bit ``positions`` in one row-form filter's words."""
     for pos in positions:
         row[pos >> 6] |= _BIT[pos & 63]
 
 
-def row_clear_positions(row: np.ndarray, positions) -> None:
-    """Clear bit ``positions`` in one filter's word array (a counting
-    filter's bits whose counters dropped to zero)."""
-    for pos in positions:
-        row[pos >> 6] &= ~_BIT[pos & 63]
-
-
 def row_test_positions(row: np.ndarray, positions) -> bool:
-    """Are all of one key's bit ``positions`` set in one filter's word
-    array?  The scalar :func:`page_test_rows`."""
+    """Are all of one key's bit ``positions`` set in one row-form
+    filter's words?"""
     for pos in positions:
         if not (int(row[pos >> 6]) >> (pos & 63)) & 1:
             return False
     return True
-
-
-def page_test(page: np.ndarray, positions: np.ndarray) -> np.ndarray:
-    """Test ``(n, k)`` bit positions against every row of a filter page.
-
-    Returns an ``(n, S)`` boolean matrix: entry ``(j, i)`` is True when
-    all of key ``j``'s bits are set in row ``i``.  Every (key, filter)
-    pair is read in one fancy-index gather over the page's bytes (a
-    byte gather moves an eighth of the data a word gather would).  The
-    key batch is processed in chunks bounding the ``(S, chunk, k)``
-    gather to ~64 MB, so a huge batch (a boundary-enumerating range scan
-    can probe 100k values) cannot blow up peak memory; normal probe
-    batches fit one chunk.
-    """
-    n, k = positions.shape
-    s = page.shape[0]
-    out = np.empty((n, s), dtype=bool)
-    byte, shift = _byte_coords(positions)
-    view = page.view(np.uint8)
-    step = max(1, (1 << 26) // max(1, s * k))
-    for start in range(0, n, step):
-        stop = start + step
-        gathered = view[:, byte[start:stop]]             # (S, chunk, k)
-        hits = np.bitwise_and.reduce(gathered >> shift[start:stop], axis=2)
-        out[start:stop] = (hits & 1).T
-    return out
-
-
-def page_test_rows(page: np.ndarray, rows: np.ndarray,
-                   positions: np.ndarray) -> np.ndarray:
-    """Membership of key ``j``'s ``positions[j]`` in filter row ``rows[j]``
-    only (``(n,)`` booleans)."""
-    byte, shift = _byte_coords(positions)
-    gathered = page.view(np.uint8)[rows[:, None], byte]  # (n, k)
-    return (np.bitwise_and.reduce(gathered >> shift, axis=1) & 1) \
-        .astype(bool)
-
-
-def _byte_coords(positions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Byte offset (in a filter's word array viewed as bytes) and bit
-    shift within that byte of each filter bit position."""
-    if sys.byteorder == "little":
-        byte = positions >> 3
-    else:  # bytes of each word run most-significant first
-        byte = ((positions >> 6) << 3) + (7 - ((positions & 63) >> 3))
-    return byte, (positions & 7).astype(np.uint8)
-
-
-def page_popcount(page: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Number of 1-bits in each listed filter row (exact integers)."""
-    return np.unpackbits(page[rows].view(np.uint8), axis=1).sum(axis=1)
-
-
-def page_from_bits(bits: np.ndarray) -> np.ndarray:
-    """The filter page whose row ``i`` has bit ``j`` set iff
-    ``bits[i, j]``, for an ``(S, nbits)`` boolean matrix."""
-    s, nbits = bits.shape
-    raw = np.zeros((s, words_per_filter(nbits) * 8), dtype=np.uint8)
-    raw[:, :(nbits + 7) // 8] = np.packbits(bits, axis=1, bitorder="little")
-    return raw.view("<u8").astype(np.uint64)
 
 
 # ----------------------------------------------------------------------
@@ -236,11 +184,11 @@ def counter_page_add(counters: np.ndarray, rows: np.ndarray,
 class BloomFilter:
     """A standalone fixed-size Bloom filter over integer-canonicalized keys.
 
-    BF-leaves do not use it: a leaf keeps its filters as the rows of one
+    BF-leaves do not use it: a leaf keeps its filters bit-sliced in one
     page (the functions above).  This is the single filter Figure 14's
-    validation overfills; its bits are laid out like one page row (bit
-    ``i`` is bit ``i % 64`` of word ``i // 64``) and its keys hash like a
-    leaf's.
+    validation overfills and the tests' oracle for leaf pages; its bits
+    are in row form (bit ``i`` is bit ``i % 64`` of word ``i // 64``, a
+    row of :func:`page_to_rows`) and its keys hash like a leaf's.
     """
 
     __slots__ = ("nbits", "k", "seed", "_words")

@@ -1,8 +1,8 @@
 """Simulated storage substrate: clock, devices, relations, warm pool.
 
 This package replaces the paper's physical testbed (Seagate 10K HDD, OCZ
-Deneva SSD, 48 GB DRAM) with a deterministic simulator.  See DESIGN.md §3
-for the substitution argument.  :class:`BufferPool` is the warm-cache
+Deneva SSD, 48 GB DRAM) with a deterministic simulator.  See the
+``repro.storage`` row of README.md's module table for what it models.  :class:`BufferPool` is the warm-cache
 resident page set (the internal nodes a warm-bound tree keeps in memory).
 """
 

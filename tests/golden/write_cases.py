@@ -37,6 +37,7 @@ import numpy as np
 
 from golden.read_cases import _io_list, encode_result, synth
 from repro.core import BFTree, BFTreeConfig
+from repro.core.bloom import page_to_rows
 from repro.storage import build_stack
 from repro.workloads import OP_INSERT, OP_READ, OP_SCAN
 
@@ -166,7 +167,7 @@ def _filters_digest(leaf) -> str:
     endian), its bits packed little-endian, then its counters (counting
     filters only)."""
     n, nbits = leaf.nfilters, leaf.geometry.bits_per_bf
-    raw = leaf.page[:n].astype("<u8").view(np.uint8)
+    raw = page_to_rows(leaf.page, n).astype("<u8").view(np.uint8)
     bits = np.unpackbits(raw, axis=1, bitorder="little")[:, :nbits]
     parts = [
         np.asarray(leaf.counts, dtype="<i8").view(np.uint8).reshape(n, 8),

@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 from repro.api import OP_INSERT, OP_READ, OP_SCAN, as_scalar
 from repro.core import BFTree, BFTreeConfig
 from repro.core.bf_leaf import BFLeaf
+from repro.core.bloom import page_to_rows
 from repro.storage import Relation, build_stack
 from repro.workloads import tpch
 
@@ -32,7 +33,7 @@ def _tree_fingerprint(tree):
     out = []
     for leaf in tree.leaves_in_order():
         n = leaf.nfilters
-        filters = (list(leaf.counts), leaf.page[:n].tobytes(),
+        filters = (list(leaf.counts), page_to_rows(leaf.page, n).tobytes(),
                    None if leaf.counters is None
                    else leaf.counters[:n].tobytes())
         out.append((
@@ -262,9 +263,10 @@ def _invisible(leaf, key, pid):
 @pytest.mark.parametrize("world", ["warm_pool", "counting"])
 def test_invisible_duplicates_stay_inside_the_read_run(world, monkeypatch):
     """Re-inserts no read can see do not end a read run: reads over two
-    leaves interleaved with them still test each leaf's filters in one
-    gather and charge each (leaf, neighbours) group once, and each
-    leaf's queued duplicates charge once more, in one flush."""
+    leaves interleaved with them are still tested in one flush, one
+    filter gather over both leaves' pages, and charge each (leaf,
+    neighbours) group once, and each leaf's queued duplicates charge
+    once more, in one flush."""
     w = WORLDS[world]
     tree = w.build()
     tree.bind(build_stack("MEM/SSD"), warm=w.warm)
@@ -284,25 +286,27 @@ def test_invisible_duplicates_stay_inside_the_read_run(world, monkeypatch):
             assert _invisible(tree.leaves[leaf_id], key, arg)
     queues = {leaf_of[key] for code, key, _ in ops if code == OP_INSERT}
     assert len(queues) == 2
-    descents, tests = [], []
-    real_descent, real_match = BFTree._charge_descent, BFLeaf.match_keys
+    descents, gathers = [], []
+    real_descent, real_match = BFTree._charge_descent, BFLeaf._match_matrix
 
     def counted_descent(self, leaf, path):
         descents.append(leaf.node_id)
         real_descent(self, leaf, path)
 
-    def counted_match(self, keys, positions=None):
-        tests.append(self.node_id)
-        return real_match(self, keys, positions)
+    def counted_match(pages, which, positions):
+        gathers.append({id(page) for page in pages})
+        return real_match(pages, which, positions)
 
     monkeypatch.setattr(BFTree, "_charge_descent", counted_descent)
-    monkeypatch.setattr(BFLeaf, "match_keys", counted_match)
+    # A plain function, as the span tracer installs it: the engine must
+    # call the kernel through the class.
+    monkeypatch.setattr(BFLeaf, "_match_matrix", counted_match)
     tree.apply_many(ops)
     monkeypatch.undo()
     # Ordered data: one group per leaf, so each leaf charges one read
-    # group and one duplicate queue.
+    # group and one duplicate queue, and one flush tests both leaves.
     assert sorted(descents) == sorted(2 * list(queues))
-    assert sorted(tests) == sorted(queues)
+    assert gathers == [{id(tree.leaves[leaf_id].page) for leaf_id in queues}]
     _check_against_per_op(w, ops)
 
 
@@ -336,7 +340,9 @@ def _visible_duplicate(w, tree, kind):
     # Keys past the last leaf's range route to it.
     leaf = chain[-1]
     absent = np.arange(10**6, 10**6 + 50_000)
-    rows, groups = leaf._match_matrix(leaf.hash_batch(absent)).nonzero()
+    rows, groups = BFLeaf._match_matrix(
+        [leaf.page], np.zeros(len(absent), np.intp),
+        leaf.hash_batch(absent))
     assert not leaf.covers_key(int(absent[rows[0]]))
     return int(absent[rows[0]]), leaf.min_pid + g * int(groups[0])
 

@@ -24,7 +24,7 @@ from hypothesis import strategies as st
 from repro.baselines import BPlusTree
 from repro.core import BFTree, BFTreeConfig, BloomFilter
 from repro.core.bf_leaf import BFLeaf, BFLeafGeometry
-from repro.core.bloom import page_test, row_test_positions
+from repro.core.bloom import page_from_rows, page_to_rows, row_test_positions
 from repro.core.hashing import bloom_positions_batch, keys_to_int_array
 from repro.core.bf_tree import SearchResult
 from repro.storage import IOStats, Relation, build_stack
@@ -66,10 +66,16 @@ def _assert_batch_equals_scalar(tree, probe_keys):
 # Bloom filter / BF-leaf layers
 # ----------------------------------------------------------------------
 def _page_test_one(bf, probes):
-    """``probes`` batch-tested against ``bf``'s bits as a one-row page."""
+    """``probes`` batch-tested against ``bf``'s bits as a one-filter
+    sliced page."""
     positions = bloom_positions_batch(keys_to_int_array(probes), bf.k,
                                       bf.nbits, bf.seed)
-    return page_test(bf._words[None, :], positions)[:, 0].tolist()
+    page = page_from_rows(bf._words[None, :], bf.nbits)
+    rows, _ = BFLeaf._match_matrix([page], np.zeros(len(probes), np.intp),
+                                   positions)
+    hits = np.zeros(len(probes), dtype=bool)
+    hits[rows] = True
+    return hits.tolist()
 
 
 def _build_runs(leaf, key, groups):
@@ -99,8 +105,9 @@ def _build_runs(leaf, key, groups):
 def _scalar_groups(leaf, key):
     """Filters of ``leaf`` whose bits hold ``key``, tested one by one."""
     positions = leaf.key_positions(key)
+    rows = page_to_rows(leaf.page, leaf.nfilters)
     return [i for i in range(leaf.nfilters)
-            if row_test_positions(leaf.page[i], positions)]
+            if row_test_positions(rows[i], positions)]
 
 
 class TestBatchFilterLayers:

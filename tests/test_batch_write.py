@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 
 from repro.baselines import BPlusTree
 from repro.core import BFTree, BFTreeConfig, BloomFilter
+from repro.core.bloom import page_to_rows
 from repro.storage import Relation, build_stack
 
 sorted_keys = st.lists(
@@ -37,7 +38,7 @@ def _tree_fingerprint(tree):
     out = []
     for leaf in tree.leaves_in_order():
         n = leaf.nfilters
-        filters = (list(leaf.counts), leaf.page[:n].tobytes(),
+        filters = (list(leaf.counts), page_to_rows(leaf.page, n).tobytes(),
                    None if leaf.counters is None
                    else leaf.counters[:n].tobytes())
         out.append((

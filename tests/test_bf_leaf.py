@@ -121,10 +121,10 @@ class TestAdd:
         leaf toward a premature split."""
         leaf = _leaf()
         leaf.add(42, 0)
-        bits = leaf.page[0].copy()
+        bits = leaf.page.copy()
         assert leaf.add(42, 0) is False       # did not grow
         assert leaf.nkeys == 1
-        assert np.array_equal(leaf.page[0], bits)  # bit-level no-op
+        assert np.array_equal(leaf.page, bits)  # bit-level no-op
         assert leaf.counts[0] == 2            # multiplicity still recorded
         # A different page group is a new (key, group) insertion.
         assert leaf.add(42, 1) is True

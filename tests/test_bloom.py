@@ -15,11 +15,19 @@ from repro.core.bloom import (
     fpp_after_deletes,
     fpp_after_inserts,
     optimal_hash_count,
-    page_popcount,
-    page_set_positions,
-    words_per_filter,
+    page_from_rows,
+    page_to_rows,
 )
-from repro.core.hashing import bloom_positions_batch
+
+
+def _geometry(nbits, k, max_filters):
+    return BFLeafGeometry(fpp=0.01, bits_per_bf=nbits, pages_per_bf=1,
+                          max_filters=max_filters, hash_count=k,
+                          page_size=4096)
+
+
+def _popcount(words):
+    return sum(int(w).bit_count() for w in words)
 
 
 class TestEquationOne:
@@ -123,23 +131,45 @@ class TestBloomFilterBasics:
         assert not bf.might_contain("warld-xyz-very-unlikely")
 
     def test_bulk_add_equivalent_to_scalar(self):
-        """One page scatter of a key batch sets the bits a filter's
-        scalar adds set, row by row."""
+        """One bulk add of a key batch into a leaf's sliced page sets
+        the bits a filter's scalar adds set, filter by filter."""
         keys = np.arange(100, 150, dtype=np.int64)
-        rows = keys % 3
-        page = np.zeros((3, words_per_filter(400)), dtype=np.uint64)
-        page_set_positions(page, rows, bloom_positions_batch(keys, 5, 400, 2))
+        pids = keys % 3
+        order = np.lexsort((keys, pids))
+        leaf = BFLeaf(node_id=2, geometry=_geometry(400, 5, 3), min_pid=0,
+                      filter_seed=2)
+        leaf.add_pages(keys[order], pids[order])
+        rows = page_to_rows(leaf.page, 3)
         for row in range(3):
             bf = BloomFilter(400, 5, seed=2)
-            for key in keys[rows == row]:
+            for key in keys[pids == row]:
                 bf.add(int(key))
-            assert np.array_equal(page[row], bf._words)
+            assert np.array_equal(rows[row], bf._words)
 
     def test_bulk_add_empty(self):
-        page = np.zeros((2, 1), dtype=np.uint64)
-        page_set_positions(page, np.empty(0, dtype=np.int64),
-                           np.empty((0, 3), dtype=np.int64))
-        assert not page.any()
+        leaf = BFLeaf(node_id=2, geometry=_geometry(64, 3, 2), min_pid=0)
+        leaf.add_pages(np.empty(0, dtype=np.int64),
+                       np.empty(0, dtype=np.int64))
+        assert not leaf.page.any()
+
+    @pytest.mark.parametrize("nbits,n", [
+        (400, 3), (64, 8), (1, 9), (130, 0), (65, 17)])
+    def test_page_rows_round_trip(self, nbits, n):
+        """The snapshot conversion pair: row ``i`` of the row form is
+        filter ``i`` of the sliced page, bit for bit, both ways."""
+        rng = np.random.default_rng(nbits + n)
+        bits = rng.random((n, nbits)) < 0.3
+        rows = np.zeros((n, (nbits + 63) // 64), dtype=np.uint64)
+        for i, j in zip(*bits.nonzero()):
+            rows[i, j >> 6] |= np.uint64(1) << np.uint64(j & 63)
+        page = page_from_rows(rows, nbits)
+        assert page.shape == (nbits, (n + 7) // 8)
+        for b in range(nbits):
+            for g in range(8 * page.shape[1]):
+                want = g < n and bits[g, b]
+                assert (page[b, g >> 3] >> (g & 7)) & 1 == want
+        back = page_to_rows(page, n)
+        assert back.dtype == np.uint64 and back.tobytes() == rows.tobytes()
 
 
 class TestMeasuredFpp:
@@ -173,20 +203,24 @@ class TestMeasuredFpp:
                                           positions).tolist()
 
         assert flags() == [True]
-        fill = page_popcount(leaf.page, groups)[0] / geo.bits_per_bf
+        fill = _popcount(page_to_rows(leaf.page, 1)[0]) / geo.bits_per_bf
         assert fill ** geo.hash_count <= DUPLICATE_TRUST_MAX_FPP
-        leaf.page[0] = ~np.uint64(0)          # saturate filter 0
+        leaf.page[:, 0] |= 1                  # saturate filter 0
         assert flags() == [False]
         assert not leaf.duplicate_prehashed(0, positions[0].tolist())
 
     def test_fill_fraction_bounds(self):
-        page = np.zeros((1, words_per_filter(64)), dtype=np.uint64)
-        rows = np.zeros(1, dtype=np.int64)
-        assert page_popcount(page, rows).tolist() == [0]
+        leaf = BFLeaf(node_id=2, geometry=_geometry(64, 3, 2), min_pid=0)
+        leaf.add(0, 1)
+        assert _popcount(page_to_rows(leaf.page, 2)[0]) == 0
         keys = np.arange(1000, dtype=np.int64)
-        page_set_positions(page, np.zeros(1000, dtype=np.int64),
-                           bloom_positions_batch(keys, 3, 64))
-        assert page_popcount(page, rows).tolist() == [64]
+        leaf.add_pages(keys, np.zeros(1000, dtype=np.int64))
+        assert _popcount(page_to_rows(leaf.page, 2)[0]) == 64
+        # The trust gate counts the same bits in the sliced column.
+        positions = leaf.hash_batch([5])
+        assert not leaf.duplicate_prehashed(0, positions[0].tolist())
+        assert BFLeaf.duplicate_flags([leaf], [0], np.zeros(1, np.int64),
+                                      positions).tolist() == [False]
 
 
 class TestDegradationFormulas:

@@ -23,6 +23,7 @@ from repro.api import (
     normalize_scan_windows,
 )
 from repro.core import BFTree, BFTreeConfig
+from repro.core.bloom import page_to_rows
 from repro.service import Router, ShardBatch, ShardedIndex
 from repro.storage import Relation, build_stack
 from repro.workloads import MixedTrace
@@ -204,7 +205,7 @@ def _leaf_keys(tree):
 def _leaf_state(tree):
     return [(leaf.node_id, leaf.min_pid, leaf.min_key, leaf.max_key,
              leaf.nkeys, leaf.pages_covered, sorted(leaf.deleted_keys),
-             list(leaf.counts), leaf.page[:leaf.nfilters].tobytes())
+             list(leaf.counts), page_to_rows(leaf.page, leaf.nfilters).tobytes())
             for leaf in tree.leaves_in_order()]
 
 

@@ -1,12 +1,14 @@
-"""The BF-leaf page matrix: one ``(capacity, words_per_filter)`` uint64
-matrix per leaf whose row ``i`` is filter ``i``, beside one add count per
-filter and, on a counting leaf, a counter page in step with it.
+"""The BF-leaf page matrix: one bit-sliced ``(bits_per_bf, ceil(capacity
+/ 8))`` uint8 matrix per leaf whose row ``b`` holds bit ``b`` of every
+filter, beside one add count per filter and, on a counting leaf, a
+counter page in step with it.
 
 Covers the sanitizer's layout invariants (one add count per filter in
-use, rows past ``nfilters`` zero, a counting leaf's bits equal to its
-counters above zero) after every structural change that creates, grows
-or moves filters, each invariant failing on a leaf corrupted in exactly
-that way, plus the page-level kernels against one-filter oracles.
+use, no bit set for a filter past ``nfilters``, a counting leaf's bits
+equal to its counters above zero) after every structural change that
+creates, grows or moves filters, each invariant failing on a leaf
+corrupted in exactly that way, plus the page-level kernels against
+one-filter oracles and the per-op loop.
 """
 
 from dataclasses import replace
@@ -16,8 +18,13 @@ import pytest
 
 from repro.analysis.sanitize import StructuralCorruption, check_tree
 from repro.core import BFTree, BFTreeConfig
-from repro.core.bf_leaf import BFLeaf, BFLeafGeometry
-from repro.core.bloom import BloomFilter, row_test_positions
+from repro.core.bf_leaf import BFLeaf, BFLeafGeometry, build_page_runs
+from repro.core.bloom import (
+    BloomFilter,
+    page_from_rows,
+    page_to_rows,
+    row_test_positions,
+)
 from repro.service import ShardedIndex
 from repro.storage import Relation, build_stack
 
@@ -30,16 +37,27 @@ def _pk_tree(n=4096, fpp=1e-3, **cfg):
 
 def _groups(leaf, key):
     """Filters of ``leaf`` whose membership test matches ``key``."""
-    matrix = leaf._match_matrix(leaf.hash_batch([key]))
-    return np.nonzero(matrix[0])[0].tolist()
+    _, groups = BFLeaf._match_matrix([leaf.page], [0],
+                                     leaf.hash_batch([key]))
+    return groups.tolist()
+
+
+def _dense(rows, groups, shape):
+    """The match matrix of ``_match_matrix``'s nonzero output."""
+    matrix = np.zeros(shape, dtype=bool)
+    matrix[rows, groups] = True
+    return matrix
 
 
 def _assert_paged(tree):
-    """The sanitizer check passes and every leaf has a page of its
-    filters' width."""
+    """The sanitizer check passes and every leaf has a page with one
+    row per filter bit, wide enough for its filters."""
     check_tree(tree)
     for leaf in tree.leaves.values():
-        assert leaf.page.shape[1] == (leaf.geometry.bits_per_bf + 63) // 64
+        assert leaf.page.dtype == np.uint8
+        assert leaf.page.shape[0] == leaf.geometry.bits_per_bf
+        assert 8 * leaf.page.shape[1] >= max(leaf.nfilters,
+                                             leaf.geometry.max_filters)
 
 
 # ======================================================================
@@ -79,7 +97,7 @@ class TestInvariantHolds:
         before = [_groups(last, k) for k in probes]
         far = last.min_pid + budget + 5
         tree.insert_overflow(last.max_key, far)
-        assert last.nfilters == budget + 6 > old_page.shape[0]
+        assert last.nfilters == budget + 6 > 8 * old_page.shape[1]
         assert last.page is not old_page
         _assert_paged(tree)
         # Everything indexed before the growth is still found, and the
@@ -111,7 +129,8 @@ class TestInvariantHolds:
         for a, b in zip(tree.leaves_in_order(), fresh.leaves_in_order()):
             assert a.page is not b.page
             n = a.nfilters
-            assert np.array_equal(a.page[:n], b.page[:n])
+            assert np.array_equal(page_to_rows(a.page, n),
+                                  page_to_rows(b.page, n))
 
     def test_service_split_and_merge(self):
         rel = Relation({"pk": np.arange(32768, dtype=np.int64)},
@@ -139,11 +158,16 @@ class TestInvariantFires:
                            match="add counts for .* filters"):
             check_tree(tree)
 
-    @pytest.mark.parametrize("matrix", ["page", "counters"])
+    @pytest.mark.parametrize("matrix", ["page", "page_rows", "counters"])
     def test_page_too_small(self, matrix):
         _, tree = _pk_tree(filter_kind="counting")
         leaf = tree.leaves_in_order()[0]
-        setattr(leaf, matrix, getattr(leaf, matrix)[:leaf.nfilters - 1])
+        if matrix == "page":        # too few filter columns
+            leaf.page = leaf.page[:, :(leaf.nfilters - 1) // 8]
+        elif matrix == "page_rows":  # too few bit rows
+            leaf.page = leaf.page[:-1]
+        else:
+            leaf.counters = leaf.counters[:leaf.nfilters - 1]
         with pytest.raises(StructuralCorruption,
                            match="of shape .* cannot hold"):
             check_tree(tree)
@@ -163,7 +187,7 @@ class TestInvariantFires:
         leaf = tree.leaves_in_order()[0]
         zero = int(np.flatnonzero(leaf.counters[1] == 0)[0])
         if corrupt == "bit":      # a set bit with a zero counter
-            leaf.page[1, zero >> 6] |= np.uint64(1) << np.uint64(zero & 63)
+            leaf.page[zero, 0] |= 1 << 1
         else:                     # a nonzero counter with a clear bit
             leaf.counters[1, zero] = 2
         with pytest.raises(StructuralCorruption,
@@ -180,21 +204,54 @@ class TestInvariantFires:
             check_tree(tree)
 
     def test_bits_in_unused_row(self):
-        _, tree = _pk_tree()
-        leaf = next(l for l in tree.leaves_in_order()
-                    if l.nfilters < l.page.shape[0])
-        leaf.page[leaf.nfilters, 0] = 1
-        with pytest.raises(StructuralCorruption, match="hold set bits"):
-            check_tree(tree)
+        """A set bit of a filter past ``nfilters``: in the last byte in
+        use, or in a byte past it."""
+        for past in (0, 8):
+            _, tree = _pk_tree()
+            leaf = next(l for l in tree.leaves_in_order()
+                        if l.nfilters % 8
+                        and l.nfilters + 8 < 8 * l.page.shape[1])
+            g = leaf.nfilters + past
+            leaf.page[3, g >> 3] |= 1 << (g & 7)
+            with pytest.raises(StructuralCorruption, match="hold set bits"):
+                check_tree(tree)
 
 
 # ======================================================================
 # page kernels equal their per-filter counterparts
 # ======================================================================
-def _leaf(max_filters=8):
+def _leaf(max_filters=8, min_pid=0):
     geo = BFLeafGeometry.plan(0.01, 16.0)
     geo = BFLeafGeometry(**{**vars(geo), "max_filters": max_filters})
-    return BFLeaf(node_id=3, geometry=geo, min_pid=0)
+    return BFLeaf(node_id=3, geometry=geo, min_pid=min_pid)
+
+
+def _reference_runs(leaf, key, groups):
+    """A pair's runs from its matched ``groups``, one group at a time:
+    none for a tombstoned key, the spill-back run first for the leaf's
+    minimum key, then each group's pages clipped to the coverage,
+    adjacent ones merged."""
+    if key in leaf.deleted_keys:
+        return []
+    runs = []
+    if leaf.spill_back_pages and key == leaf.min_key:
+        runs.append((leaf.min_pid - leaf.spill_back_pages,
+                     leaf.spill_back_pages))
+    for group in groups:
+        first, npages = leaf.group_page_range(group)
+        if npages <= 0:
+            continue
+        if runs and runs[-1][0] + runs[-1][1] == first:
+            runs[-1] = (runs[-1][0], runs[-1][1] + npages)
+        else:
+            runs.append((first, npages))
+    return runs
+
+
+def _split_runs(offsets, first, npages):
+    first, npages = first.tolist(), npages.tolist()
+    return [list(zip(first[a:b], npages[a:b]))
+            for a, b in zip(offsets, offsets[1:])]
 
 
 class TestPageKernels:
@@ -202,26 +259,31 @@ class TestPageKernels:
         leaf = _leaf()
         leaf.add(42, 2)
         assert leaf.nfilters == 3
-        assert leaf.page[2].any() and not leaf.page[:2].any()
+        assert np.array_equal(np.flatnonzero(leaf.page[:, 0]),
+                              sorted(set(leaf.key_positions(42))))
+        assert set(leaf.page[:, 0].tolist()) == {0, 1 << 2}
+        assert not leaf.page[:, 1:].any()
         assert leaf.counts == [0, 0, 1]
-        assert row_test_positions(leaf.page[2], leaf.key_positions(42))
+        rows = page_to_rows(leaf.page, 3)
+        assert row_test_positions(rows[2], leaf.key_positions(42))
+        assert not rows[:2].any()
 
     def test_constructor_filters_are_copied_onto_a_page(self):
-        geo = _leaf().geometry
+        geo = _leaf(max_filters=12).geometry
         bf = BloomFilter(geo.bits_per_bf, geo.hash_count, seed=9)
         bf.add(7)
         rows = np.zeros((3, bf._words.shape[0]), dtype=np.uint64)
         rows[1] = bf._words
+        page = page_from_rows(rows, geo.bits_per_bf)
         leaf = BFLeaf(node_id=1, geometry=geo, min_pid=0, filter_seed=9,
-                      nfilters=3, counts=[0, 1, 0], page=rows)
-        assert leaf.page.shape == (geo.max_filters,
-                                   (geo.bits_per_bf + 63) // 64)
-        assert leaf.page is not rows
+                      nfilters=3, counts=[0, 1, 0], page=page)
+        assert leaf.page.shape == (geo.bits_per_bf, 2)
+        assert leaf.page is not page
         assert _groups(leaf, 7) == [1]
 
     def test_constructor_rejects_a_layout_it_cannot_page(self):
         geo = _leaf().geometry
-        rows = np.zeros((2, (geo.bits_per_bf + 63) // 64), dtype=np.uint64)
+        rows = np.zeros((geo.bits_per_bf, 1), dtype=np.uint8)
         with pytest.raises(ValueError, match="no page"):
             BFLeaf(node_id=1, geometry=geo, min_pid=0, nfilters=2,
                    counts=[0, 0])
@@ -242,10 +304,13 @@ class TestPageKernels:
         for j, key in enumerate(keys.tolist()):
             filters[j % 8].add(key)
         probes = np.concatenate([keys[:50], rng.integers(0, 10**6, 50)])
-        matrix = leaf._match_matrix(leaf.hash_batch(probes))
+        rows, groups = BFLeaf._match_matrix(
+            [leaf.page], np.zeros(100, np.intp), leaf.hash_batch(probes))
         expected = [[f.might_contain(p) for f in filters]
                     for p in probes.tolist()]
-        assert matrix.tolist() == expected
+        assert groups.max() < leaf.nfilters
+        assert _dense(rows, groups, (100, leaf.nfilters)).tolist() \
+            == expected
 
     def test_add_pages_equals_page_by_page(self):
         pages = [np.array([1, 5, 9]), np.array([9, 12]), np.array([20])]
@@ -311,8 +376,8 @@ class TestPageKernels:
             leaves[0].add(key, key % 4)
             leaves[1].add(key, key % 12)
             leaves[2].add(key, key % 3)
-        assert len(leaves[1].page) > len(leaves[0].page)
-        leaves[2].page[1] = ~np.uint64(0)   # distrust filter 1
+        assert leaves[1].page.shape[1] > leaves[0].page.shape[1]
+        leaves[2].page[:, 0] |= 1 << 1      # distrust filter 1
         keys = list(range(40, 100)) * 3
         which = np.repeat(np.arange(3), 60)
         groups = np.array([k % (4, 12, 3)[t] for k, t in zip(keys, which)])
@@ -328,6 +393,154 @@ class TestPageKernels:
         one = BFLeaf.duplicate_flags(leaves, which[60:120], groups[60:120],
                                      positions[60:120])
         assert one.tolist() == want[60:120]
+
+    def test_one_flush_mix_equals_per_filter_tests(self):
+        """One :meth:`BFLeaf.match_many` over (key, leaf) pairs on three
+        leaves — pages of unequal width, a tombstoned key on two of
+        them, a leaf with spill-back pages probed for its minimum key,
+        and keys tested on two leaves whose key ranges overlap, as a
+        partitioned tree's neighbour rows are — matches each pair as
+        one standalone filter per group does, and its runs are each
+        pair's runs built group by group."""
+        leaves = [_leaf(min_pid=0), _leaf(max_filters=2, min_pid=50),
+                  _leaf(min_pid=80)]
+        # Leaf 1 grows past its budget, as a spanning key makes it.
+        leaves[1].geometry = replace(leaves[1].geometry, max_filters=20)
+        adds = [[(key, key % 8) for key in range(60)],
+                [(key, 50 + key % 20) for key in range(30, 90)],
+                [(key, 80 + key % 6) for key in range(90, 131)]]
+        filters = []
+        for t, (leaf, pairs) in enumerate(zip(leaves, adds)):
+            leaf.filter_seed = 300 + t
+            geo = leaf.geometry
+            oracle = {}
+            for key, pid in pairs:
+                leaf.add(key, pid)
+                oracle.setdefault(leaf.group_of(pid), BloomFilter(
+                    geo.bits_per_bf, geo.hash_count, leaf.filter_seed,
+                )).add(key)
+            filters.append([oracle[g] for g in range(leaf.nfilters)])
+        leaves[2].spill_back_pages = 3
+        leaves[0].mark_deleted(5)
+        leaves[1].mark_deleted(40)
+        leaves[2].mark_deleted(100)
+        assert len({leaf.page.shape[1] for leaf in leaves}) == 2
+        # Keys 30..59 sit in leaves 0 and 1: both test them.
+        pairs = [(key, t) for key in range(0, 140, 2)
+                 for t in range(3) if (key + t) % 4]
+        pairs += [(5, 0), (40, 1), (40, 0), (90, 2), (100, 2)]
+        keys = [key for key, _ in pairs]
+        which = np.array([t for _, t in pairs])
+        positions = BFLeaf.hash_rows(keys, leaves, which)
+        matrix = _dense(*BFLeaf._match_matrix(
+            [leaf.page for leaf in leaves], which, positions),
+            (len(pairs), 8 * max(leaf.page.shape[1] for leaf in leaves)))
+        expected_runs = []
+        for j, (key, t) in enumerate(pairs):
+            groups = [g for g, f in enumerate(filters[t])
+                      if f.might_contain(key)]
+            assert np.flatnonzero(matrix[j]).tolist() == groups
+            expected_runs.append(_reference_runs(leaves[t], key, groups))
+        assert any(run for run in expected_runs)
+        for pair in (5, 0), (40, 1), (100, 2):
+            assert expected_runs[pairs.index(pair)] == []
+        assert expected_runs[pairs.index((40, 0))]
+        # The spill-back run, merged with the minimum's own first page.
+        assert expected_runs[pairs.index((90, 2))][0] == (77, 4)
+        test = BFLeaf.match_many(keys, leaves, which, positions)
+        assert _split_runs(*build_page_runs([test])) == expected_runs
+        # The same pairs split over two flushes build the same runs.
+        half = len(pairs) // 2
+        tests = [BFLeaf.match_many(keys[a:b], leaves, which[a:b],
+                                   positions[a:b])
+                 for a, b in ((0, half), (half, len(pairs)))]
+        assert _split_runs(*build_page_runs(tests)) == expected_runs
+
+    @pytest.mark.parametrize("shape", ["partitioned", "spill_back"])
+    def test_one_flush_equals_per_op_loop(self, shape, tpch_relation,
+                                          dup_relation, monkeypatch):
+        """A read batch over a tree whose leaves mix page widths and
+        tombstones — with neighbour rows on partitioned data, or
+        spill-back minimum keys on duplicated sorted data — is tested
+        in one gather and reads, charges and times every key as the
+        per-op loop does."""
+        if shape == "partitioned":
+            rel, column = tpch_relation, "commitdate"
+            tree = BFTree.bulk_load(rel, column, BFTreeConfig(fpp=0.01),
+                                    ordered=False)
+        else:
+            rel, column = dup_relation, "att1"
+            tree = BFTree.bulk_load(rel, column,
+                                    BFTreeConfig(fpp=0.01, page_size=512))
+        chain = tree.leaves_in_order()
+        values = sorted(set(np.asarray(rel.columns[column]).tolist()))
+        key = values[len(values) // 2]
+        wide = tree.leaves[tree.inner.route(key)[0]]
+        tree.insert_overflow(key, wide.min_pid + 8 * wide.page.shape[1] + 3)
+        assert len({leaf.page.shape[1] for leaf in chain}) == 2
+        for key in values[5::40]:
+            tree.delete(key)
+        probes = values[::7] + [values[-1] + 1]
+        if shape == "spill_back":
+            spilled = [leaf.min_key for leaf in chain
+                       if leaf.spill_back_pages]
+            assert spilled
+            probes += spilled
+        else:
+            assert any(tree._neighbour_ids(key, tree.leaves[
+                tree.inner.route(key)[0]]) for key in probes)
+        assert any(key in leaf.deleted_keys for key in probes
+                   for leaf in chain)
+        scalar_stack = build_stack("MEM/SSD")
+        tree.bind(scalar_stack)
+        scalar, scalar_latencies = [], []
+        for key in probes:
+            start = scalar_stack.clock.now()
+            scalar.append(tree.search(key))
+            scalar_latencies.append(scalar_stack.clock.now() - start)
+        gathers = []
+        real_match = BFLeaf._match_matrix
+
+        def counted_match(pages, which, positions):
+            gathers.append(len(positions))
+            return real_match(pages, which, positions)
+
+        monkeypatch.setattr(BFLeaf, "_match_matrix", counted_match)
+        batch_stack = build_stack("MEM/SSD")
+        tree.bind(batch_stack)
+        latencies = []
+        batch = tree.search_many(probes, latency_sink=latencies)
+        monkeypatch.undo()
+        assert len(gathers) == 1 and gathers[0] >= len(probes) - 1
+        assert batch == scalar
+        assert batch_stack.stats.snapshot() == scalar_stack.stats.snapshot()
+        assert latencies == pytest.approx(scalar_latencies, rel=1e-9)
+
+    def test_boundary_enumeration_equals_per_value_tests(self):
+        """A 100k-value boundary enumeration, gathered in more than one
+        bounded chunk, returns each value's runs as a per-value test of
+        the row-form filters does."""
+        geo = BFLeafGeometry(fpp=0.01, bits_per_bf=130, pages_per_bf=2,
+                             max_filters=300, hash_count=20, page_size=4096)
+        leaf = BFLeaf(node_id=9, geometry=geo, min_pid=0)
+        keys = np.arange(0, 600_000, 400, dtype=np.int64)
+        leaf.add_pages(keys, keys // 1000)
+        values = np.arange(200_000, 300_001)
+        width = leaf.page.shape[1]
+        assert (1 << 26) // (width * geo.hash_count) < len(values)
+        got = leaf.matching_page_runs_many(values)
+        bits = np.unpackbits(page_to_rows(leaf.page, leaf.nfilters)
+                             .view(np.uint8), axis=1, bitorder="little")
+        positions = leaf.hash_batch(values)
+        want = []
+        for start in range(0, len(values), 2000):
+            chunk = positions[start:start + 2000]
+            match = bits[:, chunk].all(axis=2)          # (S, chunk)
+            for j in range(match.shape[1]):
+                groups = np.flatnonzero(match[:, j]).tolist()
+                want.append(_reference_runs(leaf, None, groups))
+        assert got == want
+        assert sum(map(bool, got)) >= 250               # every key found
 
 
 # ======================================================================

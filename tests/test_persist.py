@@ -5,6 +5,7 @@ manifest atomicity, and torn-tail crash tolerance at every byte offset.
 from __future__ import annotations
 
 import errno
+import hashlib
 import json
 import os
 import shutil
@@ -249,6 +250,56 @@ class TestBFTreeSnapshot:
             fresh.delete(key, pid=page(key))
         assert leaf_digest(tree.leaves_in_order()[0]) == \
             leaf_digest(fresh.leaves_in_order()[0])
+
+    #: SHA-256 of the ``bf-tree/2`` snapshot files of :meth:`_pinned`'s
+    #: trees, recorded before the leaf pages became bit-sliced: the
+    #: format stores every filter as one row-form bit array, whatever
+    #: the in-memory layout.
+    PINNED = {
+        "plain": "8d4f3089d43a30db68c59656cc2fdaaf"
+                 "7be2915154c571c547b9bd1fbb29e577",
+        "counting": "80ca0c16307bea436284360b153e4b51"
+                    "49975bec0967100eede8ff3e05770214",
+    }
+
+    @staticmethod
+    def _pinned(kind):
+        """A small tree: plain with one leaf grown past ``max_filters``
+        onto a larger page and some tombstones, or counting with
+        in-place deletes and re-inserts; both with inserts past the last
+        key."""
+        rel = Relation({"pk": np.arange(6000, dtype=np.int64)},
+                       tuple_size=256)
+        tree = BFTree.bulk_load(
+            rel, "pk", BFTreeConfig(fpp=0.01, filter_kind=kind), unique=True)
+        page = rel.page_of
+        if kind == "plain":
+            leaf = tree.leaves_in_order()[0]
+            far = leaf.min_pid + 8 * ((tree.geometry.max_filters + 7) // 8) + 5
+            tree.insert_overflow(leaf.max_key, far)
+            assert leaf.nfilters > tree.geometry.max_filters
+            for key in range(7, 6000, 301):
+                tree.delete(key)
+        else:
+            for key in range(11, 5000, 97):
+                tree.delete(key, pid=page(key))
+            for key in range(11, 2500, 194):
+                tree.insert(key, page(key))
+        for key in range(6000, 6040, 3):
+            tree.insert(key, page(5999))
+        return rel, tree
+
+    @pytest.mark.parametrize("kind", ["plain", "counting"])
+    def test_snapshot_bytes_pinned(self, kind, tmp_path):
+        rel, tree = self._pinned(kind)
+        path = tmp_path / "bf.snap"
+        write_snapshot(path, tree.snapshot_state())
+        assert hashlib.sha256(path.read_bytes()).hexdigest() \
+            == self.PINNED[kind]
+        fresh = BFTree(rel, "pk", tree.config, unique=True)
+        fresh.restore_state(read_snapshot(path))
+        assert ([leaf_digest(l) for l in fresh.leaves_in_order()]
+                == [leaf_digest(l) for l in tree.leaves_in_order()])
 
     def test_old_format_rejected(self, pk_relation):
         tree = self._counting_tree(pk_relation)

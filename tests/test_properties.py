@@ -21,9 +21,10 @@ from repro.core.bloom import (
     bits_for_capacity,
     capacity_for_bits,
     fpp_after_inserts,
-    page_set_positions,
+    page_to_rows,
 )
-from repro.core.hashing import bloom_positions, bloom_positions_batch, key_to_int
+from repro.core.bf_leaf import BFLeaf, BFLeafGeometry
+from repro.core.hashing import bloom_positions, key_to_int
 from repro.storage import Relation
 
 # Sorted, possibly-duplicated key columns of modest size.
@@ -54,16 +55,17 @@ class TestBloomFilterProperties:
     )
     @settings(max_examples=40, deadline=None)
     def test_bulk_add_equals_scalar(self, keys):
-        """One page scatter of a key batch sets a scalar filter's bits."""
+        """One bulk add of a key batch into a leaf's sliced page sets a
+        scalar filter's bits."""
         a = BloomFilter(512, 5, seed=7)
         for key in keys:
             a.add(key)
-        page = np.zeros((1, a._words.shape[0]), dtype=np.uint64)
-        positions = bloom_positions_batch(np.asarray(keys, dtype=np.int64),
-                                          5, 512, 7)
-        page_set_positions(page, np.zeros(len(keys), dtype=np.int64),
-                           positions)
-        assert np.array_equal(page[0], a._words)
+        geo = BFLeafGeometry(fpp=0.01, bits_per_bf=512, pages_per_bf=1,
+                             max_filters=1, hash_count=5, page_size=4096)
+        leaf = BFLeaf(node_id=1, geometry=geo, min_pid=0, filter_seed=7)
+        leaf.add_pages(np.asarray(sorted(keys), dtype=np.int64),
+                       np.zeros(len(keys), dtype=np.int64))
+        assert np.array_equal(page_to_rows(leaf.page, 1)[0], a._words)
 
     @given(key=st.integers(min_value=-(2**63), max_value=2**63 - 1),
            k=st.integers(min_value=1, max_value=32),

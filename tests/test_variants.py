@@ -25,9 +25,9 @@ def _counting_leaf(fpp=0.01, keys_per_group=40.0, **geo):
 
 def _present(leaf, key, pid=0):
     """Does the filter of page ``pid`` report ``key`` present?"""
-    return leaf.group_of(pid) in np.flatnonzero(
-        leaf._match_matrix(leaf.hash_batch([key]))[0]
-    )
+    _, groups = BFLeaf._match_matrix([leaf.page], [0],
+                                     leaf.hash_batch([key]))
+    return leaf.group_of(pid) in groups
 
 
 def _fill(leaf, group=0):

@@ -45,7 +45,7 @@ def _replay(tree, keys, batch: bool):
         wall_secs = time.perf_counter() - t0
     finally:
         tree.unbind()
-    return results, stack.stats.snapshot(), stack.clock.now(), wall_secs
+    return results, stack.stats.snapshot(), stack.elapsed(), wall_secs
 
 
 def _measure(relation):

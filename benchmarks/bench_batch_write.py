@@ -91,7 +91,7 @@ def _replay(tree, keys, pids, batch, config):
         wall_secs = time.perf_counter() - t0
     finally:
         tree.unbind()
-    return stack.stats.snapshot(), stack.clock.now(), wall_secs
+    return stack.stats.snapshot(), stack.elapsed(), wall_secs
 
 
 def _insert_section(relation, args):

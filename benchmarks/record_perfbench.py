@@ -4,21 +4,23 @@
 Runs the repo benchmark (``perfbench/run.py``, declared in
 ``BENCHMARK.json``) on every workload ``RUNS`` times untraced, at seed
 ``SEED`` for ``BENCHMARK.json``'s ``run_seconds``, then every workload
-once traced (``--trace 1``).  It appends an entry keyed by commit, core
-count and python/numpy versions: per workload and end-to-end metric, the
-median, the quartiles and every run's value in run order; whether every
-run answered correctly; the operations that failed; and, under
-``traced``, each workload's per-layer metrics keyed by workload name, so
-a claimed workload's layer numbers sit beside its pairs.  (Entries
-recorded before every workload was traced hold one traced ``read_heavy``
-run, named in ``traced["workload"]``.)
+``TRACED_RUNS`` times traced (``--trace 1``).  It appends an entry keyed
+by commit, core count and python/numpy versions: per workload and
+metric, the median, the quartiles and every run's value in run order;
+whether every run answered correctly; and the operations that failed —
+under ``workloads`` for the end-to-end runs and under ``traced`` for the
+per-layer ones, keyed by workload name, so a claimed workload's layer
+numbers sit beside its pairs.  (Older entries hold one traced run per
+workload, as ``traced[workload]["metrics"]``, and the oldest one traced
+``read_heavy`` run, named in ``traced["workload"]``.)
 
 Given several ``--root`` checkouts (e.g. a parent commit and a change),
 the runs form pairs — run *i* of every root back to back, the first root
 rotating from pair to pair — so a drift in host speed hits each side
 alike and ``values[i]`` of two entries compare as pair *i*.  ``RUNS`` is
-ten, the fewest pairs a gain may be claimed on.  One entry is appended
-per root, in ``--root`` order.
+ten, the fewest pairs a gain may be claimed on; ``TRACED_RUNS`` is
+three, since one traced run per side reads whole layers 20-30% off on a
+shared host.  One entry is appended per root, in ``--root`` order.
 
 Usage, from the repo root::
 
@@ -45,6 +47,7 @@ import numpy as np
 REPO = Path(__file__).resolve().parents[1]
 OUT = REPO / "BENCH_perfbench.json"
 RUNS = 10
+TRACED_RUNS = 3
 SEED = 1
 
 
@@ -87,19 +90,22 @@ def record(roots: list[Path], commits: list[str | None]) -> list[dict]:
     spec = json.loads((roots[0] / "BENCHMARK.json").read_text())
     workloads = [w["name"] for w in spec["workloads"]]
     seconds = float(spec["run_seconds"])
-    raw: list[dict[str, list[dict]]] = [
-        {w: [] for w in workloads} for _ in roots
-    ]
     order = list(range(len(roots)))
-    for pair in range(RUNS):
-        first = pair % len(roots)
-        for workload in workloads:
-            for i in order[first:] + order[:first]:
-                raw[i][workload].append(_run(roots[i], workload, seconds,
-                                             trace=0))
-    traced = [{workload: _run(root, workload, seconds, trace=1)
-               for workload in workloads}
-              for root in roots]
+
+    def alternate(runs: int, trace: int) -> list[dict[str, list[dict]]]:
+        raw: list[dict[str, list[dict]]] = [
+            {w: [] for w in workloads} for _ in roots
+        ]
+        for pair in range(runs):
+            first = pair % len(roots)
+            for workload in workloads:
+                for i in order[first:] + order[:first]:
+                    raw[i][workload].append(_run(roots[i], workload,
+                                                 seconds, trace))
+        return raw
+
+    untraced = alternate(RUNS, trace=0)
+    traced = alternate(TRACED_RUNS, trace=1)
     return [{
         "commit": commit or _commit(root),
         "recorded": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
@@ -108,16 +114,10 @@ def record(roots: list[Path], commits: list[str | None]) -> list[dict]:
         "numpy": np.__version__,
         "workloads": {workload: _summary(results)
                       for workload, results in per_workload.items()},
-        "traced": {
-            workload: {
-                "correct": trace["correct"],
-                "metrics": {name: round(m["value"], 4)
-                            for name, m in trace["metrics"].items()},
-            }
-            for workload, trace in per_root.items()
-        },
-    } for root, commit, per_workload, per_root in zip(roots, commits, raw,
-                                                       traced)]
+        "traced": {workload: _summary(results)
+                   for workload, results in per_traced.items()},
+    } for root, commit, per_workload, per_traced in zip(roots, commits,
+                                                         untraced, traced)]
 
 
 def main(argv=None) -> int:

@@ -51,7 +51,7 @@ def main() -> None:
     print(f"\nsearch(12345): found={result.found} tid={result.tids} "
           f"pages_read={result.pages_read} "
           f"false_pages={result.false_pages} "
-          f"latency={us(stack.clock.now()):.1f} us")
+          f"latency={us(stack.elapsed()):.1f} us")
     bf_tree.unbind()
 
     # 4. A measured probe batch through the harness: run_probes replays

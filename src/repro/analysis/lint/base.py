@@ -39,8 +39,8 @@ RULES: dict[str, tuple[str, str]] = {
     "C2": ("charge-discipline",
            "read_page(sequential=True) literal can never be correct"),
     "C3": ("charge-discipline",
-           "no float literal in a _charge_cpu()/.advance() argument under "
-           "src/; cost constants come from repro.storage.clock"),
+           "a _count() charge under src/ names a literal IOStats field and "
+           "counts units, not seconds (no float literal)"),
     "P1": ("protocol-discipline",
            "no hasattr/getattr/setattr against the Index protocol surface"),
     "P2": ("protocol-discipline",

@@ -27,6 +27,9 @@ from repro.analysis.lint.base import (
     str_arg,
 )
 from repro.analysis.lint.symbols import FileUnit, ProjectIndex
+from repro.storage.iostats import IOStats
+
+IOSTATS_FIELDS = frozenset(vars(IOStats()))
 
 #: Names making up the Index protocol surface (methods, capability
 #: attributes, and sharding hooks).  ``backend_name`` is deliberately
@@ -133,16 +136,24 @@ def _check_calls(unit: FileUnit) -> Iterator[Violation]:
         name = func.attr if isinstance(func, ast.Attribute) else (
             func.id if isinstance(func, ast.Name) else None
         )
-        if src and name in ("_charge_cpu", "advance"):
-            floats = [n.value for arg in [*node.args, *node.keywords]
+        if src and name == "_count":
+            counter = str_arg(node, 0)
+            floats = [n.value for arg in node.args[1:]
                       for n in ast.walk(arg) if isinstance(n, ast.Constant)
                       and isinstance(n.value, float)]
-            if floats:
+            if counter not in IOSTATS_FIELDS:
                 yield Violation(
                     "C3", "charge-discipline", relpath, node.lineno,
-                    f"float literal {floats[0]!r} in a {name}() charge; "
-                    "cost constants come from repro.storage.clock, so one "
-                    "cost has one value",
+                    f"_count() counter {counter!r} is not a literal "
+                    "IOStats field; simulated time prices IOStats fields "
+                    "only, so a charge must name one",
+                )
+            elif floats:
+                yield Violation(
+                    "C3", "charge-discipline", relpath, node.lineno,
+                    f"float literal {floats[0]!r} in a _count() charge; "
+                    "counts are units, and their prices live in one list "
+                    "(repro.storage.config.price_list)",
                 )
 
         # -- protocol-discipline / scalar-leak -------------------------

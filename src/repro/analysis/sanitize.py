@@ -3,8 +3,8 @@
 Static lint (:mod:`repro.analysis.lint`) guards the source; this
 module guards the *objects*.  Each ``check_*`` function walks one
 structure — pure Python traversal, no device charges, so enabling it
-never perturbs IOStats or the simulated clock — and raises
-:class:`StructuralCorruption` with a precise diagnostic on the first
+never perturbs IOStats or the simulated time priced from them — and
+raises :class:`StructuralCorruption` with a precise diagnostic on the first
 violated invariant:
 
 * :func:`check_tree` — BF-Tree leaf-chain pointer integrity and key

@@ -17,8 +17,8 @@ identical traffic.  This module defines that contract:
   ``AttributeError``) when an operation falls outside a backend's
   capabilities; the message names the missing capability.
 * :class:`IndexBackend` — the concrete base class backends inherit:
-  the one storage binding (``bind``/``unbind`` and the clock, IOStats
-  and CPU charges every backend reads through it), capability-gated
+  the one storage binding (``bind``/``unbind`` and the IOStats every
+  backend counts its charges in), capability-gated
   defaults for the mutating and scanning operations, and
   **bit-identical** scalar-loop fallbacks: ``apply_many``, which
   ``search_many`` / ``insert_many`` / ``range_scan_many`` call, and
@@ -189,9 +189,10 @@ class IndexBackend:
     **Storage binding.**  :meth:`bind` records the stack and its two
     devices as plain attributes, so hot paths read them with no call;
     :meth:`unbind` clears all three, after which every access is free
-    (the charge-free mode every backend supports).  ``_sim_clock``,
-    ``_stats`` and ``_charge_cpu`` reach the stack's one shared clock
-    and counters.  Paged trees extend :meth:`bind` with their directory
+    (the charge-free mode every backend supports).  ``_stats`` and
+    ``_count`` reach the stack's one IOStats, the only record of what
+    was charged; the stack prices it into simulated time.  Paged trees
+    extend :meth:`bind` with their directory
     (:meth:`repro.core.node.InnerTree.bind`); wrappers delegate it.
 
     **Batch fallbacks.**  :meth:`apply_many` is the one per-op loop:
@@ -199,8 +200,8 @@ class IndexBackend:
     triples and call it, and only ``delete_many`` (there is no delete
     op code) keeps a loop of its own.  Both are bit-identical to
     calling the scalar operation once per item on the same bound stack
-    — same results, same IOStats counters, clock equal up to float
-    summation order — because the loop body *is* the scalar call.
+    — same results, same IOStats counters — because the loop body *is*
+    the scalar call.
     ``latency_sink`` receives one simulated per-op latency per item
     (zeros when unbound), matching the vectorized engines' accounting,
     so Router percentile reports work on every backend.
@@ -258,22 +259,18 @@ class IndexBackend:
         self._index_device = None
         self._data_device = None
 
-    def _sim_clock(self) -> Any:
-        """The bound stack's ``SimulatedClock``, or None when unbound
-        (typed ``Any``: the fallbacks test it once, through ``track``)."""
-        stack = self.stack
-        return None if stack is None else stack.clock
-
     def _stats(self) -> IOStats | None:
         """The bound stack's IOStats, or None when unbound."""
         stack = self.stack
         return None if stack is None else stack.stats
 
-    def _charge_cpu(self, seconds: float) -> None:
-        """Charge ``seconds`` of CPU work to the bound clock."""
+    def _count(self, counter: str, n: float = 1) -> None:
+        """Add ``n`` to IOStats field ``counter`` of the bound stack (a CPU
+        charge; the stack prices it)."""
         stack = self.stack
         if stack is not None:
-            stack.clock.advance(seconds)
+            stats = stack.stats
+            setattr(stats, counter, getattr(stats, counter) + n)
 
     # ------------------------------------------------------------------
     # batch fallbacks: the per-item scalar loop
@@ -300,18 +297,17 @@ class IndexBackend:
                     ) -> list[DeleteOutcome]:
         targets = [None] * len(keys) if targets is None else list(targets)
         check_targets(keys, targets)
-        clock = self._sim_clock()
-        track = latency_sink is not None and clock is not None
+        stack = self.stack if latency_sink is not None else None
         outcomes: list[DeleteOutcome] = []
         for key, target in zip(keys, targets):
-            start = clock.now() if track else 0.0
+            start = stack.stats.mark() if stack is not None else ()
             outcomes.append(
                 self.delete(as_scalar(key),
                             None if target is None else int(target))
             )
-            if track and latency_sink is not None:
-                latency_sink.append(clock.now() - start)
-        if latency_sink is not None and not track:
+            if stack is not None and latency_sink is not None:
+                latency_sink.append(stack.since(start))
+        if latency_sink is not None and stack is None:
             latency_sink.extend(0.0 for _ in keys)
         maybe_check(self)
         return outcomes
@@ -341,11 +337,10 @@ class IndexBackend:
             raise self._unsupported("insert", "mutable")
         if OP_SCAN in codes and not caps.scannable:
             raise self._unsupported("range_scan", "scannable")
-        clock = self._sim_clock()
-        track = latency_sink is not None and clock is not None
+        stack = self.stack if latency_sink is not None else None
         results: list[Any] = []
         for code, key, arg in ops:
-            start = clock.now() if track else 0.0
+            start = stack.stats.mark() if stack is not None else ()
             if code == OP_READ:
                 results.append(self.search(as_scalar(key)))
             elif code == OP_INSERT:
@@ -353,9 +348,9 @@ class IndexBackend:
                 results.append(None)
             else:
                 results.append(self.range_scan(*next(windows)))
-            if track and latency_sink is not None:
-                latency_sink.append(clock.now() - start)
-        if latency_sink is not None and not track:
+            if stack is not None and latency_sink is not None:
+                latency_sink.append(stack.since(start))
+        if latency_sink is not None and stack is None:
             latency_sink.extend(0.0 for _ in ops)
         if OP_INSERT in codes:
             maybe_check(self)

@@ -41,7 +41,6 @@ from repro.core.node import (
     link_chain,
     ordered_chain,
 )
-from repro.storage.clock import CPU_KEY_COMPARE
 from repro.storage.config import StorageStack
 from repro.storage.device import PAGE_SIZE, classify_read_runs
 from repro.storage.relation import Relation
@@ -229,7 +228,7 @@ class BPlusTree(IndexBackend):
         if leaf is None:
             return SearchResult(found=False)
         slot = leaf.find(key)
-        self._charge_cpu(math.log2(max(2, len(leaf.keys) or 2)) * CPU_KEY_COMPARE)
+        self._count("key_comparisons", math.log2(max(2, len(leaf.keys) or 2)))
         if slot is None:
             return SearchResult(found=False)
         tids = list(leaf.ridlists[slot])
@@ -450,13 +449,13 @@ class BPlusTree(IndexBackend):
         clustered one (clamped to the keys this tree's leaves hold, so a
         shard's scan legs never count a neighbour's boundary tuples).
         Result ``j`` depends on ``windows[j]`` alone — a batch matches
-        one batch of one per window in results and IOStats, clock equal
-        up to float summation order.  Windows are routed in one pass over
-        the directory's cached routing table, the clustered path skips
-        the per-rid leaf walk, and data-page runs are charged through
-        :meth:`Device.read_batch`.  ``latency_sink`` receives one
-        simulated per-scan latency per window.  Invalid windows (``lo >
-        hi``) are rejected up front, before any charges land.
+        one batch of one per window in results and IOStats.  Windows are
+        routed in one pass over the directory's cached routing table, the
+        clustered path skips the per-rid leaf walk, and data-page runs
+        are charged through :meth:`Device.read_batch`.  ``latency_sink``
+        receives one simulated per-scan latency per window.  Invalid
+        windows (``lo > hi``) are rejected up front, before any charges
+        land.
         """
         wins = normalize_scan_windows(windows)
         n = len(wins)
@@ -464,8 +463,7 @@ class BPlusTree(IndexBackend):
             RangeScanResult(matches=0, pages_read=0, leaves_visited=0)
             for _ in range(n)
         ]
-        clock = self._sim_clock()
-        track = latency_sink is not None and clock is not None
+        stack = self.stack if latency_sink is not None else None
         latencies = [0.0] * n
         try:
             targets = self.inner.route_batch([lo for lo, _ in wins])
@@ -479,7 +477,7 @@ class BPlusTree(IndexBackend):
         for j in range(n):
             lo, hi = wins[j]
             res = results[j]
-            start_t = clock.now() if track else 0.0
+            start_t = stack.stats.mark() if stack is not None else ()
             leaf_id = targets[j]
             self.inner.charge_path(paths[leaf_id])
             matches = 0
@@ -513,14 +511,14 @@ class BPlusTree(IndexBackend):
                     c_lo = max(lo, self._lo_key)
                     c_hi = min(hi, self._hi_key)
                 if c_lo > c_hi:
-                    if track:
-                        latencies[j] = clock.now() - start_t
+                    if stack is not None:
+                        latencies[j] = stack.since(start_t)
                     continue
                 first = int(np.searchsorted(values, c_lo, side="left"))
                 last = int(np.searchsorted(values, c_hi, side="right")) - 1
                 if last < first:
-                    if track:
-                        latencies[j] = clock.now() - start_t
+                    if stack is not None:
+                        latencies[j] = stack.since(start_t)
                     continue
                 first_page = self.relation.page_of(first)
                 last_page = self.relation.page_of(last)
@@ -539,8 +537,8 @@ class BPlusTree(IndexBackend):
                     device.read_batch(n_random, n_seq)
                 res.matches = matches
                 res.pages_read = len(ordered)
-            if track:
-                latencies[j] = clock.now() - start_t
+            if stack is not None:
+                latencies[j] = stack.since(start_t)
         if latency_sink is not None:
             latency_sink.extend(latencies)
         return results

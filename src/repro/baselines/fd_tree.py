@@ -27,7 +27,6 @@ import numpy as np
 from repro.analysis.sanitize import maybe_check
 from repro.api.protocol import Capabilities, IndexBackend
 from repro.api.results import DeleteOutcome, SearchResult, as_scalar
-from repro.storage.clock import CPU_KEY_COMPARE
 from repro.storage.config import StorageStack
 from repro.storage.device import PAGE_SIZE
 from repro.storage.relation import Relation
@@ -182,7 +181,7 @@ class FDTree(IndexBackend):
         """
         tids: list[int] = []
         dead: set[int] = set()
-        self._charge_cpu(math.log2(max(2, len(self.head) or 2)) * CPU_KEY_COMPARE)
+        self._count("key_comparisons", math.log2(max(2, len(self.head) or 2)))
         self._absorb([t for k, t in self._head_matches(key)], tids, dead)
         deepest = max(
             (i for i, level in enumerate(self.levels) if level), default=-1
@@ -198,9 +197,8 @@ class FDTree(IndexBackend):
                 self._index_device.read_page(
                     self._level_page_base[idx] + page_off, sequential=False
                 )
-            self._charge_cpu(
-                math.log2(max(2, self.config.entries_per_page)) * CPU_KEY_COMPARE
-            )
+            self._count("key_comparisons",
+                        math.log2(max(2, self.config.entries_per_page)))
             self._absorb(matches, tids, dead)
             if tids and stop_early:
                 break

@@ -16,7 +16,6 @@ import numpy as np
 from repro.analysis.sanitize import maybe_check
 from repro.api.protocol import Capabilities, IndexBackend
 from repro.api.results import DeleteOutcome, SearchResult, as_scalar
-from repro.storage.clock import CPU_HASH_PROBE
 from repro.storage.device import PAGE_SIZE
 from repro.storage.relation import Relation
 
@@ -71,7 +70,7 @@ class HashIndex(IndexBackend):
     # ------------------------------------------------------------------
     def search(self, key) -> SearchResult:
         """Constant-time probe, then fetch matching data pages."""
-        self._charge_cpu(CPU_HASH_PROBE)
+        self._count("hash_probes")
         tids = self._map.get(key)
         if not tids:
             return SearchResult(found=False)

@@ -17,7 +17,7 @@ import numpy as np
 
 from repro.api.protocol import Capabilities, IndexBackend
 from repro.api.results import SearchResult
-from repro.storage.relation import Relation, charge_scan
+from repro.storage.relation import Relation
 
 
 @dataclass
@@ -61,7 +61,8 @@ class SortedFileSearch(IndexBackend):
         scan = self.relation.scan_keys(self.key_column, [key] * len(pids),
                                        pids, stop_early)
         if self._data_device is not None:
-            charge_scan(self._data_device, int(scan.examined.sum()))
+            self._data_device.stats.tuples_scanned += int(
+                scan.examined.sum())
         return int(scan.matches.sum())
 
     # ------------------------------------------------------------------

@@ -24,7 +24,6 @@ import numpy as np
 
 from repro.api.protocol import Capabilities, IndexBackend
 from repro.api.results import SearchResult
-from repro.storage.clock import CPU_KEY_COMPARE
 from repro.storage.device import PAGE_SIZE
 from repro.storage.relation import Relation
 
@@ -98,7 +97,7 @@ class SiltStore(IndexBackend):
     def search(self, key) -> SearchResult:
         """Trie walk (CPU, or one read when uncached) + one store read."""
         # Trie resolution.
-        self._charge_cpu(self.config.key_size * 8 * CPU_KEY_COMPARE)
+        self._count("key_comparisons", self.config.key_size * 8)
         if not self.config.trie_cached and self._index_device is not None:
             self._index_device.read_page(0, sequential=False)
         i = int(np.searchsorted(self._keys, key, side="left"))

@@ -90,12 +90,7 @@ from repro.core.node import (
     link_chain,
     ordered_chain,
 )
-from repro.storage.clock import (
-    CPU_BLOOM_INSERT,
-    CPU_BLOOM_PROBE,
-    CPU_TUPLE_SCAN,
-)
-from repro.storage.config import StorageStack
+from repro.storage.config import CPU_BLOOM_PROBE, CPU_TUPLE_SCAN, StorageStack
 from repro.storage.device import PAGE_SIZE, classify_read_runs
 from repro.storage.relation import Relation
 
@@ -165,8 +160,8 @@ class _Walk:
     pids: list[int]
     results: list
     latencies: list[float]
-    track: bool
-    clock: object
+    #: The bound stack when latencies are tracked, else None.
+    stack: StorageStack | None
     stats: object
     #: The current plan round (see :meth:`BFTree._plan_ops`): its first
     #: point op, each point op's predicted leaf id, the descent paths
@@ -756,16 +751,14 @@ class BFTree(IndexBackend):
         over reads.
 
         Result ``j`` depends on ``keys[j]`` alone: a batch returns the
-        same per-key :class:`SearchResult`, the same IOStats counters and
-        the same simulated clock time as one batch of one per key (the
-        identical set of charges, summed in a different order, so the
-        float total can differ in its last couple of bits).
+        same per-key :class:`SearchResult` and the same IOStats counters
+        as one batch of one per key.
 
         ``latency_sink``, if given, receives one simulated per-key
-        latency per probe (aligned with ``keys``): the clock time of that
-        key's descent and filter probe plus the sum of its data-fetch
-        charges — the vectorized filter pass charges nothing — which is
-        the latency of that key probed alone.  The service layer's
+        latency per probe (aligned with ``keys``): the priced charges of
+        that key's descent and filter probe plus those of its data fetch
+        — the vectorized filter pass charges nothing — which is the
+        latency of that key probed alone.  The service layer's
         tail-latency percentiles are computed from this.
         """
         keys = as_scalars(keys)
@@ -779,11 +772,10 @@ class BFTree(IndexBackend):
         ``ops`` are ``(OP_READ, key, None)``, ``(OP_INSERT, key, pid)``
         and ``(OP_SCAN, lo, hi)`` triples.  The results (one
         :class:`SearchResult`, ``None`` or :class:`RangeScanResult` per
-        op), the tree state, the IOStats counters and the simulated clock
-        (up to float summation order) are those of applying the ops one
-        by one in order; ``latency_sink`` receives one simulated latency
-        per op, as that loop would bracket them.  The chunk is planned
-        once and walked in order:
+        op), the tree state and the IOStats counters are those of
+        applying the ops one by one in order; ``latency_sink`` receives
+        one simulated latency per op, as that loop would bracket them.
+        The chunk is planned once and walked in order:
 
         * every point key is routed over the flattened directory and
           hashed under its target leaf's seed in one call, and every
@@ -824,8 +816,8 @@ class BFTree(IndexBackend):
           read are fetched in one :meth:`_fetch_runs` pass.  Those
           charges touch only the data device and state their access
           pattern, so moving them past the chunk's index writes changes
-          no counter; a read's latency is its descent/probe clock time
-          plus the :meth:`Device.read_cost` of its own pages.
+          no counter; a read's latency is its priced descent/probe
+          charges plus the :meth:`Device.read_cost` of its own pages.
 
         Every charge states its access pattern and devices keep no head
         position, so the order in which the walk charges changes no
@@ -851,7 +843,6 @@ class BFTree(IndexBackend):
                latency_sink: list[float] | None) -> list:
         """:meth:`apply_many` over its ops split into parallel lists."""
         n = len(codes)
-        clock = self._sim_clock()
         walk = _Walk(
             codes=codes,
             keys=keys,
@@ -861,8 +852,7 @@ class BFTree(IndexBackend):
                   if OP_INSERT in codes else [-1] * n),
             results=[None] * n,
             latencies=[0.0] * n,
-            track=latency_sink is not None and clock is not None,
-            clock=clock,
+            stack=self.stack if latency_sink is not None else None,
             stats=self._stats(),
         )
         point_keys, point_pids = keys, walk.pids
@@ -937,7 +927,7 @@ class BFTree(IndexBackend):
         pred, paths, rows, dup0, grp = plan
         pending = walk.pending
         n = len(walk.codes)
-        clock, track = walk.clock, walk.track
+        stack = walk.stack
         # A known duplicate re-insert sets no bit, never splits and never
         # grows the filter list.  When its key is inside the leaf's key
         # range, not tombstoned, and its page already covered, no read
@@ -989,7 +979,7 @@ class BFTree(IndexBackend):
                     )
                 for lid in list(pending) if will_split else [leaf_id]:
                     self._flush_duplicates(walk, lid)
-            start = clock.now() if track else 0.0
+            start = stack.stats.mark() if stack is not None else ()
             self._charge_descent(leaf, paths[leaf_id])
             split = self._insert_into(
                 leaf, walk.keys[i], pid,
@@ -997,8 +987,8 @@ class BFTree(IndexBackend):
             )
             if not duplicate:
                 dirty.add((leaf_id, grp[rel]))
-            if track:
-                walk.latencies[i] = clock.now() - start
+            if stack is not None:
+                walk.latencies[i] = stack.since(start)
             i += 1
             j += 1
             if split:
@@ -1022,8 +1012,8 @@ class BFTree(IndexBackend):
         hash at test time); a tested read fetches after the walk.  Pass
         2 charges each (leaf, neighbours) group once for real and
         replays it for the group's other reads (:meth:`_charge_repeated`),
-        then charges the group's per-filter probe CPU in one sum; a
-        read's latency is the measured charge plus its own probe CPU.
+        then counts the group's filter probes in one sum; a read's
+        latency is the group charge's price plus its own probes'.
         Scans queue for one :meth:`range_scan_many` call."""
         codes, keys, pids = walk.codes, walk.keys, walk.pids
         results, probes, pending = walk.results, walk.probes, walk.pending
@@ -1035,7 +1025,6 @@ class BFTree(IndexBackend):
         n = len(codes)
         # (leaf id, neighbour ids) -> [(op, filters probed)]
         groups: dict[tuple, list[tuple[int, int]]] = {}
-        group = None
         while i < n:
             code = codes[i]
             if code == OP_SCAN:
@@ -1074,27 +1063,17 @@ class BFTree(IndexBackend):
                     covered = True
             if not covered:
                 results[i] = SearchResult(found=False)
-            group = (leaf_id, nbrs)
-            groups.setdefault(group, []).append((i, nprobed))
+            groups.setdefault((leaf_id, nbrs), []).append((i, nprobed))
             i += 1
             j += 1
-        if group is None:
-            return i, j
-        # The group of the run's last read charges last.  The order
-        # changes no counter; it fixes the order in which the clock sums
-        # its float charges, and so the last bits of replay latencies.
-        groups[group] = groups.pop(group)
-        clock, stats, track = walk.clock, walk.stats, walk.track
+        stats, track = walk.stats, walk.stack is not None
         latencies = walk.latencies
         paths = walk.paths
         for (leaf_id, nbrs), ops in groups.items():
             dt = self._charge_repeated(len(ops), self._charge_read,
                                        leaves[leaf_id], paths[leaf_id], nbrs)
-            nprobed = sum([nf for _, nf in ops])
             if stats is not None:
-                stats.bloom_probes += nprobed
-            if clock is not None and nprobed:
-                clock.advance(nprobed * CPU_BLOOM_PROBE)
+                stats.bloom_probes += sum([nf for _, nf in ops])
             if track:
                 for k, nf in ops:
                     latencies[k] = dt + nf * CPU_BLOOM_PROBE
@@ -1165,7 +1144,7 @@ class BFTree(IndexBackend):
                 self.leaves[leaf_id], walk.paths[leaf_id],
                 [walk.keys[k] for k in js], [walk.pids[k] for k in js],
                 walk.rows, [rel for _, rel in queued],
-                js, walk.latencies if walk.track else None,
+                js, walk.latencies if walk.stack is not None else None,
             )
 
     def _neighbour_ids(self, key, leaf: BFLeaf) -> tuple[int, ...]:
@@ -1273,7 +1252,7 @@ class BFTree(IndexBackend):
             false_at = list(accumulate((npages * idle).tolist(), initial=0))
         device = self._data_device
         stats = self._stats()
-        cpu_s = CPU_TUPLE_SCAN if self._sim_clock() is not None else 0.0
+        cpu_s = CPU_TUPLE_SCAN if stats is not None else 0.0
         results: list[SearchResult] = []
         latencies: list[float] = []
         total_random = total_pages = total_examined = total_false = 0
@@ -1316,7 +1295,6 @@ class BFTree(IndexBackend):
         if stats is not None:
             stats.tuples_scanned += total_examined
             stats.false_reads += total_false
-        self._charge_cpu(total_examined * CPU_TUPLE_SCAN)
         return results, latencies
 
     # ==================================================================
@@ -1370,7 +1348,7 @@ class BFTree(IndexBackend):
             self._leaf_add_unchecked(target, key, pid)
             leaf = target
             split = True
-        self._charge_cpu(CPU_BLOOM_INSERT)
+        self._count("bloom_inserts")
         self.store.write(leaf.node_id)
         return split
 
@@ -1382,11 +1360,10 @@ class BFTree(IndexBackend):
         Leaves the tree in exactly the state ``[self.insert(k, p) for
         k, p in zip(keys, pids)]`` would — the same leaf structure and
         filter bitsets (splits included, at the same points), the same
-        ``nkeys``/tombstone bookkeeping, the same IOStats counters and
-        the same simulated clock charges (equal up to float summation
-        order).  Each plan round routes and hashes the remaining keys in
-        one pass and pre-tests them all against their leaves' filter
-        pages in one gather (:meth:`BFLeaf.duplicate_flags`); re-inserts
+        ``nkeys``/tombstone bookkeeping and the same IOStats counters.
+        Each plan round routes and hashes the remaining keys in one pass
+        and pre-tests them all against their leaves' filter pages in one
+        gather (:meth:`BFLeaf.duplicate_flags`); re-inserts
         of already-present keys on covered pages — the steady state of a
         mixed workload — queue per leaf and flush as one chunk that
         charges the first key normally, then replays the identical
@@ -1470,25 +1447,21 @@ class BFTree(IndexBackend):
         """Make ``m`` identical copies of one charge sequence.
 
         ``charge(*args)`` runs once through the real charging calls
-        (buffer pool included) and is measured; the other ``m - 1``
-        copies replay its IOStats and clock delta arithmetically.  The
-        caller guarantees every copy would charge the same: nothing
-        between them changes pool residency, and every charge states its
-        access pattern.  IOStats are then exact, and the clock differs
-        from ``m`` real runs only by float summation order.  Returns the
-        measured clock delta (0.0 when unbound).
+        (buffer pool included); the other ``m - 1`` copies add its
+        IOStats delta arithmetically.  The caller guarantees every copy
+        would charge the same: nothing between them changes pool
+        residency, and every charge states its access pattern.  Returns
+        the priced delta of one copy (0.0 when unbound).
         """
-        clock = self._sim_clock()
-        stats = self._stats()
-        before = stats.snapshot() if stats is not None and m > 1 else None
-        t0 = clock.now() if clock is not None else 0.0
+        stack = self.stack
+        if stack is None:
+            charge(*args)
+            return 0.0
+        mark = stack.stats.mark()
         charge(*args)
-        dt = clock.now() - t0 if clock is not None else 0.0
+        dt = stack.since(mark)
         if m > 1:
-            if clock is not None:
-                clock.advance(dt * (m - 1))
-            if stats is not None:
-                stats.add_scaled_diff(before, m - 1)
+            stack.stats.add_scaled_diff(mark, m - 1)
         return dt
 
     def _apply_duplicate_chunk(self, leaf: BFLeaf, path: list[int],
@@ -1510,7 +1483,7 @@ class BFTree(IndexBackend):
 
         def charge() -> None:
             self._charge_descent(leaf, path)
-            self._charge_cpu(CPU_BLOOM_INSERT)
+            self._count("bloom_inserts")
             self.store.write(leaf.node_id)
 
         dt = self._charge_repeated(len(chunk_keys), charge)
@@ -1535,7 +1508,7 @@ class BFTree(IndexBackend):
         if leaf is None:
             raise LookupError("insert into an unbuilt tree; bulk_load first")
         self._leaf_add_unchecked(leaf, key, pid)
-        self._charge_cpu(CPU_BLOOM_INSERT)
+        self._count("bloom_inserts")
         self.store.write(leaf.node_id)
 
     def delete(self, key, pid: int | None = None) -> DeleteOutcome:
@@ -1583,8 +1556,8 @@ class BFTree(IndexBackend):
     def delete_many(self, keys, pids=None,
                     latency_sink: list[float] | None = None
                     ) -> list[DeleteOutcome]:
-        """Batch :meth:`delete` — bit-identical outcomes, tree state,
-        IOStats and clock charges versus the scalar loop.
+        """Batch :meth:`delete` — bit-identical outcomes, tree state and
+        IOStats versus the scalar loop.
 
         ``pids`` is a parallel sequence of data page ids (entries may be
         None), meaningful for counting-filter trees, where every (key,
@@ -1601,8 +1574,7 @@ class BFTree(IndexBackend):
             pids = [None if p is None else int(p) for p in pids]
         if len(pids) != n:
             raise ValueError("keys and pids must have the same length")
-        clock = self._sim_clock()
-        track = latency_sink is not None and clock is not None
+        stack = self.stack if latency_sink is not None else None
         latencies = [0.0] * n
         outcomes: list[DeleteOutcome] = [DeleteOutcome(removed=False)] * n
         try:
@@ -1629,7 +1601,7 @@ class BFTree(IndexBackend):
                 rows[j] = row
         for j, key in enumerate(keys):
             leaf = self.leaves[targets[j]]
-            start = clock.now() if track else 0.0
+            start = stack.stats.mark() if stack is not None else ()
             self._charge_descent(leaf, path=paths[leaf.node_id])
             if leaf.covers_key(key):
                 row = rows[j]
@@ -1637,8 +1609,8 @@ class BFTree(IndexBackend):
                     leaf, key, pids[j],
                     positions=row.tolist() if row is not None else None,
                 )
-            if track:
-                latencies[j] = clock.now() - start
+            if stack is not None:
+                latencies[j] = stack.since(start)
         if latency_sink is not None:
             latency_sink.extend(latencies)
         maybe_check(self)
@@ -1761,16 +1733,15 @@ class BFTree(IndexBackend):
         """§7 range scans over a batch of ``(lo, hi)`` windows.
 
         Result ``j`` depends on ``windows[j]`` alone: a batch returns the
-        same per-scan :class:`RangeScanResult`, the same IOStats counters
-        and the same simulated clock charges (equal up to float summation
-        order) as one batch of one per window, and the per-page Python
+        same per-scan :class:`RangeScanResult` and the same IOStats
+        counters as one batch of one per window, and the per-page Python
         work collapses:
 
         * every window is routed in one pass over the directory's
           cached routing table (:meth:`InnerTree.route_batch`), as the
           batch write engine does;
         * each scan's data-page runs are charged through
-          :meth:`Device.read_batch` — one aggregate advance per leaf
+          :meth:`Device.read_batch` — one aggregate count per leaf
           visit with the exact Eq. 13 random/sequential split of a
           page-by-page read (a page is sequential iff it follows the
           previous page read by the same scan);
@@ -1795,8 +1766,7 @@ class BFTree(IndexBackend):
             RangeScanResult(matches=0, pages_read=0, leaves_visited=0)
             for _ in range(n)
         ]
-        clock = self._sim_clock()
-        track = latency_sink is not None and clock is not None
+        stack = self.stack if latency_sink is not None else None
         latencies = [0.0] * n
         try:
             targets = self.inner.route_batch([lo for lo, _ in wins])
@@ -1820,7 +1790,7 @@ class BFTree(IndexBackend):
         for j in range(n):
             lo, hi = wins[j]
             res = results[j]
-            start_t = clock.now() if track else 0.0
+            start_t = stack.stats.mark() if stack is not None else ()
             leaf_id = targets[j]
             self.inner.charge_path(paths[leaf_id])
             current: BFLeaf | None = self.leaves[leaf_id]
@@ -1858,8 +1828,8 @@ class BFTree(IndexBackend):
                 next_id = current.next_leaf_id
                 current = (self.leaves.get(next_id)
                            if next_id is not None else None)
-            if track:
-                latencies[j] = clock.now() - start_t
+            if stack is not None:
+                latencies[j] = stack.since(start_t)
         self._count_scan_jobs(results, jobs_scan, jobs_first, jobs_count,
                               jobs_lo, jobs_hi)
         if latency_sink is not None:
@@ -1876,9 +1846,8 @@ class BFTree(IndexBackend):
         is read in full.  A boundary leaf with ``enumerate_boundaries``
         probes its filters for every integer value in the overlapping key
         range (the §7 optimization) and reads only matching pages; the
-        per-value probe charges land as one IOStats bump and one CPU
-        advance.  Non-integer or very wide domains fall back to a full
-        read.
+        per-value probe charges land as one IOStats bump.  Non-integer
+        or very wide domains fall back to a full read.
         """
         if leaf.min_key is None or leaf.max_key is None:
             return []
@@ -1897,7 +1866,6 @@ class BFTree(IndexBackend):
         stats = self._stats()
         if stats is not None:
             stats.bloom_probes += leaf.nfilters * len(values)
-        self._charge_cpu(len(values) * leaf.nfilters * CPU_BLOOM_PROBE)
         wanted: set[int] = set()
         for runs in leaf.matching_page_runs_many(values):
             for first, npages in runs:
@@ -2012,7 +1980,6 @@ class BFTree(IndexBackend):
                 continue
             if stats is not None:
                 stats.bloom_probes += candidate.nfilters
-            self._charge_cpu(candidate.nfilters * CPU_BLOOM_PROBE)
             for first, npages in candidate.matching_page_runs_many([key])[0]:
                 pages.update(range(first, first + npages))
         return pages

@@ -32,7 +32,6 @@ from typing import Any, Callable, NamedTuple, Sequence
 import numpy as np
 
 from repro.storage.buffer_pool import BufferPool
-from repro.storage.clock import CPU_KEY_COMPARE
 from repro.storage.device import PAGE_SIZE, Device
 
 DEFAULT_KEY_SIZE = 8
@@ -335,9 +334,8 @@ class InnerTree:
         for node_id in path:
             self.store.read(node_id)
         if self.store.device is not None:
-            self.store.device.clock.advance(
-                len(path) * math.log2(max(2, self.fanout)) * CPU_KEY_COMPARE
-            )
+            self.store.device.stats.key_comparisons += (
+                len(path) * math.log2(max(2, self.fanout)))
 
     # ------------------------------------------------------------------
     # incremental maintenance

@@ -70,10 +70,9 @@ def run_probes(
     index.bind(stack, warm=warm)
     try:
         before = stack.stats.snapshot()
-        start = stack.clock.now()
         results = index.search_many(keys)
-        total_latency = stack.clock.now() - start
         io = stack.stats.diff(before)
+        total_latency = stack.price(io)
     finally:
         index.unbind()
     found = [result for result in results if result.found]

@@ -34,12 +34,13 @@ the last acknowledged op: same search/scan results, same simulated I/O
 charges, same structural sanitizer verdict.
 
 Reads delegate straight to the inner backend; the WAL is real file I/O
-outside the storage simulator, so durability never perturbs IOStats or
-the simulated clock.  ``apply_many`` frames one ``insert_many`` record
-per maximal run of inserts in the chunk (the records the per-run split
-would write), then makes one ordered ``apply_many`` call on the inner
-backend inside one rollback scope: a chunk that fails anywhere leaves
-none of its records in the log.  Read-only chunks log nothing.
+outside the storage simulator, so durability never perturbs IOStats (and
+so the simulated time priced from them).  ``apply_many`` frames one
+``insert_many`` record per maximal run of inserts in the chunk (the
+records the per-run split would write), then makes one ordered
+``apply_many`` call on the inner backend inside one rollback scope: a
+chunk that fails anywhere leaves none of its records in the log.
+Read-only chunks log nothing.
 """
 
 from __future__ import annotations

@@ -2,7 +2,7 @@
 
 The production-facing subsystem: a :class:`ShardedIndex` range-partitions
 one indexed column across N independent shards (each with its own
-device/clock/buffer-pool stack) under an epoch-versioned
+device/IOStats/buffer-pool stack) under an epoch-versioned
 :class:`RoutingTable`, a :class:`Router` splits mixed read/insert/scan
 batches into per-shard column batches (:class:`ShardBatch`) and replays
 them through the :class:`SerialExecutor` (one ordered ``apply_many``

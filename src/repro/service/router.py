@@ -27,8 +27,9 @@ merged replay.
 
 Every replay is bit-identical to the same ops issued one by one
 through :class:`~repro.service.sharded.ShardedIndex` in trace order
-(results and IOStats; per-op latencies and clocks up to float
-summation order) — the tests hold the Router to that per-op loop.
+(results and IOStats; per-op latencies and per-shard simulated seconds
+are those counts priced, up to float rounding) — the tests hold the
+Router to that per-op loop.
 
 **Topology discipline.**  Routing goes through the service's
 :class:`~repro.service.routing.RoutingTable`; plan-time shard ordinals
@@ -148,11 +149,10 @@ class Router:
         # Resolve this epoch's ordinals to stable ids before dispatch.
         table = service.table
         plans = [(table.id_at(s), batch) for s, batch in enumerate(batches)]
-        before: list[tuple[IOStats, float]] = []
+        before: list[IOStats] = []
         for shard in service.shards:
             assert shard.stack is not None
-            before.append((shard.stack.stats.snapshot(),
-                           shard.stack.clock.now()))
+            before.append(shard.stack.stats.snapshot())
         t0 = time.perf_counter()
         outcomes = self.executor.run(plans)
         wall_secs = time.perf_counter() - t0
@@ -184,10 +184,11 @@ class Router:
         per_shard_io: list[IOStats] = []
         per_shard_clock: list[float] = []
         shard_ids: list[int] = []
-        for shard, (io0, c0) in zip(service.shards, before):
+        for shard, io0 in zip(service.shards, before):
             assert shard.stack is not None
-            per_shard_io.append(shard.stack.stats.diff(io0))
-            per_shard_clock.append(shard.stack.clock.now() - c0)
+            io = shard.stack.stats.diff(io0)
+            per_shard_io.append(io)
+            per_shard_clock.append(shard.stack.price(io))
             shard_ids.append(shard.shard_id)
         stats = ServiceStats(
             per_shard_io=per_shard_io,

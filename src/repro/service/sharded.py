@@ -2,8 +2,8 @@
 
 The serving layer's core data structure.  A :class:`ShardedIndex` holds N
 independent index shards, each owning a contiguous slice of the key
-space and — once bound — its *own* storage stack (device pair, simulated
-clock, optional buffer pool), so shards progress concurrently the way
+space and — once bound — its *own* storage stack (device pair, IOStats,
+optional buffer pool), so shards progress concurrently the way
 the partitions of a distributed index do.
 
 **Backend-agnostic.**  Shards are built through the
@@ -49,9 +49,12 @@ unsharded index's counters exactly.  Two conditions guard this:
 
 Live splits and merges preserve the same story: children inherit the
 parent's leaf objects unchanged, and the retired parent stack's already
--charged IOStats/clock are absorbed into the service-level ``retired_io``
-/``retired_clock`` accumulators, so :meth:`merged_io` still sums to the
-totals a static topology would have charged for the same past work.
+-charged IOStats are absorbed into the service-level ``retired_io``
+accumulator, so :meth:`merged_io` still sums to the totals a static
+topology would have charged for the same past work.  Retired work is
+kept as counts, not seconds: whoever reads it prices it with the stack
+of their choice (a rebind to another config re-prices it, as it does
+every live shard's past counts).
 
 Range scans are routed to every overlapping shard; a cross-shard scan
 pays one extra directory descent per additional shard — the real cost a
@@ -147,11 +150,10 @@ class ShardedIndex:
         self._shards_cache: tuple[int, list[Shard]] | None = None
         self._bind_config: StorageConfig | str | None = None
         self._bind_warm = False
-        #: IOStats/clock time charged by stacks of shards that were
-        #: since split or merged away — keeps :meth:`merged_io` summing
+        #: IOStats charged by stacks of shards that were since split or
+        #: merged away — keeps :meth:`merged_io` summing
         #: to the pre-topology-change totals for already-charged work.
         self.retired_io = IOStats()
-        self.retired_clock = 0.0
 
     # ==================================================================
     # construction
@@ -281,7 +283,6 @@ class ShardedIndex:
         service-level accumulators so ``merged_io`` stays continuous."""
         if shard.stack is not None:
             self.retired_io = self.retired_io + shard.stack.stats
-            self.retired_clock += shard.stack.clock.now()
             shard.index.unbind()
             shard.stack = None
 
@@ -328,7 +329,7 @@ class ShardedIndex:
         backend's ``shard_from_leaves`` hook — the children reuse the
         parent's leaf objects, so reads served after the split are
         bit-identical to reads served before it.  The parent's charged
-        IOStats/clock are retired into the service accumulators, and the
+        IOStats are retired into the service accumulator, and the
         routing-table epoch flips last, once the children are registered
         and bound.
 

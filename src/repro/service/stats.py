@@ -16,14 +16,15 @@ behaviour needs views the single-index harness never produced:
   this is what the :class:`~repro.service.rebalance.Rebalancer` watches;
 * **queueing tail** — :func:`queued_response_times` turns per-op service
   times into open-loop FIFO response times.  Per-op simulated latency is
-  load-independent (each shard's clock only advances while it serves),
+  load-independent (a shard's simulated time only grows while it serves),
   so a melted hot shard shows up in *queue delay*, not in service time —
   exactly the signal a p99 SLO sees in a real system.
 
 Simulated *throughput* is defined by the service's makespan: shards own
 independent device stacks and progress concurrently, so the service
 completes a trace when its slowest shard does, and throughput is
-``n_ops / max(per-shard clock)``.  The per-shard clocks also expose the
+``n_ops / max(per-shard clock)``, where a shard's clock is its IOStats
+delta priced by its stack.  The per-shard clocks also expose the
 load-balance ratio (max/mean), which quantifies how much a skewed key
 popularity concentrates work on the hot shard.
 """
@@ -72,8 +73,9 @@ class LatencySummary:
 class ServiceStats:
     """Aggregate outcome of replaying one trace through a sharded service.
 
-    Holds the per-shard IOStats snapshots and simulated clocks plus the
-    per-operation latency array (aligned with the trace), and derives
+    Holds the per-shard IOStats deltas, their priced simulated seconds
+    (``per_shard_clock``) and the per-operation latency array (aligned
+    with the trace), and derives
     the merged counters, percentile summaries and throughput from them.
 
     ``shard_ids`` (when present) aligns the per-shard lists with stable

@@ -1,13 +1,16 @@
-"""Simulated storage substrate: clock, devices, relations, warm pool.
+"""Simulated storage: counters, prices, devices, relations, warm pool.
 
 This package replaces the paper's physical testbed (Seagate 10K HDD, OCZ
 Deneva SSD, 48 GB DRAM) with a deterministic simulator.  See the
-``repro.storage`` row of README.md's module table for what it models.  :class:`BufferPool` is the warm-cache
-resident page set (the internal nodes a warm-bound tree keeps in memory).
+``repro.storage`` row of README.md's module table for what it models.
+Every charge is a count in the stack's :class:`IOStats`; simulated time
+is those counts priced by :class:`StorageStack` (device latencies and
+CPU constants), never a separate running total.  :class:`BufferPool` is
+the warm-cache resident page set (the internal nodes a warm-bound tree
+keeps in memory).
 """
 
 from repro.storage.buffer_pool import BufferPool
-from repro.storage.clock import SimulatedClock
 from repro.storage.config import (
     CONFIGS_BY_NAME,
     FIVE_CONFIGS,
@@ -35,7 +38,6 @@ from repro.storage.relation import Relation
 
 __all__ = [
     "BufferPool",
-    "SimulatedClock",
     "CONFIGS_BY_NAME",
     "FIVE_CONFIGS",
     "HDD_HDD",

@@ -12,14 +12,15 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from repro.storage.device import MEMORY_PROFILE, Device
+from repro.storage.device import Device
 
 
 class BufferPool:
     """The pages of ``device`` that stay memory-resident (warm caches).
 
     ``resident`` is loaded without charging any I/O.  A read of a
-    resident page costs one DRAM touch; any other read is charged to the
+    resident page costs one DRAM touch (the stack prices ``cache_hits``
+    at ``MEMORY_PROFILE.random_read``); any other read is charged to the
     device and admits nothing, so no read changes which pages are
     resident.  Only :meth:`invalidate` (a write) removes one.
     """
@@ -31,12 +32,11 @@ class BufferPool:
     def read_page(self, page_id: int, sequential: bool) -> bool:
         """Access ``page_id``; return True when it is resident.
 
-        A hit counts ``cache_hits`` and costs one DRAM page touch; a miss
-        counts ``cache_misses`` and charges the device.
+        A hit counts ``cache_hits``; a miss counts ``cache_misses`` and
+        charges the device.
         """
         if page_id in self._pages:
             self.device.stats.cache_hits += 1
-            self.device.clock.advance(MEMORY_PROFILE.random_read)
             return True
         self.device.stats.cache_misses += 1
         self.device.read_page(page_id, sequential=sequential)

@@ -4,9 +4,9 @@ The paper's testbed uses a Seagate 10K RPM HDD (106 MB/s sequential for
 4 KB pages) and an OCZ Deneva 2C SATA SSD (550 MB/s sequential, up to
 80 kIOPS random reads), plus main memory.  We model each medium as a
 :class:`DeviceProfile` with four per-page latencies (random/sequential x
-read/write) and a :class:`Device` that charges a shared
-:class:`~repro.storage.clock.SimulatedClock` on every access and updates a
-shared :class:`~repro.storage.iostats.IOStats`.
+read/write) and a :class:`Device` that counts every access in a shared
+:class:`~repro.storage.iostats.IOStats`; the stack prices those counts
+with the profiles (:class:`~repro.storage.config.StorageStack`).
 
 Access patterns: every charge states whether it is random or sequential
 (Eq. 13's ``idxIO``/``dataIO`` versus ``seqDtIO``).  A device keeps no
@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable
 
-from repro.storage.clock import SimulatedClock
 from repro.storage.iostats import IOStats
 
 PAGE_SIZE = 4096
@@ -71,12 +70,6 @@ class DeviceProfile:
     random_write: float
     seq_write: float
 
-    def read_latency(self, sequential: bool) -> float:
-        return self.seq_read if sequential else self.random_read
-
-    def write_latency(self, sequential: bool) -> float:
-        return self.seq_write if sequential else self.random_write
-
 
 # Profiles calibrated to the paper's hardware (Section 6.1).
 #
@@ -124,27 +117,26 @@ PROFILES = {
 
 
 class Device:
-    """One storage device charging a simulated clock per page access.
+    """One storage device counting every page access in shared IOStats.
 
     ``role`` selects which IOStats counters this device updates: ``"index"``
     for the device holding the index and ``"data"`` for the device holding
-    the main file.  The device keeps no position: each access states its
-    pattern (``sequential`` is required on :meth:`read_page` and
-    :meth:`write_page`; :meth:`read_run` and :meth:`read_batch` carry
-    explicit counts), so the order of charges never changes their cost.
+    the main file.  ``profile`` is the device's price list.  The device
+    keeps no position: each access states its pattern (``sequential`` is
+    required on :meth:`read_page` and :meth:`write_page`; :meth:`read_run`
+    and :meth:`read_batch` carry explicit counts), so the order of charges
+    never changes their cost.
     """
 
     def __init__(
         self,
         profile: DeviceProfile,
-        clock: SimulatedClock,
         stats: IOStats,
         role: str = "data",
     ) -> None:
         if role not in ("index", "data"):
             raise ValueError(f"role must be 'index' or 'data', got {role!r}")
         self.profile = profile
-        self.clock = clock
         self.stats = stats
         self.role = role
 
@@ -153,54 +145,7 @@ class Device:
         return self.profile.medium
 
     def read_page(self, page_id: int, sequential: bool) -> None:
-        """Charge the cost of reading one page with the stated pattern."""
-        self.clock.advance(self.profile.read_latency(sequential))
-        self._count(sequential)
-
-    def read_run(self, first_page: int, npages: int) -> None:
-        """Charge one random positioning plus ``npages - 1`` sequential reads."""
-        if npages <= 0:
-            return
-        self.read_page(first_page, sequential=False)
-        for offset in range(1, npages):
-            self.read_page(first_page + offset, sequential=True)
-
-    def read_batch(self, n_random: int, n_sequential: int) -> None:
-        """Charge ``n_random`` random plus ``n_sequential`` sequential page
-        reads in one clock advance.
-
-        This is the aggregate of per-page :meth:`read_page` calls with
-        explicit ``sequential`` flags: the IOStats counters are identical,
-        and the clock total equals the per-page loop up to float summation
-        order (one multiply-add instead of N additions).  The batch scan
-        engine charges each scan's planned page runs through this.
-        """
-        if n_random < 0 or n_sequential < 0:
-            raise ValueError("read counts must be >= 0")
-        if n_random == 0 and n_sequential == 0:
-            return
-        self.clock.advance(self.read_cost(n_random, n_sequential))
-        if self.role == "index":
-            self.stats.index_random_reads += n_random
-            self.stats.index_seq_reads += n_sequential
-        else:
-            self.stats.data_random_reads += n_random
-            self.stats.data_seq_reads += n_sequential
-
-    def read_cost(self, n_random: int, n_sequential: int) -> float:
-        """Seconds :meth:`read_batch` charges for these page reads."""
-        return (n_random * self.profile.random_read
-                + n_sequential * self.profile.seq_read)
-
-    def write_page(self, page_id: int, sequential: bool) -> None:
-        """Charge the cost of writing one page with the stated pattern."""
-        self.clock.advance(self.profile.write_latency(sequential))
-        if self.role == "index":
-            self.stats.index_writes += 1
-        else:
-            self.stats.data_writes += 1
-
-    def _count(self, sequential: bool) -> None:
+        """Count one page read with the stated pattern."""
         if self.role == "index":
             if sequential:
                 self.stats.index_seq_reads += 1
@@ -211,6 +156,39 @@ class Device:
                 self.stats.data_seq_reads += 1
             else:
                 self.stats.data_random_reads += 1
+
+    def read_run(self, first_page: int, npages: int) -> None:
+        """Count one random read plus ``npages - 1`` sequential reads."""
+        if npages > 0:
+            self.read_batch(1, npages - 1)
+
+    def read_batch(self, n_random: int, n_sequential: int) -> None:
+        """Count ``n_random`` random plus ``n_sequential`` sequential page
+        reads: the aggregate of per-page :meth:`read_page` calls with
+        explicit ``sequential`` flags.  The batch scan engine charges each
+        scan's planned page runs through this."""
+        if n_random < 0 or n_sequential < 0:
+            raise ValueError("read counts must be >= 0")
+        if self.role == "index":
+            self.stats.index_random_reads += n_random
+            self.stats.index_seq_reads += n_sequential
+        else:
+            self.stats.data_random_reads += n_random
+            self.stats.data_seq_reads += n_sequential
+
+    def read_cost(self, n_random: int, n_sequential: int) -> float:
+        """Seconds these page reads cost on this device."""
+        return (n_random * self.profile.random_read
+                + n_sequential * self.profile.seq_read)
+
+    def write_page(self, page_id: int, sequential: bool) -> None:
+        """Count one page write with the stated pattern."""
+        if self.role == "index":
+            self.stats.index_writes += 1
+            self.stats.index_seq_writes += sequential
+        else:
+            self.stats.data_writes += 1
+            self.stats.data_seq_writes += sequential
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"Device({self.profile.name}, role={self.role})"

@@ -12,7 +12,7 @@ Pages are not materialized either: a page is the tid range
 it.  :meth:`Relation.scan_keys` is the one page-scan kernel: it scans many
 (key, page) pairs in one NumPy pass and charges nothing.  The indexes
 charge the data :class:`Device` for the pages they read and the CPU for
-the tuples they examined (:func:`charge_scan`).  The exact indexes' rid
+the tuples they examined (``tuples_scanned``).  The exact indexes' rid
 fetches, :meth:`Relation.fetch_tids` and :meth:`Relation.fetch_clustered`,
 are built on the kernel.
 """
@@ -23,7 +23,6 @@ from typing import Any, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from repro.storage.clock import CPU_TUPLE_SCAN
 from repro.storage.device import PAGE_SIZE, Device
 
 
@@ -35,12 +34,6 @@ class PageScan(NamedTuple):
     beyond: np.ndarray       # the page's first tuple exceeds the key
     hit_pair: np.ndarray     # pair of each matching tuple, ascending
     hit_tid: np.ndarray      # tid of each matching tuple
-
-
-def charge_scan(device: Device, examined: int) -> None:
-    """Charge the CPU cost of examining ``examined`` tuples on ``device``."""
-    device.stats.tuples_scanned += examined
-    device.clock.advance(examined * CPU_TUPLE_SCAN)
 
 
 class Relation:
@@ -188,7 +181,7 @@ class Relation:
             scan = self.scan_keys(column, [key] * len(pages), pages,
                                   stop_early)
             device.read_batch(1, len(pages) - 1)
-            charge_scan(device, int(scan.examined.sum()))
+            device.stats.tuples_scanned += int(scan.examined.sum())
         return len(pages)
 
     def fetch_clustered(self, column: str, key: Any, seed_tids: Iterable[int],
@@ -201,7 +194,8 @@ class Relation:
         whose page was already read starts nothing.  Each seed's run is
         charged one random read and sequential reads for the rest.
         Every page read counts all of its tuples in ``tuples_scanned``
-        and, unlike :meth:`fetch_tids`, charges no CPU.
+        and, unlike :meth:`fetch_tids`, charges no CPU for them (they
+        count in ``uncharged_tuples`` too).
         """
         col = self.columns[column]
         pages: list[int] = []
@@ -224,6 +218,7 @@ class Relation:
         if device is not None and pages:
             device.read_batch(n_runs, len(pages) - n_runs)
             device.stats.tuples_scanned += scanned
+            device.stats.uncharged_tuples += scanned
         return scan.hit_tid.tolist(), len(pages)
 
     def __repr__(self) -> str:  # pragma: no cover

@@ -168,9 +168,9 @@ def run_case(case: Case) -> dict:
     results, io, latency = [], [], []
     for op in case.ops:
         before = stack.stats.snapshot()
-        start = stack.clock.now()
+        start = stack.elapsed()
         results.append(encode_result(_apply(index, op)))
-        latency.append(stack.clock.now() - start)
+        latency.append(stack.elapsed() - start)
         io.append(_io_list(stack.stats.diff(before)))
     return {"ops_digest": ops_digest(case), "results": results, "io": io,
             "latency": latency}

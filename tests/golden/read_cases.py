@@ -18,6 +18,7 @@ reporting per-op mismatches.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, fields
 from typing import Callable
 
@@ -32,6 +33,27 @@ from repro.workloads import point_probes, synthetic, tpch
 N_TUPLES = 16384
 N_INSERTS = 3000      # novel keys appended by the mutated case
 IOSTATS_FIELDS = [f.name for f in fields(IOStats)]
+_KC = IOSTATS_FIELDS.index("key_comparisons")
+
+
+def assert_io_equal(got, want, rtol: float = 1e-9) -> None:
+    """Compare IOStats (or their field lists, or lists and dicts of
+    them): integer counters exactly; ``key_comparisons``, a float sum of
+    ``log2`` terms whose last bits follow summation order, to ``rtol``."""
+    if isinstance(want, IOStats):
+        assert_io_equal(_io_list(got), _io_list(want), rtol)
+    elif isinstance(want, dict):
+        assert sorted(got) == sorted(want)
+        for key in want:
+            assert_io_equal(got[key], want[key], rtol)
+    elif want and isinstance(want[0], (list, dict)):
+        assert len(got) == len(want)
+        for mine, theirs in zip(got, want):
+            assert_io_equal(mine, theirs, rtol)
+    else:
+        assert got[:_KC] + got[_KC + 1:] == want[:_KC] + want[_KC + 1:]
+        assert math.isclose(got[_KC], want[_KC], rel_tol=rtol,
+                            abs_tol=1e-9), (got[_KC], want[_KC])
 
 
 @dataclass
@@ -221,9 +243,9 @@ def run_case(case: Case) -> dict:
     results, io, latency = [], [], []
     for op in case.ops:
         before = stack.stats.snapshot()
-        start = stack.clock.now()
+        start = stack.elapsed()
         results.append(encode_result(_apply(index, partner, op)))
-        latency.append(stack.clock.now() - start)
+        latency.append(stack.elapsed() - start)
         io.append(_io_list(stack.stats.diff(before)))
     return {"ops_digest": ops_digest(case), "results": results, "io": io,
             "latency": latency}

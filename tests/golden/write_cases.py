@@ -237,7 +237,7 @@ def run_case(case: Case) -> dict:
     outcomes, io, latency, trees = [], [], [], []
     for step in step_list:
         before = stack.stats.snapshot()
-        start = stack.clock.now()
+        start = stack.elapsed()
         sink: list[float] = []
         got = _apply(tree, step, sink)
         # A batch step's outcomes are digested: thousands of ops.
@@ -246,7 +246,7 @@ def run_case(case: Case) -> dict:
             if isinstance(got, list) else _encode(got)
         )
         latency.append(sink if isinstance(got, list)
-                       else stack.clock.now() - start)
+                       else stack.elapsed() - start)
         io.append(_io_list(stack.stats.diff(before)))
         trees.append(tree_digest(tree))
     assert tree.n_leaves >= leaves + 2, "the steps must split twice"

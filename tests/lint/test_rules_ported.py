@@ -55,33 +55,37 @@ class TestChargeDiscipline:
         assert lint_source(src, "tests/test_device.py") == []
 
     def test_float_literal_in_cpu_charge_flagged(self):
-        # The bug class: a page scan charged 25e-9 per tuple inline while
-        # the rest of the stack charged CPU_TUPLE_SCAN.
+        # The bug class: a page scan counting seconds (25e-9 per tuple)
+        # into a counter the stack prices per tuple.
         vs = lint_source(
             "class T:\n"
             "    def scan(self, examined):\n"
-            "        self._charge_cpu(examined * 25e-9)\n"
+            "        self._count(\"tuples_scanned\", examined * 25e-9)\n"
         )
         assert ids_of(vs) == ["C3"]
         assert vs[0].line == 3
-        assert "repro.storage.clock" in vs[0].message
+        assert "price_list" in vs[0].message
 
-    def test_float_literal_in_clock_advance_flagged(self):
-        vs = lint_source("def f(clock, n):\n"
-                         "    clock.advance(seconds=n * 0.4e-6)\n",
+    def test_unknown_counter_flagged(self):
+        # A charge under a name simulated time never prices (a typo
+        # fails only when that path runs), or a computed one.
+        vs = lint_source("def f(self, kind, n):\n"
+                         "    self._count(\"hash_probe\")\n"
+                         "    self._count(kind + '_probes', n)\n",
                          "src/repro/storage/device.py")
-        assert ids_of(vs) == ["C3"]
+        assert [(v.rule, v.line) for v in vs] == [("C3", 2), ("C3", 3)]
+        assert "IOStats field" in vs[0].message
 
-    def test_cost_constant_charge_is_clean(self):
+    def test_literal_field_count_is_clean(self):
         assert lint_source(
-            "from repro.storage.clock import CPU_TUPLE_SCAN\n"
-            "def f(self, clock, n):\n"
-            "    self._charge_cpu(n * CPU_TUPLE_SCAN)\n"
-            "    clock.advance(2 * CPU_TUPLE_SCAN)\n"
+            "import math\n"
+            "def f(self, n):\n"
+            "    self._count(\"hash_probes\")\n"
+            "    self._count(\"key_comparisons\", math.log2(n))\n"
         ) == []
 
     def test_float_literal_outside_src_is_exempt(self):
-        src = "def f(clock):\n    clock.advance(1.5)\n"
+        src = "def f(self):\n    self._count('nonsense', 1.5)\n"
         assert lint_source(src, "tests/test_clock.py") == []
         assert lint_source(src, "benchmarks/bench_x.py") == []
 

@@ -27,7 +27,7 @@ from repro.workloads import OP_INSERT, OP_READ, MixedTrace
 
 def _shard_clocks(service: ShardedIndex) -> list[float]:
     """Each live shard's simulated clock, in key-range order."""
-    return [s.stack.clock.now() for s in service.shards]
+    return [s.stack.elapsed() for s in service.shards]
 
 
 def replay_per_op(service: ShardedIndex, trace: MixedTrace,

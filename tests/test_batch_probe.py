@@ -28,7 +28,7 @@ from repro.core.bloom import page_from_rows, page_to_rows, row_test_positions
 from repro.core.hashing import bloom_positions_batch, keys_to_int_array
 from repro.core.bf_tree import SearchResult
 from repro.storage import IOStats, Relation, build_stack
-from repro.storage.clock import CPU_TUPLE_SCAN
+from repro.storage.config import CPU_TUPLE_SCAN
 from repro.workloads import point_probes
 
 sorted_keys = st.lists(
@@ -51,7 +51,7 @@ def _replay(tree, keys, batch):
             results = [tree.search(key) for key in keys]
     finally:
         tree.unbind()
-    return results, stack.stats.snapshot(), stack.clock.now()
+    return results, stack.stats.snapshot(), stack.elapsed()
 
 
 def _assert_batch_equals_scalar(tree, probe_keys):
@@ -397,19 +397,19 @@ def _reference_fetch(tree, key, runs):
 
 def _capture_fetch(tree, calls):
     """Record each ``_fetch_runs`` call's runs, results, latencies and
-    IOStats/clock delta on ``tree`` (an instance attribute shadows the
-    method)."""
+    IOStats and simulated-time delta on ``tree`` (an instance attribute
+    shadows the method)."""
     method = tree._fetch_runs
 
     def fetch(keys, offsets, first, npages, ops):
-        stats, clock = tree._stats(), tree._sim_clock()
-        before, t0 = stats.snapshot(), clock.now()
+        stack = tree.stack
+        before, t0 = stack.stats.snapshot(), stack.elapsed()
         results, latencies = method(keys, offsets, first, npages, ops)
         first, npages = first.tolist(), npages.tolist()
         runs = {op: list(zip(first[a:b], npages[a:b]))
                 for op, a, b in zip(ops, offsets, offsets[1:])}
         calls.append((runs, dict(zip(ops, zip(results, latencies))),
-                      stats.diff(before), clock.now() - t0))
+                      stack.stats.diff(before), stack.elapsed() - t0))
         return results, latencies
 
     tree._fetch_runs = fetch

@@ -80,12 +80,12 @@ def _replay_inserts(tree, keys, pids, batch):
             tree.insert_many(keys, pids, latency_sink=sink)
         else:
             for key, pid in zip(keys, pids):
-                begin = stack.clock.now()
+                begin = stack.elapsed()
                 tree.insert(key, pid)
-                sink.append(stack.clock.now() - begin)
+                sink.append(stack.elapsed() - begin)
     finally:
         tree.unbind()
-    return sink, stack.stats.snapshot(), stack.clock.now()
+    return sink, stack.stats.snapshot(), stack.elapsed()
 
 
 class TestInsertManyEqualsScalarLoop:
@@ -160,9 +160,9 @@ class TestInsertManyEqualsScalarLoop:
         for key in batch:
             pid = pid_for(scalar_tree, key)
             pids.append(pid)
-            begin = stack_s.clock.now()
+            begin = stack_s.elapsed()
             scalar_tree.insert(key, pid)
-            s_lat.append(stack_s.clock.now() - begin)
+            s_lat.append(stack_s.elapsed() - begin)
         b_lat: list[float] = []
         batch_tree.insert_many(batch, pids, latency_sink=b_lat)
         scalar_tree.unbind()
@@ -171,7 +171,7 @@ class TestInsertManyEqualsScalarLoop:
         assert _tree_fingerprint(batch_tree) == \
             _tree_fingerprint(scalar_tree)
         assert stack_b.stats.snapshot() == stack_s.stats.snapshot()
-        assert math.isclose(stack_b.clock.now(), stack_s.clock.now(),
+        assert math.isclose(stack_b.elapsed(), stack_s.elapsed(),
                             rel_tol=1e-9)
         assert np.allclose(b_lat, s_lat, rtol=1e-9)
 
@@ -277,7 +277,7 @@ class TestDeleteManyEqualsScalarLoop:
         assert len(b_sink) == len(targets)
         assert _tree_fingerprint(batch_tree) == _tree_fingerprint(scalar_tree)
         assert stack_b.stats.snapshot() == stack_s.stats.snapshot()
-        assert math.isclose(stack_b.clock.now(), stack_s.clock.now(),
+        assert math.isclose(stack_b.elapsed(), stack_s.elapsed(),
                             rel_tol=1e-9)
 
     def test_counting_inplace_deletes(self, pk_relation):
@@ -340,9 +340,9 @@ class TestFilterAndLeafLayers:
         tids = [int(np.searchsorted(values, k)) for k in keys]
         s_sink: list[float] = []
         for key, tid in zip(keys, tids):
-            begin = stack_s.clock.now()
+            begin = stack_s.elapsed()
             scalar_tree.insert(key, tid)
-            s_sink.append(stack_s.clock.now() - begin)
+            s_sink.append(stack_s.elapsed() - begin)
         b_sink: list[float] = []
         batch_tree.insert_many(keys, tids, latency_sink=b_sink)
         scalar_tree.unbind()

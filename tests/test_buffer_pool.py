@@ -5,18 +5,22 @@ import pytest
 
 from repro.baselines import BPlusTree, BPlusTreeConfig
 from repro.core.node import InnerTree, NodeStore
-from repro.storage import (BufferPool, IOStats, Relation, SimulatedClock,
-                           build_stack)
-from repro.storage.device import MEMORY_PROFILE, SSD_PROFILE, Device
+from repro.storage import BufferPool, Relation, build_stack
+from repro.storage.device import MEMORY_PROFILE
 
 
 def _device():
-    return Device(SSD_PROFILE, SimulatedClock(), IOStats(), role="index")
+    return build_stack("SSD/SSD").index_device
 
 
 def _pool(resident=()):
     device = _device()
     return BufferPool(device, resident), device
+
+
+def _stack_pool(resident=()):
+    stack = build_stack("SSD/SSD")
+    return BufferPool(stack.index_device, resident), stack
 
 
 def _directory(warm):
@@ -38,13 +42,13 @@ class TestBasics:
         assert device.stats.cache_misses == 1
 
     def test_hit_charges_memory_only(self):
-        pool, device = _pool([1])
-        before = device.clock.now()
+        pool, stack = _stack_pool([1])
+        before = stack.elapsed()
         hit = pool.read_page(1, sequential=False)
         assert hit
-        assert device.stats.cache_hits == 1
-        assert device.stats.index_reads == 0
-        assert device.clock.now() - before == pytest.approx(
+        assert stack.stats.cache_hits == 1
+        assert stack.stats.index_reads == 0
+        assert stack.elapsed() - before == pytest.approx(
             MEMORY_PROFILE.random_read
         )
 
@@ -86,8 +90,8 @@ class TestBasics:
 class TestWarmSetup:
     def test_prefault_no_io(self):
         """Building the pool loads its resident pages without I/O."""
-        pool, device = _pool([1, 2, 3])
-        assert device.stats.index_reads == 0 and device.clock.now() == 0.0
+        pool, stack = _stack_pool([1, 2, 3])
+        assert stack.stats.index_reads == 0 and stack.elapsed() == 0.0
         assert all(pool.read_page(page, sequential=False)
                    for page in (1, 2, 3))
 

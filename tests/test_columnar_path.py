@@ -227,7 +227,7 @@ def test_numpy_keys_equal_native_keys(kind, wrap):
     assert got == want
     assert sink == ref_sink
     assert stack.stats == ref_stack.stats
-    assert stack.clock.now() == ref_stack.clock.now()
+    assert stack.elapsed() == ref_stack.elapsed()
     assert _leaf_state(tree) == _leaf_state(ref)
     assert tree.n_leaves > 1
 
@@ -255,27 +255,27 @@ def test_read_with_no_runs_costs_exactly_nothing():
     pid = rel.page_of(777)
     empty = np.empty(0, dtype=np.int64)
 
-    before, t0 = stack.stats.snapshot(), stack.clock.now()
+    before, t0 = stack.stats.snapshot(), stack.elapsed()
     results, latencies = tree._fetch_runs([key + 1], [0, 0], empty, empty,
                                           [0])
     assert results == [SearchResult(found=False)]
     assert latencies == [0.0]
     assert stack.stats == before
-    assert stack.clock.now() == t0
+    assert stack.elapsed() == t0
 
     # Behind a read that fetches, the runless read moves nothing: the
     # charges are the fetching read's own.
     one = np.asarray([pid], dtype=np.int64), np.ones(1, dtype=np.int64)
-    before, t0 = stack.stats.snapshot(), stack.clock.now()
+    before, t0 = stack.stats.snapshot(), stack.elapsed()
     alone, alone_lat = tree._fetch_runs([key], [0, 1], *one, [0])
-    alone_io, alone_dt = stack.stats.diff(before), stack.clock.now() - t0
-    before, t0 = stack.stats.snapshot(), stack.clock.now()
+    alone_io, alone_dt = stack.stats.diff(before), stack.elapsed() - t0
+    before, t0 = stack.stats.snapshot(), stack.elapsed()
     results, latencies = tree._fetch_runs([key, key + 1], [0, 1, 1], *one,
                                           [0, 1])
     assert results == [*alone, SearchResult(found=False)]
     assert latencies == [*alone_lat, 0.0]
     assert stack.stats.diff(before) == alone_io
-    assert stack.clock.now() - t0 == alone_dt
+    assert stack.elapsed() - t0 == alone_dt
 
 
 def test_filter_rejected_reads_fetch_nothing():
@@ -312,7 +312,7 @@ def test_inverted_scan_window_raises_before_any_charge(entry):
     """The first inverted window raises with its native bounds in the
     message, and nothing in the batch is charged or applied."""
     tree, stack = _bound_tree(_int_relation(), [])
-    before = (stack.stats.snapshot(), stack.clock.now(), _leaf_state(tree))
+    before = (stack.stats.snapshot(), stack.elapsed(), _leaf_state(tree))
     windows = [(np.int64(2), 40), (np.int64(90), np.int64(10)), (9, 3)]
     with pytest.raises(ValueError,
                        match=r"^empty range: lo=90 > hi=10$"):
@@ -321,5 +321,5 @@ def test_inverted_scan_window_raises_before_any_charge(entry):
         else:
             tree.apply_many([(OP_INSERT, 41, 1), (OP_READ, 4, None)]
                             + [(OP_SCAN, lo, hi) for lo, hi in windows])
-    assert before == (stack.stats.snapshot(), stack.clock.now(),
+    assert before == (stack.stats.snapshot(), stack.elapsed(),
                       _leaf_state(tree))

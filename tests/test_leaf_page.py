@@ -495,9 +495,9 @@ class TestPageKernels:
         tree.bind(scalar_stack)
         scalar, scalar_latencies = [], []
         for key in probes:
-            start = scalar_stack.clock.now()
+            start = scalar_stack.elapsed()
             scalar.append(tree.search(key))
-            scalar_latencies.append(scalar_stack.clock.now() - start)
+            scalar_latencies.append(scalar_stack.elapsed() - start)
         gathers = []
         real_match = BFLeaf._match_matrix
 

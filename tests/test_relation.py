@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.storage import IOStats, PAGE_SIZE, Relation, SimulatedClock
-from repro.storage.device import SSD_PROFILE, Device
+from repro.storage import PAGE_SIZE, Relation, build_stack
+from repro.storage.device import SSD_PROFILE
 
 
 def _relation(n=100, tuple_size=256):
@@ -12,7 +12,7 @@ def _relation(n=100, tuple_size=256):
 
 
 def _device():
-    return Device(SSD_PROFILE, SimulatedClock(), IOStats())
+    return build_stack("SSD/SSD").data_device
 
 
 class TestGeometry:
@@ -114,12 +114,13 @@ class TestAccess:
         # start of page 3, whose last tuple ends the walk.
         values = [0, 1, 2, 5, 5, 5, 5, 5, 5, 5, 5, 5, 5, 7, 8, 9, 9]
         rel = Relation({"k": np.asarray(values)}, tuple_size=1024)
-        device = _device()
+        stack = build_stack("SSD/SSD")
+        device = stack.data_device
         tids, pages = rel.fetch_clustered("k", 5, [3, 4, 12], device)
         assert tids == list(range(3, 13))
         assert pages == 4
         assert device.stats.data_random_reads == 1
         assert device.stats.data_seq_reads == 3
         assert device.stats.tuples_scanned == 16
-        assert device.clock.now() == pytest.approx(
+        assert stack.elapsed() == pytest.approx(
             SSD_PROFILE.random_read + 3 * SSD_PROFILE.seq_read)

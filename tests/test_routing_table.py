@@ -18,7 +18,7 @@ from repro.baselines.bptree import BPlusTree, BPlusTreeConfig
 from repro.core import BFTree, BFTreeConfig
 from repro.core.node import InnerTree
 from repro.storage import build_stack
-from repro.storage.clock import CPU_KEY_COMPARE
+from repro.storage.config import CPU_KEY_COMPARE
 
 FPP = 1e-3
 
@@ -46,17 +46,17 @@ class TestDescentCharge:
         assert tree.height >= 3
         leaf_id, path = tree.inner.route(4321)
         device = tree.store.device
-        clock, read = device.clock, device.read_page
+        clock, read = tree.stack.elapsed, device.read_page
         spans = []      # (page, clock before the read, clock after it)
 
         def traced(page, *args, **kwargs):
-            start = clock.now()
+            start = clock()
             hit = read(page, *args, **kwargs)
-            spans.append((page, start, clock.now()))
+            spans.append((page, start, clock()))
             return hit
 
         device.read_page = traced
-        before, t0 = device.stats.index_reads, clock.now()
+        before, t0 = device.stats.index_reads, clock()
         leaf = tree._descend_and_read(4321)
         assert leaf.node_id == leaf_id
         assert len(path) + 1 == tree.height

@@ -9,6 +9,7 @@ inserts (leaf splits included, thanks to structural filter seeding).
 
 import numpy as np
 import pytest
+from golden.read_cases import assert_io_equal
 from per_op_replay import replay_per_op
 
 from repro.baselines import BPlusTree
@@ -98,7 +99,7 @@ class TestShardedEquivalence:
                                      kind="bplus", unique=True)
         report = run_service(service, trace, CONFIG)
         assert report.results == ref_results
-        assert report.io == ref_io
+        assert_io_equal(report.io, ref_io, 1e-12)
 
     def test_probe_equivalence_nonunique_column(self, relation):
         """The duplicate-heavy att1 column: spanning keys must not be cut."""

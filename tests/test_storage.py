@@ -81,10 +81,6 @@ class TestPriceTable:
             assert stack.elapsed() == pytest.approx(latency, rel=1e-12), \
                 (config, name)
 
-    def test_every_field_is_priced(self):
-        assert len(build_stack("SSD/SSD").prices) == \
-            len(dataclasses.fields(IOStats))
-
     def test_clustered_fetch_charges_no_cpu(self):
         stack = build_stack("SSD/HDD")
         rel = Relation({"k": list(range(64))}, tuple_size=1024)
@@ -93,15 +89,19 @@ class TestPriceTable:
         assert stack.elapsed() == pytest.approx(HDD_PROFILE.random_read,
                                                 rel=1e-12)
 
-    def test_price_of_a_diff_is_the_elapsed_delta(self):
+    def test_three_readings_of_a_delta_agree(self):
         stack = build_stack("SSD/HDD")
         stack.index_device.read_page(0, sequential=False)
-        before = stack.stats.snapshot()
-        t0 = stack.elapsed()
+        before, mark, t0 = (stack.stats.snapshot(), stack.stats.mark(),
+                            stack.elapsed())
         stack.data_device.read_batch(2, 5)
         stack.stats.key_comparisons += 3.5
+        want = 2 * HDD_PROFILE.random_read + 5 * HDD_PROFILE.seq_read \
+            + 3.5 * CPU_KEY_COMPARE
+        assert stack.since(mark) == pytest.approx(want, rel=1e-12)
         assert stack.price(stack.stats.diff(before)) == pytest.approx(
-            stack.elapsed() - t0, rel=1e-12)
+            want, rel=1e-12)
+        assert stack.elapsed() - t0 == pytest.approx(want, rel=1e-12)
 
 
 class TestClock:

@@ -21,9 +21,10 @@ identical traffic.  This module defines that contract:
   backend counts its charges in), capability-gated
   defaults for the mutating and scanning operations, and
   **bit-identical** scalar-loop fallbacks: ``apply_many``, which
-  ``search_many`` / ``insert_many`` / ``range_scan_many`` call, and
-  ``delete_many``.  Backends with vectorized engines override those
-  (the BF-Tree all five, the B+-Tree ``range_scan_many``).
+  ``search_many`` / ``insert_many`` / ``range_scan_many`` call,
+  ``delete_many``, and ``apply_across``, one ``apply_many`` per index of
+  a multi-index request.  Backends with vectorized engines override
+  those (the BF-Tree all six, the B+-Tree ``range_scan_many``).
 
 Write addressing: the protocol's mutating operations take the backend's
 *native write target* — a tuple id for rid-based indexes, a data page id
@@ -59,6 +60,10 @@ OP_SCAN = 2
 #: One :meth:`Index.apply_many` op: ``(OP_READ, key, None)``,
 #: ``(OP_INSERT, key, write target)`` or ``(OP_SCAN, lo, hi)``.
 Op = tuple[int, Any, Any]
+
+#: One :meth:`Index.apply_across` request: an index (of the class the
+#: hook is called on), its ops and its latency sink.
+Request = tuple[Any, Sequence[Op], list[float] | None]
 
 
 @dataclass(frozen=True)
@@ -151,6 +156,9 @@ class Index(Protocol):
     def apply_many(self, ops: Sequence[Op],
                    latency_sink: list[float] | None = None
                    ) -> list[Any]: ...
+    @classmethod
+    def apply_across(cls, requests: Sequence[Request]
+                     ) -> list[list[Any]]: ...
     def snapshot_state(self) -> dict[str, Any]: ...
     def restore_state(self, state: dict[str, Any]) -> None: ...
 
@@ -205,6 +213,9 @@ class IndexBackend:
     ``latency_sink`` receives one simulated per-op latency per item
     (zeros when unbound), matching the vectorized engines' accounting,
     so Router percentile reports work on every backend.
+    :meth:`apply_across` runs ``apply_many`` for several indexes of one
+    class at once; the Router's executor calls it once per replay
+    chunk for all shards.
 
     **Capability-gated defaults.**  A backend that never defines
     ``insert``/``delete`` is immutable, one that never defines
@@ -317,6 +328,20 @@ class IndexBackend:
                         ) -> list[RangeScanResult]:
         return self.apply_many([(OP_SCAN, lo, hi) for lo, hi in windows],
                                latency_sink)
+
+    @classmethod
+    def apply_across(cls, requests: Sequence[Request]) -> list[list[Any]]:
+        """:meth:`apply_many` of several indexes of this class in one
+        call: one result list per ``(index, ops, latency_sink)`` request.
+
+        The default is one ``apply_many`` call per request, in order.  A
+        backend whose engine has a fixed cost per call overrides it to
+        pay that cost once for all requests (the BF-Tree); an override
+        must leave what this loop leaves — results, every index's state,
+        IOStats and latencies — including when a request raises.
+        """
+        return [index.apply_many(ops, latency_sink)
+                for index, ops, latency_sink in requests]
 
     def apply_many(self, ops: Sequence[Op],
                    latency_sink: list[float] | None = None) -> list[Any]:

@@ -150,23 +150,39 @@ class BFTreeConfig:
 
 @dataclass
 class _Walk:
-    """Per-call state of :meth:`BFTree.apply_many`, indexed by op."""
+    """One tree's state in a pass of :meth:`BFTree.apply_across`,
+    indexed by op."""
 
+    tree: "BFTree"
     codes: list[int]
     keys: list
     #: The op's third field: a scan's ``hi`` (an insert's pid, unused).
     args: list
     #: Inserts' data pages, -1 for other ops.
     pids: list[int]
+    #: Keys and pids of the point ops (reads and inserts), in op order.
+    point_keys: list
+    point_pids: list[int]
     results: list
     latencies: list[float]
+    sink: list[float] | None
     #: The bound stack when latencies are tracked, else None.
     stack: StorageStack | None
     stats: object
-    #: The current plan round (see :meth:`BFTree._plan_ops`): its first
-    #: point op, each point op's predicted leaf id, the descent paths
-    #: per leaf id, filter positions with one row per point op, and each
-    #: insert's duplicate flag and filter group.
+    #: The walk's place in its pass, and the pass's filter tests, shared
+    #: by its walks: one per flush, with the op and walk of each tested
+    #: (key, leaf) pair in test order.  Every tested read fetches after
+    #: the pass's walks.
+    slot: int = 0
+    tests: list[LeafMatches] = field(default_factory=list)
+    tested: list[int] = field(default_factory=list)
+    owner: list[int] = field(default_factory=list)
+    #: The current plan round (see :meth:`BFTree._plan_ops`): point op
+    #: ``j`` is row ``j - base`` of its per-key columns, which are each
+    #: point op's predicted leaf id, filter positions with one row per
+    #: point op, and each insert's duplicate flag and filter group, plus
+    #: the descent paths per leaf id.  The first round's columns are
+    #: shared by every walk of the pass.
     base: int = 0
     pred: list = field(default_factory=list)
     paths: dict = field(default_factory=dict)
@@ -181,14 +197,21 @@ class _Walk:
     pending: dict[int, list[tuple[int, int]]] = field(default_factory=dict)
     #: Filter tests queued per leaf id: (op, plan row or None).
     probes: dict[int, list] = field(default_factory=dict)
-    #: Filter tests run, one per flush, and the op of each tested
-    #: (key, leaf) pair in test order; every tested read fetches after
-    #: the walk.
-    tests: list[LeafMatches] = field(default_factory=list)
-    tested: list[int] = field(default_factory=list)
     #: Scans of the current read run, dispatched before the next insert
     #: a scan can see.
     scans: list[int] = field(default_factory=list)
+
+
+def _pass_geometry(tree: "BFTree") -> tuple | None:
+    """The leaf geometry trees sharing a pass of
+    :meth:`BFTree.apply_across` must agree on: every field a filter's
+    hash, test and page runs read (``max_filters`` and the sizing
+    inputs may differ)."""
+    geo = tree.geometry
+    if geo is None:
+        return None
+    return (geo.hash_count, geo.bits_per_bf, geo.pages_per_bf,
+            geo.filter_kind, geo.counter_bits)
 
 
 # Canonical result types live in the protocol layer (repro.api.results);
@@ -767,7 +790,8 @@ class BFTree(IndexBackend):
 
     def apply_many(self, ops, latency_sink: list[float] | None = None
                    ) -> list:
-        """Point reads, range scans and inserts in one ordered call.
+        """Point reads, range scans and inserts in one ordered call: the
+        one-tree case of :meth:`apply_across`.
 
         ``ops`` are ``(OP_READ, key, None)``, ``(OP_INSERT, key, pid)``
         and ``(OP_SCAN, lo, hi)`` triples.  The results (one
@@ -832,53 +856,144 @@ class BFTree(IndexBackend):
         ``deleted_keys``) is native; :meth:`range_scan_many` normalises
         a scan's ``hi``.
         """
-        check_op_codes(ops)
-        if not ops:
-            return self._apply([], [], [], latency_sink)
-        codes, keys, args = zip(*ops)
-        return self._apply(list(codes), as_scalars(keys), list(args),
-                           latency_sink)
+        return self.apply_across([(self, ops, latency_sink)])[0]
 
-    def _apply(self, codes: list[int], keys: list, args: list,
-               latency_sink: list[float] | None) -> list:
-        """:meth:`apply_many` over its ops split into parallel lists."""
+    @classmethod
+    def apply_across(cls, requests) -> list[list]:
+        """:meth:`apply_many` of many trees in one pass: one result list
+        per ``(tree, ops, latency_sink)`` request, equal to one
+        ``apply_many`` call per request in order — results, tree state,
+        every IOStats field and every latency.
+
+        Consecutive requests whose trees share their ``Relation`` object,
+        key column, ``unique``/``ordered`` flags and leaf geometry but
+        for ``max_filters`` (shards cut from one donor always do) share
+        a pass; any other request starts a new one, and so does a tree
+        already in the pass.  A pass routes each tree's point keys, then
+        hashes every tree's first plan round in one
+        :meth:`BFLeaf.hash_rows` call and pre-tests every insert in one
+        :meth:`BFLeaf.duplicate_flags` gather (:meth:`_plan_ops`).  It
+        walks each tree's ops in order, exactly as :meth:`apply_many`
+        describes (read runs, visible inserts with their flushes, splits
+        with a re-plan of that tree alone, scans), then tests every
+        tree's chunk-end queues in one :meth:`BFLeaf.match_many` gather
+        and fetches every read's pages through one
+        :func:`build_page_runs` and one :meth:`_fetch_runs` call.  Stop
+        rules stay per read, and every charge lands on its own tree's
+        stack.
+
+        Every request's op codes and scan windows are checked before any
+        tree is walked.  If a tree's walk raises, the trees walked before
+        it get their filter tests and fetch, the failing tree is left as
+        its own ``apply_many`` leaves it, later trees are untouched, and
+        the exception propagates: what the per-tree loop leaves.
+        """
+        walks = []
+        for tree, ops, latency_sink in requests:
+            check_op_codes(ops)
+            codes, keys, args = zip(*ops) if ops else ((), (), ())
+            walks.append(tree._new_walk(list(codes), as_scalars(keys),
+                                        list(args), latency_sink))
+        start = 0
+        for end in range(1, len(walks) + 1):
+            if end < len(walks) and walks[end].tree._joins(
+                    [walk.tree for walk in walks[start:end]]):
+                continue
+            cls._apply_pass(walks[start:end])
+            start = end
+        return [walk.results for walk in walks]
+
+    def _joins(self, trees: list["BFTree"]) -> bool:
+        """Whether this tree can share a pass with ``trees``: a pass
+        tests every tree's filters in one gather and scans every read's
+        pages in one kernel call, so the trees must hash, test, scan and
+        stop alike."""
+        first = trees[0]
+        return (self.relation is first.relation
+                and self.key_column == first.key_column
+                and self.unique == first.unique
+                and self.ordered == first.ordered
+                and _pass_geometry(self) == _pass_geometry(first)
+                and all(tree is not self for tree in trees))
+
+    def _new_walk(self, codes: list[int], keys: list, args: list,
+                  latency_sink: list[float] | None) -> "_Walk":
+        """A walk over ops split into parallel lists; inverted scan
+        windows raise ``ValueError`` here, before any tree is walked."""
         n = len(codes)
-        walk = _Walk(
-            codes=codes,
-            keys=keys,
-            args=args,
-            pids=([int(arg) if code == OP_INSERT else -1
-                   for code, arg in zip(codes, args)]
-                  if OP_INSERT in codes else [-1] * n),
-            results=[None] * n,
-            latencies=[0.0] * n,
-            stack=self.stack if latency_sink is not None else None,
-            stats=self._stats(),
-        )
-        point_keys, point_pids = keys, walk.pids
+        pids = ([int(arg) if code == OP_INSERT else -1
+                 for code, arg in zip(codes, args)]
+                if OP_INSERT in codes else [-1] * n)
+        point_keys, point_pids = keys, pids
         if OP_SCAN in codes:
             normalize_scan_windows([(keys[i], args[i]) for i in range(n)
                                     if codes[i] == OP_SCAN])
             point = [i for i in range(n) if codes[i] != OP_SCAN]
             point_keys = [keys[i] for i in point]
-            point_pids = [walk.pids[i] for i in point]
+            point_pids = [pids[i] for i in point]
+        return _Walk(
+            tree=self, codes=codes, keys=keys, args=args, pids=pids,
+            point_keys=point_keys, point_pids=point_pids,
+            results=[None] * n, latencies=[0.0] * n, sink=latency_sink,
+            stack=self.stack if latency_sink is not None else None,
+            stats=self._stats(),
+        )
+
+    def _apply(self, codes: list[int], keys: list, args: list,
+               latency_sink: list[float] | None) -> list:
+        """:meth:`apply_many` over its ops split into parallel lists."""
+        walk = self._new_walk(codes, keys, args, latency_sink)
+        BFTree._apply_pass([walk])
+        return walk.results
+
+    @staticmethod
+    def _apply_pass(walks: list["_Walk"]) -> None:
+        """Walk every tree of one pass, then test and fetch every tree's
+        reads together (see :meth:`apply_across`)."""
+        tests: list[LeafMatches] = []
+        tested: list[int] = []
+        owner: list[int] = []
+        for slot, walk in enumerate(walks):
+            walk.slot = slot
+            walk.tests, walk.tested, walk.owner = tests, tested, owner
+        plans = BFTree._plan_ops(walks, [0] * len(walks),
+                                 [OP_INSERT in walk.codes for walk in walks])
+        walked = 0
+        try:
+            for walk, plan in zip(walks, plans):
+                marks = len(tests), len(tested)
+                try:
+                    walk.tree._walk(walk, plan)
+                except BaseException:
+                    # The failing tree's tests are dropped unfetched, as
+                    # its own apply_many drops them.
+                    del tests[marks[0]:], tested[marks[1]:], owner[marks[1]:]
+                    raise
+                walked += 1
+        finally:
+            if walked:
+                BFTree._finish(walks[:walked])
+
+    def _walk(self, walk: "_Walk", plan) -> None:
+        """Walk one tree's ops in order, round by round; a split re-plans
+        the ops left.  ``plan`` is the first round's, None on an empty
+        tree.  The last round's queued filter tests are left for the
+        pass's chunk-end flush."""
+        codes = walk.codes
+        n = len(codes)
         i = j = 0   # next op; next point op (index into ``point_keys``)
+        if plan is None and n:
+            if OP_INSERT in codes:
+                raise LookupError(
+                    "insert into an unbuilt tree; bulk_load first")
+            # Empty tree: reads find nothing; scans see no leaves.
+            for k in range(n):
+                if codes[k] == OP_READ:
+                    walk.results[k] = SearchResult(found=False)
+                else:
+                    walk.scans.append(k)
+            i = n
         while i < n:
-            inserting = OP_INSERT in codes[i:]
-            try:
-                plan = self._plan_ops(point_keys, point_pids, j, inserting)
-            except LookupError:
-                if inserting:
-                    raise LookupError(
-                        "insert into an unbuilt tree; bulk_load first"
-                    ) from None
-                # Empty tree: reads find nothing; scans see no leaves.
-                for k in range(i, n):
-                    if codes[k] == OP_READ:
-                        walk.results[k] = SearchResult(found=False)
-                    else:
-                        walk.scans.append(k)
-                break
             try:
                 i, j = self._apply_round(walk, i, j, plan)
             finally:
@@ -886,34 +1001,50 @@ class BFTree(IndexBackend):
                 # order: apply them even when an exception propagates.
                 for leaf_id in list(walk.pending):
                     self._flush_duplicates(walk, leaf_id)
+            if i < n:
                 # A split invalidates the plan: test every queued read
                 # before re-planning.
-                self._flush_probes(walk)
+                self._flush_probes([walk])
+                [plan] = self._plan_ops([walk], [j], [OP_INSERT in codes[i:]])
         self._run_scans(walk)
-        if walk.tests:
-            if self.ordered:
+
+    @staticmethod
+    def _finish(walks: list["_Walk"]) -> None:
+        """Test every walk's queued reads in one flush, fetch every
+        tested read's pages in one :meth:`_fetch_runs` call, and hand
+        each walk its latencies."""
+        BFTree._flush_probes(walks)
+        first = walks[0]
+        tree = first.tree
+        if first.tests:
+            if tree.ordered:
                 # Each read was tested on its one target leaf: its runs
                 # are one test's, already sorted, in test order.
-                ops = walk.tested
-                runs = build_page_runs(walk.tests)
+                ops, owner = first.tested, first.owner
+                runs = build_page_runs(first.tests)
             else:
                 # Neighbour leaves tested some reads too: regroup the
-                # runs per read, in op order.
-                ops = sorted(set(walk.tested))
-                read_of = {k: r for r, k in enumerate(ops)}
-                runs = build_page_runs(walk.tests,
-                                       [read_of[k] for k in walk.tested])
-            fetched, fetch_latencies = self._fetch_runs(
-                [walk.keys[k] for k in ops], *runs, ops)
-            results, latencies = walk.results, walk.latencies
-            for k, result, latency in zip(ops, fetched, fetch_latencies):
-                results[k] = result
-                latencies[k] += latency
-        if latency_sink is not None:
-            latency_sink.extend(walk.latencies)
-        if OP_INSERT in codes:
-            maybe_check(self)
-        return walk.results
+                # runs per read, in walk then op order.
+                reads = sorted(set(zip(first.owner, first.tested)))
+                read_of = {read: r for r, read in enumerate(reads)}
+                runs = build_page_runs(
+                    first.tests,
+                    [read_of[read] for read in zip(first.owner, first.tested)])
+                owner = [slot for slot, _ in reads]
+                ops = [k for _, k in reads]
+            fetched, fetch_latencies = tree._fetch_runs(
+                [walks[slot].keys[k] for slot, k in zip(owner, ops)],
+                *runs, ops, owner, [walk.tree for walk in walks])
+            for slot, k, result, latency in zip(owner, ops, fetched,
+                                                fetch_latencies):
+                walk = walks[slot]
+                walk.results[k] = result
+                walk.latencies[k] += latency
+        for walk in walks:
+            if walk.sink is not None:
+                walk.sink.extend(walk.latencies)
+            if OP_INSERT in walk.codes:
+                maybe_check(walk.tree)
 
     def _apply_round(self, walk: "_Walk", i: int, j: int,
                      plan) -> tuple[int, int]:
@@ -921,10 +1052,10 @@ class BFTree(IndexBackend):
         (point op ``j``).  Returns the next unapplied op and point op:
         the end when the chunk is done, earlier when a split demands a
         re-plan.  The caller flushes the round's queues on any exit."""
-        walk.pred, walk.paths, walk.rows, walk.dup0, walk.grp = plan
-        walk.base = base = j
+        base, pred, paths, rows, dup0, grp = plan
+        walk.base, walk.pred, walk.paths = base, pred, paths
+        walk.rows, walk.dup0, walk.grp = rows, dup0, grp
         walk.dirty = dirty = set()
-        pred, paths, rows, dup0, grp = plan
         pending = walk.pending
         n = len(walk.codes)
         stack = walk.stack
@@ -954,7 +1085,7 @@ class BFTree(IndexBackend):
             self._run_scans(walk)
             rel = j - base
             leaf_id = pred[rel]
-            self._flush_probes(walk)
+            self._flush_probes([walk])
             leaf = self.leaves[leaf_id]
             pid = walk.pids[i]
             positions = rows[rel].tolist()
@@ -1086,40 +1217,62 @@ class BFTree(IndexBackend):
         self._charge_descent(leaf, path)
         self._read_neighbours(neighbours)
 
-    def _flush_probes(self, walk: "_Walk") -> None:
-        """Run every queued filter test, on every leaf, in one gather
-        (:meth:`BFLeaf.match_many`), and queue the result for the
-        chunk's run build.
+    @staticmethod
+    def _flush_probes(walks: list["_Walk"]) -> None:
+        """Run every queued filter test of every walk, on every leaf, in
+        one gather (:meth:`BFLeaf.match_many`), and queue the result for
+        the pass's run build.
 
         A read's plan row is hashed under its target leaf; the rows of
         the neighbour leaves a partitioned tree also tests are hashed in
         one :meth:`BFLeaf.hash_rows` call.
         """
-        probes = walk.probes
-        if not probes:
-            return
-        leaves = [self.leaves[leaf_id] for leaf_id in probes]
+        leaves: list[BFLeaf] = []
+        keys: list = []
         ops: list[int] = []
         rels: list = []
         which: list[int] = []
-        for t, group in enumerate(probes.values()):
-            ops += [i for i, _ in group]
-            rels += [rel for _, rel in group]
-            which += [t] * len(group)
-        probes.clear()
-        keys = [walk.keys[i] for i in ops]
+        owner: list[int] = []
+        # (first pair, end pair, plan rows) of each walk's tests.
+        segments: list[tuple[int, int, np.ndarray]] = []
+        for walk in walks:
+            probes = walk.probes
+            if not probes:
+                continue
+            tree_leaves = walk.tree.leaves
+            before = len(ops)
+            for leaf_id, group in probes.items():
+                which += [len(leaves)] * len(group)
+                leaves.append(tree_leaves[leaf_id])
+                ops += [i for i, _ in group]
+                rels += [rel for _, rel in group]
+            probes.clear()
+            walk_keys = walk.keys
+            keys += [walk_keys[i] for i in ops[before:]]
+            owner += [walk.slot] * (len(ops) - before)
+            segments.append((before, len(ops), walk.rows))
+        if not leaves:
+            return
+        rows = segments[0][2]
         if None in rels:
-            own = [r for r, rel in enumerate(rels) if rel is not None]
+            positions = np.empty((len(rels), rows.shape[1]),
+                                 dtype=rows.dtype)
+            for a, b, seg_rows in segments:
+                own = [r for r in range(a, b) if rels[r] is not None]
+                positions[own] = seg_rows[[rels[r] for r in own]]
             hashed = [r for r, rel in enumerate(rels) if rel is None]
-            positions = np.empty((len(rels), walk.rows.shape[1]),
-                                 dtype=walk.rows.dtype)
-            positions[own] = walk.rows[[rels[r] for r in own]]
             positions[hashed] = BFLeaf.hash_rows(
                 [keys[r] for r in hashed], leaves, [which[r] for r in hashed])
+        elif all(seg[2] is rows for seg in segments):
+            # Every walk still plans from the pass's first round.
+            positions = rows[rels]
         else:
-            positions = walk.rows[rels]
-        walk.tests.append(BFLeaf.match_many(keys, leaves, which, positions))
-        walk.tested += ops
+            positions = np.concatenate([seg_rows[rels[a:b]]
+                                        for a, b, seg_rows in segments])
+        walks[0].tests.append(BFLeaf.match_many(keys, leaves, which,
+                                                positions))
+        walks[0].tested.extend(ops)
+        walks[0].owner.extend(owner)
 
     def _run_scans(self, walk: "_Walk") -> None:
         """Dispatch the queued run of scans through :meth:`range_scan_many`."""
@@ -1193,14 +1346,20 @@ class BFTree(IndexBackend):
         return leaf
 
     def _fetch_runs(self, keys, offsets: list[int], first: np.ndarray,
-                    npages: np.ndarray, ops: list[int]
+                    npages: np.ndarray, ops: list[int],
+                    owner: list[int] | None = None,
+                    trees: list["BFTree"] | None = None,
                     ) -> tuple[list[SearchResult], list[float]]:
         """Fetch each read's candidate page runs and scan them.
 
         The runs come CSR style from :func:`build_page_runs`: read ``r``
-        (key ``keys[r]``, op ``ops[r]`` of the caller's chunk, which
-        names the read and changes no charge) has the sorted runs
-        ``offsets[r]:offsets[r + 1]`` of ``first`` and ``npages``.  Their
+        (key ``keys[r]``, op ``ops[r]`` of its tree's chunk, which names
+        the read and changes no charge) has the sorted runs
+        ``offsets[r]:offsets[r + 1]`` of ``first`` and ``npages``.  Read
+        ``r`` belongs to tree ``trees[owner[r]]``, whose stack its
+        charges land on (by default every read is this tree's); the
+        trees share this tree's relation, key column and
+        ``unique``/``ordered`` flags (see :meth:`apply_across`).  Their
         page ids are expanded with ``repeat``/``arange``, and one
         :meth:`Relation.scan_keys` call scans every candidate page of
         every read.  The stop rules then run per read over prefix sums
@@ -1215,11 +1374,14 @@ class BFTree(IndexBackend):
         (every filter rejected its key) reads nothing and costs exactly
         0.0; it skips the stop-rule arithmetic.
 
-        The batch is charged in aggregate (one :meth:`Device.read_batch`,
-        one CPU charge for the tuples examined).  Returns one result and one simulated
-        latency per read: the sum of that read's own charges, its page
-        reads priced by :meth:`Device.read_cost`.
+        Each tree with a read here is charged in aggregate (one
+        :meth:`Device.read_batch`, one CPU charge for the tuples
+        examined).  Returns one result and one simulated latency per
+        read: the sum of that read's own charges, its page reads priced
+        by its tree's :meth:`Device.read_cost`.
         """
+        if trees is None:
+            trees, owner = [self], [0] * len(ops)
         ends = npages.cumsum()
         starts = ends - npages
         # Page offset of each run's first page, then of the end.
@@ -1250,13 +1412,14 @@ class BFTree(IndexBackend):
         if total:
             idle = np.add.reduceat(scan.matches, starts) == 0
             false_at = list(accumulate((npages * idle).tolist(), initial=0))
-        device = self._data_device
-        stats = self._stats()
-        cpu_s = CPU_TUPLE_SCAN if stats is not None else 0.0
+        devices = [tree._data_device for tree in trees]
+        cpu = [0.0 if tree.stack is None else CPU_TUPLE_SCAN
+               for tree in trees]
+        # Per tree: random pages, pages, tuples examined, false pages.
+        totals = [[0, 0, 0, 0] for _ in trees]
         results: list[SearchResult] = []
         latencies: list[float] = []
-        total_random = total_pages = total_examined = total_false = 0
-        for a, b in zip(offsets, offsets[1:]):
+        for t, a, b in zip(owner, offsets, offsets[1:]):
             if a == b:
                 # No candidate page: nothing is read or charged, and
                 # read_cost(0, 0) + 0 tuples' CPU is exactly 0.0.
@@ -1283,18 +1446,24 @@ class BFTree(IndexBackend):
                 found=bool(tids), matches=len(tids), pages_read=n_pages,
                 false_pages=false_pages, tids=tids,
             ))
+            device = devices[t]
             io_s = (device.read_cost(n_random, n_pages - n_random)
                     if device is not None else 0.0)
-            latencies.append(io_s + n_examined * cpu_s)
-            total_random += n_random
-            total_pages += n_pages
-            total_examined += n_examined
-            total_false += false_pages
-        if device is not None:
-            device.read_batch(total_random, total_pages - total_random)
-        if stats is not None:
-            stats.tuples_scanned += total_examined
-            stats.false_reads += total_false
+            latencies.append(io_s + n_examined * cpu[t])
+            tally = totals[t]
+            tally[0] += n_random
+            tally[1] += n_pages
+            tally[2] += n_examined
+            tally[3] += false_pages
+        for t in sorted(set(owner)):
+            n_random, n_pages, n_examined, false_pages = totals[t]
+            device = devices[t]
+            if device is not None:
+                device.read_batch(n_random, n_pages - n_random)
+            stats = trees[t]._stats()
+            if stats is not None:
+                stats.tuples_scanned += n_examined
+                stats.false_reads += false_pages
         return results, latencies
 
     # ==================================================================
@@ -1378,60 +1547,89 @@ class BFTree(IndexBackend):
             raise ValueError("keys and pids must have the same length")
         self._apply([OP_INSERT] * len(keys), keys, pids, latency_sink)
 
-    def _plan_ops(self, keys, pids, start: int, inserting: bool):
-        """Route point keys ``keys[start:]`` structurally and hash them
-        in one call.
+    @staticmethod
+    def _plan_ops(walks: list["_Walk"], starts: list[int],
+                  inserting: list[bool]) -> list:
+        """Route each walk's point keys ``point_keys[start:]``
+        structurally, then hash every walk's keys in one call.
 
-        ``pids`` are the inserts' data pages, -1 for reads (no group, no
-        duplicate flag).  ``inserting`` says whether an insert is left:
-        a pid's sign cannot tell, since an insert's pid may itself be
-        negative (the walk then raises as the scalar insert does).
-        Returns ``(pred, paths, rows, dup0, grp)`` —
-        per-key predicted leaf id, per-leaf descent paths, a matrix of
-        filter positions with one row per key (None when no key is
-        left), per-key pre-batch duplicate flags (membership *and* the
+        A walk's ``point_pids`` are the inserts' data pages, -1 for reads
+        (no group, no duplicate flag).  ``inserting`` says per walk
+        whether an insert is left: a pid's sign cannot tell, since an
+        insert's pid may itself be negative (the walk then raises as the
+        scalar insert does).  Returns one plan per walk, None for a walk
+        whose tree is empty, else ``(base, pred, paths, rows, dup0,
+        grp)``: point op ``j`` of the walk is row ``j - base`` of the
+        per-key columns, which every walk of the call shares — predicted
+        leaf id, a matrix of filter positions (None when no key is
+        left), pre-batch duplicate flags (membership *and* the
         filter-trust gate, both monotone under adds; one
-        :meth:`BFLeaf.duplicate_flags` gather for every insert), and
-        per-key filter group (-1 when the pid precedes the leaf range);
-        the last two are None when no insert is left.  No I/O is charged
-        here: the walk replays each key's descent charges itself.  Valid
-        until the next split; a flag for a group later written by a
-        non-duplicate add is invalidated by the walk's dirty-set.
+        :meth:`BFLeaf.duplicate_flags` gather for every insert of every
+        walk) and filter group (-1 when the pid precedes the leaf
+        range); the last two are None when no walk has an insert left.
+        ``paths`` are the walk's tree's descent paths per leaf id.  No
+        I/O is charged here: the walk replays each key's descent charges
+        itself.  Valid until the walk's next split; a flag for a group
+        later written by a non-duplicate add is invalidated by the
+        walk's dirty-set.
         """
-        paths = self.inner.routing_table().paths
-        sub = keys[start:]
-        if not sub:
-            return [], paths, None, None, None
-        m = len(sub)
-        arr = np.asarray(sub)
-        pred = self.inner.route_batch(arr)
-        # One hash call for the whole sub-batch: each key under its
-        # target leaf's seed.
-        slot_of = {leaf: t for t, leaf in enumerate(dict.fromkeys(pred))}
-        which = np.asarray([slot_of[leaf] for leaf in pred])
-        touched = [self.leaves[leaf] for leaf in slot_of]
-        rows = BFLeaf.hash_rows(arr, touched, which)
-        if not inserting:
-            return pred, paths, rows, None, None
-        # Only inserts get groups and flags: a read's pid is -1, and an
-        # insert's negative pid precedes every leaf's range.  All leaves
-        # of a tree share pages_per_bf.
-        pids_sub = np.asarray(pids[start:], dtype=np.int64)
-        min_pid = np.fromiter((leaf.min_pid for leaf in touched),
-                              dtype=np.int64, count=len(touched))[which]
-        nfilters = np.fromiter((leaf.nfilters for leaf in touched),
-                               dtype=np.int64, count=len(touched))[which]
-        in_range = pids_sub >= min_pid
-        grp = np.where(
-            in_range,
-            (pids_sub - min_pid) // touched[0].geometry.pages_per_bf, -1,
-        )
-        dup0 = np.zeros(m, dtype=bool)
-        valid = (in_range & (grp < nfilters)).nonzero()[0]
-        if len(valid):
-            dup0[valid] = BFLeaf.duplicate_flags(
-                touched, which[valid], grp[valid], rows[valid])
-        return pred, paths, rows, dup0.tolist(), grp.tolist()
+        plans: list = []
+        keys: list = []
+        pids: list[int] = []
+        pred: list[int] = []
+        which: list[int] = []
+        touched: list[BFLeaf] = []
+        for walk, start in zip(walks, starts):
+            tree = walk.tree
+            try:
+                paths = tree.inner.routing_table().paths
+            except LookupError:
+                plans.append(None)
+                continue
+            sub = walk.point_keys[start:]
+            plans.append([start - len(keys), paths])
+            if not sub:
+                continue
+            leaf_ids = tree.inner.route_batch(sub)
+            # Each key is hashed under its target leaf's seed.
+            slot_of = {}
+            for leaf_id in dict.fromkeys(leaf_ids):
+                slot_of[leaf_id] = len(touched)
+                touched.append(tree.leaves[leaf_id])
+            which += [slot_of[leaf_id] for leaf_id in leaf_ids]
+            pred += leaf_ids
+            keys += sub
+            pids += walk.point_pids[start:]
+        rows = dup0 = grp = None
+        if keys:
+            slots = np.asarray(which)
+            rows = BFLeaf.hash_rows(np.asarray(keys), touched, slots)
+            if any(inserting):
+                # Only inserts get groups and flags: a read's pid is -1,
+                # and an insert's negative pid precedes every leaf's
+                # range.  All leaves of a pass share pages_per_bf.
+                pids_arr = np.asarray(pids, dtype=np.int64)
+                min_pid = np.fromiter((leaf.min_pid for leaf in touched),
+                                      dtype=np.int64,
+                                      count=len(touched))[slots]
+                nfilters = np.fromiter((leaf.nfilters for leaf in touched),
+                                       dtype=np.int64,
+                                       count=len(touched))[slots]
+                in_range = pids_arr >= min_pid
+                groups = np.where(
+                    in_range,
+                    (pids_arr - min_pid) // touched[0].geometry.pages_per_bf,
+                    -1,
+                )
+                flags = np.zeros(len(keys), dtype=bool)
+                valid = (in_range & (groups < nfilters)).nonzero()[0]
+                if len(valid):
+                    flags[valid] = BFLeaf.duplicate_flags(
+                        touched, slots[valid], groups[valid], rows[valid])
+                dup0, grp = flags.tolist(), groups.tolist()
+        return [None if plan is None
+                else (plan[0], pred, plan[1], rows, dup0, grp)
+                for plan in plans]
 
     def _charge_descent(self, leaf: BFLeaf, path: list[int]) -> None:
         """Charge one key's descent to ``leaf`` through internal path

@@ -1,15 +1,19 @@
-"""Shard execution: replay each planned shard batch on the calling thread.
+"""Shard execution: replay the planned shard batches on the calling thread.
 
 The Router plans a trace into one :class:`ShardBatch` per shard: parallel
 columns of trace op indices, op codes, keys and third fields, in trace
 order.  :class:`SerialExecutor` receives ``(stable shard id, batch)``
-plans and replays the shards one after another, each as one ordered
-``apply_many`` call per :data:`REPLAY_CHUNK` slice of its columns on
-that shard's own index.  It returns one ``(results, latencies)`` pair
-of lists per shard, aligned with the batch's columns; no per-op record
-is built on either side.  Topology changes are made between replays,
-so every planned shard id is still in the routing table at dispatch;
-one that is not raises ``RuntimeError``.
+plans and replays them in rounds of :data:`REPLAY_CHUNK` ops per shard:
+each round is one :meth:`~repro.api.protocol.IndexBackend.apply_across`
+call per run of shards whose indexes share a class, which the BF-Tree
+answers with one engine pass over every shard's slice (one hash call,
+one filter gather, one page scan) and every other backend with one
+ordered ``apply_many`` call per shard.  It returns one ``(results,
+latencies)`` pair of lists per shard, aligned with the batch's columns;
+no per-op record is built on either side.  Topology changes are made
+between replays, so every planned shard id is still in the routing
+table at dispatch; one that is not raises ``RuntimeError`` before any
+shard is replayed.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from __future__ import annotations
 from typing import Any, NamedTuple
 
 from repro.analysis import sanitize
-from repro.api.protocol import OP_INSERT
+from repro.api.protocol import OP_INSERT, Index, Op
 from repro.service.sharded import ShardedIndex
 
 
@@ -38,18 +42,19 @@ class ShardBatch(NamedTuple):
     args: list[Any]
 
 
-#: Ops per ``apply_many`` call.
+#: Ops per shard per replay round.
 REPLAY_CHUNK = 512
 
 
 class SerialExecutor:
-    """Replay shards one after another on the calling thread.
+    """Replay every shard's batch on the calling thread, a round of
+    :data:`REPLAY_CHUNK` ops per shard at a time.
 
-    Each shard's batch becomes one ordered ``apply_many`` call per
-    :data:`REPLAY_CHUNK` slice: reads, scans and inserts keep their
-    per-shard trace order inside the engine (an op issued after an
-    insert observes it, and vice versa), so nothing is buffered between
-    calls.
+    Inside a round each shard's slice is one ordered request: reads,
+    scans and inserts keep their per-shard trace order inside the engine
+    (an op issued after an insert observes it, and vice versa), so
+    nothing is buffered between rounds.  Shards share no state, so a
+    round answers as if each shard's slice ran alone.
     """
 
     def __init__(self, service: ShardedIndex) -> None:
@@ -58,42 +63,59 @@ class SerialExecutor:
     def run(self, plans: list[tuple[int, ShardBatch]]
             ) -> list[tuple[list[Any], list[float]]]:
         """Execute every plan; return ``(results, latencies)`` per plan,
-        aligned with ``plans``."""
-        return [self.replay_shard(sid, batch) for sid, batch in plans]
+        aligned with ``plans``.
 
-    def replay_shard(self, sid: int, batch: ShardBatch
-                     ) -> tuple[list[Any], list[float]]:
-        """Run one shard's batch in order; return its per-op results and
-        simulated latencies.  An unknown op code raises ``ValueError``;
-        a shard id missing from the routing table raises
-        ``RuntimeError`` (topology changes belong between replays)."""
+        A shard id missing from the routing table raises
+        ``RuntimeError`` before any shard is replayed (topology changes
+        belong between replays); an unknown op code raises
+        ``ValueError``.  An insert's tuple id becomes its shard index's
+        write target.
+        """
         service = self.service
-        shard = service.shard_by_id(sid)
-        if shard is None:
-            raise RuntimeError(
-                f"shard id {sid} left the routing table between plan and "
-                f"replay; change the topology between replays"
-            )
-        index = shard.index
-        codes, keys, args = batch.codes, batch.keys, batch.args
-        results: list[Any] = []
-        latencies: list[float] = []
-        for start in range(0, len(codes), REPLAY_CHUNK):
+        indexes: list[Index] = []
+        for sid, _ in plans:
+            shard = service.shard_by_id(sid)
+            if shard is None:
+                raise RuntimeError(
+                    f"shard id {sid} left the routing table between plan "
+                    f"and replay; change the topology between replays"
+                )
+            indexes.append(shard.index)
+        outcomes: list[tuple[list[Any], list[float]]] = [
+            ([], []) for _ in plans]
+        longest = max((len(batch.codes) for _, batch in plans), default=0)
+        for start in range(0, longest, REPLAY_CHUNK):
             stop = start + REPLAY_CHUNK
-            chunk_codes = codes[start:stop]
-            chunk_args = args[start:stop]
-            inserts = OP_INSERT in chunk_codes
-            if inserts:
-                write_target = index.write_target
-                chunk_args = [write_target(arg) if code == OP_INSERT
-                              else arg
-                              for code, arg in zip(chunk_codes, chunk_args)]
-            sink: list[float] = []
-            results += index.apply_many(
-                list(zip(chunk_codes, keys[start:stop], chunk_args)),
-                latency_sink=sink,
-            )
-            latencies += sink
+            requests: list[tuple[Index, list[Op], list[float]]] = []
+            owners: list[int] = []
+            inserts = False
+            for p, (index, (_, batch)) in enumerate(zip(indexes, plans)):
+                codes = batch.codes[start:stop]
+                if not codes:
+                    continue
+                args = batch.args[start:stop]
+                if OP_INSERT in codes:
+                    inserts = True
+                    write_target = index.write_target
+                    args = [write_target(arg) if code == OP_INSERT else arg
+                            for code, arg in zip(codes, args)]
+                requests.append(
+                    (index, list(zip(codes, batch.keys[start:stop], args)),
+                     []))
+                owners.append(p)
+            # One hook call per run of shards whose indexes share a class.
+            a = 0
+            while a < len(requests):
+                kind = type(requests[a][0])
+                b = a + 1
+                while b < len(requests) and type(requests[b][0]) is kind:
+                    b += 1
+                got = kind.apply_across(requests[a:b])
+                for p, results, (_, _, sink) in zip(owners[a:b], got,
+                                                    requests[a:b]):
+                    outcomes[p][0].extend(results)
+                    outcomes[p][1].extend(sink)
+                a = b
             if inserts:
                 sanitize.maybe_check(service)
-        return results, latencies
+        return outcomes

@@ -1,0 +1,263 @@
+"""``BFTree.apply_across``: one engine pass over many trees' chunks.
+
+A pass hashes every tree's first plan round in one call, walks each
+tree's ops in order, then tests every tree's queued reads in one filter
+gather and scans every read's pages in one kernel call.  Its contract is
+the per-tree loop: one ``apply_many`` call per request, in order, on a
+twin set of trees must give the same results, tree state, every IOStats
+field and every per-op latency, exactly.  The property test drives that
+over the shards of a sharded service (plain and counting filters, cold
+and warm bindings) with reads, scans, duplicate re-inserts and inserts
+of new keys that split leaves; the other tests pin how requests are
+grouped into passes and what a raising request leaves.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from repro.api import OP_INSERT, OP_READ, OP_SCAN
+from repro.core import BFTree, BFTreeConfig
+from repro.core.bloom import page_to_rows
+from repro.service import ShardedIndex
+from repro.storage import Relation
+
+N_KEYS = 4096
+
+#: Filter configurations of the property test's services.
+CONFIGS = {
+    "plain": BFTreeConfig(fpp=1e-3, page_size=512),
+    "counting": BFTreeConfig(fpp=1e-3, page_size=1024,
+                             filter_kind="counting"),
+}
+
+#: (storage config, warm) bindings.
+BINDINGS = {"cold": ("MEM/SSD", False), "warm": ("SSD/SSD", True)}
+
+
+def _relation(n=N_KEYS, step=2):
+    """Keys ``0, step, 2 * step, ...``: the odd keys between them are
+    absent, and inserting one adds a new key to its leaf."""
+    return Relation({"k": np.arange(0, step * n, step, dtype=np.int64)},
+                    tuple_size=256)
+
+
+RELATION = _relation()
+
+
+def _service(config, n_shards, relation=RELATION, binding="cold"):
+    service = ShardedIndex.build(relation, "k", n_shards=n_shards,
+                                 kind="bf", config=config, unique=True)
+    storage, warm = BINDINGS[binding]
+    service.bind(storage, warm=warm)
+    return service
+
+
+def _fingerprint(tree):
+    out = []
+    for leaf in tree.leaves_in_order():
+        n = leaf.nfilters
+        out.append((
+            leaf.min_pid, leaf.min_key, leaf.max_key, leaf.nkeys,
+            leaf.pages_covered, sorted(leaf.deleted_keys), list(leaf.counts),
+            page_to_rows(leaf.page, n).tobytes(),
+            None if leaf.counters is None else leaf.counters[:n].tobytes(),
+        ))
+    return out
+
+
+def _state(service):
+    """Per shard: tree fingerprint and IOStats."""
+    return [(_fingerprint(shard.index), shard.stack.stats.snapshot())
+            for shard in service.shards]
+
+
+def _op(tree, relation, kind, x):
+    """An op over ``tree``'s key span, from drawn integer ``x``."""
+    values = relation.columns["k"]
+    leaves = tree.leaves_in_order()
+    lo = int(np.searchsorted(values, leaves[0].min_key))
+    hi = int(np.searchsorted(values, leaves[-1].max_key))
+    tid = lo + x % (hi - lo + 1)
+    key = int(values[tid])
+    if kind == "read":
+        return (OP_READ, key + x % 2, None)
+    if kind == "dup":
+        return (OP_INSERT, key, relation.page_of(tid))
+    if kind == "new":
+        # An absent odd key, indexed on its neighbour's page: a new key
+        # for its leaf, so enough of them split it.
+        return (OP_INSERT, key + 1, relation.page_of(tid))
+    last = int(values[min(hi, tid + 1 + x % 40)])
+    return (OP_SCAN, key, last)
+
+
+def _loop(requests):
+    """The reference: one ``apply_many`` per request, in order."""
+    return [tree.apply_many(ops, latency_sink=sink)
+            for tree, ops, sink in requests]
+
+
+def _check_pass_equals_loop(make, ops_of):
+    """Build twin services with ``make()``, apply ``ops_of(trees)`` to
+    one through ``apply_across`` and to the other through the per-tree
+    loop, and compare results, latencies, tree state and IOStats."""
+    one, twin = make(), make()
+    requests = [(tree, ops, []) for tree, ops in ops_of(
+        [shard.index for shard in one.shards])]
+    reference = [(tree, ops, []) for tree, ops in ops_of(
+        [shard.index for shard in twin.shards])]
+    got = BFTree.apply_across(requests)
+    want = _loop(reference)
+    assert got == want
+    assert [sink for _, _, sink in requests] == \
+        [sink for _, _, sink in reference]
+    assert _state(one) == _state(twin)
+    return one
+
+
+kinds = st.sampled_from(["read", "read", "read", "dup", "new", "scan"])
+chunks = st.lists(st.lists(st.tuples(kinds, st.integers(0, 10**6)),
+                           max_size=60),
+                  min_size=4, max_size=4)
+
+
+@given(n_shards=st.integers(1, 4), config=st.sampled_from(sorted(CONFIGS)),
+       binding=st.sampled_from(sorted(BINDINGS)), drawn=chunks)
+@settings(max_examples=30, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+def test_pass_equals_per_tree_loop(n_shards, config, binding, drawn):
+    def make():
+        return _service(CONFIGS[config], n_shards, binding=binding)
+
+    def ops_of(trees):
+        return [(tree, [_op(tree, RELATION, kind, x) for kind, x in ops])
+                for tree, ops in zip(trees, drawn)]
+
+    _check_pass_equals_loop(make, ops_of)
+
+
+def test_splits_in_every_tree():
+    """New keys split leaves in every tree mid-chunk, so each tree
+    re-plans alone after its first round, while reads queued before and
+    after the splits still share the chunk-end filter gather."""
+    rng = np.random.default_rng(3)
+    draws = [[(("new", "read", "read", "scan", "dup")[j % 5],
+               int(rng.integers(0, 10**6))) for j in range(300)]
+             for _ in range(4)]
+
+    def ops_of(trees):
+        return [(tree, [_op(tree, RELATION, kind, x) for kind, x in ops])
+                for tree, ops in zip(trees, draws)]
+
+    before = _service(CONFIGS["plain"], 4)
+    one = _check_pass_equals_loop(
+        lambda: _service(CONFIGS["plain"], 4), ops_of)
+    assert all(a.index.n_leaves > b.index.n_leaves
+               for a, b in zip(one.shards, before.shards))
+
+
+def _record_passes(monkeypatch):
+    passes = []
+    real = BFTree._apply_pass
+
+    def recorded(walks):
+        passes.append([walk.tree for walk in walks])
+        return real(walks)
+
+    monkeypatch.setattr(BFTree, "_apply_pass", staticmethod(recorded))
+    return passes
+
+
+@pytest.mark.parametrize("other", ["fpp", "relation"])
+def test_unlike_trees_are_grouped_apart(monkeypatch, other):
+    """Shards of two services, of two filter geometries or over two
+    relations, interleaved: each run of like trees shares a pass, a
+    tree of the other service starts a new one, and the answers are the
+    per-tree loop's."""
+    second = (BFTreeConfig(fpp=0.05, page_size=512) if other == "fpp"
+              else CONFIGS["plain"])
+    rel_b = RELATION if other == "fpp" else _relation(N_KEYS, 3)
+
+    def make():
+        a = _service(CONFIGS["plain"], 2)
+        b = _service(second, 2, relation=rel_b)
+        return a, b
+
+    def requests_of(a, b):
+        out = []
+        for service, relation in ((a, RELATION), (a, RELATION),
+                                  (b, rel_b)):
+            for shard in service.shards:
+                tree = shard.index
+                ops = [_op(tree, relation, kind, x)
+                       for x, kind in enumerate(["read", "scan", "dup",
+                                                 "read", "new"] * 8)]
+                out.append((tree, ops, []))
+        return out
+
+    (a, b), (a2, b2) = make(), make()
+    assert a.shards[0].index.geometry.bits_per_bf != \
+        b.shards[0].index.geometry.bits_per_bf or other == "relation"
+    passes = _record_passes(monkeypatch)
+    requests = requests_of(a, b)
+    got = BFTree.apply_across(requests)
+    monkeypatch.undo()
+    reference = requests_of(a2, b2)
+    assert got == _loop(reference)
+    assert [s for _, _, s in requests] == [s for _, _, s in reference]
+    assert _state(a) == _state(a2) and _state(b) == _state(b2)
+    trees_a = [shard.index for shard in a.shards]
+    trees_b = [shard.index for shard in b.shards]
+    # A tree already in a pass starts the next one.
+    assert passes == [trees_a, trees_a, trees_b]
+
+
+def test_raising_request_leaves_the_loop_state():
+    """Tree 2's chunk holds an insert whose page precedes its leaf's
+    range.  Trees 0 and 1 are answered, tested and fetched; tree 2 is
+    left as its own ``apply_many`` leaves it (the ops before the insert
+    charged, its duplicates flushed, no fetch); tree 3 is untouched."""
+
+    def requests_of(service):
+        out = []
+        for t, shard in enumerate(service.shards):
+            tree = shard.index
+            ops = [_op(tree, RELATION, kind, 7 * x) for x, kind in
+                   enumerate(["read", "dup", "read", "scan", "new"] * 6)]
+            if t == 2:
+                leaf = tree.leaves_in_order()[1]
+                ops.insert(12, (OP_INSERT, leaf.min_key, leaf.min_pid - 1))
+            out.append((tree, ops, []))
+        return out
+
+    one, twin = _service(CONFIGS["plain"], 4), _service(CONFIGS["plain"], 4)
+    untouched = _state(one)[3]
+    requests = requests_of(one)
+    with pytest.raises(ValueError):
+        BFTree.apply_across(requests)
+    reference = requests_of(twin)
+    for tree, ops, sink in reference[:2]:
+        tree.apply_many(ops, latency_sink=sink)
+    tree, ops, sink = reference[2]
+    with pytest.raises(ValueError):
+        tree.apply_many(ops, latency_sink=sink)
+    assert [s for _, _, s in requests] == [s for _, _, s in reference]
+    assert not requests[2][2] and not requests[3][2]
+    assert _state(one) == _state(twin)
+    assert _state(one)[3] == untouched
+
+
+def test_invalid_request_applies_nothing():
+    """A bad op code or an inverted scan window in any request raises
+    before any tree is walked."""
+    service = _service(CONFIGS["plain"], 4)
+    before = _state(service)
+    trees = [shard.index for shard in service.shards]
+    reads = [(OP_READ, 10, None), (OP_INSERT, 12, 0)]
+    for bad in [(7, 10, None), (OP_SCAN, 20, 10)]:
+        with pytest.raises(ValueError):
+            BFTree.apply_across([(tree, reads if t < 3 else [bad], [])
+                                 for t, tree in enumerate(trees)])
+    assert _state(service) == before

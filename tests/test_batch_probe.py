@@ -398,13 +398,14 @@ def _reference_fetch(tree, key, runs):
 def _capture_fetch(tree, calls):
     """Record each ``_fetch_runs`` call's runs, results, latencies and
     IOStats and simulated-time delta on ``tree`` (an instance attribute
-    shadows the method)."""
+    shadows the method; the pass's read owners pass through)."""
     method = tree._fetch_runs
 
-    def fetch(keys, offsets, first, npages, ops):
+    def fetch(keys, offsets, first, npages, ops, *owners):
         stack = tree.stack
         before, t0 = stack.stats.snapshot(), stack.elapsed()
-        results, latencies = method(keys, offsets, first, npages, ops)
+        results, latencies = method(keys, offsets, first, npages, ops,
+                                    *owners)
         first, npages = first.tolist(), npages.tolist()
         runs = {op: list(zip(first[a:b], npages[a:b]))
                 for op, a, b in zip(ops, offsets, offsets[1:])}

@@ -142,3 +142,76 @@ def test_tracer_boundaries_resolve():
     assert tracing.BOUNDARIES
     for owner, attr, _ in tracing.BOUNDARIES:
         assert callable(vars(owner).get(attr)), (owner, attr)
+
+
+def _count_engine_calls(monkeypatch, service, trace):
+    """Replay ``trace`` through a Router and count the calls of the
+    hash kernel, the filter gather and the data fetch."""
+    from repro.core import bf_leaf
+    from repro.core.bf_leaf import BFLeaf
+    from repro.service import Router
+
+    calls = dict.fromkeys(("hash", "filter_test", "data_fetch"), 0)
+    real_hash = bf_leaf.bloom_positions_batch
+    real_match = BFLeaf._match_matrix
+    real_fetch = BFTree._fetch_runs
+
+    def counted_hash(*args, **kwargs):
+        calls["hash"] += 1
+        return real_hash(*args, **kwargs)
+
+    def counted_match(*args):
+        calls["filter_test"] += 1
+        return real_match(*args)
+
+    def counted_fetch(self, *args):
+        calls["data_fetch"] += 1
+        return real_fetch(self, *args)
+
+    monkeypatch.setattr(bf_leaf, "bloom_positions_batch", counted_hash)
+    monkeypatch.setattr(BFLeaf, "_match_matrix", counted_match)
+    monkeypatch.setattr(BFTree, "_fetch_runs", counted_fetch)
+    results, _ = Router(service).replay(trace)
+    monkeypatch.undo()
+    return calls, results
+
+
+@pytest.mark.parametrize("durable", [False, True])
+def test_one_engine_pass_per_request(monkeypatch, tmp_path, durable):
+    """A read-only 128-op request on a 4-shard BF service is one engine
+    pass: one hash call, one filter gather and one data fetch for every
+    shard's slice together.  Durable shards keep one ``apply_many`` per
+    shard (their WAL rollback scope is one shard), so the same request
+    makes each call once per shard."""
+    import numpy as np
+
+    from repro.persist import make_durable_service
+    from repro.service import ShardedIndex
+    from repro.storage import Relation
+    from repro.workloads import generate_trace
+
+    relation = Relation({"pk": np.arange(32768, dtype=np.int64)},
+                        tuple_size=256)
+    if durable:
+        service = make_durable_service(relation, "pk", tmp_path,
+                                       n_shards=4, kind="bf", unique=True,
+                                       fpp=0.02)
+    else:
+        service = ShardedIndex.build(relation, "pk", n_shards=4,
+                                     kind="bf", unique=True, fpp=0.02)
+    service.bind("MEM/SSD")
+    trace = generate_trace(relation, "pk", mix="read_only", n_ops=128,
+                           skew="uniform", seed=5)
+    try:
+        assert len(service.shards) == 4
+        assert len(set(service.route(trace.keys).tolist())) == 4
+        calls, results = _count_engine_calls(monkeypatch, service, trace)
+    finally:
+        for shard in service.shards:
+            if durable:
+                shard.index.close()
+        service.unbind()
+    assert all(r.found for r in results)
+    per_shard = 4 if durable else 1
+    assert calls == dict.fromkeys(("hash", "filter_test", "data_fetch"),
+                                  per_shard)

@@ -28,7 +28,7 @@ Enablement: set ``REPRO_SANITIZE=1`` (any value other than ``0``/
 code.  When enabled, :func:`maybe_check` — wired into every batch
 mutation path (``insert_many``/``delete_many``/``apply_many`` on the
 ``IndexBackend`` fallbacks, the BF-Tree overrides, the sharded service's
-``delete_many`` and each inserting shard chunk of a Router replay) —
+``delete_many`` and each inserting chunk of a Router replay) —
 validates the mutated structure after each batch.  When disabled it is a single
 ``if`` per batch.
 """

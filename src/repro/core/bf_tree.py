@@ -15,12 +15,16 @@ Algorithms implemented, with their paper counterparts:
   answered as if applied one by one: the chunk is routed and hashed in
   one pass per plan round (a split re-plans the rest), each touched
   leaf's Bloom-filter tests collapse into one page gather, and every
-  read's data pages are scanned in one kernel pass.  The Router replays
-  each shard's ops through it.  :meth:`BFTree.search_many` and
-  :meth:`BFTree.insert_many` are its read-only and insert-only cases,
-  and :meth:`BFTree.search` a batch of one; the harness's
-  ``run_probes`` and the CLI's ``probe`` replay whole probe sets
-  through it.
+  read's data pages are scanned in one kernel pass.  It is the
+  one-tree case of :meth:`BFTree.apply_across`, which walks the chunks
+  of several trees over one relation (the shards of a service) in one
+  pass: one hash call for every tree's keys, one filter gather for
+  every tree's chunk-end tests and one page scan for every tree's
+  reads.  The Router replays every shard's chunk of a round through
+  it.  :meth:`BFTree.search_many` and :meth:`BFTree.insert_many` are
+  its read-only and insert-only cases, and :meth:`BFTree.search` a
+  batch of one; the harness's ``run_probes`` and the CLI's ``probe``
+  replay whole probe sets through it.
 * :meth:`BFTree.insert`      — Algorithm 3 (extend key range, bump #keys,
   add to the per-page BF; split when over capacity).
 * :meth:`BFTree.delete_many` — vectorized deletes over a batch routed in
@@ -1574,7 +1578,7 @@ class BFTree(IndexBackend):
         walk's dirty-set.
         """
         plans: list = []
-        keys: list = []
+        arrays: list[np.ndarray] = []
         pids: list[int] = []
         pred: list[int] = []
         which: list[int] = []
@@ -1587,10 +1591,11 @@ class BFTree(IndexBackend):
                 plans.append(None)
                 continue
             sub = walk.point_keys[start:]
-            plans.append([start - len(keys), paths])
+            plans.append([start - len(pred), paths])
             if not sub:
                 continue
-            leaf_ids = tree.inner.route_batch(sub)
+            arr = np.asarray(sub)
+            leaf_ids = tree.inner.route_batch(arr)
             # Each key is hashed under its target leaf's seed.
             slot_of = {}
             for leaf_id in dict.fromkeys(leaf_ids):
@@ -1598,12 +1603,13 @@ class BFTree(IndexBackend):
                 touched.append(tree.leaves[leaf_id])
             which += [slot_of[leaf_id] for leaf_id in leaf_ids]
             pred += leaf_ids
-            keys += sub
+            arrays.append(arr)
             pids += walk.point_pids[start:]
         rows = dup0 = grp = None
-        if keys:
+        if arrays:
             slots = np.asarray(which)
-            rows = BFLeaf.hash_rows(np.asarray(keys), touched, slots)
+            keys = arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
+            rows = BFLeaf.hash_rows(keys, touched, slots)
             if any(inserting):
                 # Only inserts get groups and flags: a read's pid is -1,
                 # and an insert's negative pid precedes every leaf's
@@ -1621,7 +1627,7 @@ class BFTree(IndexBackend):
                     (pids_arr - min_pid) // touched[0].geometry.pages_per_bf,
                     -1,
                 )
-                flags = np.zeros(len(keys), dtype=bool)
+                flags = np.zeros(len(pred), dtype=bool)
                 valid = (in_range & (groups < nfilters)).nonzero()[0]
                 if len(valid):
                     flags[valid] = BFLeaf.duplicate_flags(

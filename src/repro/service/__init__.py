@@ -5,8 +5,9 @@ one indexed column across N independent shards (each with its own
 device/IOStats/buffer-pool stack) under an epoch-versioned
 :class:`RoutingTable`, a :class:`Router` splits mixed read/insert/scan
 batches into per-shard column batches (:class:`ShardBatch`) and replays
-them through the :class:`SerialExecutor` (one ordered ``apply_many``
-call per shard chunk) — the service's only batch path — and
+them through the :class:`SerialExecutor` (one ``apply_across`` call per
+chunk for every shard's slice, one engine pass over all BF-Tree
+shards) — the service's only batch path — and
 :class:`ServiceStats` merges per-shard IOStats and folds per-op
 simulated latencies into p50/p95/p99 summaries.
 

@@ -2,10 +2,10 @@
 
 The router turns a :class:`~repro.workloads.mixed.MixedTrace` into one
 :class:`~repro.service.executor.ShardBatch` per shard and hands them to
-:class:`~repro.service.executor.SerialExecutor`, which replays each batch
-on the calling thread.  The trace stays columnar from end to end: no
-per-op object is built between the trace's arrays and the engine's
-``apply_many`` triples, or between the engine's result lists and the
+:class:`~repro.service.executor.SerialExecutor`, which replays the
+batches on the calling thread.  The trace stays columnar from end to
+end: no per-op object is built between the trace's arrays and the
+engine's op triples, or between the engine's result lists and the
 merged replay.
 
 * point reads and inserts are routed by key and grouped per shard by
@@ -17,13 +17,14 @@ merged replay.
   one ``(shard, op index)`` ``lexsort`` splices in among the point ops;
   its latency is the *sum* of its legs' simulated time, and its result
   merges the legs' counts;
-* each shard's batch goes to its index as one ordered ``apply_many``
-  call per chunk — reads, scans and inserts together, in trace order.
-  The engine answers them as if applied one by one, so an operation
-  issued after an insert observes it (read-your-writes), and the
-  per-op latency sink recovers each op's simulated latency for the
-  percentile report.  The merge scatters each shard's results and
-  latencies back by op index.
+* each shard's batch is one ordered request per replay chunk — reads,
+  scans and inserts together, in trace order — and every shard's
+  request of a chunk goes to one ``apply_across`` call, which BF-Tree
+  shards answer in one engine pass.  The engine answers each shard's
+  ops as if applied one by one, so an operation issued after an insert
+  observes it (read-your-writes), and the per-op latency sink recovers
+  each op's simulated latency for the percentile report.  The merge
+  scatters each shard's results and latencies back by op index.
 
 Every replay is bit-identical to the same ops issued one by one
 through :class:`~repro.service.sharded.ShardedIndex` in trace order

@@ -1,7 +1,7 @@
 """Per-op reference replay for the sharded service.
 
 The Router has a single replay path: ``SerialExecutor``'s batched
-``apply_many`` calls.  Tests (and ``benchmarks/bench_scan_batch.py``)
+``apply_across`` calls.  Tests (and ``benchmarks/bench_scan_batch.py``)
 hold it to this loop — the same
 trace issued op by op through :class:`ShardedIndex`'s scalar
 ``search``/``insert``/``range_scan`` in trace order.  Each op's

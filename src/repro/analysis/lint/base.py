@@ -60,6 +60,9 @@ RULES: dict[str, tuple[str, str]] = {
     "L1": ("scalar-leak",
            "use repro.api.results.as_scalar, not ad-hoc .item unwrapping "
            "(hasattr/getattr probes anywhere, bare .item() under src/)"),
+    "L2": ("scalar-leak",
+           "no is/is not test against a True/False literal under src/: a "
+           "NumPy predicate returns np.bool_, which is neither"),
     "F1": ("format-discipline",
            "no pickle.load(s) under src/: unchecksummed, code-executing"),
     "F2": ("format-discipline",

@@ -3,8 +3,8 @@
 These are the pattern-level rule classes (C, P, S, L, F) that needed
 no control-flow reasoning; their semantics are unchanged, each finding
 now carries its stable short id (C1, C2, P1–P4, S1–S3, L1, F1, F2) so
-suppressions and the baseline can target it precisely.  C3
-is a later pattern rule of the same kind.
+suppressions and the baseline can target it precisely.  C3 and L2
+are later pattern rules of the same kind.
 """
 
 from __future__ import annotations
@@ -94,6 +94,7 @@ def check_file(unit: FileUnit) -> Iterator[Violation]:
     """Run every single-file ported rule over one parsed unit."""
     yield from _check_calls(unit)
     yield from _check_shard_caching(unit)
+    yield from _check_bool_identity(unit)
 
 
 def _check_calls(unit: FileUnit) -> Iterator[Violation]:
@@ -125,7 +126,8 @@ def _check_calls(unit: FileUnit) -> Iterator[Violation]:
             seq_val = seq_kw.value if seq_kw is not None else (
                 node.args[1] if len(node.args) > 1 else None
             )
-            if isinstance(seq_val, ast.Constant) and seq_val.value is True:
+            if (isinstance(seq_val, ast.Constant)
+                    and type(seq_val.value) is bool and seq_val.value):
                 yield Violation(
                     "C2", "charge-discipline", relpath, node.lineno,
                     "read_page(sequential=True) literal: the first page of "
@@ -267,6 +269,30 @@ def _check_shard_caching(unit: FileUnit) -> Iterator[Violation]:
                     "caching .shards state in a self attribute; shard "
                     "ordinals are valid for one routing-table epoch only "
                     "— re-read service.shards on every use",
+                )
+
+
+def _check_bool_identity(unit: FileUnit) -> Iterator[Violation]:
+    """L2: an ``is``/``is not`` test against a ``True``/``False`` literal
+    under ``src/``.  A NumPy predicate returns ``np.bool_``, which is
+    neither object, so such a test silently takes the wrong branch."""
+    if not in_src_scope(unit.relpath):
+        return
+    for node in ast.walk(unit.tree):
+        if not isinstance(node, ast.Compare):
+            continue
+        operands = [node.left, *node.comparators]
+        for op, left, right in zip(node.ops, operands, operands[1:]):
+            literals = [side.value for side in (left, right)
+                        if isinstance(side, ast.Constant)
+                        and type(side.value) is bool]
+            if literals and isinstance(op, (ast.Is, ast.IsNot)):
+                word = "is" if isinstance(op, ast.Is) else "is not"
+                yield Violation(
+                    "L2", "scalar-leak", unit.relpath, node.lineno,
+                    f"'{word} {literals[0]}' identity test: a NumPy "
+                    "predicate returns np.bool_, which is neither True "
+                    "nor False; test truthiness instead",
                 )
 
 

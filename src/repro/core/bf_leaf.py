@@ -423,7 +423,9 @@ class BFLeaf:
             if not column[pos] & mask:
                 return False
         geo = self.geometry
-        ones = np.count_nonzero(column & mask)
+        # A native count keeps the verdict a Python bool: a NumPy
+        # comparison returns np.bool_, which ``is False`` never matches.
+        ones = int(np.count_nonzero(column & mask))
         return (ones / geo.bits_per_bf) ** geo.hash_count \
             <= DUPLICATE_TRUST_MAX_FPP
 

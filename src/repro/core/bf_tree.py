@@ -13,9 +13,10 @@ Algorithms implemented, with their paper counterparts:
   fetch matching pages sorted, stop early for unique keys) and
   Algorithm 3 over one ordered chunk of point reads, inserts and scans,
   answered as if applied one by one: the chunk is routed and hashed in
-  one pass per plan round (a split re-plans the rest), each touched
-  leaf's Bloom-filter tests collapse into one page gather, and every
-  read's data pages are scanned in one kernel pass.  It is the
+  one pass per plan (a split re-plans the rest), each touched leaf's
+  Bloom-filter tests collapse into one page gather, each leaf's queued
+  index charges into one replayed charge per group, and every read's
+  data pages are scanned in one kernel pass.  It is the
   one-tree case of :meth:`BFTree.apply_across`, which walks the chunks
   of several trees over one relation (the shards of a service) in one
   pass: one hash call for every tree's keys, one filter gather for
@@ -55,6 +56,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
+from collections import defaultdict
 from dataclasses import dataclass, field, fields, replace
 from itertools import accumulate
 from typing import Sequence
@@ -181,24 +183,26 @@ class _Walk:
     tests: list[LeafMatches] = field(default_factory=list)
     tested: list[int] = field(default_factory=list)
     owner: list[int] = field(default_factory=list)
-    #: The current plan round (see :meth:`BFTree._plan_ops`): point op
+    #: The current plan (written by :meth:`BFTree._plan_ops`): point op
     #: ``j`` is row ``j - base`` of its per-key columns, which are each
     #: point op's predicted leaf id, filter positions with one row per
     #: point op, and each insert's duplicate flag and filter group, plus
-    #: the descent paths per leaf id.  The first round's columns are
-    #: shared by every walk of the pass.
+    #: the descent paths per leaf id (None on an empty tree).  The first
+    #: plan's columns are shared by every walk of the pass.
     base: int = 0
     pred: list = field(default_factory=list)
-    paths: dict = field(default_factory=dict)
+    paths: dict | None = None
     rows: object = None
     dup0: list | None = None
     grp: list | None = None
-    #: (leaf id, group) pairs whose plan flags a non-duplicate add of
-    #: this round has made stale.
+    #: (leaf id, group) pairs whose plan flags a non-duplicate add under
+    #: this plan has made stale.
     dirty: set = field(default_factory=set)
-    #: The round's known duplicate re-inserts that no read or scan can
-    #: see, queued per leaf id: (op, plan row).
-    pending: dict[int, list[tuple[int, int]]] = field(default_factory=dict)
+    #: Index charges queued per target leaf id (see
+    #: :meth:`BFTree._flush_charges`): neighbour ids -> [(op, filters
+    #: probed)] per read group, and None -> [(op, plan row)] for the
+    #: known duplicate re-inserts no read or scan can see.
+    queue: defaultdict = field(default_factory=lambda: defaultdict(dict))
     #: Filter tests queued per leaf id: (op, plan row or None).
     probes: dict[int, list] = field(default_factory=dict)
     #: Scans of the current read run, dispatched before the next insert
@@ -813,25 +817,31 @@ class BFTree(IndexBackend):
           of a tombstoned key, of a key outside its leaf's key range or
           on a page past the leaf's coverage — charges the index store
           at its turn, as the per-op loop makes it, and a split re-plans
-          every op not yet applied.  A known duplicate re-insert no read
-          or scan can see changes no bit, range, coverage or tombstone:
-          it queues on its leaf, and each queue is charged once and
-          replayed for the rest (:meth:`_apply_duplicate_chunk`) before
-          the next non-duplicate insert into that leaf, before a split
-          and at the end of the plan round (Algorithm 3's write rounds:
-          duplicate queues, dirty groups, split flushes);
-        * the reads and invisible duplicates between two visible inserts
-          form one read run.  No read changes which index pages are
+          every op not yet applied (:meth:`_walk`).  The reads and the
+          known duplicate re-inserts no read or scan can see (they
+          change no bit, range, coverage or tombstone) between two such
+          inserts form one read run (:meth:`_read_run`);
+        * their index charges wait in one queue per target leaf: a
+          group of reads per set of neighbour leaves visited, and the
+          leaf's duplicates.  No queued op changes which index pages are
           resident, and a leaf write evicts no resident page (see
-          :meth:`bind`), so every read into one leaf that visits the
-          same neighbour leaves pays the same descent, leaf and
-          neighbour reads (replayed from the routing table's path).
-          :meth:`_read_run` charges each such group once and replays it
-          for the rest;
+          :meth:`bind`), so every op of a group pays the same charges
+          (reads replayed from the routing table's path): each group is
+          charged once and replayed for the rest
+          (:meth:`_flush_charges`).  A leaf's queue is flushed before
+          an insert into it that is not a known duplicate (the add may
+          grow its filters), every queue before an insert that splits
+          (a split writes internal nodes, which evicts them from a warm
+          pool, and re-plans every leaf id), and every queue at chunk
+          end, also when an op raises.  Groups outlive read runs: a
+          chunk of duplicate re-inserts split into many read runs by
+          the visible inserts between them still charges each leaf's
+          duplicates once per flush;
         * otherwise only charge-free work waits.  A read's filter test
           queues on its leaf, and every queue is tested in one flush
           (one :meth:`BFLeaf.match_many` gather over all of them) before
-          any visible insert applies, before a re-plan and at chunk end.
+          any visible insert applies (so before a re-plan) and at chunk
+          end.
           Every queued read precedes the insert, and a leaf that took a
           visible insert had its queue flushed first, so each test sees
           exactly the bits set before its read; it keeps the match
@@ -874,13 +884,13 @@ class BFTree(IndexBackend):
         for ``max_filters`` (shards cut from one donor always do) share
         a pass; any other request starts a new one, and so does a tree
         already in the pass.  A pass routes each tree's point keys, then
-        hashes every tree's first plan round in one
+        hashes every tree's first plan in one
         :meth:`BFLeaf.hash_rows` call and pre-tests every insert in one
         :meth:`BFLeaf.duplicate_flags` gather (:meth:`_plan_ops`).  It
         walks each tree's ops in order, exactly as :meth:`apply_many`
         describes (read runs, visible inserts with their flushes, splits
         with a re-plan of that tree alone, scans), then tests every
-        tree's chunk-end queues in one :meth:`BFLeaf.match_many` gather
+        tree's chunk-end filter tests in one :meth:`BFLeaf.match_many` gather
         and fetches every read's pages through one
         :func:`build_page_runs` and one :meth:`_fetch_runs` call.  Stop
         rules stay per read, and every charge lands on its own tree's
@@ -960,14 +970,13 @@ class BFTree(IndexBackend):
         for slot, walk in enumerate(walks):
             walk.slot = slot
             walk.tests, walk.tested, walk.owner = tests, tested, owner
-        plans = BFTree._plan_ops(walks, [0] * len(walks),
-                                 [OP_INSERT in walk.codes for walk in walks])
+        BFTree._plan_ops(walks)
         walked = 0
         try:
-            for walk, plan in zip(walks, plans):
+            for walk in walks:
                 marks = len(tests), len(tested)
                 try:
-                    walk.tree._walk(walk, plan)
+                    walk.tree._walk(walk)
                 except BaseException:
                     # The failing tree's tests are dropped unfetched, as
                     # its own apply_many drops them.
@@ -978,15 +987,23 @@ class BFTree(IndexBackend):
             if walked:
                 BFTree._finish(walks[:walked])
 
-    def _walk(self, walk: "_Walk", plan) -> None:
-        """Walk one tree's ops in order, round by round; a split re-plans
-        the ops left.  ``plan`` is the first round's, None on an empty
-        tree.  The last round's queued filter tests are left for the
-        pass's chunk-end flush."""
+    def _walk(self, walk: "_Walk") -> None:
+        """Walk one tree's ops in order: a read run, then the insert that
+        ends it, whose split re-plans the ops left in place.
+
+        A non-duplicate add sets new bits, which can flip both the
+        membership verdict and the trust gate of later keys in its
+        filter group: the group's plan flags go stale (``dirty``) and
+        its later inserts re-test live.  Queued index charges are made
+        before each insert that is not a known duplicate and once at
+        chunk end, also when an op raises (:meth:`_flush_charges`); the
+        queued filter tests are left for the pass's chunk-end flush.
+        """
         codes = walk.codes
         n = len(codes)
+        stack = walk.stack
         i = j = 0   # next op; next point op (index into ``point_keys``)
-        if plan is None and n:
+        if walk.paths is None:
             if OP_INSERT in codes:
                 raise LookupError(
                     "insert into an unbuilt tree; bulk_load first")
@@ -997,19 +1014,56 @@ class BFTree(IndexBackend):
                 else:
                     walk.scans.append(k)
             i = n
-        while i < n:
-            try:
-                i, j = self._apply_round(walk, i, j, plan)
-            finally:
-                # Queued duplicates precede any aborting op in scalar
-                # order: apply them even when an exception propagates.
-                for leaf_id in list(walk.pending):
-                    self._flush_duplicates(walk, leaf_id)
-            if i < n:
-                # A split invalidates the plan: test every queued read
-                # before re-planning.
+        try:
+            while i < n:
+                i, j = self._read_run(walk, i, j)
+                if i == n:
+                    break
+                # Op i is an insert a read or scan can see: the scans and
+                # reads before it must not.
+                self._run_scans(walk)
                 self._flush_probes([walk])
-                [plan] = self._plan_ops([walk], [j], [OP_INSERT in codes[i:]])
+                rel = j - walk.base
+                leaf_id = walk.pred[rel]
+                leaf = self.leaves[leaf_id]
+                pid = walk.pids[i]
+                positions = walk.rows[rel].tolist()
+                group = (leaf_id, walk.grp[rel])
+                duplicate = walk.dup0[rel] and group not in walk.dirty
+                if not duplicate:
+                    # Pre-batch flags only say "duplicate"; a negative (or
+                    # a dirtied flag) is re-tested live, since earlier
+                    # keys in the batch may have set these bits.  The add
+                    # may grow the leaf's filters, so its index pages; a
+                    # split writes inner nodes, which evicts them from a
+                    # warm pool, and re-plans every leaf id.
+                    try:
+                        duplicate = leaf.duplicate_prehashed(pid, positions)
+                    except ValueError:
+                        # pid precedes the leaf range: the add will raise
+                        # after the descent charges, as the scalar does.
+                        duplicate = will_split = None
+                    else:
+                        will_split = not duplicate and (
+                            leaf.group_of(pid) >= leaf.geometry.max_filters
+                            or leaf.nkeys + 1 > leaf.key_capacity)
+                    self._flush_charges(walk, None if will_split else leaf_id)
+                start = stack.stats.mark() if stack is not None else ()
+                self._charge_descent(leaf, walk.paths[leaf_id])
+                split = self._insert_into(leaf, walk.keys[i], pid,
+                                          positions=positions,
+                                          duplicate=duplicate)
+                if not duplicate:
+                    walk.dirty.add(group)
+                if stack is not None:
+                    walk.latencies[i] = stack.since(start)
+                i += 1
+                j += 1
+                if split:
+                    assert not walk.queue, "a split follows a full flush"
+                    self._plan_ops([walk], i, j)
+        finally:
+            self._flush_charges(walk)
         self._run_scans(walk)
 
     @staticmethod
@@ -1050,116 +1104,30 @@ class BFTree(IndexBackend):
             if OP_INSERT in walk.codes:
                 maybe_check(walk.tree)
 
-    def _apply_round(self, walk: "_Walk", i: int, j: int,
-                     plan) -> tuple[int, int]:
-        """One plan round of :meth:`apply_many`'s walk, from op ``i``
-        (point op ``j``).  Returns the next unapplied op and point op:
-        the end when the chunk is done, earlier when a split demands a
-        re-plan.  The caller flushes the round's queues on any exit."""
-        base, pred, paths, rows, dup0, grp = plan
-        walk.base, walk.pred, walk.paths = base, pred, paths
-        walk.rows, walk.dup0, walk.grp = rows, dup0, grp
-        walk.dirty = dirty = set()
-        pending = walk.pending
-        n = len(walk.codes)
-        stack = walk.stack
-        # A known duplicate re-insert sets no bit, never splits and never
-        # grows the filter list.  When its key is inside the leaf's key
-        # range, not tombstoned, and its page already covered, no read
-        # or scan can see it either: it joins its leaf's queue inside the
-        # read run (:meth:`_read_run`), and the queue is charge-
-        # aggregated in one flush.  Every other insert applies at its
-        # turn.  A non-duplicate insert flushes its own leaf's queue
-        # first (it may grow the leaf's filters), and an insert about to
-        # *split* flushes every queue: queued positions precede the
-        # split in scalar order, and their charges must land in the
-        # pre-split tree AND buffer-pool state (a split writes inner
-        # nodes, which evicts them from a warm pool — charges replayed
-        # after it would see misses the scalar loop never paid).  A
-        # non-duplicate add also distrusts the plan's duplicate flags
-        # for its filter group from then on (``dirty``): it set new
-        # bits, which can flip both the membership verdict and the trust
-        # gate for later keys, so those re-test live.
-        while i < n:
-            i, j = self._read_run(walk, i, j)
-            if i == n:
-                break
-            # Op i is an insert a read or scan can see: the scans and
-            # reads before it must not.
-            self._run_scans(walk)
-            rel = j - base
-            leaf_id = pred[rel]
-            self._flush_probes([walk])
-            leaf = self.leaves[leaf_id]
-            pid = walk.pids[i]
-            positions = rows[rel].tolist()
-            will_split = False
-            if dup0[rel] and (leaf_id, grp[rel]) not in dirty:
-                duplicate = True
-            else:
-                # Pre-batch flags only say "duplicate"; a negative (or
-                # a dirtied flag) is re-tested live, since earlier keys
-                # in the batch may have set these bits.
-                try:
-                    duplicate = leaf.duplicate_prehashed(pid, positions)
-                except ValueError:
-                    # pid precedes the leaf range: the add will raise
-                    # after the descent charges, as the scalar does.
-                    duplicate = None
-                if duplicate is False:
-                    group = leaf.group_of(pid)
-                    will_split = (
-                        group >= leaf.geometry.max_filters
-                        or leaf.nkeys + 1 > leaf.key_capacity
-                    )
-                for lid in list(pending) if will_split else [leaf_id]:
-                    self._flush_duplicates(walk, lid)
-            start = stack.stats.mark() if stack is not None else ()
-            self._charge_descent(leaf, paths[leaf_id])
-            split = self._insert_into(
-                leaf, walk.keys[i], pid,
-                positions=positions, duplicate=duplicate,
-            )
-            if not duplicate:
-                dirty.add((leaf_id, grp[rel]))
-            if stack is not None:
-                walk.latencies[i] = stack.since(start)
-            i += 1
-            j += 1
-            if split:
-                break
-        return i, j
-
     def _read_run(self, walk: "_Walk", i: int, j: int) -> tuple[int, int]:
         """Take the reads and scans from op ``i`` (point op ``j``) up to
         the next insert a read can observe; return the next op and
-        point op.
+        point op.  Charges nothing.
 
-        Nothing in a read run changes what a read or scan sees: the
-        known duplicates inside it (see :meth:`_apply_round`) join their
-        leaves' queues.  A read cannot change which index pages are
-        resident (see :meth:`bind`), so every read into the same leaf
-        that visits the same neighbours pays the same descent and
-        neighbour-leaf charges, wherever it sits in the run.  Pass 1
-        charges nothing: it finds each read's candidate leaves and
-        queues its filter test on every candidate that covers the key
-        (its plan row is hashed under its predicted leaf; neighbours
-        hash at test time); a tested read fetches after the walk.  Pass
-        2 charges each (leaf, neighbours) group once for real and
-        replays it for the group's other reads (:meth:`_charge_repeated`),
-        then counts the group's filter probes in one sum; a read's
-        latency is the group charge's price plus its own probes'.
+        A known duplicate re-insert whose key is inside its leaf's key
+        range, not tombstoned, and whose page is already covered sets no
+        bit, never splits and never grows the filter list: no read or
+        scan can see it, so it stays in the run and joins its leaf's
+        charge queue.  Each read finds its candidate leaves and queues
+        its filter test on every candidate that covers the key (its plan
+        row is hashed under its predicted leaf; neighbours hash at test
+        time); a tested read fetches after the walk.  It joins its
+        target leaf's charge queue in the group of reads that visit the
+        same neighbour leaves, with the number of filters it probes.
         Scans queue for one :meth:`range_scan_many` call."""
         codes, keys, pids = walk.codes, walk.keys, walk.pids
-        results, probes, pending = walk.results, walk.probes, walk.pending
+        results, probes, queue = walk.results, walk.probes, walk.queue
         pred, dup0, grp, dirty = walk.pred, walk.dup0, walk.grp, walk.dirty
         base = walk.base
         leaves = self.leaves
         ordered = self.ordered
         neighbour_ids = self._neighbour_ids
         n = len(codes)
-        # (leaf id, neighbour ids) -> [(op, filters probed)]
-        groups: dict[tuple, list[tuple[int, int]]] = {}
         while i < n:
             code = codes[i]
             if code == OP_SCAN:
@@ -1176,7 +1144,7 @@ class BFTree(IndexBackend):
                         and key not in leaf.deleted_keys
                         and (leaf_id, grp[rel]) not in dirty):
                     break
-                pending.setdefault(leaf_id, []).append((i, rel))
+                queue[leaf_id].setdefault(None, []).append((i, rel))
                 i += 1
                 j += 1
                 continue
@@ -1198,21 +1166,55 @@ class BFTree(IndexBackend):
                     covered = True
             if not covered:
                 results[i] = SearchResult(found=False)
-            groups.setdefault((leaf_id, nbrs), []).append((i, nprobed))
+            queue[leaf_id].setdefault(nbrs, []).append((i, nprobed))
             i += 1
             j += 1
-        stats, track = walk.stats, walk.stack is not None
-        latencies = walk.latencies
-        paths = walk.paths
-        for (leaf_id, nbrs), ops in groups.items():
-            dt = self._charge_repeated(len(ops), self._charge_read,
-                                       leaves[leaf_id], paths[leaf_id], nbrs)
-            if stats is not None:
-                stats.bloom_probes += sum([nf for _, nf in ops])
-            if track:
-                for k, nf in ops:
-                    latencies[k] = dt + nf * CPU_BLOOM_PROBE
         return i, j
+
+    def _flush_charges(self, walk: "_Walk", leaf_id: int | None = None
+                       ) -> None:
+        """Make the index charges queued on leaf ``leaf_id``, or on every
+        leaf, and empty those queues.
+
+        No queued op changes which index pages are resident (see
+        :meth:`bind`): a read misses without admitting, and a leaf
+        write evicts no resident page.  So every read of one group pays
+        the same descent, leaf and neighbour reads, wherever it sits in
+        the chunk, and every known duplicate of one leaf the same
+        descent, CPU and leaf write: each is charged once for real and
+        replayed for the rest (:meth:`_charge_repeated`).  A read's
+        latency is its group charge's price plus its own filter
+        probes', counted in one sum per group.  A duplicate's latency is
+        its charge's price; the duplicates' bookkeeping (add counts, a
+        counting leaf's counters) applies in one
+        :meth:`BFLeaf.add_duplicates` call, in any order.
+        """
+        queue = (walk.queue if leaf_id is None
+                 else {leaf_id: walk.queue.pop(leaf_id, {})})
+        leaves, paths, stats = self.leaves, walk.paths, walk.stats
+        latencies = walk.latencies if walk.stack is not None else None
+        keys, pids = walk.keys, walk.pids
+        for lid, groups in queue.items():
+            leaf, path = leaves[lid], paths[lid]
+            for nbrs, ops in groups.items():
+                if nbrs is None:
+                    dt = self._charge_repeated(len(ops), self._charge_insert,
+                                               leaf, path)
+                    leaf.add_duplicates([keys[k] for k, _ in ops],
+                                        [pids[k] for k, _ in ops], walk.rows,
+                                        [rel for _, rel in ops])
+                    if latencies is not None:
+                        for k, _ in ops:
+                            latencies[k] = dt
+                    continue
+                dt = self._charge_repeated(len(ops), self._charge_read,
+                                           leaf, path, nbrs)
+                if stats is not None:
+                    stats.bloom_probes += sum([nf for _, nf in ops])
+                if latencies is not None:
+                    for k, nf in ops:
+                        latencies[k] = dt + nf * CPU_BLOOM_PROBE
+        queue.clear()
 
     def _charge_read(self, leaf: BFLeaf, path: list[int],
                      neighbours: tuple[int, ...]) -> None:
@@ -1220,6 +1222,13 @@ class BFTree(IndexBackend):
         one read per neighbour leaf it visits."""
         self._charge_descent(leaf, path)
         self._read_neighbours(neighbours)
+
+    def _charge_insert(self, leaf: BFLeaf, path: list[int]) -> None:
+        """One known duplicate re-insert's index charges: the descent to
+        ``leaf``, the filter add's CPU and the leaf write."""
+        self._charge_descent(leaf, path)
+        self._count("bloom_inserts")
+        self.store.write(leaf.node_id)
 
     @staticmethod
     def _flush_probes(walks: list["_Walk"]) -> None:
@@ -1268,7 +1277,7 @@ class BFTree(IndexBackend):
             positions[hashed] = BFLeaf.hash_rows(
                 [keys[r] for r in hashed], leaves, [which[r] for r in hashed])
         elif all(seg[2] is rows for seg in segments):
-            # Every walk still plans from the pass's first round.
+            # Every walk still plans from the pass's first plan.
             positions = rows[rels]
         else:
             positions = np.concatenate([seg_rows[rels[a:b]]
@@ -1291,18 +1300,6 @@ class BFTree(IndexBackend):
             walk.results[i] = result
             walk.latencies[i] = latency
         walk.scans.clear()
-
-    def _flush_duplicates(self, walk: "_Walk", leaf_id: int) -> None:
-        """Apply one leaf's queued duplicate re-inserts."""
-        queued = walk.pending.pop(leaf_id, None)
-        if queued:
-            js = [i for i, _ in queued]
-            self._apply_duplicate_chunk(
-                self.leaves[leaf_id], walk.paths[leaf_id],
-                [walk.keys[k] for k in js], [walk.pids[k] for k in js],
-                walk.rows, [rel for _, rel in queued],
-                js, walk.latencies if walk.stack is not None else None,
-            )
 
     def _neighbour_ids(self, key, leaf: BFLeaf) -> tuple[int, ...]:
         """Ids of the leaves next to ``leaf`` whose key range may also
@@ -1534,7 +1531,7 @@ class BFTree(IndexBackend):
         k, p in zip(keys, pids)]`` would — the same leaf structure and
         filter bitsets (splits included, at the same points), the same
         ``nkeys``/tombstone bookkeeping and the same IOStats counters.
-        Each plan round routes and hashes the remaining keys in one pass
+        Each plan routes and hashes the remaining keys in one pass
         and pre-tests them all against their leaves' filter pages in one
         gather (:meth:`BFLeaf.duplicate_flags`); re-inserts
         of already-present keys on covered pages — the steady state of a
@@ -1552,46 +1549,49 @@ class BFTree(IndexBackend):
         self._apply([OP_INSERT] * len(keys), keys, pids, latency_sink)
 
     @staticmethod
-    def _plan_ops(walks: list["_Walk"], starts: list[int],
-                  inserting: list[bool]) -> list:
-        """Route each walk's point keys ``point_keys[start:]``
-        structurally, then hash every walk's keys in one call.
+    def _plan_ops(walks: list["_Walk"], i: int = 0, j: int = 0) -> None:
+        """Plan each walk's ops from op ``i`` (point op ``j``) on: route
+        its point keys ``point_keys[j:]`` structurally, then hash every
+        walk's keys in one call, and write the plan into the walk.
 
         A walk's ``point_pids`` are the inserts' data pages, -1 for reads
-        (no group, no duplicate flag).  ``inserting`` says per walk
-        whether an insert is left: a pid's sign cannot tell, since an
-        insert's pid may itself be negative (the walk then raises as the
-        scalar insert does).  Returns one plan per walk, None for a walk
-        whose tree is empty, else ``(base, pred, paths, rows, dup0,
-        grp)``: point op ``j`` of the walk is row ``j - base`` of the
-        per-key columns, which every walk of the call shares — predicted
-        leaf id, a matrix of filter positions (None when no key is
-        left), pre-batch duplicate flags (membership *and* the
-        filter-trust gate, both monotone under adds; one
+        (no group, no duplicate flag); whether an insert is left is read
+        from the op codes, since an insert's pid may itself be negative
+        (the walk then raises as the scalar insert does).  Point op
+        ``j`` of a walk is row ``j - base`` of the per-key columns,
+        which every walk of the call shares: predicted leaf id
+        (``pred``), a matrix of filter positions (``rows``, None when no
+        key is left), pre-batch duplicate flags (``dup0``: membership
+        *and* the filter-trust gate, both monotone under adds; one
         :meth:`BFLeaf.duplicate_flags` gather for every insert of every
-        walk) and filter group (-1 when the pid precedes the leaf
-        range); the last two are None when no walk has an insert left.
-        ``paths`` are the walk's tree's descent paths per leaf id.  No
-        I/O is charged here: the walk replays each key's descent charges
-        itself.  Valid until the walk's next split; a flag for a group
-        later written by a non-duplicate add is invalidated by the
-        walk's dirty-set.
+        walk) and filter group (``grp``, -1 when the pid precedes the
+        leaf range); the last two are None when no walk has an insert
+        left.  ``paths`` are the walk's tree's descent paths per leaf
+        id, None when the tree is empty.  No I/O is charged here: the
+        walk replays each key's descent charges itself.  A plan is valid
+        until the walk's next split; a flag for a group later written by
+        a non-duplicate add is invalidated by the walk's ``dirty`` set,
+        which starts empty.
         """
-        plans: list = []
+        planned: list["_Walk"] = []
         arrays: list[np.ndarray] = []
         pids: list[int] = []
         pred: list[int] = []
         which: list[int] = []
         touched: list[BFLeaf] = []
-        for walk, start in zip(walks, starts):
+        inserting = False
+        for walk in walks:
             tree = walk.tree
             try:
-                paths = tree.inner.routing_table().paths
+                walk.paths = tree.inner.routing_table().paths
             except LookupError:
-                plans.append(None)
+                walk.paths = None
                 continue
-            sub = walk.point_keys[start:]
-            plans.append([start - len(pred), paths])
+            planned.append(walk)
+            walk.base = j - len(pred)
+            walk.dirty = set()
+            inserting = inserting or OP_INSERT in walk.codes[i:]
+            sub = walk.point_keys[j:]
             if not sub:
                 continue
             arr = np.asarray(sub)
@@ -1604,13 +1604,13 @@ class BFTree(IndexBackend):
             which += [slot_of[leaf_id] for leaf_id in leaf_ids]
             pred += leaf_ids
             arrays.append(arr)
-            pids += walk.point_pids[start:]
+            pids += walk.point_pids[j:]
         rows = dup0 = grp = None
         if arrays:
             slots = np.asarray(which)
             keys = arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
             rows = BFLeaf.hash_rows(keys, touched, slots)
-            if any(inserting):
+            if inserting:
                 # Only inserts get groups and flags: a read's pid is -1,
                 # and an insert's negative pid precedes every leaf's
                 # range.  All leaves of a pass share pages_per_bf.
@@ -1633,9 +1633,8 @@ class BFTree(IndexBackend):
                     flags[valid] = BFLeaf.duplicate_flags(
                         touched, slots[valid], groups[valid], rows[valid])
                 dup0, grp = flags.tolist(), groups.tolist()
-        return [None if plan is None
-                else (plan[0], pred, plan[1], rows, dup0, grp)
-                for plan in plans]
+        for walk in planned:
+            walk.pred, walk.rows, walk.dup0, walk.grp = pred, rows, dup0, grp
 
     def _charge_descent(self, leaf: BFLeaf, path: list[int]) -> None:
         """Charge one key's descent to ``leaf`` through internal path
@@ -1667,34 +1666,6 @@ class BFTree(IndexBackend):
         if m > 1:
             stack.stats.add_scaled_diff(mark, m - 1)
         return dt
-
-    def _apply_duplicate_chunk(self, leaf: BFLeaf, path: list[int],
-                               chunk_keys, chunk_pids, rows, rels, js,
-                               latencies: list[float] | None) -> None:
-        """Apply a chunk of known re-inserts of already-present keys to
-        one leaf in one pass.
-
-        Duplicates change no filter bits, never split, and never grow
-        the filter list, so every key charges the identical descent +
-        CPU + leaf write sequence, charged once and replayed for the
-        rest (:meth:`_charge_repeated`).  Bookkeeping (add counts, a
-        counting leaf's counters, key range, page coverage, tombstone
-        clearing) is applied in bulk by :meth:`BFLeaf.add_duplicates` —
-        all of it commutative, so order inside the chunk cannot matter.
-        ``rows[rels]`` are the keys' bit positions under the leaf's seed,
-        and ``js`` their batch indices, for the latency scatter.
-        """
-
-        def charge() -> None:
-            self._charge_descent(leaf, path)
-            self._count("bloom_inserts")
-            self.store.write(leaf.node_id)
-
-        dt = self._charge_repeated(len(chunk_keys), charge)
-        leaf.add_duplicates(chunk_keys, chunk_pids, rows, rels)
-        if latencies is not None:
-            for j in js:
-                latencies[j] = dt
 
     @staticmethod
     def _route_after_split(key, left: BFLeaf, right: BFLeaf) -> BFLeaf:

@@ -190,11 +190,13 @@ class InnerTree:
         holds the internal nodes present at bind time, less any a split
         later writes.  No read changes which pages are resident, and no
         leaf is ever resident, so a leaf write's invalidation evicts
-        nothing.  ``BFTree.apply_many`` relies on both to charge a run
-        of reads into one leaf once and replay it, and to charge the
-        duplicate re-inserts inside that run in one later flush.  Keep
-        these properties (or charge every read and write at its turn
-        again) when changing the pool.
+        nothing.  ``BFTree.apply_many`` relies on both: it queues the
+        charges of a chunk's reads and known duplicate re-inserts per
+        target leaf, makes each queue's charges once and replays them
+        for the rest, and flushes only before a non-duplicate insert
+        into that leaf, before a split (which writes internal nodes)
+        and at chunk end.  Keep these properties (or charge every read
+        and write at its turn again) when changing the pool.
         """
         self.store.device = device
         self.store.pool = (BufferPool(device, self.nodes)

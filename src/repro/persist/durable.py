@@ -35,7 +35,9 @@ charges, same structural sanitizer verdict.
 
 Reads delegate straight to the inner backend; the WAL is real file I/O
 outside the storage simulator, so durability never perturbs IOStats (and
-so the simulated time priced from them).  ``apply_many`` frames one
+so the simulated time priced from them).  ``search_many``,
+``insert_many`` and ``range_scan_many`` are :class:`IndexBackend`'s,
+derived from ``apply_many``, which frames one
 ``insert_many`` record per maximal run of inserts in the chunk (the
 records the per-run split would write), then makes one ordered
 ``apply_many`` call on the inner backend inside one rollback scope: a
@@ -295,19 +297,8 @@ class DurableIndex(IndexBackend):
     def search(self, key: Any) -> SearchResult:
         return self.inner.search(key)
 
-    def search_many(self, keys: Sequence[Any],
-                    latency_sink: list[float] | None = None
-                    ) -> list[SearchResult]:
-        return self.inner.search_many(keys, latency_sink=latency_sink)
-
     def range_scan(self, lo: Any, hi: Any) -> RangeScanResult:
         return self.inner.range_scan(lo, hi)
-
-    def range_scan_many(self, windows: Sequence[tuple[Any, Any]],
-                        latency_sink: list[float] | None = None
-                        ) -> list[RangeScanResult]:
-        return self.inner.range_scan_many(windows,
-                                          latency_sink=latency_sink)
 
     def insert(self, key: Any, target: int) -> None:
         self._require_mutable("insert")
@@ -328,18 +319,6 @@ class DurableIndex(IndexBackend):
         )
         self._note_ops(1)
         return outcome
-
-    def insert_many(self, keys: Sequence[Any], targets: Sequence[int],
-                    latency_sink: list[float] | None = None) -> None:
-        self._require_mutable("insert_many")
-        ks = [as_scalar(k) for k in keys]
-        self._log_apply(
-            [{"op": "insert_many", "keys": ks,
-              "targets": [int(t) for t in targets]}],
-            lambda: self.inner.insert_many(ks, targets,
-                                           latency_sink=latency_sink),
-        )
-        self._note_ops(len(ks))
 
     def delete_many(self, keys: Sequence[Any],
                     targets: Sequence[int | None] | None = None,

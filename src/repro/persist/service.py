@@ -93,6 +93,8 @@ def make_durable_service(
     own directory under ``directory`` (initial checkpoint included, so
     the freshly built service is immediately recoverable), and the
     service manifest committing the shard layout is written last.
+    ``config`` is the backend builder's own config, as in
+    :meth:`ShardedIndex.build`; each shard's manifest records it.
     """
     root = Path(directory)
     root.mkdir(parents=True, exist_ok=True)

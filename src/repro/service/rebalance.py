@@ -37,7 +37,7 @@ from typing import Any, Iterator
 import numpy as np
 
 from repro.service.router import Router
-from repro.service.sharded import ShardedIndex
+from repro.service.sharded import MIN_SPLIT_LEAVES, ShardedIndex
 from repro.service.stats import (
     LatencySummary,
     LoadWindow,
@@ -59,7 +59,6 @@ class RebalancerConfig:
     cooldown: int = 2           # quiet windows after any action
     min_shards: int = 2         # never merge below this
     max_shards: int = 16        # never split above this
-    min_split_leaves: int = 4   # split needs two leaves per child
 
     def __post_init__(self) -> None:
         if self.hot_factor <= 1.0:
@@ -176,7 +175,7 @@ class Rebalancer:
         shard = self.service.shard_by_id(sid)
         if shard is None or not shard.index.supports_sharding:
             return False
-        return shard.index.n_leaves >= self.config.min_split_leaves
+        return shard.index.n_leaves >= MIN_SPLIT_LEAVES
 
     def _mergeable(self, sid_a: int, sid_b: int) -> bool:
         a = self.service.shard_by_id(sid_a)

@@ -83,6 +83,10 @@ from repro.storage.config import StorageConfig, StorageStack, build_stack
 from repro.storage.iostats import IOStats
 from repro.storage.relation import Relation
 
+#: Fewest leaves a shard needs to split: two per child, so each child
+#: keeps the donor's directory height.
+MIN_SPLIT_LEAVES = 4
+
 
 @dataclass
 class Shard:
@@ -165,7 +169,7 @@ class ShardedIndex:
         key_column: str,
         n_shards: int = 4,
         kind: str = "bf",
-        config: StorageConfig | str | None = None,
+        config: Any = None,
         unique: bool = False,
         **cfg: Any,
     ) -> "ShardedIndex":
@@ -173,15 +177,18 @@ class ShardedIndex:
         into up to ``n_shards``.
 
         ``kind`` is any registered backend name
-        (:func:`repro.api.registered_backends`); extra keyword
-        arguments (``fpp``, ...) are forwarded to the backend's
-        builder.  Leaf-sliceable trees are partitioned with cuts moved
-        off key-spanning boundaries and each shard keeping at least two
-        leaves (directory-height parity with the donor), so the
-        effective shard count may be lower than requested.  Backends
-        without sliceable leaves come back as a single-shard service —
-        the degenerate case that still rides the Router, the batch
-        engines and the stats pipeline unchanged.
+        (:func:`repro.api.registered_backends`); ``config`` is that
+        backend builder's own config (a
+        :class:`~repro.core.bf_tree.BFTreeConfig` for ``"bf"``), not a
+        storage config: storage binds later (:meth:`bind`).  It and the
+        extra keyword arguments (``fpp``, ...) are forwarded to the
+        builder through :func:`make_index`.  Leaf-sliceable trees are
+        partitioned with cuts moved off key-spanning boundaries and each
+        shard keeping at least two leaves (directory-height parity with
+        the donor), so the effective shard count may be lower than
+        requested.  Backends without sliceable leaves come back as a
+        single-shard service — the degenerate case that still rides the
+        Router, the batch engines and the stats pipeline unchanged.
         """
         if n_shards < 1:
             raise ValueError("n_shards must be >= 1")
@@ -344,10 +351,10 @@ class ShardedIndex:
                 f"shard {shard_id} ({type(index).__name__}) is not "
                 "leaf-sliceable and cannot be split"
             )
-        if index.n_leaves < 4:
+        if index.n_leaves < MIN_SPLIT_LEAVES:
             raise ValueError(
                 f"shard {shard_id} has {index.n_leaves} leaves; a split "
-                "needs at least 4 (two per child)"
+                f"needs at least {MIN_SPLIT_LEAVES} (two per child)"
             )
         leaves = index.shard_leaves()
         cut = self._split_cut(index, leaves, at)

@@ -283,6 +283,40 @@ class TestScalarLeak:
 
 
 # ======================================================================
+# scalar-leak (L2)
+# ======================================================================
+class TestBoolIdentity:
+    @pytest.mark.parametrize("expr,word", [
+        ("flag is False", "is False"),
+        ("flag is not True", "is not True"),
+        ("True is flag", "is True"),
+        ("0 < flag is False", "is False"),
+    ])
+    def test_identity_against_bool_literal_flagged(self, expr, word):
+        vs = lint_source(f"def f(flag):\n    return {expr}\n",
+                         "src/repro/core/bf_tree.py")
+        assert ids_of(vs) == ["L2"]
+        assert vs[0].line == 2
+        assert f"'{word}'" in vs[0].message
+        assert "np.bool_" in vs[0].message
+
+    @pytest.mark.parametrize("src,relpath", [
+        # truthiness, None identity and type identity are sound
+        ("def f(flag):\n    return not flag\n", "src/repro/core/x.py"),
+        ("def f(flag):\n    return flag is None or flag is not None\n",
+         "src/repro/core/x.py"),
+        ("def f(v):\n    return type(v) is bool and v\n",
+         "src/repro/core/x.py"),
+        # equality is not identity
+        ("def f(flag):\n    return flag == False\n", "src/repro/core/x.py"),
+        # tests may pin exact Python bools
+        ("def f(flag):\n    assert flag is True\n", "tests/test_x.py"),
+    ])
+    def test_clean_cases(self, src, relpath):
+        assert lint_source(src, relpath) == []
+
+
+# ======================================================================
 # format-discipline (F1/F2)
 # ======================================================================
 class TestFormatDiscipline:

@@ -1,6 +1,6 @@
 """``BFTree.apply_across``: one engine pass over many trees' chunks.
 
-A pass hashes every tree's first plan round in one call, walks each
+A pass hashes every tree's first plan in one call, walks each
 tree's ops in order, then tests every tree's queued reads in one filter
 gather and scans every read's pages in one kernel call.  Its contract is
 the per-tree loop: one ``apply_many`` call per request, in order, on a

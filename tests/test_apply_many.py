@@ -252,6 +252,38 @@ def test_read_run_charges_each_group_once(world, monkeypatch):
     _check_against_per_op(w, [(OP_READ, key, None) for key in keys])
 
 
+def test_read_groups_outlive_read_runs(monkeypatch):
+    """A visible insert into another leaf ends a read run, not the
+    charge queues: reads into one leaf on both sides of it still make
+    one real descent charge between them.  Only an insert into their
+    own leaf that is not a known duplicate, a split or the chunk end
+    flushes a queue."""
+    w = WORLDS["warm_pool"]
+    tree = w.build()
+    tree.bind(build_stack("MEM/SSD"), warm=True)
+    reads = [(OP_READ, key, None) for key in _two_leaf_reads(w, tree)]
+    read_leaves = {tree.inner.route(key)[0] for _, key, _ in reads}
+    # Re-inserting a tombstoned key makes it visible again.
+    key = next(k for k in w.tombstones
+               if tree.inner.route(k)[0] not in read_leaves)
+    insert_leaf, _ = tree.inner.route(key)
+    ops = reads + [(OP_INSERT, key, w.relation.page_of(key))] + reads
+    descents = []
+    real = BFTree._charge_descent
+
+    def counted(self, leaf, path):
+        descents.append(leaf.node_id)
+        real(self, leaf, path)
+
+    monkeypatch.setattr(BFTree, "_charge_descent", counted)
+    leaves = tree.n_leaves
+    tree.apply_many(ops)
+    monkeypatch.undo()
+    assert tree.n_leaves == leaves
+    assert sorted(descents) == sorted([*read_leaves, insert_leaf])
+    _check_against_per_op(w, ops)
+
+
 def _invisible(leaf, key, pid):
     """Would re-inserting ``key`` on ``pid`` into ``leaf`` be a known
     duplicate that no read or scan can see?"""

@@ -389,6 +389,9 @@ class TestPageKernels:
         ]
         assert flags.tolist() == want
         assert True in want and False in want
+        # Native bools, as annotated: an np.bool_ verdict is neither
+        # True nor False to an identity test.
+        assert {type(verdict) for verdict in want} == {bool}
         # A batch landing in one leaf reads that leaf's page alone.
         one = BFLeaf.duplicate_flags(leaves, which[60:120], groups[60:120],
                                      positions[60:120])

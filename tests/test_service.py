@@ -419,6 +419,7 @@ from repro.service import (          # noqa: E402  (grouped with their tests)
     queued_response_times,
     run_elastic_service,
 )
+from repro.service.sharded import MIN_SPLIT_LEAVES  # noqa: E402
 
 
 @pytest.fixture(scope="module")
@@ -679,6 +680,18 @@ class TestRebalancer:
         cold = _load(svc, 0, {ids[0]: 0.01, ids[1]: 0.01})
         assert reb.observe(cold) == []
         assert svc.n_shards == 2
+
+    def test_hot_shard_below_split_minimum_is_left_alone(self,
+                                                          wide_relation):
+        """The control loop asks ``split_shard``'s own leaf minimum, so
+        a hot shard too small to split never reaches it."""
+        svc = _wide_service(wide_relation, n_shards=8)
+        sid = svc.table.shard_ids[0]
+        assert svc.shard_by_id(sid).index.n_leaves < MIN_SPLIT_LEAVES
+        reb = Rebalancer(svc, RebalancerConfig(sustain=1, cooldown=0))
+        decisions = reb.observe(_skewed(svc, 0, sid))
+        assert "split" not in [d.action for d in decisions]
+        assert sid in svc.table.shard_ids
 
     def test_zero_clock_window_is_ignored(self, wide_relation):
         svc = _wide_service(wide_relation)

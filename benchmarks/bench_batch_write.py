@@ -14,9 +14,12 @@ BF-Trees, once through the scalar ``insert`` loop and once through
 * ``insert_many`` is at least **5x** faster in interpreter wall-clock
   over 10k inserts.
 
-A second, non-gating section reports the same identity for
-``delete_many``.  The measured numbers are emitted as a JSON report so
-CI can track the speedup over time.
+A second section gates the same identity (outcomes, tree state and
+``IOStats``) for ``delete_many`` against the scalar ``delete`` loop,
+twice: plain-filter tombstone deletes without page ids, and a counting
+tree's in-place deletes with each key's page id.  It reports the wall
+time per delete of both sides but gates no speed.  The measured numbers
+are emitted as a JSON report so CI can track them over time.
 
 Run standalone (also the CI smoke gate)::
 
@@ -51,6 +54,8 @@ def _tree_fingerprint(tree):
             leaf.nkeys, leaf.extra_inserts, leaf.pages_covered,
             sorted(leaf.deleted_keys),
             list(leaf.counts), page_to_rows(leaf.page, leaf.nfilters).tobytes(),
+            None if leaf.counters is None
+            else leaf.counters[:leaf.nfilters].tobytes(),
         ))
     return out
 
@@ -136,31 +141,41 @@ def _insert_section(relation, args):
     }
 
 
-def _delete_section(relation, args):
+def _delete_section(relation, args, filter_kind):
+    """Scalar ``delete`` loop against one ``delete_many`` call on twin
+    trees: present and absent keys, with each key's page id on a
+    counting tree (in-place deletes) and without on a plain one
+    (tombstones)."""
     rng = np.random.default_rng(derive_seed(args.seed, "probes"))
     targets = rng.integers(0, relation.ntuples + 500,
                            size=args.ops // 4).tolist()
-    scalar_tree = BFTree.bulk_load(
-        relation, "pk", BFTreeConfig(fpp=args.fpp), unique=True
-    )
-    batch_tree = BFTree.bulk_load(
-        relation, "pk", BFTreeConfig(fpp=args.fpp), unique=True
-    )
+    pids = [None] * len(targets)
+    if filter_kind == "counting":
+        # Absent keys past the domain name the last page.
+        pids = [relation.page_of(min(k, relation.ntuples - 1))
+                for k in targets]
+    config = BFTreeConfig(fpp=args.fpp, filter_kind=filter_kind)
+    scalar_tree = BFTree.bulk_load(relation, "pk", config, unique=True)
+    batch_tree = BFTree.bulk_load(relation, "pk", config, unique=True)
     stack_s, stack_b = build_stack(args.config), build_stack(args.config)
     scalar_tree.bind(stack_s)
     batch_tree.bind(stack_b)
     t0 = time.perf_counter()
-    scalar_out = [scalar_tree.delete(k) for k in targets]
+    scalar_out = [scalar_tree.delete(k, p) for k, p in zip(targets, pids)]
     scalar_secs = time.perf_counter() - t0
     t0 = time.perf_counter()
-    batch_out = batch_tree.delete_many(targets)
+    batch_out = batch_tree.delete_many(targets, pids)
     batch_secs = time.perf_counter() - t0
     scalar_tree.unbind()
     batch_tree.unbind()
     return {
+        "filter_kind": filter_kind,
+        "page_ids": filter_kind == "counting",
         "n_deletes": len(targets),
         "scalar_secs": scalar_secs,
         "batch_secs": batch_secs,
+        "scalar_us_per_delete": 1e6 * scalar_secs / len(targets),
+        "batch_us_per_delete": 1e6 * batch_secs / len(targets),
         "outcomes_identical": batch_out == scalar_out,
         "tree_identical":
             _tree_fingerprint(batch_tree) == _tree_fingerprint(scalar_tree),
@@ -201,7 +216,8 @@ def main(argv=None) -> int:
             "contract_min_speedup": MIN_SPEEDUP,
         },
         "inserts": _insert_section(relation, args),
-        "deletes": _delete_section(relation, args),
+        "deletes": {kind: _delete_section(relation, args, kind)
+                    for kind in ("plain", "counting")},
     }
 
     payload = json.dumps(report, indent=2)
@@ -225,17 +241,22 @@ def main(argv=None) -> int:
             f"batch write engine only {ins['speedup']:.1f}x faster "
             f"(contract: >= {MIN_SPEEDUP}x)"
         )
-    dels = report["deletes"]
-    if not (dels["outcomes_identical"] and dels["tree_identical"]
-            and dels["iostats_identical"]):
-        failures.append("delete_many diverged from the scalar loop")
+    for kind, dels in report["deletes"].items():
+        if not (dels["outcomes_identical"] and dels["tree_identical"]
+                and dels["iostats_identical"]):
+            failures.append(f"{kind} delete_many diverged from the scalar "
+                            f"loop")
+        print(f"{kind} deletes: {dels['scalar_us_per_delete']:.1f} us per "
+              f"scalar delete, {dels['batch_us_per_delete']:.1f} us per "
+              f"delete_many item", file=sys.stderr)
     if failures:
         print("\n".join("FAIL: " + f for f in failures), file=sys.stderr)
         return 1
     print(
         f"OK: {ins['n_inserts']} batched inserts bit-identical to the "
         f"scalar loop at {ins['speedup']:.1f}x wall-clock "
-        f"(contract: >= {MIN_SPEEDUP}x); delete_many identical",
+        f"(contract: >= {MIN_SPEEDUP}x); plain and counting delete_many "
+        f"identical",
         file=sys.stderr,
     )
     return 0

@@ -26,11 +26,11 @@ violated invariant:
 Enablement: set ``REPRO_SANITIZE=1`` (any value other than ``0``/
 ``false``), pass ``--sanitize`` to the CLI, or call :func:`force` from
 code.  When enabled, :func:`maybe_check` — wired into every batch
-mutation path (``insert_many``/``delete_many``/``apply_many`` on the
-``IndexBackend`` fallbacks, the BF-Tree overrides, the sharded service's
-``delete_many`` and each inserting chunk of a Router replay) —
-validates the mutated structure after each batch.  When disabled it is a single
-``if`` per batch.
+mutation path (each writing ``apply_many`` chunk of the ``IndexBackend``
+fallback and of the BF-Tree engine, which ``insert_many`` and
+``delete_many`` call, the sharded service's ``delete_many`` and each
+inserting chunk of a Router replay) — validates the mutated structure
+after each batch.  When disabled it is a single ``if`` per batch.
 """
 
 from __future__ import annotations

@@ -15,6 +15,7 @@ Extension point::
 """
 
 from repro.api.protocol import (
+    OP_DELETE,
     OP_INSERT,
     OP_READ,
     OP_SCAN,
@@ -41,6 +42,7 @@ from repro.api.results import (
 )
 
 __all__ = [
+    "OP_DELETE",
     "OP_INSERT",
     "OP_READ",
     "OP_SCAN",

@@ -21,10 +21,12 @@ identical traffic.  This module defines that contract:
   backend counts its charges in), capability-gated
   defaults for the mutating and scanning operations, and
   **bit-identical** scalar-loop fallbacks: ``apply_many``, which
-  ``search_many`` / ``insert_many`` / ``range_scan_many`` call,
-  ``delete_many``, and ``apply_across``, one ``apply_many`` per index of
-  a multi-index request.  Backends with vectorized engines override
-  those (the BF-Tree all six, the B+-Tree ``range_scan_many``).
+  ``search_many`` / ``insert_many`` / ``delete_many`` /
+  ``range_scan_many`` call, and ``apply_across``, one ``apply_many`` per
+  index of a multi-index request.  Backends with vectorized engines
+  override those (the BF-Tree ``apply_many``, ``apply_across``,
+  ``search_many``, ``insert_many`` and ``range_scan_many``, the B+-Tree
+  ``range_scan_many``).
 
 Write addressing: the protocol's mutating operations take the backend's
 *native write target* — a tuple id for rid-based indexes, a data page id
@@ -52,13 +54,16 @@ from repro.storage.device import Device
 from repro.storage.iostats import IOStats
 
 
-#: Op codes of :meth:`Index.apply_many` (and of mixed workload traces).
+#: Op codes of :meth:`Index.apply_many`; mixed workload traces carry
+#: the first three.
 OP_READ = 0
 OP_INSERT = 1
 OP_SCAN = 2
+OP_DELETE = 3
 
 #: One :meth:`Index.apply_many` op: ``(OP_READ, key, None)``,
-#: ``(OP_INSERT, key, write target)`` or ``(OP_SCAN, lo, hi)``.
+#: ``(OP_INSERT, key, write target)``, ``(OP_SCAN, lo, hi)`` or
+#: ``(OP_DELETE, key, write target or None)``.
 Op = tuple[int, Any, Any]
 
 #: One :meth:`Index.apply_across` request: an index (of the class the
@@ -177,9 +182,10 @@ class Index(Protocol):
 
 
 def check_op_codes(ops: Sequence[Op]) -> None:
-    """Raise ``ValueError`` on any op code other than read/insert/scan
-    (before anything is applied)."""
-    unknown = {op[0] for op in ops}.difference((OP_READ, OP_INSERT, OP_SCAN))
+    """Raise ``ValueError`` on any op code other than read, insert, scan
+    or delete (before anything is applied)."""
+    unknown = {op[0] for op in ops}.difference(
+        (OP_READ, OP_INSERT, OP_SCAN, OP_DELETE))
     if unknown:
         raise ValueError(f"unknown op code {min(unknown)}")
 
@@ -204,12 +210,11 @@ class IndexBackend:
     (:meth:`repro.core.node.InnerTree.bind`); wrappers delegate it.
 
     **Batch fallbacks.**  :meth:`apply_many` is the one per-op loop:
-    ``search_many``, ``insert_many`` and ``range_scan_many`` build op
-    triples and call it, and only ``delete_many`` (there is no delete
-    op code) keeps a loop of its own.  Both are bit-identical to
-    calling the scalar operation once per item on the same bound stack
-    — same results, same IOStats counters — because the loop body *is*
-    the scalar call.
+    ``search_many``, ``insert_many``, ``delete_many`` and
+    ``range_scan_many`` build op triples and call it.  It is
+    bit-identical to calling the scalar operation once per item on the
+    same bound stack — same results, same IOStats counters — because
+    the loop body *is* the scalar call.
     ``latency_sink`` receives one simulated per-op latency per item
     (zeros when unbound), matching the vectorized engines' accounting,
     so Router percentile reports work on every backend.
@@ -308,20 +313,8 @@ class IndexBackend:
                     ) -> list[DeleteOutcome]:
         targets = [None] * len(keys) if targets is None else list(targets)
         check_targets(keys, targets)
-        stack = self.stack if latency_sink is not None else None
-        outcomes: list[DeleteOutcome] = []
-        for key, target in zip(keys, targets):
-            start = stack.stats.mark() if stack is not None else ()
-            outcomes.append(
-                self.delete(as_scalar(key),
-                            None if target is None else int(target))
-            )
-            if stack is not None and latency_sink is not None:
-                latency_sink.append(stack.since(start))
-        if latency_sink is not None and stack is None:
-            latency_sink.extend(0.0 for _ in keys)
-        maybe_check(self)
-        return outcomes
+        return self.apply_many(
+            [(OP_DELETE, k, t) for k, t in zip(keys, targets)], latency_sink)
 
     def range_scan_many(self, windows: Sequence[tuple[Any, Any]],
                         latency_sink: list[float] | None = None
@@ -345,9 +338,9 @@ class IndexBackend:
 
     def apply_many(self, ops: Sequence[Op],
                    latency_sink: list[float] | None = None) -> list[Any]:
-        """Point reads, scans and inserts in one ordered call: the
-        per-op loop over :meth:`search`, :meth:`insert` and
-        :meth:`range_scan`.
+        """Point reads, scans, inserts and deletes in one ordered call:
+        the per-op loop over :meth:`search`, :meth:`insert`,
+        :meth:`range_scan` and :meth:`delete`.
 
         Unknown op codes, inverted scan windows (one
         :func:`normalize_scan_windows` pass over the scans) and ops
@@ -358,8 +351,11 @@ class IndexBackend:
         windows = iter(normalize_scan_windows(
             [(op[1], op[2]) for op in ops if op[0] == OP_SCAN]))
         caps = self.capabilities()
-        if OP_INSERT in codes and not caps.mutable:
-            raise self._unsupported("insert", "mutable")
+        if not caps.mutable:
+            if OP_INSERT in codes:
+                raise self._unsupported("insert", "mutable")
+            if OP_DELETE in codes:
+                raise self._unsupported("delete", "mutable")
         if OP_SCAN in codes and not caps.scannable:
             raise self._unsupported("range_scan", "scannable")
         stack = self.stack if latency_sink is not None else None
@@ -371,13 +367,16 @@ class IndexBackend:
             elif code == OP_INSERT:
                 self.insert(as_scalar(key), int(arg))
                 results.append(None)
+            elif code == OP_DELETE:
+                results.append(self.delete(
+                    as_scalar(key), None if arg is None else int(arg)))
             else:
                 results.append(self.range_scan(*next(windows)))
             if stack is not None and latency_sink is not None:
                 latency_sink.append(stack.since(start))
         if latency_sink is not None and stack is None:
             latency_sink.extend(0.0 for _ in ops)
-        if OP_INSERT in codes:
+        if OP_INSERT in codes or OP_DELETE in codes:
             maybe_check(self)
         return results
 

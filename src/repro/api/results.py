@@ -7,10 +7,6 @@ consume any backend's output without per-kind branching:
 * :class:`SearchResult` from ``search`` / ``search_many``,
 * :class:`RangeScanResult` from ``range_scan`` / ``range_scan_many``,
 * :class:`DeleteOutcome` from ``delete`` / ``delete_many``.
-
-These classes used to live in :mod:`repro.core.bf_tree`, which still
-re-exports them for compatibility; the protocol layer is their home now
-because they are contract types, not BF-Tree internals.
 """
 
 from __future__ import annotations

@@ -1,13 +1,7 @@
 """Core contribution: Bloom filters, BF-leaves, and the BF-Tree index."""
 
 from repro.core.bf_leaf import BFLeaf, BFLeafGeometry, LeafOverflow
-from repro.core.bf_tree import (
-    BFTree,
-    BFTreeConfig,
-    DeleteOutcome,
-    RangeScanResult,
-    SearchResult,
-)
+from repro.core.bf_tree import BFTree, BFTreeConfig
 from repro.core.bloom import (
     DEFAULT_HASH_COUNT,
     BloomFilter,
@@ -26,9 +20,6 @@ __all__ = [
     "LeafOverflow",
     "BFTree",
     "BFTreeConfig",
-    "DeleteOutcome",
-    "RangeScanResult",
-    "SearchResult",
     "DEFAULT_HASH_COUNT",
     "BloomFilter",
     "bits_for_capacity",

@@ -10,26 +10,28 @@ of §1.1.
 Algorithms implemented, with their paper counterparts:
 
 * :meth:`BFTree.apply_many` — Algorithm 1 (probe all BFs of the leaf,
-  fetch matching pages sorted, stop early for unique keys) and
-  Algorithm 3 over one ordered chunk of point reads, inserts and scans,
-  answered as if applied one by one: the chunk is routed and hashed in
-  one pass per plan (a split re-plans the rest), each touched leaf's
-  Bloom-filter tests collapse into one page gather, each leaf's queued
-  index charges into one replayed charge per group, and every read's
-  data pages are scanned in one kernel pass.  It is the
+  fetch matching pages sorted, stop early for unique keys),
+  Algorithm 3 and §7's deletes over one ordered chunk of point reads,
+  inserts, scans and deletes, answered as if applied one by one: the
+  chunk is routed and hashed in one pass per plan (a split re-plans
+  the rest), each touched leaf's Bloom-filter tests collapse into one
+  page gather, each leaf's queued index charges into one replayed
+  charge per group, and every read's data pages are scanned in one
+  kernel pass.  It is the
   one-tree case of :meth:`BFTree.apply_across`, which walks the chunks
   of several trees over one relation (the shards of a service) in one
   pass: one hash call for every tree's keys, one filter gather for
   every tree's chunk-end tests and one page scan for every tree's
   reads.  The Router replays every shard's chunk of a round through
-  it.  :meth:`BFTree.search_many` and :meth:`BFTree.insert_many` are
-  its read-only and insert-only cases, and :meth:`BFTree.search` a
-  batch of one; the harness's ``run_probes`` and the CLI's ``probe``
-  replay whole probe sets through it.
+  it.  :meth:`BFTree.search_many`, :meth:`BFTree.insert_many` and the
+  inherited ``delete_many`` are its read-only, insert-only and
+  delete-only cases, and :meth:`BFTree.search` a batch of one; the
+  harness's ``run_probes`` and the CLI's ``probe`` replay whole probe
+  sets through it.
 * :meth:`BFTree.insert`      — Algorithm 3 (extend key range, bump #keys,
   add to the per-page BF; split when over capacity).
-* :meth:`BFTree.delete_many` — vectorized deletes over a batch routed in
-  one pass: identical tree state and I/O charging to the scalar loop.
+* :meth:`BFTree.delete`      — §7's two delete mechanisms: the deleted-key
+  list of plain filters, counter decrements of counting filters.
 * :meth:`BFTree._split_leaf` — Algorithm 2 (rebuild two leaves; we rebuild
   by re-scanning the leaf's small page range, the recomputation that §3
   argues is feasible precisely because leaf ranges are small).
@@ -64,6 +66,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.api.protocol import (
+    OP_DELETE,
     OP_INSERT,
     OP_READ,
     OP_SCAN,
@@ -162,11 +165,13 @@ class _Walk:
     tree: "BFTree"
     codes: list[int]
     keys: list
-    #: The op's third field: a scan's ``hi`` (an insert's pid, unused).
+    #: The op's third field: a scan's ``hi``, a delete's page id or
+    #: None (an insert's pid, unused).
     args: list
     #: Inserts' data pages, -1 for other ops.
     pids: list[int]
-    #: Keys and pids of the point ops (reads and inserts), in op order.
+    #: Keys and pids of the point ops (reads, inserts and deletes), in
+    #: op order.
     point_keys: list
     point_pids: list[int]
     results: list
@@ -186,7 +191,8 @@ class _Walk:
     #: The current plan (written by :meth:`BFTree._plan_ops`): point op
     #: ``j`` is row ``j - base`` of its per-key columns, which are each
     #: point op's predicted leaf id, filter positions with one row per
-    #: point op, and each insert's duplicate flag and filter group, plus
+    #: point op (None when no op reads them), and each insert's
+    #: duplicate flag and filter group, plus
     #: the descent paths per leaf id (None on an empty tree).  The first
     #: plan's columns are shared by every walk of the pass.
     base: int = 0
@@ -195,8 +201,8 @@ class _Walk:
     rows: object = None
     dup0: list | None = None
     grp: list | None = None
-    #: (leaf id, group) pairs whose plan flags a non-duplicate add under
-    #: this plan has made stale.
+    #: (leaf id, group) pairs whose plan flags a non-duplicate add or a
+    #: counting filter's in-place delete under this plan has made stale.
     dirty: set = field(default_factory=set)
     #: Index charges queued per target leaf id (see
     #: :meth:`BFTree._flush_charges`): neighbour ids -> [(op, filters
@@ -222,14 +228,7 @@ def _pass_geometry(tree: "BFTree") -> tuple | None:
             geo.filter_kind, geo.counter_bits)
 
 
-# Canonical result types live in the protocol layer (repro.api.results);
-# re-exported here because this was their historical home and the whole
-# codebase imports them from repro.core.bf_tree.
-__all__ = [
-    "BFTree", "BFTreeConfig", "SearchResult", "RangeScanResult",
-    "DeleteOutcome", "normalize_scan_windows",
-    "SKEW_GUARD_FPP", "FALSE_PAGE_BUDGET",
-]
+__all__ = ["BFTree", "BFTreeConfig", "SKEW_GUARD_FPP", "FALSE_PAGE_BUDGET"]
 
 
 class BFTree(IndexBackend):
@@ -798,29 +797,32 @@ class BFTree(IndexBackend):
 
     def apply_many(self, ops, latency_sink: list[float] | None = None
                    ) -> list:
-        """Point reads, range scans and inserts in one ordered call: the
-        one-tree case of :meth:`apply_across`.
+        """Point reads, range scans, inserts and deletes in one ordered
+        call: the one-tree case of :meth:`apply_across`.
 
-        ``ops`` are ``(OP_READ, key, None)``, ``(OP_INSERT, key, pid)``
-        and ``(OP_SCAN, lo, hi)`` triples.  The results (one
-        :class:`SearchResult`, ``None`` or :class:`RangeScanResult` per
-        op), the tree state and the IOStats counters are those of
-        applying the ops one by one in order; ``latency_sink`` receives
+        ``ops`` are ``(OP_READ, key, None)``, ``(OP_INSERT, key, pid)``,
+        ``(OP_SCAN, lo, hi)`` and ``(OP_DELETE, key, pid or None)``
+        triples.  The results (one :class:`SearchResult`, ``None``,
+        :class:`RangeScanResult` or :class:`DeleteOutcome` per op), the
+        tree state and the IOStats counters are those of applying the
+        ops one by one in order (:meth:`search`, :meth:`insert`,
+        :meth:`range_scan`, :meth:`delete`); ``latency_sink`` receives
         one simulated latency per op, as that loop would bracket them.
         The chunk is planned once and walked in order:
 
         * every point key is routed over the flattened directory and
-          hashed under its target leaf's seed in one call, and every
-          insert is pre-tested against its leaf's filters in one page
-          gather (:meth:`_plan_ops`);
+          hashed under its target leaf's seed in one call (none when no
+          op of the pass reads filter positions, as a plain tree's
+          deletes do not), and every insert is pre-tested against its
+          leaf's filters in one page gather (:meth:`_plan_ops`);
         * an insert a read or scan can see — a new key, or a re-insert
           of a tombstoned key, of a key outside its leaf's key range or
-          on a page past the leaf's coverage — charges the index store
-          at its turn, as the per-op loop makes it, and a split re-plans
-          every op not yet applied (:meth:`_walk`).  The reads and the
-          known duplicate re-inserts no read or scan can see (they
-          change no bit, range, coverage or tombstone) between two such
-          inserts form one read run (:meth:`_read_run`);
+          on a page past the leaf's coverage — and every delete charge
+          the index store at their turn, as the per-op loop makes them,
+          and a split re-plans every op not yet applied (:meth:`_walk`).
+          The reads and the known duplicate re-inserts no read or scan
+          can see (they change no bit, range, coverage or tombstone)
+          between two such writes form one read run (:meth:`_read_run`);
         * their index charges wait in one queue per target leaf: a
           group of reads per set of neighbour leaves visited, and the
           leaf's duplicates.  No queued op changes which index pages are
@@ -830,24 +832,26 @@ class BFTree(IndexBackend):
           charged once and replayed for the rest
           (:meth:`_flush_charges`).  A leaf's queue is flushed before
           an insert into it that is not a known duplicate (the add may
-          grow its filters), every queue before an insert that splits
+          grow its filters) and before a delete from it (its queued
+          duplicates discard tombstones and bump counters the delete
+          reads), every queue before an insert that splits
           (a split writes internal nodes, which evicts them from a warm
           pool, and re-plans every leaf id), and every queue at chunk
           end, also when an op raises.  Groups outlive read runs: a
           chunk of duplicate re-inserts split into many read runs by
-          the visible inserts between them still charges each leaf's
+          the visible writes between them still charges each leaf's
           duplicates once per flush;
         * otherwise only charge-free work waits.  A read's filter test
           queues on its leaf, and every queue is tested in one flush
           (one :meth:`BFLeaf.match_many` gather over all of them) before
-          any visible insert applies (so before a re-plan) and at chunk
+          any visible write applies (so before a re-plan) and at chunk
           end.
-          Every queued read precedes the insert, and a leaf that took a
-          visible insert had its queue flushed first, so each test sees
+          Every queued read precedes the write, and a leaf that took a
+          visible write had its queue flushed first, so each test sees
           exactly the bits set before its read; it keeps the match
           matrix's ``nonzero`` output and each leaf's page geometry of
           that moment.  A run of scans goes through
-          :meth:`range_scan_many` before the next visible insert;
+          :meth:`range_scan_many` before the next visible write;
         * after the walk, one :func:`build_page_runs` pass turns every
           flush's tests into CSR page runs (per-read offsets into
           ``(first_pid, npages)`` arrays), and the data pages of every
@@ -888,7 +892,7 @@ class BFTree(IndexBackend):
         :meth:`BFLeaf.hash_rows` call and pre-tests every insert in one
         :meth:`BFLeaf.duplicate_flags` gather (:meth:`_plan_ops`).  It
         walks each tree's ops in order, exactly as :meth:`apply_many`
-        describes (read runs, visible inserts with their flushes, splits
+        describes (read runs, visible writes with their flushes, splits
         with a re-plan of that tree alone, scans), then tests every
         tree's chunk-end filter tests in one :meth:`BFLeaf.match_many` gather
         and fetches every read's pages through one
@@ -988,16 +992,19 @@ class BFTree(IndexBackend):
                 BFTree._finish(walks[:walked])
 
     def _walk(self, walk: "_Walk") -> None:
-        """Walk one tree's ops in order: a read run, then the insert that
-        ends it, whose split re-plans the ops left in place.
+        """Walk one tree's ops in order: a read run, then the insert or
+        delete that ends it; an insert's split re-plans the ops left in
+        place.
 
-        A non-duplicate add sets new bits, which can flip both the
-        membership verdict and the trust gate of later keys in its
+        A non-duplicate add sets new bits, and a counting filter's
+        in-place delete may clear some, which can flip both the
+        membership verdict and the trust gate of later keys in that
         filter group: the group's plan flags go stale (``dirty``) and
         its later inserts re-test live.  Queued index charges are made
-        before each insert that is not a known duplicate and once at
-        chunk end, also when an op raises (:meth:`_flush_charges`); the
-        queued filter tests are left for the pass's chunk-end flush.
+        before each insert that is not a known duplicate, that leaf's
+        before each delete, and every queue once at chunk end, also
+        when an op raises (:meth:`_flush_charges`); the queued filter
+        tests are left for the pass's chunk-end flush.
         """
         codes = walk.codes
         n = len(codes)
@@ -1007,10 +1014,13 @@ class BFTree(IndexBackend):
             if OP_INSERT in codes:
                 raise LookupError(
                     "insert into an unbuilt tree; bulk_load first")
-            # Empty tree: reads find nothing; scans see no leaves.
+            # Empty tree: reads find nothing, deletes remove nothing;
+            # scans see no leaves.
             for k in range(n):
                 if codes[k] == OP_READ:
                     walk.results[k] = SearchResult(found=False)
+                elif codes[k] == OP_DELETE:
+                    walk.results[k] = DeleteOutcome(removed=False)
                 else:
                     walk.scans.append(k)
             i = n
@@ -1019,13 +1029,26 @@ class BFTree(IndexBackend):
                 i, j = self._read_run(walk, i, j)
                 if i == n:
                     break
-                # Op i is an insert a read or scan can see: the scans and
+                # Op i is a write a read or scan can see: the scans and
                 # reads before it must not.
                 self._run_scans(walk)
                 self._flush_probes([walk])
                 rel = j - walk.base
                 leaf_id = walk.pred[rel]
                 leaf = self.leaves[leaf_id]
+                if codes[i] == OP_DELETE:
+                    # The leaf's queued duplicates discard tombstones and
+                    # bump counters: they apply before the delete.
+                    self._flush_charges(walk, leaf_id)
+                    start = stack.stats.mark() if stack is not None else ()
+                    self._charge_descent(leaf, walk.paths[leaf_id])
+                    walk.results[i] = self._delete_planned(walk, i, rel,
+                                                           leaf)
+                    if stack is not None:
+                        walk.latencies[i] = stack.since(start)
+                    i += 1
+                    j += 1
+                    continue
                 pid = walk.pids[i]
                 positions = walk.rows[rel].tolist()
                 group = (leaf_id, walk.grp[rel])
@@ -1066,6 +1089,22 @@ class BFTree(IndexBackend):
             self._flush_charges(walk)
         self._run_scans(walk)
 
+    def _delete_planned(self, walk: "_Walk", i: int, rel: int,
+                        leaf: BFLeaf) -> DeleteOutcome:
+        """Op ``i`` of the walk, a delete from ``leaf`` (plan row
+        ``rel``), after its descent charges: :meth:`delete`'s tail."""
+        key, pid = walk.keys[i], walk.args[i]
+        if not leaf.covers_key(key):
+            return DeleteOutcome(removed=False)
+        if pid is None or self.config.filter_kind != "counting":
+            return self._delete_from(leaf, key, None)
+        pid = int(pid)
+        outcome = self._delete_from(leaf, key, pid,
+                                    positions=walk.rows[rel].tolist())
+        # The decrement may have cleared bits of the group's filter.
+        walk.dirty.add((leaf.node_id, leaf.group_of(pid)))
+        return outcome
+
     @staticmethod
     def _finish(walks: list["_Walk"]) -> None:
         """Test every walk's queued reads in one flush, fetch every
@@ -1101,13 +1140,13 @@ class BFTree(IndexBackend):
         for walk in walks:
             if walk.sink is not None:
                 walk.sink.extend(walk.latencies)
-            if OP_INSERT in walk.codes:
+            if OP_INSERT in walk.codes or OP_DELETE in walk.codes:
                 maybe_check(walk.tree)
 
     def _read_run(self, walk: "_Walk", i: int, j: int) -> tuple[int, int]:
         """Take the reads and scans from op ``i`` (point op ``j``) up to
-        the next insert a read can observe; return the next op and
-        point op.  Charges nothing.
+        the next delete or insert a read can observe; return the next op
+        and point op.  Charges nothing.
 
         A known duplicate re-insert whose key is inside its leaf's key
         range, not tombstoned, and whose page is already covered sets no
@@ -1138,8 +1177,9 @@ class BFTree(IndexBackend):
             leaf_id = pred[rel]
             leaf = leaves[leaf_id]
             key = keys[i]
-            if code == OP_INSERT:
-                if not (dup0[rel] and leaf.covers_key(key)
+            if code != OP_READ:
+                if not (code == OP_INSERT and dup0[rel]
+                        and leaf.covers_key(key)
                         and pids[i] < leaf.min_pid + leaf.pages_covered
                         and key not in leaf.deleted_keys
                         and (leaf_id, grp[rel]) not in dirty):
@@ -1347,9 +1387,8 @@ class BFTree(IndexBackend):
         return leaf
 
     def _fetch_runs(self, keys, offsets: list[int], first: np.ndarray,
-                    npages: np.ndarray, ops: list[int],
-                    owner: list[int] | None = None,
-                    trees: list["BFTree"] | None = None,
+                    npages: np.ndarray, ops: list[int], owner: list[int],
+                    trees: list["BFTree"],
                     ) -> tuple[list[SearchResult], list[float]]:
         """Fetch each read's candidate page runs and scan them.
 
@@ -1358,10 +1397,10 @@ class BFTree(IndexBackend):
         the read and changes no charge) has the sorted runs
         ``offsets[r]:offsets[r + 1]`` of ``first`` and ``npages``.  Read
         ``r`` belongs to tree ``trees[owner[r]]``, whose stack its
-        charges land on (by default every read is this tree's); the
-        trees share this tree's relation, key column and
-        ``unique``/``ordered`` flags (see :meth:`apply_across`).  Their
-        page ids are expanded with ``repeat``/``arange``, and one
+        charges land on; the trees share this tree's relation, key
+        column and ``unique``/``ordered`` flags (see
+        :meth:`apply_across`).  Their page ids are expanded with
+        ``repeat``/``arange``, and one
         :meth:`Relation.scan_keys` call scans every candidate page of
         every read.  The stop rules then run per read over prefix sums
         of page-level integers: a unique index stops at the first page
@@ -1381,8 +1420,6 @@ class BFTree(IndexBackend):
         read: the sum of that read's own charges, its page reads priced
         by its tree's :meth:`Device.read_cost`.
         """
-        if trees is None:
-            trees, owner = [self], [0] * len(ops)
         ends = npages.cumsum()
         starts = ends - npages
         # Page offset of each run's first page, then of the end.
@@ -1555,13 +1592,15 @@ class BFTree(IndexBackend):
         walk's keys in one call, and write the plan into the walk.
 
         A walk's ``point_pids`` are the inserts' data pages, -1 for reads
-        (no group, no duplicate flag); whether an insert is left is read
-        from the op codes, since an insert's pid may itself be negative
-        (the walk then raises as the scalar insert does).  Point op
-        ``j`` of a walk is row ``j - base`` of the per-key columns,
-        which every walk of the call shares: predicted leaf id
+        and deletes (no group, no duplicate flag); whether an insert is
+        left is read from the op codes, since an insert's pid may itself
+        be negative (the walk then raises as the scalar insert does).
+        Point op ``j`` of a walk is row ``j - base`` of the per-key
+        columns, which every walk of the call shares: predicted leaf id
         (``pred``), a matrix of filter positions (``rows``, None when no
-        key is left), pre-batch duplicate flags (``dup0``: membership
+        key is left or no op left reads positions: reads, inserts and a
+        counting tree's deletes do, a plain tree's deletes do not),
+        pre-batch duplicate flags (``dup0``: membership
         *and* the filter-trust gate, both monotone under adds; one
         :meth:`BFLeaf.duplicate_flags` gather for every insert of every
         walk) and filter group (``grp``, -1 when the pid precedes the
@@ -1570,8 +1609,8 @@ class BFTree(IndexBackend):
         id, None when the tree is empty.  No I/O is charged here: the
         walk replays each key's descent charges itself.  A plan is valid
         until the walk's next split; a flag for a group later written by
-        a non-duplicate add is invalidated by the walk's ``dirty`` set,
-        which starts empty.
+        a non-duplicate add or an in-place delete is invalidated by the
+        walk's ``dirty`` set, which starts empty.
         """
         planned: list["_Walk"] = []
         arrays: list[np.ndarray] = []
@@ -1579,7 +1618,7 @@ class BFTree(IndexBackend):
         pred: list[int] = []
         which: list[int] = []
         touched: list[BFLeaf] = []
-        inserting = False
+        inserting = hashing = False
         for walk in walks:
             tree = walk.tree
             try:
@@ -1590,7 +1629,10 @@ class BFTree(IndexBackend):
             planned.append(walk)
             walk.base = j - len(pred)
             walk.dirty = set()
-            inserting = inserting or OP_INSERT in walk.codes[i:]
+            left = walk.codes[i:]
+            inserting = inserting or OP_INSERT in left
+            hashing = hashing or inserting or OP_READ in left or (
+                OP_DELETE in left and tree.config.filter_kind == "counting")
             sub = walk.point_keys[j:]
             if not sub:
                 continue
@@ -1606,14 +1648,15 @@ class BFTree(IndexBackend):
             arrays.append(arr)
             pids += walk.point_pids[j:]
         rows = dup0 = grp = None
-        if arrays:
+        if arrays and hashing:
             slots = np.asarray(which)
             keys = arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
             rows = BFLeaf.hash_rows(keys, touched, slots)
             if inserting:
-                # Only inserts get groups and flags: a read's pid is -1,
-                # and an insert's negative pid precedes every leaf's
-                # range.  All leaves of a pass share pages_per_bf.
+                # Only inserts get groups and flags: a read's or
+                # delete's pid is -1, and an insert's negative pid
+                # precedes every leaf's range.  All leaves of a pass
+                # share pages_per_bf.
                 pids_arr = np.asarray(pids, dtype=np.int64)
                 min_pid = np.fromiter((leaf.min_pid for leaf in touched),
                                       dtype=np.int64,
@@ -1727,69 +1770,6 @@ class BFTree(IndexBackend):
             outcome = DeleteOutcome(removed=True, tombstoned=True)
         self.store.write(leaf.node_id)
         return outcome
-
-    def delete_many(self, keys, pids=None,
-                    latency_sink: list[float] | None = None
-                    ) -> list[DeleteOutcome]:
-        """Batch :meth:`delete` — bit-identical outcomes, tree state and
-        IOStats versus the scalar loop.
-
-        ``pids`` is a parallel sequence of data page ids (entries may be
-        None), meaningful for counting-filter trees, where every (key,
-        leaf) row with a page id is hashed in one call instead of k
-        Python hash rounds per key.  Deletes never restructure the tree,
-        so one routing pass covers the whole batch.  ``latency_sink`` receives per-op
-        simulated latencies, as the scalar loop would bracket them.
-        """
-        keys = as_scalars(keys)
-        n = len(keys)
-        if pids is None:
-            pids = [None] * n
-        else:
-            pids = [None if p is None else int(p) for p in pids]
-        if len(pids) != n:
-            raise ValueError("keys and pids must have the same length")
-        stack = self.stack if latency_sink is not None else None
-        latencies = [0.0] * n
-        outcomes: list[DeleteOutcome] = [DeleteOutcome(removed=False)] * n
-        try:
-            targets = self.inner.route_batch(keys)
-        except LookupError:
-            # Empty tree: scalar delete reports not-found per key.
-            if latency_sink is not None:
-                latency_sink.extend(latencies)
-            return outcomes
-        paths = self.inner.routing_table().paths
-        rows: list = [None] * n
-        js = [j for j in range(n) if pids[j] is not None]
-        if self.config.filter_kind == "counting" and js:
-            # One hash call for every in-place delete, each key under
-            # its target leaf's seed.
-            slot_of = {leaf: t for t, leaf in
-                       enumerate(dict.fromkeys(targets[j] for j in js))}
-            hashed = BFLeaf.hash_rows(
-                [keys[j] for j in js],
-                [self.leaves[leaf] for leaf in slot_of],
-                np.asarray([slot_of[targets[j]] for j in js]),
-            )
-            for j, row in zip(js, hashed):
-                rows[j] = row
-        for j, key in enumerate(keys):
-            leaf = self.leaves[targets[j]]
-            start = stack.stats.mark() if stack is not None else ()
-            self._charge_descent(leaf, path=paths[leaf.node_id])
-            if leaf.covers_key(key):
-                row = rows[j]
-                outcomes[j] = self._delete_from(
-                    leaf, key, pids[j],
-                    positions=row.tolist() if row is not None else None,
-                )
-            if stack is not None:
-                latencies[j] = stack.since(start)
-        if latency_sink is not None:
-            latency_sink.extend(latencies)
-        maybe_check(self)
-        return outcomes
 
     def _split_leaf(self, leaf: BFLeaf) -> tuple[BFLeaf, BFLeaf]:
         """Algorithm 2: split ``leaf`` into two, rebuilding its filters.

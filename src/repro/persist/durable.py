@@ -36,13 +36,13 @@ charges, same structural sanitizer verdict.
 Reads delegate straight to the inner backend; the WAL is real file I/O
 outside the storage simulator, so durability never perturbs IOStats (and
 so the simulated time priced from them).  ``search_many``,
-``insert_many`` and ``range_scan_many`` are :class:`IndexBackend`'s,
-derived from ``apply_many``, which frames one
-``insert_many`` record per maximal run of inserts in the chunk (the
-records the per-run split would write), then makes one ordered
-``apply_many`` call on the inner backend inside one rollback scope: a
-chunk that fails anywhere leaves none of its records in the log.
-Read-only chunks log nothing.
+``insert_many``, ``delete_many`` and ``range_scan_many`` are
+:class:`IndexBackend`'s, derived from ``apply_many``, which frames one
+``insert_many`` or ``delete_many`` record per maximal run of inserts or
+of deletes in the chunk, in op order (the records the per-run split
+would write), then makes one ordered ``apply_many`` call on the inner
+backend inside one rollback scope: a chunk that fails anywhere leaves
+none of its records in the log.  Read-only chunks log nothing.
 """
 
 from __future__ import annotations
@@ -54,6 +54,7 @@ from pathlib import Path
 from typing import Any, Callable, Sequence, TypeVar
 
 from repro.api.protocol import (
+    OP_DELETE,
     OP_INSERT,
     Capabilities,
     Index,
@@ -163,22 +164,27 @@ def _jsonable(value: Any) -> bool:
     return True
 
 
-def _insert_run_records(ops: Sequence[Op]) -> list[dict[str, Any]]:
-    """One ``insert_many`` WAL record per maximal run of inserts in
-    ``ops``, in op order."""
+#: The WAL record of a run of each write op code.
+_RUN_RECORD = {OP_INSERT: "insert_many", OP_DELETE: "delete_many"}
+
+
+def _write_run_records(ops: Sequence[Op]) -> list[dict[str, Any]]:
+    """One ``insert_many`` or ``delete_many`` WAL record per maximal run
+    of inserts or of deletes in ``ops``, in op order."""
     records: list[dict[str, Any]] = []
-    keys: list[Any] | None = None
-    targets: list[int] = []
+    run: int | None = None
+    keys: list[Any] = []
+    targets: list[int | None] = []
     for code, key, target in ops:
-        if code != OP_INSERT:
-            keys = None
+        if code not in _RUN_RECORD:
+            run = None
             continue
-        if keys is None:
-            keys, targets = [], []
-            records.append({"op": "insert_many", "keys": keys,
+        if code != run:
+            run, keys, targets = code, [], []
+            records.append({"op": _RUN_RECORD[code], "keys": keys,
                             "targets": targets})
         keys.append(as_scalar(key))
-        targets.append(int(target))
+        targets.append(None if target is None else int(target))
     return records
 
 
@@ -320,36 +326,17 @@ class DurableIndex(IndexBackend):
         self._note_ops(1)
         return outcome
 
-    def delete_many(self, keys: Sequence[Any],
-                    targets: Sequence[int | None] | None = None,
-                    latency_sink: list[float] | None = None
-                    ) -> list[DeleteOutcome]:
-        self._require_mutable("delete_many")
-        ks = [as_scalar(k) for k in keys]
-        outcomes = self._log_apply(
-            [{
-                "op": "delete_many",
-                "keys": ks,
-                "targets": None if targets is None else [
-                    None if t is None else int(t) for t in targets
-                ],
-            }],
-            lambda: self.inner.delete_many(ks, targets,
-                                           latency_sink=latency_sink),
-        )
-        self._note_ops(len(ks))
-        return outcomes
-
     def apply_many(self, ops: Sequence[Op],
                    latency_sink: list[float] | None = None) -> list[Any]:
         """One ordered inner ``apply_many`` call for a mixed chunk.
 
-        Each maximal run of inserts is framed as one ``insert_many``
-        record, in op order, before the call; a failure anywhere in the
-        chunk rolls every one of them back out of the log.  Inserts
-        count toward ``checkpoint_every`` once the whole chunk applied.
+        Each maximal run of inserts or of deletes is framed as one
+        ``insert_many`` or ``delete_many`` record, in op order, before
+        the call; a failure anywhere in the chunk rolls every one of
+        them back out of the log.  Writes count toward
+        ``checkpoint_every`` once the whole chunk applied.
         """
-        records = _insert_run_records(ops)
+        records = _write_run_records(ops)
         if not records:
             return self.inner.apply_many(ops, latency_sink=latency_sink)  # reprolint: disable=D1 -- a read-only chunk mutates nothing
         self._require_mutable("apply_many")

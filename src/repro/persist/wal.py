@@ -7,8 +7,10 @@ Frame layout (little-endian)::
 One frame per logged mutation — ``insert`` / ``delete`` carry the op's
 key and *native* write target (``write_target`` has already been applied
 by the caller, so replay feeds the target straight back to the backend);
-``insert_many`` / ``delete_many`` carry parallel key/target lists and
-replay as one batch call, exactly as they were issued.
+``insert_many`` / ``delete_many`` carry the parallel key/target lists of
+one maximal run of inserts or of deletes in an ``apply_many`` chunk (a
+batch call is a chunk of one run; a ``delete_many`` target may be
+``None``) and replay as one batch call, in log order.
 
 Durability contract: a record is *acknowledged* once :meth:`
 WriteAheadLog.sync` has run past it (``sync_every`` batches fsyncs).

@@ -7,9 +7,9 @@ the per-tree loop: one ``apply_many`` call per request, in order, on a
 twin set of trees must give the same results, tree state, every IOStats
 field and every per-op latency, exactly.  The property test drives that
 over the shards of a sharded service (plain and counting filters, cold
-and warm bindings) with reads, scans, duplicate re-inserts and inserts
-of new keys that split leaves; the other tests pin how requests are
-grouped into passes and what a raising request leaves.
+and warm bindings) with reads, scans, deletes, duplicate re-inserts and
+inserts of new keys that split leaves; the other tests pin how requests
+are grouped into passes and what a raising request leaves.
 """
 
 import numpy as np
@@ -17,7 +17,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.api import OP_INSERT, OP_READ, OP_SCAN
+from repro.api import OP_DELETE, OP_INSERT, OP_READ, OP_SCAN
 from repro.core import BFTree, BFTreeConfig
 from repro.core.bloom import page_to_rows
 from repro.service import ShardedIndex
@@ -89,6 +89,11 @@ def _op(tree, relation, kind, x):
         # An absent odd key, indexed on its neighbour's page: a new key
         # for its leaf, so enough of them split it.
         return (OP_INSERT, key + 1, relation.page_of(tid))
+    if kind == "del":
+        # A present key, or the odd key after it (which a "new" insert
+        # may have added on the same page), with or without its page.
+        return (OP_DELETE, key + x % 2,
+                relation.page_of(tid) if x // 2 % 2 else None)
     last = int(values[min(hi, tid + 1 + x % 40)])
     return (OP_SCAN, key, last)
 
@@ -117,7 +122,8 @@ def _check_pass_equals_loop(make, ops_of):
     return one
 
 
-kinds = st.sampled_from(["read", "read", "read", "dup", "new", "scan"])
+kinds = st.sampled_from(["read", "read", "read", "dup", "new", "scan",
+                         "del"])
 chunks = st.lists(st.lists(st.tuples(kinds, st.integers(0, 10**6)),
                            max_size=60),
                   min_size=4, max_size=4)

@@ -1,14 +1,15 @@
-"""``BFTree.apply_many``: one ordered call for reads, scans and inserts.
+"""``BFTree.apply_many``: one ordered call for reads, scans, inserts and
+deletes.
 
 The engine plans a whole mixed chunk at once (one routing pass, one hash
 call) and walks it in order, deferring only charge-free work.  Its
 contract is the per-op loop: applying the same ops one by one through
-the scalar ``search`` / ``insert`` / ``range_scan`` calls must give the
-same results, tree state (filter bitsets included), IOStats, simulated
-clock and per-op latencies (floats to ``rtol=1e-9``).  The property
-test drives that over arbitrary interleavings on trees whose leaves
-split mid-chunk, a partitioned column, counting filters, ``str`` keys
-and a warm buffer pool.
+the scalar ``search`` / ``insert`` / ``range_scan`` / ``delete`` calls
+must give the same results, tree state (filter bitsets included),
+IOStats, simulated clock and per-op latencies (floats to
+``rtol=1e-9``).  The property test drives that over arbitrary
+interleavings on trees whose leaves split mid-chunk, a partitioned
+column, counting filters, ``str`` keys and a warm buffer pool.
 """
 
 import math
@@ -18,8 +19,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.api import OP_INSERT, OP_READ, OP_SCAN, as_scalar
-from repro.core import BFTree, BFTreeConfig
+from repro.api import OP_DELETE, OP_INSERT, OP_READ, OP_SCAN, as_scalar
+from repro.core import BFTree, BFTreeConfig, bf_leaf
 from repro.core.bf_leaf import BFLeaf
 from repro.core.bloom import page_to_rows
 from repro.storage import Relation, build_stack
@@ -110,6 +111,19 @@ class World:
             leaf_id, _ = self.layout.inner.route(key)
             leaf = self.layout.leaves[leaf_id]
             return (OP_INSERT, key, leaf.min_pid + leaf.pages_covered - 1)
+        if kind == "delete":
+            # A novel key (on the page inserts index it on), an absent
+            # key or a present one (on its tuple's page), with or
+            # without the page id.
+            pick = x % 3
+            if pick == 0 and self.ordered is not False:
+                key, pid = self.novel(x // 3), last_page
+            elif pick < 2:
+                key, pid = self.absent(x), last_page
+            else:
+                key, pid = as_scalar(self.values[tid]), \
+                    self.relation.page_of(tid)
+            return (OP_DELETE, key, pid if x // 3 % 2 else None)
         lo = as_scalar(self.values[tid])
         hi = as_scalar(self.values[min(n - 1, tid + 1 + x % 40)])
         return (OP_SCAN, min(lo, hi), max(lo, hi))
@@ -151,6 +165,8 @@ def _per_op(tree, ops, stack):
             results.append(tree.search(key))
         elif code == OP_INSERT:
             results.append(tree.insert(key, arg))
+        elif code == OP_DELETE:
+            results.append(tree.delete(key, arg))
         else:
             results.append(tree.range_scan(key, arg))
         latencies.append(stack.elapsed() - start)
@@ -176,7 +192,7 @@ def _check_against_per_op(world, ops):
 
 op_lists = st.lists(
     st.tuples(st.sampled_from(["read", "read", "read", "insert", "insert",
-                               "scan"]),
+                               "scan", "delete"]),
               st.integers(min_value=0, max_value=10**6)),
     min_size=1, max_size=120,
 )
@@ -340,6 +356,79 @@ def test_invisible_duplicates_stay_inside_the_read_run(world, monkeypatch):
     assert sorted(descents) == sorted(2 * list(queues))
     assert gathers == [{id(tree.leaves[leaf_id].page) for leaf_id in queues}]
     _check_against_per_op(w, ops)
+
+
+@pytest.mark.parametrize("world", ["warm_pool", "counting"])
+def test_delete_follows_a_queued_duplicate_of_its_key(world):
+    """A known duplicate re-insert no read can see waits in its leaf's
+    charge queue; a delete of the same key after it still applies after
+    it, as in the per-op loop: the key ends tombstoned (plain filters)
+    or counted back down to its one bulk-loaded add (counting
+    filters), and a read after the delete sees that."""
+    w = WORLDS[world]
+    tree = w.build()
+    tree.bind(build_stack("MEM/SSD"), warm=w.warm)
+    key = next(k for k in _two_leaf_reads(w, tree) if k not in w.tombstones)
+    pid = w.relation.page_of(int(key))
+    leaf_id, _ = tree.inner.route(key)
+    leaf = tree.leaves[leaf_id]
+    assert _invisible(leaf, key, pid)
+    counting = leaf.counters is not None
+    positions = leaf.key_positions(key)
+    group = leaf.group_of(pid)
+    before = None if not counting else leaf.counters[group][positions].copy()
+    ops = [(OP_READ, key, None), (OP_INSERT, key, pid),
+           (OP_DELETE, key, pid if counting else None), (OP_READ, key, None)]
+    results = tree.apply_many(ops)
+    assert results[2].removed and results[2].tombstoned != counting
+    if counting:
+        np.testing.assert_array_equal(leaf.counters[group][positions],
+                                      before)
+    else:
+        assert key in leaf.deleted_keys
+    _check_against_per_op(w, ops)
+
+
+def test_reinsert_after_an_inplace_delete_retests_its_filter():
+    """An in-place delete of the counting tree's only add of a key clears
+    bits its filter's plan flags were computed from: a re-insert of the
+    key later in the chunk is no longer a known duplicate and sets them
+    again, as in the per-op loop."""
+    w = WORLDS["counting"]
+    tree = w.build()
+    key = next(k for k in _two_leaf_reads(w, tree) if k not in w.tombstones)
+    pid = w.relation.page_of(int(key))
+    leaf = tree.leaves[tree.inner.route(key)[0]]
+    assert _invisible(leaf, key, pid)
+    ops = [(OP_DELETE, key, pid), (OP_INSERT, key, pid),
+           (OP_READ, key, None)]
+    tree.bind(build_stack("MEM/SSD"))
+    assert tree.apply_many(ops)[2].found
+    _check_against_per_op(w, ops)
+
+
+def test_plain_tree_delete_many_hashes_nothing(monkeypatch):
+    """A plain tree's deletes read no filter positions: a chunk of them
+    makes no hash call, and a counting tree's in-place deletes one."""
+    calls = []
+    real = bf_leaf.bloom_positions_batch
+
+    def counted(*args, **kwargs):
+        calls.append(len(args[0]))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(bf_leaf, "bloom_positions_batch", counted)
+    keys = [5, 77, 4000, -3, 10**6]
+    for world in ("splits", "counting"):
+        w = WORLDS[world]
+        pids = [w.relation.page_of(k) for k in keys[:3]] + \
+            [None, w.relation.npages - 1]
+        tree = w.build()
+        tree.bind(build_stack("MEM/SSD"))
+        del calls[:]
+        tree.delete_many(keys[:1])
+        tree.delete_many(keys, pids)
+        assert calls == ([] if world == "splits" else [1, len(keys)])
 
 
 PPB3 = {

@@ -21,12 +21,12 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.api.results import SearchResult
 from repro.baselines import BPlusTree
 from repro.core import BFTree, BFTreeConfig, BloomFilter
 from repro.core.bf_leaf import BFLeaf, BFLeafGeometry
 from repro.core.bloom import page_from_rows, page_to_rows, row_test_positions
 from repro.core.hashing import bloom_positions_batch, keys_to_int_array
-from repro.core.bf_tree import SearchResult
 from repro.storage import IOStats, Relation, build_stack
 from repro.storage.config import CPU_TUPLE_SCAN
 from repro.workloads import point_probes

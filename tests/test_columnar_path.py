@@ -257,7 +257,7 @@ def test_read_with_no_runs_costs_exactly_nothing():
 
     before, t0 = stack.stats.snapshot(), stack.elapsed()
     results, latencies = tree._fetch_runs([key + 1], [0, 0], empty, empty,
-                                          [0])
+                                          [0], [0], [tree])
     assert results == [SearchResult(found=False)]
     assert latencies == [0.0]
     assert stack.stats == before
@@ -267,11 +267,12 @@ def test_read_with_no_runs_costs_exactly_nothing():
     # charges are the fetching read's own.
     one = np.asarray([pid], dtype=np.int64), np.ones(1, dtype=np.int64)
     before, t0 = stack.stats.snapshot(), stack.elapsed()
-    alone, alone_lat = tree._fetch_runs([key], [0, 1], *one, [0])
+    alone, alone_lat = tree._fetch_runs([key], [0, 1], *one, [0], [0],
+                                        [tree])
     alone_io, alone_dt = stack.stats.diff(before), stack.elapsed() - t0
     before, t0 = stack.stats.snapshot(), stack.elapsed()
     results, latencies = tree._fetch_runs([key, key + 1], [0, 1, 1], *one,
-                                          [0, 1])
+                                          [0, 1], [0, 0], [tree])
     assert results == [*alone, SearchResult(found=False)]
     assert latencies == [*alone_lat, 0.0]
     assert stack.stats.diff(before) == alone_io

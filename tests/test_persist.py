@@ -16,7 +16,7 @@ import pytest
 from golden.write_cases import leaf_digest
 
 from repro.analysis.sanitize import StructuralCorruption, force
-from repro.api import OP_INSERT, OP_READ, OP_SCAN, make_index
+from repro.api import OP_DELETE, OP_INSERT, OP_READ, OP_SCAN, make_index
 from repro.persist import (
     CorruptManifestError,
     CorruptSnapshotError,
@@ -625,20 +625,27 @@ class TestFailedOpCompensation:
 
     def test_failed_apply_many_rolls_back_every_run(self, tiny_relation,
                                                     tmp_path):
-        """A chunk that fails in its second insert run leaves none of its
-        records in the log, so its first run does not come back."""
-        d = tmp_path / "idx"
-        index = _durable(tiny_relation, d)
-        index.delete(7)
-        with pytest.raises(ValueError, match="below leaf range"):
-            index.apply_many([(OP_INSERT, 7, 0), (OP_READ, 5, None),
-                              (OP_INSERT, 9, -1)])
-        index.close()
-        records, _ = replay_wal(index.wal_path)
-        assert [r["op"] for r in records] == ["delete"]
-        r = recover(d, tiny_relation)
-        assert not r.search(7).found
-        r.close()
+        """A chunk that fails in its last insert run leaves none of its
+        records in the log, so its earlier runs (inserts, or inserts and
+        deletes) do not come back."""
+        chunks = [
+            [(OP_INSERT, 7, 0), (OP_READ, 5, None), (OP_INSERT, 9, -1)],
+            [(OP_DELETE, 8, None), (OP_INSERT, 7, 0), (OP_DELETE, 9, 0),
+             (OP_READ, 5, None), (OP_INSERT, 9, -1)],
+        ]
+        for n, chunk in enumerate(chunks):
+            d = tmp_path / f"idx{n}"
+            index = _durable(tiny_relation, d)
+            index.delete(7)
+            with pytest.raises(ValueError, match="below leaf range"):
+                index.apply_many(chunk)
+            index.close()
+            records, _ = replay_wal(index.wal_path)
+            assert [r["op"] for r in records] == ["delete"]
+            r = recover(d, tiny_relation)
+            assert not r.search(7).found
+            assert r.search(8).found and r.search(9).found
+            r.close()
 
 
 class TestDurableApplyMany:
@@ -668,6 +675,38 @@ class TestDurableApplyMany:
         assert results == plain.apply_many(self.CHUNK,
                                            latency_sink=plain_sink)
         assert sink == plain_sink and len(sink) == len(self.CHUNK)
+
+    def test_write_runs_frame_in_op_order_and_recover(self, tiny_relation,
+                                                      tmp_path):
+        """Inserts and deletes frame one ``insert_many`` or
+        ``delete_many`` record per run, in op order (a read ends a run,
+        so the two deletes frame apart), and recovery replays them to
+        the tree the chunk left."""
+        d = tmp_path / "idx"
+        index = _durable(tiny_relation, d)
+        chunk = [(OP_INSERT, 300, 15), (OP_INSERT, np.int64(7), 0),
+                 (OP_DELETE, 7, 0), (OP_READ, 7, None),
+                 (OP_DELETE, np.int64(50), None), (OP_INSERT, 301, 15)]
+        sink: list[float] = []
+        results = index.apply_many(chunk, latency_sink=sink)
+        assert index._ops_since_checkpoint == 5
+        plain = make_index("bf", tiny_relation, "pk", unique=True, fpp=1e-3)
+        plain_sink: list[float] = []
+        assert results == plain.apply_many(chunk, latency_sink=plain_sink)
+        assert sink == plain_sink and len(sink) == len(chunk)
+        assert results[2] and not results[3].found
+        index.close()
+        records, _ = replay_wal(index.wal_path)
+        assert records == [
+            {"op": "insert_many", "keys": [300, 7], "targets": [15, 0]},
+            {"op": "delete_many", "keys": [7], "targets": [0]},
+            {"op": "delete_many", "keys": [50], "targets": [None]},
+            {"op": "insert_many", "keys": [301], "targets": [15]},
+        ]
+        r = recover(d, tiny_relation)
+        assert [leaf_digest(l) for l in r.inner.leaves_in_order()] == \
+            [leaf_digest(l) for l in index.inner.leaves_in_order()]
+        r.close()
 
     def test_read_only_chunk_frames_nothing(self, tiny_relation, tmp_path):
         index = _durable(tiny_relation, tmp_path / "idx")

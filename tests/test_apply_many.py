@@ -381,6 +381,7 @@ def test_delete_follows_a_queued_duplicate_of_its_key(world):
            (OP_DELETE, key, pid if counting else None), (OP_READ, key, None)]
     results = tree.apply_many(ops)
     assert results[2].removed and results[2].tombstoned != counting
+    assert results[3].found == counting
     if counting:
         np.testing.assert_array_equal(leaf.counters[group][positions],
                                       before)
@@ -409,7 +410,7 @@ def test_reinsert_after_an_inplace_delete_retests_its_filter():
 
 def test_plain_tree_delete_many_hashes_nothing(monkeypatch):
     """A plain tree's deletes read no filter positions: a chunk of them
-    makes no hash call, and a counting tree's in-place deletes one."""
+    makes no hash call; a counting tree's chunk makes one."""
     calls = []
     real = bf_leaf.bloom_positions_batch
 

@@ -24,12 +24,13 @@ violated invariant:
   then each shard's index recursively.
 
 Enablement: set ``REPRO_SANITIZE=1`` (any value other than ``0``/
-``false``), pass ``--sanitize`` to the CLI, or call :func:`force` from
-code.  When enabled, :func:`maybe_check` — wired into every batch
-mutation path (each writing ``apply_many`` chunk of the ``IndexBackend``
-fallback and of the BF-Tree engine, which ``insert_many`` and
-``delete_many`` call, the sharded service's ``delete_many`` and each
-inserting chunk of a Router replay) — validates the mutated structure
+``false``/``no``) before the process starts, pass ``--sanitize`` to the
+CLI, or call :func:`force` from code.  The variable is read once, at
+import, and again on ``force(None)``.  When enabled, :func:`maybe_check`
+— wired into every batch mutation path (each writing ``apply_many``
+chunk of the ``IndexBackend`` fallback and of the BF-Tree engine, which
+``insert_many`` and ``delete_many`` call, and each inserting or
+deleting round of a Router replay) — validates the mutated structure
 after each batch.  When disabled it is a single ``if`` per batch.
 """
 
@@ -43,7 +44,12 @@ import numpy as np
 
 ENV_VAR = "REPRO_SANITIZE"
 
-_FORCED: bool | None = None
+
+def _env_switch() -> bool:
+    return os.environ.get(ENV_VAR, "0").lower() not in ("", "0", "false", "no")
+
+
+_ENABLED: bool = _env_switch()
 
 
 class StructuralCorruption(AssertionError):
@@ -51,21 +57,20 @@ class StructuralCorruption(AssertionError):
 
 
 def force(on: bool | None) -> None:
-    """Override the environment switch: True/False force, None defers."""
-    global _FORCED
-    _FORCED = on
+    """Override the environment switch: True/False force, None re-reads
+    the environment."""
+    global _ENABLED
+    _ENABLED = _env_switch() if on is None else on
 
 
 def enabled() -> bool:
     """True when sanitizer checks should run."""
-    if _FORCED is not None:
-        return _FORCED
-    return os.environ.get(ENV_VAR, "0").lower() not in ("", "0", "false", "no")
+    return _ENABLED
 
 
 def maybe_check(obj: Any) -> None:
     """Validate ``obj`` if sanitizing is enabled; no-op otherwise."""
-    if enabled():
+    if _ENABLED:
         check(obj)
 
 

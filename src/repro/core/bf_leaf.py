@@ -340,11 +340,6 @@ class BFLeaf:
     def key_capacity(self) -> int:
         return self.geometry.key_capacity
 
-    @property
-    def is_full(self) -> bool:
-        """Leaf cannot take another page group within its page budget."""
-        return self.nfilters >= self.geometry.max_filters
-
     def covers_key(self, key) -> bool:
         if self.min_key is None:
             return False

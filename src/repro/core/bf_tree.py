@@ -502,7 +502,7 @@ class BFTree(IndexBackend):
         order: list[BFLeaf] = [leaf]
         # Pages are assigned to leaves first and each leaf's run is added
         # in one vectorized pass when it closes.  A leaf is full once it
-        # holds a filter for every group of its budget (BFLeaf.is_full);
+        # holds a filter for every group of its filter budget;
         # its groups are filled contiguously from min_pid.
         run_start = 0
         # First page id on which the running (largest-so-far) key appeared;

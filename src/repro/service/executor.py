@@ -8,7 +8,11 @@ each round is one :meth:`~repro.api.protocol.IndexBackend.apply_across`
 call per run of shards whose indexes share a class, which the BF-Tree
 answers with one engine pass over every shard's slice (one hash call,
 one filter gather, one page scan) and every other backend with one
-ordered ``apply_many`` call per shard.  It returns one ``(results,
+ordered ``apply_many`` call per shard.  An insert's or a targeted
+delete's tuple id is mapped through the shard index's ``write_target``
+on the way in (a page id for BF-Tree shards, so a counting filter
+decrements in place), and each round that inserts or deletes ends with
+one ``sanitize.maybe_check`` of the service.  It returns one ``(results,
 latencies)`` pair of lists per shard, aligned with the batch's columns;
 no per-op record is built on either side.  Topology changes are made
 between replays, so every planned shard id is still in the routing
@@ -21,16 +25,16 @@ from __future__ import annotations
 from typing import Any, NamedTuple
 
 from repro.analysis import sanitize
-from repro.api.protocol import OP_INSERT, Index, Op
+from repro.api.protocol import OP_DELETE, OP_INSERT, OP_SCAN, Index, Op
 from repro.service.sharded import ShardedIndex
 
 
 class ShardBatch(NamedTuple):
     """One shard's share of a trace, as parallel columns in trace order.
 
-    A point op is ``(code, key, tid)`` with ``tid`` None for reads; a
-    scan leg carries its shard's sub-window as ``(OP_SCAN, sub_lo,
-    sub_hi)``.
+    A point op is ``(code, key, tid)`` with ``tid`` None for reads and
+    untargeted deletes; a scan leg carries its shard's sub-window as
+    ``(OP_SCAN, sub_lo, sub_hi)``.
     """
 
     #: Trace op index of each entry (an op appears at most once).
@@ -38,7 +42,8 @@ class ShardBatch(NamedTuple):
     codes: list[int]
     #: Point key, or a scan leg's ``sub_lo``.
     keys: list[Any]
-    #: An insert's tuple id, None for a read, a scan leg's ``sub_hi``.
+    #: An insert's or targeted delete's tuple id, None for a read or an
+    #: untargeted delete, a scan leg's ``sub_hi``.
     args: list[Any]
 
 
@@ -51,9 +56,9 @@ class SerialExecutor:
     :data:`REPLAY_CHUNK` ops per shard at a time.
 
     Inside a round each shard's slice is one ordered request: reads,
-    scans and inserts keep their per-shard trace order inside the engine
-    (an op issued after an insert observes it, and vice versa), so
-    nothing is buffered between rounds.  Shards share no state, so a
+    scans, inserts and deletes keep their per-shard trace order inside
+    the engine (an op issued after a write observes it, and vice versa),
+    so nothing is buffered between rounds.  Shards share no state, so a
     round answers as if each shard's slice ran alone.
     """
 
@@ -68,8 +73,8 @@ class SerialExecutor:
         A shard id missing from the routing table raises
         ``RuntimeError`` before any shard is replayed (topology changes
         belong between replays); an unknown op code raises
-        ``ValueError``.  An insert's tuple id becomes its shard index's
-        write target.
+        ``ValueError``.  An insert's or a delete's tuple id becomes its
+        shard index's write target.
         """
         service = self.service
         indexes: list[Index] = []
@@ -88,16 +93,17 @@ class SerialExecutor:
             stop = start + REPLAY_CHUNK
             requests: list[tuple[Index, list[Op], list[float]]] = []
             owners: list[int] = []
-            inserts = False
+            writes = False
             for p, (index, (_, batch)) in enumerate(zip(indexes, plans)):
                 codes = batch.codes[start:stop]
                 if not codes:
                     continue
                 args = batch.args[start:stop]
-                if OP_INSERT in codes:
-                    inserts = True
+                if OP_INSERT in codes or OP_DELETE in codes:
+                    writes = True
                     write_target = index.write_target
-                    args = [write_target(arg) if code == OP_INSERT else arg
+                    args = [arg if arg is None or code == OP_SCAN
+                            else write_target(arg)
                             for code, arg in zip(codes, args)]
                 requests.append(
                     (index, list(zip(codes, batch.keys[start:stop], args)),
@@ -116,6 +122,6 @@ class SerialExecutor:
                     outcomes[p][0].extend(results)
                     outcomes[p][1].extend(sink)
                 a = b
-            if inserts:
+            if writes:
                 sanitize.maybe_check(service)
         return outcomes

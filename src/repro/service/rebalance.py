@@ -31,7 +31,7 @@ latencies and stable owner ids for the report.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Iterator
 
 import numpy as np
@@ -271,7 +271,6 @@ class ElasticReport:
     initial_shards: int
     final_shards: int
     final_epoch: int
-    shard_clock_totals: dict[int, float] = field(default_factory=dict)
 
     @property
     def n_ops(self) -> int:
@@ -378,7 +377,6 @@ def run_elastic_service(
             initial_shards=initial_shards,
             final_shards=service.n_shards,
             final_epoch=service.topology_epoch,
-            shard_clock_totals=windows.totals_by_shard(),
         )
         return report
     finally:

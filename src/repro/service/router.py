@@ -8,25 +8,27 @@ end: no per-op object is built between the trace's arrays and the
 engine's op triples, or between the engine's result lists and the
 merged replay.
 
-* point reads and inserts are routed by key and grouped per shard by
-  one stable ``argsort`` of their shard ordinals, so each batch holds
-  slices of op indices, codes, keys and third fields (an insert's tuple
-  id, None for a read) in trace order;
+* point reads, inserts and deletes are routed by key and grouped per
+  shard by one stable ``argsort`` of their shard ordinals, so each
+  batch holds slices of op indices, codes, keys and third fields (an
+  insert's or a targeted delete's tuple id, None for a read or an
+  untargeted delete) in trace order;
 * a scan whose window spans multiple shards is split into per-shard
   legs (scatter-gather, planned vectorized via ``scan_plan_many``) that
   one ``(shard, op index)`` ``lexsort`` splices in among the point ops;
   its latency is the *sum* of its legs' simulated time, and its result
   merges the legs' counts;
 * each shard's batch is one ordered request per replay chunk — reads,
-  scans and inserts together, in trace order — and every shard's
-  request of a chunk goes to one ``apply_across`` call, which BF-Tree
-  shards answer in one engine pass.  The engine answers each shard's
-  ops as if applied one by one, so an operation issued after an insert
-  observes it (read-your-writes), and the per-op latency sink recovers
+  scans, inserts and deletes together, in trace order — and every
+  shard's request of a chunk goes to one ``apply_across`` call, which
+  BF-Tree shards answer in one engine pass.  The engine answers each
+  shard's ops as if applied one by one, so an operation issued after a
+  write observes it (read-your-writes), and the per-op latency sink recovers
   each op's simulated latency for the percentile report.  The merge
   scatters each shard's results and latencies back by op index.
 
-Every replay is bit-identical to the same ops issued one by one
+The Router is the service's only batch path, for writes as for
+reads: every replay is bit-identical to the same ops issued one by one
 through :class:`~repro.service.sharded.ShardedIndex` in trace order
 (results and IOStats; per-op latencies and per-shard simulated seconds
 are those counts priced, up to float rounding) — the tests hold the
@@ -58,7 +60,7 @@ from repro.service.executor import SerialExecutor, ShardBatch
 from repro.service.sharded import ShardedIndex
 from repro.service.stats import ServiceStats
 from repro.storage.iostats import IOStats
-from repro.workloads.mixed import OP_INSERT, OP_SCAN, MixedTrace
+from repro.workloads.mixed import OP_DELETE, OP_INSERT, OP_SCAN, MixedTrace
 
 
 class Router:
@@ -90,9 +92,12 @@ class Router:
         service = self.service
         codes = trace.ops
         shard = service.route(trace.keys)
+        # An insert's tuple id, and a delete's unless it is -1
+        # (untargeted): both become the shard's write target.
         tid_args = np.full(len(trace), None, dtype=object)
-        inserts = np.flatnonzero(codes == OP_INSERT)
-        tid_args[inserts] = trace.tids[inserts].tolist()
+        writes = np.flatnonzero((codes == OP_INSERT) | (
+            (codes == OP_DELETE) & (trace.tids >= 0)))
+        tid_args[writes] = trace.tids[writes].tolist()
         scan_idx = np.flatnonzero(codes == OP_SCAN)
         if len(scan_idx) == 0:
             ops = np.argsort(shard, kind="stable")
@@ -141,7 +146,8 @@ class Router:
 
         Returns (per-op results aligned with the trace, ServiceStats).
         Reads yield :class:`SearchResult`, scans a merged
-        :class:`RangeScanResult`, inserts ``None``.
+        :class:`RangeScanResult`, inserts ``None``, deletes a
+        :class:`DeleteOutcome`.
         """
         service = self.service
         if any(not shard.bound for shard in service.shards):

@@ -69,10 +69,11 @@ from typing import Any, Iterable, Sequence
 
 import numpy as np
 
-from repro.api.protocol import Index, check_targets
+from repro.api.protocol import Index
 from repro.api.registry import make_index
 from repro.analysis.sanitize import maybe_check
 from repro.api.results import (
+    DeleteOutcome,
     RangeScanResult,
     SearchResult,
     as_scalar,
@@ -478,9 +479,9 @@ class ShardedIndex:
 
     # ==================================================================
     # operations: the per-op reference.  The Router is the service's
-    # batch path; these scalar calls are what it is held to, op by op
-    # in trace order (tests/per_op_replay.py).  ``delete_many`` is the
-    # service's only delete (traces carry no delete op).
+    # only batch path, for reads and writes alike; these scalar calls
+    # are what it is held to, op by op in trace order
+    # (tests/per_op_replay.py).
     # ==================================================================
     def search(self, key: Any) -> SearchResult:
         return self.shards[self.route_key(key)].index.search(key)
@@ -496,53 +497,14 @@ class ShardedIndex:
         shard = self.shards[self.route_key(key)]
         shard.index.insert(key, shard.index.write_target(int(tid)))
 
-    def delete_many(self, keys: Sequence[Any],
-                    tids: Sequence[int | None] | None = None,
-                    latency_sink: list[float] | None = None) -> list[Any]:
-        """Batch delete: route every key in one pass, then drive each
-        shard's slice through its index's ``delete_many``.
-
-        ``tids`` (tuple ids, translated per backend via ``write_target``
-        — e.g. to page ids for BF shards, enabling the counting-filter
-        in-place path) come back as
-        :class:`~repro.api.DeleteOutcome` objects aligned with ``keys``.
-        ``tids`` of another length than ``keys`` raise ``ValueError``
-        before any shard deletes.
-        """
-        keys = [as_scalar(k) for k in keys]
-        n = len(keys)
-        tid_list: list[int | None] = (
-            [None] * n if tids is None else list(tids)
-        )
-        check_targets(keys, tid_list)
-        assign = self.route(keys)
-        outcomes: list[Any] = [None] * n
-        latencies = [0.0] * n
-        for s, shard in enumerate(self.shards):
-            idx = np.nonzero(assign == s)[0]
-            if not len(idx):
-                continue
-            sub_keys = [keys[i] for i in idx]
-            targets: list[Any] = []
-            for i in idx:
-                t = tid_list[i]
-                targets.append(
-                    None if t is None else shard.index.write_target(int(t))
-                )
-            sub_sink: list[float] | None = (
-                [] if latency_sink is not None else None
-            )
-            shard_out = shard.index.delete_many(
-                sub_keys, targets, latency_sink=sub_sink
-            )
-            for j, i in enumerate(idx):
-                outcomes[i] = shard_out[j]
-                if sub_sink is not None:
-                    latencies[i] = sub_sink[j]
-        if latency_sink is not None:
-            latency_sink.extend(latencies)
-        maybe_check(self)
-        return outcomes
+    def delete(self, key: Any, tid: int | None = None) -> DeleteOutcome:
+        """Delete ``key`` on the owning shard; ``tid`` (None for an
+        untargeted delete) goes through ``write_target`` as an insert's
+        does, so a counting BF shard decrements its counters in place."""
+        key = as_scalar(key)
+        index = self.shards[self.route_key(key)].index
+        return index.delete(
+            key, None if tid is None else index.write_target(int(tid)))
 
     def range_scan(self, lo: Any, hi: Any) -> RangeScanResult:
         """Scatter-gather scan: every overlapping shard scans its slice."""

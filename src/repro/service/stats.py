@@ -282,14 +282,6 @@ class WindowedLoad:
         active = [w.load_balance for w in self.windows if w.total_clock > 0]
         return max(active) if active else 1.0
 
-    def totals_by_shard(self) -> dict[int, float]:
-        """Lifetime simulated clock per shard id across all windows."""
-        totals: dict[int, float] = {}
-        for w in self.windows:
-            for sid, secs in w.clock.items():
-                totals[sid] = totals.get(sid, 0.0) + float(secs)
-        return totals
-
     def to_dict(self) -> dict[str, Any]:
         return {
             "n_windows": len(self.windows),

@@ -4,6 +4,7 @@ plus the mixed read/write service traces and unified seed plumbing."""
 from repro.workloads import mixed, shd, synthetic, tpch
 from repro.workloads.mixed import (
     MIXES,
+    OP_DELETE,
     OP_INSERT,
     OP_READ,
     OP_SCAN,
@@ -27,6 +28,7 @@ __all__ = [
     "synthetic",
     "tpch",
     "MIXES",
+    "OP_DELETE",
     "OP_INSERT",
     "OP_READ",
     "OP_SCAN",

@@ -5,7 +5,8 @@ layer needs the traffic a production index actually sees — concurrent
 mixes of point reads, index inserts and small range scans whose key
 popularity follows a Zipfian law.  This module generates such traffic as
 *replayable seeded traces*: a :class:`MixedTrace` is plain NumPy arrays
-(op codes, keys, insert page ids, scan widths), so the same seed always
+(op codes, keys, insert and delete tuple ids, scan widths), so the same
+seed always
 yields the same operation sequence, and the sharded service and the
 unsharded index can replay identical work for apples-to-apples
 comparison.
@@ -34,13 +35,15 @@ import numpy as np
 
 # Operation codes stored in MixedTrace.ops: the Index protocol's
 # apply_many codes, so a trace op feeds the engines unchanged.
+from repro.api.protocol import OP_DELETE as OP_DELETE
 from repro.api.protocol import OP_INSERT as OP_INSERT
 from repro.api.protocol import OP_READ as OP_READ
 from repro.api.protocol import OP_SCAN as OP_SCAN
 from repro.storage.relation import Relation
 from repro.workloads.seeds import derive_seed
 
-OP_NAMES = {OP_READ: "read", OP_INSERT: "insert", OP_SCAN: "scan"}
+OP_NAMES = {OP_READ: "read", OP_INSERT: "insert", OP_SCAN: "scan",
+            OP_DELETE: "delete"}
 
 
 @dataclass(frozen=True)
@@ -121,10 +124,14 @@ class MixedTrace:
     """A replayable, seeded sequence of mixed index operations.
 
     Arrays are parallel over operations: ``ops[i]`` is the op code,
-    ``keys[i]`` the probe/insert/scan-start key, ``tids[i]`` the tuple
-    id an insert indexes (-1 for non-inserts; the page id is
+    ``keys[i]`` the probe/insert/delete/scan-start key, ``tids[i]`` the
+    tuple id an insert indexes or a delete removes (-1 for reads and
+    scans, and for an untargeted delete; the page id is
     ``relation.page_of(tid)``) and ``scan_widths[i]`` the inclusive key
-    width of a scan (0 for non-scans).
+    width of a scan (0 for non-scans).  ``generate_trace`` emits no
+    deletes; a trace that carries them is built from its arrays.
+    Arrays of different lengths raise ``ValueError``, so a malformed
+    trace cannot reach a replay.
     """
 
     ops: np.ndarray
@@ -136,6 +143,16 @@ class MixedTrace:
     theta: float
     seed: int
     expected_hits: np.ndarray | None = field(repr=False, default=None)
+
+    def __post_init__(self) -> None:
+        columns = {"ops": self.ops, "keys": self.keys, "tids": self.tids,
+                   "scan_widths": self.scan_widths}
+        if self.expected_hits is not None:
+            columns["expected_hits"] = self.expected_hits
+        lengths = {name: len(col) for name, col in columns.items()}
+        if len(set(lengths.values())) > 1:
+            raise ValueError(
+                f"trace columns must have one length, got {lengths}")
 
     def __len__(self) -> int:
         return len(self.ops)

@@ -4,7 +4,7 @@ The Router has a single replay path: ``SerialExecutor``'s batched
 ``apply_across`` calls.  Tests (and ``benchmarks/bench_scan_batch.py``)
 hold it to this loop — the same
 trace issued op by op through :class:`ShardedIndex`'s scalar
-``search``/``insert``/``range_scan`` in trace order.  Each op's
+``search``/``insert``/``delete``/``range_scan`` in trace order.  Each op's
 simulated latency is the change in the summed shard clocks across its
 call, so a scatter-gather scan's latency is the sum of its legs', as in
 the Router.
@@ -22,7 +22,7 @@ import numpy as np
 from repro.api.results import as_scalar
 from repro.harness import ServiceReport
 from repro.service import ShardedIndex, ServiceStats
-from repro.workloads import OP_INSERT, OP_READ, MixedTrace
+from repro.workloads import OP_DELETE, OP_INSERT, OP_READ, MixedTrace
 
 
 def _shard_clocks(service: ShardedIndex) -> list[float]:
@@ -48,6 +48,9 @@ def replay_per_op(service: ShardedIndex, trace: MixedTrace,
             elif code == OP_INSERT:
                 service.insert(key, int(trace.tids[i]))
                 results.append(None)
+            elif code == OP_DELETE:
+                tid = int(trace.tids[i])
+                results.append(service.delete(key, None if tid < 0 else tid))
             else:
                 hi = key + int(trace.scan_widths[i]) - 1
                 results.append(service.range_scan(key, hi))

@@ -19,6 +19,7 @@ tests pin the unified Index protocol down:
   to the per-op service loop.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -27,6 +28,7 @@ from golden.read_cases import assert_io_equal
 from per_op_replay import replay_per_op
 
 from repro.api import (
+    OP_DELETE,
     OP_INSERT,
     OP_READ,
     OP_SCAN,
@@ -39,6 +41,7 @@ from repro.api import (
     make_index,
     registered_backends,
 )
+from repro.core import BFTreeConfig
 from repro.harness import run_probes, run_service
 from repro.service import ShardedIndex
 from repro.storage import build_stack
@@ -528,26 +531,94 @@ def test_unshardable_backend_serves_single_shard(name, pk_relation):
     assert [r.found for r in results] == [True, True, False]
 
 
+def _with_deletes(trace, relation, share=0.3, seed=17):
+    """``trace`` with a seeded ``share`` of its reads turned into
+    deletes: half carry the key's tuple id, half -1 (untargeted)."""
+    rng = np.random.default_rng(seed)
+    reads = np.flatnonzero(trace.ops == OP_READ)
+    chosen = rng.choice(reads, size=int(len(reads) * share), replace=False)
+    targeted = chosen[: len(chosen) // 2]
+    ops, tids = trace.ops.copy(), trace.tids.copy()
+    ops[chosen] = OP_DELETE
+    tids[targeted] = np.searchsorted(np.asarray(relation.columns["pk"]),
+                                     trace.keys[targeted])
+    return dataclasses.replace(trace, ops=ops, tids=tids)
+
+
+def _delete_trace(relation):
+    trace = generate_trace(relation, "pk", mix="read_heavy", n_ops=200,
+                           skew="zipfian", seed=9)
+    return _with_deletes(trace, relation)
+
+
+def _assert_router_matches_per_op(routed_service, per_op_service, trace):
+    """A Router replay equals the per-op service loop: results, IOStats
+    and per-op latencies."""
+    batched = run_service(routed_service, trace, CONFIG)
+    scalar = replay_per_op(per_op_service, trace, CONFIG)
+    assert batched.results == scalar.results
+    assert batched.io == scalar.io
+    assert np.allclose(batched.stats.op_latencies,
+                       scalar.stats.op_latencies, rtol=1e-9)
+
+
 @pytest.mark.parametrize("name", BACKENDS)
 def test_service_trace_batch_fallback_bit_identity(name, pk_relation):
     """The acceptance bar: a mixed-workload trace replays bit-identically
     through the generic batch fallback vs the per-op service loop —
-    results, IOStats and per-op latencies — on every backend."""
+    results, IOStats and per-op latencies — on every backend, and so
+    does a delete-bearing trace on every mutable one."""
     caps = EXPECTED_CAPS[name]
     mix = "read_heavy" if caps["mutable"] else "read_only"
-    trace = generate_trace(pk_relation, "pk", mix=mix, n_ops=200,
-                           skew="zipfian", seed=9)
+    traces = [generate_trace(pk_relation, "pk", mix=mix, n_ops=200,
+                             skew="zipfian", seed=9)]
+    if caps["mutable"]:
+        traces.append(_delete_trace(pk_relation))
 
     def build():
         return ShardedIndex.build(pk_relation, "pk", n_shards=4,
                                   kind=name, unique=True, fpp=FPP)
 
-    batched = run_service(build(), trace, CONFIG)
-    scalar = replay_per_op(build(), trace, CONFIG)
-    assert batched.results == scalar.results
-    assert batched.io == scalar.io
-    assert np.allclose(batched.stats.op_latencies,
-                       scalar.stats.op_latencies, rtol=1e-9)
+    for trace in traces:
+        _assert_router_matches_per_op(build(), build(), trace)
+
+
+def test_delete_trace_on_counting_bf_service(pk_relation):
+    """Targeted deletes decrement a counting BF service's counters in
+    place through the Router as through the per-op loop."""
+    trace = _delete_trace(pk_relation)
+
+    def build():
+        return ShardedIndex.build(
+            pk_relation, "pk", n_shards=4, kind="bf", unique=True,
+            config=BFTreeConfig(fpp=FPP, filter_kind="counting"))
+
+    _assert_router_matches_per_op(build(), build(), trace)
+
+
+def test_delete_trace_on_durable_bf_service(pk_relation, tmp_path):
+    """A durable BF service replays a delete-bearing trace through the
+    Router as through the per-op loop, and both recover to the answers
+    they gave before."""
+    from repro.persist import make_durable_service, recover_service
+
+    trace = _delete_trace(pk_relation)
+    dirs = [tmp_path / "routed", tmp_path / "per-op"]
+    services = [make_durable_service(pk_relation, "pk", d, n_shards=4,
+                                     kind="bf", unique=True, fpp=FPP)
+                for d in dirs]
+    _assert_router_matches_per_op(*services, trace)
+
+    probes = np.unique(trace.keys).tolist() + [8192, -5]
+    live = [[service.search(k) for k in probes] for service in services]
+    assert live[0] == live[1]
+    for service, directory, want in zip(services, dirs, live):
+        for shard in service.shards:
+            shard.index.close()
+        recovered = recover_service(directory, pk_relation)
+        assert [recovered.search(k) for k in probes] == want
+        for shard in recovered.shards:
+            shard.index.close()
 
 
 # ======================================================================

@@ -60,11 +60,30 @@ for i in range(n_keys):
     print(f"ACK {key}", flush=True)
 """ % MULT
 
+#: The service children's burst: each delete is a one-op Router replay,
+#: which a durable shard logs as a ``delete_many`` WAL record.
+SERVICE_BURST = """
+service.bind("MEM/SSD")
+router = Router(service)
+print("READY", flush=True)
+for i in range(n_keys):
+    key = (i * %d) %% n_keys
+    router.replay(MixedTrace(
+        ops=np.array([OP_DELETE], dtype=np.uint8),
+        keys=np.array([key], dtype=np.int64),
+        tids=np.array([-1], dtype=np.int64),
+        scan_widths=np.zeros(1, dtype=np.int64),
+        mix=MIXES["read_heavy"], skew="uniform", theta=0.99, seed=0))
+    print(f"ACK {key}", flush=True)
+""" % MULT
+
 CHILD_SERVICE = """
 import sys
 import numpy as np
 from repro.persist import make_durable_service
+from repro.service import Router
 from repro.storage import Relation
+from repro.workloads import MIXES, OP_DELETE, MixedTrace
 
 directory, n_keys = sys.argv[1], int(sys.argv[2])
 rel = Relation({"pk": np.arange(n_keys, dtype=np.int64)}, tuple_size=256,
@@ -72,18 +91,15 @@ rel = Relation({"pk": np.arange(n_keys, dtype=np.int64)}, tuple_size=256,
 service = make_durable_service(rel, "pk", directory, n_shards=4, kind="bf",
                                unique=True, sync_every=1, fpp=1e-3)
 assert service.n_shards == 4, service.n_shards
-print("READY", flush=True)
-for i in range(n_keys):
-    key = (i * %d) %% n_keys
-    service.delete_many([key])
-    print(f"ACK {key}", flush=True)
-""" % MULT
+""" + SERVICE_BURST
 
 CHILD_SPLIT_SERVICE = """
 import sys
 import numpy as np
 from repro.persist import make_durable_service, split_durable_shard
+from repro.service import Router
 from repro.storage import Relation
+from repro.workloads import MIXES, OP_DELETE, MixedTrace
 
 directory, n_keys = sys.argv[1], int(sys.argv[2])
 rel = Relation({"pk": np.arange(n_keys, dtype=np.int64)}, tuple_size=256,
@@ -95,12 +111,7 @@ victim = max(service.shards, key=lambda s: s.index.n_leaves).shard_id
 split_durable_shard(service, directory, victim)
 assert service.topology_epoch == 1
 assert service.n_shards == 3
-print("READY", flush=True)
-for i in range(n_keys):
-    key = (i * %d) %% n_keys
-    service.delete_many([key])
-    print(f"ACK {key}", flush=True)
-""" % MULT
+""" + SERVICE_BURST
 
 
 def _run_child_until(script: str, directory: Path, n_keys: int,

@@ -78,7 +78,7 @@ class TestTableBuilds:
     @pytest.fixture()
     def builds(self, monkeypatch):
         # The sanitizer builds a table of its own to compare against.
-        monkeypatch.setattr(sanitize, "_FORCED", False)
+        monkeypatch.setattr(sanitize, "_ENABLED", False)
         count = [0]
         build = InnerTree._build_table
 

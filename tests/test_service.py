@@ -10,8 +10,10 @@ inserts (leaf splits included, thanks to structural filter seeding).
 import numpy as np
 import pytest
 from golden.read_cases import assert_io_equal
+from golden.write_cases import tree_digest
 from per_op_replay import replay_per_op
 
+from repro.api import DeleteOutcome
 from repro.baselines import BPlusTree
 from repro.baselines.bptree import BPlusTreeConfig
 from repro.core import BFTree, BFTreeConfig
@@ -19,6 +21,7 @@ from repro.harness import run_service
 from repro.service import Router, ShardedIndex
 from repro.storage import Relation, build_stack
 from repro.workloads import (
+    OP_DELETE,
     OP_INSERT,
     OP_READ,
     OP_SCAN,
@@ -272,20 +275,66 @@ class TestWriteBatching:
         assert batched.results == scalar.results
         assert batched.io == scalar.io
 
-    def test_delete_many_rejects_mismatched_tids_before_deleting(
-            self, relation):
-        """``tids`` of another length than ``keys`` raise ``ValueError``
-        before any shard deletes: extra tids are not ignored, and a short
-        list does not fail halfway, after an earlier shard deleted."""
-        service = ShardedIndex.build(relation, "pk", n_shards=2,
-                                     kind="bplus", unique=True)
-        assert len(service.shards) == 2
-        far = service.shards[1].lo_key
-        with pytest.raises(ValueError, match="same length"):
-            service.delete_many([1, 2, 3], [1, 2, 3, 4, 5])
-        with pytest.raises(ValueError, match="same length"):
-            service.delete_many([10, far], [10])
-        assert all(service.search(k).found for k in (1, 2, 3, 10, far))
+    @pytest.mark.parametrize("short", ["ops", "keys", "tids",
+                                       "scan_widths", "expected_hits"])
+    def test_trace_rejects_a_short_column(self, short):
+        """A trace whose columns differ in length cannot be built, so no
+        shard can apply part of a malformed batch."""
+        columns = {
+            "ops": np.full(5, OP_DELETE, dtype=np.uint8),
+            "keys": np.arange(5, dtype=np.int64),
+            "tids": np.arange(5, dtype=np.int64),
+            "scan_widths": np.zeros(5, dtype=np.int64),
+            "expected_hits": np.ones(5, dtype=bool),
+        }
+        columns[short] = columns[short][:-1]
+        with pytest.raises(ValueError, match="one length"):
+            MixedTrace(**columns, mix=MIXES["read_heavy"], skew="uniform",
+                       theta=0.99, seed=0)
+
+    def test_router_deletes_reach_counting_filters(self, relation):
+        """A delete's tuple id rides the Router to its shard's write
+        target: on a counting BF service each targeted delete decrements
+        the key's counters in place (§7), exactly as the per-op
+        ``ShardedIndex.delete`` does; a delete with tid -1 tombstones."""
+        def build():
+            return ShardedIndex.build(
+                relation, "pk", n_shards=4, kind="bf", unique=True,
+                config=BFTreeConfig(fpp=FPP, filter_kind="counting"))
+
+        values = np.asarray(relation.columns["pk"])
+        keys = np.random.default_rng(7).choice(values, size=106,
+                                               replace=False)
+        tids = np.searchsorted(values, keys)
+        tids[::8] = -1
+        n = len(keys)
+        trace = MixedTrace(
+            ops=np.full(n, OP_DELETE, dtype=np.uint8), keys=keys,
+            tids=tids, scan_widths=np.zeros(n, dtype=np.int64),
+            mix=MIXES["read_heavy"], skew="uniform", theta=0.99, seed=7)
+
+        def counters(service):
+            return sum(int(leaf.counters.sum()) for shard in service.shards
+                       for leaf in shard.index.leaves_in_order())
+
+        routed_service, per_op_service = build(), build()
+        assert routed_service.n_shards == 4
+        before = counters(routed_service)
+        routed = run_service(routed_service, trace, CONFIG)
+        per_op = replay_per_op(per_op_service, trace, CONFIG)
+        assert routed.results == [
+            DeleteOutcome(removed=True, tombstoned=bool(t < 0)) for t in tids]
+        assert routed.results == per_op.results
+        assert routed.io == per_op.io
+        assert np.allclose(routed.stats.op_latencies,
+                           per_op.stats.op_latencies, rtol=1e-9)
+        assert counters(routed_service) < before
+        for a, b in zip(routed_service.shards, per_op_service.shards):
+            assert tree_digest(a.index) == tree_digest(b.index)
+        tombstones = sum(len(leaf.deleted_keys)
+                         for shard in routed_service.shards
+                         for leaf in shard.index.leaves_in_order())
+        assert tombstones == int(np.count_nonzero(tids < 0))
 
     def test_sharded_insert_many_equals_unsharded_loop(self, relation):
         """An insert-only Router replay routes vectorized but performs

@@ -240,9 +240,9 @@ def run_service(
     """Replay a mixed workload trace through a sharded index service.
 
     Binds every shard to a fresh storage stack of ``config``, routes the
-    trace through a :class:`~repro.service.router.Router` (reads, inserts
-    and scans each batched per shard through the vectorized probe, write
-    and scan engines), and returns a :class:`ServiceReport` whose
+    trace through a :class:`~repro.service.router.Router` (reads,
+    inserts, deletes and scans batched per shard through each shard's
+    ordered ``apply_many`` engine), and returns a :class:`ServiceReport` whose
     :class:`ServiceStats` carries merged IOStats, per-op latency
     percentiles, simulated makespan throughput (shards progress in
     parallel, so the service finishes with its slowest shard) and replay

@@ -3,8 +3,8 @@
 The production-facing subsystem: a :class:`ShardedIndex` range-partitions
 one indexed column across N independent shards (each with its own
 device/IOStats/buffer-pool stack) under an epoch-versioned
-:class:`RoutingTable`, a :class:`Router` splits mixed read/insert/scan
-batches into per-shard column batches (:class:`ShardBatch`) and replays
+:class:`RoutingTable`, a :class:`Router` splits mixed
+read/insert/delete/scan batches into per-shard column batches (:class:`ShardBatch`) and replays
 them through the :class:`SerialExecutor` (one ``apply_across`` call per
 chunk for every shard's slice, one engine pass over all BF-Tree
 shards) — the service's only batch path — and

@@ -6,9 +6,8 @@ mixes of point reads, index inserts and small range scans whose key
 popularity follows a Zipfian law.  This module generates such traffic as
 *replayable seeded traces*: a :class:`MixedTrace` is plain NumPy arrays
 (op codes, keys, insert and delete tuple ids, scan widths), so the same
-seed always
-yields the same operation sequence, and the sharded service and the
-unsharded index can replay identical work for apples-to-apples
+seed always yields the same operation sequence, and the sharded service
+and the unsharded index can replay identical work for apples-to-apples
 comparison.
 
 Key popularity follows the YCSB convention: ranks are drawn from a

@@ -7,9 +7,10 @@ property is transitive, the project call graph (:mod:`.symbols`):
 ``D1`` (durability-ordering)
     In ``DurableIndex`` methods, the WAL ``append`` must **dominate**
     the inner-index mutation (a call to an ``apply``/``apply_fn``
-    parameter or a mutator on ``self.inner``/``self._inner``) on every
-    path.  Mutations inside ``lambda`` bodies are argument *values*,
-    not executions, and are ignored.
+    parameter, a mutator on ``self.inner``/``self._inner``, an
+    ``apply_across`` hook of another class or the ``apply_grouped``
+    helper that calls one) on every path.  Mutations inside ``lambda``
+    bodies are argument *values*, not executions, and are ignored.
 
 ``D2`` (durability-ordering)
     In ``src/repro/persist/`` functions that write a commit point
@@ -145,6 +146,9 @@ def _dominating(cfg: CFG, doms: list[set[int]], target: int,
 _D1_MUTATORS = frozenset(
     {"insert", "delete", "insert_many", "delete_many", "apply_many"})
 _D1_APPLY_PARAMS = frozenset({"apply", "apply_fn"})
+#: Receivers of ``apply_across`` calls that reach the wrapper's own
+#: (logging) hook rather than an inner index's.
+_D1_OWN_HOOK = frozenset({"self", "cls", "DurableIndex"})
 
 
 def _check_d1(unit: FileUnit) -> Iterator[Violation]:
@@ -172,6 +176,14 @@ def _check_d1(unit: FileUnit) -> Iterator[Violation]:
                         append_nodes.add(node.idx)
                 if isinstance(f, ast.Name) and f.id in apply_params:
                     apply_sites.append((node.idx, call.lineno, f"{f.id}()"))
+                if isinstance(f, ast.Name) and f.id == "apply_grouped":
+                    apply_sites.append((node.idx, call.lineno, f"{f.id}()"))
+                if isinstance(f, ast.Attribute) and f.attr == "apply_across":
+                    recv = dotted_name(f.value)
+                    if recv not in _D1_OWN_HOOK:
+                        apply_sites.append(
+                            (node.idx, call.lineno,
+                             f"{recv or '<expr>'}.apply_across()"))
                 if isinstance(f, ast.Attribute) and f.attr in _D1_MUTATORS:
                     recv = dotted_name(f.value)
                     if recv in ("self.inner", "self._inner"):

@@ -23,10 +23,14 @@ identical traffic.  This module defines that contract:
   **bit-identical** scalar-loop fallbacks: ``apply_many``, which
   ``search_many`` / ``insert_many`` / ``delete_many`` /
   ``range_scan_many`` call, and ``apply_across``, one ``apply_many`` per
-  index of a multi-index request.  Backends with vectorized engines
-  override those (the BF-Tree ``apply_many``, ``apply_across``,
-  ``search_many``, ``insert_many`` and ``range_scan_many``, the B+-Tree
-  ``range_scan_many``).
+  index of a multi-index request, which marks a raising request on its
+  exception (:func:`failed_request`).  :func:`apply_grouped` makes one
+  ``apply_across`` call per run of same-class indexes.  Backends with
+  vectorized engines override those (the BF-Tree ``apply_many``,
+  ``apply_across``, ``search_many``, ``insert_many`` and
+  ``range_scan_many``, the B+-Tree ``range_scan_many``, the durable
+  wrapper's ``apply_across``, one inner pass for every WAL-backed
+  index of a request).
 
 Write addressing: the protocol's mutating operations take the backend's
 *native write target* — a tuple id for rid-based indexes, a data page id
@@ -190,6 +194,43 @@ def check_op_codes(ops: Sequence[Op]) -> None:
         raise ValueError(f"unknown op code {min(unknown)}")
 
 
+def mark_failed_request(exc: BaseException, index: int) -> None:
+    """Record on ``exc`` that request ``index`` of an
+    :meth:`Index.apply_across` call raised it (see
+    :meth:`IndexBackend.apply_across`)."""
+    setattr(exc, "failed_request", index)
+
+
+def failed_request(exc: BaseException) -> int:
+    """The request of an :meth:`Index.apply_across` call that raised
+    ``exc``: every request before it applied in full, every request
+    after it is untouched.  0 when the hook raised before applying
+    anything."""
+    return int(getattr(exc, "failed_request", 0))
+
+
+def apply_grouped(requests: Sequence[Request]) -> list[list[Any]]:
+    """:meth:`Index.apply_across` over requests of mixed index classes:
+    one hook call per run of consecutive requests whose indexes share a
+    class, in order, so the results are one list per request.  An
+    exception is marked with the failing request's place in
+    ``requests`` (:func:`failed_request`)."""
+    results: list[list[Any]] = []
+    a = 0
+    while a < len(requests):
+        kind = type(requests[a][0])
+        b = a + 1
+        while b < len(requests) and type(requests[b][0]) is kind:
+            b += 1
+        try:
+            results.extend(kind.apply_across(requests[a:b]))
+        except BaseException as exc:
+            mark_failed_request(exc, a + failed_request(exc))
+            raise
+        a = b
+    return results
+
+
 def check_targets(keys: Sequence[Any], targets: Sequence[Any]) -> None:
     """Reject a batch whose targets do not pair one to one with its keys,
     before any item applies (as the vectorized engines do)."""
@@ -220,7 +261,7 @@ class IndexBackend:
     so Router percentile reports work on every backend.
     :meth:`apply_across` runs ``apply_many`` for several indexes of one
     class at once; the Router's executor calls it once per replay
-    chunk for all shards.
+    chunk per run of same-class shards (:func:`apply_grouped`).
 
     **Capability-gated defaults.**  A backend that never defines
     ``insert``/``delete`` is immutable, one that never defines
@@ -329,12 +370,29 @@ class IndexBackend:
 
         The default is one ``apply_many`` call per request, in order.  A
         backend whose engine has a fixed cost per call overrides it to
-        pay that cost once for all requests (the BF-Tree); an override
-        must leave what this loop leaves — results, every index's state,
-        IOStats and latencies — including when a request raises.
+        pay that cost once for all requests (the BF-Tree, and the
+        durable wrapper, which frames every request into its own WAL
+        and makes one inner pass); an override must leave what this loop
+        leaves — results, every index's state, IOStats and latencies —
+        including when a request raises.  An override may check every
+        request's op codes and scan windows before applying any.
+
+        When request ``i`` raises, the requests before it have applied
+        in full, request ``i`` is left as its own ``apply_many`` leaves
+        it and the later ones are untouched.  The hook marks the
+        exception with ``i`` (:func:`mark_failed_request`), so a caller
+        that must undo work of its own for the unapplied requests (the
+        durable wrapper's WAL records) reads it back with
+        :func:`failed_request`.
         """
-        return [index.apply_many(ops, latency_sink)
-                for index, ops, latency_sink in requests]
+        results: list[list[Any]] = []
+        for i, (index, ops, latency_sink) in enumerate(requests):
+            try:
+                results.append(index.apply_many(ops, latency_sink))
+            except BaseException as exc:
+                mark_failed_request(exc, i)
+                raise
+        return results
 
     def apply_many(self, ops: Sequence[Op],
                    latency_sink: list[float] | None = None) -> list[Any]:

@@ -73,6 +73,8 @@ from repro.api.protocol import (
     Capabilities,
     IndexBackend,
     check_op_codes,
+    failed_request,
+    mark_failed_request,
 )
 from repro.analysis.sanitize import maybe_check
 from repro.api.results import (
@@ -904,7 +906,9 @@ class BFTree(IndexBackend):
         tree is walked.  If a tree's walk raises, the trees walked before
         it get their filter tests and fetch, the failing tree is left as
         its own ``apply_many`` leaves it, later trees are untouched, and
-        the exception propagates: what the per-tree loop leaves.
+        the exception propagates, marked with the failing request
+        (:func:`~repro.api.protocol.failed_request`): what the per-tree
+        loop leaves.
         """
         walks = []
         for tree, ops, latency_sink in requests:
@@ -917,7 +921,11 @@ class BFTree(IndexBackend):
             if end < len(walks) and walks[end].tree._joins(
                     [walk.tree for walk in walks[start:end]]):
                 continue
-            cls._apply_pass(walks[start:end])
+            try:
+                cls._apply_pass(walks[start:end])
+            except BaseException as exc:
+                mark_failed_request(exc, start + failed_request(exc))
+                raise
             start = end
         return [walk.results for walk in walks]
 
@@ -981,10 +989,11 @@ class BFTree(IndexBackend):
                 marks = len(tests), len(tested)
                 try:
                     walk.tree._walk(walk)
-                except BaseException:
+                except BaseException as exc:
                     # The failing tree's tests are dropped unfetched, as
                     # its own apply_many drops them.
                     del tests[marks[0]:], tested[marks[1]:], owner[marks[1]:]
+                    mark_failed_request(exc, walk.slot)
                     raise
                 walked += 1
         finally:

@@ -37,12 +37,16 @@ Reads delegate straight to the inner backend; the WAL is real file I/O
 outside the storage simulator, so durability never perturbs IOStats (and
 so the simulated time priced from them).  ``search_many``,
 ``insert_many``, ``delete_many`` and ``range_scan_many`` are
-:class:`IndexBackend`'s, derived from ``apply_many``, which frames one
+:class:`IndexBackend`'s, derived from ``apply_many``, the one-request
+case of :meth:`DurableIndex.apply_across`: it frames one
 ``insert_many`` or ``delete_many`` record per maximal run of inserts or
-of deletes in the chunk, in op order (the records the per-run split
-would write), then makes one ordered ``apply_many`` call on the inner
-backend inside one rollback scope: a chunk that fails anywhere leaves
-none of its records in the log.  Read-only chunks log nothing.
+of deletes of each request, in op order (the records the per-run split
+would write), into that index's own log, then applies every request in
+one inner ``apply_across`` call — one engine pass over all the durable
+BF-Tree shards of a Router round.  The rollback scope stays one index:
+a request that fails leaves none of its records in its log, the
+requests before it stay applied and logged and the later ones are
+neither.  Read-only requests log nothing.
 """
 
 from __future__ import annotations
@@ -56,16 +60,23 @@ from typing import Any, Callable, Sequence, TypeVar
 from repro.api.protocol import (
     OP_DELETE,
     OP_INSERT,
+    OP_SCAN,
     Capabilities,
     Index,
     IndexBackend,
     Op,
+    Request,
+    apply_grouped,
+    check_op_codes,
+    failed_request,
+    mark_failed_request,
 )
 from repro.api.results import (
     DeleteOutcome,
     RangeScanResult,
     SearchResult,
     as_scalar,
+    normalize_scan_windows,
 )
 from repro.persist.errors import (
     CorruptManifestError,
@@ -186,6 +197,11 @@ def _write_run_records(ops: Sequence[Op]) -> list[dict[str, Any]]:
         keys.append(as_scalar(key))
         targets.append(None if target is None else int(target))
     return records
+
+
+def _write_count(records: list[dict[str, Any]]) -> int:
+    """How many ops a request's run records carry."""
+    return sum(len(record["keys"]) for record in records)
 
 
 def _record_op_count(record: dict[str, Any]) -> int:
@@ -310,7 +326,7 @@ class DurableIndex(IndexBackend):
         self._require_mutable("insert")
         k = as_scalar(key)
         self._log_apply(
-            [{"op": "insert", "key": k, "target": int(target)}],
+            {"op": "insert", "key": k, "target": int(target)},
             lambda: self.inner.insert(k, target),
         )
         self._note_ops(1)
@@ -319,8 +335,8 @@ class DurableIndex(IndexBackend):
         self._require_mutable("delete")
         k = as_scalar(key)
         outcome = self._log_apply(
-            [{"op": "delete", "key": k,
-              "target": None if target is None else int(target)}],
+            {"op": "delete", "key": k,
+             "target": None if target is None else int(target)},
             lambda: self.inner.delete(k, target),
         )
         self._note_ops(1)
@@ -328,23 +344,64 @@ class DurableIndex(IndexBackend):
 
     def apply_many(self, ops: Sequence[Op],
                    latency_sink: list[float] | None = None) -> list[Any]:
-        """One ordered inner ``apply_many`` call for a mixed chunk.
+        """One ordered inner ``apply_many`` call for a mixed chunk, its
+        writes logged first: the one-request case of
+        :meth:`apply_across`."""
+        return self.apply_across([(self, ops, latency_sink)])[0]
 
-        Each maximal run of inserts or of deletes is framed as one
-        ``insert_many`` or ``delete_many`` record, in op order, before
-        the call; a failure anywhere in the chunk rolls every one of
-        them back out of the log.  Writes count toward
-        ``checkpoint_every`` once the whole chunk applied.
+    @classmethod
+    def apply_across(cls, requests: Sequence[Request]) -> list[list[Any]]:
+        """:meth:`apply_many` of several durable indexes in one inner
+        pass: one result list per ``(index, ops, latency_sink)`` request,
+        equal to one ``apply_many`` call per request in order — results,
+        inner state, IOStats, latencies and every log's bytes.
+
+        Every request is checked before anything is logged or applied:
+        op codes, scan windows and, for a request that writes, a
+        mutable inner index and an open (else :class:`PersistError`),
+        unpoisoned (else :class:`WALFailedError`) log.  Then each
+        maximal run of inserts or of deletes of each request is framed
+        as one ``insert_many`` or ``delete_many`` record, in op order,
+        into that index's own log; one
+        :func:`~repro.api.protocol.apply_grouped` call applies every
+        request to the inner indexes (one engine pass over BF-Tree
+        shards); and each index counts its writes toward
+        ``checkpoint_every``.  Read-only requests log nothing.
+
+        A failure leaves what the per-request loop leaves, and the
+        exception is marked with the failing request
+        (:func:`~repro.api.protocol.failed_request`):
+
+        * an append that fails for request ``i``: the requests before it
+          are applied in one pass and stay logged; its own records are
+          rolled back out of its log, which the failure poisoned; later
+          requests are neither logged nor applied;
+        * an inner pass that raises at request ``i``: the requests before
+          it stay applied and logged, the records of ``i`` and of every
+          later request are rolled back, and the inner indexes are as
+          the inner hook leaves them (``i`` as its own ``apply_many``
+          leaves it, later ones untouched);
+        * a request whose writes reach its index's ``checkpoint_every``
+          ends the pass: it checkpoints before a later request is
+          logged, so a checkpoint that raises leaves the later requests
+          untouched.
+
+        Two faults in one request part from the loop in one way: when an
+        append fails for request ``i`` and the pass over the requests
+        before it then raises, ``i``'s log stays poisoned although the
+        loop would have stopped before logging it.
         """
-        records = _write_run_records(ops)
-        if not records:
-            return self.inner.apply_many(ops, latency_sink=latency_sink)  # reprolint: disable=D1 -- a read-only chunk mutates nothing
-        self._require_mutable("apply_many")
-        results = self._log_apply(
-            records,
-            lambda: self.inner.apply_many(ops, latency_sink=latency_sink),
-        )
-        self._note_ops(sum(len(r["keys"]) for r in records))
+        framed = [index._checked_records(ops) for index, ops, _ in requests]
+        results: list[list[Any]] = []
+        start = 0
+        for end in cls._pass_ends(requests, framed):
+            try:
+                results.extend(cls._apply_logged(requests[start:end],
+                                                 framed[start:end]))
+            except BaseException as exc:
+                mark_failed_request(exc, start + failed_request(exc))
+                raise
+            start = end
         return results
 
     def snapshot_state(self) -> dict[str, Any]:
@@ -372,20 +429,10 @@ class DurableIndex(IndexBackend):
         if not self.inner.capabilities().mutable:
             raise self._unsupported(op, "mutable")
 
-    def _log_apply(self, records: list[dict[str, Any]],
-                   apply: Callable[[], _T]) -> _T:
-        """WAL-before-apply with compensation.
-
-        The records are framed in order (and acknowledged per
-        ``sync_every``) before the inner op runs; if the op raises, all
-        of them are rolled back out of the log so replay cannot
-        resurrect an op the caller observed as failed.  A failed *batch*
-        op may leave the live inner tree partially applied (the
-        backend's own contract), but after a crash the whole batch is
-        absent — recovery only replays acknowledged records.  With no
-        open log (after :meth:`close` or a failed :meth:`checkpoint`) it
-        raises :class:`PersistError` before anything is logged or applied.
-        """
+    def _writable_wal(self) -> WriteAheadLog:
+        """The open log; :class:`PersistError` when there is none (after
+        :meth:`close` or a failed :meth:`checkpoint`),
+        :class:`WALFailedError` when it is poisoned."""
         wal = self._wal
         if wal is None:
             raise PersistError(
@@ -394,17 +441,111 @@ class DurableIndex(IndexBackend):
                 f"before writing"
             )
         wal.check_writable()
+        return wal
+
+    def _checked_records(self, ops: Sequence[Op]) -> list[dict[str, Any]]:
+        """The WAL records of ``ops`` (:func:`_write_run_records`), once
+        every check :meth:`apply_across` makes before logging passed."""
+        check_op_codes(ops)
+        normalize_scan_windows([(lo, hi) for code, lo, hi in ops
+                                if code == OP_SCAN])
+        records = _write_run_records(ops)
+        if records:
+            self._require_mutable("apply_many")
+            self._writable_wal()
+        return records
+
+    @staticmethod
+    def _pass_ends(requests: Sequence[Request],
+                   framed: list[list[dict[str, Any]]]) -> list[int]:
+        """Where :meth:`apply_across` ends its passes: after each request
+        whose writes reach its index's ``checkpoint_every``, and after
+        the last request."""
+        ends: list[int] = []
+        due: dict[int, int] = {}
+        for k, ((index, _, _), records) in enumerate(zip(requests, framed)):
+            every = index.checkpoint_every
+            if records and every is not None:
+                n = (due.get(id(index), index._ops_since_checkpoint)
+                     + _write_count(records))
+                due[id(index)] = 0 if n >= every else n
+                if n >= every:
+                    ends.append(k + 1)
+        if not ends or ends[-1] < len(requests):
+            ends.append(len(requests))
+        return ends
+
+    @staticmethod
+    def _apply_logged(requests: Sequence[Request],
+                      framed: list[list[dict[str, Any]]]
+                      ) -> list[list[Any]]:
+        """One pass of :meth:`apply_across`: frame every request's
+        records, apply the requests to the inner indexes in one
+        :func:`~repro.api.protocol.apply_grouped` call, count the
+        writes; on a failure, roll back the logs of the requests not
+        applied."""
+        inner = [(index.inner, ops, sink) for index, ops, sink in requests]
+        pending = [(k, record) for k, records in enumerate(framed)
+                   for record in records]
+        if not pending:
+            return apply_grouped(inner)  # reprolint: disable=D1 -- read-only requests log nothing and mutate nothing
+        # Each logging request's log and the offset its records start at.
+        (k, first), *rest = pending
+        wal = requests[k][0]._writable_wal()
+        logs = {k: (wal, wal.nbytes)}
+        applied = len(requests)
+        error: BaseException | None = None
+        try:
+            # Appending the first record outside the loop makes the pass
+            # provably log-dominated (D1).
+            wal.append(first)
+            for k, record in rest:
+                if k not in logs:
+                    wal = requests[k][0]._writable_wal()
+                    logs[k] = (wal, wal.nbytes)
+                wal.append(record)
+        except BaseException as exc:
+            # The loop would have applied the requests before k, then
+            # failed k's append; k's frame is rolled back below.
+            mark_failed_request(exc, k)
+            applied, error = k, exc
+        results: list[list[Any]] = []
+        try:
+            results = apply_grouped(inner[:applied])
+        except BaseException as exc:
+            applied, error = failed_request(exc), exc
+        for k, (index, _, _) in enumerate(requests[:applied]):
+            if framed[k]:
+                try:
+                    index._note_ops(_write_count(framed[k]))
+                except BaseException as exc:
+                    # Its checkpoint failed; it ends the pass.
+                    mark_failed_request(exc, k)
+                    raise
+        # Newest first: two requests of one index share its log.
+        for k in sorted(logs, reverse=True):
+            if k >= applied:
+                wal, start = logs[k]
+                wal.rollback(start)
+        if error is not None:
+            raise error
+        return results
+
+    def _log_apply(self, record: dict[str, Any],
+                   apply: Callable[[], _T]) -> _T:
+        """WAL-before-apply with compensation for one scalar op.
+
+        The record is framed (and acknowledged per ``sync_every``)
+        before the inner op runs; if the op raises, or the append itself
+        fails (leaving part or all of the frame in the file), it is
+        rolled back out of the log, so replay cannot resurrect an op the
+        caller observed as failed.  With no open log it raises
+        :class:`PersistError` before anything is logged or applied.
+        """
+        wal = self._writable_wal()
         start = wal.nbytes
         try:
-            # A failed append (write or fsync) may have left part or all
-            # of the frame in the file: it is rolled back like a failed
-            # apply, so recovery cannot replay an op that was never acked.
-            # ``records`` is never empty; appending the first outside
-            # the loop makes the apply provably log-dominated (D1).
-            first, *rest = records
-            wal.append(first)
-            for record in rest:
-                wal.append(record)
+            wal.append(record)
             return apply()
         except BaseException:
             wal.rollback(start)

@@ -5,10 +5,13 @@ columns of trace op indices, op codes, keys and third fields, in trace
 order.  :class:`SerialExecutor` receives ``(stable shard id, batch)``
 plans and replays them in rounds of :data:`REPLAY_CHUNK` ops per shard:
 each round is one :meth:`~repro.api.protocol.IndexBackend.apply_across`
-call per run of shards whose indexes share a class, which the BF-Tree
-answers with one engine pass over every shard's slice (one hash call,
-one filter gather, one page scan) and every other backend with one
-ordered ``apply_many`` call per shard.  An insert's or a targeted
+call per run of shards whose indexes share a class
+(:func:`~repro.api.protocol.apply_grouped`), which the BF-Tree answers
+with one engine pass over every shard's slice (one hash call, one filter
+gather, one page scan), the durable wrapper by framing every shard's
+writes into that shard's WAL and making one such pass over the inner
+trees, and every other backend with one ordered ``apply_many`` call per
+shard.  An insert's or a targeted
 delete's tuple id is mapped through the shard index's ``write_target``
 on the way in (a page id for BF-Tree shards, so a counting filter
 decrements in place), and each round that inserts or deletes ends with
@@ -25,7 +28,14 @@ from __future__ import annotations
 from typing import Any, NamedTuple
 
 from repro.analysis import sanitize
-from repro.api.protocol import OP_DELETE, OP_INSERT, OP_SCAN, Index, Op
+from repro.api.protocol import (
+    OP_DELETE,
+    OP_INSERT,
+    OP_SCAN,
+    Index,
+    Op,
+    apply_grouped,
+)
 from repro.service.sharded import ShardedIndex
 
 
@@ -109,19 +119,10 @@ class SerialExecutor:
                     (index, list(zip(codes, batch.keys[start:stop], args)),
                      []))
                 owners.append(p)
-            # One hook call per run of shards whose indexes share a class.
-            a = 0
-            while a < len(requests):
-                kind = type(requests[a][0])
-                b = a + 1
-                while b < len(requests) and type(requests[b][0]) is kind:
-                    b += 1
-                got = kind.apply_across(requests[a:b])
-                for p, results, (_, _, sink) in zip(owners[a:b], got,
-                                                    requests[a:b]):
-                    outcomes[p][0].extend(results)
-                    outcomes[p][1].extend(sink)
-                a = b
+            for p, results, (_, _, sink) in zip(
+                    owners, apply_grouped(requests), requests):
+                outcomes[p][0].extend(results)
+                outcomes[p][1].extend(sink)
             if writes:
                 sanitize.maybe_check(service)
         return outcomes

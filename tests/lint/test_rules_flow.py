@@ -4,9 +4,14 @@ invisible to the ported pattern rules (``only=PORTED_IDS``) — the flat
 linter could not express these orderings.
 """
 
+import re
+from pathlib import Path
+
 import pytest
 
 from repro.analysis.lint import PORTED_IDS, lint_source
+
+ROOT = Path(__file__).resolve().parents[2]
 
 
 def ids_of(violations):
@@ -101,6 +106,41 @@ class TestD1LogBeforeApply:
             "        return self.inner.apply_many(ops, latency_sink)\n"
         )
         assert lint_source(src, PERSIST) == []
+
+    def test_unlogged_inner_hook_flagged(self):
+        src = (
+            "class DurableIndex:\n"
+            "    @classmethod\n"
+            "    def apply_across(cls, requests):\n"
+            "        inner = [(i.inner, ops, s) for i, ops, s in requests]\n"
+            "        kind = type(inner[0][0])\n"
+            "        kind.apply_across(inner)\n"
+            "        return apply_grouped(inner)\n"
+        )
+        vs = lint_source(src, PERSIST)
+        assert ids_of(vs) == ["D1"]
+        assert [v.line for v in vs] == [6, 7]
+        assert "kind.apply_across()" in vs[0].message
+        assert "apply_grouped()" in vs[1].message
+
+    def test_own_hook_is_not_an_apply_site(self):
+        src = (
+            "class DurableIndex:\n"
+            "    def apply_many(self, ops, latency_sink=None):\n"
+            "        return self.apply_across([(self, ops, latency_sink)])\n"
+        )
+        assert lint_source(src, PERSIST) == []
+
+    def test_durable_apply_across_without_appends_flagged(self):
+        """The real ``DurableIndex`` with its WAL appends cut out: the
+        inner pass of ``apply_across`` is no longer log-dominated."""
+        source = (ROOT / PERSIST).read_text()
+        assert lint_source(source, PERSIST) == []
+        cut, n = re.subn(r"wal\.append\((\w+)\)", r"pass  # \1", source)
+        assert n >= 3
+        vs = [v for v in lint_source(cut, PERSIST) if v.rule == "D1"]
+        assert "apply_grouped()" in {v.message.split()[0] for v in vs}
+        assert any(v.message.startswith("apply()") for v in vs)
 
     def test_other_classes_are_exempt(self):
         src = D1_BAD.replace("DurableIndex", "CacheIndex")

@@ -180,9 +180,8 @@ def _count_engine_calls(monkeypatch, service, trace):
 def test_one_engine_pass_per_request(monkeypatch, tmp_path, durable):
     """A read-only 128-op request on a 4-shard BF service is one engine
     pass: one hash call, one filter gather and one data fetch for every
-    shard's slice together.  Durable shards keep one ``apply_many`` per
-    shard (their WAL rollback scope is one shard), so the same request
-    makes each call once per shard."""
+    shard's slice together, also when the shards are durable (their
+    hook makes one inner pass over every shard's tree)."""
     import numpy as np
 
     from repro.persist import make_durable_service
@@ -212,6 +211,4 @@ def test_one_engine_pass_per_request(monkeypatch, tmp_path, durable):
                 shard.index.close()
         service.unbind()
     assert all(r.found for r in results)
-    per_shard = 4 if durable else 1
-    assert calls == dict.fromkeys(("hash", "filter_test", "data_fetch"),
-                                  per_shard)
+    assert calls == dict.fromkeys(("hash", "filter_test", "data_fetch"), 1)

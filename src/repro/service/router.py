@@ -21,7 +21,7 @@ merged replay.
 * each shard's batch is one ordered request per replay chunk — reads,
   scans, inserts and deletes together, in trace order — and every
   shard's request of a chunk goes to one ``apply_across`` call, which
-  BF-Tree shards answer in one engine pass.  The engine answers each
+  BF-Tree shards, durable ones included, answer in one engine pass.  The engine answers each
   shard's ops as if applied one by one, so an operation issued after a
   write observes it (read-your-writes), and the per-op latency sink recovers
   each op's simulated latency for the percentile report.  The merge

@@ -26,9 +26,10 @@ identical traffic.  This module defines that contract:
   index of a multi-index request, which marks a raising request on its
   exception (:func:`failed_request`).  :func:`apply_grouped` makes one
   ``apply_across`` call per run of same-class indexes.  Backends with
-  vectorized engines override those (the BF-Tree ``apply_many``,
-  ``apply_across``, ``search_many``, ``insert_many`` and
-  ``range_scan_many``, the B+-Tree ``range_scan_many``, the durable
+  vectorized engines override those (the BF-Tree ``apply_across``, one
+  engine pass for every op kind, whose one-tree case its
+  ``apply_many``, ``search_many``, ``insert_many`` and
+  ``range_scan_many`` are; the B+-Tree ``range_scan_many``; the durable
   wrapper's ``apply_across``, one inner pass for every WAL-backed
   index of a request).
 

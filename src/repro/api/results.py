@@ -99,8 +99,8 @@ def normalize_scan_windows(windows: Iterable[tuple[Any, Any]]
     NumPy scalars are unwrapped to Python values (one :func:`as_scalars`
     pass per bound column) and every window is validated (``lo > hi``
     raises, with the scalar paths' message) before any I/O is charged —
-    shared by every ``range_scan_many`` engine and the sharded scan
-    planner.
+    shared by every scan path (once per BF-Tree walk) and the sharded
+    scan planner.
     """
     pairs = list(windows)
     wins = list(zip(as_scalars([lo for lo, _ in pairs]),

@@ -23,11 +23,12 @@ Algorithms implemented, with their paper counterparts:
   pass: one hash call for every tree's keys, one filter gather for
   every tree's chunk-end tests and one page scan for every tree's
   reads.  The Router replays every shard's chunk of a round through
-  it.  :meth:`BFTree.search_many`, :meth:`BFTree.insert_many` and the
-  inherited ``delete_many`` are its read-only, insert-only and
-  delete-only cases, and :meth:`BFTree.search` a batch of one; the
-  harness's ``run_probes`` and the CLI's ``probe`` replay whole probe
-  sets through it.
+  it.  :meth:`BFTree.search_many`, :meth:`BFTree.insert_many`, the
+  inherited ``delete_many`` and :meth:`BFTree.range_scan_many` are its
+  read-only, insert-only, delete-only and scan-only cases, and
+  :meth:`BFTree.search` and :meth:`BFTree.range_scan` batches of one;
+  the harness's ``run_probes`` and the CLI's ``probe`` replay whole
+  probe sets through it.
 * :meth:`BFTree.insert`      — Algorithm 3 (extend key range, bump #keys,
   add to the per-page BF; split when over capacity).
 * :meth:`BFTree.delete`      — §7's two delete mechanisms: the deleted-key
@@ -37,12 +38,11 @@ Algorithms implemented, with their paper counterparts:
   argues is feasible precisely because leaf ranges are small).
 * :meth:`BFTree.bulk_load`   — §4.2 bulk loading (one pass over the data,
   one pass building the directory over the leaves).
-* :meth:`BFTree.range_scan_many` — §7 range scans with optional
-  boundary-partition enumeration over a batch of windows, with window
-  routing done in one pass over the flattened directory, page runs
-  charged in aggregate (Eq. 13 split preserved) and match counting
-  collapsed into NumPy passes.  :meth:`BFTree.range_scan` is a batch
-  of one; the Router's scan batching runs on it.
+* :meth:`BFTree._scan` — §7 range scans, one step of the op walk:
+  the window's ``lo`` is routed with the plan's point keys, its leaf
+  chain and page runs are charged at its turn (Eq. 13 split
+  preserved), with optional boundary-partition enumeration, and match
+  counting waits for one NumPy pass per engine pass.
 * :meth:`BFTree.intersect_probe` — §8 index intersection.
 
 Storage binding: the tree's structure is device-independent.  Before
@@ -172,33 +172,42 @@ class _Walk:
     args: list
     #: Inserts' data pages, -1 for other ops.
     pids: list[int]
-    #: Keys and pids of the point ops (reads, inserts and deletes), in
-    #: op order.
+    #: Keys and pids of the point ops (reads, inserts and deletes), and
+    #: the scans' ``lo``, in op order.
     point_keys: list
     point_pids: list[int]
+    scan_keys: list
     results: list
     latencies: list[float]
     sink: list[float] | None
     #: The bound stack when latencies are tracked, else None.
     stack: StorageStack | None
     stats: object
+    #: :meth:`BFTree.range_scan_many`'s ``enumerate_boundaries``.
+    boundaries: bool = False
     #: The walk's place in its pass, and the pass's filter tests, shared
     #: by its walks: one per flush, with the op and walk of each tested
     #: (key, leaf) pair in test order.  Every tested read fetches after
-    #: the pass's walks.
+    #: the pass's walks.  Likewise the pass's scan results and their
+    #: match-count jobs, columns ``(scan, first_pid, npages, lo, hi)``
+    #: counted after the pass's walks.
     slot: int = 0
     tests: list[LeafMatches] = field(default_factory=list)
     tested: list[int] = field(default_factory=list)
     owner: list[int] = field(default_factory=list)
+    scanned: list[RangeScanResult] = field(default_factory=list)
+    jobs: tuple = ((), (), (), (), ())
     #: The current plan (written by :meth:`BFTree._plan_ops`): point op
     #: ``j`` is row ``j - base`` of its per-key columns, which are each
     #: point op's predicted leaf id, filter positions with one row per
     #: point op (None when no op reads them), and each insert's
     #: duplicate flag and filter group, plus
     #: the descent paths per leaf id (None on an empty tree).  The first
-    #: plan's columns are shared by every walk of the pass.
+    #: plan's columns are shared by every walk of the pass.  Scan
+    #: ``i - j`` (op ``i``, point op ``j``) starts at ``scan_pred[i - j]``.
     base: int = 0
     pred: list = field(default_factory=list)
+    scan_pred: list[int] = field(default_factory=list)
     paths: dict | None = None
     rows: object = None
     dup0: list | None = None
@@ -213,9 +222,6 @@ class _Walk:
     queue: defaultdict = field(default_factory=lambda: defaultdict(dict))
     #: Filter tests queued per leaf id: (op, plan row or None).
     probes: dict[int, list] = field(default_factory=dict)
-    #: Scans of the current read run, dispatched before the next insert
-    #: a scan can see.
-    scans: list[int] = field(default_factory=list)
 
 
 def _pass_geometry(tree: "BFTree") -> tuple | None:
@@ -852,8 +858,9 @@ class BFTree(IndexBackend):
           visible write had its queue flushed first, so each test sees
           exactly the bits set before its read; it keeps the match
           matrix's ``nonzero`` output and each leaf's page geometry of
-          that moment.  A run of scans goes through
-          :meth:`range_scan_many` before the next visible write;
+          that moment.  A scan charges its leaf chain and pages at its
+          turn (:meth:`_scan`), so before the next visible write, and
+          queues its match count for the pass's one count;
         * after the walk, one :func:`build_page_runs` pass turns every
           flush's tests into CSR page runs (per-read offsets into
           ``(first_pid, npages)`` arrays), and the data pages of every
@@ -873,8 +880,8 @@ class BFTree(IndexBackend):
         included) are normalised to native Python values in one
         :func:`as_scalars` pass (a C-level type check when there are
         none), so every key a leaf stores (``min_key``, ``max_key``,
-        ``deleted_keys``) is native; :meth:`range_scan_many` normalises
-        a scan's ``hi``.
+        ``deleted_keys``) is native; :meth:`_new_walk` normalises each
+        scan window once and writes the native ``hi`` into the op.
         """
         return self.apply_across([(self, ops, latency_sink)])[0]
 
@@ -889,18 +896,20 @@ class BFTree(IndexBackend):
         key column, ``unique``/``ordered`` flags and leaf geometry but
         for ``max_filters`` (shards cut from one donor always do) share
         a pass; any other request starts a new one, and so does a tree
-        already in the pass.  A pass routes each tree's point keys, then
-        hashes every tree's first plan in one
+        already in the pass.  A pass routes each tree's point keys and
+        scan windows in one :meth:`InnerTree.route_batch` call, then
+        hashes every tree's point keys in one
         :meth:`BFLeaf.hash_rows` call and pre-tests every insert in one
         :meth:`BFLeaf.duplicate_flags` gather (:meth:`_plan_ops`).  It
         walks each tree's ops in order, exactly as :meth:`apply_many`
         describes (read runs, visible writes with their flushes, splits
-        with a re-plan of that tree alone, scans), then tests every
-        tree's chunk-end filter tests in one :meth:`BFLeaf.match_many` gather
-        and fetches every read's pages through one
-        :func:`build_page_runs` and one :meth:`_fetch_runs` call.  Stop
-        rules stay per read, and every charge lands on its own tree's
-        stack.
+        with a re-plan of that tree alone, scans charged at their turn),
+        then tests every tree's chunk-end filter tests in one
+        :meth:`BFLeaf.match_many` gather, fetches every read's pages
+        through one :func:`build_page_runs` and one :meth:`_fetch_runs`
+        call and counts every scan's matches in one
+        :meth:`_count_scan_jobs` call.  Stop rules stay per read, and
+        every charge lands on its own tree's stack.
 
         Every request's op codes and scan windows are checked before any
         tree is walked.  If a tree's walk raises, the trees walked before
@@ -944,31 +953,39 @@ class BFTree(IndexBackend):
 
     def _new_walk(self, codes: list[int], keys: list, args: list,
                   latency_sink: list[float] | None) -> "_Walk":
-        """A walk over ops split into parallel lists; inverted scan
-        windows raise ``ValueError`` here, before any tree is walked."""
+        """A walk over ops split into parallel lists.  Scan windows are
+        normalised here, once, into native ``keys`` and ``args``; an
+        inverted one raises ``ValueError`` before any tree is walked."""
         n = len(codes)
         pids = ([int(arg) if code == OP_INSERT else -1
                  for code, arg in zip(codes, args)]
                 if OP_INSERT in codes else [-1] * n)
-        point_keys, point_pids = keys, pids
+        point_keys, point_pids, scan_keys = keys, pids, []
         if OP_SCAN in codes:
-            normalize_scan_windows([(keys[i], args[i]) for i in range(n)
-                                    if codes[i] == OP_SCAN])
+            scans = [i for i in range(n) if codes[i] == OP_SCAN]
+            windows = normalize_scan_windows([(keys[i], args[i])
+                                              for i in scans])
+            for i, (lo, hi) in zip(scans, windows):
+                keys[i], args[i] = lo, hi
+            scan_keys = [lo for lo, _ in windows]
             point = [i for i in range(n) if codes[i] != OP_SCAN]
             point_keys = [keys[i] for i in point]
             point_pids = [pids[i] for i in point]
         return _Walk(
             tree=self, codes=codes, keys=keys, args=args, pids=pids,
-            point_keys=point_keys, point_pids=point_pids,
+            point_keys=point_keys, point_pids=point_pids, scan_keys=scan_keys,
             results=[None] * n, latencies=[0.0] * n, sink=latency_sink,
             stack=self.stack if latency_sink is not None else None,
             stats=self._stats(),
         )
 
     def _apply(self, codes: list[int], keys: list, args: list,
-               latency_sink: list[float] | None) -> list:
-        """:meth:`apply_many` over its ops split into parallel lists."""
+               latency_sink: list[float] | None,
+               boundaries: bool = False) -> list:
+        """:meth:`apply_many` over its ops split into parallel lists
+        (``boundaries``: :meth:`range_scan_many`)."""
         walk = self._new_walk(codes, keys, args, latency_sink)
+        walk.boundaries = boundaries
         BFTree._apply_pass([walk])
         return walk.results
 
@@ -979,20 +996,26 @@ class BFTree(IndexBackend):
         tests: list[LeafMatches] = []
         tested: list[int] = []
         owner: list[int] = []
+        scanned: list[RangeScanResult] = []
+        jobs: tuple = ([], [], [], [], [])
         for slot, walk in enumerate(walks):
             walk.slot = slot
             walk.tests, walk.tested, walk.owner = tests, tested, owner
+            walk.scanned, walk.jobs = scanned, jobs
         BFTree._plan_ops(walks)
         walked = 0
         try:
             for walk in walks:
-                marks = len(tests), len(tested)
+                marks = len(tests), len(tested), len(scanned), len(jobs[0])
                 try:
                     walk.tree._walk(walk)
                 except BaseException as exc:
-                    # The failing tree's tests are dropped unfetched, as
-                    # its own apply_many drops them.
+                    # The failing tree's tests and scan counts are
+                    # dropped, as its own apply_many drops them.
                     del tests[marks[0]:], tested[marks[1]:], owner[marks[1]:]
+                    del scanned[marks[2]:]
+                    for column in jobs:
+                        del column[marks[3]:]
                     mark_failed_request(exc, walk.slot)
                     raise
                 walked += 1
@@ -1024,23 +1047,23 @@ class BFTree(IndexBackend):
                 raise LookupError(
                     "insert into an unbuilt tree; bulk_load first")
             # Empty tree: reads find nothing, deletes remove nothing;
-            # scans see no leaves.
+            # scans see no leaves.  Nothing is charged.
             for k in range(n):
                 if codes[k] == OP_READ:
                     walk.results[k] = SearchResult(found=False)
                 elif codes[k] == OP_DELETE:
                     walk.results[k] = DeleteOutcome(removed=False)
                 else:
-                    walk.scans.append(k)
+                    walk.results[k] = RangeScanResult(
+                        matches=0, pages_read=0, leaves_visited=0)
             i = n
         try:
             while i < n:
                 i, j = self._read_run(walk, i, j)
                 if i == n:
                     break
-                # Op i is a write a read or scan can see: the scans and
-                # reads before it must not.
-                self._run_scans(walk)
+                # Op i is a write a read or scan can see: the reads
+                # before it must not.
                 self._flush_probes([walk])
                 rel = j - walk.base
                 leaf_id = walk.pred[rel]
@@ -1096,7 +1119,6 @@ class BFTree(IndexBackend):
                     self._plan_ops([walk], i, j)
         finally:
             self._flush_charges(walk)
-        self._run_scans(walk)
 
     def _delete_planned(self, walk: "_Walk", i: int, rel: int,
                         leaf: BFLeaf) -> DeleteOutcome:
@@ -1117,11 +1139,13 @@ class BFTree(IndexBackend):
     @staticmethod
     def _finish(walks: list["_Walk"]) -> None:
         """Test every walk's queued reads in one flush, fetch every
-        tested read's pages in one :meth:`_fetch_runs` call, and hand
+        tested read's pages in one :meth:`_fetch_runs` call, count every
+        scan's matches in one :meth:`_count_scan_jobs` call, and hand
         each walk its latencies."""
         BFTree._flush_probes(walks)
         first = walks[0]
         tree = first.tree
+        tree._count_scan_jobs(first.scanned, *first.jobs)
         if first.tests:
             if tree.ordered:
                 # Each read was tested on its one target leaf: its runs
@@ -1167,7 +1191,7 @@ class BFTree(IndexBackend):
         time); a tested read fetches after the walk.  It joins its
         target leaf's charge queue in the group of reads that visit the
         same neighbour leaves, with the number of filters it probes.
-        Scans queue for one :meth:`range_scan_many` call."""
+        A scan charges at its turn (:meth:`_scan`)."""
         codes, keys, pids = walk.codes, walk.keys, walk.pids
         results, probes, queue = walk.results, walk.probes, walk.queue
         pred, dup0, grp, dirty = walk.pred, walk.dup0, walk.grp, walk.dirty
@@ -1179,7 +1203,7 @@ class BFTree(IndexBackend):
         while i < n:
             code = codes[i]
             if code == OP_SCAN:
-                walk.scans.append(i)
+                self._scan(walk, i, walk.scan_pred[i - j])
                 i += 1
                 continue
             rel = j - base
@@ -1335,20 +1359,6 @@ class BFTree(IndexBackend):
                                                 positions))
         walks[0].tested.extend(ops)
         walks[0].owner.extend(owner)
-
-    def _run_scans(self, walk: "_Walk") -> None:
-        """Dispatch the queued run of scans through :meth:`range_scan_many`."""
-        if not walk.scans:
-            return
-        sink: list[float] = []
-        got = self.range_scan_many(
-            [(walk.keys[i], walk.args[i]) for i in walk.scans],
-            latency_sink=sink,
-        )
-        for i, result, latency in zip(walk.scans, got, sink):
-            walk.results[i] = result
-            walk.latencies[i] = latency
-        walk.scans.clear()
 
     def _neighbour_ids(self, key, leaf: BFLeaf) -> tuple[int, ...]:
         """Ids of the leaves next to ``leaf`` whose key range may also
@@ -1597,8 +1607,9 @@ class BFTree(IndexBackend):
     @staticmethod
     def _plan_ops(walks: list["_Walk"], i: int = 0, j: int = 0) -> None:
         """Plan each walk's ops from op ``i`` (point op ``j``) on: route
-        its point keys ``point_keys[j:]`` structurally, then hash every
-        walk's keys in one call, and write the plan into the walk.
+        its point keys ``point_keys[j:]`` and its scans' ``lo``
+        (``scan_pred``) in one call per tree, then hash every walk's
+        point keys in one call, and write the plan into the walk.
 
         A walk's ``point_pids`` are the inserts' data pages, -1 for reads
         and deletes (no group, no duplicate flag); whether an insert is
@@ -1643,10 +1654,16 @@ class BFTree(IndexBackend):
             hashing = hashing or inserting or OP_READ in left or (
                 OP_DELETE in left and tree.config.filter_kind == "counting")
             sub = walk.point_keys[j:]
-            if not sub:
+            los = walk.scan_keys[i - j:]
+            if not sub and not los:
                 continue
             arr = np.asarray(sub)
-            leaf_ids = tree.inner.route_batch(arr)
+            leaf_ids = tree.inner.route_batch(sub + los if los else arr)
+            # Scans route with the point keys but are never hashed.
+            walk.scan_pred[i - j:] = leaf_ids[len(sub):]
+            del leaf_ids[len(sub):]
+            if not sub:
+                continue
             # Each key is hashed under its target leaf's seed.
             slot_of = {}
             for leaf_id in dict.fromkeys(leaf_ids):
@@ -1886,119 +1903,94 @@ class BFTree(IndexBackend):
         whose page runs are disk-contiguous ride the same sequential
         stream instead of paying a seek per leaf.
 
-        A batch of one through :meth:`range_scan_many`, which raises
-        ``ValueError`` for ``lo > hi``.
+        A batch of one through :meth:`range_scan_many`; ``lo > hi``
+        raises ``ValueError``.
         """
         return self.range_scan_many([(lo, hi)], enumerate_boundaries)[0]
 
     def range_scan_many(self, windows, enumerate_boundaries: bool = False,
                         latency_sink: list[float] | None = None
                         ) -> list[RangeScanResult]:
-        """§7 range scans over a batch of ``(lo, hi)`` windows.
+        """§7 range scans over a batch of ``(lo, hi)`` windows:
+        :meth:`apply_many` over scans.
 
         Result ``j`` depends on ``windows[j]`` alone: a batch returns the
         same per-scan :class:`RangeScanResult` and the same IOStats
-        counters as one batch of one per window, and the per-page Python
-        work collapses:
+        counters as one batch of one per window.  Every window's ``lo``
+        is routed in the plan's one :meth:`InnerTree.route_batch` call,
+        each scan charges at its turn (:meth:`_scan`) and every match
+        count waits for the pass's one :meth:`_count_scan_jobs` call.
+        ``latency_sink`` receives one simulated latency per window.
+        Invalid windows (``lo > hi``) raise ``ValueError`` before any
+        charge lands.
 
-        * every window is routed in one pass over the directory's
-          cached routing table (:meth:`InnerTree.route_batch`), as the
-          batch write engine does;
-        * each scan's data-page runs are charged through
-          :meth:`Device.read_batch` — one aggregate count per leaf
-          visit with the exact Eq. 13 random/sequential split of a
-          page-by-page read (a page is sequential iff it follows the
-          previous page read by the same scan);
-        * boundary-leaf filter enumeration (``enumerate_boundaries``)
-          probes all overlapping key values through the shared-hash
-          batch machinery (:meth:`BFLeaf.matching_page_runs_many`);
-        * match counting is deferred and vectorized: all scans covering
-          a page are counted in one NumPy pass over that page's column
-          (one global ``searchsorted`` for ordered data).
-
-        Scans never mutate the tree and every charge on the scan path
-        declares its access pattern explicitly, so per-scan charges are
-        independent of processing order; ``latency_sink`` receives one
-        simulated per-scan latency per window (aligned with
-        ``windows``), exactly as a batch of one would measure it.
-        Invalid windows (``lo > hi``) are rejected up front, before any
-        charges land.
+        ``enumerate_boundaries`` (§7) makes each boundary leaf probe its
+        filters for every integer value of the window it overlaps, one
+        :meth:`BFLeaf.matching_page_runs_many` call per boundary leaf,
+        and read only the matching pages (:meth:`_leaf_scan_runs`).  It
+        is a flag of scan-only walks: no serving path sets it, and
+        hashing its values in the plan's one :meth:`BFLeaf.hash_rows`
+        call would make the plan hash keys that are not ops.
         """
-        wins = normalize_scan_windows(windows)
-        n = len(wins)
-        results = [
-            RangeScanResult(matches=0, pages_read=0, leaves_visited=0)
-            for _ in range(n)
-        ]
-        stack = self.stack if latency_sink is not None else None
-        latencies = [0.0] * n
-        try:
-            targets = self.inner.route_batch([lo for lo, _ in wins])
-        except LookupError:
-            if latency_sink is not None:
-                latency_sink.extend(latencies)
-            return results
-        paths = self.inner.routing_table().paths
+        pairs = list(windows)
+        n = len(pairs)
+        return self._apply([OP_SCAN] * n, [lo for lo, _ in pairs],
+                           [hi for _, hi in pairs], latency_sink,
+                           enumerate_boundaries)
+
+    def _scan(self, walk: "_Walk", i: int, leaf_id: int) -> None:
+        """Op ``i`` of the walk, a scan whose ``lo`` routes to leaf
+        ``leaf_id``: the walk's one scan step, charged at its turn as
+        :meth:`range_scan` describes (each leaf's page runs in one
+        :meth:`Device.read_batch`), its latency the price of those
+        charges.  Its match count waits for the pass: one job per page
+        run, the window clamped to the reading leaf's key range, so a
+        page two adjacent leaves share (after a split whose median was
+        not page-aligned) counts each tuple once.
+        """
+        lo, hi = walk.keys[i], walk.args[i]
+        stack = walk.stack
+        start = stack.stats.mark() if stack is not None else ()
+        res = walk.results[i] = RangeScanResult(
+            matches=0, pages_read=0, leaves_visited=0)
+        scan = len(walk.scanned)
+        walk.scanned.append(res)
+        jobs_scan, jobs_first, jobs_count, jobs_lo, jobs_hi = walk.jobs
+        leaves = self.leaves
         device = self._data_device
-        # Deferred match counting: (scan, first_pid, npages, lo, hi)
-        # jobs, one row per charged page run, counted vectorized after
-        # the sweep.  A job's key bounds are the window clamped to the
-        # reading leaf's key range, so a page two adjacent leaves share
-        # (after a split whose median was not page-aligned) counts each
-        # tuple once.
-        jobs_scan: list[int] = []
-        jobs_lo: list = []
-        jobs_hi: list = []
-        jobs_first: list[int] = []
-        jobs_count: list[int] = []
-        for j in range(n):
-            lo, hi = wins[j]
-            res = results[j]
-            start_t = stack.stats.mark() if stack is not None else ()
-            leaf_id = targets[j]
-            self.inner.charge_path(paths[leaf_id])
-            current: BFLeaf | None = self.leaves[leaf_id]
-            if not self.ordered:
-                while current.prev_leaf_id is not None:
-                    prev = self.leaves.get(current.prev_leaf_id)
-                    if (prev is None or prev.max_key is None
-                            or prev.max_key < lo):
-                        break
-                    current = prev
-            prev_pid: int | None = None
-            while current is not None:
-                if current.min_key is not None and current.min_key > hi:
+        self.inner.charge_path(walk.paths[leaf_id])
+        current: BFLeaf | None = leaves[leaf_id]
+        if not self.ordered:
+            while current.prev_leaf_id is not None:
+                prev = leaves.get(current.prev_leaf_id)
+                if prev is None or prev.max_key is None or prev.max_key < lo:
                     break
-                self.store.read(current.node_id,
-                                sequential=res.leaves_visited > 0)
-                res.leaves_visited += 1
-                runs = self._leaf_scan_runs(current, lo, hi,
-                                            enumerate_boundaries)
-                if runs:
-                    n_random, n_seq, prev_pid = classify_read_runs(
-                        runs, prev_pid
-                    )
-                    if device is not None:
-                        device.read_batch(n_random, n_seq)
-                    res.pages_read += n_random + n_seq
-                    key_lo = max(lo, current.min_key)
-                    key_hi = min(hi, current.max_key)
-                    for first, cnt in runs:
-                        jobs_scan.append(j)
-                        jobs_first.append(first)
-                        jobs_count.append(cnt)
-                        jobs_lo.append(key_lo)
-                        jobs_hi.append(key_hi)
-                next_id = current.next_leaf_id
-                current = (self.leaves.get(next_id)
-                           if next_id is not None else None)
-            if stack is not None:
-                latencies[j] = stack.since(start_t)
-        self._count_scan_jobs(results, jobs_scan, jobs_first, jobs_count,
-                              jobs_lo, jobs_hi)
-        if latency_sink is not None:
-            latency_sink.extend(latencies)
-        return results
+                current = prev
+        prev_pid: int | None = None
+        while current is not None:
+            if current.min_key is not None and current.min_key > hi:
+                break
+            self.store.read(current.node_id,
+                            sequential=res.leaves_visited > 0)
+            res.leaves_visited += 1
+            runs = self._leaf_scan_runs(current, lo, hi, walk.boundaries)
+            if runs:
+                n_random, n_seq, prev_pid = classify_read_runs(runs,
+                                                               prev_pid)
+                if device is not None:
+                    device.read_batch(n_random, n_seq)
+                res.pages_read += n_random + n_seq
+                key_lo = max(lo, current.min_key)
+                key_hi = min(hi, current.max_key)
+                for first, npages in runs:
+                    jobs_scan.append(scan)
+                    jobs_first.append(first)
+                    jobs_count.append(npages)
+                    jobs_lo.append(key_lo)
+                    jobs_hi.append(key_hi)
+            current = leaves.get(current.next_leaf_id)
+        if stack is not None:
+            walk.latencies[i] = stack.since(start)
 
     def _leaf_scan_runs(self, leaf: BFLeaf, lo, hi,
                         enumerate_boundaries: bool
@@ -2044,7 +2036,9 @@ class BFTree(IndexBackend):
 
     def _count_scan_jobs(self, results, jobs_scan, jobs_first, jobs_count,
                          jobs_lo, jobs_hi) -> None:
-        """Vectorized deferred match counting for :meth:`range_scan_many`.
+        """Count every scan's matches of a pass (:meth:`_scan`): job
+        ``r`` adds to ``results[jobs_scan[r]]``; the pass's trees share
+        what is read here.
 
         Ordered data: one global ``searchsorted`` pair over the sorted
         column resolves every job's count arithmetically.  Partitioned

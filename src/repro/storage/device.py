@@ -37,9 +37,9 @@ def classify_read_runs(runs: Iterable[tuple[int, int]],
     pays one random positioning and the rest ride sequentially.
     ``prev_pid`` carries the position across calls (consecutive leaves
     whose runs are disk-contiguous continue one sequential stream).
-    The batch scan engines feed the result to :meth:`Device.read_batch`;
-    this helper is the single definition of the split those engines must
-    share with the scalar loops.
+    The BF-Tree's scan step and the B+-Tree's batch scan feed the result
+    to :meth:`Device.read_batch`; this helper is the single definition of
+    the split they must share with the scalar loops.
     """
     n_random = 0
     total = 0
@@ -165,8 +165,9 @@ class Device:
     def read_batch(self, n_random: int, n_sequential: int) -> None:
         """Count ``n_random`` random plus ``n_sequential`` sequential page
         reads: the aggregate of per-page :meth:`read_page` calls with
-        explicit ``sequential`` flags.  The batch scan engine charges each
-        scan's planned page runs through this."""
+        explicit ``sequential`` flags.  The BF-Tree's scan step and the
+        B+-Tree's batch scan charge each scan's planned page runs through
+        this."""
         if n_random < 0 or n_sequential < 0:
             raise ValueError("read counts must be >= 0")
         if self.role == "index":

@@ -1,16 +1,17 @@
 #!/usr/bin/env python
-"""Batch scan engine: wall-clock speedup of batched scans vs per-op scans.
+"""Batched scans: wall-clock speedup of batched scans vs per-op scans.
 
-Not a paper figure — this benchmark validates the vectorized batch scan
-path that completes the serving stack's batching story (batched point
+Not a paper figure — this benchmark validates the batched scan path
+that completes the serving stack's batching story (batched point
 reads, batched writes, batched range scans).  It replays one seeded
 ``scan_mix`` trace (YCSB-E-style: 75% reads / 5% inserts / 20% scans)
 through two identically built 4-shard services, once op by op through
 the service's per-op ``search``/``insert``/``range_scan`` calls (the
 per-op loop the test suite also holds the Router to,
-``tests/per_op_replay.py``; each read is a batch of one) and once
-through the Router, whose per-shard ``apply_many`` calls drive each run
-of scans through ``range_scan_many``, and checks the contract:
+``tests/per_op_replay.py``; each read and each scan is a batch of one)
+and once through the Router, whose engine pass over every shard's
+chunk charges each scan at its turn in the op walk and counts every
+scan's matches in one pass, and checks the contract:
 
 * the two replays produce **bit-identical** per-op results and equal
   merged ``IOStats`` (per-op simulated latencies and clocks equal up to
@@ -20,7 +21,7 @@ of scans through ``range_scan_many``, and checks the contract:
 
 The per-op loop is per-op for point reads as well as scans, so the
 service ratio credits read batching too.  A second section therefore
-gates the scan engine alone: one ``BFTree.range_scan_many`` batch
+gates the scan-only walk alone: one ``BFTree.range_scan_many`` batch
 against a per-window ``range_scan`` loop (batches of one) on one
 unsharded tree, bit-identical and at least **3x** faster.  The measured
 numbers are emitted as a JSON report so CI can track the speedups over

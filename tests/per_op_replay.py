@@ -1,4 +1,4 @@
-"""Per-op reference replay for the sharded service.
+"""Per-op reference replays for one index and for the sharded service.
 
 The Router has a single replay path: ``SerialExecutor``'s batched
 ``apply_across`` calls.  Tests (and ``benchmarks/bench_scan_batch.py``)
@@ -9,8 +9,9 @@ simulated latency is the change in the summed shard clocks across its
 call, so a scatter-gather scan's latency is the sum of its legs', as in
 the Router.
 
-Import it as ``from per_op_replay import replay_per_op``: pytest puts
-``tests/`` on ``sys.path`` (it has no ``__init__.py``).
+:func:`apply_per_op` is the same loop for one index's ``apply_many``
+ops.  Import them as ``from per_op_replay import replay_per_op``:
+pytest puts ``tests/`` on ``sys.path`` (it has no ``__init__.py``).
 """
 
 from __future__ import annotations
@@ -23,6 +24,25 @@ from repro.api.results import as_scalar
 from repro.harness import ServiceReport
 from repro.service import ShardedIndex, ServiceStats
 from repro.workloads import OP_DELETE, OP_INSERT, OP_READ, MixedTrace
+
+
+def apply_per_op(index, ops, stack):
+    """Apply ``apply_many``-style ``ops`` to ``index`` one by one through
+    its scalar calls: ``(results, latencies)``, each op's latency the
+    change in ``stack``'s clock across its call."""
+    results, latencies = [], []
+    for code, key, arg in ops:
+        start = stack.elapsed()
+        if code == OP_READ:
+            results.append(index.search(key))
+        elif code == OP_INSERT:
+            results.append(index.insert(key, arg))
+        elif code == OP_DELETE:
+            results.append(index.delete(key, arg))
+        else:
+            results.append(index.range_scan(key, arg))
+        latencies.append(stack.elapsed() - start)
+    return results, latencies
 
 
 def _shard_clocks(service: ShardedIndex) -> list[float]:

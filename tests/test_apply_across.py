@@ -30,11 +30,13 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from per_op_replay import apply_per_op
 
 from repro.api import OP_DELETE, OP_INSERT, OP_READ, OP_SCAN, make_index
 from repro.api.protocol import apply_grouped, failed_request
-from repro.core import BFTree, BFTreeConfig
+from repro.core import BFTree, BFTreeConfig, bf_tree
 from repro.core.bloom import page_to_rows
+from repro.core.node import InnerTree
 from repro.persist import DurableIndex, make_durable_service, recover_service
 from repro.persist import durable
 from repro.persist.errors import WALFailedError
@@ -183,6 +185,83 @@ def test_splits_in_every_tree():
         lambda: _service(CONFIGS["plain"], 4), ops_of)
     assert all(a.index.n_leaves > b.index.n_leaves
                for a, b in zip(one.shards, before.shards))
+
+
+def test_scans_share_the_pass(monkeypatch):
+    """A 4-tree pass of reads, duplicate re-inserts and scans routes each
+    tree's point keys and scan windows in one ``route_batch`` call,
+    normalises each walk's windows once and counts every tree's scan
+    matches in one ``_count_scan_jobs`` call; its answers are the
+    per-tree loop's."""
+    calls = {"route": [], "normalize": 0, "count": 0}
+    route, normalize = InnerTree.route_batch, bf_tree.normalize_scan_windows
+    count = BFTree._count_scan_jobs
+
+    def counted_route(inner, keys):
+        calls["route"].append(inner)
+        return route(inner, keys)
+
+    def counted_normalize(windows):
+        calls["normalize"] += 1
+        return normalize(windows)
+
+    def counted_count(tree, *args):
+        calls["count"] += 1
+        return count(tree, *args)
+
+    def requests_of(service):
+        return [(shard.index,
+                 [_op(shard.index, RELATION, kind, 7 * x) for x, kind in
+                  enumerate(["read", "dup", "scan", "read", "scan"] * 6)],
+                 []) for shard in service.shards]
+
+    one, twin = _service(CONFIGS["plain"], 4), _service(CONFIGS["plain"], 4)
+    requests = requests_of(one)
+    monkeypatch.setattr(InnerTree, "route_batch", counted_route)
+    monkeypatch.setattr(bf_tree, "normalize_scan_windows", counted_normalize)
+    monkeypatch.setattr(BFTree, "_count_scan_jobs", counted_count)
+    got = BFTree.apply_across(requests)
+    monkeypatch.undo()
+    trees = [tree for tree, _, _ in requests]
+    routed = sorted(map(id, calls["route"]))
+    assert routed == sorted(id(tree.inner) for tree in trees)
+    assert calls["normalize"] == len(trees)
+    assert calls["count"] == 1
+    reference = requests_of(twin)
+    assert got == _loop(reference)
+    assert [s for _, _, s in requests] == [s for _, _, s in reference]
+    assert _state(one) == _state(twin)
+
+
+def test_split_between_two_scans():
+    """New keys split a leaf of every tree between two scans of its
+    range in one chunk, so the scans after the split start from the
+    re-plan's routes; every tree answers as its per-op loop does."""
+    def ops_of(tree):
+        leaf = tree.leaves_in_order()[1]
+        lo, hi = leaf.min_key, leaf.max_key
+        # A bulk-loaded leaf may already hold more keys than it splits at.
+        need = max(1, leaf.key_capacity - leaf.nkeys + 1)
+        ops = []
+        for key in range(lo, hi, 2)[:need + 8]:
+            page = RELATION.page_of(key // 2)
+            ops += [(OP_SCAN, lo, hi), (OP_READ, key, None),
+                    (OP_INSERT, key + 1, page), (OP_SCAN, key, hi)]
+        return ops + [(OP_SCAN, lo, hi), (OP_SCAN, hi - 4, hi),
+                      (OP_READ, hi, None)]
+
+    one, twin = _service(CONFIGS["plain"], 4), _service(CONFIGS["plain"], 4)
+    before = [shard.index.n_leaves for shard in one.shards]
+    requests = [(shard.index, ops_of(shard.index), [])
+                for shard in one.shards]
+    got = BFTree.apply_across(requests)
+    for (_, ops, sink), results, shard in zip(requests, got, twin.shards):
+        want, want_latencies = apply_per_op(shard.index, ops, shard.stack)
+        assert results == want
+        np.testing.assert_allclose(sink, want_latencies, rtol=1e-9)
+    assert _state(one) == _state(twin)
+    assert all(shard.index.n_leaves > n
+               for shard, n in zip(one.shards, before))
 
 
 def _record_passes(monkeypatch):

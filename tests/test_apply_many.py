@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from per_op_replay import apply_per_op
 
 from repro.api import OP_DELETE, OP_INSERT, OP_READ, OP_SCAN, as_scalar
 from repro.core import BFTree, BFTreeConfig, bf_leaf
@@ -157,28 +158,12 @@ WORLDS = {
 }
 
 
-def _per_op(tree, ops, stack):
-    results, latencies = [], []
-    for code, key, arg in ops:
-        start = stack.elapsed()
-        if code == OP_READ:
-            results.append(tree.search(key))
-        elif code == OP_INSERT:
-            results.append(tree.insert(key, arg))
-        elif code == OP_DELETE:
-            results.append(tree.delete(key, arg))
-        else:
-            results.append(tree.range_scan(key, arg))
-        latencies.append(stack.elapsed() - start)
-    return results, latencies
-
-
 def _check_against_per_op(world, ops):
     ref_tree, tree = world.build(), world.build()
     ref_stack, stack = build_stack("MEM/SSD"), build_stack("MEM/SSD")
     ref_tree.bind(ref_stack, warm=world.warm)
     tree.bind(stack, warm=world.warm)
-    want, want_lat = _per_op(ref_tree, ops, ref_stack)
+    want, want_lat = apply_per_op(ref_tree, ops, ref_stack)
     sink: list[float] = []
     got = tree.apply_many(ops, latency_sink=sink)
     assert got == want

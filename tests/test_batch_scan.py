@@ -244,8 +244,8 @@ class TestRouterScanBatching:
 
 
 @pytest.mark.xfail(strict=True, reason=(
-    "range_scan_many reads a data page once per leaf covering it "
-    "(CHANGES.md, FOUND)"))
+    "BFTree._scan, the walk's one scan step, reads a data page once per "
+    "leaf covering it (CHANGES.md, FOUND)"))
 def test_shared_page_is_charged_once():
     """Two leaves share page 811 after the write golden's
     ``bf_pk_fpp0.2`` case reaches step 209; a scan across both must not
